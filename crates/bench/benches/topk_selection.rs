@@ -4,7 +4,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gtopk_sparse::{sampled_topk_sparse, topk_sparse, topk_sparse_into, SparseVec, TopkScratch};
-use gtopk_tensor::parallel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -19,41 +18,22 @@ fn bench_selection(c: &mut Criterion) {
     for &m in &[100_000usize, 1_000_000] {
         let dense = gradient(m);
         let k = m / 1000; // rho = 0.001
-        group.bench_with_input(BenchmarkId::new("exact_quickselect", m), &dense, |b, d| {
+        group.bench_with_input(BenchmarkId::new("exact", m), &dense, |b, d| {
             b.iter(|| black_box(topk_sparse(black_box(d), k)))
         });
         group.bench_with_input(BenchmarkId::new("sampled_threshold", m), &dense, |b, d| {
             let mut rng = StdRng::seed_from_u64(11);
             b.iter(|| black_box(sampled_topk_sparse(black_box(d), k, 512, &mut rng)))
         });
-        // The zero-allocation path, serial vs parallel: same quickselect,
-        // reused scratch, and (for threads > 1) per-chunk candidate
-        // selection with a final select over <= threads*k candidates.
-        for threads in [1usize, 2, 4] {
-            let mut scratch = TopkScratch::new();
-            let mut out = SparseVec::empty(m);
-            group.bench_with_input(
-                BenchmarkId::new(
-                    if threads == 1 {
-                        "scratch_serial"
-                    } else if threads == 2 {
-                        "scratch_2threads"
-                    } else {
-                        "scratch_4threads"
-                    },
-                    m,
-                ),
-                &dense,
-                |b, d| {
-                    b.iter(|| {
-                        parallel::with_thread_limit(threads, || {
-                            topk_sparse_into(black_box(d), k, &mut scratch, &mut out);
-                        });
-                        black_box(&out);
-                    })
-                },
-            );
-        }
+        // The zero-allocation path: the same exact kernel on reused scratch.
+        let mut scratch = TopkScratch::new();
+        let mut out = SparseVec::empty(m);
+        group.bench_with_input(BenchmarkId::new("exact_scratch", m), &dense, |b, d| {
+            b.iter(|| {
+                topk_sparse_into(black_box(d), k, &mut scratch, &mut out);
+                black_box(&out);
+            })
+        });
     }
     group.finish();
 }

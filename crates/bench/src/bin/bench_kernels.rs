@@ -1,29 +1,36 @@
 //! Hot-path kernel throughput at paper scale → `BENCH_kernels.json`.
 //!
 //! Measures elements/sec for the kernels the trainer spends its compute
-//! budget on — top-k selection, sparse top-k merge, matmul, residual
-//! accumulate, and the fused accumulate+select+compact pass — comparing:
+//! budget on — top-k selection, sparse top-k merge, the sparse optimizer
+//! apply, matmul, residual accumulate, and the fused
+//! accumulate+select+compact pass — comparing:
 //!
-//! * the zero-allocation scratch-reuse paths against the allocating ones;
+//! * the zero-allocation scratch-reuse paths against the allocating ones,
+//!   at the paper's steady state (ρ = 0.001) and at its first warm-up
+//!   epoch's density (ρ = 0.25, n = 1M);
+//! * `MomentumSgd::step_sparse` against densify-then-`step_dense` (what
+//!   it used to do) at m = 25M, k = 25 000;
 //! * the blocked/row-parallel matmul against the naive i-k-j loop (and
 //!   asserting the single-thread dispatch is never slower than naive);
 //! * every available `GTOPK_SIMD` level against the scalar kernels;
 //! * the fused single-pass residual+select against the three-pass
 //!   accumulate / scan / compact sequence, at m = 25M;
-//! * thread counts 1/2/4 via the `crate::parallel` runtime (on a
-//!   single-core CI machine the thread rows document oversubscription
-//!   rather than speedup — `cpus` in the JSON records what was available).
+//! * thread counts 1/2/4 via the `crate::parallel` runtime for matmul
+//!   (selection is one single-threaded streaming pass; on a machine with
+//!   fewer cores than threads the rows document oversubscription rather
+//!   than speedup — `cpus` in the JSON records what was available).
 //!
 //! Run with `cargo run --release -p gtopk-bench --bin bench_kernels`;
 //! the JSON lands in the repository root so future PRs have a perf
 //! trajectory to compare against.
 
+use gtopk_nn::{Model, MomentumSgd};
 use gtopk_sparse::{
     topk_merge, topk_merge_into, topk_sparse, topk_sparse_into, MergeScratch, Residual, SparseVec,
     TopkScratch,
 };
 use gtopk_tensor::simd::{self, SimdLevel};
-use gtopk_tensor::{matmul_flat, parallel};
+use gtopk_tensor::{matmul_flat, parallel, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -37,6 +44,11 @@ const K: usize = 14_000;
 /// the kernels are firmly memory-bound (100 MB per buffer).
 const N2: usize = 25_000_000;
 const K2: usize = 25_000;
+/// The first warm-up epoch's density on a 1M-parameter model: k/n is 250×
+/// the steady state's, so the select's candidate tail and the merge's
+/// re-selection dominate instead of the streaming pass.
+const N3: usize = 1_000_000;
+const K3: usize = 250_000;
 /// Sample size for the threshold-estimate selector (trainer default).
 const SAMPLE: usize = 512;
 const THREADS: &[usize] = &[1, 2, 4];
@@ -100,84 +112,136 @@ fn naive_matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usiz
     }
 }
 
-fn bench_select(rows: &mut Vec<Row>) {
+/// Exact top-`k`-of-`n` selection, allocating vs scratch-reusing.
+fn bench_select(rows: &mut Vec<Row>, kernel: &'static str, n: usize, k: usize) {
     let mut rng = StdRng::seed_from_u64(7);
-    let dense: Vec<f32> = (0..N).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let dense: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
 
     rows.push(Row {
-        kernel: "topk_select",
+        kernel,
         variant: "alloc_per_call",
         threads: 1,
         simd: simd::level().name(),
-        elements: N,
+        elements: n,
         baseline: true,
-        secs: parallel::with_thread_limit(1, || {
-            time_median(5, || {
-                black_box(topk_sparse(black_box(&dense), K));
-            })
+        secs: time_median(5, || {
+            black_box(topk_sparse(black_box(&dense), k));
         }),
     });
-    for &t in THREADS {
-        let mut scratch = TopkScratch::new();
-        let mut out = SparseVec::empty(N);
-        rows.push(Row {
-            kernel: "topk_select",
-            variant: "scratch_reuse",
-            threads: t,
-            simd: simd::level().name(),
-            elements: N,
-            baseline: false,
-            secs: parallel::with_thread_limit(t, || {
-                time_median(5, || {
-                    topk_sparse_into(black_box(&dense), K, &mut scratch, &mut out);
-                    black_box(&out);
-                })
-            }),
-        });
-    }
+    let mut scratch = TopkScratch::new();
+    let mut out = SparseVec::empty(n);
+    rows.push(Row {
+        kernel,
+        variant: "scratch_reuse",
+        threads: 1,
+        simd: simd::level().name(),
+        elements: n,
+        baseline: false,
+        secs: time_median(5, || {
+            topk_sparse_into(black_box(&dense), k, &mut scratch, &mut out);
+            black_box(&out);
+        }),
+    });
 }
 
-fn bench_merge(rows: &mut Vec<Row>) {
+/// The `⊤` merge of two independent top-`k`-of-`n` selections (2k
+/// entries in, k out), allocating vs scratch-reusing; looped `reps` times
+/// so each timing sample is well above clock resolution.
+fn bench_merge(rows: &mut Vec<Row>, kernel: &'static str, n: usize, k: usize, reps: usize) {
     let mut rng = StdRng::seed_from_u64(11);
     let mk_sparse = |rng: &mut StdRng| {
-        let dense: Vec<f32> = (0..N).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        topk_sparse(&dense, K)
+        let dense: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        topk_sparse(&dense, k)
     };
     let a = mk_sparse(&mut rng);
     let b = mk_sparse(&mut rng);
 
-    // The merge operator touches 2k = 28 000 entries; loop it so each
-    // timing sample is well above clock resolution.
-    const REPS: usize = 200;
     rows.push(Row {
-        kernel: "topk_merge",
+        kernel,
         variant: "alloc_per_call",
         threads: 1,
         simd: simd::level().name(),
-        elements: 2 * K * REPS,
+        elements: 2 * k * reps,
         baseline: true,
         secs: time_median(5, || {
-            for _ in 0..REPS {
-                black_box(topk_merge(black_box(&a), black_box(&b), K));
+            for _ in 0..reps {
+                black_box(topk_merge(black_box(&a), black_box(&b), k));
             }
         }),
     });
     let mut scratch = MergeScratch::new();
-    let mut out = SparseVec::empty(N);
+    let mut out = SparseVec::empty(n);
     rows.push(Row {
-        kernel: "topk_merge",
+        kernel,
         variant: "scratch_reuse",
         threads: 1,
         simd: simd::level().name(),
-        elements: 2 * K * REPS,
+        elements: 2 * k * reps,
         baseline: false,
         secs: time_median(5, || {
-            for _ in 0..REPS {
-                topk_merge_into(black_box(&a), black_box(&b), K, &mut scratch, &mut out);
+            for _ in 0..reps {
+                topk_merge_into(black_box(&a), black_box(&b), k, &mut scratch, &mut out);
                 black_box(&out);
             }
         }),
     });
+}
+
+/// A model that is nothing but its flat parameter vector: the optimizer
+/// rows then time the optimizer, not a layer stack's parameter walk.
+struct FlatModel(Vec<f32>);
+
+impl Model for FlatModel {
+    fn num_params(&self) -> usize {
+        self.0.len()
+    }
+    fn forward(&mut self, _input: &Tensor, _train: bool) -> Tensor {
+        unreachable!("the optimizer rows never run the model")
+    }
+    fn backward(&mut self, _grad_logits: &Tensor) {}
+    fn zero_grads(&mut self) {}
+    fn flat_grads(&self) -> Vec<f32> {
+        vec![0.0; self.0.len()]
+    }
+    fn flat_params(&self) -> Vec<f32> {
+        self.0.clone()
+    }
+    fn set_flat_params(&mut self, values: &[f32]) {
+        self.0.copy_from_slice(values);
+    }
+    fn add_to_flat_params(&mut self, delta: &[f32]) {
+        simd::axpy(&mut self.0, delta);
+    }
+}
+
+/// Momentum-SGD apply of a k-sparse aggregated update, m = 25M,
+/// k = 25 000: densify into a fresh m-vector then `step_dense` (the
+/// former `step_sparse`) vs the gap-walking `step_sparse`.
+fn bench_opt_apply(rows: &mut Vec<Row>) {
+    let mut rng = StdRng::seed_from_u64(29);
+    let dense: Vec<f32> = (0..N2).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let update = topk_sparse(&dense, K2);
+    drop(dense);
+    for (variant, densify) in [("densify_then_dense", true), ("step_sparse", false)] {
+        let mut model = FlatModel(vec![0.0; N2]);
+        let mut opt = MomentumSgd::new(N2, 0.01, 0.9);
+        rows.push(Row {
+            kernel: "opt_apply_sparse",
+            variant,
+            threads: 1,
+            simd: simd::level().name(),
+            elements: N2,
+            baseline: densify,
+            secs: time_median(5, || {
+                if densify {
+                    opt.step_dense(&mut model, &black_box(&update).to_dense());
+                } else {
+                    opt.step_sparse(&mut model, black_box(&update));
+                }
+                black_box(&model.0);
+            }),
+        });
+    }
 }
 
 fn bench_matmul(rows: &mut Vec<Row>) {
@@ -343,7 +407,7 @@ fn render_json(rows: &[Row]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(
         out,
-        "  \"bench\": \"hot-path kernels at paper scale (n=14M k=14000 for select/merge; n=25M k=25000 for simd/fusion rows)\","
+        "  \"bench\": \"hot-path kernels at paper scale (n=14M k=14000 for select/merge, n=1M k=250000 for the _rho25 pair; n=25M k=25000 for opt_apply/simd/fusion rows)\","
     );
     let cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let _ = writeln!(out, "  \"cpus\": {cpus},");
@@ -402,10 +466,14 @@ fn main() {
         simd::features_string()
     );
     let mut rows = Vec::new();
-    eprintln!("benchmarking top-k selection (n = {N}, k = {K}) ...");
-    bench_select(&mut rows);
+    eprintln!("benchmarking top-k selection (n = {N}, k = {K}; n = {N3}, k = {K3}) ...");
+    bench_select(&mut rows, "topk_select", N, K);
+    bench_select(&mut rows, "topk_select_rho25", N3, K3);
     eprintln!("benchmarking top-k merge ...");
-    bench_merge(&mut rows);
+    bench_merge(&mut rows, "topk_merge", N, K, 200);
+    bench_merge(&mut rows, "topk_merge_rho25", N3, K3, 10);
+    eprintln!("benchmarking sparse optimizer apply (m = {N2}, k = {K2}) ...");
+    bench_opt_apply(&mut rows);
     eprintln!("benchmarking matmul ...");
     bench_matmul(&mut rows);
     eprintln!("benchmarking residual axpy across simd levels (n = {N2}) ...");

@@ -3,8 +3,8 @@
 //! The paper's Fig. 11 flags local sparsification as a real per-iteration
 //! overhead ("Top-k selection on GPU is inefficient... We will leave this
 //! as our future optimization direction"). This module makes the
-//! selection kernel a configuration axis: the exact quickselect, or the
-//! cheaper sampled-threshold estimation.
+//! selection kernel a configuration axis: the exact streaming select, or
+//! the sampled-threshold estimation.
 
 use gtopk_sparse::{Residual, SparseVec};
 use rand::rngs::StdRng;
@@ -13,7 +13,9 @@ use rand::SeedableRng;
 /// Which kernel extracts the local top-k from the residual buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Selector {
-    /// Exact top-k via expected-O(m) quickselect (default).
+    /// Exact top-k via one streaming O(m) threshold pass plus an O(k)
+    /// select (default). A pure function of the buffer: it draws nothing
+    /// from the per-rank RNG stream.
     #[default]
     Exact,
     /// Sampled-threshold estimation with the given sample size —
@@ -23,12 +25,11 @@ pub enum Selector {
         /// Number of magnitude samples used to estimate the threshold.
         sample: usize,
     },
-    /// Sampling-estimated threshold with exact-`k` fixup: one O(m)
-    /// single pass collects strictly-above-threshold candidates and an
-    /// exact select over the (small) candidate set finishes the job. The
-    /// result is **bitwise identical** to [`Selector::Exact`] — only the
-    /// selection cost is probabilistic (it falls back to the exact kernel
-    /// when the estimate overshoots).
+    /// The [`Selector::Exact`] kernel with its threshold estimated from
+    /// `sample` draws of the per-rank RNG stream instead of the built-in
+    /// RNG-free sampler. The result is **bitwise identical** to
+    /// [`Selector::Exact`] — only the selection cost depends on the
+    /// sample.
     ThresholdEstimate {
         /// Number of magnitude samples used to estimate the threshold.
         sample: usize,
@@ -88,27 +89,21 @@ impl SelectorState {
     /// Accumulates this iteration's gradient into the residual and
     /// extracts `min(k, dim)` coordinates, in one call.
     ///
-    /// For [`Selector::ThresholdEstimate`] this takes the fused
-    /// accumulate + threshold-scan + compact kernel
+    /// For [`Selector::Exact`] and [`Selector::ThresholdEstimate`] this
+    /// takes the fused accumulate + threshold-scan + compact kernel
     /// ([`Residual::accumulate_extract_threshold`]) — one memory pass
     /// over the buffer instead of three, bitwise identical to the
-    /// unfused sequence. The other selectors accumulate and then extract
-    /// exactly as before.
+    /// unfused sequence. [`Selector::Sampled`] accumulates and then
+    /// extracts.
     pub fn accumulate_extract(
         &mut self,
         residual: &mut Residual,
         grad: &[f32],
         k: usize,
     ) -> SparseVec {
-        match self.selector {
-            Selector::ThresholdEstimate { sample } => {
-                residual.accumulate_extract_threshold(grad, k, sample, &mut self.rng)
-            }
-            Selector::Exact | Selector::Sampled { .. } => {
-                residual.accumulate(grad);
-                self.extract(residual, k)
-            }
-        }
+        let mut out = SparseVec::empty(residual.dim());
+        self.accumulate_extract_into(residual, grad, k, &mut out);
+        out
     }
 
     /// Like [`SelectorState::accumulate_extract`] but writing into a
@@ -123,19 +118,17 @@ impl SelectorState {
         k: usize,
         out: &mut SparseVec,
     ) {
-        match self.selector {
-            Selector::ThresholdEstimate { sample } => {
-                residual.accumulate_extract_threshold_into(grad, k, sample, &mut self.rng, out);
-            }
-            Selector::Exact => {
-                residual.accumulate(grad);
-                residual.extract_topk_into(k, out);
-            }
+        // Sample size 0 is the kernel's built-in RNG-free sampler.
+        let sample = match self.selector {
+            Selector::Exact => 0,
+            Selector::ThresholdEstimate { sample } => sample,
             Selector::Sampled { sample } => {
                 residual.accumulate(grad);
                 *out = residual.extract_topk_sampled(k, sample, &mut self.rng);
+                return;
             }
-        }
+        };
+        residual.accumulate_extract_threshold_into(grad, k, sample, &mut self.rng, out);
     }
 }
 
@@ -198,12 +191,14 @@ mod tests {
     #[test]
     fn accumulate_extract_matches_accumulate_then_extract() {
         // Every selector: the one-call form must reproduce the two-call
-        // form bitwise — for ThresholdEstimate that exercises the fused
-        // single-pass kernel against the three-pass sequence.
+        // form bitwise — for Exact and ThresholdEstimate that exercises
+        // the fused single-pass kernel against the three-pass sequence,
+        // at a size where Exact's built-in sampler engages.
+        let n = 3 * 4096;
         let grads: Vec<Vec<f32>> = (0..3)
             .map(|s: usize| {
-                (0..512)
-                    .map(|i| ((i * 37 + s * 11) % 101) as f32 - 50.0)
+                (0..n)
+                    .map(|i| ((i * 37 + s * 11) % 101) as f32 - 50.0 + (i as f32 * 0.11).sin())
                     .collect()
             })
             .collect();
@@ -212,8 +207,8 @@ mod tests {
             Selector::Sampled { sample: 64 },
             Selector::ThresholdEstimate { sample: 64 },
         ] {
-            let mut r1 = Residual::new(512);
-            let mut r2 = Residual::new(512);
+            let mut r1 = Residual::new(n);
+            let mut r2 = Residual::new(n);
             let mut s1 = SelectorState::new(selector, 2);
             let mut s2 = SelectorState::new(selector, 2);
             for g in &grads {
@@ -222,7 +217,12 @@ mod tests {
                 let unfused = s2.extract(&mut r2, 16);
                 assert_eq!(fused, unfused, "{selector:?}");
                 assert_eq!(r1.dense(), r2.dense(), "{selector:?} residual state");
+                assert_eq!(s1.rng_state(), s2.rng_state(), "{selector:?} rng stream");
             }
+            // Exact is a pure function of the buffer: its checkpointed
+            // stream never advances.
+            let fresh = SelectorState::new(selector, 2).rng_state();
+            assert_eq!(s1.rng_state() == fresh, selector == Selector::Exact);
         }
     }
 

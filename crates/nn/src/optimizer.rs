@@ -1,14 +1,16 @@
 use crate::Model;
 use gtopk_sparse::SparseVec;
+use std::iter::{once, repeat};
+use std::ops::Range;
 
 /// Momentum SGD over the model's flat parameter vector:
 /// `v ← μ·v + g`, `W ← W − η·v` — the paper trains every model with
 /// momentum 0.9 (§IV-A).
 ///
 /// The gradient `g` may be dense (the S-SGD baseline) or sparse (the
-/// aggregated gTop-k / Top-k update); sparse updates are scattered into a
-/// dense buffer first so velocity semantics are identical across
-/// algorithms.
+/// aggregated gTop-k / Top-k update); a sparse update runs the dense
+/// step's arithmetic with `g = 0.0` off its support, so velocity
+/// semantics are identical across algorithms.
 #[derive(Debug, Clone)]
 pub struct MomentumSgd {
     velocity: Vec<f32>,
@@ -75,6 +77,17 @@ impl MomentumSgd {
         self.lr = lr;
     }
 
+    /// `v ← μ·v + g`, `scratch ← −η·v` over `range`; `grad` yields the
+    /// range's per-coordinate gradient.
+    fn advance(&mut self, range: Range<usize>, grad: impl Iterator<Item = f32>) {
+        let (mu, lr) = (self.momentum, self.lr);
+        let (vel, delta) = (&mut self.velocity[range.clone()], &mut self.scratch[range]);
+        for ((v, d), g) in vel.iter_mut().zip(delta).zip(grad) {
+            *v = mu * *v + g;
+            *d = -lr * *v;
+        }
+    }
+
     /// Applies a dense gradient step.
     ///
     /// # Panics
@@ -87,15 +100,7 @@ impl MomentumSgd {
             self.velocity.len(),
             "model size mismatch"
         );
-        for ((v, s), &g) in self
-            .velocity
-            .iter_mut()
-            .zip(self.scratch.iter_mut())
-            .zip(grad.iter())
-        {
-            *v = self.momentum * *v + g;
-            *s = -self.lr * *v;
-        }
+        self.advance(0..grad.len(), grad.iter().copied());
         self.scratch_dirty = true;
         model.add_to_flat_params(&self.scratch);
     }
@@ -115,12 +120,7 @@ impl MomentumSgd {
     ///
     /// Panics if the range exceeds the parameter count or the bucket
     /// gradient's dimension differs from the range length.
-    pub fn step_range(
-        &mut self,
-        model: &mut dyn Model,
-        range: std::ops::Range<usize>,
-        grad: &SparseVec,
-    ) {
+    pub fn step_range(&mut self, model: &mut dyn Model, range: Range<usize>, grad: &SparseVec) {
         assert!(
             range.end <= self.velocity.len(),
             "bucket range out of bounds"
@@ -153,7 +153,9 @@ impl MomentumSgd {
         self.scratch[range].iter_mut().for_each(|s| *s = 0.0);
     }
 
-    /// Applies a sparse aggregated gradient step (gTop-k / Top-k updates).
+    /// Applies a sparse aggregated gradient step (gTop-k / Top-k updates):
+    /// bit for bit [`MomentumSgd::step_dense`] of `grad.to_dense()`, signed
+    /// zeros and denormals included, without building that vector.
     ///
     /// # Panics
     ///
@@ -161,9 +163,16 @@ impl MomentumSgd {
     /// parameter count.
     pub fn step_sparse(&mut self, model: &mut dyn Model, grad: &SparseVec) {
         assert_eq!(grad.dim(), self.velocity.len(), "gradient dim mismatch");
-        let mut dense = vec![0.0f32; self.velocity.len()];
-        grad.add_into_dense(&mut dense);
-        self.step_dense(model, &dense);
+        let mut lo = 0;
+        for (i, g) in grad.iter() {
+            let i = i as usize;
+            self.advance(lo..i, repeat(0.0));
+            self.advance(i..i + 1, once(g));
+            lo = i + 1;
+        }
+        self.advance(lo..grad.dim(), repeat(0.0));
+        self.scratch_dirty = true;
+        model.add_to_flat_params(&self.scratch);
     }
 
     /// Resets accumulated velocity (e.g. between experiment phases).
@@ -224,6 +233,126 @@ mod tests {
         o1.step_sparse(m1.as_mut(), &sv);
         o2.step_dense(m2.as_mut(), &sv.to_dense());
         assert_eq!(m1.flat_params(), m2.flat_params());
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Parameters and velocity of both replicas agree bit for bit.
+    fn assert_same_bits(
+        (m1, o1): (&dyn Model, &MomentumSgd),
+        (m2, o2): (&dyn Model, &MomentumSgd),
+        at: &str,
+    ) {
+        assert_eq!(bits(o1.velocity()), bits(o2.velocity()), "velocity {at}");
+        assert_eq!(
+            bits(&m1.flat_params()),
+            bits(&m2.flat_params()),
+            "params {at}"
+        );
+    }
+
+    #[test]
+    fn sparse_step_is_bitwise_the_dense_step_through_underflow() {
+        // One kick of either sign on coordinates the steady update never
+        // touches again: their velocities decay μ× per step into the
+        // denormals. At μ = 0.9 they stick there (0.9·4 ulp rounds back
+        // to 4 ulp); at μ = 0.5 the last product rounds to ∓0.0, which
+        // the dense step's `+ 0.0` turns into +0.0.
+        for (momentum, ends_at_zero) in [(0.9, false), (0.5, true)] {
+            let mut m1: Box<dyn Model> = Box::new(models::logistic(0, 16, 4));
+            let mut m2: Box<dyn Model> = Box::new(models::logistic(0, 16, 4));
+            let n = m1.num_params();
+            let mut o1 = MomentumSgd::new(n, 0.05, momentum);
+            let mut o2 = MomentumSgd::new(n, 0.05, momentum);
+            let kicked = [0, 1, n / 2, n - 1];
+            let kick = SparseVec::from_pairs(
+                n,
+                kicked
+                    .iter()
+                    .zip([-1.0e-3, 2.0e-3, -4.0, -1.0e-30])
+                    .map(|(&i, g)| (i as u32, g))
+                    .collect(),
+            );
+            let steady = SparseVec::from_pairs(
+                n,
+                (0..n as u32)
+                    .filter(|i| i % 5 == 3)
+                    .map(|i| (i, (i as f32 - 20.0) * 1.0e-2))
+                    .collect(),
+            );
+            o1.step_sparse(m1.as_mut(), &kick);
+            o2.step_dense(m2.as_mut(), &kick.to_dense());
+            let mut saw_denormal = false;
+            for step in 0..1600 {
+                o1.step_sparse(m1.as_mut(), &steady);
+                o2.step_dense(m2.as_mut(), &steady.to_dense());
+                let at = format!("momentum {momentum} step {step}");
+                assert_same_bits((m1.as_ref(), &o1), (m2.as_ref(), &o2), &at);
+                saw_denormal |= o1.velocity()[0] != 0.0 && !o1.velocity()[0].is_normal();
+            }
+            assert!(saw_denormal, "momentum {momentum}: never went denormal");
+            for i in kicked {
+                let v = o1.velocity()[i];
+                assert!(!v.is_normal(), "momentum {momentum} coord {i}: {v:e}");
+                assert_eq!(v.to_bits() == 0, ends_at_zero, "coord {i}: {v:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_step_interleaves_with_range_and_dense_steps() {
+        // Replica 1 takes `step_sparse`, replica 2 the dense step of the
+        // scattered update; every other call is the same on both. A
+        // `step_sparse` that left the scratch buffer's dirty flag wrong
+        // would leak stale deltas through the next `step_range`.
+        let mut m1: Box<dyn Model> = Box::new(models::logistic(0, 16, 4));
+        let mut m2: Box<dyn Model> = Box::new(models::logistic(0, 16, 4));
+        let n = m1.num_params();
+        let mut o1 = MomentumSgd::new(n, 0.1, 0.9);
+        let mut o2 = MomentumSgd::new(n, 0.1, 0.9);
+        let mid = n / 3;
+        let sparse = |salt: u32| {
+            SparseVec::from_pairs(
+                n,
+                (0..n as u32)
+                    .filter(|i| (i + salt).is_multiple_of(4))
+                    .map(|i| (i, ((i * 7 + salt) % 13) as f32 - 6.0))
+                    .collect(),
+            )
+        };
+        let bucket = SparseVec::from_pairs(n - mid, vec![(0, 0.5), ((n - mid) as u32 - 1, -1.5)]);
+        let dense: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin()).collect();
+        for (round, op) in [0, 1, 0, 2, 1, 0, 0, 2, 0, 1, 1, 0].into_iter().enumerate() {
+            match op {
+                0 => {
+                    o1.step_sparse(m1.as_mut(), &sparse(round as u32));
+                    o2.step_dense(m2.as_mut(), &sparse(round as u32).to_dense());
+                }
+                1 => {
+                    o1.step_range(m1.as_mut(), mid..n, &bucket);
+                    o2.step_range(m2.as_mut(), mid..n, &bucket);
+                }
+                _ => {
+                    o1.step_dense(m1.as_mut(), &dense);
+                    o2.step_dense(m2.as_mut(), &dense);
+                }
+            }
+            assert_same_bits(
+                (m1.as_ref(), &o1),
+                (m2.as_ref(), &o2),
+                &format!("round {round}"),
+            );
+        }
+        // The empty update is a pure decay; the full one touches every
+        // coordinate.
+        let full = SparseVec::from_pairs(n, (0..n as u32).map(|i| (i, 0.25)).collect());
+        for sv in [SparseVec::empty(n), full] {
+            o1.step_sparse(m1.as_mut(), &sv);
+            o2.step_dense(m2.as_mut(), &sv.to_dense());
+            assert_same_bits((m1.as_ref(), &o1), (m2.as_ref(), &o2), "edge update");
+        }
     }
 
     #[test]

@@ -6,14 +6,15 @@
 //! partner's k-sparse vector, merge-adds it into its own, and re-selects
 //! the top-k of the (≤ 2k)-entry result.
 //!
-//! # Threading & determinism
+//! # Determinism
 //!
-//! Merge inputs in the tree are tiny (≤ 2k entries), so the merge itself
-//! is serial; the top-k re-selection inside it shares the comparator —
-//! and therefore the deterministic tie-breaking (larger |value| first,
-//! lower index wins, NaN magnitude counts as 0) — with
-//! [`crate::topk_indices`]. Determinism here is what keeps every replica's
-//! model bitwise identical across ranks.
+//! The re-selection over the (≤ 2k)-entry sum *is* [`crate::topk_indices`]'s
+//! streaming kernel run over the sum's values — strictly-above-threshold
+//! candidates ⊇ answer, ties resolved by an ascending scan — so it shares
+//! the total order (larger |value| first, lower position, i.e. lower
+//! coordinate index, wins; NaN magnitude counts as 0) and returns
+//! positions already ascending. Determinism here is what keeps every
+//! replica's model bitwise identical across ranks.
 //!
 //! # Scratch reuse
 //!

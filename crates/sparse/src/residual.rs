@@ -76,7 +76,7 @@ impl Residual {
     /// buffer and returning them as a sparse vector.
     ///
     /// Selection scratch is reused across calls, so steady-state cost is
-    /// the quickselect itself with no per-step allocation beyond the
+    /// the streaming select itself with no per-step allocation beyond the
     /// returned k-entry vector.
     pub fn extract_topk(&mut self, k: usize) -> SparseVec {
         let mut sv = SparseVec::empty(self.acc.len());
@@ -129,10 +129,12 @@ impl Residual {
         }
     }
 
-    /// Like [`Residual::extract_topk`] but using the sampling-estimated
-    /// threshold kernel with exact-`k` fixup — the result is bitwise
-    /// identical to [`Residual::extract_topk`], only the selection cost is
-    /// probabilistic (an O(dim) single pass in the common case).
+    /// Like [`Residual::extract_topk`] but with the selection threshold
+    /// estimated from `sample` draws of the caller's RNG stream (`sample
+    /// == 0`: the built-in RNG-free sampler, i.e. [`Residual::extract_topk`]
+    /// itself) — the result is bitwise identical to
+    /// [`Residual::extract_topk`], only the selection cost depends on the
+    /// sample.
     pub fn extract_topk_threshold(
         &mut self,
         k: usize,
@@ -162,13 +164,14 @@ impl Residual {
         examined
     }
 
-    /// Fused accumulate + threshold extraction: `G += grad` and the
-    /// top-`k` extraction of [`Residual::extract_topk_threshold`] in one
-    /// memory pass over the buffer (see
-    /// [`accumulate_select_compact`]). Bitwise identical — result,
-    /// buffer state, and RNG consumption — to
+    /// Fused accumulate + exact extraction: `G += grad` and the top-`k`
+    /// extraction of [`Residual::extract_topk_threshold`] in one memory
+    /// pass over the buffer (see [`accumulate_select_compact`]). Bitwise
+    /// identical — result, buffer state, and RNG consumption — to
     /// [`Residual::accumulate`] followed by
-    /// [`Residual::extract_topk_threshold`].
+    /// [`Residual::extract_topk_threshold`]; with `sample == 0` (the
+    /// built-in RNG-free sampler) that is [`Residual::accumulate`]
+    /// followed by [`Residual::extract_topk`], with `rng` untouched.
     pub fn accumulate_extract_threshold(
         &mut self,
         grad: &[f32],

@@ -1,48 +1,65 @@
 //! Top-k selection kernels.
 //!
 //! The paper selects the `k = ρ·m` gradient coordinates of largest absolute
-//! value (Algorithm 1, lines 5–7). We provide an exact O(m) expected-time
-//! quickselect ([`topk_indices`] / [`topk_indices_into`]), a plain
-//! threshold filter ([`threshold_sparse`]), and a sampled-threshold
-//! approximation ([`sampled_topk_sparse`]) of the kind used to cut GPU
-//! selection cost — the paper's Fig. 11 flags compression time as a real
-//! overhead.
+//! value (Algorithm 1, lines 5–7) and its Fig. 11 flags that selection as
+//! the overhead left once the wire is O(k log P). Every exact caller — the
+//! local select ([`topk_indices_into`]), the `⊤` merge's re-selection, the
+//! parameter-server range extraction and both sampled-threshold entry
+//! points ([`threshold_estimate_topk_into`], [`accumulate_select_compact`])
+//! — runs one streaming kernel:
 //!
-//! # Threading & determinism
+//! 1. a magnitude **sample** picks a threshold aimed at `k` plus four
+//!    binomial standard deviations of candidates (≈ 1.03 k at ρ = 0.25,
+//!    ≤ 1.6 k at ρ = 0.001);
+//! 2. one SIMD pass collects the coordinates *strictly above* it, in
+//!    ascending index order;
+//! 3. `select_nth` over the candidates' magnitudes (plain `f32` compares)
+//!    finds the k-th magnitude `t*`;
+//! 4. one ordered scan emits every `|v| > t*` plus the lowest-index ties
+//!    at `t*` — so the output is born sorted.
 //!
-//! Large inputs are selected in parallel: the index space is split into
-//! contiguous chunks (see `gtopk_tensor::parallel`), each chunk's local
-//! top-k is found independently, and an exact final select runs over the
-//! ≤ `threads·k` gathered candidates. This is *bitwise identical* to the
-//! serial kernel for any thread count or chunking: the comparator is a
-//! strict total order (larger magnitude first, lower index breaks ties,
-//! NaN magnitude counts as 0), so the global top-k set is unique, and
-//! every member of it is necessarily inside its own chunk's local top-k —
-//! fewer than `k` coordinates beat it globally, hence fewer than `k`
-//! within its chunk. The candidate union therefore always contains the
-//! answer and the final exact select returns exactly the serial result.
+//! A plain threshold filter ([`threshold_sparse`]) and the older relaxing
+//! sampled selector ([`sampled_topk_sparse`]) sit beside it.
 //!
-//! The determinism is load-bearing: every worker replica must compute an
-//! identical selection for identical input, or replicas drift apart.
+//! # Determinism
+//!
+//! The order is total (larger magnitude first, lower index breaks ties,
+//! NaN magnitude counts as 0), so the top-k set is unique. Every
+//! coordinate the threshold pass drops is strictly beaten by every
+//! candidate, hence **candidates ⊇ answer** whenever at least `k` survive;
+//! steps 3–4 then resolve it exactly, ties by ascending scan. When fewer
+//! than `k` survive (a sample that overshot, zero-heavy buffers) — or the
+//! input is too small for a sample to pay — *every* index is a candidate
+//! and the same two steps run. The result is therefore a pure function of
+//! the buffer: independent of the sampler, the SIMD level and the thread
+//! count, which is what keeps worker replicas bitwise in step.
+//!
+//! The built-in sampler reads a fixed Weyl sequence of positions — no
+//! RNG. The estimate entry points draw the positions from the caller's
+//! stream instead when `sample > 0`; nothing else sets them apart.
 //!
 //! # Scratch reuse
 //!
-//! The `_into` variants take a [`TopkScratch`] so the O(m) index buffer is
-//! allocated once per trainer, not once per step. The plain variants
-//! allocate internally and are unchanged in behavior.
+//! The `_into` variants take a [`TopkScratch`] holding the candidate and
+//! magnitude buffers — O(k) on the threshold path — so steady-state
+//! selection allocates nothing. The plain variants allocate internally.
 
 use crate::SparseVec;
 use gtopk_tensor::{parallel, simd};
 use rand::Rng;
 use std::cmp::Ordering;
 
-/// Inputs below this many elements per chunk are selected serially —
-/// spawn overhead beats quickselect on anything smaller.
+/// [`threshold_sparse`] inputs below this many elements per chunk are
+/// filtered serially — spawn overhead beats the scan on anything smaller.
 const PAR_MIN_CHUNK: usize = 32 * 1024;
 
+/// Below this many elements the built-in sampler is skipped: sampling
+/// would cost more than the select over all of them that it spares.
+const PREFILTER_MIN: usize = 4096;
+
 /// Comparison magnitude of a value: `|v|`, with NaN mapped to 0 so the
-/// comparator stays a total order (a NaN gradient coordinate sorts as if
-/// it were zero instead of poisoning the selection).
+/// order stays total (a NaN gradient coordinate sorts as if it were zero
+/// instead of poisoning the selection).
 #[inline]
 fn mag(v: f32) -> f32 {
     let m = v.abs();
@@ -53,87 +70,150 @@ fn mag(v: f32) -> f32 {
     }
 }
 
-/// Compares candidate coordinates: larger |value| first, then lower index.
-fn tie_cmp(values: &[f32], a: u32, b: u32) -> Ordering {
-    let (va, vb) = (mag(values[a as usize]), mag(values[b as usize]));
-    // `mag` never returns NaN, so `partial_cmp` is total here; the `None`
-    // arm is unreachable but kept so the comparator is safe by inspection.
-    match vb.partial_cmp(&va) {
-        Some(Ordering::Equal) | None => a.cmp(&b),
-        Some(ord) => ord,
-    }
-}
-
-/// Reusable buffers for [`topk_indices_into`] / [`topk_sparse_into`].
-///
-/// Holds the O(m) index permutation buffer and the parallel candidate
-/// buffer, so steady-state selection performs zero heap allocation.
+/// Reusable buffers for the exact selection kernels: steady-state
+/// selection performs zero heap allocation.
 #[derive(Debug, Clone, Default)]
 pub struct TopkScratch {
-    /// Index buffer: 0..n, partially selected in place (per chunk when
-    /// running parallel).
-    idx: Vec<u32>,
-    /// Gathered per-chunk candidates (≤ chunks·k entries), and the
-    /// strictly-above-threshold candidates of the estimate paths.
+    /// Strictly-above-threshold candidate indices, ascending.
     cand: Vec<u32>,
-    /// Sampled magnitudes of the threshold-estimate paths (`sample`
-    /// entries) — kept here so estimation allocates nothing per call.
+    /// The sampled magnitudes, then the candidates' magnitudes.
     mags: Vec<f32>,
 }
 
 impl TopkScratch {
-    /// Empty scratch; buffers grow to the input size on first use.
+    /// Empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         TopkScratch::default()
     }
 }
 
+/// Strict candidate threshold for a top-`k`-of-`n` select, from `s`
+/// sampled values (`draw(j)` is the j-th): the sample's `quota`-th
+/// magnitude, `quota = q + 4·√q` with `q = s·k/n` the expected number of
+/// top-k members in the sample, so an under-collection is a four-sigma
+/// event. `None` — and nothing sampled — for a degenerate select (`k == 0`,
+/// `k ≥ n`); `None` when the quota reaches the sample size (no threshold
+/// would exclude anything worth a pass).
+fn pick_threshold(
+    n: usize,
+    k: usize,
+    s: usize,
+    scratch: &mut TopkScratch,
+    draw: impl FnMut(usize) -> f32,
+) -> Option<f32> {
+    if k == 0 || k >= n {
+        return None;
+    }
+    let TopkScratch { cand, mags } = scratch;
+    mags.clear();
+    mags.extend((0..s).map(draw).map(mag));
+    let q = k as f64 / n as f64 * s as f64;
+    let quota = (q + 4.0 * q.sqrt()).ceil() as usize;
+    if quota >= s {
+        return None;
+    }
+    // Room for the expected candidates plus eight of their standard
+    // deviations: capacity is then a function of (n, k, s), not of how
+    // this step's sample happened to fall.
+    let per_hit = n as f64 / s as f64;
+    let room = n.min(((quota as f64 + 8.0 * (quota as f64).sqrt()) * per_hit) as usize);
+    cand.reserve(room);
+    mags.reserve(room);
+    // `mag` outputs are non-negative and never NaN: `total_cmp` is `<`.
+    let (_, &mut thr, _) = mags.select_nth_unstable_by(quota - 1, |a, b| b.total_cmp(a));
+    Some(thr)
+}
+
+/// [`pick_threshold`] with the built-in sampler: `min(64 Ki, n/16)`
+/// positions of a golden-ratio Weyl sequence (equidistributed, blind to
+/// any stride in the buffer's layout), no RNG. `value_at(i)` is the
+/// buffer's i-th value.
+fn strided_threshold(
+    n: usize,
+    k: usize,
+    scratch: &mut TopkScratch,
+    value_at: impl Fn(usize) -> f32,
+) -> Option<f32> {
+    if n < PREFILTER_MIN {
+        return None;
+    }
+    pick_threshold(n, k, (n / 16).min(64 * 1024), scratch, |j| {
+        let frac = (j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        value_at(((frac as u128 * n as u128) >> 64) as usize)
+    })
+}
+
+/// [`pick_threshold`] with the sampler the caller chose: `sample` uniform
+/// draws from `rng` (exactly `min(sample, n)` of them, whatever they
+/// show), or the built-in one when `sample == 0`.
+fn sampled_threshold(
+    n: usize,
+    k: usize,
+    sample: usize,
+    rng: &mut impl Rng,
+    scratch: &mut TopkScratch,
+    value_at: impl Fn(usize) -> f32,
+) -> Option<f32> {
+    match sample {
+        0 => strided_threshold(n, k, scratch, value_at),
+        s => pick_threshold(n, k, s.min(n), scratch, |_| value_at(rng.gen_range(0..n))),
+    }
+}
+
+/// Steps 3–4 of the kernel over the ascending candidates `cand`: appends
+/// the exact top-`k` (`1 ≤ k ≤` candidate count) to `out`, ascending.
+fn emit_topk(
+    values: &[f32],
+    k: usize,
+    cand: impl Iterator<Item = u32> + Clone,
+    mags: &mut Vec<f32>,
+    out: &mut Vec<u32>,
+) {
+    mags.clear();
+    mags.extend(cand.clone().map(|i| mag(values[i as usize])));
+    let (above, &mut t, _) = mags.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a));
+    let mut ties = k - above.iter().filter(|&&m| m > t).count();
+    out.extend(cand.filter(|&i| {
+        let m = mag(values[i as usize]);
+        m > t
+            || (m == t && ties > 0 && {
+                ties -= 1;
+                true
+            })
+    }));
+}
+
+/// The shared exact tail: writes the top-`k` indices of `values` into
+/// `out`, ascending, given the strictly-above-threshold candidates in
+/// `scratch` — or, when fewer than `k` were collected, over every index.
+/// Returns how many coordinates the select examined.
+fn select_among(values: &[f32], k: usize, scratch: &mut TopkScratch, out: &mut Vec<u32>) -> usize {
+    let TopkScratch { cand, mags } = scratch;
+    out.clear();
+    let n = values.len();
+    if k >= n {
+        out.extend(0..n as u32);
+    } else if k > cand.len() {
+        emit_topk(values, k, 0..n as u32, mags, out);
+    } else if k > 0 {
+        emit_topk(values, k, cand.iter().copied(), mags, out);
+        return cand.len();
+    }
+    n
+}
+
 /// Writes the indices of the `k` entries of largest absolute value into
 /// `out`, ascending, reusing `scratch` buffers.
 ///
-/// Writes all indices if `k >= values.len()`. Expected O(m) via
-/// `select_nth_unstable_by`; runs chunk-parallel for large inputs with a
-/// bitwise-identical result (see module docs). Deterministic under ties
-/// (lower index wins).
+/// Writes all indices if `k >= values.len()`. One streaming O(m) pass plus
+/// an O(k) select (see the module docs); a pure function of `values`.
+/// Deterministic under ties (lower index wins).
 pub fn topk_indices_into(values: &[f32], k: usize, scratch: &mut TopkScratch, out: &mut Vec<u32>) {
-    out.clear();
-    let n = values.len();
-    if k == 0 || n == 0 {
-        return;
+    scratch.cand.clear();
+    if let Some(thr) = strided_threshold(values.len(), k, scratch, |i| values[i]) {
+        simd::compact_above(values, thr, 0, &mut scratch.cand);
     }
-    if k >= n {
-        out.extend(0..n as u32);
-        return;
-    }
-    scratch.idx.clear();
-    scratch.idx.extend(0..n as u32);
-    let chunks = parallel::chunk_count(n, PAR_MIN_CHUNK);
-    // Parallel selection only pays off while the per-chunk top-k is much
-    // smaller than the chunks themselves; otherwise nearly every element
-    // becomes a candidate and the final select repeats the full work.
-    if chunks > 1 && 2 * chunks * k < n {
-        parallel::for_each_chunk_mut(&mut scratch.idx, PAR_MIN_CHUNK, |_, _, chunk| {
-            if k < chunk.len() {
-                chunk.select_nth_unstable_by(k - 1, |&a, &b| tie_cmp(values, a, b));
-            }
-        });
-        let (idx, cand) = (&scratch.idx, &mut scratch.cand);
-        cand.clear();
-        for (start, end) in parallel::chunk_bounds(n, PAR_MIN_CHUNK) {
-            cand.extend_from_slice(&idx[start..start + k.min(end - start)]);
-        }
-        if k < cand.len() {
-            cand.select_nth_unstable_by(k - 1, |&a, &b| tie_cmp(values, a, b));
-            cand.truncate(k);
-        }
-        out.extend_from_slice(cand);
-    } else {
-        scratch
-            .idx
-            .select_nth_unstable_by(k - 1, |&a, &b| tie_cmp(values, a, b));
-        out.extend_from_slice(&scratch.idx[..k]);
-    }
-    out.sort_unstable();
+    select_among(values, k, scratch, out);
 }
 
 /// Indices of the `k` entries of largest absolute value, ascending order.
@@ -160,12 +240,10 @@ pub fn topk_indices(values: &[f32], k: usize) -> Vec<u32> {
 /// steady state.
 pub fn topk_sparse_into(dense: &[f32], k: usize, scratch: &mut TopkScratch, out: &mut SparseVec) {
     out.dim = dense.len();
-    let mut indices = std::mem::take(&mut out.indices);
-    topk_indices_into(dense, k, scratch, &mut indices);
+    topk_indices_into(dense, k, scratch, &mut out.indices);
     out.values.clear();
     out.values
-        .extend(indices.iter().map(|&i| dense[i as usize]));
-    out.indices = indices;
+        .extend(out.indices.iter().map(|&i| dense[i as usize]));
 }
 
 /// Sparsifies a dense vector keeping the `k` entries of largest |value|.
@@ -273,54 +351,18 @@ pub fn sampled_topk_sparse(
     topk_sparse(dense, k)
 }
 
-/// Estimates the strict selection threshold for a top-`k`-of-`n` select
-/// from `sample` uniform draws of the magnitudes supplied by `value_at`,
-/// reusing the `mags` scratch buffer (no allocation at steady state).
+/// Exact top-k with the threshold estimated from the caller's sampler:
+/// the kernel of the `ThresholdEstimate` selector.
 ///
-/// Consumes exactly `sample` RNG draws. Shared by the unfused
-/// ([`threshold_estimate_topk_into`]) and fused
-/// ([`accumulate_select_compact`]) estimate paths so their thresholds —
-/// and therefore their selections — cannot drift apart.
-fn estimate_threshold(
-    n: usize,
-    k: usize,
-    sample: usize,
-    rng: &mut impl Rng,
-    mags: &mut Vec<f32>,
-    value_at: impl Fn(usize) -> f32,
-) -> f32 {
-    mags.clear();
-    mags.extend((0..sample).map(|_| mag(value_at(rng.gen_range(0..n)))));
-    // Aim the threshold at ~2k candidates: a 2x quota margin makes the
-    // strict filter overshoot k with high probability (a slightly large
-    // candidate set costs one cheap select; an undershoot costs a full
-    // exact rescan).
-    let quota = ((k as f64 / n as f64) * sample as f64).ceil() as usize;
-    let quota = quota.saturating_mul(2).clamp(1, sample);
-    // `mag` outputs are never NaN, so this comparator is total.
-    mags.select_nth_unstable_by(quota - 1, |a, b| {
-        b.partial_cmp(a).unwrap_or(Ordering::Equal)
-    });
-    mags[quota - 1]
-}
-
-/// Exact top-k via sampled-threshold estimation with an exact-`k` fixup:
-/// the fast path of the `ThresholdEstimate` selector.
-///
-/// A uniform sample of `sample` coordinates estimates the k-th largest
-/// magnitude; one single pass collects every coordinate *strictly* above
-/// the estimate. If at least `k` candidates survive, the true top-k is
-/// necessarily among them (every candidate strictly beats every excluded
-/// coordinate), so an exact select over the candidate set — under the
-/// same total order as [`topk_indices_into`] — returns a **bitwise
-/// identical** result to the exact kernel. If the estimate overshot and
-/// fewer than `k` candidates survive, we fall back to the exact kernel.
-/// Either way the output equals the exact top-k; only the running time
-/// is probabilistic.
+/// Bitwise identical to [`topk_sparse_into`] for every input, `sample` and
+/// RNG state (see the module docs) — only the running time depends on the
+/// sample. For `0 < k < n` it consumes exactly `min(sample, n)` draws from
+/// `rng`; `sample == 0` selects the built-in RNG-free sampler and consumes
+/// none.
 ///
 /// Returns the number of coordinates the final exact select examined:
-/// the candidate count on the fast path, `n` on the fallback — the
-/// speed-vs-exactness test uses it to show the fast path engages.
+/// the candidate count on the threshold path, `n` otherwise — the
+/// speed-vs-exactness tests use it to show the fast path engages.
 pub fn threshold_estimate_topk_into(
     dense: &[f32],
     k: usize,
@@ -329,43 +371,21 @@ pub fn threshold_estimate_topk_into(
     scratch: &mut TopkScratch,
     out: &mut SparseVec,
 ) -> usize {
-    let n = dense.len();
-    if k == 0 || n == 0 || k >= n {
-        topk_sparse_into(dense, k, scratch, out);
-        return n;
-    }
-    assert!(sample > 0, "sample size must be positive");
-    let sample = sample.min(n);
-    out.dim = n;
-    out.indices.clear();
-    out.values.clear();
-    let thr = estimate_threshold(n, k, sample, rng, &mut scratch.mags, |i| dense[i]);
-    // Single pass: strictly-above-threshold candidates (SIMD compaction;
-    // `|v| > thr` and `mag(v) > thr` agree for every thr ≥ 0 because NaN
-    // fails both).
     scratch.cand.clear();
-    simd::compact_above(dense, thr, 0, &mut scratch.cand);
-    let examined = scratch.cand.len();
-    if examined < k {
-        // Estimate overshot (heavy ties at or below thr): exact fallback.
-        topk_sparse_into(dense, k, scratch, out);
-        return n;
+    // `|v| > thr` and `mag(v) > thr` agree for every thr ≥ 0: NaN fails both.
+    if let Some(thr) = sampled_threshold(dense.len(), k, sample, rng, scratch, |i| dense[i]) {
+        simd::compact_above(dense, thr, 0, &mut scratch.cand);
     }
-    if examined > k {
-        scratch
-            .cand
-            .select_nth_unstable_by(k - 1, |&a, &b| tie_cmp(dense, a, b));
-        scratch.cand.truncate(k);
-    }
-    scratch.cand.sort_unstable();
-    out.indices.extend_from_slice(&scratch.cand);
+    out.dim = dense.len();
+    let examined = select_among(dense, k, scratch, &mut out.indices);
+    out.values.clear();
     out.values
         .extend(out.indices.iter().map(|&i| dense[i as usize]));
     examined
 }
 
-/// Fused residual-accumulate + threshold-estimate top-k extraction: the
-/// per-step gradient hot loop in **one memory pass** instead of three.
+/// Fused residual-accumulate + exact top-k extraction: the per-step
+/// gradient hot loop in **one memory pass** instead of three.
 ///
 /// Semantically identical — bitwise, including the RNG stream — to the
 /// unfused sequence
@@ -380,18 +400,17 @@ pub fn threshold_estimate_topk_into(
 /// once rather than three times. The threshold is estimated *before*
 /// the pass by sampling `mag(acc[i] + grad[i])` — the identical floats
 /// (one IEEE rounding per add) the unfused path samples after
-/// accumulating, drawn from the identical RNG sequence via the shared
-/// [`estimate_threshold`] helper.
+/// accumulating, at the identical positions.
 ///
 /// Writes the exact top-`k` of the accumulated buffer into `out` and
-/// zeroes the selected coordinates in `acc`. Returns the number of
-/// coordinates the final exact select examined, like
+/// zeroes the selected coordinates in `acc`. `sample == 0` selects the
+/// built-in RNG-free sampler (what `Selector::Exact` runs on). Returns
+/// the number of coordinates the final exact select examined, like
 /// [`threshold_estimate_topk_into`].
 ///
 /// # Panics
 ///
-/// Panics if `grad.len() != acc.len()`, or if `sample == 0` while the
-/// estimate path is taken (`0 < k < n`).
+/// Panics if `grad.len() != acc.len()`.
 pub fn accumulate_select_compact(
     acc: &mut [f32],
     grad: &[f32],
@@ -401,51 +420,22 @@ pub fn accumulate_select_compact(
     scratch: &mut TopkScratch,
     out: &mut SparseVec,
 ) -> usize {
-    let n = acc.len();
-    assert_eq!(grad.len(), n, "gradient length mismatch");
-    if k == 0 || n == 0 || k >= n {
-        // Degenerate select: plain accumulate, then the exact kernel
-        // (mirrors the unfused path's delegation).
-        simd::axpy(acc, grad);
-        topk_sparse_into(acc, k, scratch, out);
-        for &i in out.indices() {
-            acc[i as usize] = 0.0;
-        }
-        return n;
-    }
-    assert!(sample > 0, "sample size must be positive");
-    let sample = sample.min(n);
-    let thr = estimate_threshold(n, k, sample, rng, &mut scratch.mags, |i| acc[i] + grad[i]);
-    out.dim = n;
-    out.indices.clear();
-    out.values.clear();
-    // THE fused pass: accumulate, threshold-compare the accumulated
-    // value, and emit candidate indices, one traversal.
+    assert_eq!(grad.len(), acc.len(), "gradient length mismatch");
     scratch.cand.clear();
-    simd::accumulate_compact_above(acc, grad, thr, 0, &mut scratch.cand);
-    let examined = scratch.cand.len();
-    if examined < k {
-        // Estimate overshot (heavy ties at or below thr): exact fallback
-        // over the already-accumulated buffer.
-        topk_sparse_into(acc, k, scratch, out);
-        for &i in out.indices() {
-            acc[i as usize] = 0.0;
-        }
-        return n;
+    match sampled_threshold(acc.len(), k, sample, rng, scratch, |i| acc[i] + grad[i]) {
+        // THE fused pass: accumulate, threshold-compare the accumulated
+        // value, and emit candidate indices, one traversal.
+        Some(thr) => simd::accumulate_compact_above(acc, grad, thr, 0, &mut scratch.cand),
+        None => simd::axpy(acc, grad),
     }
-    if examined > k {
-        scratch
-            .cand
-            .select_nth_unstable_by(k - 1, |&a, &b| tie_cmp(acc, a, b));
-        scratch.cand.truncate(k);
-    }
-    scratch.cand.sort_unstable();
-    out.indices.extend_from_slice(&scratch.cand);
-    out.values
-        .extend(out.indices.iter().map(|&i| acc[i as usize]));
-    for &i in out.indices() {
-        acc[i as usize] = 0.0;
-    }
+    out.dim = acc.len();
+    let examined = select_among(acc, k, scratch, &mut out.indices);
+    out.values.clear();
+    let taken = out
+        .indices
+        .iter()
+        .map(|&i| std::mem::take(&mut acc[i as usize]));
+    out.values.extend(taken);
     examined
 }
 
@@ -468,6 +458,125 @@ mod tests {
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// The order the kernel promises, written the slow obvious way:
+    /// larger |value| first, then lower index (the sort oracle's
+    /// comparator).
+    fn tie_cmp(values: &[f32], a: u32, b: u32) -> Ordering {
+        let (va, vb) = (mag(values[a as usize]), mag(values[b as usize]));
+        match vb.partial_cmp(&va) {
+            Some(Ordering::Equal) | None => a.cmp(&b),
+            Some(ord) => ord,
+        }
+    }
+
+    /// Top-k by a full sort of all indices under [`tie_cmp`].
+    fn oracle(values: &[f32], k: usize) -> Vec<u32> {
+        let mut by_sort: Vec<u32> = (0..values.len() as u32).collect();
+        by_sort.sort_by(|&a, &b| tie_cmp(values, a, b));
+        by_sort.truncate(k);
+        by_sort.sort_unstable();
+        by_sort
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Runs every exact entry point — plain, estimate (built-in and RNG
+    /// sampler), fused, and `Residual`'s range extraction — on `values`
+    /// and checks each against the sort oracle, values and buffer state
+    /// included.
+    fn assert_all_paths_match_oracle(values: &[f32], k: usize) {
+        let n = values.len();
+        let want = oracle(values, k);
+        let gather = |src: &[f32], idx: &[u32]| -> Vec<u32> {
+            idx.iter().map(|&i| src[i as usize].to_bits()).collect()
+        };
+        assert_eq!(topk_indices(values, k), want, "topk_indices n={n} k={k}");
+        // acc + grad = 2·values keeps every tie, zero, NaN and inf.
+        let doubled: Vec<f32> = values.iter().map(|v| v + v).collect();
+        let want_doubled = oracle(&doubled, k);
+        for sample in [0usize, 16] {
+            let mut rng = StdRng::seed_from_u64(7);
+            let got = threshold_estimate_topk_sparse(values, k, sample, &mut rng);
+            assert_eq!(got.indices(), want, "estimate n={n} k={k} sample={sample}");
+            assert_eq!(bits(got.values()), gather(values, &want));
+
+            let mut acc = values.to_vec();
+            let mut out = SparseVec::empty(0);
+            let mut scratch = TopkScratch::new();
+            accumulate_select_compact(
+                &mut acc,
+                values,
+                k,
+                sample,
+                &mut rng,
+                &mut scratch,
+                &mut out,
+            );
+            assert_eq!(out.dim(), n);
+            assert_eq!(
+                out.indices(),
+                want_doubled,
+                "fused n={n} k={k} sample={sample}"
+            );
+            assert_eq!(bits(out.values()), gather(&doubled, &want_doubled));
+            let mut left = doubled.clone();
+            want_doubled.iter().for_each(|&i| left[i as usize] = 0.0);
+            assert_eq!(bits(&acc), bits(&left), "fused buffer n={n} k={k}");
+        }
+        // Range extraction over the middle half, global indices.
+        let (lo, hi) = (n / 4, n - n / 4);
+        let mut r = crate::Residual::new(n);
+        r.accumulate(values);
+        let before = r.dense().to_vec();
+        let mut out = SparseVec::empty(0);
+        r.extract_topk_range_into(lo..hi, k, &mut out);
+        let want_range: Vec<u32> = oracle(&before[lo..hi], k)
+            .iter()
+            .map(|&i| i + lo as u32)
+            .collect();
+        assert_eq!(out.indices(), want_range, "range n={n} k={k}");
+        assert_eq!(bits(out.values()), gather(&before, &want_range));
+        let mut left = before;
+        want_range.iter().for_each(|&i| left[i as usize] = 0.0);
+        assert_eq!(bits(r.dense()), bits(&left), "range buffer n={n} k={k}");
+    }
+
+    /// A buffer of `n` values of one hostile `shape`, a pure function of
+    /// its arguments.
+    fn hostile(shape: usize, n: usize, seed: u64) -> Vec<f32> {
+        let hash = |i: usize| {
+            let z = (i as u64 ^ seed.rotate_left(32)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            (z ^ (z >> 29)).wrapping_mul(0xbf58_476d_1ce4_e5b9) >> 20
+        };
+        let heavy = |i: usize| ((hash(i) % 2001) as f32 - 1000.0) / (1 + hash(i + n) % 97) as f32;
+        (0..n)
+            .map(|i| match shape {
+                // Every special value, and ties between most of them.
+                0 => match hash(i) % 11 {
+                    0 => f32::NAN,
+                    1 => 0.0,
+                    2 => -0.0,
+                    3 => f32::INFINITY,
+                    4 => f32::NEG_INFINITY,
+                    5 => 1.0e-40,
+                    6 => -2.5,
+                    7 => 2.5,
+                    _ => heavy(i),
+                },
+                // All equal: the whole answer is tie-breaking.
+                1 => -3.0,
+                // Zero-heavy: fewer non-zeros than most k, so the
+                // threshold pass under-collects.
+                2 if hash(i) % 50 != 0 => 0.0,
+                // Small integers: ties everywhere, at every magnitude.
+                3 => (hash(i) % 9) as f32 - 4.0,
+                _ => heavy(i),
+            })
+            .collect()
+    }
 
     #[test]
     fn selects_largest_magnitudes() {
@@ -542,6 +651,50 @@ mod tests {
             for threads in [2, 3, 4, 8] {
                 let par = with_thread_limit(threads, || with_min_chunk(64, || topk_indices(&v, k)));
                 assert_eq!(par, serial, "threads={threads} k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn threshold_path_engages_on_large_inputs_and_falls_back_on_ties() {
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut scratch = TopkScratch::new();
+        let mut out = SparseVec::empty(0);
+        let n = 3 * PREFILTER_MIN;
+        // Heavy-tailed: the built-in sampler's threshold keeps k and some.
+        let v = hostile(4, n, 1);
+        for k in [n / 1000, n / 4] {
+            let examined = threshold_estimate_topk_into(&v, k, 0, &mut rng, &mut scratch, &mut out);
+            assert!(
+                (k..n / 2).contains(&examined),
+                "k={k}: examined {examined} of {n}"
+            );
+            assert_eq!(out.indices(), oracle(&v, k));
+        }
+        // All-equal and zero-heavy buffers leave nothing strictly above
+        // the sampled threshold: every index becomes a candidate.
+        for shape in [1, 2] {
+            let v = hostile(shape, n, 1);
+            let examined =
+                threshold_estimate_topk_into(&v, n / 10, 0, &mut rng, &mut scratch, &mut out);
+            assert_eq!(examined, n, "shape {shape}");
+            assert_eq!(out.indices(), oracle(&v, n / 10), "shape {shape}");
+        }
+        // Below the cut-off no sample is taken at all.
+        let v = hostile(4, PREFILTER_MIN - 1, 1);
+        let examined = threshold_estimate_topk_into(&v, 4, 0, &mut rng, &mut scratch, &mut out);
+        assert_eq!(examined, v.len());
+        // The built-in sampler drew nothing from the stream.
+        assert_eq!(rng.state(), StdRng::seed_from_u64(0).state());
+    }
+
+    #[test]
+    fn sample_size_clamp_boundary_matches_oracle() {
+        // n/16 crosses the 64 Ki sample ceiling at n = 2^20.
+        for n in [(1usize << 20) - 16, 1 << 20, (1 << 20) + 16] {
+            let v = hostile(4, n, n as u64);
+            for k in [n / 1000, n / 4] {
+                assert_eq!(topk_indices(&v, k), oracle(&v, k), "n={n} k={k}");
             }
         }
     }
@@ -686,7 +839,10 @@ mod tests {
             base in proptest::collection::vec(-6i32..6, 1..300),
             k in 0usize..48,
             seed in 0u64..25,
+            sample in 0usize..2,
         ) {
+            // Sample size 0 is the built-in RNG-free sampler.
+            let sample = sample * 16;
             let acc0: Vec<f32> = base.iter().enumerate()
                 .map(|(i, &v)| if i % 17 == 16 { f32::NAN } else { v as f32 * 0.5 })
                 .collect();
@@ -700,14 +856,14 @@ mod tests {
             let mut rng_ref = StdRng::seed_from_u64(seed);
             let mut out_ref = SparseVec::empty(0);
             threshold_estimate_topk_into(
-                &acc_ref, k, 16, &mut rng_ref, &mut TopkScratch::new(), &mut out_ref);
+                &acc_ref, k, sample, &mut rng_ref, &mut TopkScratch::new(), &mut out_ref);
             for &i in out_ref.indices() { acc_ref[i as usize] = 0.0; }
 
             let mut acc = acc0;
             let mut rng = StdRng::seed_from_u64(seed);
             let mut out = SparseVec::empty(0);
             accumulate_select_compact(
-                &mut acc, &grad, k, 16, &mut rng, &mut TopkScratch::new(), &mut out);
+                &mut acc, &grad, k, sample, &mut rng, &mut TopkScratch::new(), &mut out);
 
             prop_assert_eq!(out.indices(), out_ref.indices());
             let vb: Vec<u32> = out.values().iter().map(|v| v.to_bits()).collect();
@@ -746,12 +902,41 @@ mod tests {
         #[test]
         fn prop_topk_matches_sort(values in proptest::collection::vec(-100.0f32..100.0, 1..200),
                                   k in 0usize..64) {
-            let got = topk_indices(&values, k);
-            let mut by_sort: Vec<u32> = (0..values.len() as u32).collect();
-            by_sort.sort_by(|&a, &b| tie_cmp(&values, a, b));
-            let mut expect: Vec<u32> = by_sort.into_iter().take(k.min(values.len())).collect();
-            expect.sort_unstable();
-            prop_assert_eq!(got, expect);
+            prop_assert_eq!(topk_indices(&values, k), oracle(&values, k));
+        }
+
+        /// Every exact entry point equals the sort oracle on hostile
+        /// buffers — NaN, ±0.0, ±inf, denormals, all-equal and tie-heavy,
+        /// zero-heavy (forcing the all-candidates fallback) — for sizes
+        /// either side of the prefilter cut-off and k at 1, around the
+        /// non-zero count, around n, and in between.
+        #[test]
+        fn prop_all_paths_match_sort_oracle_on_hostile_inputs(
+            shape in 0usize..5,
+            small in 1usize..200,
+            near_cutoff in 0usize..80,
+            pick_n in 0usize..3,
+            pick_k in 0usize..8,
+            seed in 0u64..1000,
+        ) {
+            let n = match pick_n {
+                0 => small,
+                1 => PREFILTER_MIN - 40 + near_cutoff,
+                _ => 2 * PREFILTER_MIN + near_cutoff,
+            };
+            let values = hostile(shape, n, seed);
+            let nnz = values.iter().filter(|v| mag(**v) > 0.0).count();
+            let k = match pick_k {
+                0 => 1,
+                1 => nnz.saturating_sub(1),
+                2 => nnz,
+                3 => nnz + 1,
+                4 => n - 1,
+                5 => n,
+                6 => n + 5,
+                _ => 1 + (seed as usize * 7919) % n,
+            };
+            assert_all_paths_match_oracle(&values, k);
         }
 
         /// The selected set's minimum magnitude dominates the rejected set's

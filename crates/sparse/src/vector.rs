@@ -293,14 +293,18 @@ impl SparseVec {
         rejected.dim = self.dim;
         rejected.indices.clear();
         rejected.values.clear();
+        // Both index lists ascend: one forward walk of the mask serves
+        // every entry.
+        let mut mask = keep.indices().iter().peekable();
         for (i, v) in self.iter() {
-            if keep.contains(i) {
-                kept.indices.push(i);
-                kept.values.push(v);
+            while mask.next_if(|&&m| m < i).is_some() {}
+            let side = if mask.peek() == Some(&&i) {
+                &mut *kept
             } else {
-                rejected.indices.push(i);
-                rejected.values.push(v);
-            }
+                &mut *rejected
+            };
+            side.indices.push(i);
+            side.values.push(v);
         }
     }
 
@@ -510,6 +514,54 @@ mod tests {
         v.split_at_into(16, &mut lo, &mut hi);
         assert_eq!(lo, v);
         assert!(hi.is_empty());
+    }
+
+    #[test]
+    fn partition_by_matches_per_entry_membership_lookup() {
+        // The reference: one `Mask::contains` binary search per entry.
+        let reference = |v: &SparseVec, keep: &crate::Mask| {
+            let (inside, outside): (Vec<_>, Vec<_>) =
+                v.iter().partition(|&(i, _)| keep.contains(i));
+            (
+                SparseVec::from_pairs(v.dim(), inside),
+                SparseVec::from_pairs(v.dim(), outside),
+            )
+        };
+        let dim = 4000usize;
+        let pseudo = |salt: u64, every: u64| -> Vec<u32> {
+            (0..dim as u64)
+                .filter(|i| {
+                    ((i ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40).is_multiple_of(every)
+                })
+                .map(|i| i as u32)
+                .collect()
+        };
+        let vec_of = |idx: &[u32]| {
+            SparseVec::from_pairs(dim, idx.iter().map(|&i| (i, i as f32 - 7.5)).collect())
+        };
+        let random = pseudo(1, 3);
+        assert!((dim / 6..dim / 2).contains(&random.len()));
+        let evens: Vec<u32> = (0..dim as u32).step_by(2).collect();
+        let odds: Vec<u32> = (1..dim as u32).step_by(2).collect();
+        let cases: Vec<(Vec<u32>, Vec<u32>)> = vec![
+            (random.clone(), pseudo(2, 2)),   // random overlap
+            (random.clone(), pseudo(3, 40)),  // sparse mask
+            (pseudo(4, 50), random.clone()),  // mask denser than the vector
+            (random.clone(), Vec::new()),     // empty mask
+            (Vec::new(), random.clone()),     // empty vector
+            (evens, odds),                    // disjoint, interleaved
+            (random.clone(), random.clone()), // identical
+            (vec![dim as u32 - 1], vec![0]),  // mask ends before the entry
+        ];
+        for (entries, mask) in cases {
+            let v = vec_of(&entries);
+            let keep = crate::Mask::from_indices(dim, mask);
+            let (kept, rejected) = v.partition_by(&keep);
+            let (want_kept, want_rejected) = reference(&v, &keep);
+            assert_eq!(kept, want_kept);
+            assert_eq!(rejected, want_rejected);
+            assert_eq!(kept.nnz() + rejected.nnz(), v.nnz());
+        }
     }
 
     #[test]

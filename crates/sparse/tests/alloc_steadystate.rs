@@ -165,3 +165,31 @@ fn fused_path_allocates_nothing_at_steady_state() {
     let allocs = alloc_calls() - before;
     assert_eq!(allocs, 0, "steady-state fused epoch allocated {allocs}x");
 }
+
+/// The default selector's step — `Selector::Exact` runs the fused kernel
+/// with its built-in sampler (`sample == 0`) — at first-warm-up-epoch and
+/// steady-state densities. Stricter than the epochs above: only the first
+/// *step* may allocate, although every later step sees a different
+/// gradient and collects a different number of candidates.
+#[test]
+fn exact_fused_path_allocates_nothing_after_the_first_step() {
+    let n = 1_000_000;
+    let grads = grad_epoch(n, 6);
+    for k in [1_000, 250_000] {
+        let mut r = Residual::new(n);
+        let mut out = SparseVec::empty(n);
+        let mut rng = StdRng::seed_from_u64(42);
+        let mut examined = r.accumulate_extract_threshold_into(&grads[0], k, 0, &mut rng, &mut out);
+        let before = alloc_calls();
+        for g in &grads[1..] {
+            assert!(examined < n, "k={k}: the threshold pass must engage");
+            examined = r.accumulate_extract_threshold_into(g, k, 0, &mut rng, &mut out);
+            assert_eq!(out.nnz(), k);
+        }
+        let allocs = alloc_calls() - before;
+        assert_eq!(
+            allocs, 0,
+            "k={k}: steps after the first allocated {allocs}x"
+        );
+    }
+}

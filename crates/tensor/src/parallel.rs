@@ -1,7 +1,7 @@
 //! Dependency-free chunked parallel runtime for hot-path kernels.
 //!
-//! Every parallel kernel in the workspace (top-k selection, sparse merge,
-//! matmul) funnels through this module, which partitions a slice into
+//! Every parallel kernel in the workspace (matmul, the plain threshold
+//! filter) funnels through this module, which partitions a slice into
 //! contiguous chunks and runs them on scoped `std::thread` workers — no
 //! thread-pool crate, no unsafe, no allocation beyond the per-call result
 //! vector.
@@ -23,8 +23,8 @@
 //! These primitives are *structured*: chunks are contiguous, in-order, and
 //! results are returned in chunk order, so callers can (and do) guarantee
 //! bitwise-identical results to their serial variants regardless of thread
-//! count. See the module docs of `gtopk_sparse::topk` and
-//! `gtopk_tensor::matmul` for the per-kernel arguments.
+//! count. See the module docs of `gtopk_tensor::matmul` for the
+//! per-kernel argument.
 
 use std::cell::Cell;
 use std::num::NonZeroUsize;
@@ -109,14 +109,6 @@ pub fn chunk_count(len: usize, min_chunk: usize) -> usize {
     (len / min_chunk).min(threads).max(1)
 }
 
-/// The exact chunk boundaries `map_chunks`/`for_each_chunk_mut` use for a
-/// slice of length `len` under the current thread count — callers that
-/// post-process per-chunk regions (e.g. candidate gathering in top-k
-/// selection) recompute them with this.
-pub fn chunk_bounds(len: usize, min_chunk: usize) -> Vec<(usize, usize)> {
-    partition(len, chunk_count(len, min_chunk))
-}
-
 /// Even contiguous partition of `len` items into `chunks` pieces: the first
 /// `len % chunks` pieces get one extra item. Returns `(start, end)` pairs
 /// in order.
@@ -170,40 +162,6 @@ where
         );
         out
     })
-}
-
-/// Runs `f` over contiguous mutable chunks of `data` in parallel.
-///
-/// `f` receives `(chunk_index, start_offset, chunk)`. Chunks are disjoint,
-/// so no synchronization is needed. Runs serially below the threshold.
-pub fn for_each_chunk_mut<T, F>(data: &mut [T], min_chunk: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, usize, &mut [T]) + Sync,
-{
-    let chunks = chunk_count(data.len(), min_chunk);
-    if chunks <= 1 {
-        f(0, 0, data);
-        return;
-    }
-    let bounds = partition(data.len(), chunks);
-    std::thread::scope(|scope| {
-        let mut rest = data;
-        let mut consumed = 0;
-        for (i, &(start, end)) in bounds.iter().enumerate() {
-            let (chunk, tail) = rest.split_at_mut(end - consumed);
-            debug_assert_eq!(consumed, start);
-            rest = tail;
-            consumed = end;
-            if i + 1 < bounds.len() {
-                let f = &f;
-                scope.spawn(move || f(i, start, chunk));
-            } else {
-                // Run the last chunk on the calling thread.
-                f(i, start, chunk);
-            }
-        }
-    });
 }
 
 /// Runs `f` over blocks of whole rows of a row-major matrix in parallel.
@@ -303,23 +261,6 @@ mod tests {
                 assert_eq!(total, 999 * 1000 / 2);
             });
         });
-    }
-
-    #[test]
-    fn for_each_chunk_mut_touches_every_element_once() {
-        let mut data = vec![0u32; 777];
-        with_thread_limit(8, || {
-            with_min_chunk(5, || {
-                for_each_chunk_mut(&mut data, 5, |_, start, chunk| {
-                    for (i, v) in chunk.iter_mut().enumerate() {
-                        *v += (start + i) as u32 + 1;
-                    }
-                });
-            });
-        });
-        for (i, v) in data.iter().enumerate() {
-            assert_eq!(*v, i as u32 + 1);
-        }
     }
 
     #[test]

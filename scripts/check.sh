@@ -23,6 +23,14 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# The benchmark package (its own workspace under benchmark/) rebuilds the
+# default gTop-k step from the product's public functions and pins that
+# replica to the product path bit for bit; its contract test pins
+# BENCHMARK.json to the code. Run them here so a product change that
+# breaks either fails in the gate, not at measurement time (~15 s).
+echo "==> benchmark package tests (replica equivalence + contract)"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target
+
 for threads in "${THREAD_MATRIX[@]}"; do
   for simd in "${SIMD_MATRIX[@]}"; do
     export GTOPK_THREADS="$threads" GTOPK_SIMD="$simd"

@@ -248,3 +248,50 @@ proptest! {
         });
     }
 }
+
+/// The default (`Selector::Exact`) step at a size where its built-in
+/// sampler engages the SIMD threshold pass: fused (`sample == 0`) and
+/// unfused (`accumulate` + `extract_topk`) agree with the scalar serial
+/// run at every matrix point, across steps that carry residual.
+#[test]
+fn exact_pipeline_above_the_prefilter_cutoff_bitwise_identical() {
+    let n = 3 * 4096 + 5; // lane remainder included
+    let grads: Vec<Vec<f32>> = (0..3u64)
+        .map(|s| {
+            let mut rng = StdRng::seed_from_u64(s);
+            (0..n)
+                .map(|i| match rng.gen_range(0..40u32) {
+                    0 => 2.5,
+                    1 => -2.5,
+                    2 => -0.0,
+                    3 => 1.0e-40,
+                    _ => rng.gen_range(-1.0f32..1.0).powi(5) * (1 + i % 7) as f32,
+                })
+                .collect()
+        })
+        .collect();
+    for k in [12usize, 3000] {
+        let run = |fused: bool| {
+            let mut r = Residual::new(n);
+            let mut rng = StdRng::seed_from_u64(9);
+            let mut trace: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
+            for g in &grads {
+                let mut sv = SparseVec::empty(n);
+                if fused {
+                    let examined = r.accumulate_extract_threshold_into(g, k, 0, &mut rng, &mut sv);
+                    assert!(examined < n / 2, "k={k}: threshold pass must engage");
+                } else {
+                    r.accumulate(g);
+                    sv = r.extract_topk(k);
+                }
+                trace.push((sv.indices().to_vec(), bits(sv.values())));
+            }
+            (trace, bits(r.dense()))
+        };
+        let expect = scalar_ref(|| run(false));
+        on_matrix(|| {
+            assert_eq!(run(false), expect, "unfused k={k} at {:?}", simd::level());
+            assert_eq!(run(true), expect, "fused k={k} at {:?}", simd::level());
+        });
+    }
+}
