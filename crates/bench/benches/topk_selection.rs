@@ -21,7 +21,7 @@ fn bench_selection(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("exact", m), &dense, |b, d| {
             b.iter(|| black_box(topk_sparse(black_box(d), k)))
         });
-        group.bench_with_input(BenchmarkId::new("sampled_threshold", m), &dense, |b, d| {
+        group.bench_with_input(BenchmarkId::new("sampled", m), &dense, |b, d| {
             let mut rng = StdRng::seed_from_u64(11);
             b.iter(|| black_box(sampled_topk_sparse(black_box(d), k, 512, &mut rng)))
         });

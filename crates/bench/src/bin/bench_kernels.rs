@@ -49,8 +49,6 @@ const K2: usize = 25_000;
 /// re-selection dominate instead of the streaming pass.
 const N3: usize = 1_000_000;
 const K3: usize = 250_000;
-/// Sample size for the threshold-estimate selector (trainer default).
-const SAMPLE: usize = 512;
 const THREADS: &[usize] = &[1, 2, 4];
 
 struct Row {
@@ -349,9 +347,9 @@ fn bench_compact(rows: &mut Vec<Row>) {
 /// Each rep re-accumulates the same fresh gradient and extracts the
 /// top-k, so the residual reaches the trainer's steady state (rotating
 /// selection) and per-rep work stays constant. Both variants run the
-/// identical rep sequence from the same RNG seed, so thresholds — and
-/// every float — match bitwise between them; only the number of memory
-/// passes differs.
+/// kernel the product runs (`Selector::Exact`, RNG-free sampler) over the
+/// identical rep sequence, so thresholds — and every float — match
+/// bitwise between them; only the number of memory passes differs.
 fn bench_fused_select(rows: &mut Vec<Row>) {
     let mut rng = StdRng::seed_from_u64(21);
     let grad: Vec<f32> = (0..N2).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
@@ -364,7 +362,6 @@ fn bench_fused_select(rows: &mut Vec<Row>) {
     ];
     for (variant, level, fused) in configs {
         let mut r = Residual::new(N2);
-        let mut sel_rng = StdRng::seed_from_u64(23);
         let mut out = SparseVec::empty(N2);
         rows.push(Row {
             kernel: "residual_select",
@@ -377,16 +374,10 @@ fn bench_fused_select(rows: &mut Vec<Row>) {
                 simd::with_simd_level(level, || {
                     time_median(5, || {
                         if fused {
-                            r.accumulate_extract_threshold_into(
-                                black_box(&grad),
-                                K2,
-                                SAMPLE,
-                                &mut sel_rng,
-                                &mut out,
-                            );
+                            r.accumulate_extract_into(black_box(&grad), K2, &mut out);
                         } else {
                             r.accumulate(black_box(&grad));
-                            r.extract_topk_threshold_into(K2, SAMPLE, &mut sel_rng, &mut out);
+                            r.extract_topk_into(K2, &mut out);
                         }
                         black_box(&out);
                     })

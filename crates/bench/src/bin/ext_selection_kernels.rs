@@ -1,11 +1,13 @@
 //! **Extension (paper Fig. 11 discussion)** — top-k selection kernel
-//! ablation: exact quickselect vs sampled-threshold estimation.
+//! ablation: the exact streaming select vs the approximate
+//! sampled-threshold selector.
 //!
 //! The paper measures sparsification ("Compr.") as a visible slice of
-//! every iteration and flags faster top-k selection as future work. This
-//! experiment checks the cheap kernel's two requirements: it must be
-//! faster on large gradients (wall-clock microbenchmark) and must not
-//! hurt convergence when used inside gTop-k S-SGD.
+//! every iteration and flags faster top-k selection as future work. The
+//! exact kernel is itself one sampled-threshold streaming pass, so this
+//! experiment records what the approximate selector still buys over it
+//! (wall-clock microbenchmark) and that it does not hurt convergence
+//! when used inside gTop-k S-SGD.
 //!
 //! Run: `cargo run --release -p gtopk-bench --bin ext_selection_kernels`
 

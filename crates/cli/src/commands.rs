@@ -293,7 +293,6 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
         "density",
         "seed",
         "sampled-selection",
-        "threshold-selection",
         "overlap",
         "buckets",
         "topology",
@@ -345,26 +344,7 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
     if sample > 0 {
         cfg.selector = Selector::Sampled { sample };
     }
-    let thr_sample: usize = parsed.get("threshold-selection", 0)?;
-    if thr_sample > 0 {
-        if sample > 0 {
-            return Err(ArgError(
-                "--sampled-selection and --threshold-selection are mutually exclusive".into(),
-            ));
-        }
-        cfg.selector = Selector::ThresholdEstimate { sample: thr_sample };
-    }
     if parsed.has_flag("overlap") {
-        if !matches!(
-            algorithm,
-            Algorithm::GTopK | Algorithm::OkTopk | Algorithm::SparDl
-        ) {
-            return Err(ArgError(
-                "--overlap requires --algorithm gtopk, oktopk or spardl (the \
-                 overlap engine drives per-bucket sparse collectives)"
-                    .into(),
-            ));
-        }
         // --buckets 0 means one bucket per layer; default 4 fused buckets.
         let buckets: usize = parsed.get("buckets", 4)?;
         cfg.overlap = Some(if buckets == 0 {
@@ -375,25 +355,10 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
     } else if parsed.has_option("buckets") {
         return Err(ArgError("--buckets requires --overlap".into()));
     }
-    let topology = parse_topology(&parsed.get_str("topology", "binomial"))?;
-    if topology != Topology::Binomial && !algorithm.supports_topology() {
-        let why = if matches!(algorithm, Algorithm::OkTopk | Algorithm::SparDl) {
-            "runs its own binomial split/gather schedule (drop --topology \
-             or use the default binomial)"
-        } else {
-            "runs a fixed collective schedule"
-        };
-        return Err(ArgError(format!(
-            "--topology {} requires a plan-driven algorithm (gtopk, feedback or \
-             no-putback); `{}` {why}",
-            topology.name(),
-            parsed.get_str("algorithm", "gtopk"),
-        )));
-    }
-    cfg = cfg.with_topology(topology);
+    cfg.topology = parse_topology(&parsed.get_str("topology", "binomial"))?;
 
-    // Execution mode: the gTop-k allreduce family (default) or the
-    // sharded parameter-server push/pull engine.
+    // Execution mode: the allreduce family (default) or the sharded
+    // parameter-server push/pull engine.
     let mode = parsed.get_str("mode", "allreduce");
     match mode.as_str() {
         "allreduce" => {
@@ -407,41 +372,7 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
             }
         }
         "ps" => {
-            if algorithm != Algorithm::GTopK {
-                return Err(ArgError(format!(
-                    "--mode ps drives the gTop-k sparse push path; it requires \
-                     --algorithm gtopk (got `{}`)",
-                    parsed.get_str("algorithm", "gtopk")
-                )));
-            }
-            if cfg.overlap.is_some() {
-                return Err(ArgError(
-                    "--mode ps schedules its own push/pull pipeline and cannot \
-                     compose with --overlap; drop one of the two"
-                        .into(),
-                ));
-            }
-            if topology != Topology::Binomial {
-                return Err(ArgError(format!(
-                    "--mode ps replaces the collective entirely; --topology {} \
-                     has no effect there (drop it or use the default binomial)",
-                    topology.name()
-                )));
-            }
-            if cfg.selector != Selector::Exact {
-                return Err(ArgError(
-                    "--mode ps selects exactly per shard region (budgeted wire \
-                     sizes); drop --sampled-selection / --threshold-selection"
-                        .into(),
-                ));
-            }
             let shards: usize = parsed.get("shards", workers)?;
-            if shards == 0 || shards > workers {
-                return Err(ArgError(format!(
-                    "--shards must be in [1, workers]: got {shards} shards for \
-                     {workers} workers"
-                )));
-            }
             cfg.ps = Some(if parsed.has_option("staleness") {
                 PsConfig::wait_free(shards, parsed.get("staleness", 0)?)
             } else {
@@ -459,7 +390,9 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
     if jobs == 0 {
         return Err(ArgError("--jobs must be positive".into()));
     }
-    if jobs > 1 && parsed.get_str("transport", "sim") != "sim" {
+    let transport = parsed.get_str("transport", "sim");
+    let tcp = transport == "tcp";
+    if jobs > 1 && transport != "sim" {
         return Err(ArgError(
             "--jobs runs the multi-job orchestrator over the in-process \
              simulated cluster; it requires the default --transport sim"
@@ -467,74 +400,41 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
         ));
     }
 
-    if let Some(plan) = parse_fault_plan(parsed, workers)? {
-        if !matches!(algorithm, Algorithm::GTopK | Algorithm::GTopKFeedback) {
-            return Err(ArgError(
-                "fault injection requires --algorithm gtopk or feedback \
-                 (the fault-tolerant loop only covers the gTop-k variants)"
-                    .into(),
-            ));
-        }
-        cfg.fault_plan = Some(plan);
-        cfg.checkpoint_interval = parsed.get("fault-checkpoint", 10)?;
-        if cfg.checkpoint_interval == 0 {
-            return Err(ArgError("--fault-checkpoint must be positive".into()));
-        }
-    }
+    cfg.fault_plan = parse_fault_plan(parsed, workers)?;
     let ckpt_dir = parsed.get_str("checkpoint-dir", "");
     let elastic = !ckpt_dir.is_empty();
     if elastic {
-        if !matches!(algorithm, Algorithm::GTopK | Algorithm::GTopKFeedback) {
-            return Err(ArgError(
-                "--checkpoint-dir requires --algorithm gtopk or feedback \
-                 (durable restore and rejoin run through the fault-tolerant loop)"
-                    .into(),
-            ));
-        }
         cfg = cfg.with_checkpoint_dir(&ckpt_dir);
-        if cfg.fault_plan.is_none() {
-            // Durable checkpoints imply the recovery policy: a restart
-            // must restore, and survivors must notice the death and the
-            // later rejoin.
-            cfg.fault_plan = Some(FaultPlan::seeded(parsed.get("fault-seed", 1)?));
-        }
-        cfg.checkpoint_interval = parsed.get("fault-checkpoint", 10)?;
-        if cfg.checkpoint_interval == 0 {
-            return Err(ArgError("--fault-checkpoint must be positive".into()));
-        }
     }
-    let mut launch = parse_launch(parsed, workers, cfg.cost_model, elastic)?;
-    if matches!(launch, Launch::Tcp(_))
-        && cfg.fault_plan.is_none()
-        && matches!(algorithm, Algorithm::GTopK | Algorithm::GTopKFeedback)
-    {
-        // Real processes die for real: arm the checkpoint/rollback
-        // recovery policy with a fault-free plan, so organic peer death
-        // (detected by the transport's deadlines and heartbeats) takes
-        // the same ULFM-style recovery path as an injected crash.
+    // Durable checkpoints imply the recovery policy (a restart must
+    // restore, and survivors must notice the death and the later rejoin),
+    // and real processes die for real: both arm the checkpoint/rollback
+    // policy with a fault-free plan, so organic peer death (detected by
+    // the transport's deadlines and heartbeats) takes the same ULFM-style
+    // recovery path as an injected crash. Over TCP only where the
+    // algorithm can recover at all; fail-fast otherwise.
+    let implied_plan =
+        cfg.fault_plan.is_none() && (elastic || (tcp && algorithm.row().caps.recovery));
+    if implied_plan {
         cfg.fault_plan = Some(FaultPlan::seeded(parsed.get("fault-seed", 1)?));
+    }
+    if cfg.fault_plan.is_some() {
         cfg.checkpoint_interval = parsed.get("fault-checkpoint", 10)?;
         if cfg.checkpoint_interval == 0 {
             return Err(ArgError("--fault-checkpoint must be positive".into()));
         }
     }
-
-    if matches!(
-        cfg.ps,
-        Some(PsConfig {
-            variant: PsVariant::WaitFree { .. },
-            ..
-        })
-    ) && cfg.fault_plan.is_some()
-    {
-        return Err(ArgError(
-            "--staleness (wait-free PS) pipelines rounds across steps and \
-             cannot roll back mid-pipeline; it composes with neither fault \
-             injection, --checkpoint-dir, nor --transport tcp (which arms the \
-             recovery policy). Drop --staleness for bulk-sync PS"
-                .into(),
-        ));
-    }
+    // Which of these settings may be combined is the capability table's
+    // call (`gtopk info` prints it), made in one place.
+    cfg.validate().map_err(|e| {
+        let note = if implied_plan {
+            " [--checkpoint-dir and --transport tcp arm a fault plan]"
+        } else {
+            ""
+        };
+        ArgError(format!("{e}{note}"))
+    })?;
+    let mut launch = parse_launch(parsed, workers, cfg.cost_model, elastic)?;
 
     // Multi-job path: queue `jobs` independent jobs (distinct model
     // seeds and batch orders) on the shared simulated cluster and run
@@ -782,12 +682,12 @@ fn cmd_info() -> String {
             Algorithm::NaiveGTopK => "exact-sum global top-k reference (Alg. 2)\n",
             Algorithm::GTopKFeedback => "tree gTop-k + loss-free merge feedback (extension)\n",
             Algorithm::GTopKNoPutback => "ablation: gTop-k without residual put-back\n",
-            Algorithm::OkTopk => {
-                "threshold-estimate split/gather with O(k) per-rank volume (zoo)\n"
-            }
+            Algorithm::OkTopk => "balanced split/gather with O(k) per-rank volume (zoo)\n",
             Algorithm::SparDl => "Spar-Reduce-Scatter + Spar-All-Gather, no dense tail (zoo)\n",
         });
     }
+    out.push_str("\nsupport matrix (what `train` accepts, from the capability table):\n");
+    out.push_str(&gtopk::capability_table());
     out.push_str("\nmodels: mlp, vgg, resnet, alexnet, lstm (scaled-down analogues)\n");
     out.push_str("networks: 1gbe (paper), 10gbe, ib\n");
     out
@@ -880,12 +780,6 @@ mod tests {
         // Unknown names enumerate the full zoo.
         let err = run_line("train --algorithm ok-topk").unwrap_err();
         assert!(err.0.contains("oktopk, spardl"), "{}", err.0);
-        // The zoo schedules are binomial-only; the message says what to do.
-        let err = run_line("train --algorithm spardl --topology ring").unwrap_err();
-        assert!(err.0.contains("binomial split/gather"), "{}", err.0);
-        // Fault injection stays a gTop-k facility.
-        assert!(run_line("train --algorithm oktopk --fault-drop 0.1").is_err());
-        assert!(run_line("train --algorithm spardl --checkpoint-dir /tmp/x").is_err());
     }
 
     #[test]
@@ -897,21 +791,9 @@ mod tests {
 
     #[test]
     fn overlap_options_are_validated() {
-        // Overlap drives per-bucket sparse collectives only.
-        assert!(run_line("train --algorithm dense --overlap").is_err());
         // Bucket count without the engine is a likely typo.
-        assert!(run_line("train --buckets 4").is_err());
-        // Selector kernels are mutually exclusive.
-        assert!(run_line("train --sampled-selection 64 --threshold-selection 64").is_err());
-    }
-
-    #[test]
-    fn train_with_threshold_selection_matches_exact_kernel() {
-        // ThresholdEstimate is bitwise-identical to Exact — same losses.
-        let base = "train --model mlp --workers 2 --epochs 2 --batch 4 --density 0.05";
-        let exact = run_line(base).unwrap();
-        let thr = run_line(&format!("{base} --threshold-selection 128")).unwrap();
-        assert_eq!(exact, thr);
+        let err = run_line("train --buckets 4").unwrap_err();
+        assert!(err.0.contains("--overlap"), "{}", err.0);
     }
 
     #[test]
@@ -932,10 +814,6 @@ mod tests {
         // Unknown names list the accepted values.
         let err = run_line("train --topology star").unwrap_err();
         assert!(err.0.contains("binomial, hierarchical, ring"), "{}", err.0);
-        // Fixed-schedule algorithms only run the binomial topology.
-        let err = run_line("train --algorithm dense --topology hierarchical").unwrap_err();
-        assert!(err.0.contains("plan-driven"), "{}", err.0);
-        assert!(run_line("train --algorithm topk --topology ring").is_err());
     }
 
     #[test]
@@ -1011,9 +889,54 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_dir_requires_a_fault_tolerant_algorithm() {
-        let err = run_line("train --algorithm dense --checkpoint-dir /tmp/x").unwrap_err();
-        assert!(err.0.contains("gtopk or feedback"), "{}", err.0);
+    fn config_errors_surface_through_the_cli() {
+        // Which settings combine is `TrainConfig::validate`'s call (the
+        // capability sweep in gtopk-core walks every cell); the CLI's part
+        // is to surface its text: both settings and where the matrix is.
+        for (line, first, second) in [
+            ("--algorithm dense --overlap", "algorithm Dense", "overlap"),
+            (
+                "--algorithm spardl --topology ring",
+                "algorithm SparDL",
+                "topology ring",
+            ),
+            (
+                "--algorithm oktopk --fault-drop 0.1",
+                "algorithm Ok-Topk",
+                "fault plan",
+            ),
+            (
+                "--algorithm dense --checkpoint-dir /tmp/x",
+                "algorithm Dense",
+                "checkpoint_dir",
+            ),
+            ("--mode ps --algorithm dense", "algorithm Dense", "mode ps"),
+            ("--mode ps --overlap", "mode ps", "overlap"),
+            ("--mode ps --topology ring", "mode ps", "topology ring"),
+            (
+                "--mode ps --sampled-selection 64",
+                "mode ps",
+                "selector sampled",
+            ),
+            ("--mode ps --workers 2 --shards 5", "shards 5", "workers 2"),
+            ("--mode ps --shards 0", "shards 0", "workers 4"),
+            (
+                "--mode ps --staleness 1 --fault-crash 1:4",
+                "staleness 1",
+                "fault plan",
+            ),
+            (
+                "--mode ps --staleness 1 --checkpoint-dir /tmp/x",
+                "staleness 1",
+                "checkpoint_dir",
+            ),
+        ] {
+            let err = run_line(&format!("train {line}")).unwrap_err().0;
+            assert!(
+                err.contains(first) && err.contains(second) && err.contains("gtopk info"),
+                "{line}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1064,22 +987,6 @@ mod tests {
         assert!(err.0.contains("--mode ps"), "{}", err.0);
         let err = run_line("train --staleness 1").unwrap_err();
         assert!(err.0.contains("--mode ps"), "{}", err.0);
-        // PS replaces the collective: no topology, overlap or sampled
-        // selection, and only the gTop-k push path.
-        let err = run_line("train --mode ps --topology ring").unwrap_err();
-        assert!(err.0.contains("replaces the collective"), "{}", err.0);
-        assert!(run_line("train --mode ps --overlap").is_err());
-        assert!(run_line("train --mode ps --sampled-selection 64").is_err());
-        let err = run_line("train --mode ps --algorithm dense").unwrap_err();
-        assert!(err.0.contains("--algorithm gtopk"), "{}", err.0);
-        // Shard counts are bounded by the worker count.
-        let err = run_line("train --mode ps --workers 2 --shards 5").unwrap_err();
-        assert!(err.0.contains("[1, workers]"), "{}", err.0);
-        assert!(run_line("train --mode ps --shards 0").is_err());
-        // Wait-free cannot roll back mid-pipeline.
-        let err = run_line("train --mode ps --staleness 1 --fault-crash 1:4").unwrap_err();
-        assert!(err.0.contains("bulk-sync"), "{}", err.0);
-        assert!(run_line("train --mode ps --staleness 1 --checkpoint-dir /tmp/x").is_err());
         // Unknown modes list the accepted values.
         let err = run_line("train --mode star").unwrap_err();
         assert!(err.0.contains("allreduce, ps"), "{}", err.0);
@@ -1121,8 +1028,6 @@ mod tests {
 
     #[test]
     fn fault_options_are_validated() {
-        // Fault tolerance is a gTop-k facility.
-        assert!(run_line("train --algorithm dense --fault-drop 0.1").is_err());
         // Certain-loss links are rejected.
         assert!(run_line("train --fault-drop 1.0").is_err());
         // Malformed rank:step pairs.

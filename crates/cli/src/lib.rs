@@ -7,7 +7,9 @@
 //! * `aggregate` — time one aggregation step at paper scale on the
 //!   simulated network;
 //! * `sweep` — Fig.-9-style sweep of aggregation time over worker counts;
-//! * `info` — describe the reproduction (paper, algorithms, models);
+//! * `info` — describe the reproduction (paper, algorithms, models) and
+//!   print the support matrix: which algorithm runs with which topology,
+//!   execution mode and recovery policy;
 //! * `help` — usage.
 //!
 //! The binary is a thin `main` over [`run`], so everything is testable.
@@ -29,6 +31,8 @@ USAGE:
 
 COMMANDS:
   train       train a model with distributed S-SGD on a simulated cluster
+              (which algorithm combines with which topology, mode and
+              recovery option: see `gtopk info`)
     --model      mlp | vgg | resnet | alexnet | lstm     [mlp]
     --algorithm  dense | topk | gtopk | naive | feedback | no-putback
                  | oktopk | spardl                        [gtopk]
@@ -39,23 +43,20 @@ COMMANDS:
     --density    gradient density rho                    [0.005]
     --seed       model/data seed                         [42]
     --sampled-selection N   use sampled top-k with N samples
-    --threshold-selection N exact top-k via N-sample threshold estimate
     --overlap               pipeline per-bucket sparse collectives behind
-                            backward compute (gtopk | oktopk | spardl)
+                            backward compute
     --buckets N             overlap buckets (0 = one per layer)    [4]
-    --topology   binomial | hierarchical | ring collective plan
-                 (gtopk | feedback | no-putback algorithms) [binomial]
+    --topology   binomial | hierarchical | ring collective plan [binomial]
     --momentum-correction   apply DGC-style momentum correction
     --clip N                clip local gradients to L2 norm N
     --mode       allreduce | ps execution mode            [allreduce]
                  (ps: sharded parameter server, workers push k-sparse
                  shard slices and pull dense shard updates)
-    --shards S              server shard count, 1..=workers (ps) [workers]
-    --staleness N           wait-free PS with staleness bound N (ps;
-                            excludes fault injection and --transport tcp)
+    --shards S              server shard count (ps)           [workers]
+    --staleness N           wait-free PS with staleness bound N (ps)
     --jobs J                run J concurrent jobs through the fair-share
                             multi-job orchestrator (sim transport)  [1]
-    fault injection (gtopk | feedback algorithms only):
+    fault injection:
     --fault-seed S          deterministic fault schedule seed     [1]
     --fault-drop P          per-message drop probability in [0,1) [0]
     --fault-jitter MS       max extra per-message delay, ms       [0]
@@ -87,6 +88,6 @@ COMMANDS:
     --density    gradient density rho                    [0.001]
     --network    1gbe | 10gbe | ib                       [1gbe]
 
-  info        describe the reproduction
+  info        describe the reproduction; print the support matrix
   help        this text
 ";

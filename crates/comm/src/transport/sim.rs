@@ -227,6 +227,11 @@ impl SimTransport {
 
 impl Drop for SimTransport {
     fn drop(&mut self) {
+        // Close the inbound halves before anything outbound: a peer learns
+        // of this death when its receive finds no sender left, and a send
+        // it makes after that must already fail. (Field order would drop
+        // `senders` first and leave a window where that send succeeds.)
+        self.receivers.clear();
         let mut inner = self.mesh.inner.lock().unwrap();
         // A replaced endpoint (its rank already rejoined) must not tear
         // down its successor's fresh wiring.

@@ -1,70 +1,25 @@
-//! Gradient aggregation strategies — the three S-SGD variants the paper
-//! evaluates, plus extensions — behind one [`GradientAggregator`] trait.
+//! The one sparse step: local selection, a collective, the rejects
+//! policy, averaging — executed for any [`Algorithm`] row of the
+//! capability table ([`crate::capability`]).
 //!
-//! The trainer hands every aggregator the worker's error-feedback
-//! [`Residual`] buffer (already containing this iteration's accumulated
-//! gradient), the live membership, and the selection budget `k`; the
-//! aggregator extracts what it needs, exchanges it across the members,
-//! handles residual put-back, and returns the *averaged* global update
-//! to apply. The gTop-k tree variants run their collectives as
-//! epoch-stamped plan executions over the member positions, so the same
-//! aggregator objects serve the plain and the fault-tolerant training
-//! loops (shrunken memberships included) and accept any
-//! [`Topology`].
+//! The trainer hands the aggregator the worker's error-feedback
+//! [`Residual`] buffer, this iteration's fresh gradient, the live
+//! membership, and the selection budget `k`; the aggregator extracts what
+//! the row's collective needs, exchanges it across the members, sends the
+//! rejects where the row says, and returns the *averaged* global update
+//! to apply. The plan-driven collectives run as epoch-stamped plan
+//! executions over the member positions, so the same step serves the
+//! plain and the fault-tolerant training loops (shrunken memberships
+//! included), whole vectors and overlap buckets alike.
 
+use crate::capability::{Algorithm, Collective, Rejects, Row};
 use crate::ft::epoch_tag_offset;
 use crate::gtopk_allreduce::{gtopk_all_reduce_over, naive_gtopk_all_reduce};
 use crate::selector::{Selector, SelectorState};
 use crate::sparse_coll::{sparse_sum_recursive_doubling, sparse_zoo_all_reduce_over};
-use gtopk_comm::{collectives, Communicator, Result, Topology};
-use gtopk_perfmodel::ZooSchedule;
-use gtopk_sparse::{Residual, SparseVec};
-
-/// Lazily-initialized per-rank local top-k extraction (the rank is only
-/// known once a communicator is in hand).
-#[derive(Debug, Default)]
-struct LocalSelect {
-    selector: Selector,
-    state: Option<SelectorState>,
-}
-
-impl LocalSelect {
-    fn new(selector: Selector) -> Self {
-        LocalSelect {
-            selector,
-            state: None,
-        }
-    }
-
-    /// Fused accumulate + extract (one memory pass for the
-    /// threshold-estimate selector; accumulate-then-extract otherwise).
-    fn accumulate_extract(
-        &mut self,
-        comm: &Communicator,
-        residual: &mut Residual,
-        grad: &[f32],
-        k: usize,
-    ) -> SparseVec {
-        self.state_for(comm).accumulate_extract(residual, grad, k)
-    }
-
-    fn state_for(&mut self, comm: &Communicator) -> &mut SelectorState {
-        let selector = self.selector;
-        self.state
-            .get_or_insert_with(|| SelectorState::new(selector, comm.rank()))
-    }
-
-    /// The materialized per-rank state, once an iteration has run.
-    fn state(&self) -> Option<&SelectorState> {
-        self.state.as_ref()
-    }
-
-    /// Restores a previously captured state (process restart), resuming
-    /// the RNG stream exactly where the checkpoint froze it.
-    fn restore(&mut self, state: SelectorState) {
-        self.state = Some(state);
-    }
-}
+use gtopk_comm::{collectives, CollectivePlan, Communicator, CostModel, Result, Topology};
+use gtopk_perfmodel::{PlanClock, ZooSchedule};
+use gtopk_sparse::{Mask, Residual, SparseVec};
 
 /// The aggregated, already `1/P`-averaged model update.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,10 +40,42 @@ impl Update {
     }
 }
 
-/// A distributed gradient aggregation strategy.
-pub trait GradientAggregator: Send {
-    /// Algorithm name as used in the paper's tables.
-    fn name(&self) -> &'static str;
+/// One rank's aggregation step for one [`Algorithm`] row: the selection
+/// kernel's state plus the schedule caches of the row's collective. The
+/// residual it works on stays with the caller — the whole vector's in
+/// the serial engine, one bucket's in the overlap engine.
+#[derive(Debug, Clone)]
+pub struct Aggregator {
+    algorithm: Algorithm,
+    topology: Topology,
+    select: SelectorState,
+    /// Zoo rows: the schedule for the current `(P, k)`.
+    sched: Option<ZooSchedule>,
+    /// Tree rows: the reduce/broadcast plan pair for the current `P`, for
+    /// the analytic twin ([`Aggregator::charge_twin`]).
+    plans: Option<(CollectivePlan, CollectivePlan)>,
+}
+
+impl Aggregator {
+    /// The step for `algorithm` on `rank`, selecting with `selector` (the
+    /// dense row selects nothing) and — on the rows whose collective
+    /// executes a plan topology — reducing over `topology`. Which
+    /// combinations a training run may use is
+    /// [`TrainConfig::validate`](crate::TrainConfig::validate)'s call.
+    pub fn new(algorithm: Algorithm, selector: Selector, topology: Topology, rank: usize) -> Self {
+        Aggregator {
+            algorithm,
+            topology,
+            select: SelectorState::new(selector, rank),
+            sched: None,
+            plans: None,
+        }
+    }
+
+    /// The row this step executes.
+    pub fn algorithm(&self) -> Algorithm {
+        self.algorithm
+    }
 
     /// Aggregates this iteration's gradient across `members` (the
     /// sorted, alive rank set — the full `0..P` outside the
@@ -96,615 +83,165 @@ pub trait GradientAggregator: Send {
     ///
     /// On entry, `residual` holds the error feedback carried over from
     /// previous iterations and `grad` this iteration's fresh gradient.
-    /// The aggregator folds `grad` into the residual (Algorithm 1/4,
-    /// line 4 — fused with selection into a single memory pass where the
-    /// selector allows), extracts its share, communicates, returns
-    /// rejected values to `residual`, and yields the update averaged
-    /// over `|members|`. Must be called collectively by every member.
+    /// The step folds `grad` into the residual (Algorithm 1/4, line 4 —
+    /// fused with selection into a single memory pass where the selector
+    /// allows), extracts its share, communicates, returns rejected values
+    /// to `residual` as the row's [`Rejects`] policy says, and yields the
+    /// update averaged over `|members|`. Must be called collectively by
+    /// every member.
     ///
     /// # Errors
     ///
     /// Propagates transport errors from the communicator.
-    fn aggregate(
+    pub fn aggregate(
         &mut self,
         comm: &mut Communicator,
         members: &[usize],
         residual: &mut Residual,
         grad: &[f32],
         k: usize,
-    ) -> Result<Update>;
-
-    /// The aggregator's local-selection state, when it owns one that has
-    /// been materialized. Durable checkpoints persist this at process
-    /// granularity so that a restarted rank resumes the sampled kernels'
-    /// RNG streams bit-exactly. The dense baseline has no selection
-    /// state and keeps the default.
-    fn selector_state(&self) -> Option<&SelectorState> {
-        None
-    }
-
-    /// Restores state captured via
-    /// [`GradientAggregator::selector_state`] after a process restart.
-    /// No-op for aggregators without selection state.
-    fn restore_selector_state(&mut self, _state: SelectorState) {}
-}
-
-/// Expands the selector-state capture/restore pair for aggregators that
-/// hold a [`LocalSelect`].
-macro_rules! selector_state_passthrough {
-    () => {
-        fn selector_state(&self) -> Option<&SelectorState> {
-            self.select.state()
-        }
-
-        fn restore_selector_state(&mut self, state: SelectorState) {
-            self.select.restore(state);
-        }
-    };
-}
-
-/// Generates the `new`/`with_selector` constructor pair every
-/// selector-driven aggregator shares; extra fields (e.g. the collective
-/// topology) come from `Default`.
-macro_rules! selector_ctors {
-    ($ty:ident, $what:literal) => {
-        impl $ty {
-            #[doc = concat!("Creates the ", $what, " aggregator (exact selection).")]
-            pub fn new() -> Self {
-                Self::with_selector(Selector::Exact)
-            }
-
-            #[doc = concat!("Creates the ", $what, " aggregator with an explicit \
-                             local selection kernel.")]
-            // The update is a no-op for the single-field aggregators the
-            // macro also expands for.
-            #[allow(clippy::needless_update)]
-            pub fn with_selector(selector: Selector) -> Self {
-                Self {
-                    select: LocalSelect::new(selector),
-                    ..Self::default()
-                }
-            }
-        }
-    };
-}
-
-/// Generates the topology builder for aggregators whose collective is a
-/// plan execution.
-macro_rules! topology_builder {
-    ($ty:ident) => {
-        impl $ty {
-            /// Same aggregator, different collective plan topology.
-            #[must_use]
-            pub fn with_topology(mut self, topology: Topology) -> Self {
-                self.topology = topology;
-                self
-            }
-        }
-    };
-}
-
-/// The AllGather-style baselines run over the fixed full-cluster
-/// schedules; a shrunken membership would need the plan-driven variants.
-fn require_full_membership(comm: &Communicator, members: &[usize], name: &str) {
-    assert_eq!(
-        members.len(),
-        comm.size(),
-        "{name} aggregation supports full membership only"
-    );
-}
-
-/// Which aggregation algorithm to run — the experiment configuration
-/// enum used across the bench harness.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Algorithm {
-    /// Dense S-SGD over ring AllReduce.
-    Dense,
-    /// Top-k S-SGD over the AllGather-equivalent sparse sum (Alg. 1).
-    TopK,
-    /// gTop-k S-SGD over gTopKAllReduce (Alg. 4, the paper's method).
-    GTopK,
-    /// gTop-k with the exact sparse sum (Alg. 2; reference).
-    NaiveGTopK,
-    /// gTop-k with per-merge rejection feedback (our extension).
-    GTopKFeedback,
-    /// Ablation: gTop-k *without* the residual put-back of Algorithm 4
-    /// line 10 — the configuration §III-A warns "could damage the model
-    /// convergence". Exists to demonstrate that claim.
-    GTopKNoPutback,
-    /// Ok-Topk (Li & Hoefler, PPoPP'22): equal `⌈k/P⌉` per-rank
-    /// contribution quotas, balanced split-and-aggregate rounds and a
-    /// region gather — per-rank volume `O(k)` with no `log P` factor.
-    OkTopk,
-    /// SparDL (Duan et al.): Spar-Reduce-Scatter with cascading holding
-    /// budgets and Spar-All-Gather of the surviving regions — no dense
-    /// allgather tail.
-    SparDl,
-}
-
-impl Algorithm {
-    /// All algorithms used in experiments, in presentation order.
-    pub const ALL: [Algorithm; 8] = [
-        Algorithm::Dense,
-        Algorithm::TopK,
-        Algorithm::GTopK,
-        Algorithm::NaiveGTopK,
-        Algorithm::GTopKFeedback,
-        Algorithm::GTopKNoPutback,
-        Algorithm::OkTopk,
-        Algorithm::SparDl,
-    ];
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algorithm::Dense => "Dense",
-            Algorithm::TopK => "Top-k",
-            Algorithm::GTopK => "gTop-k",
-            Algorithm::NaiveGTopK => "gTop-k(naive)",
-            Algorithm::GTopKFeedback => "gTop-k(feedback)",
-            Algorithm::GTopKNoPutback => "gTop-k(no-putback)",
-            Algorithm::OkTopk => "Ok-Topk",
-            Algorithm::SparDl => "SparDL",
-        }
-    }
-
-    /// Whether the algorithm's collective is a plan execution that can
-    /// run on any [`Topology`] (the gTop-k tree variants). The others
-    /// have fixed schedules — ring for dense, recursive doubling /
-    /// AllGather for the k-sparse sums — and accept only the default.
-    pub fn supports_topology(&self) -> bool {
-        matches!(
-            self,
-            Algorithm::GTopK | Algorithm::GTopKFeedback | Algorithm::GTopKNoPutback
-        )
-    }
-
-    /// Instantiates the corresponding aggregator with the exact
-    /// selection kernel.
-    pub fn aggregator(&self) -> Box<dyn GradientAggregator> {
-        self.aggregator_with(Selector::Exact)
-    }
-
-    /// Instantiates the corresponding aggregator with an explicit local
-    /// top-k selection kernel (ignored by the dense baseline).
-    pub fn aggregator_with(&self, selector: Selector) -> Box<dyn GradientAggregator> {
-        self.aggregator_with_topology(selector, Topology::Binomial)
-    }
-
-    /// Instantiates the corresponding aggregator with an explicit
-    /// selection kernel *and* collective topology.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `topology` is not [`Topology::Binomial`] and the
-    /// algorithm's collective is not plan-driven (see
-    /// [`Algorithm::supports_topology`]).
-    pub fn aggregator_with_topology(
-        &self,
-        selector: Selector,
-        topology: Topology,
-    ) -> Box<dyn GradientAggregator> {
-        assert!(
-            topology == Topology::Binomial || self.supports_topology(),
-            "{} has a fixed collective schedule; only the binomial topology applies",
-            self.name()
+    ) -> Result<Update> {
+        let Row {
+            collective,
+            rejects,
+            caps,
+        } = self.algorithm.row();
+        debug_assert!(
+            caps.member_subset || members.len() == comm.size(),
+            "{} runs a fixed full-cluster schedule",
+            self.algorithm.name()
         );
-        match self {
-            Algorithm::Dense => Box::new(DenseAggregator::new()),
-            Algorithm::TopK => Box::new(TopkAggregator::with_selector(selector)),
-            Algorithm::GTopK => {
-                Box::new(GtopkAggregator::with_selector(selector).with_topology(topology))
+        let p = members.len();
+        let inv = 1.0 / p as f32;
+        let tag_off = epoch_tag_offset(comm.epoch());
+        // Select and reduce. Besides the global selection, a collective
+        // that selects hands back this rank's own selection with the
+        // global mask, and one that truncates hands back what this rank
+        // witnessed it truncate — the two things a rejects policy can ask
+        // for.
+        let select = &mut self.select;
+        let (mut global, own, witnessed): (_, Option<(SparseVec, Mask)>, Option<SparseVec>) =
+            match collective {
+                Collective::DenseRing => {
+                    // Dense training has no residuals: every gradient is
+                    // applied immediately, so the buffer drains whole.
+                    residual.accumulate(grad);
+                    let mut sum = residual.dense().to_vec();
+                    residual.clear();
+                    collectives::allreduce_ring(comm, &mut sum)?;
+                    sum.iter_mut().for_each(|v| *v *= inv);
+                    return Ok(Update::Dense(sum));
+                }
+                Collective::SparseSum => {
+                    let local = select.accumulate_extract(residual, grad, k);
+                    (sparse_sum_recursive_doubling(comm, local)?, None, None)
+                }
+                Collective::SparseSumThenSelect => {
+                    let local = select.accumulate_extract(residual, grad, k);
+                    let (global, gmask) = naive_gtopk_all_reduce(comm, local.clone(), k)?;
+                    (global, Some((local, gmask)), None)
+                }
+                Collective::Tree => {
+                    let local = select.accumulate_extract(residual, grad, k);
+                    let (global, gmask, witnessed) = gtopk_all_reduce_over(
+                        comm,
+                        members,
+                        local.clone(),
+                        k,
+                        tag_off,
+                        self.topology,
+                    )?;
+                    (global, Some((local, gmask)), Some(witnessed))
+                }
+                Collective::Zoo(kind) => {
+                    let sched = zoo_schedule(&mut self.sched, kind, p, k);
+                    // The schedule's contribution quota, into a pooled
+                    // vector: allocation-free for the exact selector.
+                    let mut local = comm.pool().take_sparse(grad.len());
+                    select.accumulate_extract_into(residual, grad, sched.contrib_slots, &mut local);
+                    let (global, witnessed) =
+                        sparse_zoo_all_reduce_over(comm, members, local, sched, tag_off)?;
+                    (global, None, Some(witnessed))
+                }
+            };
+        // Rejects: what the collective turned away goes where the row says.
+        if let (Rejects::PutBackOwn | Rejects::PutBackOwnAndWitnessed, Some((local, gmask))) =
+            (rejects, &own)
+        {
+            // Alg. 4 line 10: Gᵍ += G̃ᵍ ⊙ ¬gMask ⊙ Mask.
+            residual.put_back(&local.partition_by(gmask).1);
+        }
+        if let Some(witnessed) = witnessed {
+            match (rejects, &own) {
+                (Rejects::Witnessed, _) => residual.put_back(&witnessed),
+                (Rejects::PutBackOwnAndWitnessed, Some((_, gmask))) => {
+                    residual.put_back(&witnessed.partition_by(gmask).0);
+                }
+                _ => {}
             }
-            Algorithm::NaiveGTopK => Box::new(NaiveGtopkAggregator::with_selector(selector)),
-            Algorithm::GTopKFeedback => {
-                Box::new(GtopkFeedbackAggregator::with_selector(selector).with_topology(topology))
+            comm.pool().put_sparse(witnessed);
+        }
+        global.scale(inv);
+        Ok(Update::Sparse(global))
+    }
+
+    /// Replays the collective [`Aggregator::aggregate`] runs for `p`
+    /// members and budget `k` on an analytic clock — the overlap engine's
+    /// plan-clock twin: reduce + broadcast at `2k` wire elements each for
+    /// the tree, the budget-padded split + gather rounds for the zoo. The
+    /// fixed-schedule collectives are hand-written loops outside the plan
+    /// IR and have no replay: the clock stays put.
+    pub fn charge_twin(&mut self, clock: &mut PlanClock, net: &CostModel, p: usize, k: usize) {
+        match self.algorithm.row().collective {
+            Collective::Tree => {
+                let cached = self.plans.take().filter(|(reduce, _)| reduce.size == p);
+                let (reduce, bcast) = self.plans.insert(cached.unwrap_or_else(|| {
+                    let reduce = CollectivePlan::reduce(self.topology, p);
+                    let bcast = CollectivePlan::broadcast(self.topology, p, reduce.root);
+                    (reduce, bcast)
+                }));
+                clock.charge_plan(net, reduce, 2 * k);
+                clock.charge_plan(net, bcast, 2 * k);
             }
-            Algorithm::GTopKNoPutback => {
-                Box::new(GtopkNoPutbackAggregator::with_selector(selector).with_topology(topology))
-            }
-            // Ok-Topk's native local selection is the sampling-based
-            // threshold estimate (bitwise identical to the exact kernel),
-            // so the generic exact default maps onto it; an explicitly
-            // sampled/threshold selector is honored as configured.
-            Algorithm::OkTopk => Box::new(match selector {
-                Selector::Exact => OkTopkAggregator::new(),
-                other => OkTopkAggregator::with_selector(other),
-            }),
-            Algorithm::SparDl => Box::new(SparDlAggregator::with_selector(selector)),
+            Collective::Zoo(kind) => zoo_schedule(&mut self.sched, kind, p, k).charge(clock, net),
+            Collective::DenseRing | Collective::SparseSum | Collective::SparseSumThenSelect => {}
         }
     }
-}
 
-/// Dense S-SGD: ring AllReduce of the full gradient (paper §II-D).
-///
-/// The residual buffer is drained completely (dense training has no
-/// residuals — every gradient is applied immediately).
-#[derive(Debug, Default)]
-pub struct DenseAggregator;
+    /// The local-selection state. Durable checkpoints persist it at
+    /// process granularity so that a restarted rank resumes the sampled
+    /// kernel's RNG stream bit-exactly.
+    pub fn selector_state(&self) -> &SelectorState {
+        &self.select
+    }
 
-impl DenseAggregator {
-    /// Creates the dense baseline aggregator.
-    pub fn new() -> Self {
-        DenseAggregator
+    /// Restores state captured via [`Aggregator::selector_state`].
+    pub fn restore_selector_state(&mut self, state: SelectorState) {
+        self.select = state;
     }
 }
 
-impl GradientAggregator for DenseAggregator {
-    fn name(&self) -> &'static str {
-        "Dense"
-    }
-
-    fn aggregate(
-        &mut self,
-        comm: &mut Communicator,
-        members: &[usize],
-        residual: &mut Residual,
-        grad: &[f32],
-        _k: usize,
-    ) -> Result<Update> {
-        require_full_membership(comm, members, "Dense");
-        residual.accumulate(grad);
-        let mut grad = residual.dense().to_vec();
-        residual.clear();
-        collectives::allreduce_ring(comm, &mut grad)?;
-        let inv = 1.0 / comm.size() as f32;
-        grad.iter_mut().for_each(|v| *v *= inv);
-        Ok(Update::Dense(grad))
-    }
-}
-
-/// Top-k S-SGD (paper **Algorithm 1**): local top-k extraction, exact
-/// sparse sum across ranks (`O(kP)` — the AllGather-equivalent), dense
-/// application of the whole summed result.
-///
-/// Every extracted coordinate is represented in the global sum, so no
-/// put-back is needed beyond what stays in the residual.
-#[derive(Debug, Default)]
-pub struct TopkAggregator {
-    select: LocalSelect,
-}
-
-selector_ctors!(TopkAggregator, "Top-k baseline");
-
-impl GradientAggregator for TopkAggregator {
-    fn name(&self) -> &'static str {
-        "Top-k"
-    }
-
-    selector_state_passthrough!();
-
-    fn aggregate(
-        &mut self,
-        comm: &mut Communicator,
-        members: &[usize],
-        residual: &mut Residual,
-        grad: &[f32],
-        k: usize,
-    ) -> Result<Update> {
-        require_full_membership(comm, members, "Top-k");
-        let local = self.select.accumulate_extract(comm, residual, grad, k);
-        let mut sum = sparse_sum_recursive_doubling(comm, local)?;
-        sum.scale(1.0 / comm.size() as f32);
-        Ok(Update::Sparse(sum))
-    }
-}
-
-/// gTop-k S-SGD (paper **Algorithm 4**): local top-k extraction,
-/// gTopKAllReduce, and put-back of the locally-selected-but-globally-
-/// rejected values (line 10).
-#[derive(Debug, Default)]
-pub struct GtopkAggregator {
-    select: LocalSelect,
-    topology: Topology,
-}
-
-selector_ctors!(GtopkAggregator, "gTop-k");
-topology_builder!(GtopkAggregator);
-
-impl GradientAggregator for GtopkAggregator {
-    fn name(&self) -> &'static str {
-        "gTop-k"
-    }
-
-    selector_state_passthrough!();
-
-    fn aggregate(
-        &mut self,
-        comm: &mut Communicator,
-        members: &[usize],
-        residual: &mut Residual,
-        grad: &[f32],
-        k: usize,
-    ) -> Result<Update> {
-        let local = self.select.accumulate_extract(comm, residual, grad, k);
-        let tag_off = epoch_tag_offset(comm.epoch());
-        let (mut global, gmask, tree_rejects) =
-            gtopk_all_reduce_over(comm, members, local.clone(), k, tag_off, self.topology)?;
-        comm.pool().put_sparse(tree_rejects);
-        // Alg. 4 line 10: Gᵍ += G̃ᵍ ⊙ ¬gMask ⊙ Mask.
-        let (_kept, rejected) = local.partition_by(&gmask);
-        residual.put_back(&rejected);
-        global.scale(1.0 / members.len() as f32);
-        Ok(Update::Sparse(global))
-    }
-}
-
-/// Algorithm 2 reference: exact sparse sum, then the true global top-k;
-/// extracted values outside the global mask return to the residual.
-#[derive(Debug, Default)]
-pub struct NaiveGtopkAggregator {
-    select: LocalSelect,
-}
-
-selector_ctors!(NaiveGtopkAggregator, "naive (AllGather-based) gTop-k");
-
-impl GradientAggregator for NaiveGtopkAggregator {
-    fn name(&self) -> &'static str {
-        "gTop-k(naive)"
-    }
-
-    selector_state_passthrough!();
-
-    fn aggregate(
-        &mut self,
-        comm: &mut Communicator,
-        members: &[usize],
-        residual: &mut Residual,
-        grad: &[f32],
-        k: usize,
-    ) -> Result<Update> {
-        require_full_membership(comm, members, "gTop-k(naive)");
-        let local = self.select.accumulate_extract(comm, residual, grad, k);
-        let (mut global, gmask) = naive_gtopk_all_reduce(comm, local.clone(), k)?;
-        let (_kept, rejected) = local.partition_by(&gmask);
-        residual.put_back(&rejected);
-        global.scale(1.0 / comm.size() as f32);
-        Ok(Update::Sparse(global))
-    }
-}
-
-/// Extension: gTop-k whose tree merges feed their truncated entries back
-/// into the *receiving* rank's residual, so the sum of residuals plus the
-/// applied update always equals the sum of all contributions (no silent
-/// gradient loss at interior tree nodes — see `DESIGN.md` §5 item 2).
-#[derive(Debug, Default)]
-pub struct GtopkFeedbackAggregator {
-    select: LocalSelect,
-    topology: Topology,
-}
-
-selector_ctors!(GtopkFeedbackAggregator, "feedback-extension");
-topology_builder!(GtopkFeedbackAggregator);
-
-impl GradientAggregator for GtopkFeedbackAggregator {
-    fn name(&self) -> &'static str {
-        "gTop-k(feedback)"
-    }
-
-    selector_state_passthrough!();
-
-    fn aggregate(
-        &mut self,
-        comm: &mut Communicator,
-        members: &[usize],
-        residual: &mut Residual,
-        grad: &[f32],
-        k: usize,
-    ) -> Result<Update> {
-        let local = self.select.accumulate_extract(comm, residual, grad, k);
-        let tag_off = epoch_tag_offset(comm.epoch());
-        let (mut global, gmask, tree_rejects) =
-            gtopk_all_reduce_over(comm, members, local.clone(), k, tag_off, self.topology)?;
-        // Standard Alg. 4 put-back: our own values whose coordinate did
-        // not survive globally. (Every owner does this, so coordinates
-        // outside the global mask are fully restored across the cluster.)
-        let (_kept, rejected) = local.partition_by(&gmask);
-        residual.put_back(&rejected);
-        // The loss case the plain algorithm misses: a coordinate *in*
-        // the global mask whose contribution was truncated at an
-        // interior tree merge — its owners believe it was applied, so
-        // nobody restores it. The merging rank witnessed the truncation
-        // and restores exactly that portion. (Rejects outside the mask
-        // are covered by the owners' put-back above; restoring them here
-        // too would double-count gradient mass.)
-        let (lost_but_selected, _owner_covered) = tree_rejects.partition_by(&gmask);
-        residual.put_back(&lost_but_selected);
-        global.scale(1.0 / members.len() as f32);
-        Ok(Update::Sparse(global))
-    }
-}
-
-/// Ablation: gTop-k that silently drops globally-rejected values
-/// instead of returning them to the residual (Algorithm 4 *without*
-/// line 10). The paper's §III-A observation predicts degraded
-/// convergence; `ext_putback_ablation` demonstrates it.
-#[derive(Debug, Default)]
-pub struct GtopkNoPutbackAggregator {
-    select: LocalSelect,
-    topology: Topology,
-}
-
-selector_ctors!(GtopkNoPutbackAggregator, "no-putback ablation");
-topology_builder!(GtopkNoPutbackAggregator);
-
-impl GradientAggregator for GtopkNoPutbackAggregator {
-    fn name(&self) -> &'static str {
-        "gTop-k(no-putback)"
-    }
-
-    selector_state_passthrough!();
-
-    fn aggregate(
-        &mut self,
-        comm: &mut Communicator,
-        members: &[usize],
-        residual: &mut Residual,
-        grad: &[f32],
-        k: usize,
-    ) -> Result<Update> {
-        let local = self.select.accumulate_extract(comm, residual, grad, k);
-        let tag_off = epoch_tag_offset(comm.epoch());
-        let (mut global, _gmask, tree_rejects) =
-            gtopk_all_reduce_over(comm, members, local, k, tag_off, self.topology)?;
-        comm.pool().put_sparse(tree_rejects);
-        // Deliberately no residual put-back.
-        global.scale(1.0 / members.len() as f32);
-        Ok(Update::Sparse(global))
-    }
-}
-
-/// Shared body of the zoo aggregators: (re)build the cached schedule for
-/// the current `(P, k)`, extract the schedule's contribution quota into a
-/// pooled vector (allocation-free for the exact and threshold-estimate
-/// selectors), run the budget-padded collective, return the witnessed
-/// rejects to this rank's residual, and average.
-#[allow(clippy::too_many_arguments)]
-fn zoo_aggregate(
-    comm: &mut Communicator,
-    members: &[usize],
-    residual: &mut Residual,
-    grad: &[f32],
-    k: usize,
-    select: &mut LocalSelect,
+/// The cached zoo schedule for `(p, k)`, rebuilt when either moved (a
+/// density-schedule epoch, a membership change).
+fn zoo_schedule(
     cache: &mut Option<ZooSchedule>,
-    build: fn(usize, usize) -> ZooSchedule,
-) -> Result<Update> {
-    let p = members.len();
-    let sched = match cache {
-        Some(s) if s.p == p && s.k == k => &*s,
-        _ => &*cache.insert(build(p, k)),
-    };
-    let mut local = comm.pool().take_sparse(grad.len());
-    select
-        .state_for(comm)
-        .accumulate_extract_into(residual, grad, sched.contrib_slots, &mut local);
-    let tag_off = epoch_tag_offset(comm.epoch());
-    let (mut global, rejects) = sparse_zoo_all_reduce_over(comm, members, local, sched, tag_off)?;
-    // Witness-based put-back: whichever rank a budget forced to drop
-    // entries returns exactly that dropped sum to its own residual, so
-    // no gradient mass is lost anywhere in the collective.
-    residual.put_back(&rejects);
-    comm.pool().put_sparse(rejects);
-    global.scale(1.0 / p as f32);
-    Ok(Update::Sparse(global))
-}
-
-/// Ok-Topk S-SGD: equal `⌈k/P⌉` contribution quotas with a
-/// sampling-based threshold-estimate local selection, balanced
-/// split-and-aggregate rounds, and a gather of the per-region top
-/// selections. Per-rank communication volume is `O(k)` — no `log P`
-/// factor (contrast the gTop-k tree's `O(k log P)`).
-#[derive(Debug, Default)]
-pub struct OkTopkAggregator {
-    select: LocalSelect,
-    sched: Option<ZooSchedule>,
-}
-
-impl OkTopkAggregator {
-    /// Creates the Ok-Topk aggregator with its native single-pass
-    /// sampling-based threshold selection (bitwise identical to the
-    /// exact kernel; only the selection cost is probabilistic).
-    pub fn new() -> Self {
-        Self::with_selector(Selector::ThresholdEstimate { sample: 256 })
-    }
-
-    /// Creates the Ok-Topk aggregator with an explicit local selection
-    /// kernel.
-    pub fn with_selector(selector: Selector) -> Self {
-        OkTopkAggregator {
-            select: LocalSelect::new(selector),
-            sched: None,
-        }
-    }
-}
-
-impl GradientAggregator for OkTopkAggregator {
-    fn name(&self) -> &'static str {
-        "Ok-Topk"
-    }
-
-    selector_state_passthrough!();
-
-    fn aggregate(
-        &mut self,
-        comm: &mut Communicator,
-        members: &[usize],
-        residual: &mut Residual,
-        grad: &[f32],
-        k: usize,
-    ) -> Result<Update> {
-        zoo_aggregate(
-            comm,
-            members,
-            residual,
-            grad,
-            k,
-            &mut self.select,
-            &mut self.sched,
-            ZooSchedule::oktopk,
-        )
-    }
-}
-
-/// SparDL S-SGD: Spar-Reduce-Scatter with cascading `⌈h/2⌉` holding
-/// budgets, then Spar-All-Gather of the surviving regions — the whole
-/// tail stays sparse (no dense allgather), with every cascade
-/// truncation witnessed back into the truncating rank's residual.
-#[derive(Debug, Default)]
-pub struct SparDlAggregator {
-    select: LocalSelect,
-    sched: Option<ZooSchedule>,
-}
-
-impl SparDlAggregator {
-    /// Creates the SparDL aggregator (exact selection).
-    pub fn new() -> Self {
-        Self::with_selector(Selector::Exact)
-    }
-
-    /// Creates the SparDL aggregator with an explicit local selection
-    /// kernel.
-    pub fn with_selector(selector: Selector) -> Self {
-        SparDlAggregator {
-            select: LocalSelect::new(selector),
-            sched: None,
-        }
-    }
-}
-
-impl GradientAggregator for SparDlAggregator {
-    fn name(&self) -> &'static str {
-        "SparDL"
-    }
-
-    selector_state_passthrough!();
-
-    fn aggregate(
-        &mut self,
-        comm: &mut Communicator,
-        members: &[usize],
-        residual: &mut Residual,
-        grad: &[f32],
-        k: usize,
-    ) -> Result<Update> {
-        zoo_aggregate(
-            comm,
-            members,
-            residual,
-            grad,
-            k,
-            &mut self.select,
-            &mut self.sched,
-            ZooSchedule::spardl,
-        )
-    }
+    kind: crate::capability::ZooKind,
+    p: usize,
+    k: usize,
+) -> &ZooSchedule {
+    let cached = cache.take().filter(|s| s.p == p && s.k == k);
+    cache.insert(cached.unwrap_or_else(|| kind.schedule(p, k)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TrainConfig;
     use gtopk_comm::{Cluster, CostModel};
+
+    fn step_for(alg: Algorithm, comm: &Communicator) -> Aggregator {
+        Aggregator::new(alg, Selector::Exact, Topology::Binomial, comm.rank())
+    }
 
     fn worker_grad(r: usize, dim: usize) -> Vec<f32> {
         (0..dim)
@@ -719,7 +256,7 @@ mod tests {
 
     fn run_algorithm(alg: Algorithm, p: usize, dim: usize, k: usize) -> Vec<(Update, Vec<f32>)> {
         Cluster::new(p, CostModel::zero()).run(move |comm| {
-            let mut agg = alg.aggregator();
+            let mut agg = step_for(alg, comm);
             let members: Vec<usize> = (0..comm.size()).collect();
             let mut residual = Residual::new(dim);
             let update = agg
@@ -750,11 +287,11 @@ mod tests {
     fn plan_driven_algorithms_agree_on_every_topology() {
         for alg in Algorithm::ALL
             .into_iter()
-            .filter(Algorithm::supports_topology)
+            .filter(|alg| alg.row().caps.topology)
         {
             for topology in Topology::ALL {
                 let out = Cluster::new(5, CostModel::zero()).run(move |comm| {
-                    let mut agg = alg.aggregator_with_topology(Selector::Exact, topology);
+                    let mut agg = Aggregator::new(alg, Selector::Exact, topology, comm.rank());
                     let members: Vec<usize> = (0..comm.size()).collect();
                     let mut residual = Residual::new(32);
                     agg.aggregate(
@@ -774,9 +311,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "fixed collective schedule")]
+    #[should_panic(expected = "fixed schedule")]
     fn fixed_schedule_algorithms_reject_other_topologies() {
-        let _ = Algorithm::Dense.aggregator_with_topology(Selector::Exact, Topology::Ring);
+        // Construction takes any pairing; legality is the validator's call.
+        TrainConfig::convergence(4, 8, 1, 0.1, 0.05)
+            .with_algorithm(Algorithm::Dense)
+            .with_topology(Topology::Ring)
+            .validate()
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
@@ -838,7 +380,7 @@ mod tests {
         let p = 4;
         let dim = 16;
         let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-            let mut agg = GtopkAggregator::new();
+            let mut agg = step_for(Algorithm::GTopK, comm);
             let members: Vec<usize> = (0..comm.size()).collect();
             let mut residual = Residual::new(dim);
             let mut g = vec![0.0f32; dim];
@@ -895,7 +437,7 @@ mod tests {
         let dim = 32usize;
         let k = 2usize;
         let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-            let mut agg = GtopkFeedbackAggregator::new();
+            let mut agg = step_for(Algorithm::GTopKFeedback, comm);
             let members: Vec<usize> = (0..comm.size()).collect();
             let mut residual = Residual::new(dim);
             let r = comm.rank() as u32;
@@ -943,7 +485,7 @@ mod tests {
         let p = 4usize;
         let dim = 8usize;
         let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-            let mut agg = GtopkAggregator::new();
+            let mut agg = step_for(Algorithm::GTopK, comm);
             let members: Vec<usize> = (0..comm.size()).collect();
             let mut residual = Residual::new(dim);
             let mut g = vec![0.0f32; dim];
@@ -981,14 +523,12 @@ mod tests {
         assert_eq!(Algorithm::GTopK.name(), "gTop-k");
         assert_eq!(Algorithm::OkTopk.name(), "Ok-Topk");
         assert_eq!(Algorithm::SparDl.name(), "SparDL");
-        assert!(Algorithm::GTopK.supports_topology());
-        assert!(!Algorithm::Dense.supports_topology());
-        assert!(!Algorithm::NaiveGTopK.supports_topology());
-        assert!(!Algorithm::OkTopk.supports_topology());
-        assert!(!Algorithm::SparDl.supports_topology());
-        for alg in Algorithm::ALL {
-            assert_eq!(alg.aggregator().name(), alg.name());
-        }
+        let takes_topology = |alg: Algorithm| alg.row().caps.topology;
+        assert!(takes_topology(Algorithm::GTopK));
+        assert!(!takes_topology(Algorithm::Dense));
+        assert!(!takes_topology(Algorithm::NaiveGTopK));
+        assert!(!takes_topology(Algorithm::OkTopk));
+        assert!(!takes_topology(Algorithm::SparDl));
     }
 
     #[test]
@@ -1003,7 +543,7 @@ mod tests {
             let dim = 32usize;
             let k = 4usize;
             let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-                let mut agg = alg.aggregator();
+                let mut agg = step_for(alg, comm);
                 let members: Vec<usize> = (0..comm.size()).collect();
                 let mut residual = Residual::new(dim);
                 let g = worker_grad(comm.rank(), dim);

@@ -203,7 +203,6 @@ fn put_selector(out: &mut Vec<u8>, s: &SelectorDump) {
     let (kind, sample) = match s.selector {
         Selector::Exact => (0u8, 0usize),
         Selector::Sampled { sample } => (1, sample),
-        Selector::ThresholdEstimate { sample } => (2, sample),
     };
     out.push(kind);
     put_u64(out, sample as u64);
@@ -219,14 +218,17 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], CkptError> {
-        if self.pos + n > self.buf.len() {
+        // `n` may be a length read from the payload itself: a hostile
+        // value must not overflow the bound it is checked against.
+        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
+        let Some(end) = end else {
             return Err(CkptError::Truncated {
-                expected: self.pos + n,
+                expected: self.pos.saturating_add(n),
                 actual: self.buf.len(),
             });
-        }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        };
+        let out = &self.buf[self.pos..end];
+        self.pos = end;
         Ok(out)
     }
 
@@ -247,7 +249,7 @@ impl<'a> Reader<'a> {
     }
 
     fn fvec(&mut self) -> Result<Vec<f32>, CkptError> {
-        let n = self.u64()? as usize;
+        let n = usize::try_from(self.u64()?).unwrap_or(usize::MAX);
         let bytes = self.take(n)?;
         let sv = wire::decode(bytes).map_err(|_| CkptError::Corrupt {
             reason: "vector section failed wire validation",
@@ -267,7 +269,7 @@ impl<'a> Reader<'a> {
         let selector = match kind {
             0 => Selector::Exact,
             1 => Selector::Sampled { sample },
-            2 => Selector::ThresholdEstimate { sample },
+            // Tag 2 was the retired threshold-estimate selector.
             _ => {
                 return Err(CkptError::Corrupt {
                     reason: "unknown selector kind",
@@ -377,14 +379,16 @@ pub fn decode(bytes: &[u8]) -> Result<DurableCheckpoint, CkptError> {
         });
     }
     let crc = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-    let len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-    if bytes.len() < HEADER_BYTES + len {
+    // The length is read before the CRC can vouch for it: bound it by what
+    // is actually there instead of trusting it in arithmetic.
+    let len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
+    let len = usize::try_from(len).unwrap_or(usize::MAX);
+    let Some(payload) = bytes[HEADER_BYTES..].get(..len) else {
         return Err(CkptError::Truncated {
-            expected: HEADER_BYTES + len,
+            expected: HEADER_BYTES.saturating_add(len),
             actual: bytes.len(),
         });
-    }
-    let payload = &bytes[HEADER_BYTES..HEADER_BYTES + len];
+    };
     if crc32(payload) != crc {
         return Err(CkptError::Corrupt {
             reason: "payload CRC mismatch",
@@ -663,7 +667,7 @@ mod tests {
                 residuals: vec![vec![1.0, -2.0], vec![0.0, 3.5, -0.25]],
                 selectors: vec![
                     SelectorDump {
-                        selector: Selector::ThresholdEstimate { sample: 64 },
+                        selector: Selector::Sampled { sample: 64 },
                         rng: [1, 2, 3, 4],
                     },
                     SelectorDump {
@@ -807,6 +811,80 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Wraps `payload` in a header with a matching CRC and length.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.extend_from_slice(&crc32(payload).to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    #[test]
+    fn hostile_lengths_are_errors_not_overflows() {
+        // A bare header whose declared payload length is u64::MAX.
+        let mut header = framed(&[]);
+        header[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(decode(&header), Err(CkptError::Truncated { .. })));
+        // A CRC-valid payload whose first vector section claims u64::MAX
+        // bytes: rank, iter, data_epoch, data_cursor, epoch_loss, flags,
+        // then the params length.
+        let mut payload = vec![0u8; 5 * 8 + 1];
+        payload.extend_from_slice(&u64::MAX.to_le_bytes());
+        assert!(matches!(
+            decode(&framed(&payload)),
+            Err(CkptError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn hostile_newest_generation_falls_back_instead_of_aborting() {
+        let dir = std::env::temp_dir().join(format!("gtopk-ckpt-hostile-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let store = CheckpointStore::new(&dir, 2).unwrap();
+        store.save(&sample_ckpt(10, false)).unwrap();
+        store.save(&sample_ckpt(20, false)).unwrap();
+        let mut header = framed(&[]);
+        header[12..20].copy_from_slice(&u64::MAX.to_le_bytes());
+        fs::write(dir.join("ckpt-0002-000000000020.bin"), &header).unwrap();
+        let (c, skipped) = store.load_latest().expect("falls back a generation");
+        assert_eq!((c.iter, skipped), (10, 1));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retired_selector_tag_is_a_typed_error() {
+        // A serial checkpoint whose selector section carries tag 2 (the
+        // retired threshold-estimate selector).
+        let c = DurableCheckpoint {
+            engine: EngineState::Serial {
+                residual: vec![0.5],
+                selector: Some(SelectorDump {
+                    selector: Selector::Sampled { sample: 7 },
+                    rng: [1, 2, 3, 4],
+                }),
+            },
+            evals: Vec::new(),
+            losses: Vec::new(),
+            ..sample_ckpt(10, false)
+        };
+        let bytes = encode(&c);
+        // The selector section is the last 41 bytes before the two empty
+        // count words: kind(1) sample(8) rng(32).
+        let kind_at = bytes.len() - 16 - 41;
+        assert_eq!(bytes[kind_at], 1, "located the selector kind byte");
+        let mut payload = bytes[HEADER_BYTES..].to_vec();
+        payload[kind_at - HEADER_BYTES] = 2;
+        assert_eq!(
+            decode(&framed(&payload)),
+            Err(CkptError::Corrupt {
+                reason: "unknown selector kind"
+            })
+        );
+    }
+
     #[test]
     fn crc32_matches_known_vector() {
         // CRC-32/IEEE("123456789") = 0xCBF43926 — the standard check value.
@@ -832,7 +910,7 @@ mod tests {
         ) {
             let (overlap, with_sel) = (mode & 1 != 0, mode & 2 != 0);
             let sel = SelectorDump {
-                selector: Selector::ThresholdEstimate { sample: 32 },
+                selector: Selector::Sampled { sample: 32 },
                 rng: [r0, r1, r2, r3],
             };
             let engine = if overlap {

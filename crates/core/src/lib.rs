@@ -12,12 +12,15 @@
 //!   reference that selects the true top-k of the exact sparse sum (used
 //!   to illustrate the idea in the paper, and here to cross-validate the
 //!   tree version);
-//! * [`GradientAggregator`] implementations for the three S-SGD variants
-//!   the paper evaluates — [`DenseAggregator`] (ring AllReduce),
-//!   [`TopkAggregator`] (AllGather-equivalent sparse sum, `O(kP)`), and
-//!   [`GtopkAggregator`] — plus [`GtopkFeedbackAggregator`], an extension
-//!   that recycles tree-merge rejections into the receiver's residual so
-//!   no gradient mass is ever dropped (see `DESIGN.md` §5);
+//! * [`Aggregator`] — the one sparse step (select, reduce, put the
+//!   rejects back, average) that executes any [`Algorithm`]: each
+//!   algorithm is a row of the capability table — a [`Collective`] (ring
+//!   AllReduce, exact sparse sum `O(kP)`, the gTop-k tree, the Ok-Topk /
+//!   SparDL schedules) times a [`Rejects`] policy (e.g. the feedback
+//!   extension, which recycles tree-merge rejections into the merging
+//!   rank's residual so no gradient mass is ever dropped — see
+//!   `DESIGN.md` §5) — and [`TrainConfig::validate`] reads the same
+//!   table to decide where each row may run;
 //! * [`DensitySchedule`] / [`LrSchedule`] — the warmup schedules of
 //!   §IV-B ([0.25, 0.0725, 0.015, 0.004] densities in the first epochs);
 //! * [`train_distributed`] — the full gTop-k S-SGD training loop
@@ -53,6 +56,7 @@
 #![warn(missing_docs)]
 
 mod aggregator;
+mod capability;
 pub mod ckpt;
 pub mod ft;
 mod gtopk_allreduce;
@@ -66,10 +70,9 @@ mod selector;
 mod sparse_coll;
 mod trainer;
 
-pub use aggregator::{
-    Algorithm, DenseAggregator, GradientAggregator, GtopkAggregator, GtopkFeedbackAggregator,
-    GtopkNoPutbackAggregator, NaiveGtopkAggregator, OkTopkAggregator, SparDlAggregator,
-    TopkAggregator, Update,
+pub use aggregator::{Aggregator, Update};
+pub use capability::{
+    capability_table, Algorithm, Caps, Collective, ConfigError, Rejects, Row, ZooKind,
 };
 pub use ckpt::{CheckpointStore, CkptError, DurableCheckpoint, EngineState, SelectorDump};
 pub use ft::{
@@ -82,9 +85,7 @@ pub use gtopk_allreduce::{
 pub use gtopk_comm::{LinkStats, Topology};
 pub use metrics::{EpochRecord, TimingBreakdown, TrainReport};
 pub use orchestrator::{JobEvent, JobRecord, JobSpec, Orchestrator, OrchestratorReport};
-pub use overlap::{
-    backward_layer_costs, BucketSpec, OverlapConfig, OverlapEngine, OverlapSnapshot, OverlapStats,
-};
+pub use overlap::{backward_layer_costs, BucketSpec, OverlapConfig, OverlapEngine, OverlapStats};
 pub use ps::{ps_pull_round, ps_push_round, PsConfig, PsEngine, PsVariant};
 pub use schedule::{DensitySchedule, LrSchedule};
 pub use selector::{Selector, SelectorState};

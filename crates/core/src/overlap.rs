@@ -1,4 +1,4 @@
-//! Executed compute/communication overlap: wait-free bucketed gTop-k.
+//! Executed compute/communication overlap: wait-free bucketed sparse steps.
 //!
 //! [`crate::pipeline`] *models* the layer-wise schedule analytically; this
 //! module *executes* it on the simulated cluster. Backward propagation
@@ -6,8 +6,9 @@
 //! gradient becomes available back-to-front: the engine partitions the
 //! flat vector into contiguous buckets (fused to roughly equal parameter
 //! mass, MG-WFBP style), and as soon as a bucket's gradient is ready it
-//! runs that bucket's residual-accumulate → top-k select →
-//! gTopKAllReduce, while later buckets are still "computing". The
+//! runs that bucket's step — the same [`Aggregator`] the serial engine
+//! runs over the whole vector: residual-accumulate → top-k select →
+//! collective → rejects — while later buckets are still "computing". The
 //! network is a single FIFO channel — each rank issues its bucket
 //! collectives in backward order, so a bucket's collective starts at
 //! `max(ready, channel_free)` exactly as the analytic model assumes. The
@@ -18,22 +19,20 @@
 //! prediction on power-of-two binomial configurations).
 //!
 //! Per-bucket error feedback: each bucket owns its own [`Residual`]
-//! slice and its own selection state; rejected values return to the
-//! bucket's residual (Algorithm 4 line 10, applied bucket-wise). The
+//! slice and its own step (selection state, schedule caches); rejected
+//! values return to the bucket's residual (Algorithm 4 line 10, applied
+//! bucket-wise). The
 //! optimizer applies each bucket's averaged update the moment its
 //! collective lands ([`MomentumSgd::step_range`]), which is provably
 //! equivalent to one full-vector step of the combined update.
 
-use crate::aggregator::Algorithm;
-use crate::ft::epoch_tag_offset;
-use crate::gtopk_allreduce::gtopk_all_reduce_over;
+use crate::aggregator::{Aggregator, Update};
+use crate::ckpt::SelectorDump;
 use crate::pipeline::{bucket_k, check_timeline_invariants, fuse_layers, LayerCost, LayerTimeline};
-use crate::selector::{Selector, SelectorState};
-use crate::sparse_coll::sparse_zoo_all_reduce_over;
 use crate::trainer::ComputeCost;
-use gtopk_comm::{CollectivePlan, Communicator, CostModel, Result, Topology};
+use gtopk_comm::{Communicator, CostModel, Result};
 use gtopk_nn::{Model, MomentumSgd};
-use gtopk_perfmodel::{gtopk_allreduce_ms, oktopk_plan_ms, spardl_plan_ms, PlanClock, ZooSchedule};
+use gtopk_perfmodel::PlanClock;
 use gtopk_sparse::Residual;
 use std::ops::Range;
 
@@ -48,17 +47,17 @@ pub enum BucketSpec {
     PerLayer,
 }
 
-/// Configuration of the executed overlap engine.
+/// Configuration of the executed overlap engine. (The collective and its
+/// plan topology are the training configuration's: the engine runs the
+/// configured step per bucket.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverlapConfig {
     /// Bucket partition of the flat gradient.
     pub buckets: BucketSpec,
-    /// Collective plan topology used by every bucket's gTopKAllReduce.
-    pub topology: Topology,
 }
 
 impl OverlapConfig {
-    /// Overlap with `n` fused buckets on the binomial topology.
+    /// Overlap with `n` fused buckets.
     ///
     /// # Panics
     ///
@@ -67,7 +66,6 @@ impl OverlapConfig {
         assert!(n >= 1, "need at least one bucket");
         OverlapConfig {
             buckets: BucketSpec::Count(n),
-            topology: Topology::Binomial,
         }
     }
 
@@ -75,15 +73,7 @@ impl OverlapConfig {
     pub fn per_layer() -> Self {
         OverlapConfig {
             buckets: BucketSpec::PerLayer,
-            topology: Topology::Binomial,
         }
-    }
-
-    /// Same bucketization, different collective topology.
-    #[must_use]
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
     }
 }
 
@@ -106,7 +96,8 @@ pub struct OverlapStats {
     /// two.
     pub analytic_overlapped_ms: f64,
     /// Sum of the analytic *serial* baselines (full backward, then one
-    /// whole-model gTopKAllReduce at the Eq. 7 cost), ms.
+    /// whole-model collective at its closed-form cost — Eq. 7 for
+    /// gTopKAllReduce), ms.
     pub analytic_serial_ms: f64,
     /// Largest single-iteration deviation |executed − analytic|, ms
     /// (recorded only on straggle-free ranks at full membership).
@@ -148,7 +139,7 @@ pub fn backward_layer_costs(segments: &[usize], compute: Option<ComputeCost>) ->
         .collect()
 }
 
-/// The executed overlap engine: per-bucket residuals, selectors, and
+/// The executed overlap engine: per-bucket residuals, steps, and
 /// schedule bookkeeping for one rank. Created once per training run and
 /// driven once per iteration through [`OverlapEngine::step`].
 #[derive(Debug)]
@@ -161,24 +152,16 @@ pub struct OverlapEngine {
     /// Per-bucket sparsification cost share, ms.
     sparsify: Vec<f64>,
     residuals: Vec<Residual>,
-    selectors: Vec<SelectorState>,
+    /// Per-bucket aggregation steps (all of the configured algorithm).
+    steps: Vec<Aggregator>,
     net: CostModel,
-    topology: Topology,
-    /// Which sparse collective each bucket runs (gTop-k tree, Ok-Topk,
-    /// or SparDL).
-    algorithm: Algorithm,
-    /// Per-bucket zoo schedules, cached per `(P, k)` (zoo algorithms
-    /// only; `None` entries rebuild lazily).
-    zoo_scheds: Vec<Option<ZooSchedule>>,
     /// Analytic twin: one α-β clock per member position, replaying every
     /// bucket collective's plan. Carried across buckets *and* iterations
     /// so cross-iteration channel backpressure is modelled exactly.
     twin: PlanClock,
-    /// Membership the twin (and the cached plans) were built for; a
-    /// membership change rebuilds both.
+    /// Membership the twin was built for; a membership change rebuilds
+    /// it.
     twin_members: Vec<usize>,
-    /// Reduce/broadcast plan pair cached for the current member count.
-    plans: Option<(CollectivePlan, CollectivePlan)>,
     /// Own executed clock when the previous step ended — the twin
     /// advances all positions by the observed inter-step delta, which is
     /// rank-uniform in a fault-free run.
@@ -195,10 +178,9 @@ pub struct OverlapEngine {
 
 impl OverlapEngine {
     /// Builds the engine for a model with the given parameter segments
-    /// (see [`Model::param_segments`]); `net` must be the cluster's cost
-    /// model so analytic predictions price communication identically.
-    /// The bucket collective defaults to the gTop-k tree; see
-    /// [`OverlapEngine::with_algorithm`] for the zoo variants.
+    /// (see [`Model::param_segments`]), running a copy of `step` per
+    /// bucket; `net` must be the cluster's cost model so analytic
+    /// predictions price communication identically.
     ///
     /// # Panics
     ///
@@ -208,57 +190,10 @@ impl OverlapEngine {
         cfg: &OverlapConfig,
         segments: &[usize],
         compute: Option<ComputeCost>,
-        selector: Selector,
-        rank: usize,
         net: CostModel,
-    ) -> Self {
-        Self::with_algorithm(
-            cfg,
-            segments,
-            compute,
-            selector,
-            rank,
-            net,
-            Algorithm::GTopK,
-        )
-    }
-
-    /// Builds the engine with an explicit per-bucket collective:
-    /// [`Algorithm::GTopK`], [`Algorithm::OkTopk`], or
-    /// [`Algorithm::SparDl`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `segments` is empty, `algorithm` is not one of the
-    /// plan-driven sparse collectives above, or a zoo algorithm is
-    /// combined with a non-binomial topology (the zoo schedules are
-    /// fixed halving/doubling exchanges).
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_algorithm(
-        cfg: &OverlapConfig,
-        segments: &[usize],
-        compute: Option<ComputeCost>,
-        selector: Selector,
-        rank: usize,
-        net: CostModel,
-        algorithm: Algorithm,
+        step: Aggregator,
     ) -> Self {
         assert!(!segments.is_empty(), "model has no parameter segments");
-        assert!(
-            matches!(
-                algorithm,
-                Algorithm::GTopK | Algorithm::OkTopk | Algorithm::SparDl
-            ),
-            "the overlap engine drives per-bucket sparse collectives \
-             (gtopk, oktopk or spardl); {} has none",
-            algorithm.name()
-        );
-        assert!(
-            cfg.topology == Topology::Binomial || algorithm == Algorithm::GTopK,
-            "{} runs a fixed halving/doubling exchange schedule; \
-             only the binomial topology applies",
-            algorithm.name()
-        );
         let m: usize = segments.iter().sum();
         let per_layer = backward_layer_costs(segments, compute);
         let costs = match cfg.buckets {
@@ -281,24 +216,16 @@ impl OverlapEngine {
             .map(|c| sparsify_total * c.params as f64 / m as f64)
             .collect();
         let residuals = ranges.iter().map(|r| Residual::new(r.len())).collect();
-        let selectors = costs
-            .iter()
-            .map(|_| SelectorState::new(selector, rank))
-            .collect();
-        let zoo_scheds = vec![None; ranges.len()];
+        let steps = vec![step; ranges.len()];
         OverlapEngine {
             ranges,
             costs,
             sparsify,
             residuals,
-            selectors,
+            steps,
             net,
-            topology: cfg.topology,
-            algorithm,
-            zoo_scheds,
             twin: PlanClock::new(1),
             twin_members: Vec::new(),
-            plans: None,
             last_end_ms: None,
             twin_t0: Vec::new(),
             iterations: 0,
@@ -332,10 +259,9 @@ impl OverlapEngine {
     /// Executes one overlapped iteration over `members` (the sorted,
     /// alive rank set — the full `0..P` when fault tolerance is off):
     /// for each bucket in backward order, waits until the bucket's
-    /// gradient is ready on the simulated clock, accumulates `grad`'s
-    /// slice into the bucket residual, extracts the bucket top-k
-    /// (`k = bucket_k(params, rho)`), runs the plan-driven
-    /// gTopKAllReduce over the members, puts rejected values back, and
+    /// gradient is ready on the simulated clock, runs the bucket's step
+    /// over `grad`'s slice and the bucket residual with budget
+    /// `k = bucket_k(params, rho)` ([`Aggregator::aggregate`]), and
     /// applies the averaged bucket update through
     /// [`MomentumSgd::step_range`].
     ///
@@ -360,7 +286,10 @@ impl OverlapEngine {
     /// # Panics
     ///
     /// Panics if `grad` does not span the bucketed flat vector,
-    /// `rho ∉ (0, 1]`, or the calling rank is not in `members`.
+    /// `rho ∉ (0, 1]`, the calling rank is not in `members`, or the step
+    /// yields a dense update (there is no bucket to pipeline in one;
+    /// [`TrainConfig::validate`](crate::TrainConfig::validate) admits no
+    /// such row here).
     pub fn step(
         &mut self,
         comm: &mut Communicator,
@@ -379,17 +308,13 @@ impl OverlapEngine {
             .expect("caller must be a member of the overlap group");
         if self.twin_members != members {
             // Membership changed (first step, or crash recovery): new
-            // twin, new plans over the survivor positions.
+            // twin over the survivor positions.
             self.twin = PlanClock::new(p);
             self.twin_members = members.to_vec();
-            self.plans = None;
-            self.zoo_scheds.iter_mut().for_each(|s| *s = None);
             self.last_end_ms = None;
         }
-        let tag_off = epoch_tag_offset(comm.epoch());
         let t0 = comm.now_ms();
         let straggle = comm.straggle_factor();
-        let inv = 1.0 / p as f32;
 
         // Bring the twin to this iteration's start: everything charged
         // between steps (forward/backward compute, eval, liveness pings)
@@ -418,37 +343,16 @@ impl OverlapEngine {
             comm.wait_until(ready);
             let start = comm.now_ms();
             let k = bucket_k(range.len(), rho);
-            // Fused accumulate + select over the bucket slice (one
-            // memory pass for the threshold-estimate selector).
-            let local = self.selectors[j].accumulate_extract(
+            let update = self.steps[j].aggregate(
+                comm,
+                members,
                 &mut self.residuals[j],
                 &grad[range.clone()],
                 k,
-            );
-            let is_zoo = matches!(self.algorithm, Algorithm::OkTopk | Algorithm::SparDl);
-            let mut global = if is_zoo {
-                let build = match self.algorithm {
-                    Algorithm::OkTopk => ZooSchedule::oktopk,
-                    _ => ZooSchedule::spardl,
-                };
-                let sched = match &mut self.zoo_scheds[j] {
-                    Some(s) if s.p == p && s.k == k => &*s,
-                    slot => &*slot.insert(build(p, k)),
-                };
-                let (global, rejects) =
-                    sparse_zoo_all_reduce_over(comm, members, local, sched, tag_off)?;
-                self.residuals[j].put_back(&rejects);
-                comm.pool().put_sparse(rejects);
-                global
-            } else {
-                let (global, gmask, tree_rejects) =
-                    gtopk_all_reduce_over(comm, members, local.clone(), k, tag_off, self.topology)?;
-                comm.pool().put_sparse(tree_rejects);
-                let (_kept, rejected) = local.partition_by(&gmask);
-                self.residuals[j].put_back(&rejected);
-                global
+            )?;
+            let Update::Sparse(global) = update else {
+                panic!("the overlap engine pipelines sparse bucket updates");
             };
-            global.scale(inv);
             nnz += global.nnz() as u64;
             opt.step_range(model, range, &global);
             self.timelines.push(LayerTimeline {
@@ -458,26 +362,11 @@ impl OverlapEngine {
             });
 
             // Twin replay of the same bucket: readiness gate, then the
-            // exact collective plans — reduce + broadcast at 2k wire
-            // elements each for gTop-k; the budget-padded split + gather
-            // rounds for the zoo schedules.
+            // step's collective on the analytic clock.
             for pos in 0..p {
                 self.twin.sync_to(pos, self.twin_t0[pos] + cum);
             }
-            if is_zoo {
-                let sched = self.zoo_scheds[j]
-                    .as_ref()
-                    .expect("schedule cached by the collective above");
-                sched.charge(&mut self.twin, &self.net);
-            } else {
-                let (reduce, bcast) = self.plans.get_or_insert_with(|| {
-                    let reduce = CollectivePlan::reduce(self.topology, p);
-                    let bcast = CollectivePlan::broadcast(self.topology, p, reduce.root);
-                    (reduce, bcast)
-                });
-                self.twin.charge_plan(&self.net, reduce, 2 * k);
-                self.twin.charge_plan(&self.net, bcast, 2 * k);
-            }
+            self.steps[j].charge_twin(&mut self.twin, &self.net, p, k);
         }
         let span = comm.now_ms() - t0;
         let twin_span = self.twin.now(my_pos) - self.twin_t0[my_pos];
@@ -491,12 +380,9 @@ impl OverlapEngine {
         let total_backward: f64 = self.costs.iter().map(|c| c.backward_ms).sum();
         let m = self.ranges[0].end;
         self.analytic_overlapped_ms += twin_span;
-        let serial_coll_ms = match self.algorithm {
-            Algorithm::OkTopk => oktopk_plan_ms(&self.net, p, bucket_k(m, rho)),
-            Algorithm::SparDl => spardl_plan_ms(&self.net, p, bucket_k(m, rho)),
-            _ => gtopk_allreduce_ms(&self.net, p, bucket_k(m, rho)),
-        };
-        self.analytic_serial_ms += total_backward + serial_coll_ms;
+        let collective = self.steps[0].algorithm().row().collective;
+        self.analytic_serial_ms +=
+            total_backward + collective.model_ms(&self.net, p, m, bucket_k(m, rho));
         if straggle == 1.0 && p == comm.size() {
             self.max_abs_dev_ms = self.max_abs_dev_ms.max((span - twin_span).abs());
         }
@@ -505,38 +391,42 @@ impl OverlapEngine {
         Ok(nnz)
     }
 
-    /// Snapshot of the per-bucket training state (residuals and selector
-    /// states) for checkpointing. The schedule twin and statistics are
-    /// deliberately excluded — they describe the timeline, not the
-    /// optimization state.
-    pub fn snapshot(&self) -> OverlapSnapshot {
-        OverlapSnapshot {
-            residuals: self.residuals.iter().map(|r| r.dense().to_vec()).collect(),
-            selectors: self.selectors.clone(),
-        }
+    /// Snapshot of the per-bucket training state — dense residual copies
+    /// and selector states, in backward bucket order — for checkpointing.
+    /// The schedule twin and statistics are deliberately excluded: they
+    /// describe the timeline, not the optimization state.
+    pub fn snapshot(&self) -> (Vec<Vec<f32>>, Vec<SelectorDump>) {
+        (
+            self.residuals.iter().map(|r| r.dense().to_vec()).collect(),
+            self.steps
+                .iter()
+                .map(|s| SelectorDump::capture(s.selector_state()))
+                .collect(),
+        )
     }
 
     /// Restores per-bucket residuals and selector states from a
-    /// checkpoint snapshot, and resets the schedule twin (a rollback
-    /// breaks the clock continuity the twin relies on; it re-seeds on
-    /// the next step).
+    /// [`OverlapEngine::snapshot`], and resets the schedule twin (a
+    /// rollback breaks the clock continuity the twin relies on; it
+    /// re-seeds on the next step).
     ///
     /// # Panics
     ///
     /// Panics if the snapshot's bucketization disagrees with this
     /// engine's.
-    pub fn restore(&mut self, snap: &OverlapSnapshot) {
+    pub fn restore(&mut self, residuals: &[Vec<f32>], selectors: &[SelectorDump]) {
         assert_eq!(
-            snap.residuals.len(),
-            self.residuals.len(),
+            (residuals.len(), selectors.len()),
+            (self.residuals.len(), self.steps.len()),
             "snapshot bucket count mismatch"
         );
-        for (j, saved) in snap.residuals.iter().enumerate() {
-            let mut fresh = Residual::new(self.ranges[j].len());
-            fresh.accumulate(saved);
-            self.residuals[j] = fresh;
+        for (mine, saved) in self.residuals.iter_mut().zip(residuals) {
+            mine.clear();
+            mine.accumulate(saved);
         }
-        self.selectors = snap.selectors.clone();
+        for (step, saved) in self.steps.iter_mut().zip(selectors) {
+            step.restore_selector_state(saved.revive());
+        }
         self.twin_members.clear();
         self.last_end_ms = None;
     }
@@ -555,49 +445,16 @@ impl OverlapEngine {
     }
 }
 
-/// Checkpointable per-bucket training state of an [`OverlapEngine`]
-/// (see [`OverlapEngine::snapshot`]).
-#[derive(Debug, Clone)]
-pub struct OverlapSnapshot {
-    residuals: Vec<Vec<f32>>,
-    selectors: Vec<SelectorState>,
-}
-
-impl OverlapSnapshot {
-    /// Per-bucket dense residual copies, in backward bucket order.
-    pub fn residuals(&self) -> &[Vec<f32>] {
-        &self.residuals
-    }
-
-    /// Per-bucket selector states, in backward bucket order.
-    pub fn selectors(&self) -> &[SelectorState] {
-        &self.selectors
-    }
-
-    /// Reassembles a snapshot from serialized parts (durable-checkpoint
-    /// decode path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two lists disagree on the bucket count.
-    pub fn from_parts(residuals: Vec<Vec<f32>>, selectors: Vec<SelectorState>) -> Self {
-        assert_eq!(
-            residuals.len(),
-            selectors.len(),
-            "bucket count mismatch between residuals and selectors"
-        );
-        OverlapSnapshot {
-            residuals,
-            selectors,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gtopk_comm::{Cluster, CostModel};
+    use crate::{Algorithm, Selector, TrainConfig};
+    use gtopk_comm::{Cluster, CostModel, Topology};
     use gtopk_nn::models;
+
+    fn step_for(alg: Algorithm, rank: usize) -> Aggregator {
+        Aggregator::new(alg, Selector::Exact, Topology::Binomial, rank)
+    }
 
     #[test]
     fn bucket_ranges_cover_flat_vector_back_to_front() {
@@ -608,9 +465,8 @@ mod tests {
             &OverlapConfig::buckets(2),
             &segments,
             None,
-            Selector::Exact,
-            0,
             CostModel::zero(),
+            step_for(Algorithm::GTopK, 0),
         );
         assert_eq!(engine.buckets(), 2);
         // Backward order: the first bucket ends at the top of the vector.
@@ -633,9 +489,8 @@ mod tests {
             &OverlapConfig::per_layer(),
             &segments,
             None,
-            Selector::Exact,
-            0,
             CostModel::zero(),
+            step_for(Algorithm::GTopK, 0),
         );
         assert_eq!(engine.buckets(), 3);
         // Backward order reverses the segment list.
@@ -686,9 +541,8 @@ mod tests {
                     compute_ms: 4.0,
                     sparsify_ms: 0.0,
                 }),
-                Selector::Exact,
-                comm.rank(),
                 CostModel::gigabit_ethernet(),
+                step_for(Algorithm::GTopK, comm.rank()),
             );
             let members: Vec<usize> = (0..comm.size()).collect();
             for it in 0..3u64 {
@@ -737,17 +591,15 @@ mod tests {
                 let out = Cluster::new(p, CostModel::gigabit_ethernet()).run(move |comm| {
                     let mut model = models::logistic(9, 7, 8);
                     let mut opt = MomentumSgd::new(m, 0.1, 0.9);
-                    let mut engine = OverlapEngine::with_algorithm(
+                    let mut engine = OverlapEngine::new(
                         &OverlapConfig::buckets(2),
                         &segments,
                         Some(ComputeCost {
                             compute_ms: 4.0,
                             sparsify_ms: 0.0,
                         }),
-                        Selector::Exact,
-                        comm.rank(),
                         CostModel::gigabit_ethernet(),
-                        alg,
+                        step_for(alg, comm.rank()),
                     );
                     let members: Vec<usize> = (0..comm.size()).collect();
                     for it in 0..3u64 {
@@ -781,16 +633,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "only the binomial topology applies")]
+    #[should_panic(expected = "fixed schedule")]
     fn zoo_overlap_rejects_non_binomial_topologies() {
-        let _ = OverlapEngine::with_algorithm(
-            &OverlapConfig::buckets(2).with_topology(Topology::Ring),
-            &[16, 16],
-            None,
-            Selector::Exact,
-            0,
-            CostModel::zero(),
-            Algorithm::SparDl,
-        );
+        // The zoo schedules are fixed halving/doubling exchanges; the
+        // engine builds over any step, so the validator has to say so.
+        TrainConfig::convergence(4, 8, 1, 0.1, 0.05)
+            .with_algorithm(Algorithm::SparDl)
+            .with_overlap(OverlapConfig::buckets(2))
+            .with_topology(Topology::Ring)
+            .validate()
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 }

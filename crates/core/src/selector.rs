@@ -20,17 +20,9 @@ pub enum Selector {
     Exact,
     /// Sampled-threshold estimation with the given sample size —
     /// exactly `k` coordinates are still returned, but the threshold is
-    /// estimated from a sample instead of a full selection pass.
+    /// estimated from a sample instead of a full selection pass, so the
+    /// selection is approximate.
     Sampled {
-        /// Number of magnitude samples used to estimate the threshold.
-        sample: usize,
-    },
-    /// The [`Selector::Exact`] kernel with its threshold estimated from
-    /// `sample` draws of the per-rank RNG stream instead of the built-in
-    /// RNG-free sampler. The result is **bitwise identical** to
-    /// [`Selector::Exact`] — only the selection cost depends on the
-    /// sample.
-    ThresholdEstimate {
         /// Number of magnitude samples used to estimate the threshold.
         sample: usize,
     },
@@ -80,21 +72,17 @@ impl SelectorState {
         match self.selector {
             Selector::Exact => residual.extract_topk(k),
             Selector::Sampled { sample } => residual.extract_topk_sampled(k, sample, &mut self.rng),
-            Selector::ThresholdEstimate { sample } => {
-                residual.extract_topk_threshold(k, sample, &mut self.rng)
-            }
         }
     }
 
     /// Accumulates this iteration's gradient into the residual and
     /// extracts `min(k, dim)` coordinates, in one call.
     ///
-    /// For [`Selector::Exact`] and [`Selector::ThresholdEstimate`] this
-    /// takes the fused accumulate + threshold-scan + compact kernel
-    /// ([`Residual::accumulate_extract_threshold`]) — one memory pass
-    /// over the buffer instead of three, bitwise identical to the
-    /// unfused sequence. [`Selector::Sampled`] accumulates and then
-    /// extracts.
+    /// For [`Selector::Exact`] this takes the fused accumulate +
+    /// threshold-scan + compact kernel ([`Residual::accumulate_extract`])
+    /// — one memory pass over the buffer instead of three, bitwise
+    /// identical to the unfused sequence. [`Selector::Sampled`]
+    /// accumulates and then extracts.
     pub fn accumulate_extract(
         &mut self,
         residual: &mut Residual,
@@ -108,9 +96,9 @@ impl SelectorState {
 
     /// Like [`SelectorState::accumulate_extract`] but writing into a
     /// caller-supplied (typically pooled) vector. Bitwise identical to
-    /// the allocating form; for [`Selector::Exact`] and
-    /// [`Selector::ThresholdEstimate`] the whole path is allocation-free
-    /// in steady state — the Ok-Topk contribution path relies on this.
+    /// the allocating form; for [`Selector::Exact`] the whole path is
+    /// allocation-free in steady state — the Ok-Topk contribution path
+    /// relies on this.
     pub fn accumulate_extract_into(
         &mut self,
         residual: &mut Residual,
@@ -118,17 +106,15 @@ impl SelectorState {
         k: usize,
         out: &mut SparseVec,
     ) {
-        // Sample size 0 is the kernel's built-in RNG-free sampler.
-        let sample = match self.selector {
-            Selector::Exact => 0,
-            Selector::ThresholdEstimate { sample } => sample,
+        match self.selector {
+            Selector::Exact => {
+                residual.accumulate_extract_into(grad, k, out);
+            }
             Selector::Sampled { sample } => {
                 residual.accumulate(grad);
                 *out = residual.extract_topk_sampled(k, sample, &mut self.rng);
-                return;
             }
-        };
-        residual.accumulate_extract_threshold_into(grad, k, sample, &mut self.rng, out);
+        }
     }
 }
 
@@ -191,9 +177,9 @@ mod tests {
     #[test]
     fn accumulate_extract_matches_accumulate_then_extract() {
         // Every selector: the one-call form must reproduce the two-call
-        // form bitwise — for Exact and ThresholdEstimate that exercises
-        // the fused single-pass kernel against the three-pass sequence,
-        // at a size where Exact's built-in sampler engages.
+        // form bitwise — for Exact that exercises the fused single-pass
+        // kernel against the three-pass sequence, at a size where its
+        // sampler engages.
         let n = 3 * 4096;
         let grads: Vec<Vec<f32>> = (0..3)
             .map(|s: usize| {
@@ -202,11 +188,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        for selector in [
-            Selector::Exact,
-            Selector::Sampled { sample: 64 },
-            Selector::ThresholdEstimate { sample: 64 },
-        ] {
+        for selector in [Selector::Exact, Selector::Sampled { sample: 64 }] {
             let mut r1 = Residual::new(n);
             let mut r2 = Residual::new(n);
             let mut s1 = SelectorState::new(selector, 2);
@@ -229,26 +211,5 @@ mod tests {
     #[test]
     fn default_is_exact() {
         assert_eq!(Selector::default(), Selector::Exact);
-    }
-
-    #[test]
-    fn threshold_estimate_is_bitwise_identical_to_exact() {
-        // Unlike `Sampled`, the threshold-estimate kernel guarantees the
-        // exact result for every rank's rng stream and any k.
-        let grad: Vec<f32> = (0..2048)
-            .map(|i| ((i * 37) % 101) as f32 - 50.0 + (i as f32 * 0.11).sin())
-            .collect();
-        for rank in [0usize, 1, 7] {
-            for k in [1usize, 16, 333] {
-                let mut r1 = Residual::new(grad.len());
-                r1.accumulate(&grad);
-                let mut r2 = r1.clone();
-                let exact = SelectorState::new(Selector::Exact, rank).extract(&mut r1, k);
-                let est = SelectorState::new(Selector::ThresholdEstimate { sample: 64 }, rank)
-                    .extract(&mut r2, k);
-                assert_eq!(est, exact, "rank={rank} k={k}");
-                assert_eq!(r1.dense(), r2.dense(), "residual state must match");
-            }
-        }
     }
 }

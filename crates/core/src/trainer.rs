@@ -1,19 +1,21 @@
 //! Distributed S-SGD training loops (paper Algorithms 1, 2 and 4, plus
 //! the dense baseline) over the simulated cluster.
 //!
-//! There is exactly **one** training loop ([`run_rank`]) and one
-//! per-iteration executor ([`StepEngine`]). Execution *mode* (serial
-//! whole-vector aggregation vs. the bucketed overlap schedule) and
+//! There is exactly **one** training loop ([`run_rank`]), one bundle of
+//! training state ([`TrainState`]) and one per-iteration executor
+//! ([`StepEngine`]). Execution *mode* (serial whole-vector aggregation,
+//! the bucketed overlap schedule, or the sharded parameter server) and
 //! *recovery policy* (fault-tolerant checkpoint/rollback vs. fail-fast)
 //! are orthogonal switches on the same loop, so `--overlap` composes
-//! with crash recovery instead of selecting a different code path.
+//! with crash recovery instead of selecting a different code path. Which
+//! combinations are legal is [`TrainConfig::validate`]'s call alone.
 
-use crate::ckpt::{self, CheckpointStore, DurableCheckpoint, SelectorDump};
-use crate::overlap::{OverlapConfig, OverlapEngine, OverlapSnapshot, OverlapStats};
-use crate::ps::{PsConfig, PsEngine, PsVariant};
+use crate::ckpt::{CheckpointStore, DurableCheckpoint, EngineState, SelectorDump};
+use crate::overlap::{OverlapConfig, OverlapEngine, OverlapStats};
+use crate::ps::{PsConfig, PsEngine};
 use crate::{
-    ft, Algorithm, DensitySchedule, EpochRecord, GradientAggregator, LrSchedule, Selector,
-    TimingBreakdown, TrainReport, Update,
+    ft, Aggregator, Algorithm, DensitySchedule, EpochRecord, LrSchedule, Selector, TimingBreakdown,
+    TrainReport, Update,
 };
 use gtopk_comm::{Cluster, Communicator, CostModel, FaultPlan, Message, Payload, Result, Topology};
 use gtopk_data::{shard_indices, BatchIter, Dataset};
@@ -37,7 +39,10 @@ pub struct ComputeCost {
     pub sparsify_ms: f64,
 }
 
-/// Configuration of a distributed training run.
+/// Configuration of a distributed training run. Which combinations of
+/// algorithm, topology, execution mode and recovery policy may run is
+/// decided by [`TrainConfig::validate`] from the capability table
+/// ([`crate::capability_table`]).
 #[derive(Debug, Clone)]
 pub struct TrainConfig {
     /// Number of simulated workers `P`.
@@ -60,9 +65,8 @@ pub struct TrainConfig {
     pub compute_cost: Option<ComputeCost>,
     /// Local top-k selection kernel (exact or sampled-threshold).
     pub selector: Selector,
-    /// Collective plan topology for the plan-driven (gTop-k tree)
-    /// algorithms. Must stay [`Topology::Binomial`] for the
-    /// fixed-schedule algorithms (see [`Algorithm::supports_topology`]).
+    /// Collective plan topology, for the algorithms whose collective
+    /// executes one — serially and per overlap bucket alike.
     pub topology: Topology,
     /// DGC-style momentum correction (Lin et al., cited in §VI): apply
     /// momentum *locally before* residual accumulation, so delayed
@@ -78,20 +82,20 @@ pub struct TrainConfig {
     /// Deterministic fault injection for the run. `None` (the default)
     /// and [`FaultPlan::none`] leave training bit-identical to a build
     /// without fault machinery; an active plan arms the fault-tolerant
-    /// recovery policy (gTop-k variants only): periodic in-memory
-    /// checkpoints, rollback on membership change, and
-    /// shrink-and-continue over the surviving ranks.
+    /// recovery policy: periodic in-memory checkpoints, rollback on
+    /// membership change, and shrink-and-continue over the surviving
+    /// ranks.
     pub fault_plan: Option<FaultPlan>,
     /// Iterations between in-memory checkpoints in the fault-tolerant
     /// loop (ignored in fault-free runs).
     pub checkpoint_interval: usize,
-    /// Executed compute/communication overlap (gTop-k only). `None`
-    /// (the default) keeps the serial per-iteration schedule and leaves
-    /// training output bit-identical to a build without the overlap
-    /// engine; `Some` partitions the gradient into buckets and pipelines
-    /// each bucket's gTopKAllReduce behind the remaining backward
-    /// compute (see [`crate::overlap`]). Composes with fault injection,
-    /// crash recovery included.
+    /// Executed compute/communication overlap. `None` (the default)
+    /// keeps the serial per-iteration schedule and leaves training
+    /// output bit-identical to a build without the overlap engine;
+    /// `Some` partitions the gradient into buckets and pipelines each
+    /// bucket's collective behind the remaining backward compute (see
+    /// [`crate::overlap`]). Composes with fault injection, crash
+    /// recovery included.
     pub overlap: Option<OverlapConfig>,
     /// Durable checkpoint directory for elastic recovery. `None` (the
     /// default) writes nothing — and adds **exactly zero** simulated
@@ -108,8 +112,7 @@ pub struct TrainConfig {
     /// `Some` replaces the collective with per-shard push/pull rounds —
     /// bulk-synchronous or wait-free with a bounded staleness — while
     /// keeping the same error-feedback, checkpoint and recovery
-    /// machinery. Requires [`Algorithm::GTopK`], [`Selector::Exact`],
-    /// the default binomial topology, and no overlap engine.
+    /// machinery.
     pub ps: Option<PsConfig>,
 }
 
@@ -168,10 +171,9 @@ impl TrainConfig {
         self.fault_plan.as_ref().is_some_and(|p| p.is_active())
     }
 
-    /// Returns a copy with the executed overlap engine enabled (the
-    /// engine inherits this configuration's collective topology).
+    /// Returns a copy with the executed overlap engine enabled.
     pub fn with_overlap(mut self, overlap: OverlapConfig) -> Self {
-        self.overlap = Some(overlap.with_topology(self.topology));
+        self.overlap = Some(overlap);
         self
     }
 
@@ -182,195 +184,94 @@ impl TrainConfig {
         self
     }
 
-    /// Returns a copy with a different collective plan topology, kept in
-    /// sync with the overlap engine's if one is configured.
+    /// Returns a copy with a different collective plan topology.
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
-        self.overlap = self.overlap.map(|ov| ov.with_topology(topology));
         self
     }
 }
 
 /// The one per-iteration executor every training mode runs through: it
-/// owns the aggregation state (whole-vector residual + aggregator in
-/// serial mode, the bucketed [`OverlapEngine`] in overlap mode),
-/// performs one aggregation over the current membership, applies the
-/// averaged update, and can snapshot/restore its state for the
-/// fault-tolerant checkpoint machinery.
-struct StepEngine {
-    mode: Mode,
-}
-
-enum Mode {
+/// owns the aggregation state (whole-vector residual + step in serial
+/// mode, the bucketed [`OverlapEngine`] in overlap mode, the
+/// [`PsEngine`] in parameter-server mode), performs one aggregation over
+/// the current membership, applies the averaged update, and can
+/// snapshot/restore its state for the checkpoint machinery.
+enum StepEngine {
     Serial {
-        aggregator: Box<dyn GradientAggregator>,
+        aggregator: Box<Aggregator>,
         residual: Residual,
     },
     Overlap(Box<OverlapEngine>),
     Ps(Box<PsEngine>),
 }
 
-/// Aggregation state captured at a checkpoint boundary — the engine-mode
-/// half of [`Checkpoint`].
-enum EngineSnapshot {
-    /// Dense copy of the whole-vector residual. Selector state is
-    /// deliberately *not* snapshotted: it models a local kernel's
-    /// adaptive threshold, which survives a rollback like any other
-    /// measurement of executed work.
-    Serial(Vec<f32>),
-    /// Per-bucket residuals and selector states (see
-    /// [`OverlapEngine::snapshot`]).
-    Overlap(OverlapSnapshot),
-    /// Dense copy of the PS worker's residual. Checkpoints are taken at
-    /// round boundaries with an empty pull pipeline (bulk-sync — the
-    /// only PS variant composing with checkpoints), so the residual is
-    /// the engine's entire state.
-    Ps(Vec<f32>),
-}
-
 impl StepEngine {
     fn new(cfg: &TrainConfig, segments: &[usize], rank: usize) -> Self {
-        let mode = if let Some(ps) = &cfg.ps {
-            Mode::Ps(Box::new(PsEngine::new(*ps, segments.iter().sum())))
-        } else {
-            match &cfg.overlap {
-                Some(ov) => Mode::Overlap(Box::new(OverlapEngine::with_algorithm(
-                    ov,
-                    segments,
-                    cfg.compute_cost,
-                    cfg.selector,
-                    rank,
-                    cfg.cost_model,
-                    cfg.algorithm,
-                ))),
-                None => Mode::Serial {
-                    aggregator: cfg
-                        .algorithm
-                        .aggregator_with_topology(cfg.selector, cfg.topology),
-                    residual: Residual::new(segments.iter().sum()),
-                },
-            }
-        };
-        StepEngine { mode }
+        let m = segments.iter().sum();
+        if let Some(ps) = &cfg.ps {
+            return StepEngine::Ps(Box::new(PsEngine::new(*ps, m)));
+        }
+        let aggregator = Aggregator::new(cfg.algorithm, cfg.selector, cfg.topology, rank);
+        match &cfg.overlap {
+            Some(ov) => StepEngine::Overlap(Box::new(OverlapEngine::new(
+                ov,
+                segments,
+                cfg.compute_cost,
+                cfg.cost_model,
+                aggregator,
+            ))),
+            None => StepEngine::Serial {
+                aggregator: Box::new(aggregator),
+                residual: Residual::new(m),
+            },
+        }
     }
 
     fn overlap_engine(&self) -> Option<&OverlapEngine> {
-        match &self.mode {
-            Mode::Overlap(engine) => Some(engine),
-            Mode::Serial { .. } | Mode::Ps(_) => None,
+        match self {
+            StepEngine::Overlap(engine) => Some(engine),
+            StepEngine::Serial { .. } | StepEngine::Ps(_) => None,
         }
     }
 
-    /// Applies any rounds still deferred in the wait-free PS pipeline
-    /// (a no-op for every other mode), returning the applied non-zero
-    /// count.
-    fn finish(
-        &mut self,
-        comm: &mut Communicator,
-        members: &[usize],
-        opt: &mut MomentumSgd,
-        model: &mut dyn Model,
-    ) -> Result<u64> {
-        match &mut self.mode {
-            Mode::Ps(engine) => engine.drain(comm, members, opt, model),
-            Mode::Serial { .. } | Mode::Overlap(_) => Ok(0),
-        }
-    }
-
-    /// One aggregation step over `members`: accumulate `src` into the
-    /// error-feedback state, aggregate (`k` for the whole vector in
-    /// serial mode; `rho` re-derives per-bucket budgets in overlap
-    /// mode), apply the averaged update, and return the non-zero count
-    /// applied.
-    #[allow(clippy::too_many_arguments)]
-    fn step(
-        &mut self,
-        comm: &mut Communicator,
-        members: &[usize],
-        src: &[f32],
-        rho: f64,
-        k: usize,
-        opt: &mut MomentumSgd,
-        model: &mut dyn Model,
-    ) -> Result<u64> {
-        match &mut self.mode {
-            Mode::Serial {
+    /// Engine state at a checkpoint boundary: residuals *plus* selector
+    /// state, so that a restore — a rollback or a process restart alike
+    /// — replays the sampled kernel's draws bit-exactly.
+    fn snapshot(&self) -> EngineState {
+        match self {
+            StepEngine::Serial {
                 aggregator,
                 residual,
-            } => {
-                // The aggregator folds `src` into the residual itself —
-                // fused with selection into one memory pass where the
-                // configured selector allows.
-                let update = aggregator.aggregate(comm, members, residual, src, k)?;
-                let nnz = update.nnz() as u64;
-                match &update {
-                    Update::Dense(v) => opt.step_dense(model, v),
-                    Update::Sparse(sv) => opt.step_sparse(model, sv),
-                }
-                Ok(nnz)
-            }
-            Mode::Overlap(engine) => engine.step(comm, members, src, rho, opt, model),
-            Mode::Ps(engine) => engine.step(comm, members, src, k, opt, model),
-        }
-    }
-
-    fn snapshot(&self) -> EngineSnapshot {
-        match &self.mode {
-            Mode::Serial { residual, .. } => EngineSnapshot::Serial(residual.dense().to_vec()),
-            Mode::Overlap(engine) => EngineSnapshot::Overlap(engine.snapshot()),
-            Mode::Ps(engine) => EngineSnapshot::Ps(engine.residual_dense().to_vec()),
-        }
-    }
-
-    fn restore(&mut self, snap: &EngineSnapshot) {
-        match (&mut self.mode, snap) {
-            (Mode::Serial { residual, .. }, EngineSnapshot::Serial(saved)) => {
-                residual.clear();
-                residual.accumulate(saved);
-            }
-            (Mode::Overlap(engine), EngineSnapshot::Overlap(saved)) => engine.restore(saved),
-            (Mode::Ps(engine), EngineSnapshot::Ps(saved)) => engine.restore_residual(saved),
-            _ => unreachable!("snapshot mode matches the engine that took it"),
-        }
-    }
-
-    /// Durable (process-granularity) engine state: residuals *plus*
-    /// selector state. The latter is deliberately absent from the
-    /// in-memory [`EngineSnapshot`] — a same-process rollback keeps the
-    /// kernel's RNG naturally — but a process restart must persist it to
-    /// replay the sampled kernels' draws bit-exactly.
-    fn durable_state(&self) -> ckpt::EngineState {
-        match &self.mode {
-            Mode::Serial {
-                aggregator,
-                residual,
-            } => ckpt::EngineState::Serial {
+            } => EngineState::Serial {
                 residual: residual.dense().to_vec(),
-                selector: aggregator.selector_state().map(SelectorDump::capture),
+                selector: Some(SelectorDump::capture(aggregator.selector_state())),
             },
-            Mode::Overlap(engine) => {
-                let snap = engine.snapshot();
-                ckpt::EngineState::Overlap {
-                    residuals: snap.residuals().to_vec(),
-                    selectors: snap.selectors().iter().map(SelectorDump::capture).collect(),
+            StepEngine::Overlap(engine) => {
+                let (residuals, selectors) = engine.snapshot();
+                EngineState::Overlap {
+                    residuals,
+                    selectors,
                 }
             }
-            // PS regional selection is exact (no selector RNG), so the
-            // residual is the whole durable state.
-            Mode::Ps(engine) => ckpt::EngineState::Ps {
+            // Checkpoints are taken at round boundaries with an empty
+            // pull pipeline (bulk-sync — the only PS variant composing
+            // with checkpoints) and PS regional selection is exact (no
+            // selector RNG), so the residual is the whole state.
+            StepEngine::Ps(engine) => EngineState::Ps {
                 residual: engine.residual_dense().to_vec(),
             },
         }
     }
 
-    fn restore_durable(&mut self, state: &ckpt::EngineState) {
-        match (&mut self.mode, state) {
+    fn restore(&mut self, state: &EngineState) {
+        match (self, state) {
             (
-                Mode::Serial {
+                StepEngine::Serial {
                     aggregator,
                     residual,
                 },
-                ckpt::EngineState::Serial {
+                EngineState::Serial {
                     residual: saved,
                     selector,
                 },
@@ -382,22 +283,150 @@ impl StepEngine {
                 }
             }
             (
-                Mode::Overlap(engine),
-                ckpt::EngineState::Overlap {
+                StepEngine::Overlap(engine),
+                EngineState::Overlap {
                     residuals,
                     selectors,
                 },
-            ) => {
-                let snap = OverlapSnapshot::from_parts(
-                    residuals.clone(),
-                    selectors.iter().map(SelectorDump::revive).collect(),
-                );
-                engine.restore(&snap);
-            }
-            (Mode::Ps(engine), ckpt::EngineState::Ps { residual }) => {
+            ) => engine.restore(residuals, selectors),
+            (StepEngine::Ps(engine), EngineState::Ps { residual }) => {
                 engine.restore_residual(residual);
             }
-            _ => unreachable!("durable state mode matches the engine that took it"),
+            _ => unreachable!("engine state mode matches the engine that took it"),
+        }
+    }
+}
+
+/// Everything a rank's training run mutates — what a checkpoint captures
+/// and a rollback or restart restores, as one value. (Time-breakdown
+/// counters are deliberately *not* part of it: they describe executed
+/// work, replays included.)
+struct TrainState<M: Model> {
+    model: M,
+    opt: MomentumSgd,
+    engine: StepEngine,
+    /// DGC-style local momentum buffer, when momentum correction is on.
+    local_velocity: Option<Vec<f32>>,
+    batches: BatchIter,
+    losses: Vec<f64>,
+    evals: Vec<Option<f64>>,
+    epoch_loss: f64,
+    /// Global iteration index.
+    it: u64,
+}
+
+impl<M: Model> TrainState<M> {
+    fn new(cfg: &TrainConfig, comm: &Communicator, model: M, train_data: &dyn Dataset) -> Self {
+        let m = model.num_params();
+        // With momentum correction, momentum is applied locally (DGC
+        // style) and the aggregated update is applied with plain SGD.
+        let opt_momentum = if cfg.momentum_correction {
+            0.0
+        } else {
+            cfg.momentum
+        };
+        let shard = shard_indices(train_data.len(), comm.rank(), comm.size());
+        TrainState {
+            opt: MomentumSgd::new(m, cfg.lr.lr(0), opt_momentum),
+            engine: StepEngine::new(cfg, &model.param_segments(), comm.rank()),
+            local_velocity: cfg.momentum_correction.then(|| vec![0.0; m]),
+            batches: BatchIter::new(shard, cfg.batch_per_worker, cfg.data_seed),
+            losses: Vec::with_capacity(cfg.epochs),
+            evals: Vec::with_capacity(cfg.epochs),
+            epoch_loss: 0.0,
+            it: 0,
+            model,
+        }
+    }
+
+    /// The full state at this iteration boundary, in the one checkpoint
+    /// format: kept in memory by the recovery policy, written to disk
+    /// as is when a checkpoint directory is configured.
+    fn snapshot(&self, rank: usize) -> DurableCheckpoint {
+        let (data_epoch, data_cursor) = self.batches.position();
+        DurableCheckpoint {
+            rank: rank as u64,
+            iter: self.it,
+            params: self.model.flat_params(),
+            velocity: self.opt.velocity().to_vec(),
+            engine: self.engine.snapshot(),
+            local_velocity: self.local_velocity.clone(),
+            data_epoch,
+            data_cursor: data_cursor as u64,
+            epoch_loss: self.epoch_loss,
+            losses: self.losses.clone(),
+            evals: self.evals.clone(),
+        }
+    }
+
+    /// Replays from `c.iter` as if the iterations after it never
+    /// happened.
+    fn restore(&mut self, c: &DurableCheckpoint) {
+        self.model.set_flat_params(&c.params);
+        self.opt.set_velocity(&c.velocity);
+        self.engine.restore(&c.engine);
+        self.local_velocity.clone_from(&c.local_velocity);
+        self.batches
+            .restore_position(c.data_epoch, c.data_cursor as usize);
+        self.losses.clone_from(&c.losses);
+        self.evals.clone_from(&c.evals);
+        self.epoch_loss = c.epoch_loss;
+        self.it = c.iter;
+    }
+
+    /// One aggregation step over `members`: fold the fresh gradient `g`
+    /// (through the local momentum buffer under momentum correction) into
+    /// the error-feedback state, aggregate (`k` for the whole vector in
+    /// serial and PS mode; `rho` re-derives per-bucket budgets in overlap
+    /// mode), apply the averaged update, and return the non-zero count
+    /// applied.
+    fn step(
+        &mut self,
+        comm: &mut Communicator,
+        members: &[usize],
+        g: &[f32],
+        momentum: f32,
+        rho: f64,
+        k: usize,
+    ) -> Result<u64> {
+        let src: &[f32] = match &mut self.local_velocity {
+            Some(u) => {
+                for (ui, &gi) in u.iter_mut().zip(g.iter()) {
+                    *ui = momentum * *ui + gi;
+                }
+                u
+            }
+            None => g,
+        };
+        let (opt, model) = (&mut self.opt, &mut self.model);
+        match &mut self.engine {
+            StepEngine::Serial {
+                aggregator,
+                residual,
+            } => {
+                // The step folds `src` into the residual itself — fused
+                // with selection into one memory pass where the
+                // configured selector allows.
+                let update = aggregator.aggregate(comm, members, residual, src, k)?;
+                let nnz = update.nnz() as u64;
+                match &update {
+                    Update::Dense(v) => opt.step_dense(model, v),
+                    Update::Sparse(sv) => opt.step_sparse(model, sv),
+                }
+                Ok(nnz)
+            }
+            StepEngine::Overlap(engine) => engine.step(comm, members, src, rho, opt, model),
+            StepEngine::Ps(engine) => engine.step(comm, members, src, k, opt, model),
+        }
+    }
+
+    /// Applies any rounds still deferred in the wait-free PS pipeline
+    /// (a no-op for every other mode), returning the applied non-zero
+    /// count.
+    fn finish(&mut self, comm: &mut Communicator, members: &[usize]) -> Result<u64> {
+        match &mut self.engine {
+            StepEngine::Ps(engine) => engine.drain(comm, members, &mut self.opt, &mut self.model),
+            StepEngine::Serial { .. } | StepEngine::Overlap(_) => Ok(0),
         }
     }
 }
@@ -423,6 +452,46 @@ struct RankOutcome {
     crashed: bool,
 }
 
+impl RankOutcome {
+    /// The run's report as seen from this rank; `train_loss(e)` is epoch
+    /// `e`'s reported training loss.
+    fn report(
+        &self,
+        cfg: &TrainConfig,
+        survivors: usize,
+        train_loss: impl Fn(usize) -> f64,
+    ) -> TrainReport {
+        assert_eq!(
+            self.losses.len(),
+            cfg.epochs,
+            "a surviving rank must complete every epoch"
+        );
+        let epochs = (0..cfg.epochs)
+            .map(|e| EpochRecord {
+                epoch: e,
+                train_loss: train_loss(e),
+                eval_accuracy: self.evals[e],
+                density: cfg.density.density(e),
+            })
+            .collect();
+        TrainReport {
+            algorithm: cfg.algorithm.name(),
+            workers: cfg.workers,
+            epochs,
+            timing: self.timing,
+            sim_time_ms: self.sim_time_ms,
+            elems_sent_rank0: self.elems_sent,
+            retransmissions: self.retransmissions,
+            link_stats: self.link_stats.clone(),
+            survivors,
+            mean_update_nnz: self.update_nnz_sum as f64 / self.timing.iterations.max(1) as f64,
+            pool_hits_rank0: self.pool_hits,
+            pool_misses_rank0: self.pool_misses,
+            overlap: self.overlap.clone(),
+        }
+    }
+}
+
 /// Runs distributed S-SGD with the configured aggregation algorithm.
 ///
 /// `build_model` is invoked once per rank and must produce bit-identical
@@ -433,10 +502,11 @@ struct RankOutcome {
 ///
 /// # Panics
 ///
-/// Panics if the configuration is inconsistent with the dataset (e.g. a
-/// shard smaller than one batch), if model replicas diverge, or if a
-/// communication error occurs (worker threads treat transport failures
-/// as fatal, like an MPI abort).
+/// Panics if [`TrainConfig::validate`] refuses the configuration (with
+/// its message), if the configuration is inconsistent with the dataset
+/// (e.g. a shard smaller than one batch), if model replicas diverge, or
+/// if a communication error occurs (worker threads treat transport
+/// failures as fatal, like an MPI abort).
 pub fn train_distributed<M, F>(
     cfg: &TrainConfig,
     build_model: F,
@@ -447,7 +517,7 @@ where
     M: Model,
     F: Fn() -> M + Send + Sync,
 {
-    let iters_per_epoch = validate(cfg, train_data);
+    let iters_per_epoch = validated_iters_per_epoch(cfg, train_data);
 
     let mut cluster = Cluster::new(cfg.workers, cfg.cost_model);
     if let Some(plan) = &cfg.fault_plan {
@@ -472,13 +542,6 @@ where
         !survivors.is_empty(),
         "every rank crashed or was expelled; nothing to report"
     );
-    for s in &survivors {
-        assert_eq!(
-            s.losses.len(),
-            cfg.epochs,
-            "surviving ranks must complete every epoch"
-        );
-    }
 
     // Replica-consistency invariant: identical updates on every
     // surviving rank.
@@ -495,36 +558,9 @@ where
         );
     }
 
-    let epochs = (0..cfg.epochs)
-        .map(|e| {
-            let mean_loss =
-                survivors.iter().map(|o| o.losses[e]).sum::<f64>() / survivors.len() as f64;
-            EpochRecord {
-                epoch: e,
-                train_loss: mean_loss,
-                eval_accuracy: survivors[0].evals[e],
-                density: cfg.density.density(e),
-            }
-        })
-        .collect();
-
-    let reporter = survivors[0];
-    let iterations = reporter.timing.iterations.max(1);
-    TrainReport {
-        algorithm: cfg.algorithm.name(),
-        workers: cfg.workers,
-        epochs,
-        timing: reporter.timing,
-        sim_time_ms: reporter.sim_time_ms,
-        elems_sent_rank0: reporter.elems_sent,
-        retransmissions: reporter.retransmissions,
-        link_stats: reporter.link_stats.clone(),
-        survivors: survivors.len(),
-        mean_update_nnz: reporter.update_nnz_sum as f64 / iterations as f64,
-        pool_hits_rank0: reporter.pool_hits,
-        pool_misses_rank0: reporter.pool_misses,
-        overlap: reporter.overlap.clone(),
-    }
+    survivors[0].report(cfg, survivors.len(), |e| {
+        survivors.iter().map(|o| o.losses[e]).sum::<f64>() / survivors.len() as f64
+    })
 }
 
 /// Runs the per-rank training loop on an externally constructed
@@ -564,7 +600,7 @@ where
         cfg.workers,
         "communicator size must match cfg.workers"
     );
-    let iters_per_epoch = validate(cfg, train_data);
+    let iters_per_epoch = validated_iters_per_epoch(cfg, train_data);
     if let Some(plan) = &cfg.fault_plan {
         comm.arm_fault_plan(plan.clone());
     }
@@ -576,98 +612,17 @@ where
         eval_data,
         iters_per_epoch,
     );
-    if outcome.crashed {
-        return None;
-    }
-    assert_eq!(
-        outcome.losses.len(),
-        cfg.epochs,
-        "a surviving rank must complete every epoch"
-    );
-    let epochs = (0..cfg.epochs)
-        .map(|e| EpochRecord {
-            epoch: e,
-            train_loss: outcome.losses[e],
-            eval_accuracy: outcome.evals[e],
-            density: cfg.density.density(e),
-        })
-        .collect();
-    let iterations = outcome.timing.iterations.max(1);
-    Some(TrainReport {
-        algorithm: cfg.algorithm.name(),
-        workers: cfg.workers,
-        epochs,
-        timing: outcome.timing,
-        sim_time_ms: outcome.sim_time_ms,
-        elems_sent_rank0: outcome.elems_sent,
-        retransmissions: outcome.retransmissions,
-        link_stats: outcome.link_stats.clone(),
-        survivors: outcome.survivors,
-        mean_update_nnz: outcome.update_nnz_sum as f64 / iterations as f64,
-        pool_hits_rank0: outcome.pool_hits,
-        pool_misses_rank0: outcome.pool_misses,
-        overlap: outcome.overlap.clone(),
-    })
+    (!outcome.crashed).then(|| outcome.report(cfg, outcome.survivors, |e| outcome.losses[e]))
 }
 
-/// Validates a configuration against the dataset and returns the
-/// iterations per epoch (shared by [`train_distributed`] and
-/// [`train_rank`]).
-fn validate(cfg: &TrainConfig, train_data: &dyn Dataset) -> usize {
+/// Validates a configuration — against the capability table, then
+/// against the dataset — and returns the iterations per epoch (shared by
+/// [`train_distributed`] and [`train_rank`]).
+fn validated_iters_per_epoch(cfg: &TrainConfig, train_data: &dyn Dataset) -> usize {
+    cfg.validate()
+        .unwrap_or_else(|e| panic!("invalid training configuration: {e}"));
     assert!(cfg.workers > 0, "need at least one worker");
     assert!(cfg.epochs > 0, "need at least one epoch");
-    if cfg.overlap.is_some() {
-        assert!(
-            matches!(
-                cfg.algorithm,
-                Algorithm::GTopK | Algorithm::OkTopk | Algorithm::SparDl
-            ),
-            "the overlap engine drives per-bucket sparse collectives \
-             (gtopk, oktopk or spardl; got {})",
-            cfg.algorithm.name()
-        );
-    }
-    if let Some(ps) = &cfg.ps {
-        assert!(
-            cfg.algorithm == Algorithm::GTopK,
-            "the parameter-server mode drives the gTop-k sparse push path \
-             (got {}); run it with Algorithm::GTopK",
-            cfg.algorithm.name()
-        );
-        assert!(
-            cfg.overlap.is_none(),
-            "the parameter-server mode schedules its own push/pull pipeline; \
-             it cannot compose with the overlap engine"
-        );
-        assert!(
-            cfg.selector == Selector::Exact,
-            "the parameter-server mode selects exactly per shard region \
-             (budgeted wire sizes); sampled/threshold selectors are not supported"
-        );
-        assert!(
-            cfg.topology == Topology::Binomial,
-            "the parameter-server mode replaces the collective entirely; \
-             --topology has no effect there (leave it at the default binomial)"
-        );
-        assert!(
-            ps.shards >= 1 && ps.shards <= cfg.workers,
-            "--shards must be in [1, workers]: got {} shards for {} workers",
-            ps.shards,
-            cfg.workers
-        );
-        if let PsVariant::WaitFree { .. } = ps.variant {
-            assert!(
-                !cfg.fault_tolerant(),
-                "wait-free PS pipelines rounds across steps and cannot roll \
-                 back mid-pipeline; fault injection requires the bulk-sync variant"
-            );
-            assert!(
-                cfg.checkpoint_dir.is_none(),
-                "wait-free PS cannot compose with durable checkpoints \
-                 (rounds in flight are not checkpointable); use bulk-sync"
-            );
-        }
-    }
     let iters_per_epoch = (train_data.len() / cfg.workers) / cfg.batch_per_worker;
     assert!(
         iters_per_epoch > 0,
@@ -679,27 +634,27 @@ fn validate(cfg: &TrainConfig, train_data: &dyn Dataset) -> usize {
     iters_per_epoch
 }
 
-/// Rank-local state captured by the fault-tolerant recovery policy at
-/// checkpoint boundaries. Everything needed to replay from iteration
-/// `iter` as if the iterations after it never happened (time-breakdown
-/// counters are deliberately *not* part of the snapshot: they describe
-/// executed work, replays included).
-struct Checkpoint {
-    iter: u64,
-    params: Vec<f32>,
-    opt: MomentumSgd,
-    engine: EngineSnapshot,
-    local_velocity: Option<Vec<f32>>,
-    batches: BatchIter,
-    losses: Vec<f64>,
-    evals: Vec<Option<f64>>,
-    epoch_loss: f64,
+/// What the recovery policy keeps beside the [`TrainState`]: this rank's
+/// membership view and its window of checkpoints.
+struct RecoveryLog {
+    /// Sorted alive rank set (the full `0..P` until a shrink).
+    members: Vec<usize>,
+    /// In-memory checkpoints, oldest first.
+    ckpts: VecDeque<DurableCheckpoint>,
+    /// Number of checkpoints pinned at the front of the deque: after a
+    /// shrink, everything up to the rollback anchor stays resident so a
+    /// later rejoin can roll the regrown membership back to it. Zero
+    /// outside a shrunk phase (plain keep-2 eviction).
+    pinned: usize,
+    /// Durable twin of the deque, when a checkpoint directory is
+    /// configured.
+    store: Option<CheckpointStore>,
 }
 
 /// The per-rank training loop — the only one. A single global iteration
 /// index drives an epoch-agnostic loop (so fault-tolerant rollback can
 /// cross epoch boundaries) and every iteration funnels through
-/// [`StepEngine::step`].
+/// [`TrainState::step`].
 ///
 /// With an active fault plan, the loop additionally:
 ///
@@ -729,195 +684,66 @@ where
     F: Fn() -> M,
 {
     let ft = cfg.fault_tolerant();
-    if ft {
-        assert!(
-            matches!(cfg.algorithm, Algorithm::GTopK | Algorithm::GTopKFeedback),
-            "fault-tolerant training supports gTop-k variants only (got {})",
-            cfg.algorithm.name()
-        );
-    }
-    let mut model = build_model();
-    let m = model.num_params();
-    // With momentum correction, momentum is applied locally (DGC style)
-    // and the aggregated update is applied with plain SGD.
-    let opt_momentum = if cfg.momentum_correction {
-        0.0
-    } else {
-        cfg.momentum
+    let mut state = TrainState::new(cfg, comm, build_model(), train_data);
+    let m = state.model.num_params();
+    let mut log = RecoveryLog {
+        members: (0..comm.size()).collect(),
+        ckpts: VecDeque::with_capacity(2),
+        pinned: 0,
+        store: cfg.checkpoint_dir.as_ref().map(|dir| {
+            CheckpointStore::new(dir, comm.rank()).expect("checkpoint directory must be writable")
+        }),
     };
-    let mut opt = MomentumSgd::new(m, cfg.lr.lr(0), opt_momentum);
-    let mut local_velocity: Option<Vec<f32>> = if cfg.momentum_correction {
-        Some(vec![0.0; m])
-    } else {
-        None
-    };
-    let mut engine = StepEngine::new(cfg, &model.param_segments(), comm.rank());
-    let shard = shard_indices(train_data.len(), comm.rank(), comm.size());
-    let mut batches = BatchIter::new(shard, cfg.batch_per_worker, cfg.data_seed);
-    let mut members: Vec<usize> = (0..comm.size()).collect();
     let interval = cfg.checkpoint_interval.max(1) as u64;
-    let durable: Option<CheckpointStore> = cfg.checkpoint_dir.as_ref().map(|dir| {
-        CheckpointStore::new(dir, comm.rank()).expect("checkpoint directory must be writable")
-    });
     // Checkpoints are taken by the fault-tolerant policy and whenever a
     // durable directory is configured (a solo run can then cold-resume).
-    let take_ckpts = ft || durable.is_some();
-    // Number of checkpoints pinned at the front of the deque: after a
-    // shrink, everything up to the rollback anchor stays resident so a
-    // later rejoin can roll the regrown membership back to it. Zero
-    // outside a shrunk phase (plain keep-2 eviction).
-    let mut pinned = 0usize;
+    let take_ckpts = ft || log.store.is_some();
 
     let ipe = iters_per_epoch as u64;
     let total_iters = cfg.epochs as u64 * ipe;
-    let mut it = 0u64;
-    let mut losses: Vec<f64> = Vec::with_capacity(cfg.epochs);
-    let mut evals: Vec<Option<f64>> = Vec::with_capacity(cfg.epochs);
-    let mut epoch_loss = 0.0f64;
     let mut timing = TimingBreakdown::default();
     let mut update_nnz_sum = 0u64;
-    let mut ckpts: VecDeque<Checkpoint> = VecDeque::with_capacity(2);
-    let mut crashed = false;
 
     // Durable restart: a non-empty checkpoint directory means this
     // process is a restarted incarnation of its rank. Solo it simply
     // cold-resumes from the newest intact generation; in a cluster it
-    // runs the joiner side of the rejoin protocol — broadcast JOIN_REQ,
-    // wait for the coordinator's WELCOME, restore the agreed generation
-    // from disk, and verify the donor's state transfer bit-for-bit.
-    if let Some(store) = &durable {
-        if let Some((disk, _rejected)) = store.load_latest() {
-            if comm.size() == 1 {
-                it = disk.iter;
-                apply_durable(
-                    &disk,
-                    &mut model,
-                    &mut opt,
-                    &mut engine,
-                    &mut local_velocity,
-                    &mut batches,
-                    &mut losses,
-                    &mut evals,
-                    &mut epoch_loss,
-                );
-            } else {
-                assert!(
-                    ft,
-                    "a multi-rank durable restart requires the fault-tolerant policy"
-                );
-                match request_join(comm, disk.iter) {
-                    Some((new_members, rollback, coordinator, epoch)) => {
-                        comm.set_epoch(epoch);
-                        members = new_members;
-                        let gen = store
-                            .load(rollback)
-                            .expect("the agreed rollback generation is retained on disk");
-                        it = gen.iter;
-                        apply_durable(
-                            &gen,
-                            &mut model,
-                            &mut opt,
-                            &mut engine,
-                            &mut local_velocity,
-                            &mut batches,
-                            &mut losses,
-                            &mut evals,
-                            &mut epoch_loss,
-                        );
-                        // Donor transfer: redundant with the disk copy by
-                        // construction; receiving and checking it makes
-                        // the replica invariant *established*, not
-                        // assumed.
-                        let off = ft::epoch_tag_offset(epoch);
-                        let timeout = comm.recovery_timeout_ms();
-                        let xfer = comm
-                            .recv_deadline(coordinator, ft::TAG_XFER + off, timeout)
-                            .and_then(|p| {
-                                let v = comm.recv_deadline(
-                                    coordinator,
-                                    ft::TAG_XFER + off + 1,
-                                    timeout,
-                                )?;
-                                Ok((p.payload.into_dense(), v.payload.into_dense()))
-                            });
-                        match xfer {
-                            Ok((donor_params, donor_vel)) => {
-                                let bits_eq = |a: &[f32], b: &[f32]| {
-                                    a.len() == b.len()
-                                        && a.iter()
-                                            .zip(b.iter())
-                                            .all(|(x, y)| x.to_bits() == y.to_bits())
-                                };
-                                assert!(
-                                    bits_eq(&donor_params, &gen.params),
-                                    "donor params must be bit-identical to the durable checkpoint"
-                                );
-                                assert!(
-                                    bits_eq(&donor_vel, &gen.velocity),
-                                    "donor velocity must be bit-identical to the durable checkpoint"
-                                );
-                                model.set_flat_params(&donor_params);
-                                opt.set_velocity(&donor_vel);
-                                timing.recoveries += 1;
-                            }
-                            Err(_) => crashed = true,
-                        }
-                    }
-                    None => crashed = true,
-                }
-            }
+    // runs the joiner side of the rejoin protocol.
+    let restart = log.store.as_ref().and_then(CheckpointStore::load_latest);
+    let mut crashed = match restart {
+        None => false,
+        Some((disk, _rejected)) if comm.size() == 1 => {
+            state.restore(&disk);
+            false
         }
-    }
+        Some((disk, _rejected)) => !rejoin(comm, &mut state, &mut log, disk.iter, &mut timing),
+    };
 
-    while !crashed && it < total_iters {
-        let epoch = (it / ipe) as usize;
-        opt.set_lr(cfg.lr.lr(epoch));
+    while !crashed && state.it < total_iters {
+        let epoch = (state.it / ipe) as usize;
+        state.opt.set_lr(cfg.lr.lr(epoch));
         let rho = cfg.density.density(epoch);
         let k = cfg.density.k(epoch, m);
 
-        if take_ckpts {
-            // Periodic in-memory checkpoint. After a rollback `it` lands
-            // on the restored snapshot's boundary; the `<` guard avoids
-            // re-snapshotting the identical state.
-            if it.is_multiple_of(interval) && ckpts.back().is_none_or(|c| c.iter < it) {
-                ckpts.push_back(Checkpoint {
-                    iter: it,
-                    params: model.flat_params(),
-                    opt: opt.clone(),
-                    engine: engine.snapshot(),
-                    local_velocity: local_velocity.clone(),
-                    batches: batches.clone(),
-                    losses: losses.clone(),
-                    evals: evals.clone(),
-                    epoch_loss,
-                });
-                // Keep the last two unpinned snapshots; pinned anchors
-                // (front of the deque, shrunk phases only) stay.
-                while ckpts.len() > pinned + 2 {
-                    let _ = ckpts.remove(pinned);
-                }
-                if let Some(store) = &durable {
-                    // Durable twin of the snapshot just taken. Wall-clock
-                    // only: never touches the simulated α-β clock, so
-                    // `--checkpoint-dir` costs exactly zero simulated ms.
-                    let c = ckpts.back().expect("just pushed");
-                    let (data_epoch, data_cursor) = c.batches.position();
-                    store
-                        .save(&DurableCheckpoint {
-                            rank: comm.rank() as u64,
-                            iter: it,
-                            params: c.params.clone(),
-                            velocity: c.opt.velocity().to_vec(),
-                            engine: engine.durable_state(),
-                            local_velocity: c.local_velocity.clone(),
-                            data_epoch,
-                            data_cursor: data_cursor as u64,
-                            epoch_loss: c.epoch_loss,
-                            losses: c.losses.clone(),
-                            evals: c.evals.clone(),
-                        })
-                        .expect("durable checkpoint write must succeed");
-                }
+        // Periodic checkpoint. After a rollback `it` lands on the
+        // restored snapshot's boundary; the `<` guard avoids
+        // re-snapshotting the identical state.
+        if take_ckpts
+            && state.it.is_multiple_of(interval)
+            && log.ckpts.back().is_none_or(|c| c.iter < state.it)
+        {
+            log.ckpts.push_back(state.snapshot(comm.rank()));
+            // Keep the last two unpinned snapshots; pinned anchors
+            // (front of the deque, shrunk phases only) stay.
+            while log.ckpts.len() > log.pinned + 2 {
+                let _ = log.ckpts.remove(log.pinned);
+            }
+            if let Some(store) = &log.store {
+                // Durable twin of the snapshot just taken. Wall-clock
+                // only: never touches the simulated α-β clock, so
+                // `--checkpoint-dir` costs exactly zero simulated ms.
+                store
+                    .save(log.ckpts.back().expect("just pushed"))
+                    .expect("durable checkpoint write must succeed");
             }
         }
         if ft {
@@ -930,31 +756,14 @@ where
             // A shrunk membership watches for rejoin requests at every
             // step boundary; seeing one triggers a growth recovery round
             // before any collective of this iteration starts.
-            if members.len() < comm.size() {
-                let absent: Vec<usize> =
-                    (0..comm.size()).filter(|r| !members.contains(r)).collect();
+            if log.members.len() < comm.size() {
+                let absent: Vec<usize> = (0..comm.size())
+                    .filter(|r| !log.members.contains(r))
+                    .collect();
                 let joiners = comm.poll_join_requests(&absent);
                 if !joiners.is_empty() {
                     let t_rec = comm.now_ms();
-                    if !handle_recovery(
-                        comm,
-                        &mut members,
-                        &mut ckpts,
-                        &mut pinned,
-                        &joiners,
-                        durable.as_ref(),
-                        &mut model,
-                        &mut opt,
-                        &mut engine,
-                        &mut local_velocity,
-                        &mut batches,
-                        &mut losses,
-                        &mut evals,
-                        &mut epoch_loss,
-                        &mut it,
-                        &mut timing,
-                        t_rec,
-                    ) {
+                    if !handle_recovery(comm, &mut state, &mut log, &joiners, &mut timing, t_rec) {
                         crashed = true;
                         break;
                     }
@@ -963,36 +772,28 @@ where
             }
         }
 
-        let idx = batches
+        let idx = state
+            .batches
             .next_batch()
             .expect("iters_per_epoch fits every shard")
             .to_vec();
         let (x, ys) = train_data.batch(&idx);
 
         let t0 = comm.now_ms();
-        model.zero_grads();
-        let logits = model.forward(&x, true);
+        state.model.zero_grads();
+        let logits = state.model.forward(&x, true);
         let (loss, grad) = softmax_cross_entropy(&logits, &ys);
-        model.backward(&grad);
-        let mut g = model.flat_grads();
+        state.model.backward(&grad);
+        let mut g = state.model.flat_grads();
         if let Some(max_norm) = cfg.clip_norm {
             clip_to_norm(&mut g, max_norm);
         }
-        let src: &[f32] = match &mut local_velocity {
-            Some(u) => {
-                for (ui, &gi) in u.iter_mut().zip(g.iter()) {
-                    *ui = cfg.momentum * *ui + gi;
-                }
-                u
-            }
-            None => &g,
-        };
 
         // Serial mode charges the whole iteration's modeled compute (and
         // sparsification, for sparse algorithms) up front; the overlap
         // engine stages the clock per bucket itself, so only the
         // attribution shares are computed here.
-        let (charged_comp, charged_compr) = if let Some(ov) = engine.overlap_engine() {
+        let (charged_comp, charged_compr) = if let Some(ov) = state.engine.overlap_engine() {
             let straggle = comm.straggle_factor();
             (
                 straggle * ov.compute_ms_per_iter(),
@@ -1014,50 +815,32 @@ where
         timing.compression_ms += charged_compr;
 
         let t_step = comm.now_ms();
-        match engine.step(comm, &members, src, rho, k, &mut opt, &mut model) {
+        match state.step(comm, &log.members, &g, cfg.momentum, rho, k) {
             Ok(nnz) => {
                 update_nnz_sum += nnz;
-                epoch_loss += loss as f64;
+                state.epoch_loss += loss as f64;
                 timing.communication_ms += (comm.now_ms() - t0) - charged_comp - charged_compr;
                 timing.iterations += 1;
-                it += 1;
-                if it.is_multiple_of(ipe) {
-                    losses.push(epoch_loss / iters_per_epoch as f64);
+                state.it += 1;
+                if state.it.is_multiple_of(ipe) {
+                    state.losses.push(state.epoch_loss / iters_per_epoch as f64);
                     // Fault-tolerant runs evaluate on every live rank
                     // (any rank may end up the reporter); otherwise only
                     // rank 0 does, replicas being identical.
                     let eval = if ft || comm.rank() == 0 {
-                        eval_data.map(|ds| evaluate(&mut model, ds))
+                        eval_data.map(|ds| evaluate(&mut state.model, ds))
                     } else {
                         eval_data.map(|_| 0.0) // placeholder; only rank 0's is reported
                     };
-                    evals.push(eval);
-                    epoch_loss = 0.0;
-                    batches.next_epoch();
+                    state.evals.push(eval);
+                    state.epoch_loss = 0.0;
+                    state.batches.next_epoch();
                 }
             }
             Err(err) => {
                 assert!(ft, "aggregation must not fail mid-training: {err:?}");
-                ft::ft_trace(|| format!("rank {} step {it} failed: {err:?}", comm.rank()));
-                if !handle_recovery(
-                    comm,
-                    &mut members,
-                    &mut ckpts,
-                    &mut pinned,
-                    &[],
-                    durable.as_ref(),
-                    &mut model,
-                    &mut opt,
-                    &mut engine,
-                    &mut local_velocity,
-                    &mut batches,
-                    &mut losses,
-                    &mut evals,
-                    &mut epoch_loss,
-                    &mut it,
-                    &mut timing,
-                    t_step,
-                ) {
+                ft::ft_trace(|| format!("rank {} step {} failed: {err:?}", comm.rank(), state.it));
+                if !handle_recovery(comm, &mut state, &mut log, &[], &mut timing, t_step) {
                     // Could not reach any coordinator: this rank was
                     // expelled (e.g. it timed out long enough for the
                     // others to shrink past it). It leaves the run.
@@ -1072,16 +855,16 @@ where
     // pipeline; apply them so no gradient mass stays stranded in flight
     // (replicas all drain identically). Every other mode is a no-op.
     if !crashed {
-        update_nnz_sum += engine
-            .finish(comm, &members, &mut opt, &mut model)
+        update_nnz_sum += state
+            .finish(comm, &log.members)
             .expect("draining the PS pipeline runs fault-free by construction");
     }
 
-    let params = model.flat_params();
+    let params = state.model.flat_params();
     let stats = comm.stats();
     RankOutcome {
-        losses,
-        evals,
+        losses: state.losses,
+        evals: state.evals,
         timing,
         sim_time_ms: comm.now_ms(),
         elems_sent: stats.elems_sent,
@@ -1091,8 +874,8 @@ where
         param_checksum: params.iter().map(|&v| v as f64).sum(),
         pool_hits: stats.pool_hits,
         pool_misses: stats.pool_misses,
-        overlap: engine.overlap_engine().map(OverlapEngine::stats),
-        survivors: members.len(),
+        overlap: state.engine.overlap_engine().map(OverlapEngine::stats),
+        survivors: log.members.len(),
         crashed,
     }
 }
@@ -1111,37 +894,69 @@ fn clip_to_norm(g: &mut [f32], max_norm: f32) {
     }
 }
 
-/// Restores every piece of training state captured in a durable
-/// checkpoint (the caller sets `it` from `c.iter` itself, since some
-/// call sites need the value before the borrow).
-#[allow(clippy::too_many_arguments)]
-fn apply_durable<M: Model>(
-    c: &DurableCheckpoint,
-    model: &mut M,
-    opt: &mut MomentumSgd,
-    engine: &mut StepEngine,
-    local_velocity: &mut Option<Vec<f32>>,
-    batches: &mut BatchIter,
-    losses: &mut Vec<f64>,
-    evals: &mut Vec<Option<f64>>,
-    epoch_loss: &mut f64,
-) {
-    model.set_flat_params(&c.params);
-    opt.set_velocity(&c.velocity);
-    engine.restore_durable(&c.engine);
-    *local_velocity = c.local_velocity.clone();
-    batches.restore_position(c.data_epoch, c.data_cursor as usize);
-    *losses = c.losses.clone();
-    *evals = c.evals.clone();
-    *epoch_loss = c.epoch_loss;
+/// The joiner side of a multi-rank durable restart: broadcast JOIN_REQ,
+/// wait for the coordinator's WELCOME, restore the agreed generation
+/// from disk, and verify the donor's state transfer bit-for-bit. Returns
+/// `false` if the cluster is gone or the transfer never arrived (the
+/// restarted process leaves the run).
+fn rejoin<M: Model>(
+    comm: &mut Communicator,
+    state: &mut TrainState<M>,
+    log: &mut RecoveryLog,
+    latest_iter: u64,
+    timing: &mut TimingBreakdown,
+) -> bool {
+    let Some((members, rollback, coordinator, epoch)) = request_join(comm, latest_iter) else {
+        return false;
+    };
+    comm.set_epoch(epoch);
+    log.members = members;
+    let gen = log
+        .store
+        .as_ref()
+        .expect("a restart was detected from the store")
+        .load(rollback)
+        .expect("the agreed rollback generation is retained on disk");
+    state.restore(&gen);
+    // Donor transfer: redundant with the disk copy by construction;
+    // receiving and checking it makes the replica invariant
+    // *established*, not assumed.
+    let off = ft::epoch_tag_offset(epoch);
+    let timeout = comm.recovery_timeout_ms();
+    let xfer = comm
+        .recv_deadline(coordinator, ft::TAG_XFER + off, timeout)
+        .and_then(|p| {
+            let v = comm.recv_deadline(coordinator, ft::TAG_XFER + off + 1, timeout)?;
+            Ok((p.payload.into_dense(), v.payload.into_dense()))
+        });
+    let Ok((donor_params, donor_vel)) = xfer else {
+        return false;
+    };
+    let bits_eq = |a: &[f32], b: &[f32]| {
+        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    };
+    assert!(
+        bits_eq(&donor_params, &gen.params),
+        "donor params must be bit-identical to the durable checkpoint"
+    );
+    assert!(
+        bits_eq(&donor_vel, &gen.velocity),
+        "donor velocity must be bit-identical to the durable checkpoint"
+    );
+    state.model.set_flat_params(&donor_params);
+    state.opt.set_velocity(&donor_vel);
+    timing.recoveries += 1;
+    true
 }
 
 /// The joiner side of the rejoin handshake: broadcast JOIN_REQ (stamped
 /// with the newest intact disk generation) to every other rank until a
 /// WELCOME arrives, then return `(members, rollback_iter, coordinator,
-/// epoch)`. Gives up after a generous multiple of the recovery timeout —
-/// `None` means the cluster is gone (or never noticed us) and the
-/// restarted process should exit instead of spinning forever.
+/// epoch)`. A WELCOME too short to carry that is bytes off a socket gone
+/// wrong, not a reason to die: it is dropped and polling goes on. Gives
+/// up after a generous multiple of the recovery timeout — `None` means
+/// the cluster is gone (or never noticed us) and the restarted process
+/// should exit instead of spinning forever.
 fn request_join(
     comm: &mut Communicator,
     latest_iter: u64,
@@ -1162,16 +977,19 @@ fn request_join(
         }
         let slice_end = std::time::Instant::now() + std::time::Duration::from_millis(slice_ms);
         while std::time::Instant::now() < slice_end {
-            if let Some(msg) = comm.poll_tagged(Message::JOIN_WELCOME_TAG) {
-                let coordinator = msg.src;
-                let wire = msg.payload.into_dense();
-                assert!(wire.len() >= 3, "malformed WELCOME frame");
-                let epoch = wire[0] as u64;
-                let rollback = wire[1] as u64;
-                let members: Vec<usize> = wire[2..].iter().map(|&v| v as usize).collect();
-                return Some((members, rollback, coordinator, epoch));
+            let welcome = comm.poll_tagged(Message::JOIN_WELCOME_TAG);
+            let wire = welcome.as_ref().map(|msg| match &msg.payload {
+                Payload::Dense(wire) => (msg.src, wire.as_slice()),
+                _ => (msg.src, &[][..]),
+            });
+            match wire {
+                Some((coordinator, [epoch, rollback, members @ ..])) if !members.is_empty() => {
+                    let members = members.iter().map(|&v| v as usize).collect();
+                    return Some((members, *rollback as u64, coordinator, *epoch as u64));
+                }
+                Some(_malformed) => {}
+                None => std::thread::sleep(std::time::Duration::from_millis(2)),
             }
-            std::thread::sleep(std::time::Duration::from_millis(2));
         }
         if std::time::Instant::now() >= deadline {
             return None;
@@ -1181,132 +999,86 @@ fn request_join(
 
 /// One full recovery round as seen by a surviving member: agree on
 /// membership (shrunk or regrown) and the rollback iteration, restore
-/// that in-memory checkpoint, maintain the pinned-anchor window, and —
-/// when this rank coordinates a growth round — transfer model state to
-/// the joiners. Returns `false` if no coordinator was reachable (this
-/// rank was expelled and must leave the run).
-#[allow(clippy::too_many_arguments)]
+/// that checkpoint, maintain the pinned-anchor window, and — when this
+/// rank coordinates a growth round — transfer model state to the
+/// joiners. Returns `false` if no coordinator was reachable (this rank
+/// was expelled and must leave the run).
 fn handle_recovery<M: Model>(
     comm: &mut Communicator,
-    members: &mut Vec<usize>,
-    ckpts: &mut VecDeque<Checkpoint>,
-    pinned: &mut usize,
+    state: &mut TrainState<M>,
+    log: &mut RecoveryLog,
     known_joiners: &[(usize, u64)],
-    durable: Option<&CheckpointStore>,
-    model: &mut M,
-    opt: &mut MomentumSgd,
-    engine: &mut StepEngine,
-    local_velocity: &mut Option<Vec<f32>>,
-    batches: &mut BatchIter,
-    losses: &mut Vec<f64>,
-    evals: &mut Vec<Option<f64>>,
-    epoch_loss: &mut f64,
-    it: &mut u64,
     timing: &mut TimingBreakdown,
     t_start: f64,
 ) -> bool {
-    let my_latest = ckpts
+    let my_latest = log
+        .ckpts
         .back()
         .expect("a checkpoint is taken before iteration 0")
         .iter;
     // The anchor is the rollback point the *previous* (shrink) round
     // agreed on — the newest pinned snapshot. Every survivor pinned the
     // same value, so a regrow round can always roll back to it.
-    let my_anchor = if *pinned > 0 {
-        ckpts[*pinned - 1].iter
-    } else {
-        my_latest
+    let my_anchor = match log.pinned {
+        0 => my_latest,
+        n => log.ckpts[n - 1].iter,
     };
-    let prev = members.clone();
-    match ft::recover(comm, &prev, my_latest, my_anchor, known_joiners) {
-        Ok(rec) => {
-            *members = rec.members.clone();
-            match ckpts.iter().position(|c| c.iter == rec.rollback_iter) {
-                Some(pos) => {
-                    ckpts.truncate(pos + 1);
-                    let c = ckpts.back().expect("just truncated to keep this");
-                    model.set_flat_params(&c.params);
-                    *opt = c.opt.clone();
-                    engine.restore(&c.engine);
-                    *local_velocity = c.local_velocity.clone();
-                    *batches = c.batches.clone();
-                    *losses = c.losses.clone();
-                    *evals = c.evals.clone();
-                    *epoch_loss = c.epoch_loss;
-                    *it = c.iter;
-                }
-                None => {
-                    // The agreed rollback predates the in-memory window
-                    // (a joiner whose newest disk generation was corrupt
-                    // fell back an extra interval). Reload it from this
-                    // rank's own durable store and rebuild the deque.
-                    let gen = durable
-                        .expect("a rollback below the in-memory window needs a durable store")
-                        .load(rec.rollback_iter)
-                        .expect("agreed rollback generation is retained on disk");
-                    apply_durable(
-                        &gen,
-                        model,
-                        opt,
-                        engine,
-                        local_velocity,
-                        batches,
-                        losses,
-                        evals,
-                        epoch_loss,
-                    );
-                    *it = gen.iter;
-                    ckpts.clear();
-                    ckpts.push_back(Checkpoint {
-                        iter: gen.iter,
-                        params: model.flat_params(),
-                        opt: opt.clone(),
-                        engine: engine.snapshot(),
-                        local_velocity: local_velocity.clone(),
-                        batches: batches.clone(),
-                        losses: losses.clone(),
-                        evals: evals.clone(),
-                        epoch_loss: *epoch_loss,
-                    });
-                }
-            }
-            let c = ckpts.back().expect("rollback target present");
-            if rec.joined.is_empty() {
-                // Shrink: pin everything up to (and including) the
-                // rollback anchor so a later rejoin can still reach it.
-                *pinned = ckpts.len();
-            } else {
-                // Regrow: back to full membership, drop the pins and any
-                // stale join traffic (ranks that are members again must
-                // not re-trigger a recovery round).
-                *pinned = 0;
-                comm.purge_pending(|m| {
-                    m.tag == Message::JOIN_REQ_TAG || m.tag == Message::JOIN_WELCOME_TAG
-                });
-                if rec.coordinator == comm.rank() {
-                    let off = ft::epoch_tag_offset(comm.epoch());
-                    let params = std::sync::Arc::new(c.params.clone());
-                    let velocity = std::sync::Arc::new(c.opt.velocity().to_vec());
-                    for &j in &rec.joined {
-                        let _ = comm.send(
-                            j,
-                            ft::TAG_XFER + off,
-                            Payload::dense_shared(std::sync::Arc::clone(&params)),
-                        );
-                        let _ = comm.send(
-                            j,
-                            ft::TAG_XFER + off + 1,
-                            Payload::dense_shared(std::sync::Arc::clone(&velocity)),
-                        );
-                    }
-                }
-            }
-            timing.recovery_ms += comm.now_ms() - t_start;
-            timing.recoveries += 1;
-            true
+    let Ok(rec) = ft::recover(comm, &log.members, my_latest, my_anchor, known_joiners) else {
+        return false;
+    };
+    log.members.clone_from(&rec.members);
+    match log.ckpts.iter().position(|c| c.iter == rec.rollback_iter) {
+        Some(pos) => log.ckpts.truncate(pos + 1),
+        None => {
+            // The agreed rollback predates the in-memory window (a
+            // joiner whose newest disk generation was corrupt fell back
+            // an extra interval). Reload it from this rank's own durable
+            // store and rebuild the deque.
+            let gen = log
+                .store
+                .as_ref()
+                .expect("a rollback below the in-memory window needs a durable store")
+                .load(rec.rollback_iter)
+                .expect("agreed rollback generation is retained on disk");
+            log.ckpts.clear();
+            log.ckpts.push_back(gen);
         }
-        Err(_) => false,
     }
+    let c = log.ckpts.back().expect("rollback target present");
+    state.restore(c);
+    if rec.joined.is_empty() {
+        // Shrink: pin everything up to (and including) the rollback
+        // anchor so a later rejoin can still reach it.
+        log.pinned = log.ckpts.len();
+    } else {
+        // Regrow: back to full membership, drop the pins and any stale
+        // join traffic (ranks that are members again must not re-trigger
+        // a recovery round).
+        log.pinned = 0;
+        comm.purge_pending(|m| {
+            m.tag == Message::JOIN_REQ_TAG || m.tag == Message::JOIN_WELCOME_TAG
+        });
+        if rec.coordinator == comm.rank() {
+            let off = ft::epoch_tag_offset(comm.epoch());
+            let params = std::sync::Arc::new(c.params.clone());
+            let velocity = std::sync::Arc::new(c.velocity.clone());
+            for &j in &rec.joined {
+                let _ = comm.send(
+                    j,
+                    ft::TAG_XFER + off,
+                    Payload::dense_shared(std::sync::Arc::clone(&params)),
+                );
+                let _ = comm.send(
+                    j,
+                    ft::TAG_XFER + off + 1,
+                    Payload::dense_shared(std::sync::Arc::clone(&velocity)),
+                );
+            }
+        }
+    }
+    timing.recovery_ms += comm.now_ms() - t_start;
+    timing.recoveries += 1;
+    true
 }
 
 /// Top-1 accuracy of `model` over the whole dataset, in chunks.
@@ -1681,6 +1453,23 @@ mod tests {
         let data = GaussianMixture::new(11, 8, 4, 2, 2.0, 0.4);
         let cfg = quick_cfg(Algorithm::Dense, 4);
         let _ = train_distributed(&cfg, || models::mlp(1, 4, 4, 2), &data, None);
+    }
+
+    #[test]
+    fn a_short_welcome_frame_is_skipped_not_fatal() {
+        use gtopk_comm::transport::SimTransport;
+        let mut ends = SimTransport::mesh(2)
+            .into_iter()
+            .map(|endpoint| Communicator::from_transport(Box::new(endpoint), CostModel::zero()));
+        let (mut coordinator, mut joiner) = (ends.next().unwrap(), ends.next().unwrap());
+        // Too short to carry epoch, rollback and a member — then a valid
+        // frame: epoch 3, rollback 40, members {0, 1}.
+        for wire in [vec![3.0, 40.0], vec![3.0, 40.0, 0.0, 1.0]] {
+            coordinator
+                .send(1, Message::JOIN_WELCOME_TAG, Payload::dense(wire))
+                .unwrap();
+        }
+        assert_eq!(request_join(&mut joiner, 40), Some((vec![0, 1], 40, 0, 3)));
     }
 
     fn unique_dir(label: &str) -> std::path::PathBuf {

@@ -1,9 +1,16 @@
 //! Property-based tests over the core aggregation algorithms.
 
-use gtopk::{gtopk_all_reduce, naive_gtopk_all_reduce, ps_pull_round, ps_push_round, Algorithm};
-use gtopk_comm::{Cluster, CostModel, ShardMap};
+use gtopk::{
+    gtopk_all_reduce, naive_gtopk_all_reduce, ps_pull_round, ps_push_round, Aggregator, Algorithm,
+    Selector,
+};
+use gtopk_comm::{Cluster, Communicator, CostModel, ShardMap, Topology};
 use gtopk_sparse::{topk_sparse, Residual};
 use proptest::prelude::*;
+
+fn step_for(alg: Algorithm, comm: &Communicator) -> Aggregator {
+    Aggregator::new(alg, Selector::Exact, Topology::Binomial, comm.rank())
+}
 
 fn grad(rank: usize, dim: usize, seed: u64) -> Vec<f32> {
     (0..dim)
@@ -50,7 +57,7 @@ proptest! {
     fn prop_topk_aggregator_conserves(p in 1usize..8, k in 1usize..6, seed in 0u64..30) {
         let dim = 32usize;
         let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-            let mut agg = Algorithm::TopK.aggregator();
+            let mut agg = step_for(Algorithm::TopK, comm);
             let members: Vec<usize> = (0..comm.size()).collect();
             let mut residual = Residual::new(dim);
             let g = grad(comm.rank(), dim, seed);
@@ -101,7 +108,7 @@ proptest! {
         let dim = 40usize;
         let k = 3usize;
         let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-            let mut agg = Algorithm::GTopK.aggregator();
+            let mut agg = step_for(Algorithm::GTopK, comm);
             let members: Vec<usize> = (0..comm.size()).collect();
             let mut residual = Residual::new(dim);
             let mut updates = Vec::new();

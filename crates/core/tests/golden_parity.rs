@@ -9,8 +9,8 @@
 //! any later one) to the same floats. A change that moves a fingerprint
 //! changed the numerics of that row.
 
-use gtopk::{Algorithm, OverlapConfig, OverlapEngine, Selector, Update};
-use gtopk_comm::{Cluster, CostModel};
+use gtopk::{Aggregator, Algorithm, OverlapConfig, OverlapEngine, Selector, Update};
+use gtopk_comm::{Cluster, Communicator, CostModel, Topology};
 use gtopk_nn::{models, Model, MomentumSgd};
 use gtopk_sparse::Residual;
 
@@ -72,13 +72,17 @@ fn grad(rank: usize, step: u64, dim: usize) -> Vec<f32> {
         .collect()
 }
 
+fn step_for(alg: Algorithm, comm: &Communicator) -> Aggregator {
+    Aggregator::new(alg, Selector::Exact, Topology::Binomial, comm.rank())
+}
+
 fn serial_fingerprint(alg: Algorithm, p: usize) -> u64 {
     // Above the streaming kernel's 4096-element cut-off, so the sampled
     // threshold pass runs.
     let dim = 6000usize;
     let k = 48usize;
     let per_rank = Cluster::new(p, CostModel::zero()).run(move |comm| {
-        let mut agg = alg.aggregator();
+        let mut agg = step_for(alg, comm);
         let members: Vec<usize> = (0..comm.size()).collect();
         let mut residual = Residual::new(dim);
         let mut h = Fnv::new();
@@ -101,14 +105,12 @@ fn overlap_fingerprint(alg: Algorithm, p: usize, buckets: usize) -> u64 {
         let segments = model.param_segments();
         let m = model.num_params();
         let mut opt = MomentumSgd::new(m, 0.1, 0.9);
-        let mut engine = OverlapEngine::with_algorithm(
+        let mut engine = OverlapEngine::new(
             &OverlapConfig::buckets(buckets),
             &segments,
             None,
-            Selector::Exact,
-            comm.rank(),
             net,
-            alg,
+            step_for(alg, comm),
         );
         let members: Vec<usize> = (0..comm.size()).collect();
         let mut h = Fnv::new();
@@ -118,7 +120,7 @@ fn overlap_fingerprint(alg: Algorithm, p: usize, buckets: usize) -> u64 {
                 .step(comm, &members, &g, 0.01, &mut opt, &mut model)
                 .unwrap();
             h.floats(&model.flat_params());
-            for r in engine.snapshot().residuals() {
+            for r in &engine.snapshot().0 {
                 h.floats(r);
             }
         }

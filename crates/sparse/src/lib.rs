@@ -44,8 +44,7 @@ pub use merge::{
 };
 pub use residual::Residual;
 pub use topk::{
-    accumulate_select_compact, sampled_topk_sparse, threshold_estimate_topk_into,
-    threshold_estimate_topk_sparse, threshold_sparse, topk_indices, topk_indices_into, topk_sparse,
-    topk_sparse_into, TopkScratch,
+    accumulate_select_compact, sampled_topk_sparse, threshold_sparse, topk_indices,
+    topk_indices_into, topk_sparse, topk_sparse_into, TopkScratch,
 };
 pub use vector::SparseVec;

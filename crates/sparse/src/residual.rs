@@ -8,8 +8,8 @@
 //! ever silently dropped — only delayed.
 
 use crate::topk::{
-    accumulate_select_compact, sampled_topk_sparse, threshold_estimate_topk_into,
-    topk_indices_into, topk_sparse_into, TopkScratch,
+    accumulate_select_compact, sampled_topk_sparse, topk_indices_into, topk_sparse_into,
+    TopkScratch,
 };
 use crate::SparseVec;
 use gtopk_tensor::simd;
@@ -86,11 +86,36 @@ impl Residual {
 
     /// Like [`Residual::extract_topk`] but writing into a caller-supplied
     /// (typically pooled) vector — fully allocation-free in steady state.
-    pub fn extract_topk_into(&mut self, k: usize, out: &mut SparseVec) {
-        topk_sparse_into(&self.acc, k, &mut self.scratch, out);
+    /// Returns the candidate count the select examined.
+    pub fn extract_topk_into(&mut self, k: usize, out: &mut SparseVec) -> usize {
+        let examined = topk_sparse_into(&self.acc, k, &mut self.scratch, out);
         for &i in out.indices() {
             self.acc[i as usize] = 0.0;
         }
+        examined
+    }
+
+    /// Fused accumulate + exact extraction: `G += grad` and
+    /// [`Residual::extract_topk`] in one memory pass over the buffer (see
+    /// [`accumulate_select_compact`]) — bitwise identical, result and
+    /// buffer state, to [`Residual::accumulate`] followed by
+    /// [`Residual::extract_topk`].
+    pub fn accumulate_extract(&mut self, grad: &[f32], k: usize) -> SparseVec {
+        let mut sv = SparseVec::empty(self.acc.len());
+        self.accumulate_extract_into(grad, k, &mut sv);
+        sv
+    }
+
+    /// Like [`Residual::accumulate_extract`] but writing into a
+    /// caller-supplied vector — fully allocation-free in steady state.
+    /// Returns the candidate count the select examined.
+    pub fn accumulate_extract_into(
+        &mut self,
+        grad: &[f32],
+        k: usize,
+        out: &mut SparseVec,
+    ) -> usize {
+        accumulate_select_compact(&mut self.acc, grad, k, &mut self.scratch, out)
     }
 
     /// Extracts the top-`k` coordinates by |value| *within* the
@@ -127,75 +152,6 @@ impl Residual {
         for &i in out.indices() {
             self.acc[i as usize] = 0.0;
         }
-    }
-
-    /// Like [`Residual::extract_topk`] but with the selection threshold
-    /// estimated from `sample` draws of the caller's RNG stream (`sample
-    /// == 0`: the built-in RNG-free sampler, i.e. [`Residual::extract_topk`]
-    /// itself) — the result is bitwise identical to
-    /// [`Residual::extract_topk`], only the selection cost depends on the
-    /// sample.
-    pub fn extract_topk_threshold(
-        &mut self,
-        k: usize,
-        sample: usize,
-        rng: &mut impl Rng,
-    ) -> SparseVec {
-        let mut sv = SparseVec::empty(self.acc.len());
-        self.extract_topk_threshold_into(k, sample, rng, &mut sv);
-        sv
-    }
-
-    /// Like [`Residual::extract_topk_threshold`] but writing into a
-    /// caller-supplied vector — fully allocation-free in steady state.
-    /// Returns the candidate count the select examined.
-    pub fn extract_topk_threshold_into(
-        &mut self,
-        k: usize,
-        sample: usize,
-        rng: &mut impl Rng,
-        out: &mut SparseVec,
-    ) -> usize {
-        let examined =
-            threshold_estimate_topk_into(&self.acc, k, sample, rng, &mut self.scratch, out);
-        for &i in out.indices() {
-            self.acc[i as usize] = 0.0;
-        }
-        examined
-    }
-
-    /// Fused accumulate + exact extraction: `G += grad` and the top-`k`
-    /// extraction of [`Residual::extract_topk_threshold`] in one memory
-    /// pass over the buffer (see [`accumulate_select_compact`]). Bitwise
-    /// identical — result, buffer state, and RNG consumption — to
-    /// [`Residual::accumulate`] followed by
-    /// [`Residual::extract_topk_threshold`]; with `sample == 0` (the
-    /// built-in RNG-free sampler) that is [`Residual::accumulate`]
-    /// followed by [`Residual::extract_topk`], with `rng` untouched.
-    pub fn accumulate_extract_threshold(
-        &mut self,
-        grad: &[f32],
-        k: usize,
-        sample: usize,
-        rng: &mut impl Rng,
-    ) -> SparseVec {
-        let mut sv = SparseVec::empty(self.acc.len());
-        self.accumulate_extract_threshold_into(grad, k, sample, rng, &mut sv);
-        sv
-    }
-
-    /// Like [`Residual::accumulate_extract_threshold`] but writing into a
-    /// caller-supplied vector — fully allocation-free in steady state.
-    /// Returns the candidate count the select examined.
-    pub fn accumulate_extract_threshold_into(
-        &mut self,
-        grad: &[f32],
-        k: usize,
-        sample: usize,
-        rng: &mut impl Rng,
-        out: &mut SparseVec,
-    ) -> usize {
-        accumulate_select_compact(&mut self.acc, grad, k, sample, rng, &mut self.scratch, out)
     }
 
     /// Like [`Residual::extract_topk`] but using the sampled-threshold
@@ -319,8 +275,6 @@ mod tests {
 
     #[test]
     fn fused_accumulate_extract_matches_unfused() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
         let grads: Vec<Vec<f32>> = (0..4)
             .map(|s| {
                 (0..257)
@@ -330,12 +284,10 @@ mod tests {
             .collect();
         let mut fused = Residual::new(257);
         let mut unfused = Residual::new(257);
-        let mut rng_f = StdRng::seed_from_u64(11);
-        let mut rng_u = StdRng::seed_from_u64(11);
         for g in &grads {
-            let a = fused.accumulate_extract_threshold(g, 19, 64, &mut rng_f);
+            let a = fused.accumulate_extract(g, 19);
             unfused.accumulate(g);
-            let b = unfused.extract_topk_threshold(19, 64, &mut rng_u);
+            let b = unfused.extract_topk(19);
             assert_eq!(a, b);
             assert_eq!(fused.dense(), unfused.dense());
         }

@@ -3,10 +3,9 @@
 //! The paper selects the `k = ρ·m` gradient coordinates of largest absolute
 //! value (Algorithm 1, lines 5–7) and its Fig. 11 flags that selection as
 //! the overhead left once the wire is O(k log P). Every exact caller — the
-//! local select ([`topk_indices_into`]), the `⊤` merge's re-selection, the
-//! parameter-server range extraction and both sampled-threshold entry
-//! points ([`threshold_estimate_topk_into`], [`accumulate_select_compact`])
-//! — runs one streaming kernel:
+//! local select ([`topk_indices_into`]), its fusion with the residual
+//! accumulate ([`accumulate_select_compact`]), the `⊤` merge's re-selection
+//! and the parameter-server range extraction — runs one streaming kernel:
 //!
 //! 1. a magnitude **sample** picks a threshold aimed at `k` plus four
 //!    binomial standard deviations of candidates (≈ 1.03 k at ρ = 0.25,
@@ -31,12 +30,9 @@
 //! than `k` survive (a sample that overshot, zero-heavy buffers) — or the
 //! input is too small for a sample to pay — *every* index is a candidate
 //! and the same two steps run. The result is therefore a pure function of
-//! the buffer: independent of the sampler, the SIMD level and the thread
-//! count, which is what keeps worker replicas bitwise in step.
-//!
-//! The built-in sampler reads a fixed Weyl sequence of positions — no
-//! RNG. The estimate entry points draw the positions from the caller's
-//! stream instead when `sample > 0`; nothing else sets them apart.
+//! the buffer: independent of the sample, the SIMD level and the thread
+//! count, which is what keeps worker replicas bitwise in step. The sampler
+//! reads a fixed Weyl sequence of positions — no RNG.
 //!
 //! # Scratch reuse
 //!
@@ -87,34 +83,40 @@ impl TopkScratch {
     }
 }
 
-/// Strict candidate threshold for a top-`k`-of-`n` select, from `s`
-/// sampled values (`draw(j)` is the j-th): the sample's `quota`-th
-/// magnitude, `quota = q + 4·√q` with `q = s·k/n` the expected number of
-/// top-k members in the sample, so an under-collection is a four-sigma
-/// event. `None` — and nothing sampled — for a degenerate select (`k == 0`,
-/// `k ≥ n`); `None` when the quota reaches the sample size (no threshold
-/// would exclude anything worth a pass).
-fn pick_threshold(
+/// Strict candidate threshold for a top-`k`-of-`n` select over the buffer
+/// whose i-th value is `value_at(i)`: the `quota`-th magnitude of a sample,
+/// `quota = q + 4·√q` with `q = s·k/n` the expected number of top-k
+/// members among the `s` sampled, so an under-collection is a four-sigma
+/// event. The sample is `min(64 Ki, n/16)` positions of a golden-ratio
+/// Weyl sequence (equidistributed, blind to any stride in the buffer's
+/// layout), no RNG. `None` — and nothing sampled — below the cut-off and
+/// for a degenerate select (`k == 0`, `k ≥ n`); `None` when the quota
+/// reaches the sample size (no threshold would exclude anything worth a
+/// pass).
+fn sampled_cut(
     n: usize,
     k: usize,
-    s: usize,
     scratch: &mut TopkScratch,
-    draw: impl FnMut(usize) -> f32,
+    value_at: impl Fn(usize) -> f32,
 ) -> Option<f32> {
-    if k == 0 || k >= n {
+    if n < PREFILTER_MIN || k == 0 || k >= n {
         return None;
     }
+    let s = (n / 16).min(64 * 1024);
     let TopkScratch { cand, mags } = scratch;
     mags.clear();
-    mags.extend((0..s).map(draw).map(mag));
+    mags.extend((0..s).map(|j| {
+        let frac = (j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        mag(value_at(((frac as u128 * n as u128) >> 64) as usize))
+    }));
     let q = k as f64 / n as f64 * s as f64;
     let quota = (q + 4.0 * q.sqrt()).ceil() as usize;
     if quota >= s {
         return None;
     }
     // Room for the expected candidates plus eight of their standard
-    // deviations: capacity is then a function of (n, k, s), not of how
-    // this step's sample happened to fall.
+    // deviations: capacity is then a function of (n, k), not of how this
+    // step's sample happened to fall.
     let per_hit = n as f64 / s as f64;
     let room = n.min(((quota as f64 + 8.0 * (quota as f64).sqrt()) * per_hit) as usize);
     cand.reserve(room);
@@ -122,42 +124,6 @@ fn pick_threshold(
     // `mag` outputs are non-negative and never NaN: `total_cmp` is `<`.
     let (_, &mut thr, _) = mags.select_nth_unstable_by(quota - 1, |a, b| b.total_cmp(a));
     Some(thr)
-}
-
-/// [`pick_threshold`] with the built-in sampler: `min(64 Ki, n/16)`
-/// positions of a golden-ratio Weyl sequence (equidistributed, blind to
-/// any stride in the buffer's layout), no RNG. `value_at(i)` is the
-/// buffer's i-th value.
-fn strided_threshold(
-    n: usize,
-    k: usize,
-    scratch: &mut TopkScratch,
-    value_at: impl Fn(usize) -> f32,
-) -> Option<f32> {
-    if n < PREFILTER_MIN {
-        return None;
-    }
-    pick_threshold(n, k, (n / 16).min(64 * 1024), scratch, |j| {
-        let frac = (j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        value_at(((frac as u128 * n as u128) >> 64) as usize)
-    })
-}
-
-/// [`pick_threshold`] with the sampler the caller chose: `sample` uniform
-/// draws from `rng` (exactly `min(sample, n)` of them, whatever they
-/// show), or the built-in one when `sample == 0`.
-fn sampled_threshold(
-    n: usize,
-    k: usize,
-    sample: usize,
-    rng: &mut impl Rng,
-    scratch: &mut TopkScratch,
-    value_at: impl Fn(usize) -> f32,
-) -> Option<f32> {
-    match sample {
-        0 => strided_threshold(n, k, scratch, value_at),
-        s => pick_threshold(n, k, s.min(n), scratch, |_| value_at(rng.gen_range(0..n))),
-    }
 }
 
 /// Steps 3–4 of the kernel over the ascending candidates `cand`: appends
@@ -208,12 +174,22 @@ fn select_among(values: &[f32], k: usize, scratch: &mut TopkScratch, out: &mut V
 /// Writes all indices if `k >= values.len()`. One streaming O(m) pass plus
 /// an O(k) select (see the module docs); a pure function of `values`.
 /// Deterministic under ties (lower index wins).
-pub fn topk_indices_into(values: &[f32], k: usize, scratch: &mut TopkScratch, out: &mut Vec<u32>) {
+///
+/// Returns the number of coordinates the final exact select examined:
+/// the candidate count on the threshold path, `values.len()` otherwise —
+/// the speed-vs-exactness tests use it to show the fast path engages.
+pub fn topk_indices_into(
+    values: &[f32],
+    k: usize,
+    scratch: &mut TopkScratch,
+    out: &mut Vec<u32>,
+) -> usize {
     scratch.cand.clear();
-    if let Some(thr) = strided_threshold(values.len(), k, scratch, |i| values[i]) {
+    // `|v| > thr` and `mag(v) > thr` agree for every thr ≥ 0: NaN fails both.
+    if let Some(thr) = sampled_cut(values.len(), k, scratch, |i| values[i]) {
         simd::compact_above(values, thr, 0, &mut scratch.cand);
     }
-    select_among(values, k, scratch, out);
+    select_among(values, k, scratch, out)
 }
 
 /// Indices of the `k` entries of largest absolute value, ascending order.
@@ -237,13 +213,19 @@ pub fn topk_indices(values: &[f32], k: usize) -> Vec<u32> {
 /// largest |value| and reusing `scratch` buffers.
 ///
 /// This is exactly `G̃ = G ⊙ Mask` of Algorithm 1, allocation-free in
-/// steady state.
-pub fn topk_sparse_into(dense: &[f32], k: usize, scratch: &mut TopkScratch, out: &mut SparseVec) {
+/// steady state. Returns the examined count of [`topk_indices_into`].
+pub fn topk_sparse_into(
+    dense: &[f32],
+    k: usize,
+    scratch: &mut TopkScratch,
+    out: &mut SparseVec,
+) -> usize {
     out.dim = dense.len();
-    topk_indices_into(dense, k, scratch, &mut out.indices);
+    let examined = topk_indices_into(dense, k, scratch, &mut out.indices);
     out.values.clear();
     out.values
         .extend(out.indices.iter().map(|&i| dense[i as usize]));
+    examined
 }
 
 /// Sparsifies a dense vector keeping the `k` entries of largest |value|.
@@ -351,47 +333,13 @@ pub fn sampled_topk_sparse(
     topk_sparse(dense, k)
 }
 
-/// Exact top-k with the threshold estimated from the caller's sampler:
-/// the kernel of the `ThresholdEstimate` selector.
-///
-/// Bitwise identical to [`topk_sparse_into`] for every input, `sample` and
-/// RNG state (see the module docs) — only the running time depends on the
-/// sample. For `0 < k < n` it consumes exactly `min(sample, n)` draws from
-/// `rng`; `sample == 0` selects the built-in RNG-free sampler and consumes
-/// none.
-///
-/// Returns the number of coordinates the final exact select examined:
-/// the candidate count on the threshold path, `n` otherwise — the
-/// speed-vs-exactness tests use it to show the fast path engages.
-pub fn threshold_estimate_topk_into(
-    dense: &[f32],
-    k: usize,
-    sample: usize,
-    rng: &mut impl Rng,
-    scratch: &mut TopkScratch,
-    out: &mut SparseVec,
-) -> usize {
-    scratch.cand.clear();
-    // `|v| > thr` and `mag(v) > thr` agree for every thr ≥ 0: NaN fails both.
-    if let Some(thr) = sampled_threshold(dense.len(), k, sample, rng, scratch, |i| dense[i]) {
-        simd::compact_above(dense, thr, 0, &mut scratch.cand);
-    }
-    out.dim = dense.len();
-    let examined = select_among(dense, k, scratch, &mut out.indices);
-    out.values.clear();
-    out.values
-        .extend(out.indices.iter().map(|&i| dense[i as usize]));
-    examined
-}
-
 /// Fused residual-accumulate + exact top-k extraction: the per-step
 /// gradient hot loop in **one memory pass** instead of three.
 ///
-/// Semantically identical — bitwise, including the RNG stream — to the
-/// unfused sequence
+/// Semantically identical — bitwise — to the unfused sequence
 ///
 /// 1. `acc[i] += grad[i]` (residual accumulate),
-/// 2. [`threshold_estimate_topk_into`] over the accumulated buffer,
+/// 2. [`topk_sparse_into`] over the accumulated buffer,
 /// 3. zeroing the selected coordinates in `acc`,
 ///
 /// but the accumulate, the threshold scan, and the candidate compaction
@@ -403,10 +351,9 @@ pub fn threshold_estimate_topk_into(
 /// accumulating, at the identical positions.
 ///
 /// Writes the exact top-`k` of the accumulated buffer into `out` and
-/// zeroes the selected coordinates in `acc`. `sample == 0` selects the
-/// built-in RNG-free sampler (what `Selector::Exact` runs on). Returns
-/// the number of coordinates the final exact select examined, like
-/// [`threshold_estimate_topk_into`].
+/// zeroes the selected coordinates in `acc`. Returns the number of
+/// coordinates the final exact select examined, like
+/// [`topk_indices_into`].
 ///
 /// # Panics
 ///
@@ -415,14 +362,12 @@ pub fn accumulate_select_compact(
     acc: &mut [f32],
     grad: &[f32],
     k: usize,
-    sample: usize,
-    rng: &mut impl Rng,
     scratch: &mut TopkScratch,
     out: &mut SparseVec,
 ) -> usize {
     assert_eq!(grad.len(), acc.len(), "gradient length mismatch");
     scratch.cand.clear();
-    match sampled_threshold(acc.len(), k, sample, rng, scratch, |i| acc[i] + grad[i]) {
+    match sampled_cut(acc.len(), k, scratch, |i| acc[i] + grad[i]) {
         // THE fused pass: accumulate, threshold-compare the accumulated
         // value, and emit candidate indices, one traversal.
         Some(thr) => simd::accumulate_compact_above(acc, grad, thr, 0, &mut scratch.cand),
@@ -437,18 +382,6 @@ pub fn accumulate_select_compact(
         .map(|&i| std::mem::take(&mut acc[i as usize]));
     out.values.extend(taken);
     examined
-}
-
-/// Allocating wrapper around [`threshold_estimate_topk_into`].
-pub fn threshold_estimate_topk_sparse(
-    dense: &[f32],
-    k: usize,
-    sample: usize,
-    rng: &mut impl Rng,
-) -> SparseVec {
-    let mut out = SparseVec::empty(dense.len());
-    threshold_estimate_topk_into(dense, k, sample, rng, &mut TopkScratch::new(), &mut out);
-    out
 }
 
 #[cfg(test)]
@@ -483,10 +416,9 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Runs every exact entry point — plain, estimate (built-in and RNG
-    /// sampler), fused, and `Residual`'s range extraction — on `values`
-    /// and checks each against the sort oracle, values and buffer state
-    /// included.
+    /// Runs every exact entry point — plain, fused, and `Residual`'s range
+    /// extraction — on `values` and checks each against the sort oracle,
+    /// values and buffer state included.
     fn assert_all_paths_match_oracle(values: &[f32], k: usize) {
         let n = values.len();
         let want = oracle(values, k);
@@ -494,38 +426,22 @@ mod tests {
             idx.iter().map(|&i| src[i as usize].to_bits()).collect()
         };
         assert_eq!(topk_indices(values, k), want, "topk_indices n={n} k={k}");
+        let got = topk_sparse(values, k);
+        assert_eq!(got.indices(), want, "topk_sparse n={n} k={k}");
+        assert_eq!(bits(got.values()), gather(values, &want));
+
         // acc + grad = 2·values keeps every tie, zero, NaN and inf.
         let doubled: Vec<f32> = values.iter().map(|v| v + v).collect();
         let want_doubled = oracle(&doubled, k);
-        for sample in [0usize, 16] {
-            let mut rng = StdRng::seed_from_u64(7);
-            let got = threshold_estimate_topk_sparse(values, k, sample, &mut rng);
-            assert_eq!(got.indices(), want, "estimate n={n} k={k} sample={sample}");
-            assert_eq!(bits(got.values()), gather(values, &want));
-
-            let mut acc = values.to_vec();
-            let mut out = SparseVec::empty(0);
-            let mut scratch = TopkScratch::new();
-            accumulate_select_compact(
-                &mut acc,
-                values,
-                k,
-                sample,
-                &mut rng,
-                &mut scratch,
-                &mut out,
-            );
-            assert_eq!(out.dim(), n);
-            assert_eq!(
-                out.indices(),
-                want_doubled,
-                "fused n={n} k={k} sample={sample}"
-            );
-            assert_eq!(bits(out.values()), gather(&doubled, &want_doubled));
-            let mut left = doubled.clone();
-            want_doubled.iter().for_each(|&i| left[i as usize] = 0.0);
-            assert_eq!(bits(&acc), bits(&left), "fused buffer n={n} k={k}");
-        }
+        let mut acc = values.to_vec();
+        let mut out = SparseVec::empty(0);
+        accumulate_select_compact(&mut acc, values, k, &mut TopkScratch::new(), &mut out);
+        assert_eq!(out.dim(), n);
+        assert_eq!(out.indices(), want_doubled, "fused n={n} k={k}");
+        assert_eq!(bits(out.values()), gather(&doubled, &want_doubled));
+        let mut left = doubled.clone();
+        want_doubled.iter().for_each(|&i| left[i as usize] = 0.0);
+        assert_eq!(bits(&acc), bits(&left), "fused buffer n={n} k={k}");
         // Range extraction over the middle half, global indices.
         let (lo, hi) = (n / 4, n - n / 4);
         let mut r = crate::Residual::new(n);
@@ -591,6 +507,7 @@ mod tests {
         let v = [1.0, 2.0];
         assert!(topk_indices(&v, 0).is_empty());
         assert_eq!(topk_indices(&v, 5), vec![0, 1]);
+        assert!(topk_sparse(&[], 3).is_empty());
     }
 
     #[test]
@@ -657,14 +574,13 @@ mod tests {
 
     #[test]
     fn threshold_path_engages_on_large_inputs_and_falls_back_on_ties() {
-        let mut rng = StdRng::seed_from_u64(0);
         let mut scratch = TopkScratch::new();
         let mut out = SparseVec::empty(0);
         let n = 3 * PREFILTER_MIN;
-        // Heavy-tailed: the built-in sampler's threshold keeps k and some.
+        // Heavy-tailed: the sampled threshold keeps k and some.
         let v = hostile(4, n, 1);
         for k in [n / 1000, n / 4] {
-            let examined = threshold_estimate_topk_into(&v, k, 0, &mut rng, &mut scratch, &mut out);
+            let examined = topk_sparse_into(&v, k, &mut scratch, &mut out);
             assert!(
                 (k..n / 2).contains(&examined),
                 "k={k}: examined {examined} of {n}"
@@ -675,17 +591,14 @@ mod tests {
         // the sampled threshold: every index becomes a candidate.
         for shape in [1, 2] {
             let v = hostile(shape, n, 1);
-            let examined =
-                threshold_estimate_topk_into(&v, n / 10, 0, &mut rng, &mut scratch, &mut out);
+            let examined = topk_sparse_into(&v, n / 10, &mut scratch, &mut out);
             assert_eq!(examined, n, "shape {shape}");
             assert_eq!(out.indices(), oracle(&v, n / 10), "shape {shape}");
         }
         // Below the cut-off no sample is taken at all.
         let v = hostile(4, PREFILTER_MIN - 1, 1);
-        let examined = threshold_estimate_topk_into(&v, 4, 0, &mut rng, &mut scratch, &mut out);
+        let examined = topk_sparse_into(&v, 4, &mut scratch, &mut out);
         assert_eq!(examined, v.len());
-        // The built-in sampler drew nothing from the stream.
-        assert_eq!(rng.state(), StdRng::seed_from_u64(0).state());
     }
 
     #[test]
@@ -754,8 +667,7 @@ mod tests {
     fn threshold_estimate_fast_path_engages_and_stays_exact() {
         // 5% heavy hitters: the sampled threshold lands inside the heavy
         // band, so the strict filter examines a few hundred candidates
-        // instead of all n — while the output stays bitwise exact.
-        let mut rng = StdRng::seed_from_u64(5);
+        // instead of all n — while the output stays exact.
         let n = 20_000usize;
         let dense: Vec<f32> = (0..n)
             .map(|i| {
@@ -766,12 +678,10 @@ mod tests {
                 }
             })
             .collect();
-        let mut scratch = TopkScratch::new();
         let mut out = SparseVec::empty(0);
         let k = 150;
-        let examined =
-            threshold_estimate_topk_into(&dense, k, 512, &mut rng, &mut scratch, &mut out);
-        assert_eq!(out, topk_sparse(&dense, k), "must be bitwise exact");
+        let examined = topk_sparse_into(&dense, k, &mut TopkScratch::new(), &mut out);
+        assert_eq!(out.indices(), oracle(&dense, k), "must be exact");
         assert!(
             examined < n / 4,
             "fast path should examine far fewer than n candidates, examined {examined}"
@@ -779,22 +689,9 @@ mod tests {
     }
 
     #[test]
-    fn threshold_estimate_edge_cases() {
-        let mut rng = StdRng::seed_from_u64(1);
-        assert!(threshold_estimate_topk_sparse(&[], 3, 8, &mut rng).is_empty());
-        let v = [1.0f32, -2.0];
-        assert!(threshold_estimate_topk_sparse(&v, 0, 8, &mut rng).is_empty());
-        assert_eq!(
-            threshold_estimate_topk_sparse(&v, 5, 8, &mut rng),
-            topk_sparse(&v, 5)
-        );
-    }
-
-    #[test]
     fn fused_fast_path_engages_and_stays_exact() {
         // Same heavy-hitter structure as the unfused fast-path test: the
         // fused pass must stay exact while examining far fewer than n.
-        let mut rng = StdRng::seed_from_u64(5);
         let n = 20_000usize;
         let acc0: Vec<f32> = (0..n).map(|i| (i % 5) as f32 * 1e-5).collect();
         let grad: Vec<f32> = (0..n)
@@ -810,8 +707,7 @@ mod tests {
         let mut scratch = TopkScratch::new();
         let mut out = SparseVec::empty(0);
         let k = 150;
-        let examined =
-            accumulate_select_compact(&mut acc, &grad, k, 512, &mut rng, &mut scratch, &mut out);
+        let examined = accumulate_select_compact(&mut acc, &grad, k, &mut scratch, &mut out);
         let mut expect_dense = acc0;
         for (a, &g) in expect_dense.iter_mut().zip(grad.iter()) {
             *a += g;
@@ -830,19 +726,14 @@ mod tests {
 
     proptest! {
         /// The fused accumulate+select+compact kernel is bitwise
-        /// identical — extracted vector, buffer state, and RNG
-        /// consumption — to the unfused three-pass sequence (accumulate,
-        /// estimate-select, zero), for any state, gradient, k, and seed.
-        /// Ties, NaNs, and degenerate k included.
+        /// identical — extracted vector and buffer state — to the unfused
+        /// three-pass sequence (accumulate, select, zero), for any state,
+        /// gradient and k. Ties, NaNs, and degenerate k included.
         #[test]
         fn prop_fused_bitwise_equals_unfused(
             base in proptest::collection::vec(-6i32..6, 1..300),
             k in 0usize..48,
-            seed in 0u64..25,
-            sample in 0usize..2,
         ) {
-            // Sample size 0 is the built-in RNG-free sampler.
-            let sample = sample * 16;
             let acc0: Vec<f32> = base.iter().enumerate()
                 .map(|(i, &v)| if i % 17 == 16 { f32::NAN } else { v as f32 * 0.5 })
                 .collect();
@@ -853,49 +744,17 @@ mod tests {
             // Unfused reference: accumulate, select, zero.
             let mut acc_ref = acc0.clone();
             for (a, &g) in acc_ref.iter_mut().zip(grad.iter()) { *a += g; }
-            let mut rng_ref = StdRng::seed_from_u64(seed);
             let mut out_ref = SparseVec::empty(0);
-            threshold_estimate_topk_into(
-                &acc_ref, k, sample, &mut rng_ref, &mut TopkScratch::new(), &mut out_ref);
+            topk_sparse_into(&acc_ref, k, &mut TopkScratch::new(), &mut out_ref);
             for &i in out_ref.indices() { acc_ref[i as usize] = 0.0; }
 
             let mut acc = acc0;
-            let mut rng = StdRng::seed_from_u64(seed);
             let mut out = SparseVec::empty(0);
-            accumulate_select_compact(
-                &mut acc, &grad, k, sample, &mut rng, &mut TopkScratch::new(), &mut out);
+            accumulate_select_compact(&mut acc, &grad, k, &mut TopkScratch::new(), &mut out);
 
             prop_assert_eq!(out.indices(), out_ref.indices());
-            let vb: Vec<u32> = out.values().iter().map(|v| v.to_bits()).collect();
-            let rb: Vec<u32> = out_ref.values().iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(vb, rb);
-            let ab: Vec<u32> = acc.iter().map(|v| v.to_bits()).collect();
-            let eb: Vec<u32> = acc_ref.iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(ab, eb, "buffer state diverged");
-            // Both paths must have consumed the identical rng prefix.
-            prop_assert_eq!(rng.gen_range(0..u32::MAX), rng_ref.gen_range(0..u32::MAX));
-        }
-
-        /// The threshold-estimate selector is bitwise identical to the
-        /// exact kernel for any input, k, and rng seed — only its running
-        /// time is probabilistic. Ties and NaNs included.
-        #[test]
-        fn prop_threshold_estimate_bitwise_equals_exact(
-            values in proptest::collection::vec(-8i32..8, 1..300),
-            k in 0usize..48,
-            seed in 0u64..25,
-        ) {
-            let values: Vec<f32> = values.iter().enumerate()
-                .map(|(i, &v)| if i % 13 == 12 { f32::NAN } else { v as f32 })
-                .collect();
-            let mut rng = StdRng::seed_from_u64(seed);
-            let got = threshold_estimate_topk_sparse(&values, k, 16, &mut rng);
-            let exact = topk_sparse(&values, k);
-            prop_assert_eq!(got.indices(), exact.indices());
-            // Compare bit patterns so NaN values also count as equal.
-            let gb: Vec<u32> = got.values().iter().map(|v| v.to_bits()).collect();
-            let eb: Vec<u32> = exact.values().iter().map(|v| v.to_bits()).collect();
-            prop_assert_eq!(gb, eb);
+            prop_assert_eq!(bits(out.values()), bits(out_ref.values()));
+            prop_assert_eq!(bits(&acc), bits(&acc_ref), "buffer state diverged");
         }
 
         /// Exact top-k always matches a full sort of magnitudes.

@@ -14,8 +14,6 @@
 //! each `#[test]` only ever counts its own thread's allocations.
 
 use gtopk_sparse::{Residual, SparseVec};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -78,20 +76,19 @@ fn grad_epoch(n: usize, steps: usize) -> Vec<Vec<f32>> {
         .collect()
 }
 
-/// Runs one epoch of the unfused estimate path over warmed state.
+/// Runs one epoch of the unfused accumulate-then-select path over warmed
+/// state.
 fn run_unfused(r: &mut Residual, grads: &[Vec<f32>], k: usize, out: &mut SparseVec) {
-    let mut rng = StdRng::seed_from_u64(42);
     for g in grads {
         r.accumulate(g);
-        r.extract_topk_threshold_into(k, 128, &mut rng, out);
+        r.extract_topk_into(k, out);
     }
 }
 
 /// Runs one epoch of the fused accumulate+select+compact path.
 fn run_fused(r: &mut Residual, grads: &[Vec<f32>], k: usize, out: &mut SparseVec) {
-    let mut rng = StdRng::seed_from_u64(42);
     for g in grads {
-        r.accumulate_extract_threshold_into(g, k, 128, &mut rng, out);
+        r.accumulate_extract_into(g, k, out);
     }
 }
 
@@ -102,18 +99,18 @@ fn threshold_estimate_path_allocates_nothing_at_steady_state() {
     let grads = grad_epoch(n, 12);
     let mut r = Residual::new(n);
     let mut out = SparseVec::empty(n);
-    // Warm-up epoch: identical call sequence (same seed, same gradients),
-    // so every scratch buffer reaches its epoch high-water capacity.
+    // Warm-up epoch: identical call sequence (same gradients), so every
+    // scratch buffer reaches its epoch high-water capacity.
     run_unfused(&mut r, &grads, k, &mut out);
     r.clear();
     let before = alloc_calls();
     run_unfused(&mut r, &grads, k, &mut out);
     let allocs = alloc_calls() - before;
-    assert_eq!(allocs, 0, "steady-state estimate epoch allocated {allocs}x");
+    assert_eq!(allocs, 0, "steady-state unfused epoch allocated {allocs}x");
 }
 
 /// One epoch of the Ok-Topk local selection discipline: fused
-/// accumulate+threshold-select of the k-entry candidate set, split off
+/// accumulate+select of the k-entry candidate set, split off
 /// the over-budget tail (the entries the collective's per-round quotas
 /// would drop), and witness it back into the residual.
 fn run_oktopk(
@@ -124,9 +121,8 @@ fn run_oktopk(
     keep: &mut SparseVec,
     rej: &mut SparseVec,
 ) {
-    let mut rng = StdRng::seed_from_u64(42);
     for g in grads {
-        r.accumulate_extract_threshold_into(g, k, 128, &mut rng, out);
+        r.accumulate_extract_into(g, k, out);
         // Boundary split stands in for the budget truncation: the upper
         // index range plays the witnessed rejects put back each step.
         out.split_at_into(out.dim() as u32 / 2, keep, rej);
@@ -167,8 +163,7 @@ fn fused_path_allocates_nothing_at_steady_state() {
 }
 
 /// The default selector's step — `Selector::Exact` runs the fused kernel
-/// with its built-in sampler (`sample == 0`) — at first-warm-up-epoch and
-/// steady-state densities. Stricter than the epochs above: only the first
+/// — at first-warm-up-epoch and steady-state densities. Stricter than the epochs above: only the first
 /// *step* may allocate, although every later step sees a different
 /// gradient and collects a different number of candidates.
 #[test]
@@ -178,12 +173,11 @@ fn exact_fused_path_allocates_nothing_after_the_first_step() {
     for k in [1_000, 250_000] {
         let mut r = Residual::new(n);
         let mut out = SparseVec::empty(n);
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut examined = r.accumulate_extract_threshold_into(&grads[0], k, 0, &mut rng, &mut out);
+        let mut examined = r.accumulate_extract_into(&grads[0], k, &mut out);
         let before = alloc_calls();
         for g in &grads[1..] {
             assert!(examined < n, "k={k}: the threshold pass must engage");
-            examined = r.accumulate_extract_threshold_into(g, k, 0, &mut rng, &mut out);
+            examined = r.accumulate_extract_into(g, k, &mut out);
             assert_eq!(out.nnz(), k);
         }
         let allocs = alloc_calls() - before;

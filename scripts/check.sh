@@ -31,55 +31,55 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "==> benchmark package tests (replica equivalence + contract)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target
 
+# Rename/removal guards. The matrix below runs every suite through the one
+# workspace-wide `cargo test`; these only check, without running anything
+# a second time, that the suites the gate depends on still exist under
+# the names it knows them by.
+require_tests() {
+  local n
+  n="$(cargo test -q --offline "$@" -- --list 2>/dev/null | grep -c ': test$' || true)"
+  if [ "$n" -lt 1 ]; then
+    echo "error: \`cargo test $*\` matches no test (renamed or removed?)" >&2
+    exit 1
+  fi
+}
+
+echo "==> suite registration guards"
+# The workspace-level integration suites under tests/ are registered as
+# [[test]] targets of gtopk-core: a file added to tests/ but not to
+# crates/core/Cargo.toml would silently never run.
+for f in tests/*.rs; do
+  name="$(basename "$f" .rs)"
+  if ! grep -q "name = \"$name\"" crates/core/Cargo.toml; then
+    echo "error: $f is not registered as a [[test]] target in crates/core/Cargo.toml" >&2
+    exit 1
+  fi
+  require_tests -p gtopk-core --test "$name"
+done
+# Refactor pins: the per-algorithm golden trajectories and the capability
+# sweep over every (algorithm, engine, topology, recovery) cell.
+require_tests -p gtopk-core --test golden_parity
+require_tests -p gtopk-core --test capability_sweep
+# Transport contract: the shared conformance suite must hold for both the
+# simulated and the real-TCP backend.
+require_tests -p gtopk-comm --test transport_conformance
+# Algorithm zoo (Ok-Topk / SparDL): the budget-padded collectives, the
+# schedule replay, and the Ok-Topk steady-state allocation gate.
+require_tests -p gtopk-core --lib zoo
+require_tests -p gtopk-perfmodel --lib zoo
+require_tests -p gtopk-sparse --test alloc_steadystate oktopk
+# Sharded parameter server & multi-job orchestrator: the shard map, the
+# push/pull engine, the incast cost twin, and the fair-share orchestrator.
+require_tests -p gtopk-comm --lib shard
+require_tests -p gtopk-core --lib ps::
+require_tests -p gtopk-core --lib orchestrator::
+require_tests -p gtopk-perfmodel --lib pscost
+
 for threads in "${THREAD_MATRIX[@]}"; do
   for simd in "${SIMD_MATRIX[@]}"; do
     export GTOPK_THREADS="$threads" GTOPK_SIMD="$simd"
     echo "==> cargo test -q (GTOPK_THREADS=$threads GTOPK_SIMD=$simd)"
     cargo test -q --offline
-
-    # The workspace-level integration suites under tests/ are registered
-    # as [[test]] targets of gtopk-core; run them explicitly so a
-    # registration mistake (a file added to tests/ but not to
-    # crates/core/Cargo.toml) fails loudly here instead of silently never
-    # running.
-    echo "==> workspace integration suites (tests/, GTOPK_THREADS=$threads GTOPK_SIMD=$simd)"
-    for f in tests/*.rs; do
-      name="$(basename "$f" .rs)"
-      if ! grep -q "name = \"$name\"" crates/core/Cargo.toml; then
-        echo "error: $f is not registered as a [[test]] target in crates/core/Cargo.toml" >&2
-        exit 1
-      fi
-      cargo test -q --offline -p gtopk-core --test "$name"
-    done
-
-    # Transport contract: the shared conformance suite must hold for both
-    # the simulated and the real-TCP backend (it also runs as part of the
-    # workspace tests above; the explicit invocation keeps a rename or
-    # removal from silently dropping it).
-    echo "==> transport conformance suite (GTOPK_THREADS=$threads GTOPK_SIMD=$simd)"
-    cargo test -q --offline -p gtopk-comm --test transport_conformance
-
-    # Algorithm zoo (Ok-Topk / SparDL): the budget-padded collectives,
-    # schedule replay, and the Ok-Topk steady-state allocation gate must
-    # hold at every (threads, SIMD) point — the same bitwise-identity
-    # promise the gTop-k kernels make. The plan_equivalence /
-    # communication_complexity / convergence_parity zoo properties run
-    # in the per-file loop above; these cover the crate-local suites.
-    echo "==> algorithm zoo suites (GTOPK_THREADS=$threads GTOPK_SIMD=$simd)"
-    cargo test -q --offline -p gtopk-core --lib zoo
-    cargo test -q --offline -p gtopk-perfmodel --lib zoo
-    cargo test -q --offline -p gtopk-sparse --test alloc_steadystate oktopk
-
-    # Sharded parameter server & multi-job orchestrator: the shard map,
-    # push/pull engine, incast cost twin, and fair-share orchestrator
-    # carry the same bitwise promises (the ps_parity / ps_staleness /
-    # ps_plan_equivalence suites run in the per-file loop above; these
-    # cover the crate-local units).
-    echo "==> parameter-server suites (GTOPK_THREADS=$threads GTOPK_SIMD=$simd)"
-    cargo test -q --offline -p gtopk-comm --lib shard
-    cargo test -q --offline -p gtopk-core --lib ps::
-    cargo test -q --offline -p gtopk-core --lib orchestrator::
-    cargo test -q --offline -p gtopk-perfmodel --lib pscost
   done
 done
 
@@ -88,7 +88,7 @@ done
 # via rendezvous files — no pre-agreed port list, so parallel CI jobs
 # cannot collide) loses one worker mid-run and must finish on the
 # survivors. Skipped where loopback sockets are unavailable; the
-# tcp_cluster test suite above gates itself the same way.
+# tcp_cluster test suite gates itself the same way.
 echo "==> multi-process TCP cluster (kill one worker mid-run)"
 if cargo run -q --offline -p gtopk-cli -- info >/dev/null 2>&1 \
   && scripts/probe_loopback.sh; then
@@ -102,9 +102,10 @@ if cargo run -q --offline -p gtopk-cli -- info >/dev/null 2>&1 \
 
   # Sharded parameter server over real sockets: S = P co-located shards,
   # one shard HOST is SIGKILLed mid-run; the survivors must remap its
-  # shard onto the shrunken membership and finish.
+  # shard onto the shrunken membership and finish. (100 epochs: the kill
+  # lands 2 s in, and 8 epochs of this workload are over by then.)
   echo "==> PS cluster (kill one shard host mid-run)"
-  scripts/run_ps_cluster.sh 4 8
+  scripts/run_ps_cluster.sh 4 100
 else
   echo "    skipped: loopback sockets unavailable"
 fi

@@ -51,7 +51,7 @@ fn round(
     let (global, gmask, tree_rejects) =
         ft_gtopk_all_reduce_with_feedback(comm, members, local.clone(), K, Topology::Binomial)
             .unwrap();
-    // The trainer's put-back discipline (see `GtopkFeedbackAggregator`).
+    // The trainer's put-back discipline (see `Rejects::PutBackOwnAndWitnessed`).
     let (_kept, rejected) = local.partition_by(&gmask);
     residual.put_back(&rejected);
     let (lost_but_selected, _owner_covered) = tree_rejects.partition_by(&gmask);

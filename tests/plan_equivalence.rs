@@ -129,7 +129,7 @@ proptest! {
         );
     }
 
-    /// The Ok-Topk threshold-estimate selection path conserves gradient
+    /// The Ok-Topk fused selection path conserves gradient
     /// mass exactly: every extracted value either lands in the (unscaled)
     /// global or returns to someone's residual via the witnessed-reject
     /// put-back — coordinate-wise, across arbitrary P and k.
@@ -148,7 +148,7 @@ proptest! {
                 let rank = comm.rank();
                 let mut residual = Residual::new(dim);
                 let mut select =
-                    SelectorState::new(Selector::ThresholdEstimate { sample: 16 }, rank);
+                    SelectorState::new(Selector::Exact, rank);
                 let mut local = SparseVec::empty(dim);
                 let g = grad(rank, dim, seed);
                 select.accumulate_extract_into(

@@ -7,8 +7,8 @@
 //! These properties pin that contract for every kernel the SIMD layer
 //! dispatches: residual accumulate (axpy), the matmul row microkernel,
 //! magnitude scans, threshold compaction, the fused
-//! accumulate+select+compact pass, and the full threshold-estimate
-//! selection pipeline through `Residual`.
+//! accumulate+select+compact pass, and the full selection pipeline
+//! through `Residual`.
 //!
 //! Inputs deliberately include NaN, ±0.0, denormals, heavy |v| ties, and
 //! lengths with `n % lane-width != 0` so lane-remainder tails, NaN
@@ -186,27 +186,21 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The fused `accumulate_select_compact` kernel returns the same
-    /// selection (indices, value bits), leaves the same buffer bits, and
-    /// consumes the same RNG stream at every matrix point.
+    /// selection (indices, value bits) and leaves the same buffer bits at
+    /// every matrix point.
     #[test]
     fn prop_fused_selection_bitwise_identical(
         pairs in proptest::collection::vec((tie_heavy_f32(), tie_heavy_f32()), 40..200),
         k in 1usize..24,
-        seed in 0u64..1000,
     ) {
         let (acc0, g) = unzip(&pairs);
         let n = acc0.len();
-        let sample = 32;
         let run = || {
             let mut acc = acc0.clone();
-            let mut rng = StdRng::seed_from_u64(seed);
             let mut scratch = TopkScratch::new();
             let mut out = SparseVec::empty(n);
-            accumulate_select_compact(&mut acc, &g, k, sample, &mut rng, &mut scratch, &mut out);
-            // Trailing draw proves both paths consumed the same number of
-            // RNG samples.
-            let sync: u32 = rng.gen_range(0..u32::MAX);
-            (out.indices().to_vec(), bits(out.values()), bits(&acc), sync)
+            accumulate_select_compact(&mut acc, &g, k, &mut scratch, &mut out);
+            (out.indices().to_vec(), bits(out.values()), bits(&acc))
         };
         let expect = scalar_ref(run);
         on_matrix(|| {
@@ -215,27 +209,25 @@ proptest! {
         });
     }
 
-    /// The full `Residual` threshold-estimate pipeline — multi-step, with
-    /// error feedback carrying across steps — is bitwise reproducible
-    /// across the whole dispatch matrix, fused and unfused alike.
+    /// The full `Residual` selection pipeline — multi-step, with error
+    /// feedback carrying across steps — is bitwise reproducible across
+    /// the whole dispatch matrix, fused and unfused alike.
     #[test]
     fn prop_residual_pipeline_bitwise_identical(
         grads in proptest::collection::vec(
             proptest::collection::vec(tie_heavy_f32(), 150), 1..4),
         k in 1usize..20,
-        seed in 0u64..1000,
     ) {
         let n = grads[0].len();
         let run = |fused: bool| {
             let mut r = Residual::new(n);
-            let mut rng = StdRng::seed_from_u64(seed);
             let mut trace: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
             for g in &grads {
                 let sv = if fused {
-                    r.accumulate_extract_threshold(g, k, 32, &mut rng)
+                    r.accumulate_extract(g, k)
                 } else {
                     r.accumulate(g);
-                    r.extract_topk_threshold(k, 32, &mut rng)
+                    r.extract_topk(k)
                 };
                 trace.push((sv.indices().to_vec(), bits(sv.values())));
             }
@@ -249,10 +241,10 @@ proptest! {
     }
 }
 
-/// The default (`Selector::Exact`) step at a size where its built-in
-/// sampler engages the SIMD threshold pass: fused (`sample == 0`) and
-/// unfused (`accumulate` + `extract_topk`) agree with the scalar serial
-/// run at every matrix point, across steps that carry residual.
+/// The default (`Selector::Exact`) step at a size where its sampler
+/// engages the SIMD threshold pass: fused and unfused (`accumulate` +
+/// `extract_topk`) agree with the scalar serial run at every matrix
+/// point, across steps that carry residual.
 #[test]
 fn exact_pipeline_above_the_prefilter_cutoff_bitwise_identical() {
     let n = 3 * 4096 + 5; // lane remainder included
@@ -273,12 +265,11 @@ fn exact_pipeline_above_the_prefilter_cutoff_bitwise_identical() {
     for k in [12usize, 3000] {
         let run = |fused: bool| {
             let mut r = Residual::new(n);
-            let mut rng = StdRng::seed_from_u64(9);
             let mut trace: Vec<(Vec<u32>, Vec<u32>)> = Vec::new();
             for g in &grads {
                 let mut sv = SparseVec::empty(n);
                 if fused {
-                    let examined = r.accumulate_extract_threshold_into(g, k, 0, &mut rng, &mut sv);
+                    let examined = r.accumulate_extract_into(g, k, &mut sv);
                     assert!(examined < n / 2, "k={k}: threshold pass must engage");
                 } else {
                     r.accumulate(g);
