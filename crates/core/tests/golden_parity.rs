@@ -6,8 +6,10 @@
 //! The literals were recorded from the eight per-algorithm aggregator
 //! structs and the overlap engine's private step, before both were
 //! collapsed into the one table-driven step; they pin that refactor (and
-//! any later one) to the same floats. A change that moves a fingerprint
-//! changed the numerics of that row.
+//! any later one) to the same floats. The warm-up-density literals were
+//! recorded before the `⊤` merge, the put-back and the sparse optimizer
+//! apply were rewritten. A change that moves a fingerprint changed the
+//! numerics of that row.
 
 use gtopk::{Aggregator, Algorithm, OverlapConfig, OverlapEngine, Selector, Update};
 use gtopk_comm::{Cluster, Communicator, CostModel, Topology};
@@ -97,6 +99,40 @@ fn serial_fingerprint(alg: Algorithm, p: usize) -> u64 {
     fold(&per_rank)
 }
 
+/// The first warm-up epoch's density (ρ = 0.25, the paper's §IV-B
+/// schedule): every `⊤` merge sees two ~16k-entry inputs, far above the
+/// 4096-entry cut-off, so the merge's sampled cut, the put-back and the
+/// sparse optimizer apply all run at the shape the training loop gives
+/// them. Each step applies the update with `MomentumSgd::step_sparse` and
+/// fingerprints update, residual, parameters and velocity.
+fn warmup_fingerprint(alg: Algorithm, p: usize) -> u64 {
+    let per_rank = Cluster::new(p, CostModel::zero()).run(move |comm| {
+        // 4096 × 16 weights: 65 536 parameters.
+        let mut model = models::logistic(0, 4095, 16);
+        let dim = model.num_params();
+        let k = dim / 4;
+        let mut opt = MomentumSgd::new(dim, 0.1, 0.9);
+        let mut agg = step_for(alg, comm);
+        let members: Vec<usize> = (0..comm.size()).collect();
+        let mut residual = Residual::new(dim);
+        let mut h = Fnv::new();
+        for step in 0..STEPS {
+            let g = grad(comm.rank(), step, dim);
+            let update = agg.aggregate(comm, &members, &mut residual, &g, k).unwrap();
+            let Update::Sparse(sv) = &update else {
+                panic!("{} yields a sparse update", alg.name());
+            };
+            opt.step_sparse(&mut model, sv);
+            h.update(&update);
+            h.floats(residual.dense());
+            h.floats(&model.flat_params());
+            h.floats(opt.velocity());
+        }
+        h.0
+    });
+    fold(&per_rank)
+}
+
 fn overlap_fingerprint(alg: Algorithm, p: usize, buckets: usize) -> u64 {
     let net = CostModel::gigabit_ethernet();
     let per_rank = Cluster::new(p, net).run(move |comm| {
@@ -171,6 +207,29 @@ fn every_algorithm_row_reproduces_its_recorded_trajectory() {
         }
     }
     check("serial", &got, &WANT);
+}
+
+#[test]
+fn tree_rows_reproduce_their_warmup_density_trajectory() {
+    const WANT: [u64; 6] = [
+        0xba3c9aeaa4a9e8f4, // gTop-k P=4
+        0x847afdb5ac20701b, // gTop-k P=5
+        0x93b3faa2a2cd7fa2, // gTop-k(feedback) P=4
+        0x45350fba82016249, // gTop-k(feedback) P=5
+        0x7cf40c81177e1254, // gTop-k(no-putback) P=4
+        0x4c1b52682e0d2ec4, // gTop-k(no-putback) P=5
+    ];
+    let mut got = Vec::new();
+    for alg in [
+        Algorithm::GTopK,
+        Algorithm::GTopKFeedback,
+        Algorithm::GTopKNoPutback,
+    ] {
+        for p in [4usize, 5] {
+            got.push((format!("{} P={p}", alg.name()), warmup_fingerprint(alg, p)));
+        }
+    }
+    check("warm-up", &got, &WANT);
 }
 
 #[test]
