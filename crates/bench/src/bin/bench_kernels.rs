@@ -8,8 +8,10 @@
 //! * the zero-allocation scratch-reuse paths against the allocating ones,
 //!   at the paper's steady state (ρ = 0.001) and at its first warm-up
 //!   epoch's density (ρ = 0.25, n = 1M);
+//! * the split merge (the feedback row's tree) and the put-back of
+//!   Algorithm 4 line 10, one walk against the mask + partition path;
 //! * `MomentumSgd::step_sparse` against densify-then-`step_dense` (what
-//!   it used to do) at m = 25M, k = 25 000;
+//!   it once did) at m = 25M, k = 25 000 and m = 1M, k = 250 000;
 //! * the blocked/row-parallel matmul against the naive i-k-j loop (and
 //!   asserting the single-thread dispatch is never slower than naive);
 //! * every available `GTOPK_SIMD` level against the scalar kernels;
@@ -26,8 +28,8 @@
 
 use gtopk_nn::{Model, MomentumSgd};
 use gtopk_sparse::{
-    topk_merge, topk_merge_into, topk_sparse, topk_sparse_into, MergeScratch, Residual, SparseVec,
-    TopkScratch,
+    topk_merge, topk_merge_into, topk_merge_split_into, topk_sparse, topk_sparse_into, Mask,
+    MergeScratch, Residual, SparseVec, TopkScratch,
 };
 use gtopk_tensor::simd::{self, SimdLevel};
 use gtopk_tensor::{matmul_flat, parallel, Tensor};
@@ -142,17 +144,21 @@ fn bench_select(rows: &mut Vec<Row>, kernel: &'static str, n: usize, k: usize) {
     });
 }
 
-/// The `⊤` merge of two independent top-`k`-of-`n` selections (2k
-/// entries in, k out), allocating vs scratch-reusing; looped `reps` times
-/// so each timing sample is well above clock resolution.
-fn bench_merge(rows: &mut Vec<Row>, kernel: &'static str, n: usize, k: usize, reps: usize) {
+/// Two independent top-`k`-of-`n` selections of uniform data: the `⊤`
+/// merge's inputs (2k entries in, k out).
+fn merge_inputs(n: usize, k: usize) -> (SparseVec, SparseVec) {
     let mut rng = StdRng::seed_from_u64(11);
-    let mk_sparse = |rng: &mut StdRng| {
+    let mut mk_sparse = || {
         let dense: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         topk_sparse(&dense, k)
     };
-    let a = mk_sparse(&mut rng);
-    let b = mk_sparse(&mut rng);
+    (mk_sparse(), mk_sparse())
+}
+
+/// The `⊤` merge, allocating vs scratch-reusing; looped `reps` times so
+/// each timing sample is well above clock resolution.
+fn bench_merge(rows: &mut Vec<Row>, kernel: &'static str, n: usize, k: usize, reps: usize) {
+    let (a, b) = merge_inputs(n, k);
 
     rows.push(Row {
         kernel,
@@ -185,6 +191,60 @@ fn bench_merge(rows: &mut Vec<Row>, kernel: &'static str, n: usize, k: usize, re
     });
 }
 
+/// The split `⊤` merge the feedback row's tree runs (kept and rejected
+/// halves), scratch-reusing, at the first warm-up epoch's density.
+fn bench_merge_split(rows: &mut Vec<Row>) {
+    let (a, b) = merge_inputs(N3, K3);
+    let mut scratch = MergeScratch::new();
+    let (mut kept, mut rejected) = (SparseVec::empty(N3), SparseVec::empty(N3));
+    rows.push(Row {
+        kernel: "topk_merge_split_rho25",
+        variant: "scratch_reuse",
+        threads: 1,
+        simd: simd::level().name(),
+        elements: 2 * K3 * 10,
+        baseline: true,
+        secs: time_median(5, || {
+            for _ in 0..10 {
+                topk_merge_split_into(&a, &b, K3, &mut scratch, &mut kept, &mut rejected);
+                black_box((&kept, &rejected));
+            }
+        }),
+    });
+}
+
+/// Algorithm 4 line 10 at the first warm-up epoch's density: return a
+/// rank's k = 250 000 selected entries that the global top-k (another
+/// k-selection, partly overlapping) rejected to the n = 1M residual —
+/// mask + partition + put-back (the former path) vs the one-walk
+/// put-back. Looped 10 times per sample.
+fn bench_put_back(rows: &mut Vec<Row>) {
+    let (local, other) = merge_inputs(N3, K3);
+    let global = topk_merge(&local, &other, K3);
+    for (variant, walk) in [("mask_partition_put_back", false), ("one_walk", true)] {
+        let mut residual = Residual::new(N3);
+        rows.push(Row {
+            kernel: "put_back",
+            variant,
+            threads: 1,
+            simd: simd::level().name(),
+            elements: K3 * 10,
+            baseline: !walk,
+            secs: time_median(5, || {
+                for _ in 0..10 {
+                    if walk {
+                        residual.put_back_unselected(black_box(&local), global.indices());
+                    } else {
+                        let mask = Mask::of_sparse(black_box(&global));
+                        residual.put_back(&local.partition_by(&mask).1);
+                    }
+                }
+                black_box(residual.dense());
+            }),
+        });
+    }
+}
+
 /// A model that is nothing but its flat parameter vector: the optimizer
 /// rows then time the optimizer, not a layer stack's parameter walk.
 struct FlatModel(Vec<f32>);
@@ -212,23 +272,23 @@ impl Model for FlatModel {
     }
 }
 
-/// Momentum-SGD apply of a k-sparse aggregated update, m = 25M,
-/// k = 25 000: densify into a fresh m-vector then `step_dense` (the
-/// former `step_sparse`) vs the gap-walking `step_sparse`.
-fn bench_opt_apply(rows: &mut Vec<Row>) {
+/// Momentum-SGD apply of a k-sparse aggregated update of an m-parameter
+/// model: densify into a fresh m-vector then `step_dense` (what
+/// `step_sparse` once did) vs the windowed `step_sparse`.
+fn bench_opt_apply(rows: &mut Vec<Row>, kernel: &'static str, m: usize, k: usize) {
     let mut rng = StdRng::seed_from_u64(29);
-    let dense: Vec<f32> = (0..N2).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    let update = topk_sparse(&dense, K2);
+    let dense: Vec<f32> = (0..m).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let update = topk_sparse(&dense, k);
     drop(dense);
     for (variant, densify) in [("densify_then_dense", true), ("step_sparse", false)] {
-        let mut model = FlatModel(vec![0.0; N2]);
-        let mut opt = MomentumSgd::new(N2, 0.01, 0.9);
+        let mut model = FlatModel(vec![0.0; m]);
+        let mut opt = MomentumSgd::new(m, 0.01, 0.9);
         rows.push(Row {
-            kernel: "opt_apply_sparse",
+            kernel,
             variant,
             threads: 1,
             simd: simd::level().name(),
-            elements: N2,
+            elements: m,
             baseline: densify,
             secs: time_median(5, || {
                 if densify {
@@ -398,7 +458,7 @@ fn render_json(rows: &[Row]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(
         out,
-        "  \"bench\": \"hot-path kernels at paper scale (n=14M k=14000 for select/merge, n=1M k=250000 for the _rho25 pair; n=25M k=25000 for opt_apply/simd/fusion rows)\","
+        "  \"bench\": \"hot-path kernels at paper scale (n=14M k=14000 for select/merge, n=1M k=250000 for the _rho25 rows and put_back; n=25M k=25000 for opt_apply/simd/fusion rows)\","
     );
     let cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let _ = writeln!(out, "  \"cpus\": {cpus},");
@@ -463,8 +523,12 @@ fn main() {
     eprintln!("benchmarking top-k merge ...");
     bench_merge(&mut rows, "topk_merge", N, K, 200);
     bench_merge(&mut rows, "topk_merge_rho25", N3, K3, 10);
-    eprintln!("benchmarking sparse optimizer apply (m = {N2}, k = {K2}) ...");
-    bench_opt_apply(&mut rows);
+    bench_merge_split(&mut rows);
+    eprintln!("benchmarking the put-back (n = {N3}, k = {K3}) ...");
+    bench_put_back(&mut rows);
+    eprintln!("benchmarking sparse optimizer apply (m = {N2}, k = {K2}; m = {N3}, k = {K3}) ...");
+    bench_opt_apply(&mut rows, "opt_apply_sparse", N2, K2);
+    bench_opt_apply(&mut rows, "opt_apply_sparse_rho25", N3, K3);
     eprintln!("benchmarking matmul ...");
     bench_matmul(&mut rows);
     eprintln!("benchmarking residual axpy across simd levels (n = {N2}) ...");

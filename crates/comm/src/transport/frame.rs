@@ -27,6 +27,12 @@ pub const VERSION: u8 = 1;
 /// the trainer ships).
 pub const MAX_FRAME_BYTES: usize = 1 << 30;
 
+/// The body chunk [`read_frame`] allocates before any body byte arrives:
+/// every frame up to this size — a ρ = 0.25 update of a 1M-parameter model
+/// is 2 MB — is read into one allocation, and a hostile length prefix
+/// costs no more.
+const FIRST_BODY_CHUNK: usize = 4 << 20;
+
 const KIND_HELLO: u8 = 1;
 const KIND_HEARTBEAT: u8 = 2;
 const KIND_DATA: u8 = 3;
@@ -178,8 +184,15 @@ pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Frame> {
     if len == 0 || len > MAX_FRAME_BYTES {
         return Err(bad(format!("frame length {len} out of range")));
     }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body)?;
+    // The body grows as its bytes arrive — to the first chunk, then
+    // doubling — so a length prefix alone cannot make the reader allocate
+    // more than the first chunk.
+    let mut body = Vec::new();
+    while body.len() < len {
+        let filled = body.len();
+        body.resize(len.min((2 * filled).max(FIRST_BODY_CHUNK)), 0);
+        r.read_exact(&mut body[filled..])?;
+    }
     decode_body(&body)
 }
 

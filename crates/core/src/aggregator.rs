@@ -14,12 +14,12 @@
 
 use crate::capability::{Algorithm, Collective, Rejects, Row};
 use crate::ft::epoch_tag_offset;
-use crate::gtopk_allreduce::{gtopk_all_reduce_over, naive_gtopk_all_reduce};
+use crate::gtopk_allreduce::{naive_gtopk_all_reduce, tree_all_reduce};
 use crate::selector::{Selector, SelectorState};
 use crate::sparse_coll::{sparse_sum_recursive_doubling, sparse_zoo_all_reduce_over};
 use gtopk_comm::{collectives, CollectivePlan, Communicator, CostModel, Result, Topology};
 use gtopk_perfmodel::{PlanClock, ZooSchedule};
-use gtopk_sparse::{Mask, Residual, SparseVec};
+use gtopk_sparse::{Residual, SparseVec};
 
 /// The aggregated, already `1/P`-averaged model update.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,12 +115,13 @@ impl Aggregator {
         let inv = 1.0 / p as f32;
         let tag_off = epoch_tag_offset(comm.epoch());
         // Select and reduce. Besides the global selection, a collective
-        // that selects hands back this rank's own selection with the
-        // global mask, and one that truncates hands back what this rank
-        // witnessed it truncate — the two things a rejects policy can ask
-        // for.
+        // that selects hands back this rank's own selection (the global
+        // mask is the global selection's support), and one that truncates
+        // hands back what this rank witnessed it truncate — the two things
+        // a rejects policy can ask for. The tree computes its merge
+        // rejects only for the row that reads them.
         let select = &mut self.select;
-        let (mut global, own, witnessed): (_, Option<(SparseVec, Mask)>, Option<SparseVec>) =
+        let (mut global, own, witnessed): (_, Option<SparseVec>, Option<SparseVec>) =
             match collective {
                 Collective::DenseRing => {
                     // Dense training has no residuals: every gradient is
@@ -138,20 +139,21 @@ impl Aggregator {
                 }
                 Collective::SparseSumThenSelect => {
                     let local = select.accumulate_extract(residual, grad, k);
-                    let (global, gmask) = naive_gtopk_all_reduce(comm, local.clone(), k)?;
-                    (global, Some((local, gmask)), None)
+                    let (global, _) = naive_gtopk_all_reduce(comm, local.clone(), k)?;
+                    (global, Some(local), None)
                 }
                 Collective::Tree => {
                     let local = select.accumulate_extract(residual, grad, k);
-                    let (global, gmask, witnessed) = gtopk_all_reduce_over(
+                    let (global, witnessed) = tree_all_reduce(
                         comm,
                         members,
                         local.clone(),
                         k,
                         tag_off,
                         self.topology,
+                        rejects == Rejects::PutBackOwnAndWitnessed,
                     )?;
-                    (global, Some((local, gmask)), Some(witnessed))
+                    (global, Some(local), witnessed)
                 }
                 Collective::Zoo(kind) => {
                     let sched = zoo_schedule(&mut self.sched, kind, p, k);
@@ -164,18 +166,19 @@ impl Aggregator {
                     (global, None, Some(witnessed))
                 }
             };
-        // Rejects: what the collective turned away goes where the row says.
-        if let (Rejects::PutBackOwn | Rejects::PutBackOwnAndWitnessed, Some((local, gmask))) =
+        // Rejects: what the collective turned away goes where the row says,
+        // each in one walk against the global selection's indices.
+        if let (Rejects::PutBackOwn | Rejects::PutBackOwnAndWitnessed, Some(local)) =
             (rejects, &own)
         {
             // Alg. 4 line 10: Gᵍ += G̃ᵍ ⊙ ¬gMask ⊙ Mask.
-            residual.put_back(&local.partition_by(gmask).1);
+            residual.put_back_unselected(local, global.indices());
         }
         if let Some(witnessed) = witnessed {
-            match (rejects, &own) {
-                (Rejects::Witnessed, _) => residual.put_back(&witnessed),
-                (Rejects::PutBackOwnAndWitnessed, Some((_, gmask))) => {
-                    residual.put_back(&witnessed.partition_by(gmask).0);
+            match rejects {
+                Rejects::Witnessed => residual.put_back(&witnessed),
+                Rejects::PutBackOwnAndWitnessed => {
+                    residual.put_back_selected(&witnessed, global.indices());
                 }
                 _ => {}
             }

@@ -58,7 +58,7 @@
 //! with [`Message::JOIN_WELCOME_TAG`] carrying the new epoch, the
 //! rollback iteration, and the full member list.
 
-use crate::gtopk_allreduce::gtopk_all_reduce_over;
+use crate::gtopk_allreduce::{gtopk_all_reduce_over, tree_all_reduce};
 use gtopk_comm::{CommError, Communicator, Message, Payload, Result, Topology};
 use gtopk_sparse::{Mask, SparseVec};
 use std::time::Duration;
@@ -130,8 +130,8 @@ pub fn ft_gtopk_all_reduce(
     topology: Topology,
 ) -> Result<(SparseVec, Mask)> {
     let off = epoch_tag_offset(comm.epoch());
-    let (global, mask, rejected) = gtopk_all_reduce_over(comm, members, local, k, off, topology)?;
-    comm.pool().put_sparse(rejected);
+    let (global, _) = tree_all_reduce(comm, members, local, k, off, topology, false)?;
+    let mask = Mask::of_sparse(&global);
     Ok((global, mask))
 }
 

@@ -11,7 +11,9 @@ use crate::sparse_coll::{sparse_broadcast_over, sparse_sum_recursive_doubling};
 use gtopk_comm::{
     execute_plan, CollectivePlan, Communicator, Message, Payload, PlanOps, Result, Topology,
 };
-use gtopk_sparse::{topk_merge_split_into, topk_sparse, Mask, MergeScratch, SparseVec};
+use gtopk_sparse::{
+    topk_merge_into, topk_merge_split_into, topk_sparse, Mask, MergeScratch, SparseVec,
+};
 
 /// Tree-reduction plan tag window (one tag per round; fault-tolerant
 /// callers add the epoch offset).
@@ -63,8 +65,8 @@ pub fn gtopk_all_reduce_topo(
     topology: Topology,
 ) -> Result<(SparseVec, Mask)> {
     let members: Vec<usize> = (0..comm.size()).collect();
-    let (global, mask, rejected) = gtopk_all_reduce_over(comm, &members, local, k, 0, topology)?;
-    comm.pool().put_sparse(rejected); // not needed by this variant — recycle
+    let (global, _) = tree_all_reduce(comm, &members, local, k, 0, topology, false)?;
+    let mask = Mask::of_sparse(&global);
     Ok((global, mask))
 }
 
@@ -94,15 +96,15 @@ pub fn gtopk_all_reduce_with_feedback(
     gtopk_all_reduce_over(comm, &members, local, k, 0, Topology::Binomial)
 }
 
-/// The single general gTopKAllReduce entry: membership-aware,
-/// tag-offsettable, topology-parameterized. Runs the `⊤`-reduction plan
-/// over `members` (a sorted subset of ranks that must include the
-/// caller), then the matching broadcast plan from the reduction's root
-/// position. Returns `(global top-k, mask, this rank's merge rejects)`.
+/// The general gTopKAllReduce with rejection feedback:
+/// membership-aware, tag-offsettable, topology-parameterized. Runs the
+/// `⊤`-reduction plan over `members` (a sorted subset of ranks that must
+/// include the caller), then the matching broadcast plan from the
+/// reduction's root position. Returns `(global top-k, mask, this rank's
+/// merge rejects)`.
 ///
-/// Every specialized variant — [`gtopk_all_reduce`],
-/// [`gtopk_all_reduce_with_feedback`], and the epoch-stamped
-/// fault-tolerant wrappers in [`crate::ft`] — funnels through here, so a
+/// [`gtopk_all_reduce_with_feedback`] and the epoch-stamped
+/// fault-tolerant wrappers in [`crate::ft`] funnel through here, so a
 /// shrink-and-continue recovery is literally "regenerate the plan over
 /// the survivors".
 ///
@@ -121,19 +123,45 @@ pub fn gtopk_all_reduce_over(
     tag_off: u32,
     topology: Topology,
 ) -> Result<(SparseVec, Mask, SparseVec)> {
-    let (global, rejected) = tree_reduce_over(comm, members, local, k, tag_off, topology)?;
+    let (global, rejected) = tree_all_reduce(comm, members, local, k, tag_off, topology, true)?;
+    let mask = Mask::of_sparse(&global);
+    Ok((global, mask, rejected.expect("witnessed on request")))
+}
+
+/// The one gTopKAllReduce every entry point runs: the `⊤`-reduction plan
+/// over `members`, then the broadcast from the reduction's root. Returns
+/// the global top-k and — only when `witness` asks for them — the entries
+/// this rank's merges truncated, summed over its rounds; without
+/// `witness` every merge is the reject-free `⊤`.
+///
+/// # Errors
+///
+/// Propagates transport errors.
+///
+/// # Panics
+///
+/// Panics if the calling rank is not in `members`.
+pub(crate) fn tree_all_reduce(
+    comm: &mut Communicator,
+    members: &[usize],
+    local: SparseVec,
+    k: usize,
+    tag_off: u32,
+    topology: Topology,
+    witness: bool,
+) -> Result<(SparseVec, Option<SparseVec>)> {
+    let (global, rejected) = tree_reduce_over(comm, members, local, k, tag_off, topology, witness)?;
     let root = members[topology.reduce_root(members.len())];
     let global = sparse_broadcast_over(comm, members, global, root, tag_off, topology)?;
-    let mask = Mask::of_sparse(&global);
-    Ok((global, mask, rejected))
+    Ok((global, rejected))
 }
 
 /// The plan-driven tree-reduction phase: the reduce plan's root position
 /// ends with the pairwise `⊤` combination of every member's
-/// contribution; every rank also accumulates the entries its own merges
-/// rejected. `tag_off` shifts the collective tag window (fault-tolerant
-/// callers stamp the membership epoch into it); with the full
-/// membership, `tag_off == 0` and the binomial topology the message
+/// contribution; with `witness`, every rank also accumulates the entries
+/// its own merges rejected. `tag_off` shifts the collective tag window
+/// (fault-tolerant callers stamp the membership epoch into it); with the
+/// full membership, `tag_off == 0` and the binomial topology the message
 /// schedule is bit-identical to the historical fixed-topology reduction.
 ///
 /// # Panics
@@ -146,13 +174,21 @@ fn tree_reduce_over(
     k: usize,
     tag_off: u32,
     topology: Topology,
-) -> Result<(SparseVec, SparseVec)> {
+    witness: bool,
+) -> Result<(SparseVec, Option<SparseVec>)> {
     let p = members.len();
     let me = members
         .iter()
         .position(|&r| r == comm.rank())
         .expect("caller must be a member of the reduction group");
     let dim = local.dim();
+    /// A witnessing rank's merge rejects: this round's, the running sum,
+    /// and the sum's double buffer.
+    struct Witnessed {
+        round: SparseVec,
+        total: SparseVec,
+        swap: SparseVec,
+    }
     // Pooled scratch + double-buffered accumulators serve every `⊤` merge
     // of the plan's rounds; sends *move* the accumulator into the message
     // and receivers retire incoming buffers into their own pool, so the
@@ -161,25 +197,22 @@ fn tree_reduce_over(
         acc: SparseVec,
         scratch: MergeScratch,
         merged: SparseVec,
-        round_rej: SparseVec,
-        rejected: SparseVec,
-        rej_swap: SparseVec,
+        witnessed: Option<Witnessed>,
         dim: usize,
         k: usize,
     }
     impl TreeOps {
         fn merge_in(&mut self, other: &SparseVec) {
-            topk_merge_split_into(
-                &self.acc,
-                other,
-                self.k,
-                &mut self.scratch,
-                &mut self.merged,
-                &mut self.round_rej,
-            );
+            let (acc, scratch, merged) = (&self.acc, &mut self.scratch, &mut self.merged);
+            match &mut self.witnessed {
+                None => topk_merge_into(acc, other, self.k, scratch, merged),
+                Some(rej) => {
+                    topk_merge_split_into(acc, other, self.k, scratch, merged, &mut rej.round);
+                    rej.total.add_into(&rej.round, &mut rej.swap);
+                    std::mem::swap(&mut rej.total, &mut rej.swap);
+                }
+            }
             std::mem::swap(&mut self.acc, &mut self.merged);
-            self.rejected.add_into(&self.round_rej, &mut self.rej_swap);
-            std::mem::swap(&mut self.rejected, &mut self.rej_swap);
         }
     }
     impl PlanOps for TreeOps {
@@ -194,19 +227,22 @@ fn tree_reduce_over(
             Ok(())
         }
     }
+    let witnessed = witness.then(|| Witnessed {
+        round: comm.pool().take_sparse(dim),
+        total: comm.pool().take_sparse(dim),
+        swap: comm.pool().take_sparse(dim),
+    });
     let mut ops = TreeOps {
         acc: local,
         scratch: comm.pool().take_scratch(),
         merged: comm.pool().take_sparse(dim),
-        round_rej: comm.pool().take_sparse(dim),
-        rejected: comm.pool().take_sparse(dim),
-        rej_swap: comm.pool().take_sparse(dim),
+        witnessed,
         dim,
         k,
     };
     // Truncate our own contribution to k first (callers normally already
     // did via local top-k selection). Merging with an empty vector is the
-    // identity, so the split-merge doubles as a plain split.
+    // identity, so the merge doubles as a plain truncation.
     if ops.acc.nnz() > k {
         let empty = SparseVec::empty(dim);
         ops.merge_in(&empty);
@@ -222,9 +258,12 @@ fn tree_reduce_over(
     )?;
     comm.pool().put_scratch(ops.scratch);
     comm.pool().put_sparse(ops.merged);
-    comm.pool().put_sparse(ops.round_rej);
-    comm.pool().put_sparse(ops.rej_swap);
-    Ok((ops.acc, ops.rejected))
+    let rejected = ops.witnessed.map(|rej| {
+        comm.pool().put_sparse(rej.round);
+        comm.pool().put_sparse(rej.swap);
+        rej.total
+    });
+    Ok((ops.acc, rejected))
 }
 
 /// Naive gTop-k via exact sparse sum (paper **Algorithm 2**).

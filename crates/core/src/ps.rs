@@ -39,7 +39,7 @@
 use crate::ft::epoch_tag_offset;
 use gtopk_comm::{Communicator, Message, Payload, Result, ShardMap};
 use gtopk_nn::{Model, MomentumSgd};
-use gtopk_sparse::{topk_indices_into, Mask, Residual, SparseVec, TopkScratch};
+use gtopk_sparse::{topk_indices_into, Residual, SparseVec, TopkScratch};
 use std::collections::VecDeque;
 
 /// Per-shard push tag band (`+ s` for shard `s`, plus the membership
@@ -352,9 +352,8 @@ impl PsEngine {
         // Identical error-feedback discipline to the allreduce family:
         // locally-selected coordinates the global selection rejected go
         // back into the residual; nothing is silently dropped.
-        let mask = Mask::of_sparse(&global);
-        let (_kept, rejected) = round.combined_local.partition_by(&mask);
-        self.residual.put_back(&rejected);
+        self.residual
+            .put_back_unselected(&round.combined_local, global.indices());
         global.scale(1.0 / members.len() as f32);
         let nnz = global.nnz() as u64;
         opt.step_sparse(model, &global);

@@ -180,6 +180,55 @@ impl Residual {
         rejected.add_into_dense(&mut self.acc);
     }
 
+    /// Algorithm 4 line 10 in one walk: returns to the buffer every entry
+    /// of `local` whose coordinate is *not* among the ascending `selected`
+    /// (`G += G̃ ⊙ ¬gMask`) — bitwise
+    /// `put_back(&local.partition_by(&mask).1)` without building the mask
+    /// or either half.
+    ///
+    /// # Panics
+    ///
+    /// Panics if dimensions differ.
+    pub fn put_back_unselected(&mut self, local: &SparseVec, selected: &[u32]) {
+        self.put_back_where(local, selected, false);
+    }
+
+    /// The other half: returns every entry of `v` whose coordinate *is*
+    /// among the ascending `selected` — bitwise
+    /// `put_back(&v.partition_by(&mask).0)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if dimensions differ.
+    pub fn put_back_selected(&mut self, v: &SparseVec, selected: &[u32]) {
+        self.put_back_where(v, selected, true);
+    }
+
+    /// One forward walk of `v` against `selected` (both ascending), adding
+    /// the entries whose membership equals `inside` straight into the
+    /// buffer. Branch-free: each step rewrites the current entry's
+    /// coordinate with either the sum or the unchanged value.
+    fn put_back_where(&mut self, v: &SparseVec, selected: &[u32], inside: bool) {
+        assert_eq!(v.dim(), self.acc.len(), "sparse dim mismatch");
+        let (vi, vv) = (&v.indices, &v.values);
+        let (mut x, mut s) = (0, 0);
+        while x < vi.len() && s < selected.len() {
+            let (i, j) = (vi[x], selected[s]);
+            // Entry x's membership is settled once the walk reaches `i`.
+            let settled = i <= j;
+            let cur = self.acc[i as usize];
+            let add = settled & ((i == j) == inside);
+            self.acc[i as usize] = simd::select_f32(add, cur + vv[x], cur);
+            x += usize::from(settled);
+            s += usize::from(j <= i);
+        }
+        if !inside {
+            for (&i, &val) in vi[x..].iter().zip(&vv[x..]) {
+                self.acc[i as usize] += val;
+            }
+        }
+    }
+
     /// Immutable view of the dense buffer.
     pub fn dense(&self) -> &[f32] {
         &self.acc
@@ -229,6 +278,66 @@ mod tests {
         let top = r.extract_topk(3);
         r.put_back(&top);
         assert_eq!(r.dense(), &[1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn put_back_walks_match_partition_then_put_back() {
+        // Odd/even and hashed supports, NaN, ±0.0 and denormals in the
+        // values, selections that end before, after and inside the vector.
+        let dim = 3000usize;
+        let pick = |salt: u64, every: u64| -> Vec<u32> {
+            (0..dim as u64)
+                .filter(|i| {
+                    ((i ^ salt).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40).is_multiple_of(every)
+                })
+                .map(|i| i as u32)
+                .collect()
+        };
+        let special = [f32::NAN, 0.0, -0.0, 1.0e-40, -2.5, f32::INFINITY];
+        let v = SparseVec::from_pairs(
+            dim,
+            pick(1, 3)
+                .into_iter()
+                .map(|i| {
+                    (
+                        i,
+                        special
+                            .get(i as usize % 9)
+                            .copied()
+                            .unwrap_or(i as f32 - 7.5),
+                    )
+                })
+                .collect(),
+        );
+        let base: Vec<f32> = (0..dim)
+            .map(|i| if i % 5 == 0 { -0.0 } else { i as f32 * 0.25 })
+            .collect();
+        let bits = |r: &Residual| -> Vec<u32> { r.dense().iter().map(|x| x.to_bits()).collect() };
+        let selections = [
+            pick(2, 2),
+            pick(3, 40),
+            v.indices().to_vec(),
+            Vec::new(),
+            vec![0],
+            vec![dim as u32 - 1],
+        ];
+        for selected in selections {
+            let mask = crate::Mask::from_indices(dim, selected.clone());
+            let (inside, outside) = v.partition_by(&mask);
+            for (walk_inside, half) in [(false, outside), (true, inside)] {
+                let mut want = Residual::new(dim);
+                want.accumulate(&base);
+                want.put_back(&half);
+                let mut got = Residual::new(dim);
+                got.accumulate(&base);
+                if walk_inside {
+                    got.put_back_selected(&v, &selected);
+                } else {
+                    got.put_back_unselected(&v, &selected);
+                }
+                assert_eq!(bits(&got), bits(&want), "inside={walk_inside}");
+            }
+        }
     }
 
     #[test]

@@ -7,18 +7,22 @@
 //! accumulate ([`accumulate_select_compact`]), the `⊤` merge's re-selection
 //! and the parameter-server range extraction — runs one streaming kernel:
 //!
-//! 1. a magnitude **sample** picks a threshold aimed at `k` plus four
-//!    binomial standard deviations of candidates (≈ 1.03 k at ρ = 0.25,
-//!    ≤ 1.6 k at ρ = 0.001);
-//! 2. one SIMD pass collects the coordinates *strictly above* it, in
+//! 1. a magnitude **sample** picks a two-sided cut: `t_lo` aimed at `k`
+//!    plus four binomial standard deviations of candidates (≈ 1.03 k at
+//!    ρ = 0.25, ≤ 1.6 k at ρ = 0.001), `t_hi` at `k` minus four;
+//! 2. one SIMD pass collects the coordinates *strictly above* `t_lo`, in
 //!    ascending index order;
-//! 3. `select_nth` over the candidates' magnitudes (plain `f32` compares)
-//!    finds the k-th magnitude `t*`;
+//! 3. the candidates above `t_hi` are certain members; `select_nth` runs
+//!    only over the **band** `t_lo < |v| ≤ t_hi` (plain `f32` compares,
+//!    ≈ 16k of ≈ 257k candidates at n = 1M, k = 250k) to find the k-th
+//!    magnitude `t*`;
 //! 4. one ordered scan emits every `|v| > t*` plus the lowest-index ties
 //!    at `t*` — so the output is born sorted.
 //!
-//! A plain threshold filter ([`threshold_sparse`]) and the older relaxing
-//! sampled selector ([`sampled_topk_sparse`]) sit beside it.
+//! The `⊤` merge ([`crate::topk_merge_into`]) reads the same cut off a
+//! sample of its sum and shares steps 3–4. A plain threshold filter
+//! ([`threshold_sparse`]) and the older relaxing sampled selector
+//! ([`sampled_topk_sparse`]) sit beside it.
 //!
 //! # Determinism
 //!
@@ -26,13 +30,15 @@
 //! NaN magnitude counts as 0), so the top-k set is unique. Every
 //! coordinate the threshold pass drops is strictly beaten by every
 //! candidate, hence **candidates ⊇ answer** whenever at least `k` survive;
-//! steps 3–4 then resolve it exactly, ties by ascending scan. When fewer
-//! than `k` survive (a sample that overshot, zero-heavy buffers) — or the
-//! input is too small for a sample to pay — *every* index is a candidate
-//! and the same two steps run. The result is therefore a pure function of
-//! the buffer: independent of the sample, the SIMD level and the thread
-//! count, which is what keeps worker replicas bitwise in step. The sampler
-//! reads a fixed Weyl sequence of positions — no RNG.
+//! if at most `k` clear `t_hi`, all of those are in the answer and `t*`
+//! lies in the band, so steps 3–4 resolve it exactly, ties by ascending
+//! scan. When more than `k` clear `t_hi`, every candidate is band. When
+//! fewer than `k` survive (a sample that overshot, zero-heavy buffers) —
+//! or the input is too small for a sample to pay — *every* index is a
+//! candidate and the same two steps run. The result is therefore a pure
+//! function of the buffer: independent of the sample, the SIMD level and
+//! the thread count, which is what keeps worker replicas bitwise in step.
+//! The sampler reads a fixed Weyl sequence of positions — no RNG.
 //!
 //! # Scratch reuse
 //!
@@ -51,13 +57,13 @@ const PAR_MIN_CHUNK: usize = 32 * 1024;
 
 /// Below this many elements the built-in sampler is skipped: sampling
 /// would cost more than the select over all of them that it spares.
-const PREFILTER_MIN: usize = 4096;
+pub(crate) const PREFILTER_MIN: usize = 4096;
 
 /// Comparison magnitude of a value: `|v|`, with NaN mapped to 0 so the
 /// order stays total (a NaN gradient coordinate sorts as if it were zero
 /// instead of poisoning the selection).
 #[inline]
-fn mag(v: f32) -> f32 {
+pub(crate) fn mag(v: f32) -> f32 {
     let m = v.abs();
     if m.is_nan() {
         0.0
@@ -83,22 +89,103 @@ impl TopkScratch {
     }
 }
 
-/// Strict candidate threshold for a top-`k`-of-`n` select over the buffer
-/// whose i-th value is `value_at(i)`: the `quota`-th magnitude of a sample,
-/// `quota = q + 4·√q` with `q = s·k/n` the expected number of top-k
-/// members among the `s` sampled, so an under-collection is a four-sigma
-/// event. The sample is `min(64 Ki, n/16)` positions of a golden-ratio
-/// Weyl sequence (equidistributed, blind to any stride in the buffer's
-/// layout), no RNG. `None` — and nothing sampled — below the cut-off and
-/// for a degenerate select (`k == 0`, `k ≥ n`); `None` when the quota
-/// reaches the sample size (no threshold would exclude anything worth a
-/// pass).
+/// A two-sided magnitude cut read off a sample: every entry strictly
+/// above `lo` is a candidate, every entry strictly above `hi` a certain
+/// member of the top-k — provided at least `k` entries clear `lo` and at
+/// most `k` clear `hi` (the *band check*). Only the band `lo < |v| ≤ hi`
+/// then needs a `select_nth`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cut {
+    pub(crate) lo: f32,
+    pub(crate) hi: f32,
+}
+
+impl Cut {
+    /// No cut: every entry is a candidate and all of them are band.
+    pub(crate) const NONE: Cut = Cut {
+        lo: -1.0,
+        hi: f32::INFINITY,
+    };
+
+    /// The cut for a top-k select from the magnitudes `sample` of the
+    /// input, where `q` is the expected number of top-k members among
+    /// them: `lo` is the sample's `(q + 4·√q)`-th magnitude and `hi` its
+    /// `(q − 4·√q)`-th (`+∞` when that rank is below 1), so either side of
+    /// the band check fails only as a four-sigma event. `None` when the
+    /// lower quota reaches the sample size — no threshold would exclude
+    /// anything worth a pass.
+    pub(crate) fn from_sample(sample: &mut [f32], q: f64) -> Option<Cut> {
+        let spread = 4.0 * q.sqrt();
+        let quota = (q + spread).ceil() as usize;
+        if quota >= sample.len() {
+            return None;
+        }
+        // `mag` outputs are non-negative and never NaN: `total_cmp` is `<`.
+        let (above, &mut lo, _) = sample.select_nth_unstable_by(quota - 1, |a, b| b.total_cmp(a));
+        // Every entry of `above` is ≥ `lo` ≥ the rest, and the upper rank
+        // is below `quota`, so it is found among them.
+        let hi = match (q - spread).floor() {
+            r if r >= 1.0 => {
+                *above
+                    .select_nth_unstable_by(r as usize - 1, |a, b| b.total_cmp(a))
+                    .1
+            }
+            _ => f32::INFINITY,
+        };
+        Some(Cut { lo, hi })
+    }
+}
+
+/// The k-th magnitude `t` of a candidate set and how many candidates tied
+/// at `t` the top-k still admits, ties going to the lower index — steps
+/// 3–4 of the module docs, as a predicate for the ordered emit scan.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct KthMagnitude {
+    t: f32,
+    ties: usize,
+}
+
+impl KthMagnitude {
+    /// Keeps every candidate (there are at most `k`).
+    pub(crate) const ALL: KthMagnitude = KthMagnitude { t: -1.0, ties: 0 };
+
+    /// Finds the k-th magnitude of candidates of which `n_hi` lie
+    /// strictly above `hi` and the rest have magnitudes `band` (all
+    /// `≤ hi`). Requires `n_hi ≤ k ≤ n_hi + band.len()`.
+    pub(crate) fn find(k: usize, n_hi: usize, hi: f32, band: &mut [f32]) -> Self {
+        if n_hi == k {
+            // The certain members are the whole answer.
+            return KthMagnitude { t: hi, ties: 0 };
+        }
+        let (above, &mut t, _) = band.select_nth_unstable_by(k - n_hi - 1, |a, b| b.total_cmp(a));
+        let ties = k - n_hi - above.iter().filter(|&&m| m > t).count();
+        KthMagnitude { t, ties }
+    }
+
+    /// Whether the candidate of magnitude `m` is selected; must be asked
+    /// of every candidate in ascending index order.
+    #[inline]
+    pub(crate) fn keeps(&mut self, m: f32) -> bool {
+        m > self.t
+            || (m == self.t && self.ties > 0 && {
+                self.ties -= 1;
+                true
+            })
+    }
+}
+
+/// Step 1 of the kernel for a top-`k`-of-`n` select over the buffer whose
+/// i-th value is `value_at(i)`: a [`Cut`] from a sample of `min(64 Ki,
+/// n/16)` positions of a golden-ratio Weyl sequence (equidistributed,
+/// blind to any stride in the buffer's layout), no RNG. `None` — and
+/// nothing sampled — below the cut-off and for a degenerate select
+/// (`k == 0`, `k ≥ n`).
 fn sampled_cut(
     n: usize,
     k: usize,
     scratch: &mut TopkScratch,
     value_at: impl Fn(usize) -> f32,
-) -> Option<f32> {
+) -> Option<Cut> {
     if n < PREFILTER_MIN || k == 0 || k >= n {
         return None;
     }
@@ -110,59 +197,82 @@ fn sampled_cut(
         mag(value_at(((frac as u128 * n as u128) >> 64) as usize))
     }));
     let q = k as f64 / n as f64 * s as f64;
-    let quota = (q + 4.0 * q.sqrt()).ceil() as usize;
-    if quota >= s {
-        return None;
-    }
+    let cut = Cut::from_sample(mags, q)?;
     // Room for the expected candidates plus eight of their standard
     // deviations: capacity is then a function of (n, k), not of how this
     // step's sample happened to fall.
+    let quota = q + 4.0 * q.sqrt();
     let per_hit = n as f64 / s as f64;
-    let room = n.min(((quota as f64 + 8.0 * (quota as f64).sqrt()) * per_hit) as usize);
+    let room = n.min(((quota + 8.0 * quota.sqrt()) * per_hit) as usize);
     cand.reserve(room);
     mags.reserve(room);
-    // `mag` outputs are non-negative and never NaN: `total_cmp` is `<`.
-    let (_, &mut thr, _) = mags.select_nth_unstable_by(quota - 1, |a, b| b.total_cmp(a));
-    Some(thr)
+    Some(cut)
 }
 
-/// Steps 3–4 of the kernel over the ascending candidates `cand`: appends
-/// the exact top-`k` (`1 ≤ k ≤` candidate count) to `out`, ascending.
+/// Step 3's gather: replaces `band` with the candidate magnitudes `mags`
+/// that are `≤ hi` and returns how many lie above `hi`, with that `hi` —
+/// unless more than `k` do (the sample's upper cut overshot), in which
+/// case every candidate is band and `(0, +∞)` is returned.
+pub(crate) fn gather_band(
+    k: usize,
+    hi: f32,
+    mags: impl Iterator<Item = f32> + Clone,
+    band: &mut Vec<f32>,
+) -> (usize, f32) {
+    band.clear();
+    let mut n_hi = 0;
+    for m in mags.clone() {
+        if m > hi {
+            n_hi += 1;
+        } else {
+            band.push(m);
+        }
+    }
+    if n_hi <= k {
+        return (n_hi, hi);
+    }
+    band.clear();
+    band.extend(mags);
+    (0, f32::INFINITY)
+}
+
+/// Steps 3–4 of the kernel over the ascending candidates `cand`, all
+/// strictly above the cut's `lo`: appends the exact top-`k` (`1 ≤ k ≤`
+/// candidate count) to `out`, ascending.
 fn emit_topk(
     values: &[f32],
     k: usize,
     cand: impl Iterator<Item = u32> + Clone,
+    hi: f32,
     mags: &mut Vec<f32>,
     out: &mut Vec<u32>,
 ) {
-    mags.clear();
-    mags.extend(cand.clone().map(|i| mag(values[i as usize])));
-    let (above, &mut t, _) = mags.select_nth_unstable_by(k - 1, |a, b| b.total_cmp(a));
-    let mut ties = k - above.iter().filter(|&&m| m > t).count();
-    out.extend(cand.filter(|&i| {
-        let m = mag(values[i as usize]);
-        m > t
-            || (m == t && ties > 0 && {
-                ties -= 1;
-                true
-            })
-    }));
+    let magnitudes = cand.clone().map(|i| mag(values[i as usize]));
+    let (n_hi, hi) = gather_band(k, hi, magnitudes, mags);
+    let mut kth = KthMagnitude::find(k, n_hi, hi, mags);
+    out.extend(cand.filter(|&i| kth.keeps(mag(values[i as usize]))));
 }
 
 /// The shared exact tail: writes the top-`k` indices of `values` into
-/// `out`, ascending, given the strictly-above-threshold candidates in
+/// `out`, ascending, given the candidates strictly above `cut.lo` in
 /// `scratch` — or, when fewer than `k` were collected, over every index.
-/// Returns how many coordinates the select examined.
-fn select_among(values: &[f32], k: usize, scratch: &mut TopkScratch, out: &mut Vec<u32>) -> usize {
+/// Returns how many coordinates the tail examined.
+fn select_among(
+    values: &[f32],
+    k: usize,
+    cut: Cut,
+    scratch: &mut TopkScratch,
+    out: &mut Vec<u32>,
+) -> usize {
     let TopkScratch { cand, mags } = scratch;
     out.clear();
     let n = values.len();
     if k >= n {
         out.extend(0..n as u32);
     } else if k > cand.len() {
-        emit_topk(values, k, 0..n as u32, mags, out);
+        emit_topk(values, k, 0..n as u32, f32::INFINITY, mags, out);
     } else if k > 0 {
-        emit_topk(values, k, cand.iter().copied(), mags, out);
+        emit_topk(values, k, cand.iter().copied(), cut.hi, mags, out);
         return cand.len();
     }
     n
@@ -186,10 +296,11 @@ pub fn topk_indices_into(
 ) -> usize {
     scratch.cand.clear();
     // `|v| > thr` and `mag(v) > thr` agree for every thr ≥ 0: NaN fails both.
-    if let Some(thr) = sampled_cut(values.len(), k, scratch, |i| values[i]) {
-        simd::compact_above(values, thr, 0, &mut scratch.cand);
+    let cut = sampled_cut(values.len(), k, scratch, |i| values[i]);
+    if let Some(cut) = cut {
+        simd::compact_above(values, cut.lo, 0, &mut scratch.cand);
     }
-    select_among(values, k, scratch, out)
+    select_among(values, k, cut.unwrap_or(Cut::NONE), scratch, out)
 }
 
 /// Indices of the `k` entries of largest absolute value, ascending order.
@@ -367,14 +478,15 @@ pub fn accumulate_select_compact(
 ) -> usize {
     assert_eq!(grad.len(), acc.len(), "gradient length mismatch");
     scratch.cand.clear();
-    match sampled_cut(acc.len(), k, scratch, |i| acc[i] + grad[i]) {
+    let cut = sampled_cut(acc.len(), k, scratch, |i| acc[i] + grad[i]);
+    match cut {
         // THE fused pass: accumulate, threshold-compare the accumulated
         // value, and emit candidate indices, one traversal.
-        Some(thr) => simd::accumulate_compact_above(acc, grad, thr, 0, &mut scratch.cand),
+        Some(cut) => simd::accumulate_compact_above(acc, grad, cut.lo, 0, &mut scratch.cand),
         None => simd::axpy(acc, grad),
     }
     out.dim = acc.len();
-    let examined = select_among(acc, k, scratch, &mut out.indices);
+    let examined = select_among(acc, k, cut.unwrap_or(Cut::NONE), scratch, &mut out.indices);
     out.values.clear();
     let taken = out
         .indices
@@ -599,6 +711,24 @@ mod tests {
         let v = hostile(4, PREFILTER_MIN - 1, 1);
         let examined = topk_sparse_into(&v, 4, &mut scratch, &mut out);
         assert_eq!(examined, v.len());
+    }
+
+    #[test]
+    fn a_sample_that_puts_more_than_k_above_hi_stays_exact() {
+        // Small magnitudes exactly at the Weyl positions the sampler
+        // reads, large ones everywhere else: more than k candidates clear
+        // `t_hi`, and every candidate turns band.
+        let n = 3 * PREFILTER_MIN;
+        let mut values: Vec<f32> = (0..n).map(|i| 10.0 + (i % 7) as f32).collect();
+        for j in 0..n / 16 {
+            let frac = (j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            values[((frac as u128 * n as u128) >> 64) as usize] = 0.1 + j as f32 * 1e-4;
+        }
+        for k in [n / 4, n / 2] {
+            assert_all_paths_match_oracle(&values, k);
+            let examined = topk_indices_into(&values, k, &mut TopkScratch::new(), &mut Vec::new());
+            assert!(examined > n - n / 16, "k={k}: examined {examined}");
+        }
     }
 
     #[test]

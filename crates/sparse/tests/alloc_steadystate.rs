@@ -13,7 +13,9 @@
 //! count would flake whenever one test finishes while another measures —
 //! each `#[test]` only ever counts its own thread's allocations.
 
-use gtopk_sparse::{Residual, SparseVec};
+use gtopk_sparse::{
+    topk_merge_into, topk_merge_split_into, topk_sparse, MergeScratch, Residual, SparseVec,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -186,4 +188,33 @@ fn exact_fused_path_allocates_nothing_after_the_first_step() {
             "k={k}: steps after the first allocated {allocs}x"
         );
     }
+}
+
+/// The tree's two `⊤` merges at the first warm-up epoch's density — the
+/// plain one and the split the feedback row runs — and the one-walk
+/// put-backs of Algorithm 4 line 10: after the first call none of them
+/// allocates, although every later call merges different selections.
+#[test]
+fn fused_merges_and_put_back_allocate_nothing_after_the_first_call() {
+    let n = 1 << 18;
+    let k = n / 4;
+    let selections: Vec<SparseVec> = grad_epoch(n, 6).iter().map(|g| topk_sparse(g, k)).collect();
+    let mut scratch = MergeScratch::new();
+    let mut kept = SparseVec::empty(n);
+    let mut rejected = SparseVec::empty(n);
+    let mut r = Residual::new(n);
+    let mut step = |s: usize| {
+        let (a, b) = (&selections[s], &selections[s + 1]);
+        topk_merge_into(a, b, k, &mut scratch, &mut kept);
+        assert_eq!(kept.nnz(), k);
+        r.put_back_unselected(a, kept.indices());
+        topk_merge_split_into(a, b, k, &mut scratch, &mut kept, &mut rejected);
+        assert!(!rejected.is_empty());
+        r.put_back_selected(&rejected, kept.indices());
+    };
+    step(0);
+    let before = alloc_calls();
+    (1..5).for_each(&mut step);
+    let allocs = alloc_calls() - before;
+    assert_eq!(allocs, 0, "calls after the first allocated {allocs}x");
 }

@@ -641,6 +641,28 @@ pub fn accumulate_compact_above(
     }
 }
 
+/// `if cond { a } else { b }` without a branch, bit for bit: the sparse
+/// two-pointer walks choose between floats on conditions no predictor
+/// can learn, and LLVM lowers a plain `f32` select on the x86_64 (SSE2)
+/// baseline to exactly such a branch. Not level-dispatched — every
+/// level returns the same bits.
+#[inline(always)]
+pub fn select_f32(cond: bool, a: f32, b: f32) -> f32 {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: SSE2 is part of the x86_64 baseline ABI.
+    unsafe {
+        use core::arch::x86_64::*;
+        let mask = _mm_castsi128_ps(_mm_cvtsi32_si128(-i32::from(cond)));
+        let pick = _mm_or_ps(
+            _mm_and_ps(mask, _mm_set_ss(a)),
+            _mm_andnot_ps(mask, _mm_set_ss(b)),
+        );
+        _mm_cvtss_f32(pick)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    std::hint::select_unpredictable(cond, a, b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -788,6 +810,18 @@ mod tests {
                 let tb: Vec<u32> = two_pass.iter().map(|x| x.to_bits()).collect();
                 assert_eq!(fb, tb, "{l}");
             });
+        }
+    }
+
+    #[test]
+    fn select_f32_returns_the_chosen_bits() {
+        // A signalling NaN too: a select that went through arithmetic
+        // would quiet it.
+        let mut v = nasty_input(18);
+        v.push(f32::from_bits(0x7f80_0001));
+        for (&a, &b) in v.iter().zip(v.iter().rev()) {
+            assert_eq!(select_f32(true, a, b).to_bits(), a.to_bits());
+            assert_eq!(select_f32(false, a, b).to_bits(), b.to_bits());
         }
     }
 }

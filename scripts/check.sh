@@ -56,10 +56,17 @@ for f in tests/*.rs; do
   fi
   require_tests -p gtopk-core --test "$name"
 done
-# Refactor pins: the per-algorithm golden trajectories and the capability
+# Refactor pins: the per-algorithm golden trajectories (including the
+# tree rows at the first warm-up epoch's density, where every `⊤` merge is
+# large enough to take the fused kernel's sampled cut) and the capability
 # sweep over every (algorithm, engine, topology, recovery) cell.
 require_tests -p gtopk-core --test golden_parity
+require_tests -p gtopk-core --test golden_parity tree_rows_reproduce_their_warmup_density_trajectory
 require_tests -p gtopk-core --test capability_sweep
+# The fused `⊤` merge: its oracle tests against the two-pointer sum + full
+# sort, and the allocation gate over both merges and the one-walk put-back.
+require_tests -p gtopk-sparse --lib merge::
+require_tests -p gtopk-sparse --test alloc_steadystate merge
 # Transport contract: the shared conformance suite must hold for both the
 # simulated and the real-TCP backend.
 require_tests -p gtopk-comm --test transport_conformance
