@@ -2,8 +2,8 @@
 //!
 //! Left panel: time vs number of workers (P = 4…128) at m = 25×10⁶,
 //! ρ = 0.001. Right panel: time vs number of parameters (10⁶…10⁸) at
-//! P = 32. Both from executed message schedules on the simulated 1 GbE
-//! network, with the analytic Eqs. 6–7 printed alongside.
+//! P = 32. Both replayed from the plans the product executes on the
+//! simulated 1 GbE network, with the analytic Eqs. 6–7 printed alongside.
 //!
 //! Expected shape (paper): TopK is slightly faster at small P, gTopK wins
 //! clearly from P ≈ 16, and the gap widens with P and with m.
@@ -11,9 +11,8 @@
 //! Run: `cargo run --release -p gtopk-bench --bin fig09_allreduce_time`
 
 use gtopk_bench::report::{fmt_ms, Table};
-use gtopk_bench::virtualsim::{gtopk_allreduce_sim_ms, topk_allreduce_sim_ms};
-use gtopk_comm::CostModel;
-use gtopk_perfmodel::{gtopk_allreduce_ms, topk_allreduce_ms};
+use gtopk_comm::{CostModel, Topology};
+use gtopk_perfmodel::{gtopk_allreduce_ms, gtopk_plan_ms, topk_allreduce_ms, topk_plan_ms};
 
 fn main() {
     let net = CostModel::gigabit_ethernet();
@@ -34,8 +33,8 @@ fn main() {
         ],
     );
     for p in [4usize, 8, 16, 32, 64, 128] {
-        let t_top = topk_allreduce_sim_ms(p, k, net);
-        let t_gtop = gtopk_allreduce_sim_ms(p, k, net);
+        let t_top = topk_plan_ms(&net, p, k);
+        let t_gtop = gtopk_plan_ms(&net, Topology::Binomial, p, k);
         left.row(vec![
             p.to_string(),
             fmt_ms(t_top),
@@ -63,8 +62,8 @@ fn main() {
         100_000_000,
     ] {
         let k = ((m as f64 * rho) as usize).max(1);
-        let t_top = topk_allreduce_sim_ms(p, k, net);
-        let t_gtop = gtopk_allreduce_sim_ms(p, k, net);
+        let t_top = topk_plan_ms(&net, p, k);
+        let t_gtop = gtopk_plan_ms(&net, Topology::Binomial, p, k);
         right.row(vec![
             m.to_string(),
             k.to_string(),

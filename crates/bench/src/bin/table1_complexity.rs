@@ -2,18 +2,16 @@
 //! gradient aggregation algorithms.
 //!
 //! Prints the paper's closed forms evaluated at its constants
-//! (α = 0.436 ms, β = 3.6×10⁻⁵ ms/element) and, beside each, the time
-//! *measured* from executing the algorithm's real message schedule on the
-//! simulated cluster — the two must agree.
+//! (α = 0.436 ms, β = 3.6×10⁻⁵ ms/element) and, beside each, the
+//! "measured" time: a thread-free replay of the plan the product executes,
+//! pinned equal to the executed time by `tests/plan_equivalence.rs` — the
+//! two must agree.
 //!
 //! Run: `cargo run --release -p gtopk-bench --bin table1_complexity`
 
 use gtopk_bench::report::{fmt_ms, Table};
-use gtopk_bench::virtualsim::{
-    dense_allreduce_sim_ms, gtopk_allreduce_sim_ms, topk_allreduce_sim_ms,
-};
-use gtopk_comm::CostModel;
-use gtopk_perfmodel::AggregationKind;
+use gtopk_comm::{CostModel, Topology};
+use gtopk_perfmodel::{dense_plan_ms, gtopk_plan_ms, topk_plan_ms, AggregationKind};
 
 fn main() {
     let net = CostModel::gigabit_ethernet();
@@ -46,9 +44,9 @@ fn main() {
         };
         let analytic = kind.time_ms(&net, p, m, k);
         let measured = match kind {
-            AggregationKind::Dense => dense_allreduce_sim_ms(p, m, net),
-            AggregationKind::TopK => topk_allreduce_sim_ms(p, k, net),
-            AggregationKind::GTopK => gtopk_allreduce_sim_ms(p, k, net),
+            AggregationKind::Dense => dense_plan_ms(&net, p, m),
+            AggregationKind::TopK => topk_plan_ms(&net, p, k),
+            AggregationKind::GTopK => gtopk_plan_ms(&net, Topology::Binomial, p, k),
         };
         table.row(vec![
             kind.name().to_string(),

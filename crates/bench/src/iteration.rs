@@ -1,20 +1,23 @@
 //! Paper-scale per-iteration profiles: the paper-derived compute /
-//! sparsification costs of each DNN workload combined with the simulated
-//! communication time of each aggregation algorithm.
+//! sparsification costs of each DNN workload combined with the α-β
+//! communication time of each aggregation algorithm, replayed from the
+//! plan the product executes.
 //!
 //! This is the machinery behind Fig. 10 (scaling efficiency), Fig. 11
 //! (time breakdown) and Table IV (throughput).
 
-use crate::virtualsim::{dense_allreduce_sim_ms, gtopk_allreduce_sim_ms, topk_allreduce_sim_ms};
-use gtopk_comm::CostModel;
-use gtopk_perfmodel::{AggregationKind, IterationProfile, ModelSpec};
+use gtopk_comm::{CostModel, Topology};
+use gtopk_perfmodel::{
+    dense_plan_ms, gtopk_plan_ms, topk_plan_ms, AggregationKind, IterationProfile, ModelSpec,
+};
 
 /// The per-iteration profile of one `(model, algorithm, P)` combination,
-/// with communication measured from the executed virtual schedule.
+/// with communication priced by replaying the algorithm's plan (exactly
+/// the time its execution reports).
 ///
 /// # Panics
 ///
-/// Panics unless `p` is a power of two (the virtual schedules' domain).
+/// Panics if `p == 0`.
 pub fn iteration_profile(
     model: &ModelSpec,
     algo: AggregationKind,
@@ -23,9 +26,9 @@ pub fn iteration_profile(
 ) -> IterationProfile {
     let k = model.k();
     let communication_ms = match algo {
-        AggregationKind::Dense => dense_allreduce_sim_ms(p, model.params, net),
-        AggregationKind::TopK => topk_allreduce_sim_ms(p, k, net),
-        AggregationKind::GTopK => gtopk_allreduce_sim_ms(p, k, net),
+        AggregationKind::Dense => dense_plan_ms(&net, p, model.params),
+        AggregationKind::TopK => topk_plan_ms(&net, p, k),
+        AggregationKind::GTopK => gtopk_plan_ms(&net, Topology::Binomial, p, k),
     };
     let compression_ms = match algo {
         AggregationKind::Dense => 0.0,

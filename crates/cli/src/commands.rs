@@ -5,13 +5,11 @@ use gtopk::{
     train_distributed, train_rank, Algorithm, DensitySchedule, JobSpec, Orchestrator,
     OverlapConfig, PsConfig, PsVariant, Selector, Topology, TrainConfig,
 };
-use gtopk_bench::virtualsim::{
-    dense_allreduce_sim_ms, gtopk_allreduce_sim_ms, topk_allreduce_sim_ms,
-};
 use gtopk_comm::transport::{install_leave_signals, AddrResolver, TcpConfig, TcpTransport};
 use gtopk_comm::{Communicator, CostModel, FaultPlan};
 use gtopk_data::{GaussianMixture, MarkovText, PatternImages};
 use gtopk_nn::{models, Model};
+use gtopk_perfmodel::{dense_plan_ms, gtopk_plan_ms, topk_plan_ms};
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
 
@@ -624,13 +622,13 @@ fn cmd_aggregate(parsed: &ParsedArgs) -> Result<String, ArgError> {
     let m: usize = parsed.get("params", 25_000_000)?;
     let density: f64 = parsed.get("density", 0.001)?;
     let net = parse_network(&parsed.get_str("network", "1gbe"))?;
-    if !p.is_power_of_two() {
-        return Err(ArgError("workers must be a power of two".into()));
+    if p == 0 {
+        return Err(ArgError("workers must be positive".into()));
     }
     let k = ((m as f64 * density) as usize).max(1);
-    let dense = dense_allreduce_sim_ms(p, m, net);
-    let topk = topk_allreduce_sim_ms(p, k, net);
-    let gtopk = gtopk_allreduce_sim_ms(p, k, net);
+    let dense = dense_plan_ms(&net, p, m);
+    let topk = topk_plan_ms(&net, p, k);
+    let gtopk = gtopk_plan_ms(&net, Topology::Binomial, p, k);
     Ok(format!(
         "P = {p}, m = {m}, rho = {density} (k = {k}), network alpha = {} ms beta = {} ms/elem\n\
          Dense  AllReduce : {dense:10.2} ms\n\
@@ -659,9 +657,9 @@ fn cmd_sweep(parsed: &ParsedArgs) -> Result<String, ArgError> {
         out.push_str(&format!(
             "{:>5} {:>12.2} {:>12.2} {:>12.2}\n",
             p,
-            dense_allreduce_sim_ms(p, m, net),
-            topk_allreduce_sim_ms(p, k, net),
-            gtopk_allreduce_sim_ms(p, k, net)
+            dense_plan_ms(&net, p, m),
+            topk_plan_ms(&net, p, k),
+            gtopk_plan_ms(&net, Topology::Binomial, p, k)
         ));
     }
     Ok(out)
@@ -718,8 +716,19 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_rejects_non_power_of_two() {
-        assert!(run_line("aggregate --workers 6").is_err());
+    fn aggregate_prices_any_worker_count() {
+        // The plan replays are exact at any P, folded ones included.
+        let out = run_line("aggregate --workers 6 --params 1000000").unwrap();
+        let net = CostModel::gigabit_ethernet();
+        for (label, ms) in [
+            ("Dense", dense_plan_ms(&net, 6, 1_000_000)),
+            ("TopK", topk_plan_ms(&net, 6, 1000)),
+            ("gTopK", gtopk_plan_ms(&net, Topology::Binomial, 6, 1000)),
+        ] {
+            let line = out.lines().find(|l| l.starts_with(label)).unwrap();
+            assert!(line.contains(&format!("{ms:10.2} ms")), "{label}: {line}");
+        }
+        assert!(run_line("aggregate --workers 0").is_err());
     }
 
     #[test]

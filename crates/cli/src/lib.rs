@@ -78,7 +78,7 @@ COMMANDS:
                             live address book for rank rejoin)
 
   aggregate   time one gradient aggregation at paper scale
-    --workers    worker count (power of two)             [32]
+    --workers    worker count                            [32]
     --params     model size m                            [25000000]
     --density    gradient density rho                    [0.001]
     --network    1gbe | 10gbe | ib                       [1gbe]

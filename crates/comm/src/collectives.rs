@@ -4,46 +4,38 @@
 //! (§II-D, §II-E, citing Chan et al. and Pješivac-Grbović et al.):
 //!
 //! * [`broadcast`] — binomial tree, `⌈log₂P⌉(α + nβ)`;
-//! * [`reduce_sum`] — binomial tree (mirror of broadcast);
 //! * [`allreduce_ring`] — ring reduce-scatter + ring all-gather,
 //!   `2(P−1)α + 2((P−1)/P)·nβ` (paper Eq. 5);
 //! * [`allreduce_recursive_doubling`] — `log₂P(α + nβ)` for power-of-two
 //!   P, with a fold-in step otherwise;
-//! * [`allgather`] — recursive doubling, `log₂P·α + (P−1)nβ` (the paper's
-//!   Eq. 6 uses this for TopKAllReduce), ring fallback for non-power-of-two;
-//! * [`gather`] / [`barrier`] — binomial tree.
+//! * [`barrier`] — binomial tree.
 //!
 //! All functions must be called by *every* rank of the communicator with
 //! compatible arguments, like their MPI counterparts.
 //!
-//! The tree-structured collectives ([`broadcast`], [`reduce_sum`],
-//! [`allreduce_recursive_doubling`]) are *plan executions*: their round
-//! schedules are generated by [`crate::plan::CollectivePlan`] and run
-//! through the single [`execute_plan`] entry point, so the same schedule
-//! the simulated clock charges can be replayed offline by a cost model.
-//! The chunked ring algorithms keep their hand-written loops — their
-//! per-round payloads are position-dependent slices, which the
-//! payload-agnostic plan IR deliberately does not describe.
+//! [`broadcast`], [`allreduce_ring`] and [`allreduce_recursive_doubling`]
+//! are *plan executions*: their round schedules are generated by
+//! [`crate::plan::CollectivePlan`] and run through the single
+//! [`execute_plan`] entry point, so the schedule the simulated clock
+//! charges is the one `gtopk_perfmodel::PlanClock` replays offline. The
+//! ring's position-dependent chunk slices are the one thing its plan does
+//! not carry: [`ring_chunk`] names them, for the executor and the replay
+//! alike.
 
 use crate::plan::{execute_plan, CollectivePlan, PlanOps, Topology};
 use crate::{CommError, Communicator, Message, Payload, Result};
+use std::ops::Range;
 use std::sync::Arc;
 
-// Plan-driven collectives reserve a tag *window* (one tag per round,
-// `tag_base + round`); the hand-rolled ring/gather loops keep single
-// tags above the windows. Cross-collective reuse of a tag is benign:
-// matching is FIFO per (source, tag) and every collective drains all
-// messages it produced.
+// Plan-driven collectives reserve a tag *window* (`tag_base + round mod
+// PLAN_TAG_WINDOW`). Cross-collective reuse of a tag is benign: matching
+// is FIFO per (source, tag) and every collective drains all messages it
+// produced. The ring's window [192, 448) stays below the recovery control
+// band at offset 512 (`Message::is_control`).
 const TAG_BCAST: u32 = Message::COLLECTIVE_TAG_BASE; // width 32
-const TAG_REDUCE: u32 = Message::COLLECTIVE_TAG_BASE + 32; // width 32
 const TAG_RD: u32 = Message::COLLECTIVE_TAG_BASE + 64; // width 32
-const TAG_RING_RS: u32 = Message::COLLECTIVE_TAG_BASE + 192;
-const TAG_RING_AG: u32 = Message::COLLECTIVE_TAG_BASE + 193;
-const TAG_AG: u32 = Message::COLLECTIVE_TAG_BASE + 194;
-const TAG_GATHER: u32 = Message::COLLECTIVE_TAG_BASE + 228;
+const TAG_RING: u32 = Message::COLLECTIVE_TAG_BASE + 192; // width 256
 const TAG_BARRIER: u32 = Message::COLLECTIVE_TAG_BASE + 229;
-const TAG_SCATTER: u32 = Message::COLLECTIVE_TAG_BASE + 230;
-const TAG_RS: u32 = Message::COLLECTIVE_TAG_BASE + 231;
 
 fn check_root(comm: &Communicator, root: usize) -> Result<()> {
     if root >= comm.size() {
@@ -95,109 +87,81 @@ pub fn broadcast(comm: &mut Communicator, data: &mut Vec<f32>, root: usize) -> R
     Ok(())
 }
 
-/// Binomial-tree sum-reduction of a dense vector to `root`.
-///
-/// After the call, `data` on `root` holds the element-wise sum over all
-/// ranks; on other ranks it holds intermediate partial sums (like MPI,
-/// only the root's buffer is meaningful).
-///
-/// # Errors
-///
-/// Returns [`CommError::InvalidRank`] for a bad root or
-/// [`CommError::BufferMismatch`] if a contribution has the wrong length.
-pub fn reduce_sum(comm: &mut Communicator, data: &mut [f32], root: usize) -> Result<()> {
-    check_root(comm, root)?;
-    let p = comm.size();
-    if p == 1 {
-        return Ok(());
-    }
-    struct ReduceOps<'a> {
-        data: &'a mut [f32],
-    }
-    impl PlanOps for ReduceOps<'_> {
-        fn on_send(&mut self, comm: &mut Communicator, peer: usize, tag: u32) -> Result<()> {
-            comm.send(peer, tag, Payload::dense(self.data.to_vec()))
-        }
-        fn on_recv(&mut self, comm: &mut Communicator, peer: usize, tag: u32) -> Result<()> {
-            let v = comm.recv(peer, tag)?.payload.into_dense();
-            if v.len() != self.data.len() {
-                return Err(CommError::BufferMismatch {
-                    op: "reduce_sum",
-                    expected: self.data.len(),
-                    actual: v.len(),
-                });
-            }
-            for (a, b) in self.data.iter_mut().zip(v) {
-                *a += b;
-            }
-            Ok(())
-        }
-    }
-    let plan = CollectivePlan::natural_reduce(p, root);
-    let me = comm.rank();
-    execute_plan(
-        comm,
-        &plan,
-        me,
-        TAG_REDUCE,
-        |pos| pos,
-        &mut ReduceOps { data },
-    )
-}
-
-/// Splits `n` into `p` contiguous chunk ranges (some possibly empty).
-fn chunk_range(n: usize, p: usize, c: usize) -> std::ops::Range<usize> {
-    let start = c * n / p;
-    let end = (c + 1) * n / p;
-    start..end
+/// The slice of an `n`-element vector that position `pos` sends in round
+/// `round` of a `p`-position [`CollectivePlan::ring_allreduce`]: in
+/// reduce-scatter round `s < p − 1` the partial sum of chunk `pos − s`,
+/// in all-gather round `s` the completed chunk `pos + 1 − (s − (p − 1))`
+/// (indices mod `p`, chunk `c` = `[c·n/p, (c+1)·n/p)`, possibly empty).
+/// What a position receives in a round is its left neighbour's slice.
+pub fn ring_chunk(n: usize, p: usize, round: usize, pos: usize) -> Range<usize> {
+    let c = if round < p - 1 {
+        (pos + p - round) % p
+    } else {
+        (pos + 2 * p - round) % p
+    };
+    c * n / p..(c + 1) * n / p
 }
 
 /// Ring AllReduce (reduce-scatter + all-gather), the paper's
-/// DenseAllReduce (Eq. 5).
+/// DenseAllReduce (Eq. 5), executed as [`CollectivePlan::ring_allreduce`].
 ///
 /// After the call every rank's `data` holds the element-wise sum across
 /// all ranks.
 ///
 /// # Errors
 ///
-/// Propagates transport errors.
+/// Returns [`CommError::BufferMismatch`] if a neighbour's chunk has the
+/// wrong length, or propagates transport errors.
 pub fn allreduce_ring(comm: &mut Communicator, data: &mut [f32]) -> Result<()> {
     let p = comm.size();
     if p == 1 {
         return Ok(());
     }
-    let n = data.len();
-    let rank = comm.rank();
-    let right = (rank + 1) % p;
-    let left = (rank + p - 1) % p;
-    // Reduce-scatter: after P-1 steps, rank r owns the full sum of chunk
-    // (r+1) mod p.
-    for s in 0..p - 1 {
-        let send_chunk = (rank + p - s) % p;
-        let recv_chunk = (rank + p - s - 1) % p;
-        let payload = Payload::dense(data[chunk_range(n, p, send_chunk)].to_vec());
-        comm.send(right, TAG_RING_RS, payload)?;
-        let msg = comm.recv(left, TAG_RING_RS)?;
-        let v = msg.payload.into_dense();
-        let range = chunk_range(n, p, recv_chunk);
-        debug_assert_eq!(v.len(), range.len());
-        for (a, b) in data[range].iter_mut().zip(v) {
-            *a += b;
+    // Every position sends once and receives once per round, sending
+    // first, so counting receives counts rounds. Reduce-scatter rounds
+    // accumulate the left neighbour's chunk, all-gather rounds adopt it.
+    struct RingOps<'a> {
+        data: &'a mut [f32],
+        p: usize,
+        me: usize,
+        round: usize,
+    }
+    impl PlanOps for RingOps<'_> {
+        fn on_send(&mut self, comm: &mut Communicator, peer: usize, tag: u32) -> Result<()> {
+            let range = ring_chunk(self.data.len(), self.p, self.round, self.me);
+            comm.send(peer, tag, Payload::dense(self.data[range].to_vec()))
+        }
+        fn on_recv(&mut self, comm: &mut Communicator, peer: usize, tag: u32) -> Result<()> {
+            let v = comm.recv(peer, tag)?.payload.into_dense();
+            let range = ring_chunk(self.data.len(), self.p, self.round, peer);
+            if v.len() != range.len() {
+                return Err(CommError::BufferMismatch {
+                    op: "allreduce_ring",
+                    expected: range.len(),
+                    actual: v.len(),
+                });
+            }
+            let chunk = &mut self.data[range];
+            if self.round < self.p - 1 {
+                for (a, b) in chunk.iter_mut().zip(v) {
+                    *a += b;
+                }
+            } else {
+                chunk.copy_from_slice(&v);
+            }
+            self.round += 1;
+            Ok(())
         }
     }
-    // All-gather: circulate the completed chunks.
-    for s in 0..p - 1 {
-        let send_chunk = (rank + 1 + p - s) % p;
-        let recv_chunk = (rank + p - s) % p;
-        let payload = Payload::dense(data[chunk_range(n, p, send_chunk)].to_vec());
-        comm.send(right, TAG_RING_AG, payload)?;
-        let msg = comm.recv(left, TAG_RING_AG)?;
-        let v = msg.payload.into_dense();
-        let range = chunk_range(n, p, recv_chunk);
-        debug_assert_eq!(v.len(), range.len());
-        data[range].copy_from_slice(&v);
-    }
-    Ok(())
+    let me = comm.rank();
+    let plan = CollectivePlan::ring_allreduce(p);
+    let mut ops = RingOps {
+        data,
+        p,
+        me,
+        round: 0,
+    };
+    execute_plan(comm, &plan, me, TAG_RING, |pos| pos, &mut ops)
 }
 
 /// Recursive-doubling AllReduce: `log₂P` rounds of pairwise full-vector
@@ -265,144 +229,6 @@ pub fn largest_power_of_two_leq(n: usize) -> usize {
     p
 }
 
-/// AllGather: every rank contributes `local`; returns all contributions
-/// indexed by rank.
-///
-/// Uses recursive doubling for power-of-two `P` (`log₂P·α + (P−1)nβ` —
-/// the cost the paper quotes as Eq. 6), and a ring otherwise
-/// (`(P−1)(α + nβ)`).
-///
-/// Contributions may have different lengths (the sparse AllGather of
-/// Algorithm 1 relies on this only up to same-k, but we support the
-/// general case).
-///
-/// # Errors
-///
-/// Propagates transport errors.
-pub fn allgather(comm: &mut Communicator, local: Vec<f32>) -> Result<Vec<Vec<f32>>> {
-    let p = comm.size();
-    let rank = comm.rank();
-    let mut slots: Vec<Option<Vec<f32>>> = (0..p).map(|_| None).collect();
-    slots[rank] = Some(local);
-    if p == 1 {
-        return Ok(slots.into_iter().map(|s| s.expect("own slot")).collect());
-    }
-    if p.is_power_of_two() {
-        // Recursive doubling: at round j exchange all blocks whose bit
-        // pattern matches; block ownership doubles every round.
-        let mut mask = 1usize;
-        while mask < p {
-            let peer = rank ^ mask;
-            // Send every slot we currently own, packed: [count, (idx,len,data)...]
-            let owned: Vec<(usize, &[f32])> = slots
-                .iter()
-                .enumerate()
-                .filter_map(|(i, s)| s.as_deref().map(|v| (i, v)))
-                .collect();
-            let packed = pack_slots(&owned);
-            let msg = comm.sendrecv(peer, TAG_AG + mask as u32, Payload::dense(packed))?;
-            for (i, v) in unpack_slots(msg.payload.as_dense()) {
-                slots[i] = Some(v);
-            }
-            mask <<= 1;
-        }
-    } else {
-        // Ring all-gather: circulate by slot index, no buffer copies.
-        let right = (rank + 1) % p;
-        let left = (rank + p - 1) % p;
-        let mut current = rank;
-        for _ in 0..p - 1 {
-            let packed = {
-                let v = slots[current].as_deref().expect("current slot present");
-                pack_slots(&[(current, v)])
-            };
-            comm.send(right, TAG_AG, Payload::dense(packed))?;
-            let msg = comm.recv(left, TAG_AG)?;
-            let mut incoming = unpack_slots(msg.payload.as_dense());
-            let (i, v) = incoming.pop().expect("one slot per ring message");
-            slots[i] = Some(v);
-            current = i;
-        }
-    }
-    Ok(slots
-        .into_iter()
-        .map(|s| s.expect("all slots filled after allgather"))
-        .collect())
-}
-
-/// Packs `(index, data)` slots into a flat f32 buffer.
-fn pack_slots<V: AsRef<[f32]>>(slots: &[(usize, V)]) -> Vec<f32> {
-    let mut out = Vec::with_capacity(
-        1 + slots
-            .iter()
-            .map(|(_, v)| v.as_ref().len() + 2)
-            .sum::<usize>(),
-    );
-    out.push(slots.len() as f32);
-    for (i, v) in slots {
-        let v = v.as_ref();
-        out.push(*i as f32);
-        out.push(v.len() as f32);
-        out.extend_from_slice(v);
-    }
-    out
-}
-
-/// Inverse of [`pack_slots`].
-fn unpack_slots(buf: &[f32]) -> Vec<(usize, Vec<f32>)> {
-    let mut out = Vec::new();
-    let mut pos = 0usize;
-    let count = buf[pos] as usize;
-    pos += 1;
-    for _ in 0..count {
-        let i = buf[pos] as usize;
-        let len = buf[pos + 1] as usize;
-        pos += 2;
-        out.push((i, buf[pos..pos + len].to_vec()));
-        pos += len;
-    }
-    out
-}
-
-/// Gathers every rank's `local` vector at `root` (binomial tree).
-///
-/// Returns `Some(vec_by_rank)` on the root and `None` elsewhere.
-///
-/// # Errors
-///
-/// Returns [`CommError::InvalidRank`] for a bad root, or propagates
-/// transport errors.
-pub fn gather(
-    comm: &mut Communicator,
-    local: Vec<f32>,
-    root: usize,
-) -> Result<Option<Vec<Vec<f32>>>> {
-    check_root(comm, root)?;
-    let p = comm.size();
-    let rank = comm.rank();
-    let rel = (rank + p - root) % p;
-    let mut owned: Vec<(usize, Vec<f32>)> = vec![(rank, local)];
-    let mut mask = 1usize;
-    while mask < p {
-        if rel & mask == 0 {
-            let src_rel = rel | mask;
-            if src_rel < p {
-                let src = (src_rel + root) % p;
-                let msg = comm.recv(src, TAG_GATHER)?;
-                owned.extend(unpack_slots(&msg.payload.into_dense()));
-            }
-        } else {
-            let dst_rel = rel & !mask;
-            let dst = (dst_rel + root) % p;
-            comm.send(dst, TAG_GATHER, Payload::dense(pack_slots(&owned)))?;
-            return Ok(None);
-        }
-        mask <<= 1;
-    }
-    owned.sort_by_key(|&(i, _)| i);
-    Ok(Some(owned.into_iter().map(|(_, v)| v).collect()))
-}
-
 /// Synchronizes all ranks (binomial reduce to rank 0 + broadcast), also
 /// aligning simulated clocks to the slowest rank plus the barrier cost.
 ///
@@ -434,94 +260,6 @@ pub fn barrier(comm: &mut Communicator) -> Result<()> {
     broadcast(comm, &mut dummy, 0)
 }
 
-/// Scatter: the root distributes `chunks[r]` to every rank `r`; returns
-/// this rank's chunk. Non-root ranks pass `None`.
-///
-/// Implemented as direct root sends (MPI's linear scatter), which is
-/// also its α-β-optimal form when chunks differ per destination.
-///
-/// # Errors
-///
-/// Returns [`CommError::InvalidRank`] for a bad root,
-/// [`CommError::BufferMismatch`] if the root supplies the wrong number
-/// of chunks (or a non-root supplies chunks), or transport errors.
-pub fn scatter(
-    comm: &mut Communicator,
-    chunks: Option<Vec<Vec<f32>>>,
-    root: usize,
-) -> Result<Vec<f32>> {
-    check_root(comm, root)?;
-    let p = comm.size();
-    if comm.rank() == root {
-        let chunks = chunks.ok_or(CommError::BufferMismatch {
-            op: "scatter",
-            expected: p,
-            actual: 0,
-        })?;
-        if chunks.len() != p {
-            return Err(CommError::BufferMismatch {
-                op: "scatter",
-                expected: p,
-                actual: chunks.len(),
-            });
-        }
-        let mut own = Vec::new();
-        for (dst, chunk) in chunks.into_iter().enumerate() {
-            if dst == root {
-                own = chunk;
-            } else {
-                comm.send(dst, TAG_SCATTER, Payload::dense(chunk))?;
-            }
-        }
-        Ok(own)
-    } else {
-        if chunks.is_some() {
-            return Err(CommError::BufferMismatch {
-                op: "scatter",
-                expected: 0,
-                actual: 1,
-            });
-        }
-        Ok(comm.recv(root, TAG_SCATTER)?.payload.into_dense())
-    }
-}
-
-/// Ring reduce-scatter: element-wise sum of `data` across all ranks,
-/// with rank `r` receiving (summed) chunk `(r + 1) mod P` of the result.
-///
-/// Returns `(chunk_index, chunk_data)`. This is the first half of the
-/// ring AllReduce (paper Eq. 5's `(P−1)α + ((P−1)/P)mβ` part), exposed
-/// separately for reduce-scatter-based algorithms.
-///
-/// # Errors
-///
-/// Propagates transport errors.
-pub fn reduce_scatter_ring(comm: &mut Communicator, data: &mut [f32]) -> Result<(usize, Vec<f32>)> {
-    let p = comm.size();
-    let n = data.len();
-    let rank = comm.rank();
-    if p == 1 {
-        return Ok((0, data.to_vec()));
-    }
-    let right = (rank + 1) % p;
-    let left = (rank + p - 1) % p;
-    for s in 0..p - 1 {
-        let send_chunk = (rank + p - s) % p;
-        let recv_chunk = (rank + p - s - 1) % p;
-        let payload = Payload::dense(data[chunk_range(n, p, send_chunk)].to_vec());
-        comm.send(right, TAG_RS, payload)?;
-        let msg = comm.recv(left, TAG_RS)?;
-        let v = msg.payload.into_dense();
-        let range = chunk_range(n, p, recv_chunk);
-        debug_assert_eq!(v.len(), range.len());
-        for (a, b) in data[range].iter_mut().zip(v) {
-            *a += b;
-        }
-    }
-    let own_chunk = (rank + 1) % p;
-    Ok((own_chunk, data[chunk_range(n, p, own_chunk)].to_vec()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -546,21 +284,6 @@ mod tests {
                     assert_eq!(v, vec![1.0, 2.0, 3.0], "P={p} root={root}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn reduce_sums_at_root() {
-        for &p in SIZES {
-            let root = p / 2;
-            let out = Cluster::new(p, CostModel::zero()).run(|comm| {
-                let mut v = vec![comm.rank() as f32 + 1.0; 4];
-                reduce_sum(comm, &mut v, root).unwrap();
-                (comm.rank(), v)
-            });
-            let expect = (p * (p + 1) / 2) as f32;
-            let (_, v) = &out[root];
-            assert!(v.iter().all(|&x| x == expect), "P={p}");
         }
     }
 
@@ -615,42 +338,6 @@ mod tests {
     }
 
     #[test]
-    fn allgather_collects_all_contributions() {
-        for &p in SIZES {
-            let out = Cluster::new(p, CostModel::zero()).run(|comm| {
-                let local = vec![comm.rank() as f32; comm.rank() + 1];
-                allgather(comm, local).unwrap()
-            });
-            for all in out {
-                assert_eq!(all.len(), p);
-                for (r, v) in all.iter().enumerate() {
-                    assert_eq!(v.len(), r + 1, "P={p}");
-                    assert!(v.iter().all(|&x| x == r as f32));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gather_collects_at_root_only() {
-        for &p in SIZES {
-            let root = p - 1;
-            let out = Cluster::new(p, CostModel::zero())
-                .run(|comm| gather(comm, vec![comm.rank() as f32], root).unwrap());
-            for (r, res) in out.iter().enumerate() {
-                if r == root {
-                    let all = res.as_ref().expect("root receives");
-                    for (i, v) in all.iter().enumerate() {
-                        assert_eq!(v, &vec![i as f32]);
-                    }
-                } else {
-                    assert!(res.is_none());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn barrier_aligns_clocks() {
         let p = 4;
         let times = Cluster::new(p, CostModel::new(1.0, 0.0)).run(|comm| {
@@ -682,69 +369,6 @@ mod tests {
         for &t in &times {
             assert!((t - expect).abs() < 1e-6, "sim {t} vs analytic {expect}");
         }
-    }
-
-    #[test]
-    fn scatter_distributes_chunks() {
-        for &p in SIZES {
-            let root = p / 2;
-            let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-                let chunks = if comm.rank() == root {
-                    Some((0..p).map(|r| vec![r as f32; r + 1]).collect())
-                } else {
-                    None
-                };
-                scatter(comm, chunks, root).unwrap()
-            });
-            for (r, chunk) in out.iter().enumerate() {
-                assert_eq!(chunk, &vec![r as f32; r + 1], "P={p}");
-            }
-        }
-    }
-
-    #[test]
-    fn scatter_validates_chunk_count() {
-        let out = Cluster::new(2, CostModel::zero()).run(|comm| {
-            if comm.rank() == 0 {
-                // Wrong count.
-                let res = scatter(comm, Some(vec![vec![1.0]]), 0);
-                assert!(matches!(res, Err(CommError::BufferMismatch { .. })));
-                // Retry correctly so rank 1 unblocks.
-                scatter(comm, Some(vec![vec![1.0], vec![2.0]]), 0).unwrap()
-            } else {
-                scatter(comm, None, 0).unwrap()
-            }
-        });
-        assert_eq!(out[1], vec![2.0]);
-    }
-
-    #[test]
-    fn reduce_scatter_sums_chunks() {
-        for &p in &[2usize, 3, 4, 8] {
-            let n = 24usize;
-            let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-                let mut v: Vec<f32> = (0..n).map(|i| (comm.rank() * n + i) as f32).collect();
-                reduce_scatter_ring(comm, &mut v).unwrap()
-            });
-            for (rank, (chunk_id, chunk)) in out.iter().enumerate() {
-                assert_eq!(*chunk_id, (rank + 1) % p);
-                let start = chunk_id * n / p;
-                for (j, &val) in chunk.iter().enumerate() {
-                    let i = start + j;
-                    let expect: f32 = (0..p).map(|r| (r * n + i) as f32).sum();
-                    assert_eq!(val, expect, "P={p} rank={rank} i={i}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_scatter_single_rank_is_identity() {
-        let out = Cluster::new(1, CostModel::zero()).run(|comm| {
-            let mut v = vec![1.0f32, 2.0, 3.0];
-            reduce_scatter_ring(comm, &mut v).unwrap()
-        });
-        assert_eq!(out[0], (0, vec![1.0, 2.0, 3.0]));
     }
 
     #[test]

@@ -9,9 +9,9 @@
 //! * a blocking, tagged, point-to-point [`Communicator`] API
 //!   (`send`/`recv`/`sendrecv`) modeled on MPI;
 //! * classic collective algorithms built *only* from those point-to-point
-//!   primitives: binomial-tree broadcast & reduce, ring and
-//!   recursive-doubling AllReduce, recursive-doubling / ring AllGather,
-//!   gather and barrier (module [`collectives`]);
+//!   primitives: binomial-tree broadcast, ring and recursive-doubling
+//!   AllReduce, and barrier (module [`collectives`]), all but the barrier
+//!   executed as round schedules of the [`plan`] IR;
 //! * a per-rank [`SimClock`] driven by an α-β [`CostModel`]: every message
 //!   of `n` elements charges `α + nβ` to the sender and delivers at
 //!   `sender_send_time + α + nβ`, the receiver's clock advancing to

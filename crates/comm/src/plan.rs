@@ -7,22 +7,26 @@
 //! caller maps positions to ranks, which is how the fault-tolerant layer
 //! regenerates a schedule over survivors: same generator, different
 //! position→rank mapping. [`execute_plan`] is the single executor every
-//! plan-driven collective goes through: round `r` uses tag
-//! `tag_base + r`, and within a round a participant issues its sends
-//! before its receives, so independent exchanges of one round proceed in
-//! parallel on the simulated clock exactly as the hand-rolled loops the
-//! plans replaced did.
+//! plan-driven collective goes through — the trees, the sparse sums, the
+//! zoo schedules and the dense ring alike: round `r` uses tag
+//! `tag_base + r mod PLAN_TAG_WINDOW`, and within a round a participant
+//! issues its sends before its receives, so independent exchanges of one
+//! round proceed in parallel on the simulated clock.
 //!
 //! Because all clock charging happens in the communicator's send/recv
 //! path, the executed α-β time of a plan is reproducible by a
 //! deterministic offline replay of the same rounds — `gtopk_perfmodel`'s
-//! plan-cost function is that replay, and property tests pin the two to
-//! exact equality.
+//! `PlanClock` is that replay, and property tests pin the two to exact
+//! equality.
 
 use crate::{Communicator, Result};
 
-/// Maximum number of rounds a single plan may occupy in the tag space;
-/// callers reserve windows of this width between plan `tag_base`s.
+/// Width of the tag window a plan occupies: round `r` is tagged
+/// `tag_base + r mod PLAN_TAG_WINDOW`, so callers reserve windows of this
+/// width between plan `tag_base`s whatever the plan's length. The wrap is
+/// safe because matching is FIFO per `(source, tag)` and every position
+/// walks the rounds in order: two rounds sharing a tag are matched in
+/// round order.
 pub const PLAN_TAG_WINDOW: u32 = 256;
 
 /// The schedule shape a plan is generated from.
@@ -96,9 +100,10 @@ pub enum Exchange {
     },
 }
 
-/// One round of a plan: a set of exchanges over disjoint position pairs
-/// that may proceed in parallel. A position takes part in at most one
-/// exchange per round.
+/// One round of a plan: a set of exchanges that may proceed in parallel.
+/// A position sends at most once and receives at most once per round (a
+/// [`Exchange::Swap`] counts as one of each), so a ring round — every
+/// position sending right and receiving from the left — is one round.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Round {
     /// The round's exchanges.
@@ -115,7 +120,8 @@ pub struct CollectivePlan {
     /// For reductions: the position holding the final result. For
     /// broadcasts: the originating position.
     pub root: usize,
-    /// The rounds, in execution order; round `r` uses tag `tag_base + r`.
+    /// The rounds, in execution order; round `r` uses tag
+    /// `tag_base + r mod PLAN_TAG_WINDOW`.
     pub rounds: Vec<Round>,
 }
 
@@ -295,44 +301,6 @@ impl CollectivePlan {
         plan
     }
 
-    /// *Natural* binomial reduction to `root` over any `p` — no fold
-    /// round; positions outside the power of two combine through the
-    /// classic relative-rank schedule (the shape of a dense MPI
-    /// `Reduce`). Distinct from [`CollectivePlan::reduce`]'s folded
-    /// binomial, which keeps every intermediate a `k`-sparse merge.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `p == 0` or `root >= p`.
-    pub fn natural_reduce(p: usize, root: usize) -> Self {
-        assert!(p > 0, "plan needs at least one position");
-        assert!(root < p, "reduce root {root} out of range for size {p}");
-        let rot = |rel: usize| (rel + root) % p;
-        let mut rounds = Vec::new();
-        let mut mask = 1usize;
-        while mask < p {
-            rounds.push(Round {
-                exchanges: (0..p)
-                    .step_by(2 * mask)
-                    .filter(|dst| dst | mask < p)
-                    .map(|dst| Exchange::Send {
-                        src: rot(dst | mask),
-                        dst: rot(dst),
-                    })
-                    .collect(),
-            });
-            mask <<= 1;
-        }
-        let plan = CollectivePlan {
-            topology: Topology::Binomial,
-            size: p,
-            root,
-            rounds,
-        };
-        plan.check();
-        plan
-    }
-
     /// Recursive-doubling all-reduce plan: fold-in round (positions
     /// beyond the largest power of two send down), `log₂` rounds of
     /// pairwise [`Exchange::Swap`], then a fold-out round returning the
@@ -479,8 +447,35 @@ impl CollectivePlan {
         plan
     }
 
-    /// Number of rounds (the plan's tag-window footprint and its α
-    /// depth along the busiest position).
+    /// Ring all-reduce plan: `p − 1` reduce-scatter rounds then `p − 1`
+    /// all-gather rounds, every round `Send{r → r+1 mod p}` for every
+    /// position `r` — the paper's DenseAllReduce (Eq. 5). Which chunk
+    /// travels in which round is [`crate::collectives::ring_chunk`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p == 0`.
+    pub fn ring_allreduce(p: usize) -> Self {
+        assert!(p > 0, "plan needs at least one position");
+        let round = Round {
+            exchanges: (0..p)
+                .map(|src| Exchange::Send {
+                    src,
+                    dst: (src + 1) % p,
+                })
+                .collect(),
+        };
+        let plan = CollectivePlan {
+            topology: Topology::Ring,
+            size: p,
+            root: 0,
+            rounds: vec![round; 2 * (p - 1)],
+        };
+        plan.check();
+        plan
+    }
+
+    /// Number of rounds (the plan's α depth along the busiest position).
     pub fn num_rounds(&self) -> usize {
         self.rounds.len()
     }
@@ -498,35 +493,31 @@ impl CollectivePlan {
             .sum()
     }
 
-    /// Validates structural invariants: positions in range, no position
-    /// in two exchanges of the same round, and the round count fits one
-    /// tag window.
+    /// Validates structural invariants: positions in range, and within a
+    /// round every position sends at most once and receives at most once
+    /// (a `Swap` counts as one of each for both peers).
     fn check(&self) {
-        debug_assert!(
-            self.rounds.len() <= PLAN_TAG_WINDOW as usize,
-            "{} plan over {} positions needs {} rounds; tag window is {}",
-            self.topology.name(),
-            self.size,
-            self.rounds.len(),
-            PLAN_TAG_WINDOW
-        );
         #[cfg(debug_assertions)]
         for round in &self.rounds {
-            let mut seen = vec![false; self.size];
-            let mut touch = |q: usize| {
-                assert!(q < self.size, "position {q} out of range {}", self.size);
-                assert!(!seen[q], "position {q} appears twice in one round");
-                seen[q] = true;
+            let mut sends = vec![false; self.size];
+            let mut recvs = vec![false; self.size];
+            let mut touch = |src: usize, dst: usize| {
+                assert!(
+                    src < self.size && dst < self.size,
+                    "exchange {src}→{dst} out of range {}",
+                    self.size
+                );
+                assert!(!sends[src], "position {src} sends twice in one round");
+                assert!(!recvs[dst], "position {dst} receives twice in one round");
+                sends[src] = true;
+                recvs[dst] = true;
             };
             for ex in &round.exchanges {
                 match *ex {
-                    Exchange::Send { src, dst } => {
-                        touch(src);
-                        touch(dst);
-                    }
+                    Exchange::Send { src, dst } => touch(src, dst),
                     Exchange::Swap { a, b } => {
-                        touch(a);
-                        touch(b);
+                        touch(a, b);
+                        touch(b, a);
                     }
                 }
             }
@@ -564,9 +555,10 @@ pub trait PlanOps {
 /// Executes `plan` from the perspective of `my_pos`: walks the rounds in
 /// order, issuing this position's sends before its receives within each
 /// round (so sibling exchanges overlap on the simulated clock), with
-/// round `r` tagged `tag_base + r`. `rank_of` maps plan positions to
-/// communicator ranks — the identity for full-communicator collectives,
-/// a member table for shrunk memberships, a rotation for rooted ones.
+/// round `r` tagged `tag_base + r mod` [`PLAN_TAG_WINDOW`]. `rank_of`
+/// maps plan positions to communicator ranks — the identity for
+/// full-communicator collectives, a member table for shrunk memberships,
+/// a rotation for rooted ones.
 ///
 /// This is the single entry point all plan-driven collectives execute
 /// through.
@@ -588,7 +580,7 @@ where
 {
     debug_assert!(my_pos < plan.size, "position {my_pos} outside plan");
     for (r, round) in plan.rounds.iter().enumerate() {
-        let tag = tag_base + r as u32;
+        let tag = tag_base + (r % PLAN_TAG_WINDOW as usize) as u32;
         for ex in &round.exchanges {
             match *ex {
                 Exchange::Send { src, dst } if src == my_pos => {
@@ -663,9 +655,6 @@ mod tests {
                 let plan = CollectivePlan::reduce(topo, p);
                 assert_eq!(plan.root, topo.reduce_root(p));
                 reaches_root(&plan);
-            }
-            for root in [0, p - 1, p / 2] {
-                reaches_root(&CollectivePlan::natural_reduce(p, root));
             }
         }
     }
@@ -797,6 +786,26 @@ mod tests {
             bc.rounds[0].exchanges,
             vec![Exchange::Send { src: 4, dst: 0 }]
         );
+    }
+
+    #[test]
+    fn ring_allreduce_plan_is_two_phases_of_full_rings() {
+        for p in 1..=9usize {
+            let plan = CollectivePlan::ring_allreduce(p);
+            assert_eq!(plan.num_rounds(), 2 * (p - 1), "P={p}");
+            assert_eq!(plan.num_messages(), 2 * (p - 1) * p, "P={p}");
+            for round in &plan.rounds {
+                for (src, ex) in round.exchanges.iter().enumerate() {
+                    assert_eq!(
+                        *ex,
+                        Exchange::Send {
+                            src,
+                            dst: (src + 1) % p
+                        }
+                    );
+                }
+            }
+        }
     }
 
     #[test]

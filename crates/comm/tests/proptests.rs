@@ -95,26 +95,6 @@ proptest! {
         }
     }
 
-    /// Gather assembles every rank's contribution at any root.
-    #[test]
-    fn prop_gather_any_root(p in 1usize..9, root_pick in 0usize..9) {
-        let root = root_pick % p;
-        let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-            collectives::gather(comm, vec![comm.rank() as f32 * 2.0], root).unwrap()
-        });
-        for (r, res) in out.iter().enumerate() {
-            if r == root {
-                let all = res.as_ref().expect("root collects");
-                prop_assert_eq!(all.len(), p);
-                for (i, v) in all.iter().enumerate() {
-                    prop_assert_eq!(v[0], i as f32 * 2.0);
-                }
-            } else {
-                prop_assert!(res.is_none());
-            }
-        }
-    }
-
     /// Message volume accounting is symmetric: total elements sent across
     /// the cluster equals total elements received.
     #[test]

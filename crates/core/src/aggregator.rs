@@ -192,8 +192,9 @@ impl Aggregator {
     /// members and budget `k` on an analytic clock — the overlap engine's
     /// plan-clock twin: reduce + broadcast at `2k` wire elements each for
     /// the tree, the budget-padded split + gather rounds for the zoo. The
-    /// fixed-schedule collectives are hand-written loops outside the plan
-    /// IR and have no replay: the clock stays put.
+    /// dense ring and the sparse sums are plans too (priced by
+    /// `dense_plan_ms` / `topk_plan_ms`), but their rows never run under
+    /// the overlap engine (capability table), so here the clock stays put.
     pub fn charge_twin(&mut self, clock: &mut PlanClock, net: &CostModel, p: usize, k: usize) {
         match self.algorithm.row().collective {
             Collective::Tree => {
@@ -203,8 +204,8 @@ impl Aggregator {
                     let bcast = CollectivePlan::broadcast(self.topology, p, reduce.root);
                     (reduce, bcast)
                 }));
-                clock.charge_plan(net, reduce, 2 * k);
-                clock.charge_plan(net, bcast, 2 * k);
+                clock.charge(net, reduce, |_, _| 2 * k);
+                clock.charge(net, bcast, |_, _| 2 * k);
             }
             Collective::Zoo(kind) => zoo_schedule(&mut self.sched, kind, p, k).charge(clock, net),
             Collective::DenseRing | Collective::SparseSum | Collective::SparseSumThenSelect => {}

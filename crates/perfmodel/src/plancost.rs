@@ -1,5 +1,6 @@
 //! Exact α-β cost of a [`CollectivePlan`] — the analytic twin of the
-//! executed collectives.
+//! executed collectives, and the one α-β pricer of every schedule the
+//! product runs.
 //!
 //! The simulated transport in `gtopk-comm` charges every message with the
 //! same three rules (see `Communicator::send` / `recv`):
@@ -11,19 +12,21 @@
 //! 3. the receiver's clock synchronizes forward to the delivery time.
 //!
 //! Because plan execution is deterministic — per-rank program order is
-//! the round order, messages are matched per `(src, tag)` with one tag
-//! per round — those rules can be replayed *without running any threads*.
-//! [`PlanClock`] does exactly that: it carries one clock and one inbound
-//! link horizon per plan position and charges a plan round by round. The
-//! result is not a model that approximates the executed time; it is the
-//! executed time, reproduced bit-for-bit (property-tested in
-//! `tests/plan_equivalence.rs` for every topology and worker count).
+//! the round order, messages are matched FIFO per `(src, tag)` — those
+//! rules can be replayed *without running any threads*. [`PlanClock`]
+//! does exactly that: it carries one clock and one inbound link horizon
+//! per plan position and charges a plan round by round. The result is not
+//! a model that approximates the executed time; it is the executed time,
+//! reproduced bit-for-bit (pinned in `tests/plan_equivalence.rs` for every
+//! topology and worker count).
 //!
 //! This is what turns Table I / Eqs. 5–7 from closed forms into
-//! *assertions over plans*: e.g. for a power-of-two `P`, the binomial
-//! reduce+broadcast plan pair costs exactly
-//! `2·log₂P·α + 4k·log₂P·β` (Eq. 7) — see the tests below.
+//! *assertions over plans*: [`dense_plan_ms`], [`topk_plan_ms`] and
+//! [`gtopk_plan_ms`] replay the ring, the exact sparse sum and the
+//! gTop-k tree, and for a power-of-two `P` they equal Eqs. 5, 6 and 7 —
+//! see the tests below.
 
+use gtopk_comm::collectives::{largest_power_of_two_leq, ring_chunk};
 use gtopk_comm::{CollectivePlan, CostModel, Exchange, Topology};
 
 /// Deterministic replay clock for plan executions: one simulated clock
@@ -31,17 +34,17 @@ use gtopk_comm::{CollectivePlan, CostModel, Exchange, Topology};
 /// per-rank state of the executed transport (`Clock` + `rx_link_free_ms`)
 /// over a uniform-cost network.
 ///
-/// The clock persists across [`PlanClock::charge_plan`] calls, exactly as
-/// the real per-rank state persists across collectives — charging a
-/// reduce plan and then a broadcast plan on the same `PlanClock` models
-/// one gTopKAllReduce, inbound-link backpressure included.
+/// The clock persists across [`PlanClock::charge`] calls, exactly as the
+/// real per-rank state persists across collectives — charging a reduce
+/// plan and then a broadcast plan on the same `PlanClock` models one
+/// gTopKAllReduce, inbound-link backpressure included.
 #[derive(Debug, Clone)]
 pub struct PlanClock {
     clocks: Vec<f64>,
     rx_free: Vec<f64>,
-    /// Reused `(src, dst, arrival)` staging buffer of the round being
+    /// Reused `(dst, arrival, cost)` staging buffer of the round being
     /// charged — kept here so steady-state charging allocates nothing.
-    pending: Vec<(usize, usize, f64)>,
+    pending: Vec<(usize, f64, f64)>,
 }
 
 impl PlanClock {
@@ -92,97 +95,45 @@ impl PlanClock {
         }
     }
 
-    /// Charges one full plan execution, every message carrying
-    /// `wire_elems` elements on the wire, over the uniform network `net`.
+    /// Charges one full plan execution over the uniform network `net`,
+    /// the message position `src` sends in round `r` carrying
+    /// `wire(r, src)` elements on the wire.
     ///
     /// Within a round all sends are charged before any delivery — the
     /// per-thread program order of `execute_plan` (each rank sends before
     /// it receives, and a message's arrival stamp depends only on its
-    /// sender's clock).
+    /// sender's clock); each delivery then serializes on its receiver's
+    /// inbound link at that message's own cost.
     ///
     /// # Panics
     ///
     /// Panics if the plan's size disagrees with this clock's.
-    pub fn charge_plan(&mut self, net: &CostModel, plan: &CollectivePlan, wire_elems: usize) {
-        assert_eq!(
-            plan.size,
-            self.size(),
-            "plan size must match the clock's position count"
-        );
-        let cost = net.transfer_ms(wire_elems);
-        // (src, dst, arrival) triples of the round, deliveries applied
-        // after every send of the round is charged.
-        let mut pending = std::mem::take(&mut self.pending);
-        for round in &plan.rounds {
-            pending.clear();
-            for ex in &round.exchanges {
-                match *ex {
-                    Exchange::Send { src, dst } => {
-                        self.clocks[src] += cost;
-                        pending.push((src, dst, self.clocks[src]));
-                    }
-                    Exchange::Swap { a, b } => {
-                        self.clocks[a] += cost;
-                        pending.push((a, b, self.clocks[a]));
-                        self.clocks[b] += cost;
-                        pending.push((b, a, self.clocks[b]));
-                    }
-                }
-            }
-            for &(_src, dst, arrival) in &pending {
-                let delivery = arrival.max(self.rx_free[dst] + cost);
-                self.rx_free[dst] = delivery;
-                self.sync_to(dst, delivery);
-            }
-        }
-        self.pending = pending;
-    }
-
-    /// Charges one full plan execution with a *per-round* wire size:
-    /// every message of round `r` carries `round_elems[r]` elements.
-    /// Within a round the size is uniform — exactly the shape of the
-    /// zoo collectives, whose fixed slot budgets vary by round but not
-    /// by position.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the plan's size disagrees with this clock's, or if
-    /// `round_elems` does not have one entry per plan round.
-    pub fn charge_plan_rounds(
+    pub fn charge(
         &mut self,
         net: &CostModel,
         plan: &CollectivePlan,
-        round_elems: &[usize],
+        wire: impl Fn(usize, usize) -> usize,
     ) {
         assert_eq!(
             plan.size,
             self.size(),
             "plan size must match the clock's position count"
         );
-        assert_eq!(
-            round_elems.len(),
-            plan.rounds.len(),
-            "need one wire size per plan round"
-        );
         let mut pending = std::mem::take(&mut self.pending);
-        for (round, &elems) in plan.rounds.iter().zip(round_elems) {
-            let cost = net.transfer_ms(elems);
+        for (r, round) in plan.rounds.iter().enumerate() {
             pending.clear();
             for ex in &round.exchanges {
                 match *ex {
                     Exchange::Send { src, dst } => {
-                        self.clocks[src] += cost;
-                        pending.push((src, dst, self.clocks[src]));
+                        self.send(&mut pending, net, src, dst, wire(r, src));
                     }
                     Exchange::Swap { a, b } => {
-                        self.clocks[a] += cost;
-                        pending.push((a, b, self.clocks[a]));
-                        self.clocks[b] += cost;
-                        pending.push((b, a, self.clocks[b]));
+                        self.send(&mut pending, net, a, b, wire(r, a));
+                        self.send(&mut pending, net, b, a, wire(r, b));
                     }
                 }
             }
-            for &(_src, dst, arrival) in &pending {
+            for &(dst, arrival, cost) in &pending {
                 let delivery = arrival.max(self.rx_free[dst] + cost);
                 self.rx_free[dst] = delivery;
                 self.sync_to(dst, delivery);
@@ -190,19 +141,71 @@ impl PlanClock {
         }
         self.pending = pending;
     }
+
+    /// Charges one `elems`-element send to `src`'s clock and stages its
+    /// delivery to `dst` at the post-charge time.
+    fn send(
+        &mut self,
+        pending: &mut Vec<(usize, f64, f64)>,
+        net: &CostModel,
+        src: usize,
+        dst: usize,
+        elems: usize,
+    ) {
+        let cost = net.transfer_ms(elems);
+        self.clocks[src] += cost;
+        pending.push((dst, self.clocks[src], cost));
+    }
 }
 
-/// Makespan of a single plan executed from time zero, every message
-/// carrying `wire_elems` elements: the exact simulated time the executed
-/// collective reports.
+/// Exact cost of one ring DenseAllReduce of `m` elements over `p`
+/// positions: [`CollectivePlan::ring_allreduce`], every message carrying
+/// its sender's [`ring_chunk`]. For `p ∣ m` this equals Eq. 5,
+/// `2(P−1)α + 2((P−1)/P)·mβ`.
 ///
 /// # Panics
 ///
-/// Panics if `plan.size == 0`.
+/// Panics if `p == 0`.
 #[must_use]
-pub fn plan_cost_ms(net: &CostModel, plan: &CollectivePlan, wire_elems: usize) -> f64 {
-    let mut clock = PlanClock::new(plan.size);
-    clock.charge_plan(net, plan, wire_elems);
+pub fn dense_plan_ms(net: &CostModel, p: usize, m: usize) -> f64 {
+    let mut clock = PlanClock::new(p);
+    clock.charge(net, &CollectivePlan::ring_allreduce(p), |r, src| {
+        ring_chunk(m, p, r, src).len()
+    });
+    clock.max_now()
+}
+
+/// Exact cost of one Top-k aggregation — the recursive-doubling exact
+/// sparse sum over [`CollectivePlan::exchange`] — at the disjoint-support
+/// worst case, where a partial sum holding `c` contributions carries
+/// `2k·c` wire elements: `1` contribution in the fold-in round, the
+/// sender's `2ʲ`-position block (plus the folded ranks it absorbed) at
+/// swap mask `2ʲ`, all `P` in the fold-out round. For a power-of-two `P`
+/// this equals Eq. 6, `log₂P·α + 2(P−1)kβ`.
+///
+/// # Panics
+///
+/// Panics if `p == 0`.
+#[must_use]
+pub fn topk_plan_ms(net: &CostModel, p: usize, k: usize) -> f64 {
+    let plan = CollectivePlan::exchange(p);
+    let p2 = largest_power_of_two_leq(p);
+    let extra = p - p2;
+    let fold = usize::from(extra > 0);
+    let rounds = plan.num_rounds();
+    let held = |r: usize, src: usize| {
+        if src >= p2 {
+            1
+        } else if extra > 0 && r + 1 == rounds {
+            p
+        } else {
+            let block = 1usize << (r - fold);
+            let base = src & !(block - 1);
+            block + extra.saturating_sub(base).min(block)
+        }
+    };
+    let mut clock = PlanClock::new(p);
+    clock.charge(net, &plan, |r, src| 2 * k * held(r, src));
     clock.max_now()
 }
 
@@ -222,15 +225,68 @@ pub fn gtopk_plan_ms(net: &CostModel, topology: Topology, p: usize, k: usize) ->
     let reduce = CollectivePlan::reduce(topology, p);
     let bcast = CollectivePlan::broadcast(topology, p, reduce.root);
     let mut clock = PlanClock::new(p);
-    clock.charge_plan(net, &reduce, 2 * k);
-    clock.charge_plan(net, &bcast, 2 * k);
+    clock.charge(net, &reduce, |_, _| 2 * k);
+    clock.charge(net, &bcast, |_, _| 2 * k);
     clock.max_now()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::alphabeta::gtopk_allreduce_ms;
+    use crate::alphabeta::{dense_allreduce_ms, gtopk_allreduce_ms, topk_allreduce_ms};
+
+    /// The paper's measured 1 GbE constants (Fig. 8).
+    const PAPER: CostModel = CostModel {
+        alpha_ms: 0.436,
+        beta_ms_per_elem: 3.6e-5,
+    };
+
+    fn assert_close(replay: f64, eq: f64, what: &str) {
+        assert!(
+            (replay - eq).abs() / eq < 1e-6,
+            "{what}: replay {replay} vs closed form {eq}"
+        );
+    }
+
+    #[test]
+    fn dense_plan_matches_eq5() {
+        for (p, m) in [(4usize, 10_000usize), (32, 25_000_000), (8, 4096)] {
+            let eq5 = dense_allreduce_ms(&PAPER, p, m);
+            assert_close(dense_plan_ms(&PAPER, p, m), eq5, &format!("P={p} m={m}"));
+        }
+    }
+
+    #[test]
+    fn topk_plan_matches_eq6() {
+        for (p, k) in [(32usize, 25_000usize), (8, 16), (2, 1)] {
+            let eq6 = topk_allreduce_ms(&PAPER, p, k);
+            assert_close(topk_plan_ms(&PAPER, p, k), eq6, &format!("P={p} k={k}"));
+        }
+    }
+
+    #[test]
+    fn gtopk_plan_matches_eq7() {
+        let (p, k) = (32usize, 25_000usize);
+        let eq7 = gtopk_allreduce_ms(&PAPER, p, k);
+        assert_close(gtopk_plan_ms(&PAPER, Topology::Binomial, p, k), eq7, "P=32");
+    }
+
+    #[test]
+    fn single_position_replays_are_free() {
+        assert_eq!(dense_plan_ms(&PAPER, 1, 1000), 0.0);
+        assert_eq!(topk_plan_ms(&PAPER, 1, 10), 0.0);
+        assert_eq!(gtopk_plan_ms(&PAPER, Topology::Binomial, 1, 10), 0.0);
+    }
+
+    #[test]
+    fn topk_fold_rounds_carry_what_their_senders_hold() {
+        // P = 3 with β only: fold-in ships 1 contribution (2k), the one
+        // swap ships 2 from position 0 and 1 from position 1, and the
+        // fold-out ships all 3 — the critical path runs 2k + 4k + 6k.
+        let net = CostModel::new(0.0, 1.0);
+        let k = 5;
+        assert_eq!(topk_plan_ms(&net, 3, k), (12 * k) as f64);
+    }
 
     #[test]
     fn binomial_plan_cost_equals_eq7_for_powers_of_two() {
@@ -306,7 +362,9 @@ mod tests {
         // ⌈√5⌉ = 3 → groups {0,1,2},{3,4}: in-group stars then a leader
         // star; the root's inbound link carries multiple serialized
         // deliveries.
-        let cost = plan_cost_ms(&net, &plan, 2);
+        let mut clock = PlanClock::new(p);
+        clock.charge(&net, &plan, |_, _| 2);
+        let cost = clock.max_now();
         assert!(
             cost >= 3.0,
             "serialized inbound deliveries must stack: {cost}"
@@ -319,10 +377,10 @@ mod tests {
         let p = 4;
         let reduce = CollectivePlan::reduce(Topology::Binomial, p);
         let mut clock = PlanClock::new(p);
-        clock.charge_plan(&net, &reduce, 2);
+        clock.charge(&net, &reduce, |_, _| 2);
         let after_reduce = clock.max_now();
         let bcast = CollectivePlan::broadcast(Topology::Binomial, p, reduce.root);
-        clock.charge_plan(&net, &bcast, 2);
+        clock.charge(&net, &bcast, |_, _| 2);
         assert!(clock.max_now() > after_reduce);
         // Identical to the one-shot helper.
         assert_eq!(
@@ -338,9 +396,9 @@ mod tests {
             let plan = CollectivePlan::exchange(p);
             let sizes = vec![64usize; plan.num_rounds()];
             let mut uniform = PlanClock::new(p);
-            uniform.charge_plan(&net, &plan, 64);
+            uniform.charge(&net, &plan, |_, _| 64);
             let mut per_round = PlanClock::new(p);
-            per_round.charge_plan_rounds(&net, &plan, &sizes);
+            per_round.charge(&net, &plan, |r, _| sizes[r]);
             for pos in 0..p {
                 assert_eq!(uniform.now(pos), per_round.now(pos), "P={p} pos={pos}");
             }
@@ -355,8 +413,8 @@ mod tests {
         let plan = CollectivePlan::exchange(2);
         assert_eq!(plan.num_rounds(), 1);
         let mut clock = PlanClock::new(2);
-        clock.charge_plan_rounds(&net, &plan, &[100]);
-        clock.charge_plan_rounds(&net, &plan, &[10]);
+        clock.charge(&net, &plan, |_, _| 100);
+        clock.charge(&net, &plan, |_, _| 10);
         let expect = net.transfer_ms(100) + net.transfer_ms(10);
         assert!((clock.max_now() - expect).abs() < 1e-12);
     }
@@ -369,7 +427,7 @@ mod tests {
         let mut clock = PlanClock::new(p);
         // The sender (position 1) is busy computing before it can send.
         clock.advance_compute(1, 10.0);
-        clock.charge_plan(&net, &plan, 2);
+        clock.charge(&net, &plan, |_, _| 2);
         assert_eq!(clock.now(0), 11.0);
     }
 }

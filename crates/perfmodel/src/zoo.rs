@@ -59,11 +59,6 @@ pub struct ZooSchedule {
     pub gather: CollectivePlan,
     /// Slot budget of each gather round's messages.
     pub gather_slots: Vec<usize>,
-    /// Wire elements (2 × slots) per split round, precomputed for
-    /// allocation-free clock charging.
-    split_wire: Vec<usize>,
-    /// Wire elements per gather round.
-    gather_wire: Vec<usize>,
 }
 
 impl ZooSchedule {
@@ -161,8 +156,6 @@ impl ZooSchedule {
         debug_assert_eq!(split_slots.len(), split.num_rounds());
         debug_assert_eq!(split_trunc.len(), split.num_rounds());
         debug_assert_eq!(gather_slots.len(), gather.num_rounds());
-        let split_wire = split_slots.iter().map(|s| 2 * s).collect();
-        let gather_wire = gather_slots.iter().map(|s| 2 * s).collect();
         ZooSchedule {
             name,
             p,
@@ -174,8 +167,6 @@ impl ZooSchedule {
             split_trunc,
             gather,
             gather_slots,
-            split_wire,
-            gather_wire,
         }
     }
 
@@ -187,8 +178,8 @@ impl ZooSchedule {
     ///
     /// Panics if the clock's position count disagrees with `p`.
     pub fn charge(&self, clock: &mut PlanClock, net: &CostModel) {
-        clock.charge_plan_rounds(net, &self.split, &self.split_wire);
-        clock.charge_plan_rounds(net, &self.gather, &self.gather_wire);
+        clock.charge(net, &self.split, |r, _| 2 * self.split_slots[r]);
+        clock.charge(net, &self.gather, |r, _| 2 * self.gather_slots[r]);
     }
 
     /// Makespan of one collective executed from time zero.
@@ -216,18 +207,18 @@ impl ZooSchedule {
     #[must_use]
     pub fn rank_send_elems(&self, pos: usize) -> usize {
         let mut total = 0usize;
-        for (plan, wire) in [
-            (&self.split, &self.split_wire),
-            (&self.gather, &self.gather_wire),
+        for (plan, slots) in [
+            (&self.split, &self.split_slots),
+            (&self.gather, &self.gather_slots),
         ] {
-            for (round, &elems) in plan.rounds.iter().zip(wire) {
+            for (round, &budget) in plan.rounds.iter().zip(slots) {
                 for ex in &round.exchanges {
                     let sends = match *ex {
                         gtopk_comm::Exchange::Send { src, .. } => src == pos,
                         gtopk_comm::Exchange::Swap { a, b } => a == pos || b == pos,
                     };
                     if sends {
-                        total += elems;
+                        total += 2 * budget;
                     }
                 }
             }

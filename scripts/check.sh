@@ -81,6 +81,13 @@ require_tests -p gtopk-comm --lib shard
 require_tests -p gtopk-core --lib ps::
 require_tests -p gtopk-core --lib orchestrator::
 require_tests -p gtopk-perfmodel --lib pscost
+# One α-β clock: the executed dense ring, exact sparse sum and gTop-k
+# tree equal their PlanClock replays exactly (past the 256-round tag
+# window too), and Eqs. 5–7 stay oracles of those replays.
+require_tests -p gtopk-core --test plan_equivalence prop_ring_allreduce_time_equals_dense_plan
+require_tests -p gtopk-core --test plan_equivalence prop_sparse_sum_time_equals_topk_plan
+require_tests -p gtopk-core --test plan_equivalence past_the_tag_window
+require_tests -p gtopk-perfmodel --lib plancost
 
 for threads in "${THREAD_MATRIX[@]}"; do
   for simd in "${SIMD_MATRIX[@]}"; do
@@ -89,6 +96,18 @@ for threads in "${THREAD_MATRIX[@]}"; do
     cargo test -q --offline
   done
 done
+
+# Committed numbers must not go stale: the analytic bins price every
+# schedule by thread-free plan replay (seconds in total), so rerun them
+# and require their committed TSVs to come back byte-identical.
+echo "==> analytic results reproduce byte-identically"
+for bin in table1_complexity fig09_allreduce_time fig10_scaling_efficiency \
+  fig11_time_breakdown table4_throughput; do
+  cargo run -q --offline -p gtopk-bench --bin "$bin" >/dev/null
+done
+git diff --exit-code -- results/table1_complexity.tsv results/fig09_*.tsv \
+  results/fig10_scaling_*.tsv results/fig11_time_breakdown.tsv \
+  results/table4_throughput.tsv
 
 # Real processes, real sockets, a real SIGKILL: a 4-process localhost
 # cluster over `--transport tcp --rendezvous` (OS-assigned ports published

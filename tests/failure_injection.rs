@@ -122,29 +122,28 @@ fn collective_after_partial_failure_reports_error() {
 
 #[test]
 fn allgather_fails_cleanly_when_a_rank_dies() {
-    // Recursive-doubling AllGather with a dead member: every survivor's
-    // exchange chain reaches the hole within log P rounds, so all of
-    // them must error rather than return a partial gather.
+    // The AllGather exchange shape — recursive doubling, folded at
+    // P = 6 — on the kept collective, the recursive-doubling AllReduce,
+    // with a dead member: the survivors' exchange chains reach the hole
+    // within log P rounds, so they must error rather than return a
+    // partial result.
     for p in [4usize, 6] {
         let out = Cluster::new(p, CostModel::zero()).run(|comm| {
             if comm.rank() == 1 {
                 return None;
             }
-            Some(collectives::allgather(comm, vec![comm.rank() as f32; 4]))
+            let mut v = vec![comm.rank() as f32; 4];
+            Some(collectives::allreduce_recursive_doubling(comm, &mut v).map(|()| v))
         });
         let failed = out
             .iter()
             .enumerate()
             .filter(|(r, res)| *r != 1 && matches!(res, Some(Err(_))))
             .count();
-        assert!(
-            failed >= 1,
-            "P={p}: allgather must break when a member dies: {out:?}"
-        );
-        assert!(
-            !out.iter()
-                .any(|res| matches!(res, Some(Ok(rows)) if rows.len() == p)),
-            "P={p}: nobody may claim a complete gather: {out:?}"
+        assert_eq!(
+            failed,
+            p - 1,
+            "P={p}: every survivor must error, none may return a partial sum: {out:?}"
         );
     }
 }

@@ -4,6 +4,10 @@
 //!    topology and network, the α-β time a cluster actually spends
 //!    executing gTopKAllReduce equals `gtopk_perfmodel::gtopk_plan_ms`'s
 //!    offline replay of the same plans *exactly* — not to a tolerance.
+//!    The same holds for the dense ring (`dense_plan_ms`), the exact
+//!    sparse sum at disjoint supports (`topk_plan_ms`) and the zoo
+//!    schedules, and past the 256-round tag window, which plan execution
+//!    wraps.
 //! 2. **Topology changes the schedule, not the answer**: under disjoint
 //!    per-rank supports with globally distinct magnitudes (where the
 //!    non-associativity of the ⊤ merge cannot bite), every topology
@@ -12,9 +16,12 @@
 //!    the ring chain reproduces that left fold bitwise even for
 //!    overlapping supports, because its plan *is* the fold.
 
-use gtopk::{gtopk_all_reduce_over, sparse_zoo_all_reduce_over, Selector, SelectorState};
-use gtopk_comm::{Cluster, CostModel, Topology};
-use gtopk_perfmodel::{gtopk_plan_ms, ZooSchedule};
+use gtopk::{
+    gtopk_all_reduce_over, sparse_sum_recursive_doubling, sparse_zoo_all_reduce_over, Selector,
+    SelectorState,
+};
+use gtopk_comm::{collectives, Cluster, CostModel, Topology};
+use gtopk_perfmodel::{dense_plan_ms, gtopk_plan_ms, topk_plan_ms, ZooSchedule};
 use gtopk_sparse::{topk_merge_many, topk_sparse, Residual, SparseVec};
 use proptest::prelude::*;
 
@@ -50,6 +57,39 @@ fn grad(rank: usize, dim: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
+/// The three networks every replay identity is checked on.
+const NETS: [CostModel; 3] = [
+    CostModel {
+        alpha_ms: 0.436,
+        beta_ms_per_elem: 3.6e-5,
+    },
+    CostModel {
+        alpha_ms: 0.7,
+        beta_ms_per_elem: 0.003,
+    },
+    CostModel {
+        alpha_ms: 0.05,
+        beta_ms_per_elem: 0.0001,
+    },
+];
+
+/// Makespan of one dense ring AllReduce of `m` elements over `p` ranks,
+/// checking the sum on the way.
+fn executed_ring_ms(p: usize, m: usize, net: CostModel) -> f64 {
+    let out = Cluster::new(p, net).run(|comm| {
+        let mut v: Vec<f32> = (0..m).map(|i| (comm.rank() + i) as f32).collect();
+        collectives::allreduce_ring(comm, &mut v).unwrap();
+        (v, comm.now_ms())
+    });
+    let rank_sum = (p * (p - 1) / 2) as f32;
+    for (v, _) in &out {
+        for (i, &x) in v.iter().enumerate() {
+            assert_eq!(x, rank_sum + (p * i) as f32, "P={p} m={m} i={i}");
+        }
+    }
+    out.iter().map(|&(_, t)| t).fold(0.0f64, f64::max)
+}
+
 fn bits(v: &SparseVec) -> (Vec<u32>, Vec<u32>) {
     (
         v.indices().to_vec(),
@@ -70,11 +110,7 @@ proptest! {
         net_idx in 0usize..3,
     ) {
         let topo = Topology::ALL[topo_idx];
-        let net = [
-            CostModel::gigabit_ethernet(),
-            CostModel::new(0.7, 0.003),
-            CostModel::new(0.05, 0.0001),
-        ][net_idx];
+        let net = NETS[net_idx];
         let members: Vec<usize> = (0..p).collect();
         let times = Cluster::new(p, net).run(|comm| {
             let mine = disjoint_local(comm.rank(), p, k);
@@ -86,6 +122,48 @@ proptest! {
         prop_assert!(
             executed == planned,
             "{topo} P={p} k={k} net={net_idx}: executed {executed} != plan cost {planned}"
+        );
+    }
+
+    /// The dense ring is a plan: executed α-β time == `dense_plan_ms`,
+    /// exactly, with `m < P` (empty chunks), `P ∣ m` and `P ∤ m` (uneven
+    /// chunks, so messages of one round differ in size).
+    #[test]
+    fn prop_ring_allreduce_time_equals_dense_plan(
+        p in 2usize..=48,
+        shape in 0usize..3,
+        net_idx in 0usize..3,
+    ) {
+        let m = [p / 2, 3 * p, 3 * p + p / 2 + 1][shape];
+        let net = NETS[net_idx];
+        let executed = executed_ring_ms(p, m, net);
+        let planned = dense_plan_ms(&net, p, m);
+        prop_assert!(
+            executed == planned,
+            "P={p} m={m} net={net_idx}: executed {executed} != plan cost {planned}"
+        );
+    }
+
+    /// The exact sparse sum at disjoint supports — Top-k's worst case —
+    /// costs exactly `topk_plan_ms`, folded (non-power-of-two) P included.
+    #[test]
+    fn prop_sparse_sum_time_equals_topk_plan(
+        p in 2usize..=48,
+        k in 1usize..=6,
+        net_idx in 0usize..3,
+    ) {
+        let net = NETS[net_idx];
+        let times = Cluster::new(p, net).run(|comm| {
+            let mine = disjoint_local(comm.rank(), p, k);
+            let sum = sparse_sum_recursive_doubling(comm, mine).unwrap();
+            assert_eq!(sum.nnz(), p * k);
+            comm.now_ms()
+        });
+        let executed = times.iter().copied().fold(0.0f64, f64::max);
+        let planned = topk_plan_ms(&net, p, k);
+        prop_assert!(
+            executed == planned,
+            "P={p} k={k} net={net_idx}: executed {executed} != plan cost {planned}"
         );
     }
 
@@ -101,11 +179,7 @@ proptest! {
         net_idx in 0usize..3,
     ) {
         let oktopk = alg_idx == 0;
-        let net = [
-            CostModel::gigabit_ethernet(),
-            CostModel::new(0.7, 0.003),
-            CostModel::new(0.05, 0.0001),
-        ][net_idx];
+        let net = NETS[net_idx];
         let sched = if oktopk {
             ZooSchedule::oktopk(p, k)
         } else {
@@ -243,4 +317,32 @@ proptest! {
             );
         }
     }
+}
+
+/// Past the old 256-round tag window: a ring-topology tree at P = 260
+/// (259 reduce + 259 broadcast rounds) runs, every rank agrees, and the
+/// executed time equals its replay.
+#[test]
+fn ring_topology_tree_past_the_tag_window_equals_its_replay() {
+    let (p, k) = (260usize, 2usize);
+    let net = NETS[0];
+    let members: Vec<usize> = (0..p).collect();
+    let out = Cluster::new(p, net).run(|comm| {
+        let mine = disjoint_local(comm.rank(), p, k);
+        let (global, _mask, _rejects) =
+            gtopk_all_reduce_over(comm, &members, mine, k, 0, Topology::Ring).unwrap();
+        (bits(&global), comm.now_ms())
+    });
+    assert!(out.iter().all(|(g, _)| g == &out[0].0), "ranks disagree");
+    let executed = out.iter().map(|&(_, t)| t).fold(0.0f64, f64::max);
+    assert_eq!(executed, gtopk_plan_ms(&net, Topology::Ring, p, k));
+}
+
+/// Past the old tag window: the dense ring at P = 140 runs 278 rounds,
+/// sums correctly, and costs exactly its replay.
+#[test]
+fn dense_ring_past_the_tag_window_equals_its_replay() {
+    let (p, m) = (140usize, 2 * 140 + 3);
+    let net = NETS[0];
+    assert_eq!(executed_ring_ms(p, m, net), dense_plan_ms(&net, p, m));
 }
