@@ -1,20 +1,29 @@
 //! Golden per-algorithm parity: bitwise fingerprints of what every
 //! `Algorithm` row produces — each rank's averaged `Update` and the
 //! residual it leaves behind — over three consecutive steps with the
-//! residual carried, serially and under the overlap engine.
+//! residual carried, serially and under the overlap engine; and of what
+//! every row's whole training run reports through `train_distributed`.
 //!
 //! The literals were recorded from the eight per-algorithm aggregator
 //! structs and the overlap engine's private step, before both were
 //! collapsed into the one table-driven step; they pin that refactor (and
 //! any later one) to the same floats. The warm-up-density literals were
 //! recorded before the `⊤` merge, the put-back and the sparse optimizer
-//! apply were rewritten. A change that moves a fingerprint changed the
-//! numerics of that row.
+//! apply were rewritten. The training-run literals and the remaining
+//! sparse rows' overlapped literals were recorded while the trainer still
+//! had a separate whole-vector arm beside the bucketed engine. A change
+//! that moves a fingerprint changed the numerics of that row.
 
-use gtopk::{Aggregator, Algorithm, OverlapConfig, OverlapEngine, Selector, Update};
+use gtopk::{
+    train_distributed, Aggregator, Algorithm, ComputeCost, OverlapConfig, OverlapEngine, Selector,
+    TrainConfig, Update,
+};
 use gtopk_comm::{Cluster, Communicator, CostModel, Topology};
+use gtopk_data::GaussianMixture;
 use gtopk_nn::{models, Model, MomentumSgd};
 use gtopk_sparse::Residual;
+use gtopk_tensor::Tensor;
+use std::sync::{Arc, Mutex};
 
 const STEPS: u64 = 3;
 
@@ -165,6 +174,101 @@ fn overlap_fingerprint(alg: Algorithm, p: usize, buckets: usize) -> u64 {
     fold(&per_rank)
 }
 
+/// A model that hands its final parameters to `sink` when the training
+/// run drops it (the report carries no parameters).
+struct Recorded<M: Model> {
+    inner: M,
+    sink: Arc<Mutex<Vec<Vec<f32>>>>,
+}
+
+impl<M: Model> Drop for Recorded<M> {
+    fn drop(&mut self) {
+        let params = self.inner.flat_params();
+        self.sink
+            .lock()
+            .expect("no panic while recording")
+            .push(params);
+    }
+}
+
+impl<M: Model> Model for Recorded<M> {
+    fn num_params(&self) -> usize {
+        self.inner.num_params()
+    }
+
+    fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
+        self.inner.forward(input, train)
+    }
+
+    fn backward(&mut self, grad_logits: &Tensor) {
+        self.inner.backward(grad_logits);
+    }
+
+    fn zero_grads(&mut self) {
+        self.inner.zero_grads();
+    }
+
+    fn flat_grads(&self) -> Vec<f32> {
+        self.inner.flat_grads()
+    }
+
+    fn flat_params(&self) -> Vec<f32> {
+        self.inner.flat_params()
+    }
+
+    fn set_flat_params(&mut self, values: &[f32]) {
+        self.inner.set_flat_params(values);
+    }
+
+    fn add_to_flat_params(&mut self, delta: &[f32]) {
+        self.inner.add_to_flat_params(delta);
+    }
+
+    fn param_segments(&self) -> Vec<usize> {
+        self.inner.param_segments()
+    }
+}
+
+/// One whole training run of `alg` at `p` workers, without `--overlap`,
+/// through `train_distributed`: per-epoch loss bits, the final
+/// parameters, the simulated time, rank 0's traffic and the mean applied
+/// update size. The paper's warm-up moves `k` every epoch, and the
+/// non-dyadic modelled compute and sparsify costs pin the order in which
+/// they land on the simulated clock.
+fn trained_fingerprint(alg: Algorithm, p: usize) -> u64 {
+    let mut cfg = TrainConfig::convergence(p, 4, 3, 0.1, 0.05).with_algorithm(alg);
+    cfg.compute_cost = Some(ComputeCost {
+        compute_ms: 4.1,
+        sparsify_ms: 0.7,
+    });
+    let data = GaussianMixture::new(13, 160, 8, 4, 2.5, 0.4);
+    let sink = Arc::new(Mutex::new(Vec::new()));
+    let build = || Recorded {
+        inner: models::mlp(17, 8, 16, 4),
+        sink: Arc::clone(&sink),
+    };
+    let report = train_distributed(&cfg, build, &data, None);
+    let finals = std::mem::take(&mut *sink.lock().expect("runs finished"));
+    assert_eq!(finals.len(), p, "{}: one model per rank", alg.name());
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    for f in &finals {
+        assert_eq!(bits(f), bits(&finals[0]), "{}: replicas", alg.name());
+    }
+    let mut h = Fnv::new();
+    let mut f64_word = |x: f64| {
+        h.word(x.to_bits() as u32);
+        h.word((x.to_bits() >> 32) as u32);
+    };
+    for e in &report.epochs {
+        f64_word(e.train_loss);
+    }
+    f64_word(report.sim_time_ms);
+    f64_word(report.mean_update_nnz);
+    f64_word(report.elems_sent_rank0 as f64);
+    h.floats(&finals[0]);
+    h.0
+}
+
 /// Renders a mismatching table so the failure message is the new literal.
 fn check(what: &str, got: &[(String, u64)], want: &[u64]) {
     let rendered: Vec<String> = got
@@ -250,6 +354,74 @@ fn overlapped_rows_reproduce_their_recorded_trajectory() {
     ];
     let mut got = Vec::new();
     for alg in [Algorithm::GTopK, Algorithm::OkTopk, Algorithm::SparDl] {
+        for p in [4usize, 5] {
+            for buckets in [1usize, 2] {
+                got.push((
+                    format!("{} P={p} buckets={buckets}", alg.name()),
+                    overlap_fingerprint(alg, p, buckets),
+                ));
+            }
+        }
+    }
+    check("overlap", &got, &WANT);
+}
+
+#[test]
+fn every_row_trains_to_its_recorded_report() {
+    const WANT: [u64; 16] = [
+        0xadb7ac17c7609b41, // Dense P=4
+        0x1713a6cb0be44ce3, // Dense P=5
+        0x965073f5489e187f, // Top-k P=4
+        0x2a2c246f5b642cb8, // Top-k P=5
+        0x9ac18d51a7dac59c, // gTop-k P=4
+        0xc5c0211295277a84, // gTop-k P=5
+        0x75ac8f63c7b89d5a, // gTop-k(naive) P=4
+        0x638064ea820de262, // gTop-k(naive) P=5
+        0x44942cd9f1bee72a, // gTop-k(feedback) P=4
+        0x1298a6cd223df433, // gTop-k(feedback) P=5
+        0xd733eb8902ce5735, // gTop-k(no-putback) P=4
+        0x80503e2c7241af3e, // gTop-k(no-putback) P=5
+        0xeb17084fc8bb367b, // Ok-Topk P=4
+        0xa7c0edd234aa5dce, // Ok-Topk P=5
+        0xf47f9432c59ecfe2, // SparDL P=4
+        0x91407fd138fa9ff4, // SparDL P=5
+    ];
+    let mut got = Vec::new();
+    for alg in Algorithm::ALL {
+        for p in [4usize, 5] {
+            got.push((format!("{} P={p}", alg.name()), trained_fingerprint(alg, p)));
+        }
+    }
+    check("training run", &got, &WANT);
+}
+
+#[test]
+fn the_other_sparse_rows_reproduce_their_overlapped_trajectory() {
+    const WANT: [u64; 16] = [
+        0xf0e7a58e3374bf98, // Top-k P=4 buckets=1
+        0xc5e5b553e7d4a291, // Top-k P=4 buckets=2
+        0x94cf05b3f90cd57b, // Top-k P=5 buckets=1
+        0xeb8d654256737aa6, // Top-k P=5 buckets=2
+        0x62b99f3454c0a129, // gTop-k(naive) P=4 buckets=1
+        0xd46722e781aaf72e, // gTop-k(naive) P=4 buckets=2
+        0x44759e1a8884820c, // gTop-k(naive) P=5 buckets=1
+        0xc863d54296848336, // gTop-k(naive) P=5 buckets=2
+        0x1a2a07be4980367e, // gTop-k(feedback) P=4 buckets=1
+        0xee9b159f69b194c9, // gTop-k(feedback) P=4 buckets=2
+        0xcfdbdcfc673526bd, // gTop-k(feedback) P=5 buckets=1
+        0x7c19ba3bfea09736, // gTop-k(feedback) P=5 buckets=2
+        0x28f2515f146dfea3, // gTop-k(no-putback) P=4 buckets=1
+        0xdcc6fb8451addf8b, // gTop-k(no-putback) P=4 buckets=2
+        0x5b4098958dcb9477, // gTop-k(no-putback) P=5 buckets=1
+        0x83a8ffeb68222b8a, // gTop-k(no-putback) P=5 buckets=2
+    ];
+    let mut got = Vec::new();
+    for alg in [
+        Algorithm::TopK,
+        Algorithm::NaiveGTopK,
+        Algorithm::GTopKFeedback,
+        Algorithm::GTopKNoPutback,
+    ] {
         for p in [4usize, 5] {
             for buckets in [1usize, 2] {
                 got.push((
