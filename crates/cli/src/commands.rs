@@ -752,13 +752,16 @@ mod tests {
 
     #[test]
     fn train_with_overlap_reports_schedule() {
-        let out = run_line(
-            "train --model mlp --workers 2 --epochs 2 --batch 4 --density 0.05 \
-             --overlap --buckets 2",
-        )
-        .unwrap();
-        assert!(out.contains("overlap: 2 buckets"), "{out}");
-        assert!(out.contains("rank-0 traffic"));
+        // Every row runs bucketed, the dense ring included.
+        for alg in ["gtopk", "dense"] {
+            let out = run_line(&format!(
+                "train --model mlp --workers 2 --epochs 2 --batch 4 --density 0.05 \
+                 --algorithm {alg} --overlap --buckets 2"
+            ))
+            .unwrap();
+            assert!(out.contains("overlap: 2 buckets"), "{alg}: {out}");
+            assert!(out.contains("rank-0 traffic"), "{alg}: {out}");
+        }
     }
 
     #[test]
@@ -903,7 +906,6 @@ mod tests {
         // capability sweep in gtopk-core walks every cell); the CLI's part
         // is to surface its text: both settings and where the matrix is.
         for (line, first, second) in [
-            ("--algorithm dense --overlap", "algorithm Dense", "overlap"),
             (
                 "--algorithm spardl --topology ring",
                 "algorithm SparDL",

@@ -10,15 +10,19 @@
 //! to apply. The plan-driven collectives run as epoch-stamped plan
 //! executions over the member positions, so the same step serves the
 //! plain and the fault-tolerant training loops (shrunken memberships
-//! included), whole vectors and overlap buckets alike.
+//! included). The overlap engine runs one step per bucket; a run without
+//! `--overlap` is its one-bucket case, the step over the whole vector.
+//! [`Aggregator::charge_twin`] replays the same collective on the
+//! engine's analytic clock.
 
 use crate::capability::{Algorithm, Collective, Rejects, Row};
 use crate::ft::epoch_tag_offset;
 use crate::gtopk_allreduce::{naive_gtopk_all_reduce, tree_all_reduce};
 use crate::selector::{Selector, SelectorState};
 use crate::sparse_coll::{sparse_sum_recursive_doubling, sparse_zoo_all_reduce_over};
-use gtopk_comm::{collectives, CollectivePlan, Communicator, CostModel, Result, Topology};
-use gtopk_perfmodel::{PlanClock, ZooSchedule};
+use gtopk_comm::collectives::{self, ring_chunk};
+use gtopk_comm::{CollectivePlan, Communicator, CostModel, Result, Topology};
+use gtopk_perfmodel::{sparse_sum_wire, PlanClock, ZooSchedule};
 use gtopk_sparse::{Residual, SparseVec};
 
 /// The aggregated, already `1/P`-averaged model update.
@@ -42,8 +46,8 @@ impl Update {
 
 /// One rank's aggregation step for one [`Algorithm`] row: the selection
 /// kernel's state plus the schedule caches of the row's collective. The
-/// residual it works on stays with the caller — the whole vector's in
-/// the serial engine, one bucket's in the overlap engine.
+/// residual it works on stays with the caller — one bucket's of the
+/// overlap engine, which is the whole vector's when there is one bucket.
 #[derive(Debug, Clone)]
 pub struct Aggregator {
     algorithm: Algorithm,
@@ -51,9 +55,9 @@ pub struct Aggregator {
     select: SelectorState,
     /// Zoo rows: the schedule for the current `(P, k)`.
     sched: Option<ZooSchedule>,
-    /// Tree rows: the reduce/broadcast plan pair for the current `P`, for
-    /// the analytic twin ([`Aggregator::charge_twin`]).
-    plans: Option<(CollectivePlan, CollectivePlan)>,
+    /// Every other row: the plans its collective executes for the current
+    /// `P`, for the analytic twin ([`Aggregator::charge_twin`]).
+    plans: Vec<CollectivePlan>,
 }
 
 impl Aggregator {
@@ -68,7 +72,7 @@ impl Aggregator {
             topology,
             select: SelectorState::new(selector, rank),
             sched: None,
-            plans: None,
+            plans: Vec::new(),
         }
     }
 
@@ -189,26 +193,42 @@ impl Aggregator {
     }
 
     /// Replays the collective [`Aggregator::aggregate`] runs for `p`
-    /// members and budget `k` on an analytic clock — the overlap engine's
-    /// plan-clock twin: reduce + broadcast at `2k` wire elements each for
-    /// the tree, the budget-padded split + gather rounds for the zoo. The
-    /// dense ring and the sparse sums are plans too (priced by
-    /// `dense_plan_ms` / `topk_plan_ms`), but their rows never run under
-    /// the overlap engine (capability table), so here the clock stays put.
-    pub fn charge_twin(&mut self, clock: &mut PlanClock, net: &CostModel, p: usize, k: usize) {
-        match self.algorithm.row().collective {
-            Collective::Tree => {
-                let cached = self.plans.take().filter(|(reduce, _)| reduce.size == p);
-                let (reduce, bcast) = self.plans.insert(cached.unwrap_or_else(|| {
-                    let reduce = CollectivePlan::reduce(self.topology, p);
+    /// members over a `dim`-element buffer with budget `k` on an analytic
+    /// clock — the overlap engine's plan-clock twin. The tree, the ring
+    /// and the zoo are charged what execution sends, so the replay is
+    /// exact; the two sparse sums at their disjoint-support bound
+    /// ([`sparse_sum_wire`]), which overlapping supports undercut.
+    pub fn charge_twin(
+        &mut self,
+        clock: &mut PlanClock,
+        net: &CostModel,
+        p: usize,
+        dim: usize,
+        k: usize,
+    ) {
+        let collective = self.algorithm.row().collective;
+        if let Collective::Zoo(kind) = collective {
+            return zoo_schedule(&mut self.sched, kind, p, k).charge(clock, net);
+        }
+        if self.plans.first().is_none_or(|plan| plan.size != p) {
+            let reduce = CollectivePlan::reduce(self.topology, p);
+            self.plans = match collective {
+                Collective::DenseRing => vec![CollectivePlan::ring_allreduce(p)],
+                Collective::Tree => {
                     let bcast = CollectivePlan::broadcast(self.topology, p, reduce.root);
-                    (reduce, bcast)
-                }));
-                clock.charge(net, reduce, |_, _| 2 * k);
-                clock.charge(net, bcast, |_, _| 2 * k);
+                    vec![reduce, bcast]
+                }
+                _ => vec![CollectivePlan::exchange(p)],
+            };
+        }
+        for plan in &self.plans {
+            match collective {
+                Collective::DenseRing => {
+                    clock.charge(net, plan, |r, src| ring_chunk(dim, p, r, src).len())
+                }
+                Collective::Tree => clock.charge(net, plan, |_, _| 2 * k),
+                _ => clock.charge(net, plan, sparse_sum_wire(p, k)),
             }
-            Collective::Zoo(kind) => zoo_schedule(&mut self.sched, kind, p, k).charge(clock, net),
-            Collective::DenseRing | Collective::SparseSum | Collective::SparseSumThenSelect => {}
         }
     }
 

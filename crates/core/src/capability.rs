@@ -151,8 +151,9 @@ impl Rejects {
     }
 }
 
-/// Which configurations a row may run in. Every row runs serially, at
-/// full membership, on the binomial topology, with no recovery policy.
+/// Which configurations a row may run in. Every row runs at full
+/// membership on the binomial topology with no recovery policy, over one
+/// overlap bucket or several.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Caps {
     /// The collective runs over a member *subset* (plans regenerate over
@@ -160,8 +161,6 @@ pub struct Caps {
     pub member_subset: bool,
     /// Accepts a non-binomial plan [`Topology`].
     pub topology: bool,
-    /// Runs under the bucketed overlap engine.
-    pub overlap: bool,
     /// Its selection can be served by the sharded parameter server.
     pub ps: bool,
     /// Checkpoint/rollback recovery: fault plans and checkpoint dirs.
@@ -179,13 +178,12 @@ pub struct Row {
     pub caps: Caps,
 }
 
-const fn caps(bits: [bool; 5]) -> Caps {
+const fn caps(bits: [bool; 4]) -> Caps {
     Caps {
         member_subset: bits[0],
         topology: bits[1],
-        overlap: bits[2],
-        ps: bits[3],
-        recovery: bits[4],
+        ps: bits[2],
+        recovery: bits[3],
     }
 }
 
@@ -227,15 +225,15 @@ impl Algorithm {
         const N: bool = false;
         #[rustfmt::skip]
         let (collective, rejects, caps) = match self {
-            // caps: [member_subset, topology, overlap, ps, recovery]
-            Algorithm::Dense          => (DenseRing,            R::None,                   caps([N, N, N, N, N])),
-            Algorithm::TopK           => (SparseSum,            R::None,                   caps([N, N, N, N, N])),
-            Algorithm::GTopK          => (Tree,                 R::PutBackOwn,             caps([Y, Y, Y, Y, Y])),
-            Algorithm::NaiveGTopK     => (SparseSumThenSelect,  R::PutBackOwn,             caps([N, N, N, N, N])),
-            Algorithm::GTopKFeedback  => (Tree,                 R::PutBackOwnAndWitnessed, caps([Y, Y, N, N, Y])),
-            Algorithm::GTopKNoPutback => (Tree,                 R::Drop,                   caps([Y, Y, N, N, N])),
-            Algorithm::OkTopk         => (Zoo(ZooKind::OkTopk), R::Witnessed,              caps([Y, N, Y, N, N])),
-            Algorithm::SparDl         => (Zoo(ZooKind::SparDl), R::Witnessed,              caps([Y, N, Y, N, N])),
+            // caps: [member_subset, topology, ps, recovery]
+            Algorithm::Dense          => (DenseRing,            R::None,                   caps([N, N, N, N])),
+            Algorithm::TopK           => (SparseSum,            R::None,                   caps([N, N, N, N])),
+            Algorithm::GTopK          => (Tree,                 R::PutBackOwn,             caps([Y, Y, Y, Y])),
+            Algorithm::NaiveGTopK     => (SparseSumThenSelect,  R::PutBackOwn,             caps([N, N, N, N])),
+            Algorithm::GTopKFeedback  => (Tree,                 R::PutBackOwnAndWitnessed, caps([Y, Y, N, Y])),
+            Algorithm::GTopKNoPutback => (Tree,                 R::Drop,                   caps([Y, Y, N, N])),
+            Algorithm::OkTopk         => (Zoo(ZooKind::OkTopk), R::Witnessed,              caps([Y, N, N, N])),
+            Algorithm::SparDl         => (Zoo(ZooKind::SparDl), R::Witnessed,              caps([Y, N, N, N])),
         };
         Row {
             collective,
@@ -247,8 +245,6 @@ impl Algorithm {
 
 const WHY_TOPOLOGY: &str = "the row's collective runs a fixed schedule; only rows with the \
      `topology` capability execute a plan topology";
-const WHY_OVERLAP: &str = "the overlap engine pipelines per-bucket plan collectives; the row \
-     lacks the `overlap` capability";
 const WHY_RECOVERY: &str = "checkpoint/rollback recovery (fault plans, checkpoint dirs) covers \
      only rows with the `recovery` capability";
 const WHY_REJOIN: &str = "a restarted rank of a multi-rank run rejoins through the recovery \
@@ -269,8 +265,8 @@ const WHY_WAIT_FREE: &str = "wait-free rounds in flight can be neither rolled ba
 /// table and the same reasons the validator reports.
 pub fn capability_table() -> String {
     let mut out = format!(
-        "{:20}{:25}{:26}{:8}{:10}{:9}{:5}{}\n",
-        "algorithm", "collective", "rejects", "subset", "topology", "overlap", "ps", "recovery"
+        "{:20}{:25}{:26}{:8}{:10}{:5}{}\n",
+        "algorithm", "collective", "rejects", "subset", "topology", "ps", "recovery"
     );
     let mark = |cap: bool| if cap { "yes" } else { "-" };
     for alg in Algorithm::ALL {
@@ -280,23 +276,22 @@ pub fn capability_table() -> String {
             caps,
         } = alg.row();
         out.push_str(&format!(
-            "{:20}{:25}{:26}{:8}{:10}{:9}{:5}{}\n",
+            "{:20}{:25}{:26}{:8}{:10}{:5}{}\n",
             alg.name(),
             collective.label(),
             rejects.label(),
             mark(caps.member_subset),
             mark(caps.topology),
-            mark(caps.overlap),
             mark(caps.ps),
             mark(caps.recovery),
         ));
     }
     out.push_str(
-        "every row runs serially on the binomial topology without recovery; beyond that:\n",
+        "every row runs, with or without overlap, on the binomial topology without recovery; \
+         beyond that:\n",
     );
     for (setting, why) in [
         ("non-binomial topology", WHY_TOPOLOGY),
-        ("overlap", WHY_OVERLAP),
         ("fault plan / checkpoint dir", WHY_RECOVERY),
         ("checkpoint dir, workers > 1", WHY_REJOIN),
         ("mode ps", WHY_PS_ROW),
@@ -360,9 +355,6 @@ impl TrainConfig {
 
         if self.topology != Topology::Binomial && !caps.topology {
             return refuse(algorithm(), topology(), WHY_TOPOLOGY);
-        }
-        if self.overlap.is_some() && !caps.overlap {
-            return refuse(algorithm(), "overlap".into(), WHY_OVERLAP);
         }
         if self.checkpoint_dir.is_some() {
             if !caps.recovery {
@@ -437,12 +429,11 @@ mod tests {
                 }
                 Rejects::Witnessed => assert!(witnesses, "{}", alg.name()),
             }
-            // Only plan executions regenerate over survivors, take a
-            // topology, or can be bucketed; recovery shrinks the membership.
+            // Only plan executions regenerate over survivors or take a
+            // topology; recovery shrinks the membership.
             let plan_driven = matches!(collective, Collective::Tree | Collective::Zoo(_));
             assert_eq!(caps.member_subset, plan_driven, "{}", alg.name());
             assert!(!caps.topology || collective == Collective::Tree);
-            assert!(!caps.overlap || plan_driven);
             assert!(!caps.recovery || caps.member_subset);
         }
     }

@@ -111,17 +111,9 @@ impl SelectorDump {
 /// keeps the kernel's RNG naturally; a process restart must persist it).
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineState {
-    /// Serial mode: the whole-vector error-feedback residual plus the
-    /// aggregator's selector state (if one has been materialized).
-    Serial {
-        /// Dense residual copy.
-        residual: Vec<f32>,
-        /// Selector state, when the aggregator owns one.
-        selector: Option<SelectorDump>,
-    },
-    /// Overlap mode: per-bucket residuals and selector states, in
-    /// backward bucket order.
-    Overlap {
+    /// The bucketed all-reduce engine: per-bucket residuals and selector
+    /// states, in backward bucket order (one bucket without `--overlap`).
+    Buckets {
         /// Per-bucket dense residual copies.
         residuals: Vec<Vec<f32>>,
         /// Per-bucket selector states.
@@ -293,9 +285,10 @@ pub fn encode(c: &DurableCheckpoint) -> Vec<u8> {
     put_u64(&mut p, c.data_epoch);
     put_u64(&mut p, c.data_cursor);
     put_f64(&mut p, c.epoch_loss);
+    // Mode 0, a whole-vector residual with an optional selector, is no
+    // longer written; `decode` reads it as the one bucket it was.
     let mode = match &c.engine {
-        EngineState::Serial { .. } => 0u8,
-        EngineState::Overlap { .. } => 1,
+        EngineState::Buckets { .. } => 1u8,
         EngineState::Ps { .. } => 4,
     };
     p.push(mode | if c.local_velocity.is_some() { 2 } else { 0 });
@@ -305,17 +298,7 @@ pub fn encode(c: &DurableCheckpoint) -> Vec<u8> {
         put_fvec(&mut p, lv);
     }
     match &c.engine {
-        EngineState::Serial { residual, selector } => {
-            put_fvec(&mut p, residual);
-            match selector {
-                Some(s) => {
-                    p.push(1);
-                    put_selector(&mut p, s);
-                }
-                None => p.push(0),
-            }
-        }
-        EngineState::Overlap {
+        EngineState::Buckets {
             residuals,
             selectors,
         } => {
@@ -415,16 +398,11 @@ pub fn decode(bytes: &[u8]) -> Result<DurableCheckpoint, CkptError> {
         EngineState::Ps {
             residual: r.fvec()?,
         }
-    } else if flags & 1 == 0 {
-        let residual = r.fvec()?;
-        let selector = if r.u8()? != 0 {
-            Some(r.selector()?)
-        } else {
-            None
-        };
-        EngineState::Serial { residual, selector }
     } else {
-        let n = r.u64()? as usize;
+        // Mode 0, a run without buckets, is exactly the one-bucket state:
+        // a whole-vector residual, then a selector flag and the selector.
+        let mode0 = flags & 1 == 0;
+        let n = if mode0 { 1 } else { r.u64()? as usize };
         if n > 1 << 20 {
             return Err(CkptError::Corrupt {
                 reason: "implausible bucket count",
@@ -434,9 +412,14 @@ pub fn decode(bytes: &[u8]) -> Result<DurableCheckpoint, CkptError> {
         let mut selectors = Vec::with_capacity(n);
         for _ in 0..n {
             residuals.push(r.fvec()?);
+            if mode0 && r.u8()? == 0 {
+                return Err(CkptError::Corrupt {
+                    reason: "whole-vector section without selector state",
+                });
+            }
             selectors.push(r.selector()?);
         }
-        EngineState::Overlap {
+        EngineState::Buckets {
             residuals,
             selectors,
         }
@@ -661,9 +644,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Two buckets with `overlap`, else the one bucket of a run without
+    /// `--overlap`.
     fn sample_ckpt(iter: u64, overlap: bool) -> DurableCheckpoint {
         let engine = if overlap {
-            EngineState::Overlap {
+            EngineState::Buckets {
                 residuals: vec![vec![1.0, -2.0], vec![0.0, 3.5, -0.25]],
                 selectors: vec![
                     SelectorDump {
@@ -677,12 +662,12 @@ mod tests {
                 ],
             }
         } else {
-            EngineState::Serial {
-                residual: vec![0.5, 0.0, -1.5],
-                selector: Some(SelectorDump {
+            EngineState::Buckets {
+                residuals: vec![vec![0.5, 0.0, -1.5]],
+                selectors: vec![SelectorDump {
                     selector: Selector::Sampled { sample: 16 },
                     rng: [9, 10, 11, 12],
-                }),
+                }],
             }
         };
         DurableCheckpoint {
@@ -856,15 +841,15 @@ mod tests {
 
     #[test]
     fn retired_selector_tag_is_a_typed_error() {
-        // A serial checkpoint whose selector section carries tag 2 (the
-        // retired threshold-estimate selector).
+        // A one-bucket checkpoint whose selector section carries tag 2
+        // (the retired threshold-estimate selector).
         let c = DurableCheckpoint {
-            engine: EngineState::Serial {
-                residual: vec![0.5],
-                selector: Some(SelectorDump {
+            engine: EngineState::Buckets {
+                residuals: vec![vec![0.5]],
+                selectors: vec![SelectorDump {
                     selector: Selector::Sampled { sample: 7 },
                     rng: [1, 2, 3, 4],
-                }),
+                }],
             },
             evals: Vec::new(),
             losses: Vec::new(),
@@ -883,6 +868,102 @@ mod tests {
                 reason: "unknown selector kind"
             })
         );
+    }
+
+    /// The layout a run without buckets used to write (mode 0): the
+    /// one-bucket state as a whole-vector residual, then a flag and the
+    /// selector (`with_selector`) or a cleared flag alone.
+    fn encode_mode0(c: &DurableCheckpoint, with_selector: bool) -> Vec<u8> {
+        let EngineState::Buckets {
+            residuals,
+            selectors,
+        } = &c.engine
+        else {
+            panic!("mode 0 held the all-reduce engine's state");
+        };
+        assert_eq!(residuals.len(), 1, "mode 0 held one whole-vector bucket");
+        let mut p = Vec::new();
+        for w in [c.rank, c.iter, c.data_epoch, c.data_cursor] {
+            put_u64(&mut p, w);
+        }
+        put_f64(&mut p, c.epoch_loss);
+        p.push(if c.local_velocity.is_some() { 2 } else { 0 });
+        put_fvec(&mut p, &c.params);
+        put_fvec(&mut p, &c.velocity);
+        if let Some(lv) = &c.local_velocity {
+            put_fvec(&mut p, lv);
+        }
+        put_fvec(&mut p, &residuals[0]);
+        p.push(u8::from(with_selector));
+        if with_selector {
+            put_selector(&mut p, &selectors[0]);
+        }
+        put_u64(&mut p, c.losses.len() as u64);
+        c.losses.iter().for_each(|&l| put_f64(&mut p, l));
+        put_u64(&mut p, c.evals.len() as u64);
+        for e in &c.evals {
+            p.push(u8::from(e.is_some()));
+            e.iter().for_each(|&v| put_f64(&mut p, v));
+        }
+        framed(&p)
+    }
+
+    #[test]
+    fn a_mode_zero_payload_decodes_as_one_bucket() {
+        let c = sample_ckpt(40, false);
+        let legacy = encode_mode0(&c, true);
+        assert_ne!(legacy, encode(&c), "the encoder writes mode 1 now");
+        assert_eq!(decode(&legacy).unwrap(), c);
+        // A whole-vector state without a selector has no bucket to become.
+        assert_eq!(
+            decode(&encode_mode0(&c, false)),
+            Err(CkptError::Corrupt {
+                reason: "whole-vector section without selector state"
+            })
+        );
+    }
+
+    #[test]
+    fn a_mode_zero_checkpoint_dir_resumes_bitwise() {
+        // A solo run leaves its generations on disk; rewritten in the
+        // layout a run without buckets wrote, they must still resume and
+        // land exactly where an uninterrupted run lands.
+        let data = gtopk_data::GaussianMixture::new(44, 128, 8, 4, 2.0, 0.4);
+        let build = || gtopk_nn::models::mlp(53, 8, 16, 4);
+        let dir = std::env::temp_dir().join(format!("gtopk-ckpt-mode0-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let short = crate::TrainConfig {
+            epochs: 2,
+            checkpoint_interval: 4,
+            checkpoint_dir: Some(dir.clone()),
+            ..crate::TrainConfig::convergence(1, 8, 2, 0.1, 0.05)
+        };
+        let _ = crate::train_distributed(&short, build, &data, None);
+        let store = CheckpointStore::new(&dir, 0).unwrap();
+        for g in store.generations() {
+            let c = store.load(g).unwrap();
+            fs::write(dir.join(store.file_name(g)), encode_mode0(&c, true)).unwrap();
+            assert_eq!(store.load(g).unwrap(), c, "generation {g}");
+        }
+        let resumed = crate::TrainConfig {
+            epochs: 4,
+            ..short.clone()
+        };
+        let full = crate::TrainConfig {
+            checkpoint_dir: None,
+            ..resumed.clone()
+        };
+        let resumed = crate::train_distributed(&resumed, build, &data, None);
+        let full = crate::train_distributed(&full, build, &data, None);
+        for (r, f) in resumed.epochs.iter().zip(&full.epochs) {
+            assert_eq!(
+                r.train_loss.to_bits(),
+                f.train_loss.to_bits(),
+                "epoch {}",
+                r.epoch
+            );
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -906,23 +987,16 @@ mod tests {
             r1 in 0u64..u64::MAX,
             r2 in 0u64..u64::MAX,
             r3 in 0u64..u64::MAX,
-            mode in 0u8..4,
+            buckets in 1usize..3,
         ) {
-            let (overlap, with_sel) = (mode & 1 != 0, mode & 2 != 0);
             let sel = SelectorDump {
                 selector: Selector::Sampled { sample: 32 },
                 rng: [r0, r1, r2, r3],
             };
-            let engine = if overlap {
-                EngineState::Overlap {
-                    residuals: vec![residual.clone(), params.clone()],
-                    selectors: vec![sel.clone(), sel.clone()],
-                }
-            } else {
-                EngineState::Serial {
-                    residual: residual.clone(),
-                    selector: if with_sel { Some(sel) } else { None },
-                }
+            let residuals = [residual.clone(), params.clone()][..buckets].to_vec();
+            let engine = EngineState::Buckets {
+                selectors: vec![sel; residuals.len()],
+                residuals,
             };
             let c = DurableCheckpoint {
                 rank: 1,

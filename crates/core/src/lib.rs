@@ -85,7 +85,9 @@ pub use gtopk_allreduce::{
 pub use gtopk_comm::{LinkStats, Topology};
 pub use metrics::{EpochRecord, TimingBreakdown, TrainReport};
 pub use orchestrator::{JobEvent, JobRecord, JobSpec, Orchestrator, OrchestratorReport};
-pub use overlap::{backward_layer_costs, BucketSpec, OverlapConfig, OverlapEngine, OverlapStats};
+pub use overlap::{
+    backward_layer_costs, BucketSpec, ComputeCost, OverlapConfig, OverlapEngine, OverlapStats,
+};
 pub use ps::{ps_pull_round, ps_push_round, PsConfig, PsEngine, PsVariant};
 pub use schedule::{DensitySchedule, LrSchedule};
 pub use selector::{Selector, SelectorState};
@@ -93,4 +95,4 @@ pub use sparse_coll::{
     ok_topk_all_reduce, spardl_all_reduce, sparse_broadcast, sparse_sum_recursive_doubling,
     sparse_zoo_all_reduce_over,
 };
-pub use trainer::{train_distributed, train_rank, ComputeCost, TrainConfig};
+pub use trainer::{train_distributed, train_rank, TrainConfig};

@@ -1,4 +1,7 @@
-//! Executed compute/communication overlap: wait-free bucketed sparse steps.
+//! The step engine of every all-reduce run: bucketed steps, executed
+//! with compute/communication overlap. A run without `--overlap` is the
+//! one-bucket case — the whole backward, then Algorithm 4 over the whole
+//! vector.
 //!
 //! [`crate::pipeline`] *models* the layer-wise schedule analytically; this
 //! module *executes* it on the simulated cluster. Backward propagation
@@ -6,35 +9,57 @@
 //! gradient becomes available back-to-front: the engine partitions the
 //! flat vector into contiguous buckets (fused to roughly equal parameter
 //! mass, MG-WFBP style), and as soon as a bucket's gradient is ready it
-//! runs that bucket's step — the same [`Aggregator`] the serial engine
-//! runs over the whole vector: residual-accumulate → top-k select →
-//! collective → rejects — while later buckets are still "computing". The
-//! network is a single FIFO channel — each rank issues its bucket
-//! collectives in backward order, so a bucket's collective starts at
-//! `max(ready, channel_free)` exactly as the analytic model assumes. The
-//! engine carries a [`PlanClock`] twin that replays each bucket's
-//! collective plans on the analytic α-β clock, so the executed timeline
-//! is verifiable against the model *exactly*, for any worker count and
-//! topology (and [`crate::pipeline::simulate_fused`] gives the same
-//! prediction on power-of-two binomial configurations).
+//! runs that bucket's [`Aggregator`] step while later buckets are still
+//! "computing". The network is a single FIFO channel — each rank issues
+//! its bucket collectives in backward order, so a bucket's collective
+//! starts at `max(ready, channel_free)` exactly as the analytic model
+//! assumes. The engine carries a [`PlanClock`] twin that replays each
+//! bucket's collective plans on the analytic α-β clock, so the executed
+//! timeline is verifiable against the model *exactly*, for any worker
+//! count and topology (the two sparse sums excepted: their twin charges
+//! the disjoint-support bound).
 //!
 //! Per-bucket error feedback: each bucket owns its own [`Residual`]
 //! slice and its own step (selection state, schedule caches); rejected
 //! values return to the bucket's residual (Algorithm 4 line 10, applied
-//! bucket-wise). The
-//! optimizer applies each bucket's averaged update the moment its
-//! collective lands ([`MomentumSgd::step_range`]), which is provably
-//! equivalent to one full-vector step of the combined update.
+//! bucket-wise). The optimizer applies each bucket's averaged update the
+//! moment its collective lands ([`MomentumSgd::step_range`], or
+//! [`MomentumSgd::step_dense_range`] for the dense row), which is bit for
+//! bit one full-vector step of the combined update.
 
 use crate::aggregator::{Aggregator, Update};
 use crate::ckpt::SelectorDump;
 use crate::pipeline::{bucket_k, check_timeline_invariants, fuse_layers, LayerCost, LayerTimeline};
-use crate::trainer::ComputeCost;
 use gtopk_comm::{Communicator, CostModel, Result};
 use gtopk_nn::{Model, MomentumSgd};
 use gtopk_perfmodel::PlanClock;
 use gtopk_sparse::Residual;
 use std::ops::Range;
+
+/// Simulated per-iteration local costs, used by the timing experiments
+/// (Figs. 10–11, Table IV). When present, the engine stages each
+/// iteration's buckets on the simulated clock behind `compute_ms` (the
+/// GPU's forward+backward, which we cannot measure without the paper's
+/// hardware) and `sparsify_ms` (top-k selection). Communication time
+/// always comes from the simulated α-β network. `None` leaves the clock
+/// driven by communication alone — appropriate for pure convergence
+/// experiments.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct ComputeCost {
+    /// Forward + backward time per iteration, ms.
+    pub compute_ms: f64,
+    /// Sparsification time per iteration, ms (charged for sparse
+    /// algorithms only).
+    pub sparsify_ms: f64,
+}
+
+impl ComputeCost {
+    /// When the share `produced` ∈ [0, 1] of an iteration's backward is
+    /// computed and sparsified, from `t0` on a rank slowed by `straggle`.
+    pub(crate) fn ready_ms(&self, t0: f64, straggle: f64, produced: f64) -> f64 {
+        t0 + straggle * (self.compute_ms * produced) + straggle * (self.sparsify_ms * produced)
+    }
+}
 
 /// How the flat gradient is partitioned into overlap buckets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,7 +129,9 @@ pub struct OverlapStats {
     /// Absent fault injection the plan-clock twin reproduces the
     /// executed schedule exactly — for any `P`, any topology; armed
     /// drop/jitter plans legitimately inflate this — retransmits and
-    /// jitter are not in the α-β model.
+    /// jitter are not in the α-β model. Top-k's and the naive gTop-k's
+    /// twin charges the sparse sum's disjoint-support bound
+    /// ([`gtopk_perfmodel::topk_plan_ms`]): theirs is that bound's slack.
     pub max_abs_dev_ms: f64,
     /// Executed per-bucket timelines of the last iteration, relative to
     /// that iteration's start (same shape as the analytic
@@ -123,9 +150,10 @@ impl OverlapStats {
 /// (output layer first), distributing `compute_ms + sparsify_ms` over
 /// the layers proportionally to parameter mass — a bucket's collective
 /// can launch only after its gradient is both computed *and* sparsified,
-/// so both delays gate readiness. This is the shared cost basis: the
-/// engine schedules with it and tests/benches feed the identical list to
-/// [`crate::pipeline::simulate_fused`] for the analytic prediction.
+/// so both delays gate readiness. This is the analytic model's cost
+/// basis ([`crate::pipeline::simulate_fused`]); the engine stages the
+/// same shares of the same costs, by the parameter mass backward has
+/// produced when each bucket is ready.
 pub fn backward_layer_costs(segments: &[usize], compute: Option<ComputeCost>) -> Vec<LayerCost> {
     let m: usize = segments.iter().sum();
     let work_ms = compute.map_or(0.0, |c| c.compute_ms + c.sparsify_ms);
@@ -147,10 +175,9 @@ pub struct OverlapEngine {
     /// Flat-vector ranges per bucket, in backward order (the *last*
     /// contiguous slice of the flat vector first).
     ranges: Vec<Range<usize>>,
-    /// Fused per-bucket costs, in backward order.
-    costs: Vec<LayerCost>,
-    /// Per-bucket sparsification cost share, ms.
-    sparsify: Vec<f64>,
+    /// Modelled per-iteration compute and sparsification, staged per
+    /// bucket by parameter mass.
+    compute: ComputeCost,
     residuals: Vec<Residual>,
     /// Per-bucket aggregation steps (all of the configured algorithm).
     steps: Vec<Aggregator>,
@@ -179,8 +206,9 @@ pub struct OverlapEngine {
 impl OverlapEngine {
     /// Builds the engine for a model with the given parameter segments
     /// (see [`Model::param_segments`]), running a copy of `step` per
-    /// bucket; `net` must be the cluster's cost model so analytic
-    /// predictions price communication identically.
+    /// bucket and staging `compute` on the simulated clock; `net` must be
+    /// the cluster's cost model so analytic predictions price
+    /// communication identically.
     ///
     /// # Panics
     ///
@@ -195,32 +223,26 @@ impl OverlapEngine {
     ) -> Self {
         assert!(!segments.is_empty(), "model has no parameter segments");
         let m: usize = segments.iter().sum();
-        let per_layer = backward_layer_costs(segments, compute);
-        let costs = match cfg.buckets {
+        let per_layer = backward_layer_costs(segments, None);
+        let fused = match cfg.buckets {
             BucketSpec::PerLayer => per_layer,
             BucketSpec::Count(n) => fuse_layers(&per_layer, n),
         };
         // Bucket 0 is the first produced by backward — the *top* of the
         // flat vector; walk downwards.
-        let mut ranges = Vec::with_capacity(costs.len());
+        let mut ranges = Vec::with_capacity(fused.len());
         let mut hi = m;
-        for c in &costs {
-            let lo = hi - c.params;
+        for bucket in &fused {
+            let lo = hi - bucket.params;
             ranges.push(lo..hi);
             hi = lo;
         }
         assert_eq!(hi, 0, "buckets must cover the whole flat vector");
-        let sparsify_total = compute.map_or(0.0, |c| c.sparsify_ms);
-        let sparsify = costs
-            .iter()
-            .map(|c| sparsify_total * c.params as f64 / m as f64)
-            .collect();
         let residuals = ranges.iter().map(|r| Residual::new(r.len())).collect();
         let steps = vec![step; ranges.len()];
         OverlapEngine {
             ranges,
-            costs,
-            sparsify,
+            compute: compute.unwrap_or_default(),
             residuals,
             steps,
             net,
@@ -237,39 +259,20 @@ impl OverlapEngine {
         }
     }
 
-    /// Number of buckets.
-    pub fn buckets(&self) -> usize {
-        self.ranges.len()
-    }
-
-    /// Modeled compute charged per iteration (the full backward,
-    /// distributed over the buckets), ms, before straggle scaling.
-    /// Bucket costs fold sparsification in (readiness gates on both), so
-    /// the sparsify share is subtracted back out for the timing split.
-    pub fn compute_ms_per_iter(&self) -> f64 {
-        self.costs.iter().map(|c| c.backward_ms).sum::<f64>() - self.sparsify_ms_per_iter()
-    }
-
-    /// Modeled sparsification charged per iteration, ms, before
-    /// straggle scaling.
-    pub fn sparsify_ms_per_iter(&self) -> f64 {
-        self.sparsify.iter().sum()
-    }
-
-    /// Executes one overlapped iteration over `members` (the sorted,
-    /// alive rank set — the full `0..P` when fault tolerance is off):
-    /// for each bucket in backward order, waits until the bucket's
-    /// gradient is ready on the simulated clock, runs the bucket's step
-    /// over `grad`'s slice and the bucket residual with budget
+    /// Executes one iteration over `members` (the sorted, alive rank set
+    /// — the full `0..P` when fault tolerance is off): for each bucket in
+    /// backward order, waits until the bucket's gradient is computed and
+    /// sparsified on the simulated clock, runs the bucket's step over
+    /// `grad`'s slice and the bucket residual with budget
     /// `k = bucket_k(params, rho)` ([`Aggregator::aggregate`]), and
     /// applies the averaged bucket update through
-    /// [`MomentumSgd::step_range`].
+    /// [`MomentumSgd::step_range`] (a dense update through
+    /// [`MomentumSgd::step_dense_range`]).
     ///
-    /// Collective tags are epoch-stamped (like the fault-tolerant serial
-    /// path), so overlapped steps compose with crash recovery: after a
-    /// membership change the plans are regenerated over the survivor
-    /// positions and stale-epoch traffic can never be confused for live
-    /// traffic.
+    /// Collective tags are epoch-stamped, so the steps compose with crash
+    /// recovery: after a membership change the plans are regenerated over
+    /// the survivor positions and stale-epoch traffic can never be
+    /// confused for live traffic.
     ///
     /// In parallel, the engine advances its [`PlanClock`] twin through
     /// the same plans; fault-free, the twin reproduces the executed
@@ -286,10 +289,7 @@ impl OverlapEngine {
     /// # Panics
     ///
     /// Panics if `grad` does not span the bucketed flat vector,
-    /// `rho ∉ (0, 1]`, the calling rank is not in `members`, or the step
-    /// yields a dense update (there is no bucket to pipeline in one;
-    /// [`TrainConfig::validate`](crate::TrainConfig::validate) admits no
-    /// such row here).
+    /// `rho ∉ (0, 1]`, or the calling rank is not in `members`.
     pub fn step(
         &mut self,
         comm: &mut Communicator,
@@ -329,14 +329,14 @@ impl OverlapEngine {
         self.twin_t0.clear();
         self.twin_t0.extend((0..p).map(|pos| self.twin.now(pos)));
 
-        let mut cum = 0.0f64;
+        let m = grad.len();
         let mut nnz = 0u64;
         self.timelines.clear();
         for j in 0..self.ranges.len() {
             let range = self.ranges[j].clone();
-            // Bucket costs already include the sparsify share.
-            cum += self.costs[j].backward_ms;
-            let ready = t0 + straggle * cum;
+            // Backward has produced everything above the bucket's start.
+            let produced = (m - range.start) as f64 / m as f64;
+            let ready = self.compute.ready_ms(t0, straggle, produced);
             // Gradient availability: the clock may already be past
             // `ready` if the previous bucket's collective held the
             // channel longer (FIFO) — wait_until never moves backwards.
@@ -350,11 +350,11 @@ impl OverlapEngine {
                 &grad[range.clone()],
                 k,
             )?;
-            let Update::Sparse(global) = update else {
-                panic!("the overlap engine pipelines sparse bucket updates");
-            };
-            nnz += global.nnz() as u64;
-            opt.step_range(model, range, &global);
+            nnz += update.nnz() as u64;
+            match &update {
+                Update::Dense(v) => opt.step_dense_range(model, range.clone(), v),
+                Update::Sparse(sv) => opt.step_range(model, range.clone(), sv),
+            }
             self.timelines.push(LayerTimeline {
                 ready_ms: ready - t0,
                 start_ms: start - t0,
@@ -364,9 +364,10 @@ impl OverlapEngine {
             // Twin replay of the same bucket: readiness gate, then the
             // step's collective on the analytic clock.
             for pos in 0..p {
-                self.twin.sync_to(pos, self.twin_t0[pos] + cum);
+                let ready = self.compute.ready_ms(self.twin_t0[pos], 1.0, produced);
+                self.twin.sync_to(pos, ready);
             }
-            self.steps[j].charge_twin(&mut self.twin, &self.net, p, k);
+            self.steps[j].charge_twin(&mut self.twin, &self.net, p, range.len(), k);
         }
         let span = comm.now_ms() - t0;
         let twin_span = self.twin.now(my_pos) - self.twin_t0[my_pos];
@@ -377,12 +378,11 @@ impl OverlapEngine {
             check_timeline_invariants(&self.timelines)
         );
 
-        let total_backward: f64 = self.costs.iter().map(|c| c.backward_ms).sum();
-        let m = self.ranges[0].end;
         self.analytic_overlapped_ms += twin_span;
         let collective = self.steps[0].algorithm().row().collective;
-        self.analytic_serial_ms +=
-            total_backward + collective.model_ms(&self.net, p, m, bucket_k(m, rho));
+        self.analytic_serial_ms += self.compute.compute_ms
+            + self.compute.sparsify_ms
+            + collective.model_ms(&self.net, p, m, bucket_k(m, rho));
         if straggle == 1.0 && p == comm.size() {
             self.max_abs_dev_ms = self.max_abs_dev_ms.max((span - twin_span).abs());
         }
@@ -468,11 +468,11 @@ mod tests {
             CostModel::zero(),
             step_for(Algorithm::GTopK, 0),
         );
-        assert_eq!(engine.buckets(), 2);
+        assert_eq!(engine.ranges.len(), 2);
         // Backward order: the first bucket ends at the top of the vector.
         let mut expect_hi = m;
         let mut covered = 0usize;
-        for j in 0..engine.buckets() {
+        for j in 0..engine.ranges.len() {
             let r = engine.ranges[j].clone();
             assert_eq!(r.end, expect_hi);
             expect_hi = r.start;
@@ -492,10 +492,10 @@ mod tests {
             CostModel::zero(),
             step_for(Algorithm::GTopK, 0),
         );
-        assert_eq!(engine.buckets(), 3);
+        assert_eq!(engine.ranges.len(), 3);
         // Backward order reverses the segment list.
-        assert_eq!(engine.costs[0].params, 200);
-        assert_eq!(engine.costs[2].params, 100);
+        assert_eq!(engine.ranges[0], 150..350);
+        assert_eq!(engine.ranges[2], 0..100);
     }
 
     #[test]
@@ -523,26 +523,31 @@ mod tests {
         assert!((with_sparsify[1].backward_ms - 2.5).abs() < 1e-12);
     }
 
-    #[test]
-    fn overlapped_steps_keep_replicas_identical() {
-        // Four ranks run three overlapped iterations on deterministic
-        // per-rank gradients; models must stay bit-identical.
-        let p = 4usize;
-        let segments = vec![24usize, 40];
-        let m: usize = segments.iter().sum();
-        let out = Cluster::new(p, CostModel::gigabit_ethernet()).run(move |comm| {
+    /// Three iterations of `alg` over `p` ranks on deterministic per-rank
+    /// gradients, one bucket per entry of `segments` (summing to the
+    /// 64-parameter model's size), with modelled compute on the paper's
+    /// 1GbE network: each rank's final parameters, schedule statistics
+    /// and clock.
+    fn run_engine(
+        alg: Algorithm,
+        p: usize,
+        segments: &[usize],
+    ) -> Vec<(Vec<f32>, OverlapStats, f64)> {
+        let segments = segments.to_vec();
+        Cluster::new(p, CostModel::gigabit_ethernet()).run(move |comm| {
             let mut model = models::logistic(9, 7, 8); // 7*8+8 = 64 params
-            assert_eq!(gtopk_nn::Model::num_params(&model), m);
+            let m = gtopk_nn::Model::num_params(&model);
+            assert_eq!(segments.iter().sum::<usize>(), m);
             let mut opt = MomentumSgd::new(m, 0.1, 0.9);
             let mut engine = OverlapEngine::new(
-                &OverlapConfig::buckets(2),
+                &OverlapConfig::per_layer(),
                 &segments,
                 Some(ComputeCost {
                     compute_ms: 4.0,
                     sparsify_ms: 0.0,
                 }),
                 CostModel::gigabit_ethernet(),
-                step_for(Algorithm::GTopK, comm.rank()),
+                step_for(alg, comm.rank()),
             );
             let members: Vec<usize> = (0..comm.size()).collect();
             for it in 0..3u64 {
@@ -564,7 +569,12 @@ mod tests {
                 engine.stats(),
                 comm.now_ms(),
             )
-        });
+        })
+    }
+
+    #[test]
+    fn overlapped_steps_keep_replicas_identical() {
+        let out = run_engine(Algorithm::GTopK, 4, &[24, 40]);
         for (params, stats, now) in &out {
             assert_eq!(params, &out[0].0, "replicas diverged");
             check_timeline_invariants(&stats.timelines).unwrap();
@@ -586,39 +596,8 @@ mod tests {
         // — including non-power-of-two P (fold rounds).
         for &p in &[4usize, 5] {
             for alg in [Algorithm::OkTopk, Algorithm::SparDl] {
-                let segments = vec![24usize, 40];
-                let m: usize = segments.iter().sum();
-                let out = Cluster::new(p, CostModel::gigabit_ethernet()).run(move |comm| {
-                    let mut model = models::logistic(9, 7, 8);
-                    let mut opt = MomentumSgd::new(m, 0.1, 0.9);
-                    let mut engine = OverlapEngine::new(
-                        &OverlapConfig::buckets(2),
-                        &segments,
-                        Some(ComputeCost {
-                            compute_ms: 4.0,
-                            sparsify_ms: 0.0,
-                        }),
-                        CostModel::gigabit_ethernet(),
-                        step_for(alg, comm.rank()),
-                    );
-                    let members: Vec<usize> = (0..comm.size()).collect();
-                    for it in 0..3u64 {
-                        let g: Vec<f32> = (0..m)
-                            .map(|i| {
-                                let h = (i as u64 + 7)
-                                    .wrapping_mul(comm.rank() as u64 + 3)
-                                    .wrapping_mul(it + 11)
-                                    .wrapping_mul(0x2545_f491_4f6c_dd1d);
-                                ((h >> 33) as f32 / (1u64 << 31) as f32) - 0.5
-                            })
-                            .collect();
-                        engine
-                            .step(comm, &members, &g, 0.1, &mut opt, &mut model)
-                            .unwrap();
-                    }
-                    (gtopk_nn::Model::flat_params(&model), engine.stats())
-                });
-                for (params, stats) in &out {
+                let out = run_engine(alg, p, &[24, 40]);
+                for (params, stats, _) in &out {
                     assert_eq!(params, &out[0].0, "{} P={p}: replicas diverged", alg.name());
                     check_timeline_invariants(&stats.timelines).unwrap();
                     assert!(
@@ -627,6 +606,24 @@ mod tests {
                         alg.name(),
                         stats.max_abs_dev_ms
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dense_overlap_keeps_replicas_identical_and_matches_the_ring_twin() {
+        // Each bucket's ring AllReduce is the plan the twin replays with
+        // the same chunk sizes, so the executed span equals it exactly.
+        for p in [3usize, 4, 5] {
+            for segments in [&[24usize, 40][..], &[24, 20, 20]] {
+                let out = run_engine(Algorithm::Dense, p, segments);
+                for (params, stats, _) in &out {
+                    let what = format!("P={p} buckets={}", segments.len());
+                    assert_eq!(params, &out[0].0, "{what}: replicas diverged");
+                    assert_eq!(stats.buckets, segments.len(), "{what}");
+                    check_timeline_invariants(&stats.timelines).unwrap();
+                    assert_eq!(stats.max_abs_dev_ms, 0.0, "{what}");
                 }
             }
         }

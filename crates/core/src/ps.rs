@@ -237,7 +237,7 @@ pub fn ps_pull_round(
 /// The per-rank parameter-server execution engine: owns the worker's
 /// error-feedback residual and (in wait-free mode) the pipeline of
 /// deferred rounds. Plugged into the trainer's `StepEngine` as the
-/// third execution mode next to serial and overlap.
+/// execution mode beside the bucketed all-reduce engine.
 pub struct PsEngine {
     cfg: PsConfig,
     residual: Residual,

@@ -3,41 +3,25 @@
 //!
 //! There is exactly **one** training loop ([`run_rank`]), one bundle of
 //! training state ([`TrainState`]) and one per-iteration executor
-//! ([`StepEngine`]). Execution *mode* (serial whole-vector aggregation,
-//! the bucketed overlap schedule, or the sharded parameter server) and
+//! ([`StepEngine`]). Execution *mode* (the bucketed all-reduce engine —
+//! one bucket without `--overlap` — or the sharded parameter server) and
 //! *recovery policy* (fault-tolerant checkpoint/rollback vs. fail-fast)
 //! are orthogonal switches on the same loop, so `--overlap` composes
 //! with crash recovery instead of selecting a different code path. Which
 //! combinations are legal is [`TrainConfig::validate`]'s call alone.
 
-use crate::ckpt::{CheckpointStore, DurableCheckpoint, EngineState, SelectorDump};
-use crate::overlap::{OverlapConfig, OverlapEngine, OverlapStats};
+use crate::ckpt::{CheckpointStore, DurableCheckpoint, EngineState};
+use crate::overlap::{ComputeCost, OverlapConfig, OverlapEngine, OverlapStats};
+use crate::pipeline::bucket_k;
 use crate::ps::{PsConfig, PsEngine};
 use crate::{
     ft, Aggregator, Algorithm, DensitySchedule, EpochRecord, LrSchedule, Selector, TimingBreakdown,
-    TrainReport, Update,
+    TrainReport,
 };
 use gtopk_comm::{Cluster, Communicator, CostModel, FaultPlan, Message, Payload, Result, Topology};
 use gtopk_data::{shard_indices, BatchIter, Dataset};
 use gtopk_nn::{accuracy, softmax_cross_entropy, Model, MomentumSgd};
-use gtopk_sparse::Residual;
 use std::collections::VecDeque;
-
-/// Simulated per-iteration local costs, used by the timing experiments
-/// (Figs. 10–11, Table IV). When present, each iteration advances the
-/// simulated clock by `compute_ms` (the GPU's forward+backward, which we
-/// cannot measure without the paper's hardware) and `sparsify_ms` (top-k
-/// selection). Communication time always comes from the simulated α-β
-/// network. `None` leaves the clock driven by communication alone —
-/// appropriate for pure convergence experiments.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ComputeCost {
-    /// Forward + backward time per iteration, ms.
-    pub compute_ms: f64,
-    /// Sparsification time per iteration, ms (charged for sparse
-    /// algorithms only).
-    pub sparsify_ms: f64,
-}
 
 /// Configuration of a distributed training run. Which combinations of
 /// algorithm, topology, execution mode and recovery policy may run is
@@ -66,7 +50,7 @@ pub struct TrainConfig {
     /// Local top-k selection kernel (exact or sampled-threshold).
     pub selector: Selector,
     /// Collective plan topology, for the algorithms whose collective
-    /// executes one — serially and per overlap bucket alike.
+    /// executes one (in every bucket).
     pub topology: Topology,
     /// DGC-style momentum correction (Lin et al., cited in §VI): apply
     /// momentum *locally before* residual accumulation, so delayed
@@ -89,13 +73,13 @@ pub struct TrainConfig {
     /// Iterations between in-memory checkpoints in the fault-tolerant
     /// loop (ignored in fault-free runs).
     pub checkpoint_interval: usize,
-    /// Executed compute/communication overlap. `None` (the default)
-    /// keeps the serial per-iteration schedule and leaves training
-    /// output bit-identical to a build without the overlap engine;
+    /// Executed compute/communication overlap (see [`crate::overlap`]).
     /// `Some` partitions the gradient into buckets and pipelines each
-    /// bucket's collective behind the remaining backward compute (see
-    /// [`crate::overlap`]). Composes with fault injection, crash
-    /// recovery included.
+    /// bucket's collective behind the remaining backward compute. `None`
+    /// (the default) *is* [`OverlapConfig::buckets`]`(1)` — the whole
+    /// backward, then one step over the whole vector — and only leaves
+    /// [`TrainReport::overlap`] empty. Composes with fault injection,
+    /// crash recovery included.
     pub overlap: Option<OverlapConfig>,
     /// Durable checkpoint directory for elastic recovery. `None` (the
     /// default) writes nothing — and adds **exactly zero** simulated
@@ -192,64 +176,25 @@ impl TrainConfig {
 }
 
 /// The one per-iteration executor every training mode runs through: it
-/// owns the aggregation state (whole-vector residual + step in serial
-/// mode, the bucketed [`OverlapEngine`] in overlap mode, the
-/// [`PsEngine`] in parameter-server mode), performs one aggregation over
-/// the current membership, applies the averaged update, and can
-/// snapshot/restore its state for the checkpoint machinery.
+/// owns the aggregation state (the bucketed [`OverlapEngine`] for the
+/// all-reduce rows, one bucket without `--overlap`; the [`PsEngine`] in
+/// parameter-server mode), performs one aggregation over the current
+/// membership, applies the averaged update, and can snapshot/restore its
+/// state for the checkpoint machinery.
 enum StepEngine {
-    Serial {
-        aggregator: Box<Aggregator>,
-        residual: Residual,
-    },
-    Overlap(Box<OverlapEngine>),
+    Buckets(Box<OverlapEngine>),
     Ps(Box<PsEngine>),
 }
 
 impl StepEngine {
-    fn new(cfg: &TrainConfig, segments: &[usize], rank: usize) -> Self {
-        let m = segments.iter().sum();
-        if let Some(ps) = &cfg.ps {
-            return StepEngine::Ps(Box::new(PsEngine::new(*ps, m)));
-        }
-        let aggregator = Aggregator::new(cfg.algorithm, cfg.selector, cfg.topology, rank);
-        match &cfg.overlap {
-            Some(ov) => StepEngine::Overlap(Box::new(OverlapEngine::new(
-                ov,
-                segments,
-                cfg.compute_cost,
-                cfg.cost_model,
-                aggregator,
-            ))),
-            None => StepEngine::Serial {
-                aggregator: Box::new(aggregator),
-                residual: Residual::new(m),
-            },
-        }
-    }
-
-    fn overlap_engine(&self) -> Option<&OverlapEngine> {
-        match self {
-            StepEngine::Overlap(engine) => Some(engine),
-            StepEngine::Serial { .. } | StepEngine::Ps(_) => None,
-        }
-    }
-
     /// Engine state at a checkpoint boundary: residuals *plus* selector
     /// state, so that a restore — a rollback or a process restart alike
     /// — replays the sampled kernel's draws bit-exactly.
     fn snapshot(&self) -> EngineState {
         match self {
-            StepEngine::Serial {
-                aggregator,
-                residual,
-            } => EngineState::Serial {
-                residual: residual.dense().to_vec(),
-                selector: Some(SelectorDump::capture(aggregator.selector_state())),
-            },
-            StepEngine::Overlap(engine) => {
+            StepEngine::Buckets(engine) => {
                 let (residuals, selectors) = engine.snapshot();
-                EngineState::Overlap {
+                EngineState::Buckets {
                     residuals,
                     selectors,
                 }
@@ -267,24 +212,8 @@ impl StepEngine {
     fn restore(&mut self, state: &EngineState) {
         match (self, state) {
             (
-                StepEngine::Serial {
-                    aggregator,
-                    residual,
-                },
-                EngineState::Serial {
-                    residual: saved,
-                    selector,
-                },
-            ) => {
-                residual.clear();
-                residual.accumulate(saved);
-                if let Some(sel) = selector {
-                    aggregator.restore_selector_state(sel.revive());
-                }
-            }
-            (
-                StepEngine::Overlap(engine),
-                EngineState::Overlap {
+                StepEngine::Buckets(engine),
+                EngineState::Buckets {
                     residuals,
                     selectors,
                 },
@@ -305,6 +234,9 @@ struct TrainState<M: Model> {
     model: M,
     opt: MomentumSgd,
     engine: StepEngine,
+    /// Modelled compute per iteration, staged by the engine (zero
+    /// without [`TrainConfig::compute_cost`]).
+    cost: ComputeCost,
     /// DGC-style local momentum buffer, when momentum correction is on.
     local_velocity: Option<Vec<f32>>,
     batches: BatchIter,
@@ -326,9 +258,23 @@ impl<M: Model> TrainState<M> {
             cfg.momentum
         };
         let shard = shard_indices(train_data.len(), comm.rank(), comm.size());
+        let mut cost = cfg.compute_cost.unwrap_or_default();
+        if cfg.algorithm == Algorithm::Dense {
+            cost.sparsify_ms = 0.0; // the dense row selects nothing
+        }
         TrainState {
             opt: MomentumSgd::new(m, cfg.lr.lr(0), opt_momentum),
-            engine: StepEngine::new(cfg, &model.param_segments(), comm.rank()),
+            engine: match &cfg.ps {
+                Some(ps) => StepEngine::Ps(Box::new(PsEngine::new(*ps, m))),
+                None => StepEngine::Buckets(Box::new(OverlapEngine::new(
+                    &cfg.overlap.unwrap_or(OverlapConfig::buckets(1)),
+                    &model.param_segments(),
+                    Some(cost),
+                    cfg.cost_model,
+                    Aggregator::new(cfg.algorithm, cfg.selector, cfg.topology, comm.rank()),
+                ))),
+            },
+            cost,
             local_velocity: cfg.momentum_correction.then(|| vec![0.0; m]),
             batches: BatchIter::new(shard, cfg.batch_per_worker, cfg.data_seed),
             losses: Vec::with_capacity(cfg.epochs),
@@ -376,10 +322,10 @@ impl<M: Model> TrainState<M> {
 
     /// One aggregation step over `members`: fold the fresh gradient `g`
     /// (through the local momentum buffer under momentum correction) into
-    /// the error-feedback state, aggregate (`k` for the whole vector in
-    /// serial and PS mode; `rho` re-derives per-bucket budgets in overlap
-    /// mode), apply the averaged update, and return the non-zero count
-    /// applied.
+    /// the error-feedback state, stage the modelled compute on the clock,
+    /// aggregate at density `rho` (each bucket, or the PS round, derives
+    /// its budget with [`bucket_k`]), apply the averaged update, and
+    /// return the non-zero count applied.
     fn step(
         &mut self,
         comm: &mut Communicator,
@@ -387,7 +333,6 @@ impl<M: Model> TrainState<M> {
         g: &[f32],
         momentum: f32,
         rho: f64,
-        k: usize,
     ) -> Result<u64> {
         let src: &[f32] = match &mut self.local_velocity {
             Some(u) => {
@@ -400,23 +345,16 @@ impl<M: Model> TrainState<M> {
         };
         let (opt, model) = (&mut self.opt, &mut self.model);
         match &mut self.engine {
-            StepEngine::Serial {
-                aggregator,
-                residual,
-            } => {
-                // The step folds `src` into the residual itself — fused
-                // with selection into one memory pass where the
-                // configured selector allows.
-                let update = aggregator.aggregate(comm, members, residual, src, k)?;
-                let nnz = update.nnz() as u64;
-                match &update {
-                    Update::Dense(v) => opt.step_dense(model, v),
-                    Update::Sparse(sv) => opt.step_sparse(model, sv),
-                }
-                Ok(nnz)
+            StepEngine::Buckets(engine) => engine.step(comm, members, src, rho, opt, model),
+            StepEngine::Ps(engine) => {
+                // A PS round pushes the whole vector: it waits for the
+                // whole backward.
+                let ready = self
+                    .cost
+                    .ready_ms(comm.now_ms(), comm.straggle_factor(), 1.0);
+                comm.wait_until(ready);
+                engine.step(comm, members, src, bucket_k(src.len(), rho), opt, model)
             }
-            StepEngine::Overlap(engine) => engine.step(comm, members, src, rho, opt, model),
-            StepEngine::Ps(engine) => engine.step(comm, members, src, k, opt, model),
         }
     }
 
@@ -426,7 +364,7 @@ impl<M: Model> TrainState<M> {
     fn finish(&mut self, comm: &mut Communicator, members: &[usize]) -> Result<u64> {
         match &mut self.engine {
             StepEngine::Ps(engine) => engine.drain(comm, members, &mut self.opt, &mut self.model),
-            StepEngine::Serial { .. } | StepEngine::Overlap(_) => Ok(0),
+            StepEngine::Buckets(_) => Ok(0),
         }
     }
 }
@@ -685,7 +623,6 @@ where
 {
     let ft = cfg.fault_tolerant();
     let mut state = TrainState::new(cfg, comm, build_model(), train_data);
-    let m = state.model.num_params();
     let mut log = RecoveryLog {
         members: (0..comm.size()).collect(),
         ckpts: VecDeque::with_capacity(2),
@@ -722,7 +659,6 @@ where
         let epoch = (state.it / ipe) as usize;
         state.opt.set_lr(cfg.lr.lr(epoch));
         let rho = cfg.density.density(epoch);
-        let k = cfg.density.k(epoch, m);
 
         // Periodic checkpoint. After a rollback `it` lands on the
         // restored snapshot's boundary; the `<` guard avoids
@@ -789,33 +725,18 @@ where
             clip_to_norm(&mut g, max_norm);
         }
 
-        // Serial mode charges the whole iteration's modeled compute (and
-        // sparsification, for sparse algorithms) up front; the overlap
-        // engine stages the clock per bucket itself, so only the
-        // attribution shares are computed here.
-        let (charged_comp, charged_compr) = if let Some(ov) = state.engine.overlap_engine() {
-            let straggle = comm.straggle_factor();
-            (
-                straggle * ov.compute_ms_per_iter(),
-                straggle * ov.sparsify_ms_per_iter(),
-            )
-        } else {
-            if let Some(cost) = cfg.compute_cost {
-                comm.advance_compute(cost.compute_ms);
-            }
-            let t1 = comm.now_ms();
-            if cfg.algorithm != Algorithm::Dense {
-                if let Some(cost) = cfg.compute_cost {
-                    comm.advance_compute(cost.sparsify_ms);
-                }
-            }
-            (t1 - t0, comm.now_ms() - t1)
-        };
+        // The engine stages the modelled compute and sparsification on
+        // the clock itself; only the attribution shares are taken here.
+        let straggle = comm.straggle_factor();
+        let (charged_comp, charged_compr) = (
+            straggle * state.cost.compute_ms,
+            straggle * state.cost.sparsify_ms,
+        );
         timing.compute_ms += charged_comp;
         timing.compression_ms += charged_compr;
 
         let t_step = comm.now_ms();
-        match state.step(comm, &log.members, &g, cfg.momentum, rho, k) {
+        match state.step(comm, &log.members, &g, cfg.momentum, rho) {
             Ok(nnz) => {
                 update_nnz_sum += nnz;
                 state.epoch_loss += loss as f64;
@@ -874,7 +795,10 @@ where
         param_checksum: params.iter().map(|&v| v as f64).sum(),
         pool_hits: stats.pool_hits,
         pool_misses: stats.pool_misses,
-        overlap: state.engine.overlap_engine().map(OverlapEngine::stats),
+        overlap: match &state.engine {
+            StepEngine::Buckets(engine) if cfg.overlap.is_some() => Some(engine.stats()),
+            _ => None,
+        },
         survivors: log.members.len(),
         crashed,
     }
@@ -1423,12 +1347,9 @@ mod tests {
 
     #[test]
     fn single_bucket_overlap_ft_matches_the_serial_ft_loss_exactly() {
-        // With one bucket the overlap engine performs the same
-        // accumulate → select → gTopKAllReduce → put-back → step as the
-        // serial path (bucket_k(m, ρ) and DensitySchedule::k round
-        // identically, and step_range over 0..m is step_sparse), so the
-        // same seed and the same crash must produce bit-identical losses
-        // — only the timeline differs. P = 8 with a mid-run crash.
+        // A run without `--overlap` is the one-bucket engine, so asking
+        // for one bucket explicitly must replay it through a mid-run
+        // crash, rollback included — bit-identical losses at P = 8.
         let data = GaussianMixture::new(38, 512, 8, 4, 2.5, 0.4);
         let build = || models::mlp(47, 8, 16, 4);
         let mut serial = quick_cfg(Algorithm::GTopK, 8);

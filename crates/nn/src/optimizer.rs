@@ -3,7 +3,7 @@ use gtopk_sparse::SparseVec;
 use std::iter::repeat;
 use std::ops::Range;
 
-/// Coordinates per window of [`MomentumSgd::step_sparse`]: a window's
+/// Coordinates per window of [`MomentumSgd::step_range`]: a window's
 /// velocity and scratch (32 KiB) stay in cache across its three passes,
 /// and its support — at most this many entries — is staged in 16 KiB of
 /// stack.
@@ -14,16 +14,20 @@ const SPARSE_WINDOW: usize = 4096;
 /// momentum 0.9 (§IV-A).
 ///
 /// The gradient `g` may be dense (the S-SGD baseline) or sparse (the
-/// aggregated gTop-k / Top-k update); a sparse update runs the dense
-/// step's arithmetic with `g = 0.0` off its support, so velocity
-/// semantics are identical across algorithms.
+/// aggregated gTop-k / Top-k update), over the whole vector or over one
+/// contiguous bucket of it; a sparse update runs the dense step's
+/// arithmetic with `g = 0.0` off its support, so velocity semantics are
+/// identical across algorithms and bucketings.
 #[derive(Debug, Clone)]
 pub struct MomentumSgd {
     velocity: Vec<f32>,
+    /// `−η·v` of the step being applied, added into the parameters in
+    /// one pass. Outside a bucket it holds `−0.0`, the exact additive
+    /// identity (`x + −0.0 == x` for every `x`, signed zeros included).
     scratch: Vec<f32>,
     /// `true` while `scratch` may hold stale full-width values (after a
-    /// `step_dense`); [`MomentumSgd::step_range`] needs the coordinates
-    /// outside its bucket to be zero and lazily re-zeroes when set.
+    /// whole-vector step); a bucket step needs `−0.0` outside its range
+    /// and lazily refills when set.
     scratch_dirty: bool,
     lr: f32,
     momentum: f32,
@@ -40,7 +44,7 @@ impl MomentumSgd {
         assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
         MomentumSgd {
             velocity: vec![0.0; num_params],
-            scratch: vec![0.0; num_params],
+            scratch: vec![-0.0; num_params],
             scratch_dirty: false,
             lr,
             momentum,
@@ -58,7 +62,7 @@ impl MomentumSgd {
     }
 
     /// Overwrites the momentum buffer from a checkpoint. The scratch
-    /// buffer is marked dirty so bucketed updates re-zero it lazily.
+    /// buffer is marked dirty so bucketed updates refill it lazily.
     ///
     /// # Panics
     ///
@@ -83,85 +87,40 @@ impl MomentumSgd {
         self.lr = lr;
     }
 
-    /// `v ← μ·v + g`, `scratch ← −η·v` over `range`; `grad` yields the
-    /// range's per-coordinate gradient.
-    fn advance(&mut self, range: Range<usize>, grad: impl Iterator<Item = f32>) {
-        let (mu, lr) = (self.momentum, self.lr);
-        let (vel, delta) = (&mut self.velocity[range.clone()], &mut self.scratch[range]);
-        for ((v, d), g) in vel.iter_mut().zip(delta).zip(grad) {
-            *v = mu * *v + g;
-            *d = -lr * *v;
-        }
-    }
-
     /// Applies a dense gradient step.
     ///
     /// # Panics
     ///
     /// Panics if `grad.len()` differs from the model's parameter count.
     pub fn step_dense(&mut self, model: &mut dyn Model, grad: &[f32]) {
-        assert_eq!(grad.len(), self.velocity.len(), "gradient length mismatch");
-        assert_eq!(
-            model.num_params(),
-            self.velocity.len(),
-            "model size mismatch"
-        );
-        self.advance(0..grad.len(), grad.iter().copied());
-        self.scratch_dirty = true;
-        model.add_to_flat_params(&self.scratch);
+        self.step_dense_range(model, 0..self.velocity.len(), grad);
     }
 
-    /// Applies a sparse gradient to a contiguous sub-range (bucket) of the
-    /// parameter vector, leaving every other coordinate untouched.
-    ///
-    /// `grad` is bucket-local: `grad.dim() == range.len()`, and stored
-    /// index `i` addresses flat parameter `range.start + i`. Velocity
-    /// decays only over `range`, so one call per bucket over disjoint
-    /// buckets covering the full vector is exactly equivalent to a single
-    /// [`MomentumSgd::step_dense`] of the combined scattered update —
-    /// which is how the overlap engine applies per-bucket updates as each
-    /// bucket's collective completes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the range exceeds the parameter count or the bucket
-    /// gradient's dimension differs from the range length.
-    pub fn step_range(&mut self, model: &mut dyn Model, range: Range<usize>, grad: &SparseVec) {
-        assert!(
-            range.end <= self.velocity.len(),
-            "bucket range out of bounds"
-        );
-        assert_eq!(grad.dim(), range.len(), "bucket gradient dim mismatch");
-        assert_eq!(
-            model.num_params(),
-            self.velocity.len(),
-            "model size mismatch"
-        );
-        if self.scratch_dirty {
-            self.scratch.iter_mut().for_each(|s| *s = 0.0);
-            self.scratch_dirty = false;
-        }
-        let lo = range.start;
-        for v in self.velocity[range.clone()].iter_mut() {
-            *v *= self.momentum;
-        }
-        for (&i, &g) in grad.indices().iter().zip(grad.values().iter()) {
-            self.velocity[lo + i as usize] += g;
-        }
-        for (v, s) in self.velocity[range.clone()]
-            .iter()
-            .zip(self.scratch[range.clone()].iter_mut())
-        {
-            *s = -self.lr * *v;
-        }
-        model.add_to_flat_params(&self.scratch);
-        // Restore the all-zero invariant outside calls.
-        self.scratch[range].iter_mut().for_each(|s| *s = 0.0);
+    /// [`MomentumSgd::step_dense`] of a contiguous sub-range (bucket) of
+    /// the parameter vector; `grad[i]` is the gradient of flat parameter
+    /// `range.start + i`, and every other coordinate stays untouched.
+    pub fn step_dense_range(&mut self, model: &mut dyn Model, range: Range<usize>, grad: &[f32]) {
+        assert_eq!(grad.len(), range.len(), "gradient length mismatch");
+        self.apply(model, range.clone(), |opt| {
+            opt.advance(range, grad.iter().copied());
+        });
     }
 
     /// Applies a sparse aggregated gradient step (gTop-k / Top-k updates):
-    /// bit for bit [`MomentumSgd::step_dense`] of `grad.to_dense()`, signed
-    /// zeros and denormals included, without building that vector.
+    /// [`MomentumSgd::step_range`] over the whole vector.
+    pub fn step_sparse(&mut self, model: &mut dyn Model, grad: &SparseVec) {
+        self.step_range(model, 0..self.velocity.len(), grad);
+    }
+
+    /// Applies a sparse gradient to a contiguous sub-range (bucket) of the
+    /// parameter vector: bit for bit [`MomentumSgd::step_dense_range`] of
+    /// `grad.to_dense()`, signed zeros and denormals included, without
+    /// building that vector. `grad` is bucket-local (stored index `i` is
+    /// flat parameter `range.start + i`) and every other coordinate stays
+    /// untouched, so one call per bucket over disjoint buckets covering
+    /// the vector is bit for bit one [`MomentumSgd::step_dense`] of the
+    /// scattered update — how the overlap engine applies each bucket as
+    /// its collective lands.
     ///
     /// The coordinates are taken in windows of 4096 (`SPARSE_WINDOW`). Per
     /// window, `μ·v[i] + g` is staged on the stack for each support entry
@@ -174,31 +133,65 @@ impl MomentumSgd {
     ///
     /// # Panics
     ///
-    /// Panics if the sparse vector's dimension differs from the model's
-    /// parameter count.
-    pub fn step_sparse(&mut self, model: &mut dyn Model, grad: &SparseVec) {
-        assert_eq!(grad.dim(), self.velocity.len(), "gradient dim mismatch");
-        let (mu, lr) = (self.momentum, self.lr);
-        let (mut idx, mut vals) = (grad.indices(), grad.values());
-        let mut staged = [0.0f32; SPARSE_WINDOW];
-        for lo in (0..grad.dim()).step_by(SPARSE_WINDOW) {
-            let hi = (lo + SPARSE_WINDOW).min(grad.dim());
-            // Indices are unique, so at most a window's width fall in it.
-            let n = idx[..idx.len().min(SPARSE_WINDOW)].partition_point(|&i| (i as usize) < hi);
-            let (window_idx, rest_idx) = idx.split_at(n);
-            let (window_vals, rest_vals) = vals.split_at(n);
-            for ((s, &i), &g) in staged.iter_mut().zip(window_idx).zip(window_vals) {
-                *s = mu * self.velocity[i as usize] + g;
+    /// Panics if the range exceeds the parameter count or its length
+    /// differs from `grad.dim()`.
+    pub fn step_range(&mut self, model: &mut dyn Model, range: Range<usize>, grad: &SparseVec) {
+        assert_eq!(grad.dim(), range.len(), "gradient dim mismatch");
+        let (mu, lr, base) = (self.momentum, self.lr, range.start);
+        self.apply(model, range.clone(), |opt| {
+            let (mut idx, mut vals) = (grad.indices(), grad.values());
+            let mut staged = [0.0f32; SPARSE_WINDOW];
+            for lo in range.clone().step_by(SPARSE_WINDOW) {
+                let hi = (lo + SPARSE_WINDOW).min(range.end);
+                // Indices are unique, so at most a window's width fall in it.
+                let n = idx[..idx.len().min(SPARSE_WINDOW)]
+                    .partition_point(|&i| base + (i as usize) < hi);
+                let (window_idx, rest_idx) = idx.split_at(n);
+                let (window_vals, rest_vals) = vals.split_at(n);
+                for ((s, &i), &g) in staged.iter_mut().zip(window_idx).zip(window_vals) {
+                    *s = mu * opt.velocity[base + i as usize] + g;
+                }
+                opt.advance(lo..hi, repeat(0.0));
+                for (&s, &i) in staged.iter().zip(window_idx) {
+                    opt.velocity[base + i as usize] = s;
+                    opt.scratch[base + i as usize] = -lr * s;
+                }
+                (idx, vals) = (rest_idx, rest_vals);
             }
-            self.advance(lo..hi, repeat(0.0));
-            for (&s, &i) in staged.iter().zip(window_idx) {
-                self.velocity[i as usize] = s;
-                self.scratch[i as usize] = -lr * s;
-            }
-            (idx, vals) = (rest_idx, rest_vals);
+        });
+    }
+
+    /// Runs `update` — which writes velocity and scratch over `range` —
+    /// then adds the scratch into the parameters. A bucket update needs
+    /// `−0.0` in the scratch everywhere else: it refills a scratch a
+    /// whole-vector update left dirty, and resets its own range after.
+    fn apply(
+        &mut self,
+        model: &mut dyn Model,
+        range: Range<usize>,
+        update: impl FnOnce(&mut Self),
+    ) {
+        let whole = range == (0..self.velocity.len());
+        if self.scratch_dirty && !whole {
+            self.scratch.fill(-0.0);
         }
-        self.scratch_dirty = true;
+        update(self);
         model.add_to_flat_params(&self.scratch);
+        self.scratch_dirty = whole;
+        if !whole {
+            self.scratch[range].fill(-0.0);
+        }
+    }
+
+    /// `v ← μ·v + g`, `scratch ← −η·v` over `range`; `grad` yields the
+    /// range's per-coordinate gradient.
+    fn advance(&mut self, range: Range<usize>, grad: impl Iterator<Item = f32>) {
+        let (mu, lr) = (self.momentum, self.lr);
+        let (vel, delta) = (&mut self.velocity[range.clone()], &mut self.scratch[range]);
+        for ((v, d), g) in vel.iter_mut().zip(delta).zip(grad) {
+            *v = mu * *v + g;
+            *d = -lr * *v;
+        }
     }
 
     /// Resets accumulated velocity (e.g. between experiment phases).
@@ -457,6 +450,78 @@ mod tests {
             o2.step_range(m2.as_mut(), mid..n, &highb);
             o2.step_range(m2.as_mut(), 0..mid, &lowb);
             assert_eq!(m1.flat_params(), m2.flat_params(), "step {step}");
+        }
+    }
+
+    #[test]
+    fn bucketed_step_range_is_bitwise_the_dense_step() {
+        // Replica 1 applies each update bucket by bucket (back to front,
+        // as the overlap engine does), replica 2 as one dense step of the
+        // scattered update. At μ = 0.5 a kicked velocity decays through
+        // the denormals until `μ·v` rounds to ∓0.0, which the dense
+        // step's `+ 0.0` turns into +0.0; −0.0 and denormal gradients ride
+        // in every update, supports touch coordinates 0 and m − 1, one
+        // bucket's slice of the steady update is empty, and a dense step
+        // every few rounds leaves the scratch buffer dirty.
+        let special = [-0.0, 0.0, 1.0e-40, -1.0e-40, 3.5, -2.25];
+        for buckets in [1usize, 2, 3] {
+            let mut m1: Box<dyn Model> = Box::new(models::logistic(0, 16, 4));
+            let mut m2: Box<dyn Model> = Box::new(models::logistic(0, 16, 4));
+            let n = m1.num_params();
+            let cuts: Vec<usize> = (0..=buckets).map(|b| b * n / buckets).collect();
+            let ranges: Vec<Range<usize>> = cuts.windows(2).rev().map(|w| w[0]..w[1]).collect();
+            let mut o1 = MomentumSgd::new(n, 0.05, 0.5);
+            let mut o2 = MomentumSgd::new(n, 0.05, 0.5);
+            let kick = SparseVec::from_pairs(
+                n,
+                vec![
+                    (0, -3.0e-38),
+                    (1, 2.0e-38),
+                    (n as u32 / 2, -1.0),
+                    (n as u32 - 1, -2.0),
+                ],
+            );
+            // Off the middle third, so with three buckets one is empty.
+            let steady = |salt: u32| {
+                SparseVec::from_pairs(
+                    n,
+                    (2..n as u32 - 1)
+                        .filter(|&i| {
+                            (i < n as u32 / 3 || i >= 2 * n as u32 / 3) && i % 4 == salt % 4
+                        })
+                        .map(|i| (i, special[((i + salt) % 6) as usize]))
+                        .collect(),
+                )
+            };
+            let dense: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() * 1.0e-3).collect();
+            let mut went_denormal = false;
+            for step in 0..60u32 {
+                let sv = if step == 0 {
+                    kick.clone()
+                } else {
+                    steady(step)
+                };
+                if step % 7 == 3 {
+                    o1.step_dense(m1.as_mut(), &dense);
+                    o2.step_dense(m2.as_mut(), &dense);
+                }
+                for r in &ranges {
+                    let local = SparseVec::from_pairs(
+                        r.len(),
+                        sv.iter()
+                            .filter(|&(i, _)| r.contains(&(i as usize)))
+                            .map(|(i, v)| (i - r.start as u32, v))
+                            .collect(),
+                    );
+                    o1.step_range(m1.as_mut(), r.clone(), &local);
+                }
+                o2.step_dense(m2.as_mut(), &sv.to_dense());
+                let at = format!("{buckets} buckets, step {step}");
+                assert_same_bits((m1.as_ref(), &o1), (m2.as_ref(), &o2), &at);
+                went_denormal |= o1.velocity()[0] != 0.0 && !o1.velocity()[0].is_normal();
+            }
+            assert!(went_denormal, "{buckets} buckets: never went denormal");
+            assert_eq!(o1.velocity()[0].to_bits(), 0, "decayed to +0.0");
         }
     }
 

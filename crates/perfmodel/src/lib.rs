@@ -26,7 +26,7 @@ pub mod workloads;
 pub mod zoo;
 
 pub use alphabeta::{dense_allreduce_ms, gtopk_allreduce_ms, topk_allreduce_ms, AggregationKind};
-pub use plancost::{dense_plan_ms, gtopk_plan_ms, topk_plan_ms, PlanClock};
+pub use plancost::{dense_plan_ms, gtopk_plan_ms, sparse_sum_wire, topk_plan_ms, PlanClock};
 pub use pscost::{ps_plan_ms, PsClock};
 pub use scaling::{scaling_efficiency, throughput_images_per_sec, IterationProfile};
 pub use workloads::{paper_models, ModelSpec};

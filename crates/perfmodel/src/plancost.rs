@@ -188,25 +188,31 @@ pub fn dense_plan_ms(net: &CostModel, p: usize, m: usize) -> f64 {
 /// Panics if `p == 0`.
 #[must_use]
 pub fn topk_plan_ms(net: &CostModel, p: usize, k: usize) -> f64 {
-    let plan = CollectivePlan::exchange(p);
+    let mut clock = PlanClock::new(p);
+    clock.charge(net, &CollectivePlan::exchange(p), sparse_sum_wire(p, k));
+    clock.max_now()
+}
+
+/// Wire elements position `src` sends in round `r` of the exact sparse
+/// sum over [`CollectivePlan::exchange`]`(p)` at [`topk_plan_ms`]'s
+/// disjoint-support worst case — an upper bound on the executed wire.
+pub fn sparse_sum_wire(p: usize, k: usize) -> impl Fn(usize, usize) -> usize {
     let p2 = largest_power_of_two_leq(p);
     let extra = p - p2;
     let fold = usize::from(extra > 0);
-    let rounds = plan.num_rounds();
-    let held = |r: usize, src: usize| {
-        if src >= p2 {
+    let fold_out = fold + p2.trailing_zeros() as usize;
+    move |r, src| {
+        let held = if src >= p2 {
             1
-        } else if extra > 0 && r + 1 == rounds {
+        } else if extra > 0 && r == fold_out {
             p
         } else {
             let block = 1usize << (r - fold);
             let base = src & !(block - 1);
             block + extra.saturating_sub(base).min(block)
-        }
-    };
-    let mut clock = PlanClock::new(p);
-    clock.charge(net, &plan, |r, src| 2 * k * held(r, src));
-    clock.max_now()
+        };
+        2 * k * held
+    }
 }
 
 /// Exact cost of one gTopKAllReduce over `topology`: the reduce plan

@@ -58,10 +58,15 @@ for f in tests/*.rs; do
 done
 # Refactor pins: the per-algorithm golden trajectories (including the
 # tree rows at the first warm-up epoch's density, where every `⊤` merge is
-# large enough to take the fused kernel's sampled cut) and the capability
+# large enough to take the fused kernel's sampled cut, every row's whole
+# training run, and every sparse row under the bucketed engine), the
+# bucketed optimizer apply against the dense step, and the capability
 # sweep over every (algorithm, engine, topology, recovery) cell.
 require_tests -p gtopk-core --test golden_parity
 require_tests -p gtopk-core --test golden_parity tree_rows_reproduce_their_warmup_density_trajectory
+require_tests -p gtopk-core --test golden_parity every_row_trains_to_its_recorded_report
+require_tests -p gtopk-core --test golden_parity the_other_sparse_rows_reproduce_their_overlapped_trajectory
+require_tests -p gtopk-nn --lib bucketed_step_range_is_bitwise_the_dense_step
 require_tests -p gtopk-core --test capability_sweep
 # The fused `⊤` merge: its oracle tests against the two-pointer sum + full
 # sort, and the allocation gate over both merges and the one-walk put-back.
@@ -98,16 +103,22 @@ for threads in "${THREAD_MATRIX[@]}"; do
 done
 
 # Committed numbers must not go stale: the analytic bins price every
-# schedule by thread-free plan replay (seconds in total), so rerun them
-# and require their committed TSVs to come back byte-identical.
-echo "==> analytic results reproduce byte-identically"
+# schedule by thread-free plan replay (seconds in total), and two of the
+# convergence bins train Dense and gTop-k end to end through the trainer
+# (~11 s in release), so rerun them and require their committed TSVs to
+# come back byte-identical.
+echo "==> analytic and convergence results reproduce byte-identically"
 for bin in table1_complexity fig09_allreduce_time fig10_scaling_efficiency \
   fig11_time_breakdown table4_throughput; do
   cargo run -q --offline -p gtopk-bench --bin "$bin" >/dev/null
 done
+for bin in fig05_convergence_cifar fig07_convergence_lstm; do
+  cargo run -q --offline --release -p gtopk-bench --bin "$bin" >/dev/null 2>&1
+done
 git diff --exit-code -- results/table1_complexity.tsv results/fig09_*.tsv \
   results/fig10_scaling_*.tsv results/fig11_time_breakdown.tsv \
-  results/table4_throughput.tsv
+  results/table4_throughput.tsv results/fig05_convergence_*.tsv \
+  results/fig07_convergence_lstm.tsv
 
 # Real processes, real sockets, a real SIGKILL: a 4-process localhost
 # cluster over `--transport tcp --rendezvous` (OS-assigned ports published
@@ -118,7 +129,8 @@ git diff --exit-code -- results/table1_complexity.tsv results/fig09_*.tsv \
 echo "==> multi-process TCP cluster (kill one worker mid-run)"
 if cargo run -q --offline -p gtopk-cli -- info >/dev/null 2>&1 \
   && scripts/probe_loopback.sh; then
-  scripts/run_tcp_cluster.sh 4 16
+  # (100 epochs: the kill lands 2 s in, and 16 epochs are over by then.)
+  scripts/run_tcp_cluster.sh 4 100
 
   # Elastic recovery: same cluster shape, but with durable checkpoints
   # armed; the killed worker is RESTARTED and must restore from disk,

@@ -9,7 +9,8 @@
 #   scripts/run_tcp_cluster.sh [P] [EPOCHS] [KILL_RANK]
 #
 #   P          number of worker processes            (default 4)
-#   EPOCHS     training epochs                       (default 16)
+#   EPOCHS     training epochs                       (default 100: the
+#              kill lands 2 s in, and the run must still be going)
 #   KILL_RANK  rank to SIGKILL mid-run, or "none"    (default P-1)
 #
 # Exits non-zero unless every surviving rank finishes all epochs and —
@@ -18,7 +19,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 P="${1:-4}"
-EPOCHS="${2:-16}"
+EPOCHS="${2:-100}"
 KILL_RANK="${3:-$((P - 1))}"
 
 echo "==> building the gtopk binary (offline)"

@@ -14,7 +14,7 @@
 //! test checks the balance on the full membership, then removes a rank
 //! (as recovery would after a crash), bumps the epoch, and checks it
 //! again over the survivors — the shrunken collective must be equally
-//! lossless.
+//! lossless, over the whole vector and bucket by bucket alike.
 
 use gtopk::{ft_gtopk_all_reduce_with_feedback, ps_pull_round, ps_push_round};
 use gtopk_comm::{Cluster, CostModel, FaultPlan, ShardMap, Topology};
@@ -37,26 +37,37 @@ fn grad(rank: usize, dim: usize, seed: u64) -> Vec<f32> {
         .collect()
 }
 
-/// One feedback-discipline aggregation round over `members`; returns
-/// (mass entering the round, mass left in the residual, unscaled global).
+/// One feedback-discipline aggregation round over `members`, one
+/// collective per bucket of the `DIM` vector (`residuals.len()` equal
+/// buckets, top first, as the overlap engine runs them); returns (mass
+/// entering the round, mass left in the residuals, unscaled global).
 fn round(
     comm: &mut gtopk_comm::Communicator,
     members: &[usize],
-    residual: &mut Residual,
+    residuals: &mut [Residual],
     g: &[f32],
 ) -> (Vec<f32>, Vec<f32>, SparseVec) {
-    residual.accumulate(g);
-    let mass_in = residual.dense().to_vec();
-    let local = residual.extract_topk(K);
-    let (global, gmask, tree_rejects) =
-        ft_gtopk_all_reduce_with_feedback(comm, members, local.clone(), K, Topology::Binomial)
-            .unwrap();
-    // The trainer's put-back discipline (see `Rejects::PutBackOwnAndWitnessed`).
-    let (_kept, rejected) = local.partition_by(&gmask);
-    residual.put_back(&rejected);
-    let (lost_but_selected, _owner_covered) = tree_rejects.partition_by(&gmask);
-    residual.put_back(&lost_but_selected);
-    (mass_in, residual.dense().to_vec(), global)
+    let n = residuals.len();
+    let (mut mass_in, mut mass_out) = (vec![0.0; DIM], vec![0.0; DIM]);
+    let mut applied = Vec::new();
+    for (b, residual) in residuals.iter_mut().enumerate().rev() {
+        let range = b * DIM / n..(b + 1) * DIM / n;
+        residual.accumulate(&g[range.clone()]);
+        mass_in[range.clone()].copy_from_slice(residual.dense());
+        let local = residual.extract_topk(K);
+        let (global, gmask, tree_rejects) =
+            ft_gtopk_all_reduce_with_feedback(comm, members, local.clone(), K, Topology::Binomial)
+                .unwrap();
+        // The trainer's put-back discipline (see
+        // `Rejects::PutBackOwnAndWitnessed`).
+        let (_kept, rejected) = local.partition_by(&gmask);
+        residual.put_back(&rejected);
+        let (lost_but_selected, _owner_covered) = tree_rejects.partition_by(&gmask);
+        residual.put_back(&lost_but_selected);
+        mass_out[range.clone()].copy_from_slice(residual.dense());
+        applied.extend(global.iter().map(|(i, v)| (i + range.start as u32, v)));
+    }
+    (mass_in, mass_out, SparseVec::from_pairs(DIM, applied))
 }
 
 /// Asserts `Σ mass_in == Σ mass_out + global` coordinate-wise.
@@ -202,6 +213,12 @@ fn ps_conserves_gradient_mass_across_a_shard_host_death() {
 
 #[test]
 fn feedback_conserves_gradient_mass_across_a_membership_shrink() {
+    for buckets in [1usize, 2] {
+        feedback_conserves_mass_across_a_shrink(buckets);
+    }
+}
+
+fn feedback_conserves_mass_across_a_shrink(buckets: usize) {
     const P: usize = 5;
     const DEAD: usize = 2;
     for seed in 0..12u64 {
@@ -210,8 +227,10 @@ fn feedback_conserves_gradient_mass_across_a_membership_shrink() {
         let out: Vec<(RoundOut, Option<RoundOut>)> =
             Cluster::new(P, CostModel::zero()).run(|comm| {
                 let rank = comm.rank();
-                let mut residual = Residual::new(DIM);
-                let r1 = round(comm, &full, &mut residual, &grad(rank, DIM, seed));
+                let mut residuals: Vec<Residual> = (0..buckets)
+                    .map(|b| Residual::new((b + 1) * DIM / buckets - b * DIM / buckets))
+                    .collect();
+                let r1 = round(comm, &full, &mut residuals, &grad(rank, DIM, seed));
                 if rank == DEAD {
                     // This rank "dies" between rounds: its residual mass
                     // leaves with it, exactly as a real crash loses it.
@@ -223,7 +242,7 @@ fn feedback_conserves_gradient_mass_across_a_membership_shrink() {
                 let r2 = round(
                     comm,
                     &survivors,
-                    &mut residual,
+                    &mut residuals,
                     &grad(rank, DIM, seed + 1000),
                 );
                 (r1, Some(r2))
@@ -233,7 +252,7 @@ fn feedback_conserves_gradient_mass_across_a_membership_shrink() {
         let ins: Vec<Vec<f32>> = out.iter().map(|(r1, _)| r1.0.clone()).collect();
         let outs: Vec<Vec<f32>> = out.iter().map(|(r1, _)| r1.1.clone()).collect();
         assert_balance(
-            &format!("seed {seed}, full P={P}"),
+            &format!("{buckets} buckets, seed {seed}, full P={P}"),
             &ins,
             &outs,
             &out[0].0 .2,
@@ -244,14 +263,12 @@ fn feedback_conserves_gradient_mass_across_a_membership_shrink() {
         assert_eq!(r2.len(), P - 1);
         let ins: Vec<Vec<f32>> = r2.iter().map(|r| r.0.clone()).collect();
         let outs: Vec<Vec<f32>> = r2.iter().map(|r| r.1.clone()).collect();
-        assert_balance(&format!("seed {seed}, shrunk"), &ins, &outs, &r2[0].2);
+        let what = format!("{buckets} buckets, seed {seed}, shrunk");
+        assert_balance(&what, &ins, &outs, &r2[0].2);
 
         // The survivors all applied the same round-2 global.
         for r in &r2 {
-            assert_eq!(
-                r.2, r2[0].2,
-                "seed {seed}: survivors disagree on the global"
-            );
+            assert_eq!(r.2, r2[0].2, "{what}: survivors disagree on the global");
         }
     }
 }
