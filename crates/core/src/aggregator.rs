@@ -211,13 +211,12 @@ impl Aggregator {
             return zoo_schedule(&mut self.sched, kind, p, k).charge(clock, net);
         }
         if self.plans.first().is_none_or(|plan| plan.size != p) {
-            let reduce = CollectivePlan::reduce(self.topology, p);
             self.plans = match collective {
                 Collective::DenseRing => vec![CollectivePlan::ring_allreduce(p)],
-                Collective::Tree => {
-                    let bcast = CollectivePlan::broadcast(self.topology, p, reduce.root);
-                    vec![reduce, bcast]
-                }
+                Collective::Tree => vec![
+                    CollectivePlan::reduce(self.topology, p),
+                    CollectivePlan::broadcast(self.topology, p, self.topology.reduce_root(p)),
+                ],
                 _ => vec![CollectivePlan::exchange(p)],
             };
         }
