@@ -17,6 +17,10 @@
 //! * every available `GTOPK_SIMD` level against the scalar kernels;
 //! * the fused single-pass residual+select against the three-pass
 //!   accumulate / scan / compact sequence, at m = 25M;
+//! * the TCP frame codec on one 250 000-entry sparse DATA frame (the
+//!   message a ρ = 0.25 step of a 1M-parameter model ships): one-pass
+//!   encode into a reused buffer, and read + slice-pass decode into a
+//!   reused body, against the per-element codec they replaced;
 //! * thread counts 1/2/4 via the `crate::parallel` runtime for matmul
 //!   (selection is one single-threaded streaming pass; on a machine with
 //!   fewer cores than threads the rows document oversubscription rather
@@ -26,6 +30,8 @@
 //! the JSON lands in the repository root so future PRs have a perf
 //! trajectory to compare against.
 
+use gtopk_comm::transport::frame::{encode_into, read_frame_into, Frame};
+use gtopk_comm::Payload;
 use gtopk_nn::{Model, MomentumSgd};
 use gtopk_sparse::{
     topk_merge, topk_merge_into, topk_merge_split_into, topk_sparse, topk_sparse_into, Mask,
@@ -37,6 +43,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::hint::black_box;
+use std::io;
 use std::time::Instant;
 
 /// VGG-16 has ~14.7M convolutional + fc parameters; ρ = 0.001.
@@ -240,6 +247,140 @@ fn bench_put_back(rows: &mut Vec<Row>) {
                     }
                 }
                 black_box(residual.dense());
+            }),
+        });
+    }
+}
+
+/// The per-element frame codec the one-pass codec replaced, for a sparse
+/// DATA frame only — kept here as the `frame_codec` rows' baseline.
+mod per_element {
+    use gtopk_sparse::SparseVec;
+    use std::io::{self, Read};
+
+    /// `wire::encode` pushing one 4-byte word at a time, copied into a
+    /// frame body that grows from empty, copied again behind the prefix.
+    pub fn encode(tag: u32, arrival_ms: f64, v: &SparseVec) -> Vec<u8> {
+        let mut sparse = Vec::with_capacity(16 + 8 * v.nnz());
+        sparse.extend_from_slice(&(v.dim() as u64).to_le_bytes());
+        sparse.extend_from_slice(&(v.nnz() as u64).to_le_bytes());
+        for &i in v.indices() {
+            sparse.extend_from_slice(&i.to_le_bytes());
+        }
+        for &x in v.values() {
+            sparse.extend_from_slice(&x.to_le_bytes());
+        }
+        let mut body = vec![3u8];
+        body.extend_from_slice(&tag.to_le_bytes());
+        body.extend_from_slice(&arrival_ms.to_le_bytes());
+        body.push(1);
+        body.extend_from_slice(&sparse);
+        let mut out = Vec::with_capacity(4 + body.len());
+        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        out.extend_from_slice(&body);
+        out
+    }
+
+    /// A fresh zero-filled body per frame, then a decoder that pushes
+    /// one index and one value at a time.
+    pub fn read_decode<R: Read>(r: &mut R) -> io::Result<SparseVec> {
+        let mut len = [0u8; 4];
+        r.read_exact(&mut len)?;
+        let len = u32::from_le_bytes(len) as usize;
+        let mut body = Vec::new();
+        while body.len() < len {
+            let filled = body.len();
+            body.resize(len.min((2 * filled).max(4 << 20)), 0);
+            r.read_exact(&mut body[filled..])?;
+        }
+        let bytes = &body[14..]; // kind, tag, arrival, payload type
+        let word = |pos: usize| <[u8; 4]>::try_from(&bytes[pos..pos + 4]).expect("4 bytes");
+        let dim = u64::from_le_bytes(bytes[0..8].try_into().expect("8 bytes")) as usize;
+        let nnz = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
+        let mut indices: Vec<u32> = Vec::with_capacity(nnz);
+        let mut pos = 16;
+        for _ in 0..nnz {
+            let i = u32::from_le_bytes(word(pos));
+            let bad = i as usize >= dim || indices.last().is_some_and(|&p| i <= p);
+            if bad {
+                return Err(io::Error::new(io::ErrorKind::InvalidData, "bad index"));
+            }
+            indices.push(i);
+            pos += 4;
+        }
+        let mut values = Vec::with_capacity(nnz);
+        for _ in 0..nnz {
+            values.push(f32::from_le_bytes(word(pos)));
+            pos += 4;
+        }
+        Ok(SparseVec::from_sorted(dim, indices, values))
+    }
+}
+
+/// One 250 000-entry sparse DATA frame of a 1M-parameter model: encode
+/// and read + decode, per-element (the baseline) against one pass into a
+/// reused buffer. Looped 10 times per sample.
+fn bench_frame_codec(rows: &mut Vec<Row>) {
+    let (v, _) = merge_inputs(N3, K3);
+    let frame = Frame::Data {
+        tag: 7,
+        arrival_ms: 1.5,
+        payload: Payload::sparse(v.clone()),
+    };
+    let mut buf = Vec::new();
+    encode_into(&frame, &mut buf);
+    assert_eq!(
+        buf,
+        per_element::encode(7, 1.5, &v),
+        "same bytes on the wire"
+    );
+    for one_pass in [false, true] {
+        rows.push(Row {
+            kernel: "frame_codec_encode",
+            variant: if one_pass {
+                "one_pass_reused_buffer"
+            } else {
+                "per_element"
+            },
+            threads: 1,
+            simd: "scalar",
+            elements: K3 * 10,
+            baseline: !one_pass,
+            secs: time_median(5, || {
+                for _ in 0..10 {
+                    if one_pass {
+                        encode_into(black_box(&frame), &mut buf);
+                        black_box(&buf);
+                    } else {
+                        black_box(per_element::encode(7, 1.5, black_box(&v)));
+                    }
+                }
+            }),
+        });
+    }
+    let bytes = per_element::encode(7, 1.5, &v);
+    let mut body = Vec::new();
+    for one_pass in [false, true] {
+        rows.push(Row {
+            kernel: "frame_codec_read_decode",
+            variant: if one_pass {
+                "slice_pass_reused_body"
+            } else {
+                "per_element"
+            },
+            threads: 1,
+            simd: "scalar",
+            elements: K3 * 10,
+            baseline: !one_pass,
+            secs: time_median(5, || {
+                for _ in 0..10 {
+                    let mut r = io::Cursor::new(black_box(&bytes));
+                    if one_pass {
+                        black_box(read_frame_into(&mut r, &mut body).expect("well-formed"));
+                    } else {
+                        black_box(per_element::read_decode(&mut r).expect("well-formed"));
+                    }
+                }
             }),
         });
     }
@@ -458,7 +599,7 @@ fn render_json(rows: &[Row]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(
         out,
-        "  \"bench\": \"hot-path kernels at paper scale (n=14M k=14000 for select/merge, n=1M k=250000 for the _rho25 rows and put_back; n=25M k=25000 for opt_apply/simd/fusion rows)\","
+        "  \"bench\": \"hot-path kernels at paper scale (n=14M k=14000 for select/merge, n=1M k=250000 for the _rho25 rows, put_back and frame_codec; n=25M k=25000 for opt_apply/simd/fusion rows)\","
     );
     let cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let _ = writeln!(out, "  \"cpus\": {cpus},");
@@ -526,6 +667,8 @@ fn main() {
     bench_merge_split(&mut rows);
     eprintln!("benchmarking the put-back (n = {N3}, k = {K3}) ...");
     bench_put_back(&mut rows);
+    eprintln!("benchmarking the frame codec (one {K3}-entry DATA frame) ...");
+    bench_frame_codec(&mut rows);
     eprintln!("benchmarking sparse optimizer apply (m = {N2}, k = {K2}; m = {N3}, k = {K3}) ...");
     bench_opt_apply(&mut rows, "opt_apply_sparse", N2, K2);
     bench_opt_apply(&mut rows, "opt_apply_sparse_rho25", N3, K3);

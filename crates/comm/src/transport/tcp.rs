@@ -218,6 +218,9 @@ pub struct TcpTransport {
     /// Per-peer inbound message queues (fed by the reader threads).
     rx: Vec<Option<Receiver<Message>>>,
     threads: Vec<JoinHandle<()>>,
+    /// Every DATA frame is encoded here; the buffer keeps its capacity
+    /// from one send to the next.
+    send_buf: Vec<u8>,
 }
 
 impl TcpTransport {
@@ -329,6 +332,7 @@ impl TcpTransport {
             ctx,
             rx: rx_slots,
             threads,
+            send_buf: Vec::new(),
         })
     }
 
@@ -391,7 +395,7 @@ impl Transport for TcpTransport {
             .as_ref()
             .expect("send target is a valid peer")
             .clone();
-        let bytes = frame::encode(&Frame::data(msg));
+        frame::encode_into(&Frame::data(msg), &mut self.send_buf);
         let start = Instant::now();
         let mut attempts = 0u32;
         loop {
@@ -402,7 +406,7 @@ impl Transport for TcpTransport {
                 let guard = shared.writer.lock().expect("writer lock");
                 if let Some(s) = guard.as_ref() {
                     attempts += 1;
-                    if (&*s).write_all(&bytes).is_ok() {
+                    if (&*s).write_all(&self.send_buf).is_ok() {
                         return Ok(());
                     }
                     // Broken mid-write: the reader sees the same break and
@@ -497,6 +501,8 @@ fn reader_loop(ctx: &Arc<Ctx>, peer: usize, repl: &Receiver<TcpStream>, tx: &Sen
     let shared = ctx.links[peer].as_ref().expect("link exists").clone();
     let dials = peer < ctx.rank; // higher rank dials lower rank
     let mut first = true;
+    // One frame-body buffer for the link's lifetime, across reconnects.
+    let mut body = Vec::new();
     'outer: loop {
         if ctx.shutdown.load(SeqCst) {
             break;
@@ -534,7 +540,7 @@ fn reader_loop(ctx: &Arc<Ctx>, peer: usize, repl: &Receiver<TcpStream>, tx: &Sen
         let mut rdr = BufReader::new(stream);
         let mut left = false;
         loop {
-            match frame::read_frame(&mut rdr) {
+            match frame::read_frame_into(&mut rdr, &mut body) {
                 Ok(Frame::Data {
                     tag,
                     arrival_ms,

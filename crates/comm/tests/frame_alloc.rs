@@ -1,15 +1,22 @@
-//! `read_frame` allocates for the bytes that arrive, not for the bytes a
-//! length prefix promises.
+//! The frame codec allocates only what a frame needs: `read_frame`
+//! allocates for the bytes that arrive, not for the bytes a length prefix
+//! promises, and the TCP transport's reused buffers make a steady stream
+//! of DATA frames cost nothing but the decoded vectors.
 //!
 //! A counting `#[global_allocator]` (thread-local, own integration binary
 //! — see `crates/sparse/tests/alloc_steadystate.rs` for why) measures the
-//! reader against a header claiming a 1 GiB body that never comes.
+//! reader against a header claiming a 1 GiB body that never comes, and
+//! the encoder and reader on warmed buffers.
 
-use gtopk_comm::transport::frame::{encode, read_frame, Frame, MAX_FRAME_BYTES};
+use gtopk_comm::transport::frame::{
+    encode, encode_into, read_frame, read_frame_into, Frame, MAX_FRAME_BYTES,
+};
 use gtopk_comm::Payload;
+use gtopk_sparse::SparseVec;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::io;
+use std::mem::size_of;
 
 struct CountingAlloc;
 
@@ -87,4 +94,57 @@ fn frames_up_to_the_first_chunk_read_into_one_allocation_and_larger_ones_grow() 
             "{elems} elements: {reallocs} reallocations"
         );
     }
+}
+
+/// A DATA frame carrying a 250 000-entry update of a 1M-parameter model —
+/// one message of a ρ = 0.25 step.
+fn warmup_density_frame() -> Frame {
+    let (dim, k) = (1_000_000usize, 250_000usize);
+    let indices = (0..k).map(|i| (i * dim / k) as u32).collect();
+    let values = (0..k).map(|i| i as f32 * 0.5 - 7.0).collect();
+    Frame::Data {
+        tag: 7,
+        arrival_ms: 1.5,
+        payload: Payload::sparse(SparseVec::from_sorted(dim, indices, values)),
+    }
+}
+
+#[test]
+fn encoding_into_a_warmed_buffer_allocates_nothing() {
+    let frame = warmup_density_frame();
+    let mut buf = Vec::new();
+    encode_into(&frame, &mut buf);
+    let (_, allocated, reallocs) = measured(|| encode_into(&frame, &mut buf));
+    assert_eq!((allocated, reallocs), (0, 0));
+    assert_eq!(buf, encode(&frame));
+}
+
+#[test]
+fn reading_into_a_warmed_body_allocates_only_the_decoded_vectors() {
+    let frame = warmup_density_frame();
+    let bytes = encode(&frame);
+    let mut body = Vec::new();
+    read_frame_into(&mut io::Cursor::new(&bytes), &mut body).expect("well-formed");
+    let (read, allocated, reallocs) =
+        measured(|| read_frame_into(&mut io::Cursor::new(&bytes), &mut body).expect("well-formed"));
+    assert_eq!(read, frame);
+    // The indices and the values, 4 bytes per entry each, plus the `Arc`
+    // that shares them (two counts and the `SparseVec`).
+    let nnz = 250_000;
+    let arc = 2 * size_of::<usize>() + size_of::<SparseVec>();
+    assert_eq!(allocated, (8 * nnz + arc) as u64);
+    assert_eq!(reallocs, 0);
+}
+
+#[test]
+fn a_one_gib_header_after_a_small_frame_allocates_under_8_mib() {
+    let mut body = Vec::new();
+    let small = encode(&Frame::Heartbeat { epoch: 1 });
+    read_frame_into(&mut io::Cursor::new(&small), &mut body).expect("well-formed");
+    let mut bytes = (MAX_FRAME_BYTES as u32).to_le_bytes().to_vec();
+    bytes.extend_from_slice(&[3, 0, 1, 2]); // a few body bytes, then EOF
+    let (result, allocated, _) =
+        measured(|| read_frame_into(&mut io::Cursor::new(&bytes), &mut body));
+    assert_eq!(result.unwrap_err().kind(), io::ErrorKind::UnexpectedEof);
+    assert!(allocated < 8 << 20, "allocated {allocated} bytes");
 }

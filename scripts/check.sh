@@ -75,6 +75,18 @@ require_tests -p gtopk-sparse --test alloc_steadystate merge
 # Transport contract: the shared conformance suite must hold for both the
 # simulated and the real-TCP backend.
 require_tests -p gtopk-comm --test transport_conformance
+# The one-pass frame codec: hostile headers whose byte count overflows are
+# errors, not panics; the encoder writes the per-element oracle's bytes
+# and the decoders return its values and errors; warmed buffers encode
+# and read a DATA frame without allocating beyond the decoded vectors.
+require_tests -p gtopk-sparse --lib wire::tests::a_header_whose_byte_count_overflows_is_truncated_not_a_panic
+require_tests -p gtopk-comm --lib frame::tests::a_sparse_or_padded_frame_whose_byte_count_overflows_is_invalid_data
+require_tests -p gtopk-sparse --lib wire::tests::prop_encode_matches_the_oracle_and_roundtrips_bits
+require_tests -p gtopk-sparse --lib wire::tests::prop_mutated_bytes_decode_like_the_oracle
+require_tests -p gtopk-comm --lib frame::tests::prop_encode_matches_the_oracle_for_every_kind
+require_tests -p gtopk-comm --lib frame::tests::prop_mutated_frames_read_like_the_oracle
+require_tests -p gtopk-comm --test frame_alloc warmed
+require_tests -p gtopk-comm --test frame_alloc a_one_gib_header_after_a_small_frame
 # Algorithm zoo (Ok-Topk / SparDL): the budget-padded collectives, the
 # schedule replay, and the Ok-Topk steady-state allocation gate.
 require_tests -p gtopk-core --lib zoo
