@@ -1,31 +1,26 @@
-//! **Extension** — sharded parameter server & multi-job orchestrator →
-//! `BENCH_ps.json`.
+//! **Extension** — sharded parameter server → `BENCH_ps.json`.
 //!
-//! Three questions, answered on the same α-β network the paper uses:
+//! Two questions, answered on the same α-β network the paper uses:
 //!
 //! 1. **Crossover** — when does the sharded PS beat the gTop-k binomial
-//!    allreduce? Per-round analytic times (`ps_plan_ms`, exact replay of
-//!    executed time) at P ∈ {4, 8, 16, 32} on 1GbE and 10GbE, S ∈
+//!    allreduce? Per-round times (`ps_plan_ms`, the plan-clock replay
+//!    of executed time) at P ∈ {4, 8, 16, 32} on 1GbE and 10GbE, S ∈
 //!    {1, P/2, P}. The dense shard replies make PS bandwidth-bound, so
 //!    the tree wins everywhere except tiny P with heavy sharding — the
 //!    map below quantifies the gap instead of hand-waving it.
-//! 2. **Multi-job scaling** — aggregate cluster throughput of J ∈
-//!    {1, 2, 4, 8} concurrent jobs under the orchestrator's fair link
-//!    share, for allreduce and PS jobs (S ∈ {1, 4}).
-//! 3. **Convergence parity (gate)** — bulk-sync sharded PS must reach a
+//! 2. **Convergence parity (gate)** — bulk-sync sharded PS must reach a
 //!    final loss comparable to dense S-SGD on the same workload; the
 //!    bench asserts it, so `run_all` fails if the PS path regresses.
 //!
 //! Run: `cargo run --release -p gtopk-bench --bin bench_ps`
 
-use gtopk::{train_distributed, Algorithm, JobSpec, Orchestrator, PsConfig, TrainConfig};
+use gtopk::{train_distributed, Algorithm, PsConfig, TrainConfig};
 use gtopk_bench::report::{workspace_root, Table};
 use gtopk_comm::{CostModel, Topology};
-use gtopk_data::{Dataset, GaussianMixture};
+use gtopk_data::GaussianMixture;
 use gtopk_nn::models;
 use gtopk_perfmodel::{gtopk_plan_ms, ps_plan_ms};
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// Paper-scale analytic model size and density (ρ = 0.001).
 const M: usize = 1_000_000;
@@ -43,14 +38,6 @@ struct CrossRow {
     tree_ms: f64,
 }
 
-struct JobRow {
-    mode: String,
-    jobs: usize,
-    makespan_ms: f64,
-    samples_per_sec: f64,
-    worst_final_loss: f64,
-}
-
 fn crossover() -> Vec<CrossRow> {
     let nets = [
         ("1GbE", CostModel::gigabit_ethernet()),
@@ -65,7 +52,7 @@ fn crossover() -> Vec<CrossRow> {
                     net: name,
                     p,
                     shards,
-                    ps_ms: ps_plan_ms(&net, p, M, shards, K, 0, 1),
+                    ps_ms: ps_plan_ms(&net, p, M, shards, K, 1),
                     tree_ms,
                 });
             }
@@ -80,35 +67,6 @@ fn job_cfg(ps: Option<PsConfig>) -> TrainConfig {
         cfg = cfg.with_ps(ps);
     }
     cfg
-}
-
-/// Runs `jobs` identical-shape jobs (decorrelated seeds) through the
-/// orchestrator and reduces the report to one row.
-fn multi_job(mode: &str, ps: Option<PsConfig>, jobs: usize, data: &Arc<dyn Dataset>) -> JobRow {
-    let mut orch = Orchestrator::new(jobs);
-    for j in 0..jobs {
-        let mut cfg = job_cfg(ps);
-        cfg.data_seed ^= (j as u64) << 32;
-        let seed = 17 + j as u64;
-        orch.submit(JobSpec::new(
-            format!("{mode}-{j}"),
-            cfg,
-            move || models::mlp(seed, 16, 32, 4),
-            Arc::clone(data),
-        ));
-    }
-    let report = orch.run();
-    JobRow {
-        mode: mode.to_string(),
-        jobs,
-        makespan_ms: report.makespan_ms,
-        samples_per_sec: report.aggregate_samples_per_sec(),
-        worst_final_loss: report
-            .jobs
-            .iter()
-            .map(|j| j.report.final_loss())
-            .fold(f64::NEG_INFINITY, f64::max),
-    }
 }
 
 fn main() {
@@ -131,58 +89,16 @@ fn main() {
     }
     t.emit("ext_ps_crossover");
 
-    // --- 2. Multi-job orchestrator throughput. -----------------------
-    let data: Arc<dyn Dataset> = Arc::new(GaussianMixture::new(
-        23,
-        64 * WORKERS * BATCH,
-        16,
-        4,
-        2.5,
-        0.5,
-    ));
-    let mut jobs_rows = Vec::new();
-    for jobs in [1usize, 2, 4, 8] {
-        jobs_rows.push(multi_job("allreduce", None, jobs, &data));
-        jobs_rows.push(multi_job(
-            "ps-s1",
-            Some(PsConfig::bulk_sync(1)),
-            jobs,
-            &data,
-        ));
-        jobs_rows.push(multi_job(
-            "ps-s4",
-            Some(PsConfig::bulk_sync(WORKERS)),
-            jobs,
-            &data,
-        ));
-    }
-    let mut t = Table::new(
-        &format!(
-            "Multi-job orchestrator, P = {WORKERS} per job, {EPOCHS} epochs, \
-             fair link share (1GbE)"
-        ),
-        &["mode", "J", "makespan ms", "samples/s", "worst final loss"],
-    );
-    for r in &jobs_rows {
-        t.row(vec![
-            r.mode.clone(),
-            r.jobs.to_string(),
-            format!("{:.1}", r.makespan_ms),
-            format!("{:.0}", r.samples_per_sec),
-            format!("{:.4}", r.worst_final_loss),
-        ]);
-    }
-    t.emit("ext_ps_multijob");
-
-    // --- 3. Convergence-parity gate: bulk-sync PS vs dense. ----------
+    // --- 2. Convergence-parity gate: bulk-sync PS vs dense. ----------
+    let data = GaussianMixture::new(23, 64 * WORKERS * BATCH, 16, 4, 2.5, 0.5);
     let mut dense_cfg = job_cfg(None);
     dense_cfg.algorithm = Algorithm::Dense;
     dense_cfg.epochs = 4;
     let mut ps_cfg = job_cfg(Some(PsConfig::bulk_sync(2)));
     ps_cfg.epochs = 4;
     let build = || models::mlp(17, 16, 32, 4);
-    let dense = train_distributed(&dense_cfg, build, data.as_ref(), None);
-    let ps = train_distributed(&ps_cfg, build, data.as_ref(), None);
+    let dense = train_distributed(&dense_cfg, build, &data, None);
+    let ps = train_distributed(&ps_cfg, build, &data, None);
     let gate = ps.final_loss() <= (10.0 * dense.final_loss()).max(0.05);
     println!(
         "parity gate: dense final loss {:.5}, bulk-sync PS (S=2) {:.5} — {}",
@@ -221,21 +137,6 @@ fn main() {
             r.tree_ms,
             r.ps_ms < r.tree_ms,
             if i + 1 == cross.len() { "" } else { "," }
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"multi_job\": [");
-    for (i, r) in jobs_rows.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"mode\": \"{}\", \"jobs\": {}, \"makespan_ms\": {:.3}, \
-             \"samples_per_sec\": {:.1}, \"worst_final_loss\": {:.6}}}{}",
-            r.mode,
-            r.jobs,
-            r.makespan_ms,
-            r.samples_per_sec,
-            r.worst_final_loss,
-            if i + 1 == jobs_rows.len() { "" } else { "," }
         );
     }
     let _ = writeln!(json, "  ],");

@@ -6,7 +6,7 @@
 //! choice: a single-shard PS star costs `O(kP)` at the server link
 //! while the tree costs `O(k log P)`, so the decentralized design is
 //! what makes gTop-k scale. Both run as real executed algorithms over
-//! the simulated 1 GbE network — the PS side is one push/pull round of
+//! the simulated 1 GbE network — the PS side is one push/reply round of
 //! the sharded PS engine pinned at `S = 1` (the classic star). Note the
 //! PS pull ships the server's dense shard (`m` elements per worker), so
 //! its gap over the tree here is even wider than the `O(kP)` sparse
@@ -14,7 +14,7 @@
 //!
 //! Run: `cargo run --release -p gtopk-bench --bin ext_ps_vs_tree`
 
-use gtopk::{gtopk_all_reduce, ps_pull_round, ps_push_round};
+use gtopk::{gtopk_all_reduce, ps_round};
 use gtopk_bench::report::{fmt_ms, Table};
 use gtopk_comm::{Cluster, CostModel, ShardMap};
 use gtopk_sparse::topk_sparse;
@@ -53,9 +53,7 @@ fn main() {
                     let members: Vec<usize> = (0..comm.size()).collect();
                     let map = ShardMap::new(dim, 1);
                     let budgets = map.budgets(k);
-                    let replies = ps_push_round(comm, &members, &map, &budgets, vec![local])
-                        .expect("ps push");
-                    ps_pull_round(comm, &members, &map, &replies).expect("ps pull");
+                    ps_round(comm, &members, &map, &budgets, vec![local]).expect("ps round");
                 } else {
                     gtopk_all_reduce(comm, local, k).expect("tree");
                 }

@@ -2,8 +2,8 @@
 
 use crate::args::{ArgError, ParsedArgs};
 use gtopk::{
-    train_distributed, train_rank, Algorithm, DensitySchedule, JobSpec, Orchestrator,
-    OverlapConfig, PsConfig, PsVariant, Selector, Topology, TrainConfig,
+    train_distributed, train_rank, Algorithm, DensitySchedule, OverlapConfig, PsConfig, Selector,
+    Topology, TrainConfig,
 };
 use gtopk_comm::transport::{install_leave_signals, AddrResolver, TcpConfig, TcpTransport};
 use gtopk_comm::{Communicator, CostModel, FaultPlan};
@@ -70,7 +70,10 @@ fn parse_topology(name: &str) -> Result<Topology, ArgError> {
 
 /// Parses a `rank:value[,rank:value...]` list (used by `--fault-crash`
 /// and `--fault-straggle`).
-fn parse_rank_pairs(option: &str, raw: &str) -> Result<Vec<(usize, f64)>, ArgError> {
+fn parse_rank_pairs<T: std::str::FromStr>(
+    option: &str,
+    raw: &str,
+) -> Result<Vec<(usize, T)>, ArgError> {
     raw.split(',')
         .filter(|s| !s.is_empty())
         .map(|part| {
@@ -80,7 +83,7 @@ fn parse_rank_pairs(option: &str, raw: &str) -> Result<Vec<(usize, f64)>, ArgErr
             let rank: usize = r
                 .parse()
                 .map_err(|_| ArgError(format!("--{option}: invalid rank `{r}`")))?;
-            let value: f64 = v
+            let value: T = v
                 .parse()
                 .map_err(|_| ArgError(format!("--{option}: invalid value `{v}`")))?;
             Ok((rank, value))
@@ -94,16 +97,20 @@ fn parse_fault_plan(parsed: &ParsedArgs, workers: usize) -> Result<Option<FaultP
     let seed: u64 = parsed.get("fault-seed", 1)?;
     let drop: f64 = parsed.get("fault-drop", 0.0)?;
     let jitter: f64 = parsed.get("fault-jitter", 0.0)?;
-    let crash = parse_rank_pairs("fault-crash", &parsed.get_str("fault-crash", ""))?;
-    let straggle = parse_rank_pairs("fault-straggle", &parsed.get_str("fault-straggle", ""))?;
+    let crash: Vec<(usize, u64)> =
+        parse_rank_pairs("fault-crash", &parsed.get_str("fault-crash", ""))?;
+    let straggle: Vec<(usize, f64)> =
+        parse_rank_pairs("fault-straggle", &parsed.get_str("fault-straggle", ""))?;
     if drop == 0.0 && jitter == 0.0 && crash.is_empty() && straggle.is_empty() {
         return Ok(None);
     }
     if !(0.0..1.0).contains(&drop) {
         return Err(ArgError("--fault-drop must be in [0, 1)".into()));
     }
-    if jitter < 0.0 {
-        return Err(ArgError("--fault-jitter must be >= 0".into()));
+    if !(jitter.is_finite() && jitter >= 0.0) {
+        return Err(ArgError(
+            "--fault-jitter must be a finite delay >= 0".into(),
+        ));
     }
     let mut plan = FaultPlan::seeded(seed)
         .with_drop_prob(drop)
@@ -114,7 +121,7 @@ fn parse_fault_plan(parsed: &ParsedArgs, workers: usize) -> Result<Option<FaultP
                 "--fault-crash: rank {rank} out of range (P = {workers})"
             )));
         }
-        plan = plan.with_crash(rank, step as u64);
+        plan = plan.with_crash(rank, step);
     }
     for (rank, factor) in straggle {
         if rank >= workers {
@@ -122,8 +129,10 @@ fn parse_fault_plan(parsed: &ParsedArgs, workers: usize) -> Result<Option<FaultP
                 "--fault-straggle: rank {rank} out of range (P = {workers})"
             )));
         }
-        if factor < 1.0 {
-            return Err(ArgError("--fault-straggle: factor must be >= 1".into()));
+        if !(factor.is_finite() && factor >= 1.0) {
+            return Err(ArgError(
+                "--fault-straggle: factor must be finite and >= 1".into(),
+            ));
         }
         plan = plan.with_straggler(rank, factor);
     }
@@ -298,8 +307,6 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
         "clip",
         "mode",
         "shards",
-        "staleness",
-        "jobs",
         "transport",
         "rank",
         "listen",
@@ -319,15 +326,15 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
     let epochs: usize = parsed.get("epochs", 10)?;
     let batch: usize = parsed.get("batch", 8)?;
     let lr: f32 = parsed.get("lr", 0.05)?;
-    let density: f64 = parsed.get("density", 0.005)?;
+    let density = parse_density(parsed, 0.005)?;
     let seed: u64 = parsed.get("seed", 42)?;
     if workers == 0 || epochs == 0 || batch == 0 {
         return Err(ArgError(
             "workers, epochs and batch must be positive".into(),
         ));
     }
-    if !(density > 0.0 && density <= 1.0) {
-        return Err(ArgError("density must be in (0, 1]".into()));
+    if !(lr.is_finite() && lr > 0.0) {
+        return Err(ArgError("--lr must be positive and finite".into()));
     }
 
     let mut cfg = TrainConfig::convergence(workers, batch, epochs, lr, density);
@@ -335,6 +342,11 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
     cfg.density = DensitySchedule::paper_warmup(density);
     cfg.momentum_correction = parsed.has_flag("momentum-correction");
     let clip: f32 = parsed.get("clip", 0.0)?;
+    if !(clip.is_finite() && clip >= 0.0) {
+        return Err(ArgError(
+            "--clip must be a finite norm >= 0 (0 disables clipping)".into(),
+        ));
+    }
     if clip > 0.0 {
         cfg.clip_norm = Some(clip);
     }
@@ -356,27 +368,19 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
     cfg.topology = parse_topology(&parsed.get_str("topology", "binomial"))?;
 
     // Execution mode: the allreduce family (default) or the sharded
-    // parameter-server push/pull engine.
+    // parameter-server push/reply engine.
     let mode = parsed.get_str("mode", "allreduce");
     match mode.as_str() {
         "allreduce" => {
-            for opt in ["shards", "staleness"] {
-                if parsed.has_option(opt) {
-                    return Err(ArgError(format!(
-                        "--{opt} requires --mode ps (the allreduce mode has no \
-                         server shards)"
-                    )));
-                }
+            if parsed.has_option("shards") {
+                return Err(ArgError(
+                    "--shards requires --mode ps (the allreduce mode has no \
+                     server shards)"
+                        .into(),
+                ));
             }
         }
-        "ps" => {
-            let shards: usize = parsed.get("shards", workers)?;
-            cfg.ps = Some(if parsed.has_option("staleness") {
-                PsConfig::wait_free(shards, parsed.get("staleness", 0)?)
-            } else {
-                PsConfig::bulk_sync(shards)
-            });
-        }
+        "ps" => cfg.ps = Some(PsConfig::bulk_sync(parsed.get("shards", workers)?)),
         other => {
             return Err(ArgError(format!(
                 "unknown mode `{other}` (accepted values: allreduce, ps)"
@@ -384,19 +388,7 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
         }
     }
 
-    let jobs: usize = parsed.get("jobs", 1)?;
-    if jobs == 0 {
-        return Err(ArgError("--jobs must be positive".into()));
-    }
-    let transport = parsed.get_str("transport", "sim");
-    let tcp = transport == "tcp";
-    if jobs > 1 && transport != "sim" {
-        return Err(ArgError(
-            "--jobs runs the multi-job orchestrator over the in-process \
-             simulated cluster; it requires the default --transport sim"
-                .into(),
-        ));
-    }
+    let tcp = parsed.get_str("transport", "sim") == "tcp";
 
     cfg.fault_plan = parse_fault_plan(parsed, workers)?;
     let ckpt_dir = parsed.get_str("checkpoint-dir", "");
@@ -433,76 +425,6 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
         ArgError(format!("{e}{note}"))
     })?;
     let mut launch = parse_launch(parsed, workers, cfg.cost_model, elastic)?;
-
-    // Multi-job path: queue `jobs` independent jobs (distinct model
-    // seeds and batch orders) on the shared simulated cluster and run
-    // them through the fair-share orchestrator.
-    if jobs > 1 {
-        use gtopk_data::Dataset;
-        use std::sync::Arc;
-        macro_rules! launch_jobs {
-            ($mk:expr, $data:expr) => {{
-                let mk = $mk;
-                let data: Arc<dyn Dataset> = Arc::new($data);
-                let mut orch = Orchestrator::new(jobs);
-                for j in 0..jobs {
-                    let mut jcfg = cfg.clone();
-                    jcfg.data_seed = cfg.data_seed ^ ((j as u64) << 32);
-                    orch.submit(JobSpec::new(
-                        format!("job-{j}"),
-                        jcfg,
-                        mk(seed + j as u64),
-                        Arc::clone(&data),
-                    ));
-                }
-                orch.run()
-            }};
-        }
-        let report = match model_name.as_str() {
-            "mlp" => {
-                let data =
-                    GaussianMixture::new(seed, 64 * workers.max(4) * batch.max(8), 16, 4, 2.5, 0.5);
-                launch_jobs!(|s: u64| move || models::mlp(s, 16, 32, 4), data)
-            }
-            "vgg" => {
-                let data = PatternImages::cifar_like(seed, 16 * workers.max(4) * batch.max(8));
-                launch_jobs!(|s: u64| move || models::vgg_lite(s, 3, 8, 10), data)
-            }
-            "resnet" => {
-                let data = PatternImages::cifar_like(seed, 16 * workers.max(4) * batch.max(8));
-                launch_jobs!(|s: u64| move || models::resnet20_lite(s, 3, 10), data)
-            }
-            "alexnet" => {
-                let data = PatternImages::imagenet_like(seed, 12 * workers.max(4) * batch.max(8));
-                launch_jobs!(|s: u64| move || models::alex_lite(s, 3, 16, 20), data)
-            }
-            "lstm" => {
-                let data = MarkovText::new(seed, 16 * workers.max(4) * batch.max(8), 16, 12);
-                launch_jobs!(|s: u64| move || models::lstm_lm(s, 16, 12, 24), data)
-            }
-            other => return Err(ArgError(format!("unknown model `{other}`"))),
-        };
-        let mut out = format!(
-            "orchestrator: {jobs} jobs on {model_name}, P = {workers} each, \
-             shared simulated links (fair share)\n"
-        );
-        for j in &report.jobs {
-            out.push_str(&format!(
-                "{}  wave {}  share {}  final loss {:.4}  sim {:.1} ms\n",
-                j.name,
-                j.wave,
-                j.share,
-                j.report.final_loss(),
-                j.report.sim_time_ms
-            ));
-        }
-        out.push_str(&format!(
-            "makespan {:.1} ms, aggregate throughput {:.0} samples/s\n",
-            report.makespan_ms,
-            report.aggregate_samples_per_sec()
-        ));
-        return Ok(out);
-    }
 
     // Dispatches one model family to the selected launch mode: the
     // in-process cluster always yields a report; a TCP rank yields `None`
@@ -562,14 +484,8 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
         report.algorithm, m, report.workers
     ));
     if let Some(ps) = &cfg.ps {
-        let discipline = match ps.variant {
-            PsVariant::BulkSync => "bulk-sync".to_string(),
-            PsVariant::WaitFree { staleness_bound } => {
-                format!("wait-free (staleness bound {staleness_bound})")
-            }
-        };
         out.push_str(&format!(
-            "parameter server: {} shard(s), {discipline}\n",
+            "parameter server: {} shard(s), bulk-sync\n",
             ps.shards
         ));
     }
@@ -616,16 +532,34 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
     Ok(out)
 }
 
+/// `--density`, which every command requires in `(0, 1]`.
+fn parse_density(parsed: &ParsedArgs, default: f64) -> Result<f64, ArgError> {
+    let density: f64 = parsed.get("density", default)?;
+    if !(density > 0.0 && density <= 1.0) {
+        return Err(ArgError("--density must be in (0, 1]".into()));
+    }
+    Ok(density)
+}
+
+/// The paper-scale `--params m` and `--density rho` of `aggregate` and
+/// `sweep`, with the budget `k` they price.
+fn parse_paper_scale(parsed: &ParsedArgs) -> Result<(usize, f64, usize), ArgError> {
+    let m: usize = parsed.get("params", 25_000_000)?;
+    if m == 0 {
+        return Err(ArgError("--params must be >= 1".into()));
+    }
+    let density = parse_density(parsed, 0.001)?;
+    Ok((m, density, ((m as f64 * density) as usize).max(1)))
+}
+
 fn cmd_aggregate(parsed: &ParsedArgs) -> Result<String, ArgError> {
     parsed.ensure_known(&["workers", "params", "density", "network"])?;
     let p: usize = parsed.get("workers", 32)?;
-    let m: usize = parsed.get("params", 25_000_000)?;
-    let density: f64 = parsed.get("density", 0.001)?;
+    let (m, density, k) = parse_paper_scale(parsed)?;
     let net = parse_network(&parsed.get_str("network", "1gbe"))?;
     if p == 0 {
         return Err(ArgError("workers must be positive".into()));
     }
-    let k = ((m as f64 * density) as usize).max(1);
     let dense = dense_plan_ms(&net, p, m);
     let topk = topk_plan_ms(&net, p, k);
     let gtopk = gtopk_plan_ms(&net, Topology::Binomial, p, k);
@@ -644,10 +578,8 @@ fn cmd_aggregate(parsed: &ParsedArgs) -> Result<String, ArgError> {
 
 fn cmd_sweep(parsed: &ParsedArgs) -> Result<String, ArgError> {
     parsed.ensure_known(&["params", "density", "network"])?;
-    let m: usize = parsed.get("params", 25_000_000)?;
-    let density: f64 = parsed.get("density", 0.001)?;
+    let (m, _, k) = parse_paper_scale(parsed)?;
     let net = parse_network(&parsed.get_str("network", "1gbe"))?;
-    let k = ((m as f64 * density) as usize).max(1);
     let mut out = format!("aggregation time (ms) vs workers — m = {m}, k = {k}\n");
     out.push_str(&format!(
         "{:>5} {:>12} {:>12} {:>12}\n",
@@ -931,16 +863,6 @@ mod tests {
             ),
             ("--mode ps --workers 2 --shards 5", "shards 5", "workers 2"),
             ("--mode ps --shards 0", "shards 0", "workers 4"),
-            (
-                "--mode ps --staleness 1 --fault-crash 1:4",
-                "staleness 1",
-                "fault plan",
-            ),
-            (
-                "--mode ps --staleness 1 --checkpoint-dir /tmp/x",
-                "staleness 1",
-                "checkpoint_dir",
-            ),
         ] {
             let err = run_line(&format!("train {line}")).unwrap_err().0;
             assert!(
@@ -980,23 +902,12 @@ mod tests {
             "{out}"
         );
         assert!(out.contains("rank-0 traffic"), "{out}");
-        let out = run_line(
-            "train --model mlp --workers 4 --epochs 2 --batch 4 --density 0.05 \
-             --mode ps --staleness 2",
-        )
-        .unwrap();
-        assert!(
-            out.contains("parameter server: 4 shard(s), wait-free (staleness bound 2)"),
-            "{out}"
-        );
     }
 
     #[test]
     fn ps_mode_options_are_validated() {
-        // Shard/staleness knobs belong to the PS mode.
+        // The shard count belongs to the PS mode.
         let err = run_line("train --shards 2").unwrap_err();
-        assert!(err.0.contains("--mode ps"), "{}", err.0);
-        let err = run_line("train --staleness 1").unwrap_err();
         assert!(err.0.contains("--mode ps"), "{}", err.0);
         // Unknown modes list the accepted values.
         let err = run_line("train --mode star").unwrap_err();
@@ -1017,27 +928,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_job_orchestrator_reports_makespan_and_throughput() {
-        let out = run_line(
-            "train --model mlp --workers 2 --epochs 1 --batch 4 --density 0.05 \
-             --jobs 2",
-        )
-        .unwrap();
-        assert!(out.contains("orchestrator: 2 jobs"), "{out}");
-        assert!(out.contains("job-0"), "{out}");
-        assert!(out.contains("job-1"), "{out}");
-        assert!(out.contains("makespan"), "{out}");
-        assert!(out.contains("samples/s"), "{out}");
-    }
-
-    #[test]
-    fn multi_job_options_are_validated() {
-        assert!(run_line("train --jobs 0").is_err());
-        let err = run_line("train --jobs 2 --transport tcp --rank 0").unwrap_err();
-        assert!(err.0.contains("--transport sim"), "{}", err.0);
-    }
-
-    #[test]
     fn fault_options_are_validated() {
         // Certain-loss links are rejected.
         assert!(run_line("train --fault-drop 1.0").is_err());
@@ -1047,5 +937,28 @@ mod tests {
         // Out-of-range ranks and sub-unity straggle factors.
         assert!(run_line("train --workers 2 --fault-crash 5:1").is_err());
         assert!(run_line("train --fault-straggle 0:0.5").is_err());
+    }
+
+    #[test]
+    fn numbers_that_would_panic_or_be_ignored_are_rejected_naming_the_flag() {
+        for (line, flag) in [
+            ("train --fault-jitter nan", "--fault-jitter"),
+            ("train --fault-jitter inf", "--fault-jitter"),
+            ("train --fault-straggle 1:inf", "--fault-straggle"),
+            ("train --fault-straggle 1:nan", "--fault-straggle"),
+            ("train --lr nan", "--lr"),
+            ("train --lr -1", "--lr"),
+            ("train --fault-crash 1:2.7", "--fault-crash"),
+            ("train --fault-crash 1:-3", "--fault-crash"),
+            ("train --clip nan", "--clip"),
+            ("aggregate --density nan", "--density"),
+            ("aggregate --density 0", "--density"),
+            ("aggregate --params 0", "--params"),
+            ("sweep --density 2", "--density"),
+            ("sweep --params 0", "--params"),
+        ] {
+            let err = run_line(line).unwrap_err().0;
+            assert!(err.contains(flag), "{line}: {err}");
+        }
     }
 }

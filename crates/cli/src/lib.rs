@@ -50,12 +50,9 @@ COMMANDS:
     --momentum-correction   apply DGC-style momentum correction
     --clip N                clip local gradients to L2 norm N
     --mode       allreduce | ps execution mode            [allreduce]
-                 (ps: sharded parameter server, workers push k-sparse
-                 shard slices and pull dense shard updates)
+                 (ps: bulk-sync sharded parameter server, workers push
+                 k-sparse shard slices and pull dense shard updates)
     --shards S              server shard count (ps)           [workers]
-    --staleness N           wait-free PS with staleness bound N (ps)
-    --jobs J                run J concurrent jobs through the fair-share
-                            multi-job orchestrator (sim transport)  [1]
     fault injection:
     --fault-seed S          deterministic fault schedule seed     [1]
     --fault-drop P          per-message drop probability in [0,1) [0]

@@ -67,7 +67,7 @@ pub use fault::{FaultPlan, RetryPolicy};
 pub use message::{Message, Payload};
 pub use plan::{execute_plan, CollectivePlan, Exchange, PlanOps, Round, Topology, PLAN_TAG_WINDOW};
 pub use pool::{BufferPool, PoolStats};
-pub use shard::{ShardMap, MAX_SHARDS};
+pub use shard::ShardMap;
 
 /// Convenient `Result` alias for communication operations.
 pub type Result<T> = std::result::Result<T, CommError>;

@@ -101,9 +101,10 @@ pub enum Exchange {
 }
 
 /// One round of a plan: a set of exchanges that may proceed in parallel.
-/// A position sends at most once and receives at most once per round (a
-/// [`Exchange::Swap`] counts as one of each), so a ring round — every
-/// position sending right and receiving from the left — is one round.
+/// Each ordered `(src, dst)` pair carries at most one message per round
+/// (a [`Exchange::Swap`] is one message each way) — what matching by
+/// `(source, tag)` needs — so a ring round, every position sending right
+/// and receiving from the left, is one round, and so is a star's fan-in.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Round {
     /// The round's exchanges.
@@ -475,6 +476,62 @@ impl CollectivePlan {
         plan
     }
 
+    /// Parameter-server push round over `p` positions whose first
+    /// `shards` positions host one shard each: every position sends its
+    /// slice of shard `s` to host `s` (its own slice stays local), walking
+    /// positions in order and, within one, shards in order. A host thus
+    /// receives in ascending source order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= shards <= p`.
+    pub fn ps_push(p: usize, shards: usize) -> Self {
+        let exchanges = (0..p)
+            .flat_map(|src| {
+                (0..shards)
+                    .filter(move |&host| host != src)
+                    .map(move |host| Exchange::Send { src, dst: host })
+            })
+            .collect();
+        Self::star(p, shards, exchanges)
+    }
+
+    /// Parameter-server reply round, the mirror of
+    /// [`CollectivePlan::ps_push`]: every host `s < shards` sends its
+    /// shard's result to every other position, walking hosts in order. A
+    /// position thus receives the shards in ascending order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= shards <= p`.
+    pub fn ps_reply(p: usize, shards: usize) -> Self {
+        let exchanges = (0..shards)
+            .flat_map(|host| {
+                (0..p)
+                    .filter(move |&dst| dst != host)
+                    .map(move |dst| Exchange::Send { src: host, dst })
+            })
+            .collect();
+        Self::star(p, shards, exchanges)
+    }
+
+    /// The one-round plan of a parameter-server round between `p`
+    /// positions and the `shards` hosts among them.
+    fn star(p: usize, shards: usize, exchanges: Vec<Exchange>) -> Self {
+        assert!(
+            (1..=p).contains(&shards),
+            "need 1 <= shards <= positions, got {shards} of {p}"
+        );
+        let plan = CollectivePlan {
+            topology: Topology::default(),
+            size: p,
+            root: 0,
+            rounds: vec![Round { exchanges }],
+        };
+        plan.check();
+        plan
+    }
+
     /// Number of rounds (the plan's α depth along the busiest position).
     pub fn num_rounds(&self) -> usize {
         self.rounds.len()
@@ -494,32 +551,29 @@ impl CollectivePlan {
     }
 
     /// Validates structural invariants: positions in range, and within a
-    /// round every position sends at most once and receives at most once
-    /// (a `Swap` counts as one of each for both peers).
+    /// round at most one message per ordered `(src, dst)` pair (a `Swap`
+    /// is one message each way).
     fn check(&self) {
         #[cfg(debug_assertions)]
         for round in &self.rounds {
-            let mut sends = vec![false; self.size];
-            let mut recvs = vec![false; self.size];
-            let mut touch = |src: usize, dst: usize| {
+            let mut pairs = Vec::with_capacity(round.exchanges.len());
+            for ex in &round.exchanges {
+                match *ex {
+                    Exchange::Send { src, dst } => pairs.push((src, dst)),
+                    Exchange::Swap { a, b } => pairs.extend([(a, b), (b, a)]),
+                }
+            }
+            for &(src, dst) in &pairs {
                 assert!(
                     src < self.size && dst < self.size,
                     "exchange {src}→{dst} out of range {}",
                     self.size
                 );
-                assert!(!sends[src], "position {src} sends twice in one round");
-                assert!(!recvs[dst], "position {dst} receives twice in one round");
-                sends[src] = true;
-                recvs[dst] = true;
-            };
-            for ex in &round.exchanges {
-                match *ex {
-                    Exchange::Send { src, dst } => touch(src, dst),
-                    Exchange::Swap { a, b } => {
-                        touch(a, b);
-                        touch(b, a);
-                    }
-                }
+            }
+            pairs.sort_unstable();
+            if let Some(w) = pairs.windows(2).find(|w| w[0] == w[1]) {
+                let (src, dst) = w[0];
+                panic!("{src}→{dst} carries two messages in one round");
             }
         }
     }
@@ -816,6 +870,64 @@ mod tests {
         }
         assert_eq!(Topology::parse("torus"), None);
         assert_eq!(Topology::default(), Topology::Binomial);
+    }
+
+    #[test]
+    fn ps_rounds_fan_in_to_each_host_and_back_out() {
+        for p in 1..=9usize {
+            for shards in 1..=p {
+                let push = CollectivePlan::ps_push(p, shards);
+                let reply = CollectivePlan::ps_reply(p, shards);
+                assert_eq!(push.num_rounds(), 1);
+                assert_eq!(push.num_messages(), shards * (p - 1), "P={p} S={shards}");
+                assert_eq!(reply.num_messages(), shards * (p - 1), "P={p} S={shards}");
+                // Each host hears from every other position in ascending
+                // order; each position hears from every other host in
+                // ascending order.
+                for host in 0..shards {
+                    let srcs: Vec<usize> = push.rounds[0]
+                        .exchanges
+                        .iter()
+                        .filter_map(|ex| match *ex {
+                            Exchange::Send { src, dst } if dst == host => Some(src),
+                            _ => None,
+                        })
+                        .collect();
+                    let want: Vec<usize> = (0..p).filter(|&src| src != host).collect();
+                    assert_eq!(srcs, want, "P={p} S={shards} host {host}");
+                }
+                for pos in 0..p {
+                    let hosts: Vec<usize> = reply.rounds[0]
+                        .exchanges
+                        .iter()
+                        .filter_map(|ex| match *ex {
+                            Exchange::Send { src, dst } if dst == pos => Some(src),
+                            _ => None,
+                        })
+                        .collect();
+                    let want: Vec<usize> = (0..shards).filter(|&h| h != pos).collect();
+                    assert_eq!(hosts, want, "P={p} S={shards} position {pos}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "two messages in one round")]
+    fn a_round_may_not_repeat_an_ordered_pair() {
+        CollectivePlan {
+            topology: Topology::Binomial,
+            size: 3,
+            root: 0,
+            rounds: vec![Round {
+                exchanges: vec![
+                    Exchange::Send { src: 2, dst: 0 },
+                    Exchange::Swap { a: 0, b: 2 },
+                ],
+            }],
+        }
+        .check();
     }
 
     #[test]

@@ -10,16 +10,11 @@
 //! The map also apportions a global top-`k` budget across regions
 //! (largest-remainder method, proportional to region length), which
 //! makes every push payload's wire size a *static* function of the
-//! configuration — the property the analytic α-β twin
+//! configuration — the property the plan-clock replay
 //! (`gtopk_perfmodel::ps_plan_ms`) relies on to reproduce executed time
 //! bit-for-bit.
 
 use std::ops::Range;
-
-/// Maximum number of server shards: keeps the per-shard tag bands
-/// (push `2560+s`, pull `3328+s`) inside one membership-epoch tag
-/// stride without colliding with the other collectives' bands.
-pub const MAX_SHARDS: usize = 512;
 
 /// Contiguous sharding of a `dim`-element model across `S` servers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,17 +30,12 @@ impl ShardMap {
     ///
     /// # Panics
     ///
-    /// Panics if `shards == 0`, `shards > dim`, or
-    /// `shards > MAX_SHARDS`.
+    /// Panics if `shards == 0` or `shards > dim`.
     pub fn new(dim: usize, shards: usize) -> Self {
         assert!(shards > 0, "shard map needs at least one shard");
         assert!(
             shards <= dim,
             "cannot split {dim} coordinates into {shards} shards"
-        );
-        assert!(
-            shards <= MAX_SHARDS,
-            "at most {MAX_SHARDS} shards fit in the PS tag band (got {shards})"
         );
         let base = dim / shards;
         let extra = dim % shards;

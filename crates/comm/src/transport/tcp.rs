@@ -152,7 +152,7 @@ struct LinkShared {
     /// installer/clearer.
     writer: Mutex<Option<TcpStream>>,
     /// Terminal death flag: reconnect exhausted, stale epoch, or
-    /// heartbeat staleness.
+    /// heartbeat timeout.
     dead: AtomicBool,
     /// Milliseconds (since transport start) of the last frame or
     /// connection event seen from this peer.

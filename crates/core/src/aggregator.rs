@@ -223,9 +223,9 @@ impl Aggregator {
         for plan in &self.plans {
             match collective {
                 Collective::DenseRing => {
-                    clock.charge(net, plan, |r, src| ring_chunk(dim, p, r, src).len())
+                    clock.charge(net, plan, |r, src, _| ring_chunk(dim, p, r, src).len())
                 }
-                Collective::Tree => clock.charge(net, plan, |_, _| 2 * k),
+                Collective::Tree => clock.charge(net, plan, |_, _, _| 2 * k),
                 _ => clock.charge(net, plan, sparse_sum_wire(p, k)),
             }
         }

@@ -11,7 +11,6 @@
 //! [`Caps`] drive the one validator ([`TrainConfig::validate`]), and
 //! [`capability_table`] prints the same table for `gtopk info`.
 
-use crate::ps::PsVariant;
 use crate::{Selector, TrainConfig};
 use gtopk_comm::{CostModel, Topology};
 use gtopk_perfmodel::{
@@ -257,8 +256,6 @@ const WHY_PS_SELECTOR: &str = "the parameter server selects exactly per shard re
 const WHY_PS_TOPOLOGY: &str = "the parameter server replaces the collective entirely; only \
      the default binomial topology applies";
 const WHY_PS_SHARDS: &str = "need 1 <= shards <= workers (each shard is hosted by a worker)";
-const WHY_WAIT_FREE: &str = "wait-free rounds in flight can be neither rolled back nor \
-     checkpointed; use the bulk-sync variant";
 
 /// The support matrix, one line per [`Algorithm`] row, followed by the
 /// rules [`TrainConfig::validate`] applies to it — rendered from the same
@@ -299,7 +296,6 @@ pub fn capability_table() -> String {
         ("mode ps + sampled selection", WHY_PS_SELECTOR),
         ("mode ps + topology", WHY_PS_TOPOLOGY),
         ("mode ps, shards", WHY_PS_SHARDS),
-        ("wait-free ps + recovery", WHY_WAIT_FREE),
     ] {
         out.push_str(&format!("  {setting}: {why}\n"));
     }
@@ -390,15 +386,6 @@ impl TrainConfig {
                 WHY_PS_SHARDS,
             );
         }
-        if let PsVariant::WaitFree { staleness_bound } = ps.variant {
-            let wait_free = format!("staleness {staleness_bound} (wait-free ps)");
-            if self.checkpoint_dir.is_some() {
-                return refuse(wait_free, checkpoint_dir(), WHY_WAIT_FREE);
-            }
-            if self.fault_tolerant() {
-                return refuse(wait_free, fault_plan(), WHY_WAIT_FREE);
-            }
-        }
         Ok(())
     }
 }
@@ -444,6 +431,6 @@ mod tests {
         for alg in Algorithm::ALL {
             assert!(table.contains(alg.name()), "{table}");
         }
-        assert!(table.contains(WHY_WAIT_FREE) && table.contains(WHY_TOPOLOGY));
+        assert!(table.contains(WHY_PS_SHARDS) && table.contains(WHY_TOPOLOGY));
     }
 }

@@ -61,7 +61,6 @@ pub mod ckpt;
 pub mod ft;
 mod gtopk_allreduce;
 mod metrics;
-mod orchestrator;
 pub mod overlap;
 pub mod pipeline;
 pub mod ps;
@@ -84,11 +83,10 @@ pub use gtopk_allreduce::{
 };
 pub use gtopk_comm::{LinkStats, Topology};
 pub use metrics::{EpochRecord, TimingBreakdown, TrainReport};
-pub use orchestrator::{JobEvent, JobRecord, JobSpec, Orchestrator, OrchestratorReport};
 pub use overlap::{
     backward_layer_costs, BucketSpec, ComputeCost, OverlapConfig, OverlapEngine, OverlapStats,
 };
-pub use ps::{ps_pull_round, ps_push_round, PsConfig, PsEngine, PsVariant};
+pub use ps::{ps_pull_round, ps_push_round, ps_round, PsConfig, PsEngine};
 pub use schedule::{DensitySchedule, LrSchedule};
 pub use selector::{Selector, SelectorState};
 pub use sparse_coll::{

@@ -93,10 +93,9 @@ pub struct TrainConfig {
     pub checkpoint_dir: Option<std::path::PathBuf>,
     /// Sharded parameter-server execution mode (see [`crate::ps`]).
     /// `None` (the default) runs the configured allreduce family;
-    /// `Some` replaces the collective with per-shard push/pull rounds —
-    /// bulk-synchronous or wait-free with a bounded staleness — while
-    /// keeping the same error-feedback, checkpoint and recovery
-    /// machinery.
+    /// `Some` replaces the collective with bulk-synchronous per-shard
+    /// push/reply rounds while keeping the same error-feedback,
+    /// checkpoint and recovery machinery.
     pub ps: Option<PsConfig>,
 }
 
@@ -199,10 +198,9 @@ impl StepEngine {
                     selectors,
                 }
             }
-            // Checkpoints are taken at round boundaries with an empty
-            // pull pipeline (bulk-sync — the only PS variant composing
-            // with checkpoints) and PS regional selection is exact (no
-            // selector RNG), so the residual is the whole state.
+            // PS rounds are bulk-synchronous and PS regional selection
+            // is exact (no selector RNG), so the residual is the whole
+            // state.
             StepEngine::Ps(engine) => EngineState::Ps {
                 residual: engine.residual_dense().to_vec(),
             },
@@ -355,16 +353,6 @@ impl<M: Model> TrainState<M> {
                 comm.wait_until(ready);
                 engine.step(comm, members, src, bucket_k(src.len(), rho), opt, model)
             }
-        }
-    }
-
-    /// Applies any rounds still deferred in the wait-free PS pipeline
-    /// (a no-op for every other mode), returning the applied non-zero
-    /// count.
-    fn finish(&mut self, comm: &mut Communicator, members: &[usize]) -> Result<u64> {
-        match &mut self.engine {
-            StepEngine::Ps(engine) => engine.drain(comm, members, &mut self.opt, &mut self.model),
-            StepEngine::Buckets(_) => Ok(0),
         }
     }
 }
@@ -770,15 +758,6 @@ where
                 }
             }
         }
-    }
-
-    // Wait-free PS leaves up to `staleness_bound` rounds deferred in the
-    // pipeline; apply them so no gradient mass stays stranded in flight
-    // (replicas all drain identically). Every other mode is a no-op.
-    if !crashed {
-        update_nnz_sum += state
-            .finish(comm, &log.members)
-            .expect("draining the PS pipeline runs fault-free by construction");
     }
 
     let params = state.model.flat_params();

@@ -1,6 +1,6 @@
 //! Capability sweep: every cell of Algorithm (8) × engine {serial,
-//! overlap, ps bulk-sync, ps wait-free} × Topology (3) × recovery {off,
-//! fault plan, checkpoint dir}.
+//! overlap, ps} × Topology (3) × recovery {off, fault plan, checkpoint
+//! dir}.
 //!
 //! * `TrainConfig::validate()` is `Ok` ⇒ a one-epoch mlp run at P = 4
 //!   finishes with replicas consistent (`train_distributed` asserts
@@ -24,8 +24,7 @@ use std::path::PathBuf;
 enum Engine {
     Serial,
     Overlap,
-    PsBulkSync,
-    PsWaitFree,
+    Ps,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,50 +36,44 @@ enum Recovery {
     CheckpointDir,
 }
 
-const ENGINES: [Engine; 4] = [
-    Engine::Serial,
-    Engine::Overlap,
-    Engine::PsBulkSync,
-    Engine::PsWaitFree,
-];
+const ENGINES: [Engine; 3] = [Engine::Serial, Engine::Overlap, Engine::Ps];
 const RECOVERIES: [Recovery; 3] = [Recovery::Off, Recovery::FaultPlan, Recovery::CheckpointDir];
 
-/// `#` = accepted. One line per engine (serial, overlap, ps bulk-sync, ps
-/// wait-free); per line one group per topology (binomial, hierarchical,
-/// ring), per group one column per recovery (off, fault plan, checkpoint
-/// dir).
-const ACCEPTED: [(Algorithm, [&str; 4]); 8] = [
+/// `#` = accepted. One line per engine (serial, overlap, ps); per line one
+/// group per topology (binomial, hierarchical, ring), per group one column
+/// per recovery (off, fault plan, checkpoint dir).
+const ACCEPTED: [(Algorithm, [&str; 3]); 8] = [
     (
         Algorithm::Dense,
-        ["#.. ... ...", "#.. ... ...", "... ... ...", "... ... ..."],
+        ["#.. ... ...", "#.. ... ...", "... ... ..."],
     ),
     (
         Algorithm::TopK,
-        ["#.. ... ...", "#.. ... ...", "... ... ...", "... ... ..."],
+        ["#.. ... ...", "#.. ... ...", "... ... ..."],
     ),
     (
         Algorithm::GTopK,
-        ["### ### ###", "### ### ###", "### ... ...", "#.. ... ..."],
+        ["### ### ###", "### ### ###", "### ... ..."],
     ),
     (
         Algorithm::NaiveGTopK,
-        ["#.. ... ...", "#.. ... ...", "... ... ...", "... ... ..."],
+        ["#.. ... ...", "#.. ... ...", "... ... ..."],
     ),
     (
         Algorithm::GTopKFeedback,
-        ["### ### ###", "### ### ###", "... ... ...", "... ... ..."],
+        ["### ### ###", "### ### ###", "... ... ..."],
     ),
     (
         Algorithm::GTopKNoPutback,
-        ["#.. #.. #..", "#.. #.. #..", "... ... ...", "... ... ..."],
+        ["#.. #.. #..", "#.. #.. #..", "... ... ..."],
     ),
     (
         Algorithm::OkTopk,
-        ["#.. ... ...", "#.. ... ...", "... ... ...", "... ... ..."],
+        ["#.. ... ...", "#.. ... ...", "... ... ..."],
     ),
     (
         Algorithm::SparDl,
-        ["#.. ... ...", "#.. ... ...", "... ... ...", "... ... ..."],
+        ["#.. ... ...", "#.. ... ...", "... ... ..."],
     ),
 ];
 
@@ -95,8 +88,7 @@ fn cell(alg: Algorithm, engine: Engine, topology: Topology, recovery: Recovery) 
     match engine {
         Engine::Serial => {}
         Engine::Overlap => cfg.overlap = Some(OverlapConfig::buckets(2)),
-        Engine::PsBulkSync => cfg.ps = Some(PsConfig::bulk_sync(2)),
-        Engine::PsWaitFree => cfg.ps = Some(PsConfig::wait_free(2, 1)),
+        Engine::Ps => cfg.ps = Some(PsConfig::bulk_sync(2)),
     }
     match recovery {
         Recovery::Off => {}
@@ -117,8 +109,7 @@ fn active_settings(engine: Engine, topology: Topology, recovery: Recovery) -> Ve
     match engine {
         Engine::Serial => {}
         Engine::Overlap => on.push("overlap"),
-        Engine::PsBulkSync => on.push("mode ps"),
-        Engine::PsWaitFree => on.extend(["mode ps", "staleness"]),
+        Engine::Ps => on.push("mode ps"),
     }
     if topology != Topology::Binomial {
         on.push("topology");
@@ -183,7 +174,7 @@ fn every_cell_runs_or_is_refused_naming_both_settings() {
         assert_eq!(got, want, "{}: accepted set moved", alg.name());
         assert_eq!(got[1], got[0], "{}: overlap line", alg.name());
     }
-    assert_eq!(accepted, 56);
+    assert_eq!(accepted, 55);
 }
 
 #[test]

@@ -20,14 +20,14 @@
 
 pub mod alphabeta;
 pub mod plancost;
-pub mod pscost;
 pub mod scaling;
 pub mod workloads;
 pub mod zoo;
 
 pub use alphabeta::{dense_allreduce_ms, gtopk_allreduce_ms, topk_allreduce_ms, AggregationKind};
-pub use plancost::{dense_plan_ms, gtopk_plan_ms, sparse_sum_wire, topk_plan_ms, PlanClock};
-pub use pscost::{ps_plan_ms, PsClock};
+pub use plancost::{
+    dense_plan_ms, gtopk_plan_ms, ps_plan_ms, sparse_sum_wire, topk_plan_ms, PlanClock,
+};
 pub use scaling::{scaling_efficiency, throughput_images_per_sec, IterationProfile};
 pub use workloads::{paper_models, ModelSpec};
 pub use zoo::{oktopk_plan_ms, spardl_plan_ms, ZooSchedule};

@@ -92,12 +92,17 @@ require_tests -p gtopk-comm --test frame_alloc a_one_gib_header_after_a_small_fr
 require_tests -p gtopk-core --lib zoo
 require_tests -p gtopk-perfmodel --lib zoo
 require_tests -p gtopk-sparse --test alloc_steadystate oktopk
-# Sharded parameter server & multi-job orchestrator: the shard map, the
-# push/pull engine, the incast cost twin, and the fair-share orchestrator.
+# Sharded parameter server: the shard map, the push/reply engine, its
+# training run pinned bit for bit (a shard-host crash included), and the
+# executed rounds equal to their PlanClock replay over a shrunk,
+# non-contiguous membership.
 require_tests -p gtopk-comm --lib shard
 require_tests -p gtopk-core --lib ps::
-require_tests -p gtopk-core --lib orchestrator::
-require_tests -p gtopk-perfmodel --lib pscost
+require_tests -p gtopk-core --test golden_parity ps_rows_train_to_their_recorded_report
+require_tests -p gtopk-core --test ps_plan_equivalence replay_is_exact_over_a_shrunk_membership
+# CLI numbers that used to panic or be silently ignored are argument
+# errors naming the flag.
+require_tests -p gtopk-cli --lib numbers_that_would_panic_or_be_ignored_are_rejected_naming_the_flag
 # One α-β clock: the executed dense ring, exact sparse sum and gTop-k
 # tree equal their PlanClock replays exactly (past the 256-round tag
 # window too), and Eqs. 5–7 stay oracles of those replays.
@@ -115,10 +120,11 @@ for threads in "${THREAD_MATRIX[@]}"; do
 done
 
 # Committed numbers must not go stale: the analytic bins price every
-# schedule by thread-free plan replay (seconds in total), and two of the
+# schedule by thread-free plan replay (seconds in total), two of the
 # convergence bins train Dense and gTop-k end to end through the trainer
-# (~11 s in release), so rerun them and require their committed TSVs to
-# come back byte-identical.
+# (~11 s in release), and the two PS bins price and execute the
+# parameter server (seconds in release), so rerun them and require their
+# committed outputs to come back byte-identical.
 echo "==> analytic and convergence results reproduce byte-identically"
 for bin in table1_complexity fig09_allreduce_time fig10_scaling_efficiency \
   fig11_time_breakdown table4_throughput; do
@@ -127,10 +133,16 @@ done
 for bin in fig05_convergence_cifar fig07_convergence_lstm; do
   cargo run -q --offline --release -p gtopk-bench --bin "$bin" >/dev/null 2>&1
 done
+# The parameter server's numbers: the crossover map priced by the PS plan
+# replay, its convergence gate, and the executed PS-vs-tree rounds.
+for bin in bench_ps ext_ps_vs_tree; do
+  cargo run -q --offline --release -p gtopk-bench --bin "$bin" >/dev/null 2>&1
+done
 git diff --exit-code -- results/table1_complexity.tsv results/fig09_*.tsv \
   results/fig10_scaling_*.tsv results/fig11_time_breakdown.tsv \
   results/table4_throughput.tsv results/fig05_convergence_*.tsv \
-  results/fig07_convergence_lstm.tsv
+  results/fig07_convergence_lstm.tsv BENCH_ps.json \
+  results/ext_ps_crossover.tsv results/ext_ps_vs_tree.tsv
 
 # Real processes, real sockets, a real SIGKILL: a 4-process localhost
 # cluster over `--transport tcp --rendezvous` (OS-assigned ports published
