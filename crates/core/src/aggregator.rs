@@ -14,14 +14,21 @@
 //! `--overlap` is its one-bucket case, the step over the whole vector.
 //! [`Aggregator::charge_twin`] replays the same collective on the
 //! engine's analytic clock.
+//!
+//! The parameter server is not a separate engine: a `mode ps` run's
+//! aggregator reduces over [`Collective::Sharded`] instead of its row's
+//! collective, and everything else — the residual, the put-back, the
+//! averaging, the apply, the checkpoint — is the same step.
 
 use crate::capability::{Algorithm, Collective, Rejects, Row};
 use crate::ft::epoch_tag_offset;
 use crate::gtopk_allreduce::{naive_gtopk_all_reduce, tree_all_reduce};
+use crate::ps::ps_round;
 use crate::selector::{Selector, SelectorState};
 use crate::sparse_coll::{sparse_sum_recursive_doubling, sparse_zoo_all_reduce_over};
+use crate::TrainConfig;
 use gtopk_comm::collectives::{self, ring_chunk};
-use gtopk_comm::{CollectivePlan, Communicator, CostModel, Result, Topology};
+use gtopk_comm::{CollectivePlan, Communicator, CostModel, Result, ShardMap, Topology};
 use gtopk_perfmodel::{sparse_sum_wire, PlanClock, ZooSchedule};
 use gtopk_sparse::{Residual, SparseVec};
 
@@ -45,18 +52,20 @@ impl Update {
 }
 
 /// One rank's aggregation step for one [`Algorithm`] row: the selection
-/// kernel's state plus the schedule caches of the row's collective. The
-/// residual it works on stays with the caller — one bucket's of the
-/// overlap engine, which is the whole vector's when there is one bucket.
+/// kernel's state plus the schedule caches of its collective — the row's,
+/// or the sharded parameter server in `mode ps`. The residual it works on
+/// stays with the caller — one bucket's of the overlap engine, which is
+/// the whole vector's when there is one bucket.
 #[derive(Debug, Clone)]
 pub struct Aggregator {
     algorithm: Algorithm,
+    collective: Collective,
     topology: Topology,
     select: SelectorState,
     /// Zoo rows: the schedule for the current `(P, k)`.
     sched: Option<ZooSchedule>,
-    /// Every other row: the plans its collective executes for the current
-    /// `P`, for the analytic twin ([`Aggregator::charge_twin`]).
+    /// Every other collective: the plans it executes for the current `P`,
+    /// for the analytic twin ([`Aggregator::charge_twin`]).
     plans: Vec<CollectivePlan>,
 }
 
@@ -69,6 +78,7 @@ impl Aggregator {
     pub fn new(algorithm: Algorithm, selector: Selector, topology: Topology, rank: usize) -> Self {
         Aggregator {
             algorithm,
+            collective: algorithm.row().collective,
             topology,
             select: SelectorState::new(selector, rank),
             sched: None,
@@ -76,9 +86,21 @@ impl Aggregator {
         }
     }
 
-    /// The row this step executes.
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
+    /// The step a training run configures on `rank`: `cfg`'s algorithm,
+    /// selector and topology, reducing over the sharded parameter server
+    /// ([`Collective::Sharded`]) in place of the row's collective when
+    /// `cfg.ps` is set.
+    pub fn for_config(cfg: &TrainConfig, rank: usize) -> Self {
+        let mut step = Aggregator::new(cfg.algorithm, cfg.selector, cfg.topology, rank);
+        if let Some(ps) = cfg.ps {
+            step.collective = Collective::Sharded { shards: ps.shards };
+        }
+        step
+    }
+
+    /// The collective this step reduces over.
+    pub fn collective(&self) -> Collective {
+        self.collective
     }
 
     /// Aggregates this iteration's gradient across `members` (the
@@ -105,11 +127,8 @@ impl Aggregator {
         grad: &[f32],
         k: usize,
     ) -> Result<Update> {
-        let Row {
-            collective,
-            rejects,
-            caps,
-        } = self.algorithm.row();
+        let Row { rejects, caps, .. } = self.algorithm.row();
+        let collective = self.collective;
         debug_assert!(
             caps.member_subset || members.len() == comm.size(),
             "{} runs a fixed full-cluster schedule",
@@ -169,6 +188,24 @@ impl Aggregator {
                         sparse_zoo_all_reduce_over(comm, members, local, sched, tag_off)?;
                     (global, None, Some(witnessed))
                 }
+                Collective::Sharded { shards } => {
+                    // Stratified selection: each shard region's own top-k_s,
+                    // so every push has a size known before the round.
+                    let map = ShardMap::new(residual.dim(), shards.min(p));
+                    let budgets = map.budgets(k);
+                    residual.accumulate(grad);
+                    let mut locals = Vec::with_capacity(map.num_shards());
+                    let (mut idx, mut val) = (Vec::new(), Vec::new());
+                    for (s, &budget) in budgets.iter().enumerate() {
+                        let l = residual.extract_topk_range(map.range(s), budget);
+                        idx.extend_from_slice(l.indices());
+                        val.extend_from_slice(l.values());
+                        locals.push(l);
+                    }
+                    let local = SparseVec::from_sorted(residual.dim(), idx, val);
+                    let global = ps_round(comm, members, &map, &budgets, locals)?;
+                    (global, Some(local), None)
+                }
             };
         // Rejects: what the collective turned away goes where the row says,
         // each in one walk against the global selection's indices.
@@ -194,10 +231,10 @@ impl Aggregator {
 
     /// Replays the collective [`Aggregator::aggregate`] runs for `p`
     /// members over a `dim`-element buffer with budget `k` on an analytic
-    /// clock — the overlap engine's plan-clock twin. The tree, the ring
-    /// and the zoo are charged what execution sends, so the replay is
-    /// exact; the two sparse sums at their disjoint-support bound
-    /// ([`sparse_sum_wire`]), which overlapping supports undercut.
+    /// clock — the overlap engine's plan-clock twin. The tree, the ring,
+    /// the zoo and the sharded server are charged what execution sends, so
+    /// the replay is exact; the two sparse sums at their disjoint-support
+    /// bound ([`sparse_sum_wire`]), which overlapping supports undercut.
     pub fn charge_twin(
         &mut self,
         clock: &mut PlanClock,
@@ -206,7 +243,7 @@ impl Aggregator {
         dim: usize,
         k: usize,
     ) {
-        let collective = self.algorithm.row().collective;
+        let collective = self.collective;
         if let Collective::Zoo(kind) = collective {
             return zoo_schedule(&mut self.sched, kind, p, k).charge(clock, net);
         }
@@ -217,8 +254,20 @@ impl Aggregator {
                     CollectivePlan::reduce(self.topology, p),
                     CollectivePlan::broadcast(self.topology, p, self.topology.reduce_root(p)),
                 ],
+                Collective::Sharded { shards } => vec![
+                    CollectivePlan::ps_push(p, shards.min(p)),
+                    CollectivePlan::ps_reply(p, shards.min(p)),
+                ],
                 _ => vec![CollectivePlan::exchange(p)],
             };
+        }
+        if let (Collective::Sharded { shards }, [push, reply]) = (collective, &self.plans[..]) {
+            // A push carries the receiving shard's padded budget, a reply
+            // its host's dense region.
+            let map = ShardMap::new(dim, shards.min(p));
+            let budgets = map.budgets(k);
+            clock.charge(net, push, |_, _, host| 2 * budgets[host]);
+            return clock.charge(net, reply, |_, host, _| map.len(host));
         }
         for plan in &self.plans {
             match collective {

@@ -10,12 +10,17 @@
 //! [`Row`]; the one [`crate::Aggregator`] executes any row, the row's
 //! [`Caps`] drive the one validator ([`TrainConfig::validate`]), and
 //! [`capability_table`] prints the same table for `gtopk info`.
+//!
+//! The sharded parameter server (paper footnote 2) is one more
+//! [`Collective`], [`Collective::Sharded`], and no row's: the aggregator
+//! runs it in place of the gTop-k row's tree when the configuration asks
+//! for `mode ps`, under the same put-back policy.
 
 use crate::{Selector, TrainConfig};
 use gtopk_comm::{CostModel, Topology};
 use gtopk_perfmodel::{
-    dense_allreduce_ms, gtopk_allreduce_ms, oktopk_plan_ms, spardl_plan_ms, topk_allreduce_ms,
-    ZooSchedule,
+    dense_allreduce_ms, gtopk_allreduce_ms, oktopk_plan_ms, ps_plan_ms, spardl_plan_ms,
+    topk_allreduce_ms, ZooSchedule,
 };
 use std::fmt;
 
@@ -69,6 +74,15 @@ pub enum Collective {
     /// A budget-padded split/gather schedule over the binomial exchange
     /// plans.
     Zoo(ZooKind),
+    /// The bulk-synchronous sharded parameter server ([`crate::ps`]):
+    /// stratified per-shard selection, a push round to the shard hosts,
+    /// which reselect their regions, and a reply round back. Shards are
+    /// capped at the membership. Never a row's collective: the aggregator
+    /// picks it for `mode ps`.
+    Sharded {
+        /// Server shards `S`, each hosted by one member.
+        shards: usize,
+    },
 }
 
 /// Which sparse-allreduce zoo schedule a [`Collective::Zoo`] row runs.
@@ -101,6 +115,7 @@ impl Collective {
             Collective::Tree => gtopk_allreduce_ms(net, p, k),
             Collective::Zoo(ZooKind::OkTopk) => oktopk_plan_ms(net, p, k),
             Collective::Zoo(ZooKind::SparDl) => spardl_plan_ms(net, p, k),
+            Collective::Sharded { shards } => ps_plan_ms(net, p, m, shards, k, 1),
         }
     }
 
@@ -112,6 +127,7 @@ impl Collective {
             Collective::Tree => "tree(topology)",
             Collective::Zoo(ZooKind::OkTopk) => "zoo(ok-topk)",
             Collective::Zoo(ZooKind::SparDl) => "zoo(spardl)",
+            Collective::Sharded { .. } => "sharded(ps)",
         }
     }
 }
@@ -160,8 +176,6 @@ pub struct Caps {
     pub member_subset: bool,
     /// Accepts a non-binomial plan [`Topology`].
     pub topology: bool,
-    /// Its selection can be served by the sharded parameter server.
-    pub ps: bool,
     /// Checkpoint/rollback recovery: fault plans and checkpoint dirs.
     pub recovery: bool,
 }
@@ -177,12 +191,11 @@ pub struct Row {
     pub caps: Caps,
 }
 
-const fn caps(bits: [bool; 4]) -> Caps {
+const fn caps(bits: [bool; 3]) -> Caps {
     Caps {
         member_subset: bits[0],
         topology: bits[1],
-        ps: bits[2],
-        recovery: bits[3],
+        recovery: bits[2],
     }
 }
 
@@ -224,15 +237,15 @@ impl Algorithm {
         const N: bool = false;
         #[rustfmt::skip]
         let (collective, rejects, caps) = match self {
-            // caps: [member_subset, topology, ps, recovery]
-            Algorithm::Dense          => (DenseRing,            R::None,                   caps([N, N, N, N])),
-            Algorithm::TopK           => (SparseSum,            R::None,                   caps([N, N, N, N])),
-            Algorithm::GTopK          => (Tree,                 R::PutBackOwn,             caps([Y, Y, Y, Y])),
-            Algorithm::NaiveGTopK     => (SparseSumThenSelect,  R::PutBackOwn,             caps([N, N, N, N])),
-            Algorithm::GTopKFeedback  => (Tree,                 R::PutBackOwnAndWitnessed, caps([Y, Y, N, Y])),
-            Algorithm::GTopKNoPutback => (Tree,                 R::Drop,                   caps([Y, Y, N, N])),
-            Algorithm::OkTopk         => (Zoo(ZooKind::OkTopk), R::Witnessed,              caps([Y, N, N, N])),
-            Algorithm::SparDl         => (Zoo(ZooKind::SparDl), R::Witnessed,              caps([Y, N, N, N])),
+            // caps: [member_subset, topology, recovery]
+            Algorithm::Dense          => (DenseRing,            R::None,                   caps([N, N, N])),
+            Algorithm::TopK           => (SparseSum,            R::None,                   caps([N, N, N])),
+            Algorithm::GTopK          => (Tree,                 R::PutBackOwn,             caps([Y, Y, Y])),
+            Algorithm::NaiveGTopK     => (SparseSumThenSelect,  R::PutBackOwn,             caps([N, N, N])),
+            Algorithm::GTopKFeedback  => (Tree,                 R::PutBackOwnAndWitnessed, caps([Y, Y, Y])),
+            Algorithm::GTopKNoPutback => (Tree,                 R::Drop,                   caps([Y, Y, N])),
+            Algorithm::OkTopk         => (Zoo(ZooKind::OkTopk), R::Witnessed,              caps([Y, N, N])),
+            Algorithm::SparDl         => (Zoo(ZooKind::SparDl), R::Witnessed,              caps([Y, N, N])),
         };
         Row {
             collective,
@@ -248,8 +261,7 @@ const WHY_RECOVERY: &str = "checkpoint/rollback recovery (fault plans, checkpoin
      only rows with the `recovery` capability";
 const WHY_REJOIN: &str = "a restarted rank of a multi-rank run rejoins through the recovery \
      policy: arm a fault plan with the checkpoint dir (an empty seeded plan injects nothing)";
-const WHY_PS_ROW: &str = "the parameter server serves the gTop-k sparse push path; the row \
-     lacks the `ps` capability";
+const WHY_PS_ROW: &str = "mode ps requires algorithm gTop-k";
 const WHY_PS_OVERLAP: &str = "the parameter server schedules its own push/pull pipeline";
 const WHY_PS_SELECTOR: &str = "the parameter server selects exactly per shard region (budgeted \
      wire sizes)";
@@ -262,8 +274,8 @@ const WHY_PS_SHARDS: &str = "need 1 <= shards <= workers (each shard is hosted b
 /// table and the same reasons the validator reports.
 pub fn capability_table() -> String {
     let mut out = format!(
-        "{:20}{:25}{:26}{:8}{:10}{:5}{}\n",
-        "algorithm", "collective", "rejects", "subset", "topology", "ps", "recovery"
+        "{:20}{:25}{:26}{:8}{:10}{}\n",
+        "algorithm", "collective", "rejects", "subset", "topology", "recovery"
     );
     let mark = |cap: bool| if cap { "yes" } else { "-" };
     for alg in Algorithm::ALL {
@@ -273,13 +285,12 @@ pub fn capability_table() -> String {
             caps,
         } = alg.row();
         out.push_str(&format!(
-            "{:20}{:25}{:26}{:8}{:10}{:5}{}\n",
+            "{:20}{:25}{:26}{:8}{:10}{}\n",
             alg.name(),
             collective.label(),
             rejects.label(),
             mark(caps.member_subset),
             mark(caps.topology),
-            mark(caps.ps),
             mark(caps.recovery),
         ));
     }
@@ -366,7 +377,7 @@ impl TrainConfig {
         }
         let Some(ps) = &self.ps else { return Ok(()) };
         let mode = || "mode ps".to_string();
-        if !caps.ps {
+        if self.algorithm != Algorithm::GTopK {
             return refuse(algorithm(), mode(), WHY_PS_ROW);
         }
         if self.overlap.is_some() {
@@ -396,33 +407,44 @@ mod tests {
 
     #[test]
     fn rows_pair_reject_policies_with_collectives_that_can_serve_them() {
+        let selects = |c: Collective| {
+            matches!(
+                c,
+                Collective::Tree | Collective::SparseSumThenSelect | Collective::Sharded { .. }
+            )
+        };
+        let witnesses = |c: Collective| matches!(c, Collective::Tree | Collective::Zoo(_));
+        let serves = |c: Collective, rejects: Rejects| match rejects {
+            Rejects::None => !selects(c) && !witnesses(c),
+            Rejects::Drop => true,
+            Rejects::PutBackOwn => selects(c),
+            Rejects::PutBackOwnAndWitnessed => selects(c) && witnesses(c),
+            Rejects::Witnessed => witnesses(c),
+        };
         for alg in Algorithm::ALL {
             let Row {
                 collective,
                 rejects,
                 caps,
             } = alg.row();
-            let selects = matches!(
-                collective,
-                Collective::Tree | Collective::SparseSumThenSelect
-            );
-            let witnesses = matches!(collective, Collective::Tree | Collective::Zoo(_));
-            match rejects {
-                Rejects::None => assert!(!selects && !witnesses, "{}", alg.name()),
-                Rejects::Drop => {}
-                Rejects::PutBackOwn => assert!(selects, "{}", alg.name()),
-                Rejects::PutBackOwnAndWitnessed => {
-                    assert!(selects && witnesses, "{}", alg.name())
-                }
-                Rejects::Witnessed => assert!(witnesses, "{}", alg.name()),
-            }
+            assert!(serves(collective, rejects), "{}", alg.name());
             // Only plan executions regenerate over survivors or take a
             // topology; recovery shrinks the membership.
             let plan_driven = matches!(collective, Collective::Tree | Collective::Zoo(_));
             assert_eq!(caps.member_subset, plan_driven, "{}", alg.name());
             assert!(!caps.topology || collective == Collective::Tree);
             assert!(!caps.recovery || caps.member_subset);
+            assert!(
+                !matches!(collective, Collective::Sharded { .. }),
+                "{}: the sharded server is no row's collective",
+                alg.name()
+            );
         }
+        // Mode ps runs the gTop-k row's policy over the sharded server.
+        assert!(serves(
+            Collective::Sharded { shards: 2 },
+            Algorithm::GTopK.row().rejects
+        ));
     }
 
     #[test]

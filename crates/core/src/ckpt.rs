@@ -111,20 +111,14 @@ impl SelectorDump {
 /// keeps the kernel's RNG naturally; a process restart must persist it).
 #[derive(Debug, Clone, PartialEq)]
 pub enum EngineState {
-    /// The bucketed all-reduce engine: per-bucket residuals and selector
-    /// states, in backward bucket order (one bucket without `--overlap`).
+    /// The bucketed engine: per-bucket residuals and selector states, in
+    /// backward bucket order (one bucket without `--overlap`, `mode ps`
+    /// included).
     Buckets {
         /// Per-bucket dense residual copies.
         residuals: Vec<Vec<f32>>,
         /// Per-bucket selector states.
         selectors: Vec<SelectorDump>,
-    },
-    /// Parameter-server mode: the worker's whole-vector residual. The
-    /// regional selection is exact (no selector RNG) and servers are
-    /// stateless between rounds, so the residual is the entire state.
-    Ps {
-        /// Dense residual copy.
-        residual: Vec<f32>,
     },
 }
 
@@ -285,31 +279,24 @@ pub fn encode(c: &DurableCheckpoint) -> Vec<u8> {
     put_u64(&mut p, c.data_epoch);
     put_u64(&mut p, c.data_cursor);
     put_f64(&mut p, c.epoch_loss);
-    // Mode 0, a whole-vector residual with an optional selector, is no
-    // longer written; `decode` reads it as the one bucket it was.
-    let mode = match &c.engine {
-        EngineState::Buckets { .. } => 1u8,
-        EngineState::Ps { .. } => 4,
-    };
-    p.push(mode | if c.local_velocity.is_some() { 2 } else { 0 });
+    // Modes 0 (a whole-vector residual with an optional selector) and 4
+    // (the parameter server's residual) are no longer written; `decode`
+    // reads each as the one bucket it was.
+    p.push(1 | if c.local_velocity.is_some() { 2 } else { 0 });
     put_fvec(&mut p, &c.params);
     put_fvec(&mut p, &c.velocity);
     if let Some(lv) = &c.local_velocity {
         put_fvec(&mut p, lv);
     }
-    match &c.engine {
-        EngineState::Buckets {
-            residuals,
-            selectors,
-        } => {
-            assert_eq!(residuals.len(), selectors.len(), "bucket count mismatch");
-            put_u64(&mut p, residuals.len() as u64);
-            for (r, s) in residuals.iter().zip(selectors) {
-                put_fvec(&mut p, r);
-                put_selector(&mut p, s);
-            }
-        }
-        EngineState::Ps { residual } => put_fvec(&mut p, residual),
+    let EngineState::Buckets {
+        residuals,
+        selectors,
+    } = &c.engine;
+    assert_eq!(residuals.len(), selectors.len(), "bucket count mismatch");
+    put_u64(&mut p, residuals.len() as u64);
+    for (r, s) in residuals.iter().zip(selectors) {
+        put_fvec(&mut p, r);
+        put_selector(&mut p, s);
     }
     put_u64(&mut p, c.losses.len() as u64);
     for &l in &c.losses {
@@ -395,8 +382,15 @@ pub fn decode(bytes: &[u8]) -> Result<DurableCheckpoint, CkptError> {
         None
     };
     let engine = if flags & 4 != 0 {
-        EngineState::Ps {
-            residual: r.fvec()?,
+        // Mode 4, the parameter server's whole-vector residual, is the
+        // one-bucket state of a `mode ps` run, whose exact selection
+        // never advances the rank's selector stream.
+        EngineState::Buckets {
+            residuals: vec![r.fvec()?],
+            selectors: vec![SelectorDump::capture(&SelectorState::new(
+                Selector::Exact,
+                rank as usize,
+            ))],
         }
     } else {
         // Mode 0, a run without buckets, is exactly the one-bucket state:
@@ -514,17 +508,21 @@ impl CheckpointStore {
     /// old file or the new one — never a torn mix.
     fn write_atomic(&self, name: &str, bytes: &[u8]) -> io::Result<()> {
         let tmp = self.dir.join(format!(".tmp-{}-{name}", std::process::id()));
-        let final_path = self.dir.join(name);
-        {
-            let mut f = OpenOptions::new()
-                .write(true)
-                .create(true)
-                .truncate(true)
-                .open(&tmp)?;
-            f.write_all(bytes)?;
-            f.sync_all()?;
+        let written = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)
+            .and_then(|mut f| {
+                f.write_all(bytes)?;
+                f.sync_all()
+            })
+            .and_then(|()| fs::rename(&tmp, self.dir.join(name)));
+        if let Err(err) = written {
+            // A full disk must not also keep a partial tmp file.
+            let _ = fs::remove_file(&tmp);
+            return Err(err);
         }
-        fs::rename(&tmp, &final_path)?;
         // Persist the rename itself.
         if let Ok(d) = File::open(&self.dir) {
             let _ = d.sync_all();
@@ -693,22 +691,58 @@ mod tests {
         }
     }
 
+    /// A parameter-server checkpoint as its own engine wrote it (mode 4,
+    /// with local momentum): rank 2 at iteration 25, the rest of
+    /// `sample_ckpt(25, false)`, and the whole-vector residual
+    /// `[0.25, -0.0, 1.5, f32::MIN_POSITIVE]`.
+    const MODE4: [u8; 344] = [
+        0x47, 0x54, 0x4b, 0x43, 0x01, 0x00, 0x00, 0x00, 0xe1, 0xd5, 0x92, 0xe7, 0x44, 0x01, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x19, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x28,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x58, 0x39, 0xb4, 0xc8, 0x76, 0xbe, 0xf3, 0x3f,
+        0x06, 0x30, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+        0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3f,
+        0x00, 0x00, 0x00, 0xbf, 0x00, 0x00, 0x80, 0x3e, 0x00, 0x00, 0x40, 0x40, 0x30, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02,
+        0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0xcd, 0xcc, 0xcc, 0x3d, 0xcd, 0xcc, 0x4c, 0x3e,
+        0x9a, 0x99, 0x99, 0xbe, 0x00, 0x00, 0x00, 0x00, 0x30, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x40, 0x00, 0x00, 0xe0, 0x40, 0x00, 0x00, 0xe0, 0x40,
+        0x00, 0x00, 0xe0, 0x40, 0x30, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x80, 0x3e, 0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0xc0, 0x3f, 0x00, 0x00, 0x80, 0x00,
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f, 0x9a, 0x99, 0x99, 0x99, 0x99, 0x99,
+        0xf1, 0x3f, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0xe8, 0x3f, 0x01, 0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xe9, 0x3f,
+    ];
+
     #[test]
-    fn roundtrip_ps() {
-        let mut c = sample_ckpt(25, false);
-        c.engine = EngineState::Ps {
-            residual: vec![0.25, -0.0, 1.5, f32::MIN_POSITIVE],
+    fn a_mode_four_payload_decodes_as_one_bucket() {
+        let back = decode(&MODE4).unwrap();
+        let want = DurableCheckpoint {
+            engine: EngineState::Buckets {
+                residuals: vec![vec![0.25, -0.0, 1.5, f32::MIN_POSITIVE]],
+                selectors: vec![SelectorDump::capture(&SelectorState::new(
+                    Selector::Exact,
+                    2,
+                ))],
+            },
+            ..sample_ckpt(25, false)
         };
-        let back = decode(&encode(&c)).unwrap();
-        assert_eq!(back, c);
+        assert_eq!(back, want);
         // PartialEq treats -0.0 == +0.0; pin the sign bit explicitly so
-        // a restored PS residual replays bit-identically.
-        match back.engine {
-            EngineState::Ps { residual } => {
-                assert_eq!(residual[1].to_bits(), (-0.0f32).to_bits());
-            }
-            other => panic!("decoded into {other:?}"),
-        }
+        // a restored residual replays bit-identically.
+        let EngineState::Buckets { residuals, .. } = &back.engine;
+        assert_eq!(residuals[0][1].to_bits(), (-0.0f32).to_bits());
+        // Written again, it takes the one-bucket layout.
+        let rewritten = encode(&back);
+        assert_ne!(rewritten[..], MODE4[..]);
+        assert_eq!(decode(&rewritten).unwrap(), want);
     }
 
     #[test]
@@ -877,10 +911,7 @@ mod tests {
         let EngineState::Buckets {
             residuals,
             selectors,
-        } = &c.engine
-        else {
-            panic!("mode 0 held the all-reduce engine's state");
-        };
+        } = &c.engine;
         assert_eq!(residuals.len(), 1, "mode 0 held one whole-vector bucket");
         let mut p = Vec::new();
         for w in [c.rank, c.iter, c.data_epoch, c.data_cursor] {

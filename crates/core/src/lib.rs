@@ -86,7 +86,7 @@ pub use metrics::{EpochRecord, TimingBreakdown, TrainReport};
 pub use overlap::{
     backward_layer_costs, BucketSpec, ComputeCost, OverlapConfig, OverlapEngine, OverlapStats,
 };
-pub use ps::{ps_pull_round, ps_push_round, ps_round, PsConfig, PsEngine};
+pub use ps::{ps_pull_round, ps_push_round, ps_round, PsConfig};
 pub use schedule::{DensitySchedule, LrSchedule};
 pub use selector::{Selector, SelectorState};
 pub use sparse_coll::{

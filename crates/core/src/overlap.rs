@@ -56,7 +56,7 @@ pub struct ComputeCost {
 impl ComputeCost {
     /// When the share `produced` ∈ [0, 1] of an iteration's backward is
     /// computed and sparsified, from `t0` on a rank slowed by `straggle`.
-    pub(crate) fn ready_ms(&self, t0: f64, straggle: f64, produced: f64) -> f64 {
+    fn ready_ms(&self, t0: f64, straggle: f64, produced: f64) -> f64 {
         t0 + straggle * (self.compute_ms * produced) + straggle * (self.sparsify_ms * produced)
     }
 }
@@ -379,10 +379,11 @@ impl OverlapEngine {
         );
 
         self.analytic_overlapped_ms += twin_span;
-        let collective = self.steps[0].algorithm().row().collective;
         self.analytic_serial_ms += self.compute.compute_ms
             + self.compute.sparsify_ms
-            + collective.model_ms(&self.net, p, m, bucket_k(m, rho));
+            + self.steps[0]
+                .collective()
+                .model_ms(&self.net, p, m, bucket_k(m, rho));
         if straggle == 1.0 && p == comm.size() {
             self.max_abs_dev_ms = self.max_abs_dev_ms.max((span - twin_span).abs());
         }
@@ -448,9 +449,10 @@ impl OverlapEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Algorithm, Selector, TrainConfig};
+    use crate::{Algorithm, Collective, PsConfig, Selector, TrainConfig};
     use gtopk_comm::{Cluster, CostModel, Topology};
     use gtopk_nn::models;
+    use gtopk_perfmodel::ps_plan_ms;
 
     fn step_for(alg: Algorithm, rank: usize) -> Aggregator {
         Aggregator::new(alg, Selector::Exact, Topology::Binomial, rank)
@@ -533,8 +535,15 @@ mod tests {
         p: usize,
         segments: &[usize],
     ) -> Vec<(Vec<f32>, OverlapStats, f64)> {
+        let cfg = TrainConfig::convergence(p, 8, 1, 0.1, 0.05).with_algorithm(alg);
+        run_configured(&cfg, segments)
+    }
+
+    /// [`run_engine`] for the step `cfg` configures (over `cfg.workers`
+    /// ranks).
+    fn run_configured(cfg: &TrainConfig, segments: &[usize]) -> Vec<(Vec<f32>, OverlapStats, f64)> {
         let segments = segments.to_vec();
-        Cluster::new(p, CostModel::gigabit_ethernet()).run(move |comm| {
+        Cluster::new(cfg.workers, CostModel::gigabit_ethernet()).run(move |comm| {
             let mut model = models::logistic(9, 7, 8); // 7*8+8 = 64 params
             let m = gtopk_nn::Model::num_params(&model);
             assert_eq!(segments.iter().sum::<usize>(), m);
@@ -547,7 +556,7 @@ mod tests {
                     sparsify_ms: 0.0,
                 }),
                 CostModel::gigabit_ethernet(),
-                step_for(alg, comm.rank()),
+                Aggregator::for_config(cfg, comm.rank()),
             );
             let members: Vec<usize> = (0..comm.size()).collect();
             for it in 0..3u64 {
@@ -625,6 +634,45 @@ mod tests {
                     check_timeline_invariants(&stats.timelines).unwrap();
                     assert_eq!(stats.max_abs_dev_ms, 0.0, "{what}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn sharded_server_keeps_replicas_identical_and_matches_its_twin_exactly() {
+        // Pushes are padded to their shard's budget and replies are dense
+        // regions, so the twin replays the executed rounds exactly — one
+        // bucket (a `mode ps` run) or two — and the serial baseline is
+        // the one-round PS plan replay.
+        let net = CostModel::gigabit_ethernet();
+        for p in [4usize, 5] {
+            for shards in [1, 2, p] {
+                let cfg = TrainConfig::convergence(p, 8, 1, 0.1, 0.05)
+                    .with_ps(PsConfig::bulk_sync(shards));
+                for segments in [&[64usize][..], &[24, 40]] {
+                    let what = format!("P={p} S={shards} buckets={}", segments.len());
+                    let out = run_configured(&cfg, segments);
+                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    for (params, stats, _) in &out {
+                        assert_eq!(bits(params), bits(&out[0].0), "{what}: replicas diverged");
+                        check_timeline_invariants(&stats.timelines).unwrap();
+                        assert!(
+                            stats.max_abs_dev_ms < 1e-9,
+                            "{what}: executed deviates from the twin by {} ms",
+                            stats.max_abs_dev_ms
+                        );
+                    }
+                }
+                let k = bucket_k(64, 0.1);
+                let serial = Collective::Sharded { shards }.model_ms(&net, p, 64, k);
+                assert_eq!(serial, ps_plan_ms(&net, p, 64, shards, k, 1));
+                let per_iteration = 4.0 + serial;
+                let stats = &run_configured(&cfg, &[64])[0].1;
+                assert!(
+                    (stats.analytic_serial_ms - 3.0 * per_iteration).abs() < 1e-9,
+                    "P={p} S={shards}: serial baseline {} vs 3 x {per_iteration}",
+                    stats.analytic_serial_ms
+                );
             }
         }
     }

@@ -30,13 +30,18 @@
 //!
 //! At `S = 1` this is exactly the old single-server star baseline (its
 //! loss trajectory is pinned bit-for-bit in `tests/ps_parity.rs`).
+//!
+//! The round is a collective, not an engine: `mode ps` runs the ordinary
+//! step ([`crate::Aggregator`]) with [`crate::Collective::Sharded`] as
+//! its collective. The worker's residual, the stratified selection, the
+//! put-back of what lost, the `1/P` averaging, the apply and the
+//! checkpoint are the all-reduce step's own.
 
 use crate::ft::epoch_tag_offset;
 use gtopk_comm::{
     execute_plan, CollectivePlan, Communicator, Message, Payload, PlanOps, Result, ShardMap,
 };
-use gtopk_nn::{Model, MomentumSgd};
-use gtopk_sparse::{topk_indices_into, Residual, SparseVec, TopkScratch};
+use gtopk_sparse::{topk_indices_into, SparseVec, TopkScratch};
 use std::sync::Arc;
 
 /// Push-plan tag (plus the membership epoch's tag offset). Offsets
@@ -238,83 +243,11 @@ pub fn ps_round(
     ps_pull_round(comm, members, map, &own)
 }
 
-/// The per-rank parameter-server execution engine: owns the worker's
-/// error-feedback residual. Plugged into the trainer's `StepEngine` as
-/// the execution mode beside the bucketed all-reduce engine.
-pub struct PsEngine {
-    cfg: PsConfig,
-    residual: Residual,
-}
-
-impl PsEngine {
-    /// A fresh engine for a `dim`-parameter model.
-    pub fn new(cfg: PsConfig, dim: usize) -> Self {
-        PsEngine {
-            cfg,
-            residual: Residual::new(dim),
-        }
-    }
-
-    /// One PS round: accumulate `src` into the residual, push the
-    /// stratified top-`k` selection, and apply the averaged global
-    /// update. Shards never outnumber live members, so each member hosts
-    /// at most one and `S = P` keeps one shard per rank. Returns the
-    /// applied non-zero count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates transport errors; the caller (trainer) rolls back via
-    /// the ordinary checkpoint recovery, which restores the residual.
-    pub fn step(
-        &mut self,
-        comm: &mut Communicator,
-        members: &[usize],
-        src: &[f32],
-        k: usize,
-        opt: &mut MomentumSgd,
-        model: &mut dyn Model,
-    ) -> Result<u64> {
-        let map = ShardMap::new(self.residual.dim(), self.cfg.shards.min(members.len()));
-        let budgets = map.budgets(k);
-        self.residual.accumulate(src);
-        let mut locals = Vec::with_capacity(map.num_shards());
-        let (mut idx, mut val) = (Vec::new(), Vec::new());
-        for (s, &budget) in budgets.iter().enumerate() {
-            let l = self.residual.extract_topk_range(map.range(s), budget);
-            idx.extend_from_slice(l.indices());
-            val.extend_from_slice(l.values());
-            locals.push(l);
-        }
-        let combined_local = SparseVec::from_sorted(self.residual.dim(), idx, val);
-        let mut global = ps_round(comm, members, &map, &budgets, locals)?;
-        // Identical error-feedback discipline to the allreduce family:
-        // locally-selected coordinates the global selection rejected go
-        // back into the residual; nothing is silently dropped.
-        self.residual
-            .put_back_unselected(&combined_local, global.indices());
-        global.scale(1.0 / members.len() as f32);
-        let nnz = global.nnz() as u64;
-        opt.step_sparse(model, &global);
-        Ok(nnz)
-    }
-
-    /// Dense view of the residual, for checkpointing.
-    pub fn residual_dense(&self) -> &[f32] {
-        self.residual.dense()
-    }
-
-    /// Restores the residual from a checkpoint.
-    pub fn restore_residual(&mut self, saved: &[f32]) {
-        self.residual.clear();
-        self.residual.accumulate(saved);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gtopk_comm::{Cluster, CostModel};
-    use gtopk_sparse::topk_sparse;
+    use gtopk_sparse::{topk_sparse, Residual};
 
     fn grad(rank: usize, dim: usize) -> Vec<f32> {
         (0..dim)

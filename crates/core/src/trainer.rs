@@ -2,18 +2,18 @@
 //! the dense baseline) over the simulated cluster.
 //!
 //! There is exactly **one** training loop ([`run_rank`]), one bundle of
-//! training state ([`TrainState`]) and one per-iteration executor
-//! ([`StepEngine`]). Execution *mode* (the bucketed all-reduce engine —
-//! one bucket without `--overlap` — or the sharded parameter server) and
-//! *recovery policy* (fault-tolerant checkpoint/rollback vs. fail-fast)
-//! are orthogonal switches on the same loop, so `--overlap` composes
-//! with crash recovery instead of selecting a different code path. Which
+//! training state ([`TrainState`]) and one per-iteration executor, the
+//! bucketed [`OverlapEngine`] — one bucket without `--overlap`. The
+//! collective each bucket's step reduces over (a row's, or the sharded
+//! parameter server's in `mode ps`) and the *recovery policy*
+//! (fault-tolerant checkpoint/rollback vs. fail-fast) are orthogonal
+//! switches on the same loop, so `--overlap` composes with crash
+//! recovery instead of selecting a different code path. Which
 //! combinations are legal is [`TrainConfig::validate`]'s call alone.
 
 use crate::ckpt::{CheckpointStore, DurableCheckpoint, EngineState};
 use crate::overlap::{ComputeCost, OverlapConfig, OverlapEngine, OverlapStats};
-use crate::pipeline::bucket_k;
-use crate::ps::{PsConfig, PsEngine};
+use crate::ps::PsConfig;
 use crate::{
     ft, Aggregator, Algorithm, DensitySchedule, EpochRecord, LrSchedule, Selector, TimingBreakdown,
     TrainReport,
@@ -91,10 +91,10 @@ pub struct TrainConfig {
     /// policy armed — rejoins the membership via the join protocol in
     /// [`crate::ft`].
     pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Sharded parameter-server execution mode (see [`crate::ps`]).
-    /// `None` (the default) runs the configured allreduce family;
-    /// `Some` replaces the collective with bulk-synchronous per-shard
-    /// push/reply rounds while keeping the same error-feedback,
+    /// Sharded parameter-server mode (see [`crate::ps`]). `None` (the
+    /// default) runs the configured allreduce family; `Some` makes the
+    /// step reduce over [`crate::Collective::Sharded`] — bulk-synchronous
+    /// per-shard push/reply rounds — with the same error-feedback,
     /// checkpoint and recovery machinery.
     pub ps: Option<PsConfig>,
 }
@@ -174,56 +174,6 @@ impl TrainConfig {
     }
 }
 
-/// The one per-iteration executor every training mode runs through: it
-/// owns the aggregation state (the bucketed [`OverlapEngine`] for the
-/// all-reduce rows, one bucket without `--overlap`; the [`PsEngine`] in
-/// parameter-server mode), performs one aggregation over the current
-/// membership, applies the averaged update, and can snapshot/restore its
-/// state for the checkpoint machinery.
-enum StepEngine {
-    Buckets(Box<OverlapEngine>),
-    Ps(Box<PsEngine>),
-}
-
-impl StepEngine {
-    /// Engine state at a checkpoint boundary: residuals *plus* selector
-    /// state, so that a restore — a rollback or a process restart alike
-    /// — replays the sampled kernel's draws bit-exactly.
-    fn snapshot(&self) -> EngineState {
-        match self {
-            StepEngine::Buckets(engine) => {
-                let (residuals, selectors) = engine.snapshot();
-                EngineState::Buckets {
-                    residuals,
-                    selectors,
-                }
-            }
-            // PS rounds are bulk-synchronous and PS regional selection
-            // is exact (no selector RNG), so the residual is the whole
-            // state.
-            StepEngine::Ps(engine) => EngineState::Ps {
-                residual: engine.residual_dense().to_vec(),
-            },
-        }
-    }
-
-    fn restore(&mut self, state: &EngineState) {
-        match (self, state) {
-            (
-                StepEngine::Buckets(engine),
-                EngineState::Buckets {
-                    residuals,
-                    selectors,
-                },
-            ) => engine.restore(residuals, selectors),
-            (StepEngine::Ps(engine), EngineState::Ps { residual }) => {
-                engine.restore_residual(residual);
-            }
-            _ => unreachable!("engine state mode matches the engine that took it"),
-        }
-    }
-}
-
 /// Everything a rank's training run mutates — what a checkpoint captures
 /// and a rollback or restart restores, as one value. (Time-breakdown
 /// counters are deliberately *not* part of it: they describe executed
@@ -231,7 +181,7 @@ impl StepEngine {
 struct TrainState<M: Model> {
     model: M,
     opt: MomentumSgd,
-    engine: StepEngine,
+    engine: Box<OverlapEngine>,
     /// Modelled compute per iteration, staged by the engine (zero
     /// without [`TrainConfig::compute_cost`]).
     cost: ComputeCost,
@@ -262,16 +212,13 @@ impl<M: Model> TrainState<M> {
         }
         TrainState {
             opt: MomentumSgd::new(m, cfg.lr.lr(0), opt_momentum),
-            engine: match &cfg.ps {
-                Some(ps) => StepEngine::Ps(Box::new(PsEngine::new(*ps, m))),
-                None => StepEngine::Buckets(Box::new(OverlapEngine::new(
-                    &cfg.overlap.unwrap_or(OverlapConfig::buckets(1)),
-                    &model.param_segments(),
-                    Some(cost),
-                    cfg.cost_model,
-                    Aggregator::new(cfg.algorithm, cfg.selector, cfg.topology, comm.rank()),
-                ))),
-            },
+            engine: Box::new(OverlapEngine::new(
+                &cfg.overlap.unwrap_or(OverlapConfig::buckets(1)),
+                &model.param_segments(),
+                Some(cost),
+                cfg.cost_model,
+                Aggregator::for_config(cfg, comm.rank()),
+            )),
             cost,
             local_velocity: cfg.momentum_correction.then(|| vec![0.0; m]),
             batches: BatchIter::new(shard, cfg.batch_per_worker, cfg.data_seed),
@@ -288,12 +235,19 @@ impl<M: Model> TrainState<M> {
     /// as is when a checkpoint directory is configured.
     fn snapshot(&self, rank: usize) -> DurableCheckpoint {
         let (data_epoch, data_cursor) = self.batches.position();
+        // Residuals *plus* selector states, so that a restore — a rollback
+        // or a process restart alike — replays the sampled kernel's draws
+        // bit-exactly.
+        let (residuals, selectors) = self.engine.snapshot();
         DurableCheckpoint {
             rank: rank as u64,
             iter: self.it,
             params: self.model.flat_params(),
             velocity: self.opt.velocity().to_vec(),
-            engine: self.engine.snapshot(),
+            engine: EngineState::Buckets {
+                residuals,
+                selectors,
+            },
             local_velocity: self.local_velocity.clone(),
             data_epoch,
             data_cursor: data_cursor as u64,
@@ -308,7 +262,11 @@ impl<M: Model> TrainState<M> {
     fn restore(&mut self, c: &DurableCheckpoint) {
         self.model.set_flat_params(&c.params);
         self.opt.set_velocity(&c.velocity);
-        self.engine.restore(&c.engine);
+        let EngineState::Buckets {
+            residuals,
+            selectors,
+        } = &c.engine;
+        self.engine.restore(residuals, selectors);
         self.local_velocity.clone_from(&c.local_velocity);
         self.batches
             .restore_position(c.data_epoch, c.data_cursor as usize);
@@ -320,10 +278,9 @@ impl<M: Model> TrainState<M> {
 
     /// One aggregation step over `members`: fold the fresh gradient `g`
     /// (through the local momentum buffer under momentum correction) into
-    /// the error-feedback state, stage the modelled compute on the clock,
-    /// aggregate at density `rho` (each bucket, or the PS round, derives
-    /// its budget with [`bucket_k`]), apply the averaged update, and
-    /// return the non-zero count applied.
+    /// the engine, which stages the modelled compute on the clock,
+    /// aggregates each bucket at density `rho`, applies the averaged
+    /// update, and returns the non-zero count applied.
     fn step(
         &mut self,
         comm: &mut Communicator,
@@ -341,19 +298,8 @@ impl<M: Model> TrainState<M> {
             }
             None => g,
         };
-        let (opt, model) = (&mut self.opt, &mut self.model);
-        match &mut self.engine {
-            StepEngine::Buckets(engine) => engine.step(comm, members, src, rho, opt, model),
-            StepEngine::Ps(engine) => {
-                // A PS round pushes the whole vector: it waits for the
-                // whole backward.
-                let ready = self
-                    .cost
-                    .ready_ms(comm.now_ms(), comm.straggle_factor(), 1.0);
-                comm.wait_until(ready);
-                engine.step(comm, members, src, bucket_k(src.len(), rho), opt, model)
-            }
-        }
+        self.engine
+            .step(comm, members, src, rho, &mut self.opt, &mut self.model)
     }
 }
 
@@ -664,10 +610,13 @@ where
             if let Some(store) = &log.store {
                 // Durable twin of the snapshot just taken. Wall-clock
                 // only: never touches the simulated α-β clock, so
-                // `--checkpoint-dir` costs exactly zero simulated ms.
-                store
-                    .save(log.ckpts.back().expect("just pushed"))
-                    .expect("durable checkpoint write must succeed");
+                // `--checkpoint-dir` costs exactly zero simulated ms. A
+                // failed write (a full disk, any I/O error) is not fatal:
+                // the in-memory window still carries recovery.
+                if let Err(err) = store.save(log.ckpts.back().expect("just pushed")) {
+                    let (rank, dir) = (comm.rank(), store.dir().display());
+                    eprintln!("warning: rank {rank}: checkpoint not written under {dir}: {err}");
+                }
             }
         }
         if ft {
@@ -774,10 +723,7 @@ where
         param_checksum: params.iter().map(|&v| v as f64).sum(),
         pool_hits: stats.pool_hits,
         pool_misses: stats.pool_misses,
-        overlap: match &state.engine {
-            StepEngine::Buckets(engine) if cfg.overlap.is_some() => Some(engine.stats()),
-            _ => None,
-        },
+        overlap: cfg.overlap.is_some().then(|| state.engine.stats()),
         survivors: log.members.len(),
         crashed,
     }
@@ -800,8 +746,8 @@ fn clip_to_norm(g: &mut [f32], max_norm: f32) {
 /// The joiner side of a multi-rank durable restart: broadcast JOIN_REQ,
 /// wait for the coordinator's WELCOME, restore the agreed generation
 /// from disk, and verify the donor's state transfer bit-for-bit. Returns
-/// `false` if the cluster is gone or the transfer never arrived (the
-/// restarted process leaves the run).
+/// `false` if the cluster is gone, the transfer never arrived, or it
+/// disagrees with the disk copy (the restarted process leaves the run).
 fn rejoin<M: Model>(
     comm: &mut Communicator,
     state: &mut TrainState<M>,
@@ -838,14 +784,14 @@ fn rejoin<M: Model>(
     let bits_eq = |a: &[f32], b: &[f32]| {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
     };
-    assert!(
-        bits_eq(&donor_params, &gen.params),
-        "donor params must be bit-identical to the durable checkpoint"
-    );
-    assert!(
-        bits_eq(&donor_vel, &gen.velocity),
-        "donor velocity must be bit-identical to the durable checkpoint"
-    );
+    // Bytes off a socket (or a disk copy gone bad) must not kill the
+    // process: without agreement the replica invariant does not hold, so
+    // the joiner leaves the run instead.
+    if !bits_eq(&donor_params, &gen.params) || !bits_eq(&donor_vel, &gen.velocity) {
+        let rank = comm.rank();
+        eprintln!("rank {rank}: donor state differs from checkpoint {rollback}; leaving the run");
+        return false;
+    }
     state.model.set_flat_params(&donor_params);
     state.opt.set_velocity(&donor_vel);
     timing.recoveries += 1;
@@ -1376,17 +1322,30 @@ mod tests {
         std::env::temp_dir().join(format!("gtopk-elastic-{label}-{}", std::process::id()))
     }
 
+    /// What happens to the victim's newest durable generation between its
+    /// crash and its restart.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Disk {
+        Intact,
+        /// Truncated: a torn write.
+        Torn,
+        /// Re-encoded, CRC and all, with one parameter bit flipped: it
+        /// loads, and disagrees with the donor's transfer.
+        ParamBitFlipped,
+    }
+
     /// Runs `cfg` over a manually wired mesh so a victim rank can be
     /// killed and *restarted* (the [`Cluster`] harness cannot re-spawn a
-    /// thread). With `victim = Some((rank, step, corrupt))` that rank
-    /// crashes at comm-local `step`, optionally has its newest durable
-    /// generation truncated (torn-write drill), and is then re-wired in
-    /// to rejoin from disk. Returns per-rank reports in rank order.
+    /// thread). With `victim = Some((rank, step, disk))` that rank
+    /// crashes at comm-local `step`, has its newest durable generation
+    /// damaged as `disk` says, and is then re-wired in to rejoin from
+    /// disk. Returns per-rank reports in rank order, `None` for a rank
+    /// that left the run.
     fn run_elastic(
         data: &GaussianMixture,
         cfg: &TrainConfig,
-        victim: Option<(usize, u64, bool)>,
-    ) -> Vec<TrainReport> {
+        victim: Option<(usize, u64, Disk)>,
+    ) -> Vec<Option<TrainReport>> {
         use gtopk_comm::transport::SimTransport;
         let build = || models::mlp(61, 8, 16, 4);
         let (mesh, ends) = SimTransport::mesh_with_handle(cfg.workers);
@@ -1409,10 +1368,10 @@ mod tests {
                     }))
                 })
                 .collect();
-            if let Some((v, _, corrupt)) = victim {
+            if let Some((v, _, disk)) = victim {
                 let dead = handles[v].take().expect("victim handle").join().unwrap();
                 assert!(dead.is_none(), "the victim must report a crash");
-                if corrupt {
+                if disk != Disk::Intact {
                     let dir = cfg.checkpoint_dir.as_ref().expect("elastic runs set a dir");
                     let store = CheckpointStore::new(dir, v).unwrap();
                     let newest = *store
@@ -1420,8 +1379,14 @@ mod tests {
                         .last()
                         .expect("victim wrote checkpoints");
                     let path = dir.join(format!("ckpt-{v:04}-{newest:012}.bin"));
-                    let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
-                    f.set_len(9).unwrap(); // tear the newest generation
+                    if disk == Disk::Torn {
+                        let f = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+                        f.set_len(9).unwrap();
+                    } else {
+                        let mut c = store.load(newest).unwrap();
+                        c.params[0] = f32::from_bits(c.params[0].to_bits() ^ 1);
+                        std::fs::write(&path, crate::ckpt::encode(&c)).unwrap();
+                    }
                 }
                 // The restarted incarnation: crash-free plan (its comm
                 // step counter restarts at 0), same checkpoint directory.
@@ -1435,15 +1400,18 @@ mod tests {
             }
             handles
                 .into_iter()
-                .enumerate()
-                .map(|(rank, h)| {
-                    h.expect("handle present")
-                        .join()
-                        .unwrap()
-                        .unwrap_or_else(|| panic!("rank {rank} must finish the run"))
-                })
+                .map(|h| h.expect("handle present").join().unwrap())
                 .collect()
         })
+    }
+
+    /// The reports of a run every rank must finish.
+    fn finished(reports: Vec<Option<TrainReport>>) -> Vec<TrainReport> {
+        reports
+            .into_iter()
+            .enumerate()
+            .map(|(rank, r)| r.unwrap_or_else(|| panic!("rank {rank} must finish the run")))
+            .collect()
     }
 
     fn elastic_cfg(dir: Option<std::path::PathBuf>) -> TrainConfig {
@@ -1461,8 +1429,13 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         // Crash rank 3 at step 21 (one past the it=20 boundary, so every
         // rank's checkpoint window is aligned at [16, 20]).
-        let elastic = run_elastic(&data, &elastic_cfg(Some(dir.clone())), Some((3, 21, false)));
-        let baseline = run_elastic(&data, &elastic_cfg(None), None);
+        let elastic = run_elastic(
+            &data,
+            &elastic_cfg(Some(dir.clone())),
+            Some((3, 21, Disk::Intact)),
+        );
+        let elastic = finished(elastic);
+        let baseline = finished(run_elastic(&data, &elastic_cfg(None), None));
         for (rank, (e, b)) in elastic.iter().zip(&baseline).enumerate() {
             assert_eq!(e.survivors, 4, "rank {rank} must end with full membership");
             for (ee, eb) in e.epochs.iter().zip(&b.epochs) {
@@ -1492,8 +1465,13 @@ mod tests {
         // The victim's newest on-disk generation (it = 20) is truncated
         // before the restart: the joiner must fall back to 16 and the
         // whole membership must roll back there with it.
-        let elastic = run_elastic(&data, &elastic_cfg(Some(dir.clone())), Some((3, 21, true)));
-        let baseline = run_elastic(&data, &elastic_cfg(None), None);
+        let elastic = run_elastic(
+            &data,
+            &elastic_cfg(Some(dir.clone())),
+            Some((3, 21, Disk::Torn)),
+        );
+        let elastic = finished(elastic);
+        let baseline = finished(run_elastic(&data, &elastic_cfg(None), None));
         for (rank, (e, b)) in elastic.iter().zip(&baseline).enumerate() {
             assert_eq!(e.survivors, 4, "rank {rank} must end with full membership");
             for (ee, eb) in e.epochs.iter().zip(&b.epochs) {
@@ -1506,6 +1484,66 @@ mod tests {
                 );
             }
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_donor_transfer_that_disagrees_with_the_disk_copy_makes_the_joiner_leave() {
+        let data = GaussianMixture::new(61, 256, 8, 4, 2.5, 0.4);
+        let dir = unique_dir("disagree");
+        let _ = std::fs::remove_dir_all(&dir);
+        // The victim's newest generation (it = 20) loads, but one of its
+        // parameter bits is not what the survivors hold: the joiner must
+        // leave instead of panicking, and the survivors shrink past it.
+        let cfg = elastic_cfg(Some(dir.clone()));
+        let reports = run_elastic(&data, &cfg, Some((3, 21, Disk::ParamBitFlipped)));
+        assert!(
+            reports[3].is_none(),
+            "the joiner must report as having left"
+        );
+        for (rank, r) in reports[..3].iter().enumerate() {
+            let r = r
+                .as_ref()
+                .unwrap_or_else(|| panic!("survivor {rank} must finish"));
+            assert_eq!(r.epochs.len(), cfg.epochs, "survivor {rank}");
+            assert_eq!(r.survivors, 3, "survivor {rank} ends without the joiner");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_durable_write_warns_and_trains_on() {
+        // A directory squats on generation 4's final path, so its rename
+        // fails: the rank must carry on with its in-memory checkpoints
+        // and land exactly where a run without a checkpoint dir lands.
+        let data = GaussianMixture::new(44, 128, 8, 4, 2.0, 0.4);
+        let build = || models::mlp(53, 8, 16, 4);
+        let dir = unique_dir("unwritable");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(dir.join("ckpt-0000-000000000004.bin")).unwrap();
+        let mut durable = quick_cfg(Algorithm::GTopK, 1);
+        durable.epochs = 2;
+        durable.checkpoint_dir = Some(dir.clone());
+        let mut plain = durable.clone();
+        plain.checkpoint_dir = None;
+        let a = train_distributed(&durable, build, &data, None);
+        let b = train_distributed(&plain, build, &data, None);
+        assert_eq!(a.epochs.len(), 2);
+        for (ea, eb) in a.epochs.iter().zip(&b.epochs) {
+            assert_eq!(ea.train_loss.to_bits(), eb.train_loss.to_bits());
+        }
+        // The later generations were written; the failed one left no
+        // temporary file behind.
+        let store = CheckpointStore::new(&dir, 0).unwrap();
+        assert!(store.load(28).is_ok(), "the newest generation is on disk");
+        let litter = std::fs::read_dir(&dir)
+            .unwrap()
+            .filter(|e| {
+                let name = e.as_ref().unwrap().file_name();
+                name.to_string_lossy().starts_with(".tmp-")
+            })
+            .count();
+        assert_eq!(litter, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -92,14 +92,23 @@ require_tests -p gtopk-comm --test frame_alloc a_one_gib_header_after_a_small_fr
 require_tests -p gtopk-core --lib zoo
 require_tests -p gtopk-perfmodel --lib zoo
 require_tests -p gtopk-sparse --test alloc_steadystate oktopk
-# Sharded parameter server: the shard map, the push/reply engine, its
-# training run pinned bit for bit (a shard-host crash included), and the
+# Sharded parameter server: the shard map, the push/reply rounds, its
+# training run pinned bit for bit (a shard-host crash included), the
 # executed rounds equal to their PlanClock replay over a shrunk,
-# non-contiguous membership.
+# non-contiguous membership, the sharded collective's plan-clock twin
+# exact under the one engine, and the old PS checkpoint layout (mode 4)
+# decoding as the one-bucket state.
 require_tests -p gtopk-comm --lib shard
 require_tests -p gtopk-core --lib ps::
 require_tests -p gtopk-core --test golden_parity ps_rows_train_to_their_recorded_report
 require_tests -p gtopk-core --test ps_plan_equivalence replay_is_exact_over_a_shrunk_membership
+require_tests -p gtopk-core --lib overlap::tests::sharded_server_keeps_replicas_identical_and_matches_its_twin_exactly
+require_tests -p gtopk-core --lib ckpt::tests::a_mode_four_payload_decodes_as_one_bucket
+# Durable-recovery fault paths that used to panic: a failed checkpoint
+# write trains on, a donor transfer that disagrees with the joiner's disk
+# copy makes the joiner leave.
+require_tests -p gtopk-core --lib trainer::tests::a_failed_durable_write_warns_and_trains_on
+require_tests -p gtopk-core --lib trainer::tests::a_donor_transfer_that_disagrees_with_the_disk_copy_makes_the_joiner_leave
 # CLI numbers that used to panic or be silently ignored are argument
 # errors naming the flag.
 require_tests -p gtopk-cli --lib numbers_that_would_panic_or_be_ignored_are_rejected_naming_the_flag
