@@ -13,8 +13,10 @@
 //! sparse rows' overlapped literals were recorded while the trainer still
 //! had a separate whole-vector arm beside the bucketed engine. The
 //! parameter-server literals were recorded while the PS round still had
-//! its own hand-written send/receive loop. A change that moves a
-//! fingerprint changed the numerics of that row.
+//! its own hand-written send/receive loop. The momentum-correction
+//! literals were recorded while the optimizer still added each bucket's
+//! update into the parameters as that bucket's collective landed. A
+//! change that moves a fingerprint changed the numerics of that row.
 
 use gtopk::{
     train_distributed, Aggregator, Algorithm, ComputeCost, OverlapConfig, OverlapEngine, PsConfig,
@@ -482,4 +484,34 @@ fn ps_rows_train_to_their_recorded_report() {
         .with_fault_plan(FaultPlan::seeded(3).with_crash(1, 13));
     got.push((what.clone(), run_fingerprint(&cfg, &what)));
     check("parameter-server run", &got, &WANT);
+}
+
+#[test]
+fn momentum_correction_rows_train_to_their_recorded_report() {
+    // DGC-style correction folds `u ← μ·u + g` locally and applies the
+    // aggregated update with plain SGD, at one bucket and at two.
+    const WANT: [u64; 8] = [
+        0xe3f51f9c1df189d5, // gTop-k P=4 buckets=1
+        0x3905359e0ef172e8, // gTop-k P=4 buckets=2
+        0xb373f2d76aa5ad8e, // gTop-k P=5 buckets=1
+        0x8a2461115f5a34ab, // gTop-k P=5 buckets=2
+        0x493b3a894c4d1a80, // Top-k P=4 buckets=1
+        0xea4d5eefa7c3b7a8, // Top-k P=4 buckets=2
+        0x75bd2eeb80fe50ff, // Top-k P=5 buckets=1
+        0xea7c35db21a0e14c, // Top-k P=5 buckets=2
+    ];
+    let mut got = Vec::new();
+    for alg in [Algorithm::GTopK, Algorithm::TopK] {
+        for p in [4usize, 5] {
+            for buckets in [1usize, 2] {
+                let what = format!("{} P={p} buckets={buckets}", alg.name());
+                let mut cfg = train_cfg(p)
+                    .with_algorithm(alg)
+                    .with_overlap(OverlapConfig::buckets(buckets));
+                cfg.momentum_correction = true;
+                got.push((what.clone(), run_fingerprint(&cfg, &what)));
+            }
+        }
+    }
+    check("momentum-correction run", &got, &WANT);
 }
