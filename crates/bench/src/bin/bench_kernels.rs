@@ -12,6 +12,9 @@
 //!   Algorithm 4 line 10, one walk against the mask + partition path;
 //! * `MomentumSgd::step_sparse` against densify-then-`step_dense` (what
 //!   it once did) at m = 25M, k = 25 000 and m = 1M, k = 250 000;
+//! * a bucketed step with one full-model add per bucket (the overlap
+//!   engine's former pattern) against one add per step, on vgg-lite per
+//!   layer and at m = 25M in 8 buckets;
 //! * the blocked/row-parallel matmul against the naive i-k-j loop (and
 //!   asserting the single-thread dispatch is never slower than naive);
 //! * every available `GTOPK_SIMD` level against the scalar kernels;
@@ -32,7 +35,7 @@
 
 use gtopk_comm::transport::frame::{encode_into, read_frame_into, Frame};
 use gtopk_comm::Payload;
-use gtopk_nn::{Model, MomentumSgd};
+use gtopk_nn::{models, Model, MomentumSgd};
 use gtopk_sparse::{
     topk_merge, topk_merge_into, topk_merge_split_into, topk_sparse, topk_sparse_into, Mask,
     MergeScratch, Residual, SparseVec, TopkScratch,
@@ -44,6 +47,7 @@ use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::io;
+use std::ops::Range;
 use std::time::Instant;
 
 /// VGG-16 has ~14.7M convolutional + fc parameters; ρ = 0.001.
@@ -386,9 +390,10 @@ fn bench_frame_codec(rows: &mut Vec<Row>) {
     }
 }
 
-/// A model that is nothing but its flat parameter vector: the optimizer
-/// rows then time the optimizer, not a layer stack's parameter walk.
-struct FlatModel(Vec<f32>);
+/// A model that is nothing but its flat parameter vector, cut into the
+/// given number of equal layers: the optimizer rows then time the
+/// optimizer, not a layer stack's parameter walk.
+struct FlatModel(Vec<f32>, usize);
 
 impl Model for FlatModel {
     fn num_params(&self) -> usize {
@@ -411,33 +416,72 @@ impl Model for FlatModel {
     fn add_to_flat_params(&mut self, delta: &[f32]) {
         simd::axpy(&mut self.0, delta);
     }
+    fn param_segments(&self) -> Vec<usize> {
+        vec![self.0.len() / self.1; self.1]
+    }
 }
 
-/// Momentum-SGD apply of a k-sparse aggregated update of an m-parameter
-/// model: densify into a fresh m-vector then `step_dense` (what
-/// `step_sparse` once did) vs the windowed `step_sparse`.
-fn bench_opt_apply(rows: &mut Vec<Row>, kernel: &'static str, m: usize, k: usize) {
+/// Momentum-SGD apply of a sparse aggregated update at density `rho`,
+/// `steps` times a sample, over `model`'s layers as overlap buckets
+/// (back to front). One bucket: densify into a fresh m-vector then
+/// `step_dense` (what `step_sparse` once did) vs the windowed
+/// `step_sparse`. Several: the engine's former pattern (per bucket, a
+/// range step into a `−0.0` scratch, a full-model add and the slice
+/// reset) vs each bucket's delta into the spent gradient, then one add.
+fn bench_opt_apply(
+    rows: &mut Vec<Row>,
+    kernel: &'static str,
+    model: &mut dyn Model,
+    rho: f64,
+    steps: usize,
+) {
+    let (m, mut hi) = (model.num_params(), model.num_params());
     let mut rng = StdRng::seed_from_u64(29);
-    let dense: Vec<f32> = (0..m).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-    let update = topk_sparse(&dense, k);
-    drop(dense);
-    for (variant, densify) in [("densify_then_dense", true), ("step_sparse", false)] {
-        let mut model = FlatModel(vec![0.0; m]);
+    let buckets: Vec<(Range<usize>, SparseVec)> = (model.param_segments().iter().rev())
+        .map(|&len| {
+            hi -= len;
+            let dense: Vec<f32> = (0..len).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+            let k = ((len as f64 * rho).round() as usize).max(1);
+            (hi..hi + len, topk_sparse(&dense, k))
+        })
+        .collect();
+    let variants = match buckets.len() {
+        1 => ["densify_then_dense", "step_sparse"],
+        _ => ["per_bucket_add", "one_add"],
+    };
+    // The former scratch holds −0.0 between steps and the spent gradient
+    // is overwritten whole, so one buffer serves both.
+    let mut buf = vec![-0.0f32; m];
+    for variant in variants {
         let mut opt = MomentumSgd::new(m, 0.01, 0.9);
         rows.push(Row {
             kernel,
             variant,
             threads: 1,
             simd: simd::level().name(),
-            elements: m,
-            baseline: densify,
+            elements: m * steps,
+            baseline: variant == variants[0],
             secs: time_median(5, || {
-                if densify {
-                    opt.step_dense(&mut model, &black_box(&update).to_dense());
-                } else {
-                    opt.step_sparse(&mut model, black_box(&update));
+                for _ in 0..steps {
+                    let whole = &black_box(&buckets)[0].1;
+                    match variant {
+                        "densify_then_dense" => opt.step_dense(model, &whole.to_dense()),
+                        "step_sparse" => opt.step_sparse(model, whole),
+                        _ => {
+                            for (r, update) in black_box(&buckets) {
+                                opt.step_range(r.clone(), update, &mut buf[r.clone()]);
+                                if variant == "per_bucket_add" {
+                                    model.add_to_flat_params(&buf);
+                                    buf[r.clone()].fill(-0.0);
+                                }
+                            }
+                            if variant == "one_add" {
+                                model.add_to_flat_params(&buf);
+                            }
+                        }
+                    }
                 }
-                black_box(&model.0);
+                black_box(&buf);
             }),
         });
     }
@@ -599,7 +643,7 @@ fn render_json(rows: &[Row]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(
         out,
-        "  \"bench\": \"hot-path kernels at paper scale (n=14M k=14000 for select/merge, n=1M k=250000 for the _rho25 rows, put_back and frame_codec; n=25M k=25000 for opt_apply/simd/fusion rows)\","
+        "  \"bench\": \"hot-path kernels at paper scale (n=14M k=14000 for select/merge, n=1M k=250000 for the _rho25 rows, put_back and frame_codec; n=25M k=25000 for opt_apply/simd/fusion rows; opt_apply_bucketed: n=25M in 8 buckets at rho=0.001, _vgg: vgg-lite per layer at rho=0.005, 200 steps a sample)\","
     );
     let cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let _ = writeln!(out, "  \"cpus\": {cpus},");
@@ -669,9 +713,17 @@ fn main() {
     bench_put_back(&mut rows);
     eprintln!("benchmarking the frame codec (one {K3}-entry DATA frame) ...");
     bench_frame_codec(&mut rows);
-    eprintln!("benchmarking sparse optimizer apply (m = {N2}, k = {K2}; m = {N3}, k = {K3}) ...");
-    bench_opt_apply(&mut rows, "opt_apply_sparse", N2, K2);
-    bench_opt_apply(&mut rows, "opt_apply_sparse_rho25", N3, K3);
+    eprintln!("benchmarking optimizer apply (m = {N2}, {N3}; {N2} in 8 buckets; vgg-lite) ...");
+    for (kernel, m, buckets, rho) in [
+        ("opt_apply_sparse", N2, 1, 0.001),
+        ("opt_apply_sparse_rho25", N3, 1, 0.25),
+        ("opt_apply_bucketed", N2, 8, 0.001),
+    ] {
+        let model = &mut FlatModel(vec![0.0; m], buckets);
+        bench_opt_apply(&mut rows, kernel, model, rho, 1);
+    }
+    let vgg = &mut models::vgg_lite(42, 3, 8, 10);
+    bench_opt_apply(&mut rows, "opt_apply_bucketed_vgg", vgg, 0.005, 200);
     eprintln!("benchmarking matmul ...");
     bench_matmul(&mut rows);
     eprintln!("benchmarking residual axpy across simd levels (n = {N2}) ...");

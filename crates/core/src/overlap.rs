@@ -22,9 +22,10 @@
 //! Per-bucket error feedback: each bucket owns its own [`Residual`]
 //! slice and its own step (selection state, schedule caches); rejected
 //! values return to the bucket's residual (Algorithm 4 line 10, applied
-//! bucket-wise). The optimizer applies each bucket's averaged update the
-//! moment its collective lands ([`MomentumSgd::step_range`], or
-//! [`MomentumSgd::step_dense_range`] for the dense row), which is bit for
+//! bucket-wise). The moment a bucket's collective lands, the optimizer
+//! writes its `−η·v` into the bucket's slice of the spent gradient
+//! ([`MomentumSgd::step_range`], [`MomentumSgd::step_dense_range`] for the
+//! dense row); one add of that gradient after the last bucket is bit for
 //! bit one full-vector step of the combined update.
 
 use crate::aggregator::{Aggregator, Update};
@@ -264,10 +265,11 @@ impl OverlapEngine {
     /// backward order, waits until the bucket's gradient is computed and
     /// sparsified on the simulated clock, runs the bucket's step over
     /// `grad`'s slice and the bucket residual with budget
-    /// `k = bucket_k(params, rho)` ([`Aggregator::aggregate`]), and
-    /// applies the averaged bucket update through
-    /// [`MomentumSgd::step_range`] (a dense update through
-    /// [`MomentumSgd::step_dense_range`]).
+    /// `k = bucket_k(params, rho)` ([`Aggregator::aggregate`]), and writes
+    /// the averaged update's `−η·v` into that slice
+    /// ([`MomentumSgd::step_range`], a dense update through
+    /// [`MomentumSgd::step_dense_range`]); one `add_to_flat_params(grad)`
+    /// then applies the step.
     ///
     /// Collective tags are epoch-stamped, so the steps compose with crash
     /// recovery: after a membership change the plans are regenerated over
@@ -280,7 +282,9 @@ impl OverlapEngine {
     ///
     /// `grad` is the full flat gradient of this iteration (backward has
     /// genuinely finished producing values; only the *clock* is staged
-    /// per bucket). Returns the total non-zero count applied.
+    /// per bucket). It is consumed: on return it holds the delta added to
+    /// the parameters, which an error leaves untouched. Returns the total
+    /// non-zero count applied.
     ///
     /// # Errors
     ///
@@ -294,7 +298,7 @@ impl OverlapEngine {
         &mut self,
         comm: &mut Communicator,
         members: &[usize],
-        grad: &[f32],
+        grad: &mut [f32],
         rho: f64,
         opt: &mut MomentumSgd,
         model: &mut dyn Model,
@@ -351,9 +355,11 @@ impl OverlapEngine {
                 k,
             )?;
             nnz += update.nnz() as u64;
+            // The bucket's gradient is spent: its slice takes the delta.
+            let delta = &mut grad[range.clone()];
             match &update {
-                Update::Dense(v) => opt.step_dense_range(model, range.clone(), v),
-                Update::Sparse(sv) => opt.step_range(model, range.clone(), sv),
+                Update::Dense(v) => opt.step_dense_range(range.clone(), v, delta),
+                Update::Sparse(sv) => opt.step_range(range.clone(), sv, delta),
             }
             self.timelines.push(LayerTimeline {
                 ready_ms: ready - t0,
@@ -369,6 +375,7 @@ impl OverlapEngine {
             }
             self.steps[j].charge_twin(&mut self.twin, &self.net, p, range.len(), k);
         }
+        model.add_to_flat_params(grad);
         let span = comm.now_ms() - t0;
         let twin_span = self.twin.now(my_pos) - self.twin_t0[my_pos];
         self.last_end_ms = Some(comm.now_ms());
@@ -539,6 +546,19 @@ mod tests {
         run_configured(&cfg, segments)
     }
 
+    /// Rank `rank`'s deterministic gradient of iteration `it`.
+    fn test_grad(rank: usize, it: u64, m: usize) -> Vec<f32> {
+        (0..m)
+            .map(|i| {
+                let h = (i as u64 + 7)
+                    .wrapping_mul(rank as u64 + 3)
+                    .wrapping_mul(it + 11)
+                    .wrapping_mul(0x2545_f491_4f6c_dd1d);
+                ((h >> 33) as f32 / (1u64 << 31) as f32) - 0.5
+            })
+            .collect()
+    }
+
     /// [`run_engine`] for the step `cfg` configures (over `cfg.workers`
     /// ranks).
     fn run_configured(cfg: &TrainConfig, segments: &[usize]) -> Vec<(Vec<f32>, OverlapStats, f64)> {
@@ -560,17 +580,9 @@ mod tests {
             );
             let members: Vec<usize> = (0..comm.size()).collect();
             for it in 0..3u64 {
-                let g: Vec<f32> = (0..m)
-                    .map(|i| {
-                        let h = (i as u64 + 7)
-                            .wrapping_mul(comm.rank() as u64 + 3)
-                            .wrapping_mul(it + 11)
-                            .wrapping_mul(0x2545_f491_4f6c_dd1d);
-                        ((h >> 33) as f32 / (1u64 << 31) as f32) - 0.5
-                    })
-                    .collect();
+                let mut g = test_grad(comm.rank(), it, m);
                 engine
-                    .step(comm, &members, &g, 0.1, &mut opt, &mut model)
+                    .step(comm, &members, &mut g, 0.1, &mut opt, &mut model)
                     .unwrap();
             }
             (
@@ -579,6 +591,102 @@ mod tests {
                 comm.now_ms(),
             )
         })
+    }
+
+    /// A model that counts its `add_to_flat_params` calls.
+    struct CountingAdds<M: Model> {
+        inner: M,
+        adds: usize,
+    }
+
+    impl<M: Model> Model for CountingAdds<M> {
+        fn num_params(&self) -> usize {
+            self.inner.num_params()
+        }
+
+        fn forward(&mut self, input: &gtopk_tensor::Tensor, train: bool) -> gtopk_tensor::Tensor {
+            self.inner.forward(input, train)
+        }
+
+        fn backward(&mut self, grad_logits: &gtopk_tensor::Tensor) {
+            self.inner.backward(grad_logits);
+        }
+
+        fn zero_grads(&mut self) {
+            self.inner.zero_grads();
+        }
+
+        fn flat_grads(&self) -> Vec<f32> {
+            self.inner.flat_grads()
+        }
+
+        fn flat_params(&self) -> Vec<f32> {
+            self.inner.flat_params()
+        }
+
+        fn set_flat_params(&mut self, values: &[f32]) {
+            self.inner.set_flat_params(values);
+        }
+
+        fn add_to_flat_params(&mut self, delta: &[f32]) {
+            self.adds += 1;
+            self.inner.add_to_flat_params(delta);
+        }
+    }
+
+    #[test]
+    fn the_spent_gradient_holds_the_applied_delta() {
+        // Whatever the bucket count, a step advances every bucket's
+        // velocity, leaves −η·v in the gradient it consumed, and adds that
+        // gradient into the parameters in one call.
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for alg in [Algorithm::GTopK, Algorithm::Dense] {
+            for (spec, want_buckets) in [
+                (OverlapConfig::buckets(1), 1),
+                (OverlapConfig::buckets(2), 2),
+                (OverlapConfig::per_layer(), 3),
+            ] {
+                let cfg = TrainConfig::convergence(4, 8, 1, 0.1, 0.05).with_algorithm(alg);
+                Cluster::new(4, CostModel::gigabit_ethernet()).run(move |comm| {
+                    let what = format!("{} {:?} rank {}", alg.name(), spec.buckets, comm.rank());
+                    let mut model = CountingAdds {
+                        inner: models::logistic(9, 7, 8),
+                        adds: 0,
+                    };
+                    let m = model.num_params();
+                    let mut opt = MomentumSgd::new(m, 0.1, 0.9);
+                    let mut engine = OverlapEngine::new(
+                        &spec,
+                        &[24, 20, 20],
+                        None,
+                        CostModel::gigabit_ethernet(),
+                        Aggregator::for_config(&cfg, comm.rank()),
+                    );
+                    assert_eq!(engine.stats().buckets, want_buckets, "{what}");
+                    let members: Vec<usize> = (0..comm.size()).collect();
+                    for it in 0..3u64 {
+                        let before = model.flat_params();
+                        let mut g = test_grad(comm.rank(), it, m);
+                        model.adds = 0;
+                        engine
+                            .step(comm, &members, &mut g, 0.1, &mut opt, &mut model)
+                            .unwrap();
+                        assert_eq!(model.adds, 1, "{what} step {it}: one add per step");
+                        let lr = opt.lr();
+                        let want_delta: Vec<f32> =
+                            opt.velocity().iter().map(|&v| -lr * v).collect();
+                        assert_eq!(bits(&g), bits(&want_delta), "{what} step {it}: delta");
+                        let want_params: Vec<f32> =
+                            before.iter().zip(&g).map(|(&p, &d)| p + d).collect();
+                        assert_eq!(
+                            bits(&model.flat_params()),
+                            bits(&want_params),
+                            "{what} step {it}: params"
+                        );
+                    }
+                });
+            }
+        }
     }
 
     #[test]

@@ -280,26 +280,24 @@ impl<M: Model> TrainState<M> {
     /// (through the local momentum buffer under momentum correction) into
     /// the engine, which stages the modelled compute on the clock,
     /// aggregates each bucket at density `rho`, applies the averaged
-    /// update, and returns the non-zero count applied.
+    /// update, and returns the non-zero count applied. `g` is spent: the
+    /// engine leaves the applied delta in it.
     fn step(
         &mut self,
         comm: &mut Communicator,
         members: &[usize],
-        g: &[f32],
+        g: &mut [f32],
         momentum: f32,
         rho: f64,
     ) -> Result<u64> {
-        let src: &[f32] = match &mut self.local_velocity {
-            Some(u) => {
-                for (ui, &gi) in u.iter_mut().zip(g.iter()) {
-                    *ui = momentum * *ui + gi;
-                }
-                u
+        if let Some(u) = &mut self.local_velocity {
+            for (ui, gi) in u.iter_mut().zip(g.iter_mut()) {
+                *ui = momentum * *ui + *gi;
+                *gi = *ui;
             }
-            None => g,
-        };
+        }
         self.engine
-            .step(comm, members, src, rho, &mut self.opt, &mut self.model)
+            .step(comm, members, g, rho, &mut self.opt, &mut self.model)
     }
 }
 
@@ -673,7 +671,7 @@ where
         timing.compression_ms += charged_compr;
 
         let t_step = comm.now_ms();
-        match state.step(comm, &log.members, &g, cfg.momentum, rho) {
+        match state.step(comm, &log.members, &mut g, cfg.momentum, rho) {
             Ok(nnz) => {
                 update_nnz_sum += nnz;
                 state.epoch_loss += loss as f64;

@@ -164,9 +164,9 @@ fn overlap_fingerprint(alg: Algorithm, p: usize, buckets: usize) -> u64 {
         let members: Vec<usize> = (0..comm.size()).collect();
         let mut h = Fnv::new();
         for step in 0..STEPS {
-            let g = grad(comm.rank(), step, m);
+            let mut g = grad(comm.rank(), step, m);
             engine
-                .step(comm, &members, &g, 0.01, &mut opt, &mut model)
+                .step(comm, &members, &mut g, 0.01, &mut opt, &mut model)
                 .unwrap();
             h.floats(&model.flat_params());
             for r in &engine.snapshot().0 {

@@ -4,7 +4,7 @@ use std::iter::repeat;
 use std::ops::Range;
 
 /// Coordinates per window of [`MomentumSgd::step_range`]: a window's
-/// velocity and scratch (32 KiB) stay in cache across its three passes,
+/// velocity and delta (32 KiB) stay in cache across its three passes,
 /// and its support — at most this many entries — is staged in 16 KiB of
 /// stack.
 const SPARSE_WINDOW: usize = 4096;
@@ -18,17 +18,16 @@ const SPARSE_WINDOW: usize = 4096;
 /// contiguous bucket of it; a sparse update runs the dense step's
 /// arithmetic with `g = 0.0` off its support, so velocity semantics are
 /// identical across algorithms and bucketings.
+///
+/// The range forms write `−η·v` into a caller's buffer and leave the
+/// parameters alone (the overlap engine passes the spent gradient and
+/// adds it once per step); the whole-vector forms run them over `0..m`.
 #[derive(Debug, Clone)]
 pub struct MomentumSgd {
     velocity: Vec<f32>,
-    /// `−η·v` of the step being applied, added into the parameters in
-    /// one pass. Outside a bucket it holds `−0.0`, the exact additive
-    /// identity (`x + −0.0 == x` for every `x`, signed zeros included).
+    /// `−η·v` of a whole-vector step. Allocated zeroed and written only
+    /// by those, so a run of range steps never makes its pages resident.
     scratch: Vec<f32>,
-    /// `true` while `scratch` may hold stale full-width values (after a
-    /// whole-vector step); a bucket step needs `−0.0` outside its range
-    /// and lazily refills when set.
-    scratch_dirty: bool,
     lr: f32,
     momentum: f32,
 }
@@ -44,8 +43,7 @@ impl MomentumSgd {
         assert!((0.0..1.0).contains(&momentum), "momentum must be in [0, 1)");
         MomentumSgd {
             velocity: vec![0.0; num_params],
-            scratch: vec![-0.0; num_params],
-            scratch_dirty: false,
+            scratch: vec![0.0; num_params],
             lr,
             momentum,
         }
@@ -61,8 +59,7 @@ impl MomentumSgd {
         &self.velocity
     }
 
-    /// Overwrites the momentum buffer from a checkpoint. The scratch
-    /// buffer is marked dirty so bucketed updates refill it lazily.
+    /// Overwrites the momentum buffer from a checkpoint.
     ///
     /// # Panics
     ///
@@ -74,7 +71,6 @@ impl MomentumSgd {
             "velocity length mismatch"
         );
         self.velocity.copy_from_slice(velocity);
-        self.scratch_dirty = true;
     }
 
     /// Replaces the learning rate (for warmup / decay schedules).
@@ -93,34 +89,38 @@ impl MomentumSgd {
     ///
     /// Panics if `grad.len()` differs from the model's parameter count.
     pub fn step_dense(&mut self, model: &mut dyn Model, grad: &[f32]) {
-        self.step_dense_range(model, 0..self.velocity.len(), grad);
+        let mut delta = std::mem::take(&mut self.scratch);
+        self.step_dense_range(0..self.velocity.len(), grad, &mut delta);
+        model.add_to_flat_params(&delta);
+        self.scratch = delta;
     }
 
     /// [`MomentumSgd::step_dense`] of a contiguous sub-range (bucket) of
-    /// the parameter vector; `grad[i]` is the gradient of flat parameter
-    /// `range.start + i`, and every other coordinate stays untouched.
-    pub fn step_dense_range(&mut self, model: &mut dyn Model, range: Range<usize>, grad: &[f32]) {
+    /// the parameter vector, without touching the parameters: `grad[i]`
+    /// is the gradient of flat parameter `range.start + i`, and `delta[i]`
+    /// receives the `−η·v` the dense step would add into it.
+    pub fn step_dense_range(&mut self, range: Range<usize>, grad: &[f32], delta: &mut [f32]) {
         assert_eq!(grad.len(), range.len(), "gradient length mismatch");
-        self.apply(model, range.clone(), |opt| {
-            opt.advance(range, grad.iter().copied());
-        });
+        self.advance(range, grad.iter().copied(), delta);
     }
 
     /// Applies a sparse aggregated gradient step (gTop-k / Top-k updates):
     /// [`MomentumSgd::step_range`] over the whole vector.
     pub fn step_sparse(&mut self, model: &mut dyn Model, grad: &SparseVec) {
-        self.step_range(model, 0..self.velocity.len(), grad);
+        let mut delta = std::mem::take(&mut self.scratch);
+        self.step_range(0..self.velocity.len(), grad, &mut delta);
+        model.add_to_flat_params(&delta);
+        self.scratch = delta;
     }
 
-    /// Applies a sparse gradient to a contiguous sub-range (bucket) of the
-    /// parameter vector: bit for bit [`MomentumSgd::step_dense_range`] of
-    /// `grad.to_dense()`, signed zeros and denormals included, without
-    /// building that vector. `grad` is bucket-local (stored index `i` is
-    /// flat parameter `range.start + i`) and every other coordinate stays
-    /// untouched, so one call per bucket over disjoint buckets covering
-    /// the vector is bit for bit one [`MomentumSgd::step_dense`] of the
-    /// scattered update — how the overlap engine applies each bucket as
-    /// its collective lands.
+    /// [`MomentumSgd::step_dense_range`] of `grad.to_dense()`, bit for
+    /// bit — signed zeros and denormals included — without building that
+    /// vector. `grad` is bucket-local (stored index `i` is flat parameter
+    /// `range.start + i`), and so is `delta`. Over disjoint buckets
+    /// covering the vector, one call per bucket followed by one
+    /// `add_to_flat_params` of the deltas is bit for bit one
+    /// [`MomentumSgd::step_dense`] of the scattered update — how the
+    /// overlap engine applies each step.
     ///
     /// The coordinates are taken in windows of 4096 (`SPARSE_WINDOW`). Per
     /// window, `μ·v[i] + g` is staged on the stack for each support entry
@@ -134,61 +134,38 @@ impl MomentumSgd {
     /// # Panics
     ///
     /// Panics if the range exceeds the parameter count or its length
-    /// differs from `grad.dim()`.
-    pub fn step_range(&mut self, model: &mut dyn Model, range: Range<usize>, grad: &SparseVec) {
+    /// differs from `grad.dim()` or `delta.len()`.
+    pub fn step_range(&mut self, range: Range<usize>, grad: &SparseVec, delta: &mut [f32]) {
         assert_eq!(grad.dim(), range.len(), "gradient dim mismatch");
+        assert_eq!(delta.len(), range.len(), "delta length mismatch");
         let (mu, lr, base) = (self.momentum, self.lr, range.start);
-        self.apply(model, range.clone(), |opt| {
-            let (mut idx, mut vals) = (grad.indices(), grad.values());
-            let mut staged = [0.0f32; SPARSE_WINDOW];
-            for lo in range.clone().step_by(SPARSE_WINDOW) {
-                let hi = (lo + SPARSE_WINDOW).min(range.end);
-                // Indices are unique, so at most a window's width fall in it.
-                let n = idx[..idx.len().min(SPARSE_WINDOW)]
-                    .partition_point(|&i| base + (i as usize) < hi);
-                let (window_idx, rest_idx) = idx.split_at(n);
-                let (window_vals, rest_vals) = vals.split_at(n);
-                for ((s, &i), &g) in staged.iter_mut().zip(window_idx).zip(window_vals) {
-                    *s = mu * opt.velocity[base + i as usize] + g;
-                }
-                opt.advance(lo..hi, repeat(0.0));
-                for (&s, &i) in staged.iter().zip(window_idx) {
-                    opt.velocity[base + i as usize] = s;
-                    opt.scratch[base + i as usize] = -lr * s;
-                }
-                (idx, vals) = (rest_idx, rest_vals);
+        let (mut idx, mut vals) = (grad.indices(), grad.values());
+        let mut staged = [0.0f32; SPARSE_WINDOW];
+        for lo in range.clone().step_by(SPARSE_WINDOW) {
+            let hi = (lo + SPARSE_WINDOW).min(range.end);
+            // Indices are unique, so at most a window's width fall in it.
+            let n =
+                idx[..idx.len().min(SPARSE_WINDOW)].partition_point(|&i| base + (i as usize) < hi);
+            let (window_idx, rest_idx) = idx.split_at(n);
+            let (window_vals, rest_vals) = vals.split_at(n);
+            for ((s, &i), &g) in staged.iter_mut().zip(window_idx).zip(window_vals) {
+                *s = mu * self.velocity[base + i as usize] + g;
             }
-        });
-    }
-
-    /// Runs `update` — which writes velocity and scratch over `range` —
-    /// then adds the scratch into the parameters. A bucket update needs
-    /// `−0.0` in the scratch everywhere else: it refills a scratch a
-    /// whole-vector update left dirty, and resets its own range after.
-    fn apply(
-        &mut self,
-        model: &mut dyn Model,
-        range: Range<usize>,
-        update: impl FnOnce(&mut Self),
-    ) {
-        let whole = range == (0..self.velocity.len());
-        if self.scratch_dirty && !whole {
-            self.scratch.fill(-0.0);
-        }
-        update(self);
-        model.add_to_flat_params(&self.scratch);
-        self.scratch_dirty = whole;
-        if !whole {
-            self.scratch[range].fill(-0.0);
+            self.advance(lo..hi, repeat(0.0), &mut delta[lo - base..hi - base]);
+            for (&s, &i) in staged.iter().zip(window_idx) {
+                self.velocity[base + i as usize] = s;
+                delta[i as usize] = -lr * s;
+            }
+            (idx, vals) = (rest_idx, rest_vals);
         }
     }
 
-    /// `v ← μ·v + g`, `scratch ← −η·v` over `range`; `grad` yields the
-    /// range's per-coordinate gradient.
-    fn advance(&mut self, range: Range<usize>, grad: impl Iterator<Item = f32>) {
+    /// `v ← μ·v + g`, `delta ← −η·v` over `range` (`delta` is the range's
+    /// slice); `grad` yields the range's per-coordinate gradient.
+    fn advance(&mut self, range: Range<usize>, grad: impl Iterator<Item = f32>, delta: &mut [f32]) {
+        assert_eq!(delta.len(), range.len(), "delta length mismatch");
         let (mu, lr) = (self.momentum, self.lr);
-        let (vel, delta) = (&mut self.velocity[range.clone()], &mut self.scratch[range]);
-        for ((v, d), g) in vel.iter_mut().zip(delta).zip(grad) {
+        for ((v, d), g) in self.velocity[range].iter_mut().zip(delta).zip(grad) {
             *v = mu * *v + g;
             *d = -lr * *v;
         }
@@ -248,10 +225,37 @@ mod tests {
         o1.step_sparse(m1.as_mut(), &sv);
         o2.step_dense(m2.as_mut(), &sv.to_dense());
         assert_eq!(m1.flat_params(), m2.flat_params());
-        // A second step exercises the restored scratch buffer.
+        // A second step reuses the scratch buffer.
         o1.step_sparse(m1.as_mut(), &sv);
         o2.step_dense(m2.as_mut(), &sv.to_dense());
         assert_eq!(m1.flat_params(), m2.flat_params());
+    }
+
+    /// Steps disjoint `buckets` (ranges with their bucket-local updates)
+    /// the way the overlap engine does: each range's delta into its slice
+    /// of one m-vector, then one add into the parameters. A coordinate no
+    /// bucket covers holds `−0.0`, the additive identity.
+    fn step_buckets(
+        opt: &mut MomentumSgd,
+        model: &mut dyn Model,
+        buckets: &[(Range<usize>, &SparseVec)],
+    ) {
+        let mut delta = vec![-0.0; model.num_params()];
+        for (range, update) in buckets {
+            opt.step_range(range.clone(), update, &mut delta[range.clone()]);
+        }
+        model.add_to_flat_params(&delta);
+    }
+
+    /// The bucket-local slice of `sv` over `range`.
+    fn local(sv: &SparseVec, range: &Range<usize>) -> SparseVec {
+        SparseVec::from_pairs(
+            range.len(),
+            sv.iter()
+                .filter(|&(i, _)| range.contains(&(i as usize)))
+                .map(|(i, v)| (i - range.start as u32, v))
+                .collect(),
+        )
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {
@@ -324,8 +328,8 @@ mod tests {
     fn sparse_step_interleaves_with_range_and_dense_steps() {
         // Replica 1 takes `step_sparse`, replica 2 the dense step of the
         // scattered update; every other call is the same on both. A
-        // `step_sparse` that left the scratch buffer's dirty flag wrong
-        // would leak stale deltas through the next `step_range`.
+        // `step_sparse` whose scratch leaked into a range step, or a range
+        // step that wrote outside its own slice, would show here.
         let mut m1: Box<dyn Model> = Box::new(models::logistic(0, 16, 4));
         let mut m2: Box<dyn Model> = Box::new(models::logistic(0, 16, 4));
         let n = m1.num_params();
@@ -350,8 +354,8 @@ mod tests {
                     o2.step_dense(m2.as_mut(), &sparse(round as u32).to_dense());
                 }
                 1 => {
-                    o1.step_range(m1.as_mut(), mid..n, &bucket);
-                    o2.step_range(m2.as_mut(), mid..n, &bucket);
+                    step_buckets(&mut o1, m1.as_mut(), &[(mid..n, &bucket)]);
+                    step_buckets(&mut o2, m2.as_mut(), &[(mid..n, &bucket)]);
                 }
                 _ => {
                     o1.step_dense(m1.as_mut(), &dense);
@@ -378,13 +382,17 @@ mod tests {
     fn windowed_sparse_step_is_bitwise_the_dense_step_across_windows() {
         // 20 000 parameters: five windows, some full, supports touching
         // both ends of the vector, with −0.0, +0.0, denormal and signed
-        // gradients, plus the full and the empty update.
+        // gradients, plus the full and the empty update. A third replica
+        // steps three buckets whose starts are off the window grid.
         let mut m1: Box<dyn Model> = Box::new(models::logistic(3, 4999, 4));
         let mut m2: Box<dyn Model> = Box::new(models::logistic(3, 4999, 4));
+        let mut m3: Box<dyn Model> = Box::new(models::logistic(3, 4999, 4));
         let n = m1.num_params();
         assert!(n > 4 * SPARSE_WINDOW, "needs several windows: {n}");
         let mut o1 = MomentumSgd::new(n, 0.05, 0.9);
         let mut o2 = MomentumSgd::new(n, 0.05, 0.9);
+        let mut o3 = MomentumSgd::new(n, 0.05, 0.9);
+        let ranges = [2 * n / 3..n, n / 3..2 * n / 3, 0..n / 3];
         let special = [-0.0, 0.0, 1.0e-40, -1.0e-40, 3.5, -2.25];
         let update = |every: u32, salt: u32| {
             SparseVec::from_pairs(
@@ -412,6 +420,14 @@ mod tests {
                 (m2.as_ref(), &o2),
                 &format!("step {step}"),
             );
+            let locals: Vec<SparseVec> = ranges.iter().map(|r| local(sv, r)).collect();
+            let buckets: Vec<_> = ranges.iter().cloned().zip(&locals).collect();
+            step_buckets(&mut o3, m3.as_mut(), &buckets);
+            assert_same_bits(
+                (m3.as_ref(), &o3),
+                (m2.as_ref(), &o2),
+                &format!("bucketed step {step}"),
+            );
         }
     }
 
@@ -431,7 +447,8 @@ mod tests {
     #[test]
     fn per_bucket_steps_equal_one_full_sparse_step() {
         // Split a sparse update into disjoint bucket-local pieces; applying
-        // them via step_range (in any bucket order) must reproduce
+        // them via step_range (in any bucket order) and adding the deltas
+        // once must reproduce
         // step_sparse bit-for-bit — the overlap engine relies on this.
         let mut m1 = tiny_model();
         let mut m2 = tiny_model();
@@ -447,8 +464,7 @@ mod tests {
             let lowb = SparseVec::from_pairs(mid, vec![(0, 0.5), (1, -0.25)]);
             let highb = SparseVec::from_pairs(n - mid, vec![((n - mid) as u32 - 1, 1.5)]);
             // Back-to-front, as the overlap engine applies them.
-            o2.step_range(m2.as_mut(), mid..n, &highb);
-            o2.step_range(m2.as_mut(), 0..mid, &lowb);
+            step_buckets(&mut o2, m2.as_mut(), &[(mid..n, &highb), (0..mid, &lowb)]);
             assert_eq!(m1.flat_params(), m2.flat_params(), "step {step}");
         }
     }
@@ -462,7 +478,7 @@ mod tests {
         // step's `+ 0.0` turns into +0.0; −0.0 and denormal gradients ride
         // in every update, supports touch coordinates 0 and m − 1, one
         // bucket's slice of the steady update is empty, and a dense step
-        // every few rounds leaves the scratch buffer dirty.
+        // every few rounds writes the full-width scratch buffer.
         let special = [-0.0, 0.0, 1.0e-40, -1.0e-40, 3.5, -2.25];
         for buckets in [1usize, 2, 3] {
             let mut m1: Box<dyn Model> = Box::new(models::logistic(0, 16, 4));
@@ -505,16 +521,9 @@ mod tests {
                     o1.step_dense(m1.as_mut(), &dense);
                     o2.step_dense(m2.as_mut(), &dense);
                 }
-                for r in &ranges {
-                    let local = SparseVec::from_pairs(
-                        r.len(),
-                        sv.iter()
-                            .filter(|&(i, _)| r.contains(&(i as usize)))
-                            .map(|(i, v)| (i - r.start as u32, v))
-                            .collect(),
-                    );
-                    o1.step_range(m1.as_mut(), r.clone(), &local);
-                }
+                let locals: Vec<SparseVec> = ranges.iter().map(|r| local(&sv, r)).collect();
+                let pieces: Vec<_> = ranges.iter().cloned().zip(&locals).collect();
+                step_buckets(&mut o1, m1.as_mut(), &pieces);
                 o2.step_dense(m2.as_mut(), &sv.to_dense());
                 let at = format!("{buckets} buckets, step {step}");
                 assert_same_bits((m1.as_ref(), &o1), (m2.as_ref(), &o2), &at);
@@ -527,15 +536,15 @@ mod tests {
 
     #[test]
     fn step_range_after_dense_step_is_clean() {
-        // step_dense leaves a dirty full-width scratch; a following
-        // step_range must not leak it into untouched coordinates.
+        // step_dense leaves a full-width scratch; a following step_range
+        // must not leak it into untouched coordinates.
         let mut model = tiny_model();
         let n = model.num_params();
         let mut opt = MomentumSgd::new(n, 1.0, 0.0);
         opt.step_dense(model.as_mut(), &vec![1.0; n]);
         let before = model.flat_params();
         // Empty bucket update on [0, 1): nothing may move anywhere.
-        opt.step_range(model.as_mut(), 0..1, &SparseVec::empty(1));
+        step_buckets(&mut opt, model.as_mut(), &[(0..1, &SparseVec::empty(1))]);
         assert_eq!(model.flat_params(), before);
     }
 

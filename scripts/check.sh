@@ -67,6 +67,10 @@ require_tests -p gtopk-core --test golden_parity tree_rows_reproduce_their_warmu
 require_tests -p gtopk-core --test golden_parity every_row_trains_to_its_recorded_report
 require_tests -p gtopk-core --test golden_parity the_other_sparse_rows_reproduce_their_overlapped_trajectory
 require_tests -p gtopk-nn --lib bucketed_step_range_is_bitwise_the_dense_step
+# The one-add step: every bucket's delta lands in the spent gradient and
+# the model is added to once per step; momentum-corrected runs pinned.
+require_tests -p gtopk-core --lib overlap::tests::the_spent_gradient_holds_the_applied_delta
+require_tests -p gtopk-core --test golden_parity momentum_correction_rows_train_to_their_recorded_report
 require_tests -p gtopk-core --test capability_sweep
 # The fused `⊤` merge: its oracle tests against the two-pointer sum + full
 # sort, and the allocation gate over both merges and the one-walk put-back.
@@ -147,11 +151,17 @@ done
 for bin in bench_ps ext_ps_vs_tree; do
   cargo run -q --offline --release -p gtopk-bench --bin "$bin" >/dev/null 2>&1
 done
+# The bucketed engine and momentum correction: multi-bucket and corrected
+# training runs end to end (seconds each in release).
+for bin in ext_overlap ext_momentum_correction; do
+  cargo run -q --offline --release -p gtopk-bench --bin "$bin" >/dev/null 2>&1
+done
 git diff --exit-code -- results/table1_complexity.tsv results/fig09_*.tsv \
   results/fig10_scaling_*.tsv results/fig11_time_breakdown.tsv \
   results/table4_throughput.tsv results/fig05_convergence_*.tsv \
   results/fig07_convergence_lstm.tsv BENCH_ps.json \
-  results/ext_ps_crossover.tsv results/ext_ps_vs_tree.tsv
+  results/ext_ps_crossover.tsv results/ext_ps_vs_tree.tsv \
+  results/ext_overlap.tsv results/ext_momentum_correction.tsv BENCH_overlap.json
 
 # Real processes, real sockets, a real SIGKILL: a 4-process localhost
 # cluster over `--transport tcp --rendezvous` (OS-assigned ports published
