@@ -8,9 +8,10 @@
 //!
 //! * executed overlapped sim time vs the serial (non-overlapped) run of
 //!   the same configuration — the realized speedup;
-//! * the analytic `simulate_fused` prediction and the maximum absolute
-//!   deviation of the executed schedule from it (power-of-two P:
-//!   expected ≲ 1e-6 ms);
+//! * the plan-clock twin's prediction and the maximum absolute deviation
+//!   of the executed schedule from it (fault-free: expected ≲ 1e-6 ms),
+//!   and the twin's replay of the one-bucket schedule (the JSON's
+//!   `analytic_serial_ms`);
 //! * buffer-pool misses after one epoch vs the full run — equal counts
 //!   mean the steady-state send/recv hot path allocated nothing.
 //!

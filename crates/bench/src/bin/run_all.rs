@@ -18,7 +18,7 @@ const BINARIES: &[&str] = &[
     "fig12_density_sensitivity",
     "fig13_14_batch_size",
     "table4_throughput",
-    "ext_pipeline_overlap",
+    "ext_overlap",
     "ext_ps_vs_tree",
     "ext_selection_kernels",
     "ext_putback_ablation",

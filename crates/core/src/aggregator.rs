@@ -98,11 +98,6 @@ impl Aggregator {
         step
     }
 
-    /// The collective this step reduces over.
-    pub fn collective(&self) -> Collective {
-        self.collective
-    }
-
     /// Aggregates this iteration's gradient across `members` (the
     /// sorted, alive rank set — the full `0..P` outside the
     /// fault-tolerant loop).

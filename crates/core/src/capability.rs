@@ -17,11 +17,8 @@
 //! for `mode ps`, under the same put-back policy.
 
 use crate::{Selector, TrainConfig};
-use gtopk_comm::{CostModel, Topology};
-use gtopk_perfmodel::{
-    dense_allreduce_ms, gtopk_allreduce_ms, oktopk_plan_ms, ps_plan_ms, spardl_plan_ms,
-    topk_allreduce_ms, ZooSchedule,
-};
+use gtopk_comm::Topology;
+use gtopk_perfmodel::ZooSchedule;
 use std::fmt;
 
 /// Which aggregation algorithm to run — the experiment configuration
@@ -105,20 +102,6 @@ impl ZooKind {
 }
 
 impl Collective {
-    /// Closed-form α-β cost of one collective over `p` ranks, an
-    /// `m`-parameter model and budget `k`, ms — the serial baseline the
-    /// overlap engine reports its speedup against.
-    pub fn model_ms(self, net: &CostModel, p: usize, m: usize, k: usize) -> f64 {
-        match self {
-            Collective::DenseRing => dense_allreduce_ms(net, p, m),
-            Collective::SparseSum | Collective::SparseSumThenSelect => topk_allreduce_ms(net, p, k),
-            Collective::Tree => gtopk_allreduce_ms(net, p, k),
-            Collective::Zoo(ZooKind::OkTopk) => oktopk_plan_ms(net, p, k),
-            Collective::Zoo(ZooKind::SparDl) => spardl_plan_ms(net, p, k),
-            Collective::Sharded { shards } => ps_plan_ms(net, p, m, shards, k, 1),
-        }
-    }
-
     fn label(self) -> &'static str {
         match self {
             Collective::DenseRing => "dense ring",

@@ -62,7 +62,6 @@ pub mod ft;
 mod gtopk_allreduce;
 mod metrics;
 pub mod overlap;
-pub mod pipeline;
 pub mod ps;
 mod schedule;
 mod selector;
@@ -83,9 +82,7 @@ pub use gtopk_allreduce::{
 };
 pub use gtopk_comm::{LinkStats, Topology};
 pub use metrics::{EpochRecord, TimingBreakdown, TrainReport};
-pub use overlap::{
-    backward_layer_costs, BucketSpec, ComputeCost, OverlapConfig, OverlapEngine, OverlapStats,
-};
+pub use overlap::{BucketSpec, ComputeCost, OverlapConfig, OverlapEngine, OverlapStats};
 pub use ps::{ps_pull_round, ps_push_round, ps_round, PsConfig};
 pub use schedule::{DensitySchedule, LrSchedule};
 pub use selector::{Selector, SelectorState};

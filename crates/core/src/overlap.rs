@@ -3,21 +3,23 @@
 //! one-bucket case — the whole backward, then Algorithm 4 over the whole
 //! vector.
 //!
-//! [`crate::pipeline`] *models* the layer-wise schedule analytically; this
-//! module *executes* it on the simulated cluster. Backward propagation
-//! produces layer gradients from the output layer backwards, so the flat
-//! gradient becomes available back-to-front: the engine partitions the
-//! flat vector into contiguous buckets (fused to roughly equal parameter
-//! mass, MG-WFBP style), and as soon as a bucket's gradient is ready it
-//! runs that bucket's [`Aggregator`] step while later buckets are still
+//! The layer-wise schedule is the paper's §VII future work, executed on
+//! the simulated cluster. Backward propagation produces layer gradients
+//! from the output layer backwards, so the flat gradient becomes
+//! available back-to-front: the engine partitions the flat vector into
+//! contiguous buckets (fused to roughly equal parameter mass, MG-WFBP
+//! style), and as soon as a bucket's gradient is ready it runs that
+//! bucket's [`Aggregator`] step while later buckets are still
 //! "computing". The network is a single FIFO channel — each rank issues
 //! its bucket collectives in backward order, so a bucket's collective
-//! starts at `max(ready, channel_free)` exactly as the analytic model
-//! assumes. The engine carries a [`PlanClock`] twin that replays each
-//! bucket's collective plans on the analytic α-β clock, so the executed
-//! timeline is verifiable against the model *exactly*, for any worker
-//! count and topology (the two sparse sums excepted: their twin charges
-//! the disjoint-support bound).
+//! starts at `max(ready, channel_free)`. The engine carries a
+//! [`PlanClock`] twin that replays each bucket's collective plans on the
+//! analytic α-β clock, so the executed timeline is verifiable *exactly*,
+//! for any worker count and topology (the two sparse sums excepted: their
+//! twin charges the disjoint-support bound). A second twin replays the
+//! one-bucket schedule — the whole backward, then one collective over the
+//! whole vector — on the same clock: the serial baseline the overlap is
+//! measured against.
 //!
 //! Per-bucket error feedback: each bucket owns its own [`Residual`]
 //! slice and its own step (selection state, schedule caches); rejected
@@ -30,7 +32,6 @@
 
 use crate::aggregator::{Aggregator, Update};
 use crate::ckpt::SelectorDump;
-use crate::pipeline::{bucket_k, check_timeline_invariants, fuse_layers, LayerCost, LayerTimeline};
 use gtopk_comm::{Communicator, CostModel, Result};
 use gtopk_nn::{Model, MomentumSgd};
 use gtopk_perfmodel::PlanClock;
@@ -104,8 +105,8 @@ impl OverlapConfig {
 }
 
 /// Aggregate schedule statistics of an overlapped training run (one
-/// rank's view), comparing the executed timeline against the analytic
-/// pipeline model on the same bucketization.
+/// rank's view), comparing the executed timeline against its plan-clock
+/// twin and against the one-bucket schedule.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverlapStats {
     /// Number of buckets in force.
@@ -121,9 +122,10 @@ pub struct OverlapStats {
     /// span for **every** worker count and topology, not just powers of
     /// two.
     pub analytic_overlapped_ms: f64,
-    /// Sum of the analytic *serial* baselines (full backward, then one
-    /// whole-model collective at its closed-form cost — Eq. 7 for
-    /// gTopKAllReduce), ms.
+    /// Sum of the *serial* baseline's iteration spans, ms: the plan-clock
+    /// replay of the one-bucket schedule (full backward, then one
+    /// whole-model collective), carried across iterations like the twin.
+    /// A one-bucket run reports exactly its own twin's span.
     pub analytic_serial_ms: f64,
     /// Largest single-iteration deviation |executed − analytic|, ms
     /// (recorded only on straggle-free ranks at full membership).
@@ -135,37 +137,154 @@ pub struct OverlapStats {
     /// ([`gtopk_perfmodel::topk_plan_ms`]): theirs is that bound's slack.
     pub max_abs_dev_ms: f64,
     /// Executed per-bucket timelines of the last iteration, relative to
-    /// that iteration's start (same shape as the analytic
-    /// [`PipelineReport::timelines`]).
+    /// that iteration's start.
     pub timelines: Vec<LayerTimeline>,
 }
 
 impl OverlapStats {
-    /// Executed speedup over the analytic serial baseline.
+    /// Executed speedup over the one-bucket serial baseline.
     pub fn speedup_vs_serial(&self) -> f64 {
         self.analytic_serial_ms / self.executed_overlapped_ms
     }
 }
 
-/// Per-layer backward cost profile in **backward execution order**
-/// (output layer first), distributing `compute_ms + sparsify_ms` over
-/// the layers proportionally to parameter mass — a bucket's collective
-/// can launch only after its gradient is both computed *and* sparsified,
-/// so both delays gate readiness. This is the analytic model's cost
-/// basis ([`crate::pipeline::simulate_fused`]); the engine stages the
-/// same shares of the same costs, by the parameter mass backward has
-/// produced when each bucket is ready.
-pub fn backward_layer_costs(segments: &[usize], compute: Option<ComputeCost>) -> Vec<LayerCost> {
-    let m: usize = segments.iter().sum();
-    let work_ms = compute.map_or(0.0, |c| c.compute_ms + c.sparsify_ms);
-    segments
-        .iter()
-        .rev()
-        .map(|&params| LayerCost {
-            params,
-            backward_ms: work_ms * params as f64 / m as f64,
-        })
-        .collect()
+/// `k` for a bucket of `params` parameters under density `rho` (at
+/// least 1).
+fn bucket_k(params: usize, rho: f64) -> usize {
+    ((params as f64 * rho).round() as usize).clamp(1, params.max(1))
+}
+
+/// Greedy contiguous fusion of per-layer parameter counts into at most
+/// `buckets` groups of roughly equal parameter mass. Fusing trades
+/// per-message latency (fewer α terms) against overlap granularity.
+fn fuse_layers(layers: &[usize], buckets: usize) -> Vec<usize> {
+    let buckets = buckets.min(layers.len()).max(1);
+    let target = layers.iter().sum::<usize>() as f64 / buckets as f64;
+    let mut out = Vec::with_capacity(buckets);
+    let mut acc = 0;
+    for (i, &params) in layers.iter().enumerate() {
+        acc += params;
+        let remaining_layers = layers.len() - i - 1;
+        let remaining_buckets = buckets - out.len() - 1;
+        let over_target = acc as f64 >= target * (1.0 - 1e-9);
+        if (over_target && out.len() + 1 < buckets) || remaining_layers == remaining_buckets {
+            out.push(std::mem::take(&mut acc));
+        }
+    }
+    if acc > 0 {
+        out.push(acc);
+    }
+    out
+}
+
+/// Timeline of one bucket's aggregation within an iteration.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LayerTimeline {
+    /// When the bucket's gradient becomes available (cumulative backward).
+    pub ready_ms: f64,
+    /// When its aggregation starts (network FIFO).
+    pub start_ms: f64,
+    /// When its aggregation completes.
+    pub end_ms: f64,
+}
+
+/// Checks the invariants every pipelined schedule must satisfy:
+/// `ready ≤ start ≤ end` per bucket, monotone readiness (backward
+/// produces buckets in order), and FIFO non-overlap (a bucket's
+/// collective starts no earlier than the previous one ended).
+///
+/// # Errors
+///
+/// Returns `Err` with a human-readable description naming the offending
+/// bucket index and the two times that disagree.
+pub fn check_timeline_invariants(timelines: &[LayerTimeline]) -> std::result::Result<(), String> {
+    let tol = 1e-9;
+    for (i, t) in timelines.iter().enumerate() {
+        if !(t.ready_ms.is_finite() && t.start_ms.is_finite() && t.end_ms.is_finite()) {
+            return Err(format!("bucket {i}: non-finite timeline {t:?}"));
+        }
+        if t.start_ms < t.ready_ms - tol {
+            return Err(format!(
+                "bucket {i}: starts at {} before ready at {}",
+                t.start_ms, t.ready_ms
+            ));
+        }
+        if t.end_ms < t.start_ms - tol {
+            return Err(format!(
+                "bucket {i}: ends at {} before start at {}",
+                t.end_ms, t.start_ms
+            ));
+        }
+        if i > 0 {
+            let prev = &timelines[i - 1];
+            if t.ready_ms < prev.ready_ms - tol {
+                return Err(format!(
+                    "bucket {i}: ready at {} before bucket {} at {}",
+                    t.ready_ms,
+                    i - 1,
+                    prev.ready_ms
+                ));
+            }
+            if t.start_ms < prev.end_ms - tol {
+                return Err(format!(
+                    "bucket {i}: starts at {} while bucket {} holds the channel until {}",
+                    t.start_ms,
+                    i - 1,
+                    prev.end_ms
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// A schedule replayed on the analytic α-β clock: one [`PlanClock`]
+/// position per member, carried across buckets *and* iterations so
+/// cross-iteration channel backpressure is modelled exactly.
+#[derive(Debug)]
+struct Twin {
+    clock: PlanClock,
+    /// Clocks at the start of the current iteration.
+    t0: Vec<f64>,
+}
+
+impl Twin {
+    fn new(p: usize) -> Self {
+        Twin {
+            clock: PlanClock::new(p),
+            t0: vec![0.0; p],
+        }
+    }
+
+    /// Starts an iteration `delta` ms after the previous one ended.
+    fn begin(&mut self, delta: f64) {
+        for (pos, t0) in self.t0.iter_mut().enumerate() {
+            self.clock.advance_compute(pos, delta);
+            *t0 = self.clock.now(pos);
+        }
+    }
+
+    /// Replays one bucket: every position waits until the share
+    /// `produced` of the backward is ready, then `step`'s collective runs.
+    fn charge(
+        &mut self,
+        compute: &ComputeCost,
+        produced: f64,
+        step: &mut Aggregator,
+        net: &CostModel,
+        dim: usize,
+        k: usize,
+    ) {
+        for (pos, &t0) in self.t0.iter().enumerate() {
+            self.clock.sync_to(pos, compute.ready_ms(t0, 1.0, produced));
+        }
+        step.charge_twin(&mut self.clock, net, self.t0.len(), dim, k);
+    }
+
+    /// Time since the current iteration began at `pos`, ms.
+    fn span(&self, pos: usize) -> f64 {
+        self.clock.now(pos) - self.t0[pos]
+    }
 }
 
 /// The executed overlap engine: per-bucket residuals, steps, and
@@ -182,20 +301,21 @@ pub struct OverlapEngine {
     residuals: Vec<Residual>,
     /// Per-bucket aggregation steps (all of the configured algorithm).
     steps: Vec<Aggregator>,
+    /// The step the serial twin charges: its own copy, so the whole
+    /// vector's schedule caches do not evict bucket 0's.
+    serial_step: Aggregator,
     net: CostModel,
-    /// Analytic twin: one α-β clock per member position, replaying every
-    /// bucket collective's plan. Carried across buckets *and* iterations
-    /// so cross-iteration channel backpressure is modelled exactly.
-    twin: PlanClock,
-    /// Membership the twin was built for; a membership change rebuilds
-    /// it.
+    /// Replays every bucket collective's plan.
+    twin: Twin,
+    /// Replays the one-bucket schedule: the serial baseline.
+    serial_twin: Twin,
+    /// Membership the twins were built for; a membership change rebuilds
+    /// them.
     twin_members: Vec<usize>,
-    /// Own executed clock when the previous step ended — the twin
-    /// advances all positions by the observed inter-step delta, which is
+    /// Own executed clock when the previous step ended — the twins
+    /// advance all positions by the observed inter-step delta, which is
     /// rank-uniform in a fault-free run.
     last_end_ms: Option<f64>,
-    /// Twin clocks at the start of the current iteration (reused buffer).
-    twin_t0: Vec<f64>,
     iterations: usize,
     executed_ms: f64,
     analytic_overlapped_ms: f64,
@@ -224,7 +344,7 @@ impl OverlapEngine {
     ) -> Self {
         assert!(!segments.is_empty(), "model has no parameter segments");
         let m: usize = segments.iter().sum();
-        let per_layer = backward_layer_costs(segments, None);
+        let per_layer: Vec<usize> = segments.iter().rev().copied().collect();
         let fused = match cfg.buckets {
             BucketSpec::PerLayer => per_layer,
             BucketSpec::Count(n) => fuse_layers(&per_layer, n),
@@ -233,24 +353,25 @@ impl OverlapEngine {
         // flat vector; walk downwards.
         let mut ranges = Vec::with_capacity(fused.len());
         let mut hi = m;
-        for bucket in &fused {
-            let lo = hi - bucket.params;
+        for params in fused {
+            let lo = hi - params;
             ranges.push(lo..hi);
             hi = lo;
         }
         assert_eq!(hi, 0, "buckets must cover the whole flat vector");
         let residuals = ranges.iter().map(|r| Residual::new(r.len())).collect();
-        let steps = vec![step; ranges.len()];
+        let steps = vec![step.clone(); ranges.len()];
         OverlapEngine {
             ranges,
             compute: compute.unwrap_or_default(),
             residuals,
             steps,
+            serial_step: step,
             net,
-            twin: PlanClock::new(1),
+            twin: Twin::new(1),
+            serial_twin: Twin::new(1),
             twin_members: Vec::new(),
             last_end_ms: None,
-            twin_t0: Vec::new(),
             iterations: 0,
             executed_ms: 0.0,
             analytic_overlapped_ms: 0.0,
@@ -278,7 +399,9 @@ impl OverlapEngine {
     ///
     /// In parallel, the engine advances its [`PlanClock`] twin through
     /// the same plans; fault-free, the twin reproduces the executed
-    /// timeline exactly (see [`OverlapStats::max_abs_dev_ms`]).
+    /// timeline exactly (see [`OverlapStats::max_abs_dev_ms`]). A second
+    /// twin replays the one-bucket schedule of the same iteration
+    /// ([`OverlapStats::analytic_serial_ms`]).
     ///
     /// `grad` is the full flat gradient of this iteration (backward has
     /// genuinely finished producing values; only the *clock* is staged
@@ -312,26 +435,22 @@ impl OverlapEngine {
             .expect("caller must be a member of the overlap group");
         if self.twin_members != members {
             // Membership changed (first step, or crash recovery): new
-            // twin over the survivor positions.
-            self.twin = PlanClock::new(p);
+            // twins over the survivor positions.
+            self.twin = Twin::new(p);
+            self.serial_twin = Twin::new(p);
             self.twin_members = members.to_vec();
             self.last_end_ms = None;
         }
         let t0 = comm.now_ms();
         let straggle = comm.straggle_factor();
 
-        // Bring the twin to this iteration's start: everything charged
+        // Bring the twins to this iteration's start: everything charged
         // between steps (forward/backward compute, eval, liveness pings)
         // advances each rank by the same amount in a fault-free run, so
         // the own-rank delta applies to every position.
-        if let Some(prev) = self.last_end_ms {
-            let delta = t0 - prev;
-            for pos in 0..p {
-                self.twin.advance_compute(pos, delta);
-            }
-        }
-        self.twin_t0.clear();
-        self.twin_t0.extend((0..p).map(|pos| self.twin.now(pos)));
+        let delta = self.last_end_ms.map_or(0.0, |prev| t0 - prev);
+        self.twin.begin(delta);
+        self.serial_twin.begin(delta);
 
         let m = grad.len();
         let mut nnz = 0u64;
@@ -367,17 +486,22 @@ impl OverlapEngine {
                 end_ms: comm.now_ms() - t0,
             });
 
-            // Twin replay of the same bucket: readiness gate, then the
-            // step's collective on the analytic clock.
-            for pos in 0..p {
-                let ready = self.compute.ready_ms(self.twin_t0[pos], 1.0, produced);
-                self.twin.sync_to(pos, ready);
-            }
-            self.steps[j].charge_twin(&mut self.twin, &self.net, p, range.len(), k);
+            // Twin replay of the same bucket on the analytic clock.
+            let step = &mut self.steps[j];
+            self.twin
+                .charge(&self.compute, produced, step, &self.net, range.len(), k);
         }
         model.add_to_flat_params(grad);
+        self.serial_twin.charge(
+            &self.compute,
+            1.0,
+            &mut self.serial_step,
+            &self.net,
+            m,
+            bucket_k(m, rho),
+        );
         let span = comm.now_ms() - t0;
-        let twin_span = self.twin.now(my_pos) - self.twin_t0[my_pos];
+        let twin_span = self.twin.span(my_pos);
         self.last_end_ms = Some(comm.now_ms());
         debug_assert!(
             check_timeline_invariants(&self.timelines).is_ok(),
@@ -386,11 +510,7 @@ impl OverlapEngine {
         );
 
         self.analytic_overlapped_ms += twin_span;
-        self.analytic_serial_ms += self.compute.compute_ms
-            + self.compute.sparsify_ms
-            + self.steps[0]
-                .collective()
-                .model_ms(&self.net, p, m, bucket_k(m, rho));
+        self.analytic_serial_ms += self.serial_twin.span(my_pos);
         if straggle == 1.0 && p == comm.size() {
             self.max_abs_dev_ms = self.max_abs_dev_ms.max((span - twin_span).abs());
         }
@@ -401,7 +521,7 @@ impl OverlapEngine {
 
     /// Snapshot of the per-bucket training state — dense residual copies
     /// and selector states, in backward bucket order — for checkpointing.
-    /// The schedule twin and statistics are deliberately excluded: they
+    /// The schedule twins and statistics are deliberately excluded: they
     /// describe the timeline, not the optimization state.
     pub fn snapshot(&self) -> (Vec<Vec<f32>>, Vec<SelectorDump>) {
         (
@@ -414,9 +534,9 @@ impl OverlapEngine {
     }
 
     /// Restores per-bucket residuals and selector states from a
-    /// [`OverlapEngine::snapshot`], and resets the schedule twin (a
-    /// rollback breaks the clock continuity the twin relies on; it
-    /// re-seeds on the next step).
+    /// [`OverlapEngine::snapshot`], and resets the schedule twins (a
+    /// rollback breaks the clock continuity the twins rely on; they
+    /// re-seed on the next step).
     ///
     /// # Panics
     ///
@@ -456,10 +576,9 @@ impl OverlapEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Algorithm, Collective, PsConfig, Selector, TrainConfig};
+    use crate::{Algorithm, PsConfig, Selector, TrainConfig};
     use gtopk_comm::{Cluster, CostModel, Topology};
     use gtopk_nn::models;
-    use gtopk_perfmodel::ps_plan_ms;
 
     fn step_for(alg: Algorithm, rank: usize) -> Aggregator {
         Aggregator::new(alg, Selector::Exact, Topology::Binomial, rank)
@@ -508,28 +627,35 @@ mod tests {
     }
 
     #[test]
-    fn backward_costs_distribute_compute_by_mass() {
-        let costs = backward_layer_costs(
-            &[100, 300],
-            Some(ComputeCost {
-                compute_ms: 8.0,
-                sparsify_ms: 0.0,
-            }),
-        );
-        assert_eq!(costs.len(), 2);
-        assert_eq!(costs[0].params, 300); // backward order
-        assert!((costs[0].backward_ms - 6.0).abs() < 1e-12);
-        assert!((costs[1].backward_ms - 2.0).abs() < 1e-12);
-        // Sparsification gates readiness too, so it folds into the basis.
-        let with_sparsify = backward_layer_costs(
-            &[100, 300],
-            Some(ComputeCost {
-                compute_ms: 8.0,
-                sparsify_ms: 2.0,
-            }),
-        );
-        assert!((with_sparsify[0].backward_ms - 7.5).abs() < 1e-12);
-        assert!((with_sparsify[1].backward_ms - 2.5).abs() < 1e-12);
+    fn fusion_preserves_totals() {
+        let layers: Vec<usize> = (1..=10).map(|i| i * 1000).collect();
+        for buckets in [1usize, 2, 3, 5, 10, 20] {
+            let fused = fuse_layers(&layers, buckets);
+            assert!(fused.len() <= buckets.min(layers.len()));
+            assert_eq!(fused.iter().sum::<usize>(), 55_000, "buckets={buckets}");
+        }
+    }
+
+    #[test]
+    fn invariant_checker_rejects_violations() {
+        let ok = LayerTimeline {
+            ready_ms: 1.0,
+            start_ms: 2.0,
+            end_ms: 3.0,
+        };
+        assert!(check_timeline_invariants(std::slice::from_ref(&ok)).is_ok());
+        let starts_before_ready = LayerTimeline {
+            ready_ms: 2.0,
+            start_ms: 1.0,
+            end_ms: 3.0,
+        };
+        assert!(check_timeline_invariants(&[starts_before_ready]).is_err());
+        let overlaps_channel = LayerTimeline {
+            ready_ms: 2.5,
+            start_ms: 2.5,
+            end_ms: 4.0,
+        };
+        assert!(check_timeline_invariants(&[ok, overlaps_channel]).is_err());
     }
 
     /// Three iterations of `alg` over `p` ranks on deterministic per-rank
@@ -750,9 +876,8 @@ mod tests {
     fn sharded_server_keeps_replicas_identical_and_matches_its_twin_exactly() {
         // Pushes are padded to their shard's budget and replies are dense
         // regions, so the twin replays the executed rounds exactly — one
-        // bucket (a `mode ps` run) or two — and the serial baseline is
-        // the one-round PS plan replay.
-        let net = CostModel::gigabit_ethernet();
+        // bucket (a `mode ps` run) or two — and a one-bucket run is its
+        // own serial baseline.
         for p in [4usize, 5] {
             for shards in [1, 2, p] {
                 let cfg = TrainConfig::convergence(p, 8, 1, 0.1, 0.05)
@@ -769,17 +894,54 @@ mod tests {
                             "{what}: executed deviates from the twin by {} ms",
                             stats.max_abs_dev_ms
                         );
+                        if segments.len() == 1 {
+                            assert_eq!(
+                                stats.analytic_serial_ms.to_bits(),
+                                stats.analytic_overlapped_ms.to_bits(),
+                                "{what}: serial baseline"
+                            );
+                        }
                     }
                 }
-                let k = bucket_k(64, 0.1);
-                let serial = Collective::Sharded { shards }.model_ms(&net, p, 64, k);
-                assert_eq!(serial, ps_plan_ms(&net, p, 64, shards, k, 1));
-                let per_iteration = 4.0 + serial;
-                let stats = &run_configured(&cfg, &[64])[0].1;
-                assert!(
-                    (stats.analytic_serial_ms - 3.0 * per_iteration).abs() < 1e-9,
-                    "P={p} S={shards}: serial baseline {} vs 3 x {per_iteration}",
-                    stats.analytic_serial_ms
+            }
+        }
+    }
+
+    #[test]
+    fn the_serial_baseline_is_the_one_bucket_run() {
+        // The serial baseline replays the one-bucket schedule on the
+        // twin's clock, so a one-bucket run is its own baseline and a
+        // two-bucket run's baseline is the one-bucket run's twin, bit for
+        // bit — whatever the collective, topology or worker count.
+        let base = |p| TrainConfig::convergence(p, 8, 1, 0.1, 0.05);
+        let configs = [
+            base(3),
+            base(5),
+            base(4).with_topology(Topology::Ring),
+            base(6).with_algorithm(Algorithm::TopK),
+            base(5).with_algorithm(Algorithm::Dense),
+            base(4).with_algorithm(Algorithm::SparDl),
+            base(5).with_ps(PsConfig::bulk_sync(2)),
+        ];
+        for cfg in &configs {
+            let what = format!(
+                "{} {:?} P={}",
+                cfg.algorithm.name(),
+                cfg.topology,
+                cfg.workers
+            );
+            let one = run_configured(cfg, &[64]);
+            let two = run_configured(cfg, &[24, 40]);
+            for (rank, ((_, one, _), (_, two, _))) in one.iter().zip(&two).enumerate() {
+                assert_eq!(
+                    one.analytic_serial_ms.to_bits(),
+                    one.analytic_overlapped_ms.to_bits(),
+                    "{what} rank {rank}: one bucket"
+                );
+                assert_eq!(
+                    two.analytic_serial_ms.to_bits(),
+                    one.analytic_overlapped_ms.to_bits(),
+                    "{what} rank {rank}: two buckets"
                 );
             }
         }

@@ -71,6 +71,12 @@ require_tests -p gtopk-nn --lib bucketed_step_range_is_bitwise_the_dense_step
 # the model is added to once per step; momentum-corrected runs pinned.
 require_tests -p gtopk-core --lib overlap::tests::the_spent_gradient_holds_the_applied_delta
 require_tests -p gtopk-core --test golden_parity momentum_correction_rows_train_to_their_recorded_report
+# The serial baseline is the one-bucket schedule replayed on the twin's
+# clock, bit for bit; bucket fusion and the schedule invariants live with
+# the engine.
+require_tests -p gtopk-core --lib overlap::tests::the_serial_baseline_is_the_one_bucket_run
+require_tests -p gtopk-core --lib overlap::tests::fusion_preserves_totals
+require_tests -p gtopk-core --lib overlap::tests::invariant_checker_rejects_violations
 require_tests -p gtopk-core --test capability_sweep
 # The fused `⊤` merge: its oracle tests against the two-pointer sum + full
 # sort, and the allocation gate over both merges and the one-walk put-back.

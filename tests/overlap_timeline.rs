@@ -1,18 +1,19 @@
 //! Executed-overlap schedule validation: the engine's per-bucket
-//! timelines must satisfy the same invariants as the analytic pipeline
-//! model, match the plan-clock twin exactly for *any* worker count
-//! (power-of-two or folded), match `simulate_fused`'s closed form at
-//! power-of-two counts, compose with transport-level fault injection,
-//! and keep the send/recv hot path allocation-free at steady state.
+//! timelines must satisfy the schedule invariants, match the plan-clock
+//! twin exactly for *any* worker count (power-of-two or folded), match an
+//! independent FIFO oracle over the paper's closed form at power-of-two
+//! counts, compose with transport-level fault injection, and keep the
+//! send/recv hot path allocation-free at steady state.
 
-use gtopk::pipeline::{check_timeline_invariants, simulate_fused};
+use gtopk::overlap::check_timeline_invariants;
 use gtopk::{
-    backward_layer_costs, train_distributed, Algorithm, ComputeCost, DensitySchedule, LrSchedule,
-    OverlapConfig, Selector, TrainConfig, TrainReport,
+    train_distributed, Algorithm, ComputeCost, DensitySchedule, LrSchedule, OverlapConfig,
+    Selector, TrainConfig, TrainReport,
 };
 use gtopk_comm::{CostModel, FaultPlan};
 use gtopk_data::GaussianMixture;
 use gtopk_nn::{models, Model};
+use gtopk_perfmodel::gtopk_allreduce_ms;
 
 fn overlap_cfg(workers: usize, buckets: usize, epochs: usize) -> TrainConfig {
     TrainConfig {
@@ -25,7 +26,7 @@ fn overlap_cfg(workers: usize, buckets: usize, epochs: usize) -> TrainConfig {
         density: DensitySchedule::constant(0.05),
         cost_model: CostModel::gigabit_ethernet(),
         // Nonzero sparsify exercises the folded cost basis: readiness
-        // gates on compute *and* sparsification, and the analytic model
+        // gates on compute *and* sparsification, and the twin and the oracle
         // must charge both.
         compute_cost: Some(ComputeCost {
             compute_ms: 8.0,
@@ -49,6 +50,23 @@ fn run(cfg: &TrainConfig) -> TrainReport {
     train_distributed(cfg, || models::mlp(19, 8, 16, 4), &data, None)
 }
 
+/// Independent oracle of one iteration's span: `buckets` (parameter
+/// counts in backward order) become ready as backward produces their
+/// share of `compute`, queue on one FIFO channel, and each costs one
+/// Eq. 7 gTopKAllReduce of its own `k`.
+fn fifo_oracle_ms(buckets: &[usize], compute: ComputeCost, net: &CostModel, p: usize) -> f64 {
+    let m: usize = buckets.iter().sum();
+    let work_ms = compute.compute_ms + compute.sparsify_ms;
+    let (mut ready, mut free) = (0.0f64, 0.0f64);
+    for &params in buckets {
+        ready += work_ms * params as f64 / m as f64;
+        let k = ((params as f64 * 0.05).round() as usize).clamp(1, params);
+        let start = ready.max(free);
+        free = start + gtopk_allreduce_ms(net, p, k);
+    }
+    free
+}
+
 #[test]
 fn executed_timelines_satisfy_schedule_invariants() {
     for buckets in [1usize, 2, 3] {
@@ -65,19 +83,21 @@ fn executed_timelines_satisfy_schedule_invariants() {
 
 #[test]
 fn executed_matches_analytic_for_any_worker_count() {
-    // The engine and its plan-clock twin share the cost basis
-    // (`backward_layer_costs` + `fuse_layers` + `bucket_k` + the
+    // The engine and its plan-clock twin share the cost basis (readiness
+    // by produced mass + the bucket fusion + `k` per bucket + the
     // replayed collective plans), so on a straggle-free cluster the
     // executed iteration span must equal the twin's prediction to float
     // tolerance for every worker count — including the folded
     // non-powers of two {3, 5, 6, 12}.
-    let build = || models::mlp(19, 8, 16, 4);
-    let segments = build().param_segments();
-    let compute = Some(ComputeCost {
+    let segments = models::mlp(19, 8, 16, 4).param_segments();
+    // Two layers: one bucket is the whole vector, two are the layers.
+    assert_eq!(segments.len(), 2);
+    let m: usize = segments.iter().sum();
+    let per_layer: Vec<usize> = segments.iter().rev().copied().collect();
+    let compute = ComputeCost {
         compute_ms: 8.0,
         sparsify_ms: 0.5,
-    });
-    let layers = backward_layer_costs(&segments, compute);
+    };
     for p in [2usize, 3, 4, 5, 6, 12] {
         for buckets in [1usize, 2] {
             let cfg = overlap_cfg(p, buckets, 2);
@@ -90,20 +110,21 @@ fn executed_matches_analytic_for_any_worker_count() {
             );
             // At power-of-two P the binomial plan cost coincides with
             // the paper's closed form (Eq. 7), so the twin must also
-            // agree with the independently computed `simulate_fused`
-            // prediction; folded counts pay extra pre/post rounds the
-            // continuous-log model does not price.
+            // agree with the independently computed FIFO oracle; folded
+            // counts pay extra pre/post rounds the continuous-log model
+            // does not price.
             if p.is_power_of_two() {
-                let analytic = simulate_fused(&layers, buckets, &cfg.cost_model, p, 0.05);
+                let fused = if buckets == 1 { &[m][..] } else { &per_layer };
+                let overlapped = fifo_oracle_ms(fused, compute, &cfg.cost_model, p);
+                let serial = fifo_oracle_ms(&[m], compute, &cfg.cost_model, p);
                 let per_iter = stats.executed_overlapped_ms / stats.iterations as f64;
                 assert!(
-                    (per_iter - analytic.overlapped_ms).abs() < 1e-6,
-                    "P={p} buckets={buckets}: executed {per_iter} vs analytic {}",
-                    analytic.overlapped_ms
+                    (per_iter - overlapped).abs() < 1e-6,
+                    "P={p} buckets={buckets}: executed {per_iter} vs analytic {overlapped}"
                 );
-                // Wherever the analytic model predicts a speedup, the
+                // Wherever the oracle predicts a speedup, the
                 // executed schedule must realize it.
-                if analytic.speedup() > 1.0 + 1e-9 {
+                if serial / overlapped > 1.0 + 1e-9 {
                     assert!(
                         stats.executed_overlapped_ms < stats.analytic_serial_ms,
                         "P={p} buckets={buckets}: no realized speedup"
