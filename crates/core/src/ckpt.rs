@@ -745,6 +745,102 @@ mod tests {
         assert_eq!(decode(&rewritten).unwrap(), want);
     }
 
+    /// An exact one-bucket checkpoint whose selector section carries the
+    /// rank's RNG words, as written while the selector was a
+    /// configuration axis.
+    fn exact_one_bucket() -> DurableCheckpoint {
+        DurableCheckpoint {
+            rank: 1,
+            iter: 24,
+            params: vec![0.5, -1.25, 3.0],
+            velocity: vec![0.125, -0.0, 2.0],
+            engine: EngineState::Buckets {
+                residuals: vec![vec![-0.75, 0.0, 1.0e-3]],
+                selectors: vec![SelectorDump::capture(&SelectorState::new(
+                    Selector::Exact,
+                    1,
+                ))],
+            },
+            local_velocity: None,
+            data_epoch: 2,
+            data_cursor: 8,
+            epoch_loss: 0.5,
+            losses: vec![1.5, 1.0],
+            evals: vec![None, Some(0.5)],
+        }
+    }
+
+    /// [`exact_one_bucket`] as the encoder wrote it while the selector
+    /// section still held live RNG words.
+    const EXACT_ONE_BUCKET: [u8; 296] = [
+        0x47, 0x54, 0x4b, 0x43, 0x01, 0x00, 0x00, 0x00, 0x17, 0xb8, 0x23, 0x2e, 0x14, 0x01, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x18, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,
+        0x01, 0x28, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+        0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3f, 0x00, 0x00, 0xa0, 0xbf,
+        0x00, 0x00, 0x40, 0x40, 0x28, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3e, 0x00,
+        0x00, 0x00, 0x80, 0x00, 0x00, 0x00, 0x40, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x28, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,
+        0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0xbf, 0x00, 0x00, 0x00, 0x00, 0x6f,
+        0x12, 0x83, 0x3a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe1, 0x04, 0x6d,
+        0xae, 0x10, 0x6a, 0x10, 0x07, 0xcf, 0xd3, 0x8e, 0x25, 0x5c, 0xee, 0xc8, 0xf6, 0x84, 0x87,
+        0xf4, 0xd3, 0x98, 0xcd, 0xb8, 0xa0, 0x7a, 0x1a, 0x90, 0x53, 0xd7, 0xc1, 0x66, 0xfc, 0x02,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf0, 0x3f, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe0, 0x3f,
+    ];
+
+    /// `sample_ckpt(30, true)` as the encoder wrote it while the selector
+    /// was a configuration axis: two buckets, the first with a
+    /// `Sampled { sample: 64 }` section.
+    const SAMPLED_TWO_BUCKETS: [u8; 410] = [
+        0x47, 0x54, 0x4b, 0x43, 0x01, 0x00, 0x00, 0x00, 0xe8, 0x1d, 0xce, 0x8d, 0x86, 0x01, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x1e, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x28,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x58, 0x39, 0xb4, 0xc8, 0x76, 0xbe, 0xf3, 0x3f,
+        0x01, 0x30, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+        0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3f,
+        0x00, 0x00, 0x00, 0xbf, 0x00, 0x00, 0x80, 0x3e, 0x00, 0x00, 0x40, 0x40, 0x30, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02,
+        0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0xcd, 0xcc, 0xcc, 0x3d, 0xcd, 0xcc, 0x4c, 0x3e,
+        0x9a, 0x99, 0x99, 0xbe, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x20, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x3f, 0x00, 0x00, 0x00, 0xc0, 0x01, 0x40, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x04,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x28, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x60, 0x40, 0x00, 0x00, 0x80, 0xbe, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x08, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x40, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xf8, 0x3f,
+        0x9a, 0x99, 0x99, 0x99, 0x99, 0x99, 0xf1, 0x3f, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+        0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0xe8, 0x3f, 0x01, 0x9a, 0x99, 0x99,
+        0x99, 0x99, 0x99, 0xe9, 0x3f,
+    ];
+
+    #[test]
+    fn pinned_exact_checkpoint_bytes_decode_to_their_state() {
+        assert_eq!(encode(&exact_one_bucket())[..], EXACT_ONE_BUCKET[..]);
+        assert_eq!(decode(&EXACT_ONE_BUCKET).unwrap(), exact_one_bucket());
+    }
+
+    #[test]
+    fn pinned_sampled_checkpoint_bytes_decode_as_pinned() {
+        assert_eq!(encode(&sample_ckpt(30, true))[..], SAMPLED_TWO_BUCKETS[..]);
+        assert_eq!(decode(&SAMPLED_TWO_BUCKETS).unwrap(), sample_ckpt(30, true));
+    }
+
     #[test]
     fn crc_rejects_any_flipped_payload_byte() {
         let bytes = encode(&sample_ckpt(10, false));
