@@ -1,9 +1,9 @@
-//! Micro-benchmark: the two top-k selection kernels over a
+//! Micro-benchmark: the exact top-k selection kernel over a
 //! million-element gradient (the compression cost the paper's Fig. 11
-//! highlights as a real overhead) — ablation for DESIGN.md §5 item 6.
+//! highlights as a real overhead), allocating and on reused scratch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gtopk_sparse::{sampled_topk_sparse, topk_sparse, topk_sparse_into, SparseVec, TopkScratch};
+use gtopk_sparse::{topk_sparse, topk_sparse_into, SparseVec, TopkScratch};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
@@ -20,10 +20,6 @@ fn bench_selection(c: &mut Criterion) {
         let k = m / 1000; // rho = 0.001
         group.bench_with_input(BenchmarkId::new("exact", m), &dense, |b, d| {
             b.iter(|| black_box(topk_sparse(black_box(d), k)))
-        });
-        group.bench_with_input(BenchmarkId::new("sampled", m), &dense, |b, d| {
-            let mut rng = StdRng::seed_from_u64(11);
-            b.iter(|| black_box(sampled_topk_sparse(black_box(d), k, 512, &mut rng)))
         });
         // The zero-allocation path: the same exact kernel on reused scratch.
         let mut scratch = TopkScratch::new();

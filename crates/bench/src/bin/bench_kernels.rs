@@ -592,7 +592,7 @@ fn bench_compact(rows: &mut Vec<Row>) {
 /// Each rep re-accumulates the same fresh gradient and extracts the
 /// top-k, so the residual reaches the trainer's steady state (rotating
 /// selection) and per-rep work stays constant. Both variants run the
-/// kernel the product runs (`Selector::Exact`, RNG-free sampler) over the
+/// kernel the product runs (exact, RNG-free sampler) over the
 /// identical rep sequence, so thresholds — and every float — match
 /// bitwise between them; only the number of memory passes differs.
 fn bench_fused_select(rows: &mut Vec<Row>) {

@@ -24,7 +24,7 @@
 
 use gtopk::{
     sparse_zoo_all_reduce_over, train_distributed, Algorithm, DensitySchedule, LrSchedule,
-    Selector, TrainConfig, TrainReport,
+    TrainConfig, TrainReport,
 };
 use gtopk_bench::report::{workspace_root, Table};
 use gtopk_comm::{Cluster, CostModel, Topology};
@@ -83,7 +83,6 @@ fn train_cfg(alg: Algorithm, epochs: usize) -> TrainConfig {
     cfg.lr = LrSchedule::constant(0.05);
     cfg.density = DensitySchedule::paper_warmup(0.01);
     cfg.cost_model = CostModel::zero();
-    cfg.selector = Selector::Exact;
     cfg
 }
 

@@ -20,7 +20,6 @@ const BINARIES: &[&str] = &[
     "table4_throughput",
     "ext_overlap",
     "ext_ps_vs_tree",
-    "ext_selection_kernels",
     "ext_putback_ablation",
     "ext_hierarchical_network",
     "ext_momentum_correction",

@@ -2,8 +2,8 @@
 
 use crate::args::{ArgError, ParsedArgs};
 use gtopk::{
-    train_distributed, train_rank, Algorithm, DensitySchedule, OverlapConfig, PsConfig, Selector,
-    Topology, TrainConfig,
+    check_resume, train_distributed, train_rank, Algorithm, CheckpointStore, DensitySchedule,
+    OverlapConfig, PsConfig, Topology, TrainConfig,
 };
 use gtopk_comm::transport::{install_leave_signals, AddrResolver, TcpConfig, TcpTransport};
 use gtopk_comm::{Communicator, CostModel, FaultPlan};
@@ -299,7 +299,6 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
         "lr",
         "density",
         "seed",
-        "sampled-selection",
         "overlap",
         "buckets",
         "topology",
@@ -349,10 +348,6 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
     }
     if clip > 0.0 {
         cfg.clip_norm = Some(clip);
-    }
-    let sample: usize = parsed.get("sampled-selection", 0)?;
-    if sample > 0 {
-        cfg.selector = Selector::Sampled { sample };
     }
     if parsed.has_flag("overlap") {
         // --buckets 0 means one bucket per layer; default 4 fused buckets.
@@ -426,6 +421,13 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
     })?;
     let mut launch = parse_launch(parsed, workers, cfg.cost_model, elastic)?;
 
+    // The ranks this process trains: every one in-process, its own over
+    // TCP. Their checkpoint directories must fit the run before it starts.
+    let ranks = match &launch {
+        Launch::Sim => 0..workers,
+        Launch::Tcp(comm) => comm.rank()..comm.rank() + 1,
+    };
+
     // Dispatches one model family to the selected launch mode: the
     // in-process cluster always yields a report; a TCP rank yields `None`
     // if it crashed or was expelled mid-run.
@@ -433,7 +435,9 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
         ($build:expr, $data:expr) => {{
             let build = $build;
             let data = $data;
-            let m = build().num_params();
+            let model = build();
+            let m = model.num_params();
+            check_checkpoint_dir(&cfg, &model.param_segments(), ranks.clone())?;
             let report = match &mut launch {
                 Launch::Sim => Some(train_distributed(&cfg, build, &data, None)),
                 Launch::Tcp(comm) => train_rank(&cfg, comm, build, &data, None),
@@ -530,6 +534,31 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
         }
     }
     Ok(out)
+}
+
+/// Refuses a run whose `--checkpoint-dir` holds, for any of `ranks`, a
+/// newest generation that cannot resume it ([`check_resume`]).
+fn check_checkpoint_dir(
+    cfg: &TrainConfig,
+    segments: &[usize],
+    ranks: std::ops::Range<usize>,
+) -> Result<(), ArgError> {
+    let Some(dir) = &cfg.checkpoint_dir else {
+        return Ok(());
+    };
+    let err = |e: String| ArgError(format!("--checkpoint-dir {}: {e}", dir.display()));
+    for rank in ranks {
+        let store = CheckpointStore::new(dir, rank).map_err(|e| err(e.to_string()))?;
+        if let Some((saved, _)) = store.load_latest() {
+            check_resume(cfg, segments, &saved).map_err(|e| {
+                err(format!(
+                    "rank {rank}'s checkpoint at iteration {} does not fit this run ({e})",
+                    saved.iter
+                ))
+            })?;
+        }
+    }
+    Ok(())
 }
 
 /// `--density`, which every command requires in `(0, 1]`.
@@ -856,11 +885,6 @@ mod tests {
             ("--mode ps --algorithm dense", "algorithm Dense", "mode ps"),
             ("--mode ps --overlap", "mode ps", "overlap"),
             ("--mode ps --topology ring", "mode ps", "topology ring"),
-            (
-                "--mode ps --sampled-selection 64",
-                "mode ps",
-                "selector sampled",
-            ),
             ("--mode ps --workers 2 --shards 5", "shards 5", "workers 2"),
             ("--mode ps --shards 0", "shards 0", "workers 4"),
         ] {
@@ -888,6 +912,40 @@ mod tests {
             .unwrap_or(false);
         assert!(wrote, "no durable checkpoints under {}", dir.display());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_checkpoint_dir_of_another_run_shape_is_an_error_naming_the_field() {
+        // Each row resumes a one-worker run's directory with one setting
+        // changed; a run of the same shape resumes.
+        let base = "train --workers 1 --batch 4 --density 0.05 --epochs";
+        for (i, (change, field)) in [
+            ("--overlap --buckets 2", Some("bucket count")),
+            ("--model vgg", Some("parameter count")),
+            ("--momentum-correction", Some("momentum-correction buffer")),
+            ("", None),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let dir =
+                std::env::temp_dir().join(format!("gtopk-cli-resume-{i}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            let ckpt = format!("--checkpoint-dir {}", dir.display());
+            run_line(&format!("{base} 2 {ckpt}")).unwrap();
+            let resumed = run_line(&format!("{base} 3 {ckpt} {change}"));
+            match field {
+                Some(field) => {
+                    let err = resumed.unwrap_err().0;
+                    assert!(
+                        err.contains("--checkpoint-dir") && err.contains(field),
+                        "{change}: {err}"
+                    );
+                }
+                None => assert!(resumed.unwrap().contains("epoch   2"), "resumes"),
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -42,7 +42,6 @@ COMMANDS:
     --lr         learning rate                           [0.05]
     --density    gradient density rho                    [0.005]
     --seed       model/data seed                         [42]
-    --sampled-selection N   use sampled top-k with N samples
     --overlap               pipeline per-bucket collectives behind
                             backward compute
     --buckets N             overlap buckets (0 = one per layer)    [4]

@@ -24,7 +24,6 @@ use crate::capability::{Algorithm, Collective, Rejects, Row};
 use crate::ft::epoch_tag_offset;
 use crate::gtopk_allreduce::{naive_gtopk_all_reduce, tree_all_reduce};
 use crate::ps::ps_round;
-use crate::selector::{Selector, SelectorState};
 use crate::sparse_coll::{sparse_sum_recursive_doubling, sparse_zoo_all_reduce_over};
 use crate::TrainConfig;
 use gtopk_comm::collectives::{self, ring_chunk};
@@ -51,9 +50,10 @@ impl Update {
     }
 }
 
-/// One rank's aggregation step for one [`Algorithm`] row: the selection
-/// kernel's state plus the schedule caches of its collective — the row's,
-/// or the sharded parameter server in `mode ps`. The residual it works on
+/// One rank's aggregation step for one [`Algorithm`] row: the schedule
+/// caches of its collective — the row's, or the sharded parameter server
+/// in `mode ps`. Local selection is the residual's one exact kernel, so
+/// the step carries no selection state. The residual it works on
 /// stays with the caller — one bucket's of the overlap engine, which is
 /// the whole vector's when there is one bucket.
 #[derive(Debug, Clone)]
@@ -61,7 +61,6 @@ pub struct Aggregator {
     algorithm: Algorithm,
     collective: Collective,
     topology: Topology,
-    select: SelectorState,
     /// Zoo rows: the schedule for the current `(P, k)`.
     sched: Option<ZooSchedule>,
     /// Every other collective: the plans it executes for the current `P`,
@@ -70,28 +69,26 @@ pub struct Aggregator {
 }
 
 impl Aggregator {
-    /// The step for `algorithm` on `rank`, selecting with `selector` (the
-    /// dense row selects nothing) and — on the rows whose collective
-    /// executes a plan topology — reducing over `topology`. Which
-    /// combinations a training run may use is
+    /// The step for `algorithm`, reducing — on the rows whose collective
+    /// executes a plan topology — over `topology`. Which combinations a
+    /// training run may use is
     /// [`TrainConfig::validate`](crate::TrainConfig::validate)'s call.
-    pub fn new(algorithm: Algorithm, selector: Selector, topology: Topology, rank: usize) -> Self {
+    pub fn new(algorithm: Algorithm, topology: Topology) -> Self {
         Aggregator {
             algorithm,
             collective: algorithm.row().collective,
             topology,
-            select: SelectorState::new(selector, rank),
             sched: None,
             plans: Vec::new(),
         }
     }
 
-    /// The step a training run configures on `rank`: `cfg`'s algorithm,
-    /// selector and topology, reducing over the sharded parameter server
+    /// The step a training run configures: `cfg`'s algorithm and
+    /// topology, reducing over the sharded parameter server
     /// ([`Collective::Sharded`]) in place of the row's collective when
     /// `cfg.ps` is set.
-    pub fn for_config(cfg: &TrainConfig, rank: usize) -> Self {
-        let mut step = Aggregator::new(cfg.algorithm, cfg.selector, cfg.topology, rank);
+    pub fn for_config(cfg: &TrainConfig) -> Self {
+        let mut step = Aggregator::new(cfg.algorithm, cfg.topology);
         if let Some(ps) = cfg.ps {
             step.collective = Collective::Sharded { shards: ps.shards };
         }
@@ -105,11 +102,11 @@ impl Aggregator {
     /// On entry, `residual` holds the error feedback carried over from
     /// previous iterations and `grad` this iteration's fresh gradient.
     /// The step folds `grad` into the residual (Algorithm 1/4, line 4 —
-    /// fused with selection into a single memory pass where the selector
-    /// allows), extracts its share, communicates, returns rejected values
-    /// to `residual` as the row's [`Rejects`] policy says, and yields the
-    /// update averaged over `|members|`. Must be called collectively by
-    /// every member.
+    /// fused with the exact selection into a single memory pass, bar the
+    /// parameter server's per-shard selection), extracts its share,
+    /// communicates, returns rejected values to `residual` as the row's
+    /// [`Rejects`] policy says, and yields the update averaged over
+    /// `|members|`. Must be called collectively by every member.
     ///
     /// # Errors
     ///
@@ -138,7 +135,6 @@ impl Aggregator {
         // hands back what this rank witnessed it truncate — the two things
         // a rejects policy can ask for. The tree computes its merge
         // rejects only for the row that reads them.
-        let select = &mut self.select;
         let (mut global, own, witnessed): (_, Option<SparseVec>, Option<SparseVec>) =
             match collective {
                 Collective::DenseRing => {
@@ -152,16 +148,16 @@ impl Aggregator {
                     return Ok(Update::Dense(sum));
                 }
                 Collective::SparseSum => {
-                    let local = select.accumulate_extract(residual, grad, k);
+                    let local = residual.accumulate_extract(grad, k);
                     (sparse_sum_recursive_doubling(comm, local)?, None, None)
                 }
                 Collective::SparseSumThenSelect => {
-                    let local = select.accumulate_extract(residual, grad, k);
+                    let local = residual.accumulate_extract(grad, k);
                     let (global, _) = naive_gtopk_all_reduce(comm, local.clone(), k)?;
                     (global, Some(local), None)
                 }
                 Collective::Tree => {
-                    let local = select.accumulate_extract(residual, grad, k);
+                    let local = residual.accumulate_extract(grad, k);
                     let (global, witnessed) = tree_all_reduce(
                         comm,
                         members,
@@ -176,9 +172,9 @@ impl Aggregator {
                 Collective::Zoo(kind) => {
                     let sched = zoo_schedule(&mut self.sched, kind, p, k);
                     // The schedule's contribution quota, into a pooled
-                    // vector: allocation-free for the exact selector.
+                    // vector: allocation-free in steady state.
                     let mut local = comm.pool().take_sparse(grad.len());
-                    select.accumulate_extract_into(residual, grad, sched.contrib_slots, &mut local);
+                    residual.accumulate_extract_into(grad, sched.contrib_slots, &mut local);
                     let (global, witnessed) =
                         sparse_zoo_all_reduce_over(comm, members, local, sched, tag_off)?;
                     (global, None, Some(witnessed))
@@ -274,18 +270,6 @@ impl Aggregator {
             }
         }
     }
-
-    /// The local-selection state. Durable checkpoints persist it at
-    /// process granularity so that a restarted rank resumes the sampled
-    /// kernel's RNG stream bit-exactly.
-    pub fn selector_state(&self) -> &SelectorState {
-        &self.select
-    }
-
-    /// Restores state captured via [`Aggregator::selector_state`].
-    pub fn restore_selector_state(&mut self, state: SelectorState) {
-        self.select = state;
-    }
 }
 
 /// The cached zoo schedule for `(p, k)`, rebuilt when either moved (a
@@ -306,8 +290,8 @@ mod tests {
     use crate::TrainConfig;
     use gtopk_comm::{Cluster, CostModel};
 
-    fn step_for(alg: Algorithm, comm: &Communicator) -> Aggregator {
-        Aggregator::new(alg, Selector::Exact, Topology::Binomial, comm.rank())
+    fn step_for(alg: Algorithm) -> Aggregator {
+        Aggregator::new(alg, Topology::Binomial)
     }
 
     fn worker_grad(r: usize, dim: usize) -> Vec<f32> {
@@ -323,7 +307,7 @@ mod tests {
 
     fn run_algorithm(alg: Algorithm, p: usize, dim: usize, k: usize) -> Vec<(Update, Vec<f32>)> {
         Cluster::new(p, CostModel::zero()).run(move |comm| {
-            let mut agg = step_for(alg, comm);
+            let mut agg = step_for(alg);
             let members: Vec<usize> = (0..comm.size()).collect();
             let mut residual = Residual::new(dim);
             let update = agg
@@ -358,7 +342,7 @@ mod tests {
         {
             for topology in Topology::ALL {
                 let out = Cluster::new(5, CostModel::zero()).run(move |comm| {
-                    let mut agg = Aggregator::new(alg, Selector::Exact, topology, comm.rank());
+                    let mut agg = Aggregator::new(alg, topology);
                     let members: Vec<usize> = (0..comm.size()).collect();
                     let mut residual = Residual::new(32);
                     agg.aggregate(
@@ -447,7 +431,7 @@ mod tests {
         let p = 4;
         let dim = 16;
         let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-            let mut agg = step_for(Algorithm::GTopK, comm);
+            let mut agg = step_for(Algorithm::GTopK);
             let members: Vec<usize> = (0..comm.size()).collect();
             let mut residual = Residual::new(dim);
             let mut g = vec![0.0f32; dim];
@@ -504,7 +488,7 @@ mod tests {
         let dim = 32usize;
         let k = 2usize;
         let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-            let mut agg = step_for(Algorithm::GTopKFeedback, comm);
+            let mut agg = step_for(Algorithm::GTopKFeedback);
             let members: Vec<usize> = (0..comm.size()).collect();
             let mut residual = Residual::new(dim);
             let r = comm.rank() as u32;
@@ -552,7 +536,7 @@ mod tests {
         let p = 4usize;
         let dim = 8usize;
         let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-            let mut agg = step_for(Algorithm::GTopK, comm);
+            let mut agg = step_for(Algorithm::GTopK);
             let members: Vec<usize> = (0..comm.size()).collect();
             let mut residual = Residual::new(dim);
             let mut g = vec![0.0f32; dim];
@@ -610,7 +594,7 @@ mod tests {
             let dim = 32usize;
             let k = 4usize;
             let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-                let mut agg = step_for(alg, comm);
+                let mut agg = step_for(alg);
                 let members: Vec<usize> = (0..comm.size()).collect();
                 let mut residual = Residual::new(dim);
                 let g = worker_grad(comm.rank(), dim);

@@ -16,7 +16,7 @@
 //! runs it in place of the gTop-k row's tree when the configuration asks
 //! for `mode ps`, under the same put-back policy.
 
-use crate::{Selector, TrainConfig};
+use crate::TrainConfig;
 use gtopk_comm::Topology;
 use gtopk_perfmodel::ZooSchedule;
 use std::fmt;
@@ -246,8 +246,6 @@ const WHY_REJOIN: &str = "a restarted rank of a multi-rank run rejoins through t
      policy: arm a fault plan with the checkpoint dir (an empty seeded plan injects nothing)";
 const WHY_PS_ROW: &str = "mode ps requires algorithm gTop-k";
 const WHY_PS_OVERLAP: &str = "the parameter server schedules its own push/pull pipeline";
-const WHY_PS_SELECTOR: &str = "the parameter server selects exactly per shard region (budgeted \
-     wire sizes)";
 const WHY_PS_TOPOLOGY: &str = "the parameter server replaces the collective entirely; only \
      the default binomial topology applies";
 const WHY_PS_SHARDS: &str = "need 1 <= shards <= workers (each shard is hosted by a worker)";
@@ -287,7 +285,6 @@ pub fn capability_table() -> String {
         ("checkpoint dir, workers > 1", WHY_REJOIN),
         ("mode ps", WHY_PS_ROW),
         ("mode ps + overlap", WHY_PS_OVERLAP),
-        ("mode ps + sampled selection", WHY_PS_SELECTOR),
         ("mode ps + topology", WHY_PS_TOPOLOGY),
         ("mode ps, shards", WHY_PS_SHARDS),
     ] {
@@ -365,9 +362,6 @@ impl TrainConfig {
         }
         if self.overlap.is_some() {
             return refuse(mode(), "overlap".into(), WHY_PS_OVERLAP);
-        }
-        if self.selector != Selector::Exact {
-            return refuse(mode(), "selector sampled".into(), WHY_PS_SELECTOR);
         }
         if self.topology != Topology::Binomial {
             return refuse(mode(), topology(), WHY_PS_TOPOLOGY);

@@ -3,9 +3,10 @@
 //! PR 3's fault tolerance keeps checkpoints in process memory, which is
 //! exactly what a crashed *process* loses. This module persists the full
 //! per-rank training state — model weights, optimizer momentum, the
-//! error-feedback residual(s), selector RNG state, data-iterator
-//! position, and per-epoch accounting — so a SIGKILLed rank can restart
-//! from disk and rejoin the membership (see `gtopk::ft`).
+//! error-feedback residual(s), data-iterator position, and per-epoch
+//! accounting — so a SIGKILLed rank can restart from disk and rejoin the
+//! membership (see `gtopk::ft`). Selection is exact and RNG-free, so
+//! there is no selector state to persist.
 //!
 //! Layout of one checkpoint file:
 //!
@@ -16,6 +17,15 @@
 //! len     u64  payload byte count
 //! payload ...  sections (see `encode`)
 //! ```
+//!
+//! Each bucket's residual section is followed by a reserved 41-byte
+//! selector section — kind `u8`, then five `u64` words — kept so the
+//! layout stays at version 1. It is written as kind 0 and forty zero
+//! bytes; on read, kind 0 is accepted and its words are ignored, while
+//! kinds 1 and 2 (the retired sampled and threshold-estimate selectors)
+//! are [`CkptError::Corrupt`]. Checkpoint directories written while the
+//! selector was configurable therefore resume as long as they were
+//! written with the exact one.
 //!
 //! Every dense `f32` vector section rides through the property-tested
 //! [`gtopk_sparse::wire`] codec (as a fully-dense sparse vector), so the
@@ -30,7 +40,6 @@
 //! back to a boundary up to one interval *before* this rank's newest
 //! durable generation).
 
-use crate::selector::{Selector, SelectorState};
 use gtopk_sparse::{wire, SparseVec};
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -79,49 +88,6 @@ impl fmt::Display for CkptError {
 
 impl std::error::Error for CkptError {}
 
-/// Serializable snapshot of one selection kernel (the kind plus the raw
-/// xoshiro256** stream position, so sampled kernels replay bit-exactly
-/// after a process restart).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SelectorDump {
-    /// The configured kernel.
-    pub selector: Selector,
-    /// Raw RNG state ([`SelectorState::rng_state`]).
-    pub rng: [u64; 4],
-}
-
-impl SelectorDump {
-    /// Captures a live selector state.
-    pub fn capture(state: &SelectorState) -> Self {
-        SelectorDump {
-            selector: state.selector(),
-            rng: state.rng_state(),
-        }
-    }
-
-    /// Rebuilds the live state, continuing the RNG stream exactly.
-    pub fn revive(&self) -> SelectorState {
-        SelectorState::from_parts(self.selector, self.rng)
-    }
-}
-
-/// Aggregation-engine state at a checkpoint boundary — the durable twin
-/// of the trainer's in-memory engine snapshot, *including* the selector
-/// state the in-memory path deliberately omits (a same-process rollback
-/// keeps the kernel's RNG naturally; a process restart must persist it).
-#[derive(Debug, Clone, PartialEq)]
-pub enum EngineState {
-    /// The bucketed engine: per-bucket residuals and selector states, in
-    /// backward bucket order (one bucket without `--overlap`, `mode ps`
-    /// included).
-    Buckets {
-        /// Per-bucket dense residual copies.
-        residuals: Vec<Vec<f32>>,
-        /// Per-bucket selector states.
-        selectors: Vec<SelectorDump>,
-    },
-}
-
 /// The complete durable training state of one rank at an iteration
 /// boundary. Restoring this on a fresh process and replaying from
 /// `iter` is bit-identical to never having crashed.
@@ -135,8 +101,9 @@ pub struct DurableCheckpoint {
     pub params: Vec<f32>,
     /// Optimizer momentum buffer.
     pub velocity: Vec<f32>,
-    /// Aggregation-engine state (residuals + selectors).
-    pub engine: EngineState,
+    /// Per-bucket dense residuals of the aggregation engine, in backward
+    /// bucket order (one bucket without `--overlap`, `mode ps` included).
+    pub residuals: Vec<Vec<f32>>,
     /// DGC-style local momentum buffer, when momentum correction is on.
     pub local_velocity: Option<Vec<f32>>,
     /// Data iterator epoch ([`gtopk_data::BatchIter::position`]).
@@ -185,16 +152,13 @@ fn put_fvec(out: &mut Vec<u8>, v: &[f32]) {
     out.extend_from_slice(&bytes);
 }
 
-fn put_selector(out: &mut Vec<u8>, s: &SelectorDump) {
-    let (kind, sample) = match s.selector {
-        Selector::Exact => (0u8, 0usize),
-        Selector::Sampled { sample } => (1, sample),
-    };
-    out.push(kind);
-    put_u64(out, sample as u64);
-    for w in s.rng {
-        put_u64(out, w);
-    }
+/// Bytes of the reserved per-bucket selector section: kind, then five
+/// words.
+const SELECTOR_BYTES: usize = 1 + 5 * 8;
+
+/// Writes the reserved selector section: kind 0 (exact), zero words.
+fn put_selector(out: &mut Vec<u8>) {
+    out.extend_from_slice(&[0; SELECTOR_BYTES]);
 }
 
 struct Reader<'a> {
@@ -249,24 +213,20 @@ impl<'a> Reader<'a> {
         Ok(values)
     }
 
-    fn selector(&mut self) -> Result<SelectorDump, CkptError> {
-        let kind = self.u8()?;
-        let sample = self.u64()? as usize;
-        let selector = match kind {
-            0 => Selector::Exact,
-            1 => Selector::Sampled { sample },
-            // Tag 2 was the retired threshold-estimate selector.
-            _ => {
-                return Err(CkptError::Corrupt {
-                    reason: "unknown selector kind",
-                })
-            }
-        };
-        let mut rng = [0u64; 4];
-        for w in &mut rng {
-            *w = self.u64()?;
+    /// Reads past a reserved selector section: kind 0 (exact) with its
+    /// words ignored; the retired kinds are errors.
+    fn selector(&mut self) -> Result<(), CkptError> {
+        let section = self.take(SELECTOR_BYTES)?;
+        match section[0] {
+            0 => Ok(()),
+            // The sampled and the threshold-estimate selector.
+            1 | 2 => Err(CkptError::Corrupt {
+                reason: "retired selector kind",
+            }),
+            _ => Err(CkptError::Corrupt {
+                reason: "unknown selector kind",
+            }),
         }
-        Ok(SelectorDump { selector, rng })
     }
 }
 
@@ -288,15 +248,10 @@ pub fn encode(c: &DurableCheckpoint) -> Vec<u8> {
     if let Some(lv) = &c.local_velocity {
         put_fvec(&mut p, lv);
     }
-    let EngineState::Buckets {
-        residuals,
-        selectors,
-    } = &c.engine;
-    assert_eq!(residuals.len(), selectors.len(), "bucket count mismatch");
-    put_u64(&mut p, residuals.len() as u64);
-    for (r, s) in residuals.iter().zip(selectors) {
+    put_u64(&mut p, c.residuals.len() as u64);
+    for r in &c.residuals {
         put_fvec(&mut p, r);
-        put_selector(&mut p, s);
+        put_selector(&mut p);
     }
     put_u64(&mut p, c.losses.len() as u64);
     for &l in &c.losses {
@@ -381,17 +336,10 @@ pub fn decode(bytes: &[u8]) -> Result<DurableCheckpoint, CkptError> {
     } else {
         None
     };
-    let engine = if flags & 4 != 0 {
+    let residuals = if flags & 4 != 0 {
         // Mode 4, the parameter server's whole-vector residual, is the
-        // one-bucket state of a `mode ps` run, whose exact selection
-        // never advances the rank's selector stream.
-        EngineState::Buckets {
-            residuals: vec![r.fvec()?],
-            selectors: vec![SelectorDump::capture(&SelectorState::new(
-                Selector::Exact,
-                rank as usize,
-            ))],
-        }
+        // one-bucket state of a `mode ps` run.
+        vec![r.fvec()?]
     } else {
         // Mode 0, a run without buckets, is exactly the one-bucket state:
         // a whole-vector residual, then a selector flag and the selector.
@@ -403,7 +351,6 @@ pub fn decode(bytes: &[u8]) -> Result<DurableCheckpoint, CkptError> {
             });
         }
         let mut residuals = Vec::with_capacity(n);
-        let mut selectors = Vec::with_capacity(n);
         for _ in 0..n {
             residuals.push(r.fvec()?);
             if mode0 && r.u8()? == 0 {
@@ -411,12 +358,9 @@ pub fn decode(bytes: &[u8]) -> Result<DurableCheckpoint, CkptError> {
                     reason: "whole-vector section without selector state",
                 });
             }
-            selectors.push(r.selector()?);
+            r.selector()?;
         }
-        EngineState::Buckets {
-            residuals,
-            selectors,
-        }
+        residuals
     };
     let n_losses = r.u64()? as usize;
     if n_losses > 1 << 24 {
@@ -443,7 +387,7 @@ pub fn decode(bytes: &[u8]) -> Result<DurableCheckpoint, CkptError> {
         iter,
         params,
         velocity,
-        engine,
+        residuals,
         local_velocity,
         data_epoch,
         data_cursor,
@@ -645,35 +589,17 @@ mod tests {
     /// Two buckets with `overlap`, else the one bucket of a run without
     /// `--overlap`.
     fn sample_ckpt(iter: u64, overlap: bool) -> DurableCheckpoint {
-        let engine = if overlap {
-            EngineState::Buckets {
-                residuals: vec![vec![1.0, -2.0], vec![0.0, 3.5, -0.25]],
-                selectors: vec![
-                    SelectorDump {
-                        selector: Selector::Sampled { sample: 64 },
-                        rng: [1, 2, 3, 4],
-                    },
-                    SelectorDump {
-                        selector: Selector::Exact,
-                        rng: [5, 6, 7, 8],
-                    },
-                ],
-            }
+        let residuals = if overlap {
+            vec![vec![1.0, -2.0], vec![0.0, 3.5, -0.25]]
         } else {
-            EngineState::Buckets {
-                residuals: vec![vec![0.5, 0.0, -1.5]],
-                selectors: vec![SelectorDump {
-                    selector: Selector::Sampled { sample: 16 },
-                    rng: [9, 10, 11, 12],
-                }],
-            }
+            vec![vec![0.5, 0.0, -1.5]]
         };
         DurableCheckpoint {
             rank: 2,
             iter,
             params: vec![1.0, -0.5, 0.25, 3.0],
             velocity: vec![0.1, 0.2, -0.3, 0.0],
-            engine,
+            residuals,
             local_velocity: if overlap { None } else { Some(vec![7.0; 4]) },
             data_epoch: 3,
             data_cursor: 40,
@@ -725,42 +651,27 @@ mod tests {
     fn a_mode_four_payload_decodes_as_one_bucket() {
         let back = decode(&MODE4).unwrap();
         let want = DurableCheckpoint {
-            engine: EngineState::Buckets {
-                residuals: vec![vec![0.25, -0.0, 1.5, f32::MIN_POSITIVE]],
-                selectors: vec![SelectorDump::capture(&SelectorState::new(
-                    Selector::Exact,
-                    2,
-                ))],
-            },
+            residuals: vec![vec![0.25, -0.0, 1.5, f32::MIN_POSITIVE]],
             ..sample_ckpt(25, false)
         };
         assert_eq!(back, want);
         // PartialEq treats -0.0 == +0.0; pin the sign bit explicitly so
         // a restored residual replays bit-identically.
-        let EngineState::Buckets { residuals, .. } = &back.engine;
-        assert_eq!(residuals[0][1].to_bits(), (-0.0f32).to_bits());
+        assert_eq!(back.residuals[0][1].to_bits(), (-0.0f32).to_bits());
         // Written again, it takes the one-bucket layout.
         let rewritten = encode(&back);
         assert_ne!(rewritten[..], MODE4[..]);
         assert_eq!(decode(&rewritten).unwrap(), want);
     }
 
-    /// An exact one-bucket checkpoint whose selector section carries the
-    /// rank's RNG words, as written while the selector was a
-    /// configuration axis.
+    /// The state [`EXACT_ONE_BUCKET`] holds.
     fn exact_one_bucket() -> DurableCheckpoint {
         DurableCheckpoint {
             rank: 1,
             iter: 24,
             params: vec![0.5, -1.25, 3.0],
             velocity: vec![0.125, -0.0, 2.0],
-            engine: EngineState::Buckets {
-                residuals: vec![vec![-0.75, 0.0, 1.0e-3]],
-                selectors: vec![SelectorDump::capture(&SelectorState::new(
-                    Selector::Exact,
-                    1,
-                ))],
-            },
+            residuals: vec![vec![-0.75, 0.0, 1.0e-3]],
             local_velocity: None,
             data_epoch: 2,
             data_cursor: 8,
@@ -771,7 +682,8 @@ mod tests {
     }
 
     /// [`exact_one_bucket`] as the encoder wrote it while the selector
-    /// section still held live RNG words.
+    /// was a configuration axis: its exact selector section carries rank
+    /// 1's RNG words, which a read now ignores.
     const EXACT_ONE_BUCKET: [u8; 296] = [
         0x47, 0x54, 0x4b, 0x43, 0x01, 0x00, 0x00, 0x00, 0x17, 0xb8, 0x23, 0x2e, 0x14, 0x01, 0x00,
         0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x18, 0x00,
@@ -831,14 +743,25 @@ mod tests {
 
     #[test]
     fn pinned_exact_checkpoint_bytes_decode_to_their_state() {
-        assert_eq!(encode(&exact_one_bucket())[..], EXACT_ONE_BUCKET[..]);
-        assert_eq!(decode(&EXACT_ONE_BUCKET).unwrap(), exact_one_bucket());
+        let back = decode(&EXACT_ONE_BUCKET).unwrap();
+        assert_eq!(back, exact_one_bucket());
+        assert_eq!(back.velocity[1].to_bits(), (-0.0f32).to_bits());
+        // Written again, the selector section's words are zero; the state
+        // is the same.
+        let rewritten = encode(&back);
+        assert_ne!(rewritten[..], EXACT_ONE_BUCKET[..]);
+        assert_eq!(rewritten.len(), EXACT_ONE_BUCKET.len());
+        assert_eq!(decode(&rewritten).unwrap(), back);
     }
 
     #[test]
     fn pinned_sampled_checkpoint_bytes_decode_as_pinned() {
-        assert_eq!(encode(&sample_ckpt(30, true))[..], SAMPLED_TWO_BUCKETS[..]);
-        assert_eq!(decode(&SAMPLED_TWO_BUCKETS).unwrap(), sample_ckpt(30, true));
+        assert_eq!(
+            decode(&SAMPLED_TWO_BUCKETS),
+            Err(CkptError::Corrupt {
+                reason: "retired selector kind"
+            })
+        );
     }
 
     #[test]
@@ -971,44 +894,38 @@ mod tests {
 
     #[test]
     fn retired_selector_tag_is_a_typed_error() {
-        // A one-bucket checkpoint whose selector section carries tag 2
-        // (the retired threshold-estimate selector).
+        // A one-bucket checkpoint whose selector section carries tag 1
+        // (the sampled selector) or 2 (the threshold-estimate selector).
         let c = DurableCheckpoint {
-            engine: EngineState::Buckets {
-                residuals: vec![vec![0.5]],
-                selectors: vec![SelectorDump {
-                    selector: Selector::Sampled { sample: 7 },
-                    rng: [1, 2, 3, 4],
-                }],
-            },
             evals: Vec::new(),
             losses: Vec::new(),
             ..sample_ckpt(10, false)
         };
         let bytes = encode(&c);
         // The selector section is the last 41 bytes before the two empty
-        // count words: kind(1) sample(8) rng(32).
-        let kind_at = bytes.len() - 16 - 41;
-        assert_eq!(bytes[kind_at], 1, "located the selector kind byte");
-        let mut payload = bytes[HEADER_BYTES..].to_vec();
-        payload[kind_at - HEADER_BYTES] = 2;
-        assert_eq!(
-            decode(&framed(&payload)),
-            Err(CkptError::Corrupt {
-                reason: "unknown selector kind"
-            })
-        );
+        // count words.
+        let kind_at = bytes.len() - 16 - SELECTOR_BYTES;
+        assert_eq!(bytes[kind_at..bytes.len() - 16], [0; SELECTOR_BYTES]);
+        for (tag, reason) in [
+            (1, "retired selector kind"),
+            (2, "retired selector kind"),
+            (3, "unknown selector kind"),
+        ] {
+            let mut payload = bytes[HEADER_BYTES..].to_vec();
+            payload[kind_at - HEADER_BYTES] = tag;
+            assert_eq!(
+                decode(&framed(&payload)),
+                Err(CkptError::Corrupt { reason }),
+                "tag {tag}"
+            );
+        }
     }
 
     /// The layout a run without buckets used to write (mode 0): the
     /// one-bucket state as a whole-vector residual, then a flag and the
     /// selector (`with_selector`) or a cleared flag alone.
     fn encode_mode0(c: &DurableCheckpoint, with_selector: bool) -> Vec<u8> {
-        let EngineState::Buckets {
-            residuals,
-            selectors,
-        } = &c.engine;
-        assert_eq!(residuals.len(), 1, "mode 0 held one whole-vector bucket");
+        assert_eq!(c.residuals.len(), 1, "mode 0 held one whole-vector bucket");
         let mut p = Vec::new();
         for w in [c.rank, c.iter, c.data_epoch, c.data_cursor] {
             put_u64(&mut p, w);
@@ -1020,10 +937,10 @@ mod tests {
         if let Some(lv) = &c.local_velocity {
             put_fvec(&mut p, lv);
         }
-        put_fvec(&mut p, &residuals[0]);
+        put_fvec(&mut p, &c.residuals[0]);
         p.push(u8::from(with_selector));
         if with_selector {
-            put_selector(&mut p, &selectors[0]);
+            put_selector(&mut p);
         }
         put_u64(&mut p, c.losses.len() as u64);
         c.losses.iter().for_each(|&l| put_f64(&mut p, l));
@@ -1110,27 +1027,15 @@ mod tests {
             residual in proptest::collection::vec(-1e3f32..1e3, 0..64),
             losses in proptest::collection::vec(-1e3f64..1e3, 0..8),
             epoch_loss in -1e3f64..1e3,
-            r0 in 0u64..u64::MAX,
-            r1 in 0u64..u64::MAX,
-            r2 in 0u64..u64::MAX,
-            r3 in 0u64..u64::MAX,
             buckets in 1usize..3,
         ) {
-            let sel = SelectorDump {
-                selector: Selector::Sampled { sample: 32 },
-                rng: [r0, r1, r2, r3],
-            };
             let residuals = [residual.clone(), params.clone()][..buckets].to_vec();
-            let engine = EngineState::Buckets {
-                selectors: vec![sel; residuals.len()],
-                residuals,
-            };
             let c = DurableCheckpoint {
                 rank: 1,
                 iter,
                 params,
                 velocity,
-                engine,
+                residuals,
                 local_velocity: None,
                 data_epoch: iter / 100,
                 data_cursor: iter % 97,

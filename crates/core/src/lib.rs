@@ -72,7 +72,7 @@ pub use aggregator::{Aggregator, Update};
 pub use capability::{
     capability_table, Algorithm, Caps, Collective, ConfigError, Rejects, Row, ZooKind,
 };
-pub use ckpt::{CheckpointStore, CkptError, DurableCheckpoint, EngineState, SelectorDump};
+pub use ckpt::{CheckpointStore, CkptError, DurableCheckpoint};
 pub use ft::{
     ft_gtopk_all_reduce, ft_gtopk_all_reduce_with_feedback, recover, Recovery, EPOCH_TAG_STRIDE,
 };
@@ -90,4 +90,4 @@ pub use sparse_coll::{
     ok_topk_all_reduce, spardl_all_reduce, sparse_broadcast, sparse_sum_recursive_doubling,
     sparse_zoo_all_reduce_over,
 };
-pub use trainer::{train_distributed, train_rank, TrainConfig};
+pub use trainer::{check_resume, train_distributed, train_rank, ResumeMismatch, TrainConfig};

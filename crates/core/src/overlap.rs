@@ -22,16 +22,15 @@
 //! measured against.
 //!
 //! Per-bucket error feedback: each bucket owns its own [`Residual`]
-//! slice and its own step (selection state, schedule caches); rejected
-//! values return to the bucket's residual (Algorithm 4 line 10, applied
-//! bucket-wise). The moment a bucket's collective lands, the optimizer
-//! writes its `−η·v` into the bucket's slice of the spent gradient
+//! slice and its own step (schedule caches); rejected values return to
+//! the bucket's residual (Algorithm 4 line 10, applied bucket-wise). The
+//! moment a bucket's collective lands, the optimizer writes its `−η·v`
+//! into the bucket's slice of the spent gradient
 //! ([`MomentumSgd::step_range`], [`MomentumSgd::step_dense_range`] for the
 //! dense row); one add of that gradient after the last bucket is bit for
 //! bit one full-vector step of the combined update.
 
 use crate::aggregator::{Aggregator, Update};
-use crate::ckpt::SelectorDump;
 use gtopk_comm::{Communicator, CostModel, Result};
 use gtopk_nn::{Model, MomentumSgd};
 use gtopk_perfmodel::PlanClock;
@@ -175,6 +174,33 @@ fn fuse_layers(layers: &[usize], buckets: usize) -> Vec<usize> {
         out.push(acc);
     }
     out
+}
+
+/// The flat-vector range of each bucket `cfg` partitions a model with
+/// parameter `segments` into (see [`Model::param_segments`]), in backward
+/// order: bucket 0 is the first produced by backward — the *top* of the
+/// flat vector.
+///
+/// # Panics
+///
+/// Panics if `segments` is empty (a model without parameters cannot be
+/// trained).
+pub(crate) fn bucket_ranges(cfg: &OverlapConfig, segments: &[usize]) -> Vec<Range<usize>> {
+    assert!(!segments.is_empty(), "model has no parameter segments");
+    let per_layer: Vec<usize> = segments.iter().rev().copied().collect();
+    let fused = match cfg.buckets {
+        BucketSpec::PerLayer => per_layer,
+        BucketSpec::Count(n) => fuse_layers(&per_layer, n),
+    };
+    let mut ranges = Vec::with_capacity(fused.len());
+    let mut hi: usize = segments.iter().sum();
+    for params in fused {
+        let lo = hi - params;
+        ranges.push(lo..hi);
+        hi = lo;
+    }
+    assert_eq!(hi, 0, "buckets must cover the whole flat vector");
+    ranges
 }
 
 /// Timeline of one bucket's aggregation within an iteration.
@@ -342,23 +368,7 @@ impl OverlapEngine {
         net: CostModel,
         step: Aggregator,
     ) -> Self {
-        assert!(!segments.is_empty(), "model has no parameter segments");
-        let m: usize = segments.iter().sum();
-        let per_layer: Vec<usize> = segments.iter().rev().copied().collect();
-        let fused = match cfg.buckets {
-            BucketSpec::PerLayer => per_layer,
-            BucketSpec::Count(n) => fuse_layers(&per_layer, n),
-        };
-        // Bucket 0 is the first produced by backward — the *top* of the
-        // flat vector; walk downwards.
-        let mut ranges = Vec::with_capacity(fused.len());
-        let mut hi = m;
-        for params in fused {
-            let lo = hi - params;
-            ranges.push(lo..hi);
-            hi = lo;
-        }
-        assert_eq!(hi, 0, "buckets must cover the whole flat vector");
+        let ranges = bucket_ranges(cfg, segments);
         let residuals = ranges.iter().map(|r| Residual::new(r.len())).collect();
         let steps = vec![step.clone(); ranges.len()];
         OverlapEngine {
@@ -519,41 +529,32 @@ impl OverlapEngine {
         Ok(nnz)
     }
 
-    /// Snapshot of the per-bucket training state — dense residual copies
-    /// and selector states, in backward bucket order — for checkpointing.
-    /// The schedule twins and statistics are deliberately excluded: they
-    /// describe the timeline, not the optimization state.
-    pub fn snapshot(&self) -> (Vec<Vec<f32>>, Vec<SelectorDump>) {
-        (
-            self.residuals.iter().map(|r| r.dense().to_vec()).collect(),
-            self.steps
-                .iter()
-                .map(|s| SelectorDump::capture(s.selector_state()))
-                .collect(),
-        )
+    /// Snapshot of the per-bucket training state — dense residual copies,
+    /// in backward bucket order — for checkpointing. The schedule twins
+    /// and statistics are deliberately excluded: they describe the
+    /// timeline, not the optimization state.
+    pub fn snapshot(&self) -> Vec<Vec<f32>> {
+        self.residuals.iter().map(|r| r.dense().to_vec()).collect()
     }
 
-    /// Restores per-bucket residuals and selector states from a
-    /// [`OverlapEngine::snapshot`], and resets the schedule twins (a
-    /// rollback breaks the clock continuity the twins rely on; they
-    /// re-seed on the next step).
+    /// Restores per-bucket residuals from a [`OverlapEngine::snapshot`],
+    /// and resets the schedule twins (a rollback breaks the clock
+    /// continuity the twins rely on; they re-seed on the next step).
     ///
     /// # Panics
     ///
     /// Panics if the snapshot's bucketization disagrees with this
-    /// engine's.
-    pub fn restore(&mut self, residuals: &[Vec<f32>], selectors: &[SelectorDump]) {
+    /// engine's (a checkpoint from disk is checked first, see
+    /// [`crate::check_resume`]).
+    pub fn restore(&mut self, residuals: &[Vec<f32>]) {
         assert_eq!(
-            (residuals.len(), selectors.len()),
-            (self.residuals.len(), self.steps.len()),
+            residuals.len(),
+            self.residuals.len(),
             "snapshot bucket count mismatch"
         );
         for (mine, saved) in self.residuals.iter_mut().zip(residuals) {
             mine.clear();
             mine.accumulate(saved);
-        }
-        for (step, saved) in self.steps.iter_mut().zip(selectors) {
-            step.restore_selector_state(saved.revive());
         }
         self.twin_members.clear();
         self.last_end_ms = None;
@@ -576,12 +577,12 @@ impl OverlapEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Algorithm, PsConfig, Selector, TrainConfig};
+    use crate::{Algorithm, PsConfig, TrainConfig};
     use gtopk_comm::{Cluster, CostModel, Topology};
     use gtopk_nn::models;
 
-    fn step_for(alg: Algorithm, rank: usize) -> Aggregator {
-        Aggregator::new(alg, Selector::Exact, Topology::Binomial, rank)
+    fn step_for(alg: Algorithm) -> Aggregator {
+        Aggregator::new(alg, Topology::Binomial)
     }
 
     #[test]
@@ -594,7 +595,7 @@ mod tests {
             &segments,
             None,
             CostModel::zero(),
-            step_for(Algorithm::GTopK, 0),
+            step_for(Algorithm::GTopK),
         );
         assert_eq!(engine.ranges.len(), 2);
         // Backward order: the first bucket ends at the top of the vector.
@@ -618,7 +619,7 @@ mod tests {
             &segments,
             None,
             CostModel::zero(),
-            step_for(Algorithm::GTopK, 0),
+            step_for(Algorithm::GTopK),
         );
         assert_eq!(engine.ranges.len(), 3);
         // Backward order reverses the segment list.
@@ -702,7 +703,7 @@ mod tests {
                     sparsify_ms: 0.0,
                 }),
                 CostModel::gigabit_ethernet(),
-                Aggregator::for_config(cfg, comm.rank()),
+                Aggregator::for_config(cfg),
             );
             let members: Vec<usize> = (0..comm.size()).collect();
             for it in 0..3u64 {
@@ -786,7 +787,7 @@ mod tests {
                         &[24, 20, 20],
                         None,
                         CostModel::gigabit_ethernet(),
-                        Aggregator::for_config(&cfg, comm.rank()),
+                        Aggregator::for_config(&cfg),
                     );
                     assert_eq!(engine.stats().buckets, want_buckets, "{what}");
                     let members: Vec<usize> = (0..comm.size()).collect();

@@ -11,8 +11,8 @@
 //! recovery instead of selecting a different code path. Which
 //! combinations are legal is [`TrainConfig::validate`]'s call alone.
 
-use crate::ckpt::{CheckpointStore, DurableCheckpoint, EngineState};
-use crate::overlap::{ComputeCost, OverlapConfig, OverlapEngine, OverlapStats};
+use crate::ckpt::{CheckpointStore, DurableCheckpoint};
+use crate::overlap::{bucket_ranges, ComputeCost, OverlapConfig, OverlapEngine, OverlapStats};
 use crate::ps::PsConfig;
 use crate::{
     ft, Aggregator, Algorithm, DensitySchedule, EpochRecord, LrSchedule, Selector, TimingBreakdown,
@@ -47,7 +47,8 @@ pub struct TrainConfig {
     pub cost_model: CostModel,
     /// Optional modeled local compute costs (see [`ComputeCost`]).
     pub compute_cost: Option<ComputeCost>,
-    /// Local top-k selection kernel (exact or sampled-threshold).
+    /// Local top-k selection kernel: always [`Selector::Exact`], and read
+    /// by no training path (see [`Selector`] for why it remains).
     pub selector: Selector,
     /// Collective plan topology, for the algorithms whose collective
     /// executes one (in every bucket).
@@ -174,6 +175,67 @@ impl TrainConfig {
     }
 }
 
+/// A generation on disk whose state has another shape than the run that
+/// would resume from it: the part that disagrees, and both values.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ResumeMismatch {
+    /// `parameter count`, `velocity length`, `bucket count`,
+    /// `bucket sizes` or `momentum-correction buffer`.
+    pub field: &'static str,
+    /// The checkpoint's value.
+    pub saved: String,
+    /// The run's value.
+    pub run: String,
+}
+
+impl std::fmt::Display for ResumeMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ResumeMismatch { field, saved, run } = self;
+        write!(f, "{field}: {saved} in the checkpoint, {run} in this run")
+    }
+}
+
+impl std::error::Error for ResumeMismatch {}
+
+/// Checks that `c`, loaded from disk, can resume a run of `cfg` on a
+/// model with parameter `segments`: the parameter count, velocity length,
+/// bucket count and sizes, and the momentum-correction buffer (present
+/// exactly when `cfg` corrects momentum). The cold resume and the rejoin
+/// run it before restoring.
+///
+/// # Errors
+///
+/// The first part whose shape disagrees.
+pub fn check_resume(
+    cfg: &TrainConfig,
+    segments: &[usize],
+    c: &DurableCheckpoint,
+) -> std::result::Result<(), ResumeMismatch> {
+    let m: usize = segments.iter().sum();
+    let buckets = bucket_ranges(&cfg.overlap.unwrap_or(OverlapConfig::buckets(1)), segments);
+    let run: Vec<usize> = buckets.into_iter().map(|r| r.len()).collect();
+    let saved: Vec<usize> = c.residuals.iter().map(Vec::len).collect();
+    let n = |v: usize| v.to_string();
+    let buffer = |len: Option<usize>| len.map_or("absent".into(), |len| format!("{len} values"));
+    let corrected = cfg.momentum_correction.then_some(m);
+    [
+        ("parameter count", n(c.params.len()), n(m)),
+        ("velocity length", n(c.velocity.len()), n(m)),
+        ("bucket count", n(saved.len()), n(run.len())),
+        ("bucket sizes", format!("{saved:?}"), format!("{run:?}")),
+        (
+            "momentum-correction buffer",
+            buffer(c.local_velocity.as_ref().map(Vec::len)),
+            buffer(corrected),
+        ),
+    ]
+    .into_iter()
+    .find(|(_, saved, run)| saved != run)
+    .map_or(Ok(()), |(field, saved, run)| {
+        Err(ResumeMismatch { field, saved, run })
+    })
+}
+
 /// Everything a rank's training run mutates — what a checkpoint captures
 /// and a rollback or restart restores, as one value. (Time-breakdown
 /// counters are deliberately *not* part of it: they describe executed
@@ -217,7 +279,7 @@ impl<M: Model> TrainState<M> {
                 &model.param_segments(),
                 Some(cost),
                 cfg.cost_model,
-                Aggregator::for_config(cfg, comm.rank()),
+                Aggregator::for_config(cfg),
             )),
             cost,
             local_velocity: cfg.momentum_correction.then(|| vec![0.0; m]),
@@ -235,19 +297,12 @@ impl<M: Model> TrainState<M> {
     /// as is when a checkpoint directory is configured.
     fn snapshot(&self, rank: usize) -> DurableCheckpoint {
         let (data_epoch, data_cursor) = self.batches.position();
-        // Residuals *plus* selector states, so that a restore — a rollback
-        // or a process restart alike — replays the sampled kernel's draws
-        // bit-exactly.
-        let (residuals, selectors) = self.engine.snapshot();
         DurableCheckpoint {
             rank: rank as u64,
             iter: self.it,
             params: self.model.flat_params(),
             velocity: self.opt.velocity().to_vec(),
-            engine: EngineState::Buckets {
-                residuals,
-                selectors,
-            },
+            residuals: self.engine.snapshot(),
             local_velocity: self.local_velocity.clone(),
             data_epoch,
             data_cursor: data_cursor as u64,
@@ -262,11 +317,7 @@ impl<M: Model> TrainState<M> {
     fn restore(&mut self, c: &DurableCheckpoint) {
         self.model.set_flat_params(&c.params);
         self.opt.set_velocity(&c.velocity);
-        let EngineState::Buckets {
-            residuals,
-            selectors,
-        } = &c.engine;
-        self.engine.restore(residuals, selectors);
+        self.engine.restore(&c.residuals);
         self.local_velocity.clone_from(&c.local_velocity);
         self.batches
             .restore_position(c.data_epoch, c.data_cursor as usize);
@@ -581,10 +632,12 @@ where
     let mut crashed = match restart {
         None => false,
         Some((disk, _rejected)) if comm.size() == 1 => {
+            check_resume(cfg, &state.model.param_segments(), &disk)
+                .unwrap_or_else(|e| panic!("the checkpoint directory does not fit this run: {e}"));
             state.restore(&disk);
             false
         }
-        Some((disk, _rejected)) => !rejoin(comm, &mut state, &mut log, disk.iter, &mut timing),
+        Some((disk, _rejected)) => !rejoin(cfg, comm, &mut state, &mut log, disk.iter, &mut timing),
     };
 
     while !crashed && state.it < total_iters {
@@ -744,9 +797,11 @@ fn clip_to_norm(g: &mut [f32], max_norm: f32) {
 /// The joiner side of a multi-rank durable restart: broadcast JOIN_REQ,
 /// wait for the coordinator's WELCOME, restore the agreed generation
 /// from disk, and verify the donor's state transfer bit-for-bit. Returns
-/// `false` if the cluster is gone, the transfer never arrived, or it
-/// disagrees with the disk copy (the restarted process leaves the run).
+/// `false` if the cluster is gone, the generation does not fit the run
+/// ([`check_resume`]), the transfer never arrived, or it disagrees with
+/// the disk copy (the restarted process leaves the run).
 fn rejoin<M: Model>(
+    cfg: &TrainConfig,
     comm: &mut Communicator,
     state: &mut TrainState<M>,
     log: &mut RecoveryLog,
@@ -764,6 +819,13 @@ fn rejoin<M: Model>(
         .expect("a restart was detected from the store")
         .load(rollback)
         .expect("the agreed rollback generation is retained on disk");
+    if let Err(err) = check_resume(cfg, &state.model.param_segments(), &gen) {
+        let rank = comm.rank();
+        eprintln!(
+            "rank {rank}: checkpoint {rollback} does not fit this run ({err}); leaving the run"
+        );
+        return false;
+    }
     state.restore(&gen);
     // Donor transfer: redundant with the disk copy by construction;
     // receiving and checking it makes the replica invariant
@@ -1330,6 +1392,9 @@ mod tests {
         /// Re-encoded, CRC and all, with one parameter bit flipped: it
         /// loads, and disagrees with the donor's transfer.
         ParamBitFlipped,
+        /// Re-encoded with its residual split in two buckets: it loads,
+        /// and does not fit the one-bucket run.
+        OtherShape,
     }
 
     /// Runs `cfg` over a manually wired mesh so a victim rank can be
@@ -1382,7 +1447,12 @@ mod tests {
                         f.set_len(9).unwrap();
                     } else {
                         let mut c = store.load(newest).unwrap();
-                        c.params[0] = f32::from_bits(c.params[0].to_bits() ^ 1);
+                        if disk == Disk::OtherShape {
+                            let tail = c.residuals[0].split_off(1);
+                            c.residuals.push(tail);
+                        } else {
+                            c.params[0] = f32::from_bits(c.params[0].to_bits() ^ 1);
+                        }
                         std::fs::write(&path, crate::ckpt::encode(&c)).unwrap();
                     }
                 }
@@ -1507,6 +1577,108 @@ mod tests {
             assert_eq!(r.survivors, 3, "survivor {rank} ends without the joiner");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_joiner_whose_checkpoint_does_not_fit_the_run_leaves() {
+        let data = GaussianMixture::new(61, 256, 8, 4, 2.5, 0.4);
+        let dir = unique_dir("other-shape");
+        let _ = std::fs::remove_dir_all(&dir);
+        // The victim's newest generation loads but holds two residual
+        // buckets: the joiner must leave instead of panicking in the
+        // restore, and the survivors shrink past it.
+        let cfg = elastic_cfg(Some(dir.clone()));
+        let reports = run_elastic(&data, &cfg, Some((3, 21, Disk::OtherShape)));
+        assert!(
+            reports[3].is_none(),
+            "the joiner must report as having left"
+        );
+        for (rank, r) in reports[..3].iter().enumerate() {
+            let r = r
+                .as_ref()
+                .unwrap_or_else(|| panic!("survivor {rank} must finish"));
+            assert_eq!(r.epochs.len(), cfg.epochs, "survivor {rank}");
+            assert_eq!(r.survivors, 3, "survivor {rank} ends without the joiner");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn check_resume_names_the_first_field_that_disagrees() {
+        // A model of segments [6, 4, 2]: two fused buckets hold 2 + 4 and
+        // 6 parameters.
+        let segments = [6, 4, 2];
+        let cfg = quick_cfg(Algorithm::GTopK, 1);
+        let fits = DurableCheckpoint {
+            rank: 0,
+            iter: 8,
+            params: vec![0.5; 12],
+            velocity: vec![0.0; 12],
+            residuals: vec![vec![0.0; 12]],
+            local_velocity: None,
+            data_epoch: 0,
+            data_cursor: 8,
+            epoch_loss: 0.0,
+            losses: Vec::new(),
+            evals: Vec::new(),
+        };
+        assert_eq!(check_resume(&cfg, &segments, &fits), Ok(()));
+        let two = cfg.clone().with_overlap(OverlapConfig::buckets(2));
+        let split = DurableCheckpoint {
+            residuals: vec![vec![0.0; 4], vec![0.0; 8]],
+            ..fits.clone()
+        };
+        let corrected = TrainConfig {
+            momentum_correction: true,
+            ..cfg.clone()
+        };
+        for (cfg, c, field, saved, run) in [
+            (
+                &cfg,
+                DurableCheckpoint {
+                    params: vec![0.5; 10],
+                    ..fits.clone()
+                },
+                "parameter count",
+                "10",
+                "12",
+            ),
+            (
+                &cfg,
+                DurableCheckpoint {
+                    velocity: Vec::new(),
+                    ..fits.clone()
+                },
+                "velocity length",
+                "0",
+                "12",
+            ),
+            (&two, fits.clone(), "bucket count", "1", "2"),
+            (&two, split, "bucket sizes", "[4, 8]", "[6, 6]"),
+            (
+                &corrected,
+                fits.clone(),
+                "momentum-correction buffer",
+                "absent",
+                "12 values",
+            ),
+            (
+                &cfg,
+                DurableCheckpoint {
+                    local_velocity: Some(vec![0.0; 12]),
+                    ..fits.clone()
+                },
+                "momentum-correction buffer",
+                "12 values",
+                "absent",
+            ),
+        ] {
+            let err = check_resume(cfg, &segments, &c).unwrap_err();
+            assert_eq!(
+                (err.field, err.saved.as_str(), err.run.as_str()),
+                (field, saved, run)
+            );
+        }
     }
 
     #[test]

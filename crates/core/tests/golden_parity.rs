@@ -20,9 +20,9 @@
 
 use gtopk::{
     train_distributed, Aggregator, Algorithm, ComputeCost, OverlapConfig, OverlapEngine, PsConfig,
-    Selector, TrainConfig, Update,
+    TrainConfig, Update,
 };
-use gtopk_comm::{Cluster, Communicator, CostModel, FaultPlan, Topology};
+use gtopk_comm::{Cluster, CostModel, FaultPlan, Topology};
 use gtopk_data::GaussianMixture;
 use gtopk_nn::{models, Model, MomentumSgd};
 use gtopk_sparse::Residual;
@@ -87,8 +87,8 @@ fn grad(rank: usize, step: u64, dim: usize) -> Vec<f32> {
         .collect()
 }
 
-fn step_for(alg: Algorithm, comm: &Communicator) -> Aggregator {
-    Aggregator::new(alg, Selector::Exact, Topology::Binomial, comm.rank())
+fn step_for(alg: Algorithm) -> Aggregator {
+    Aggregator::new(alg, Topology::Binomial)
 }
 
 fn serial_fingerprint(alg: Algorithm, p: usize) -> u64 {
@@ -97,7 +97,7 @@ fn serial_fingerprint(alg: Algorithm, p: usize) -> u64 {
     let dim = 6000usize;
     let k = 48usize;
     let per_rank = Cluster::new(p, CostModel::zero()).run(move |comm| {
-        let mut agg = step_for(alg, comm);
+        let mut agg = step_for(alg);
         let members: Vec<usize> = (0..comm.size()).collect();
         let mut residual = Residual::new(dim);
         let mut h = Fnv::new();
@@ -125,7 +125,7 @@ fn warmup_fingerprint(alg: Algorithm, p: usize) -> u64 {
         let dim = model.num_params();
         let k = dim / 4;
         let mut opt = MomentumSgd::new(dim, 0.1, 0.9);
-        let mut agg = step_for(alg, comm);
+        let mut agg = step_for(alg);
         let members: Vec<usize> = (0..comm.size()).collect();
         let mut residual = Residual::new(dim);
         let mut h = Fnv::new();
@@ -159,7 +159,7 @@ fn overlap_fingerprint(alg: Algorithm, p: usize, buckets: usize) -> u64 {
             &segments,
             None,
             net,
-            step_for(alg, comm),
+            step_for(alg),
         );
         let members: Vec<usize> = (0..comm.size()).collect();
         let mut h = Fnv::new();
@@ -169,7 +169,7 @@ fn overlap_fingerprint(alg: Algorithm, p: usize, buckets: usize) -> u64 {
                 .step(comm, &members, &mut g, 0.01, &mut opt, &mut model)
                 .unwrap();
             h.floats(&model.flat_params());
-            for r in &engine.snapshot().0 {
+            for r in &engine.snapshot() {
                 h.floats(r);
             }
         }

@@ -5,9 +5,9 @@
 //!
 //! * [`SparseVec`] — a `[values, indices]` sparse gradient vector, the wire
 //!   format every sparsified aggregation algorithm exchanges;
-//! * [`topk_sparse`] and friends — Top-k selection over the absolute values
-//!   of a dense gradient (paper Algorithm 1, lines 5–7), in an exact
-//!   streaming-select flavour and a sampled-threshold flavour;
+//! * [`topk_sparse`] and friends — exact Top-k selection over the absolute
+//!   values of a dense gradient (paper Algorithm 1, lines 5–7), one
+//!   streaming, RNG-free kernel;
 //! * [`topk_merge`] — the paper's **Definition 1** binary operator `⊤`:
 //!   merge-add two k-sparse vectors and keep only the k largest magnitudes;
 //! * [`Residual`] — the error-feedback accumulator that stores zeroed-out
@@ -44,7 +44,7 @@ pub use merge::{
 };
 pub use residual::Residual;
 pub use topk::{
-    accumulate_select_compact, sampled_topk_sparse, threshold_sparse, topk_indices,
-    topk_indices_into, topk_sparse, topk_sparse_into, TopkScratch,
+    accumulate_select_compact, topk_indices, topk_indices_into, topk_sparse, topk_sparse_into,
+    TopkScratch,
 };
 pub use vector::SparseVec;

@@ -6,14 +6,15 @@
 //! stores `¬Mask ⊙ G` as residual); coordinates rejected by the *global*
 //! selection are put back (Algorithm 4, line 10) so no gradient mass is
 //! ever silently dropped — only delayed.
+//!
+//! Every extraction runs the one exact, RNG-free streaming kernel of
+//! [`crate::topk`]; the training step takes its fused form,
+//! [`Residual::accumulate_extract_into`], which folds the gradient in and
+//! selects in a single pass over the buffer.
 
-use crate::topk::{
-    accumulate_select_compact, sampled_topk_sparse, topk_indices_into, topk_sparse_into,
-    TopkScratch,
-};
+use crate::topk::{accumulate_select_compact, topk_indices_into, topk_sparse_into, TopkScratch};
 use crate::SparseVec;
 use gtopk_tensor::simd;
-use rand::Rng;
 use std::ops::Range;
 
 /// Dense error-feedback buffer with top-k extraction.
@@ -152,21 +153,6 @@ impl Residual {
         for &i in out.indices() {
             self.acc[i as usize] = 0.0;
         }
-    }
-
-    /// Like [`Residual::extract_topk`] but using the sampled-threshold
-    /// selection kernel — exactly `min(k, dim)` coordinates are extracted.
-    pub fn extract_topk_sampled(
-        &mut self,
-        k: usize,
-        sample: usize,
-        rng: &mut impl Rng,
-    ) -> SparseVec {
-        let sv = sampled_topk_sparse(&self.acc, k, sample, rng);
-        for &i in sv.indices() {
-            self.acc[i as usize] = 0.0;
-        }
-        sv
     }
 
     /// Returns previously extracted coordinates to the buffer

@@ -20,9 +20,11 @@
 //!    at `t*` — so the output is born sorted.
 //!
 //! The `⊤` merge ([`crate::topk_merge_into`]) reads the same cut off a
-//! sample of its sum and shares steps 3–4. A plain threshold filter
-//! ([`threshold_sparse`]) and the older relaxing sampled selector
-//! ([`sampled_topk_sparse`]) sit beside it.
+//! sample of its sum and shares steps 3–4. There is no approximate
+//! selector: this one already reads its cut off a sample, and fused with
+//! the residual accumulate it crosses the buffer once, which leaves an
+//! approximate select nothing to save at paper scale (EXPERIMENTS.md,
+//! `ext_selection_kernels`).
 //!
 //! # Determinism
 //!
@@ -47,13 +49,7 @@
 //! selection allocates nothing. The plain variants allocate internally.
 
 use crate::SparseVec;
-use gtopk_tensor::{parallel, simd};
-use rand::Rng;
-use std::cmp::Ordering;
-
-/// [`threshold_sparse`] inputs below this many elements per chunk are
-/// filtered serially — spawn overhead beats the scan on anything smaller.
-const PAR_MIN_CHUNK: usize = 32 * 1024;
+use gtopk_tensor::simd;
 
 /// Below this many elements the built-in sampler is skipped: sampling
 /// would cost more than the select over all of them that it spares.
@@ -348,102 +344,6 @@ pub fn topk_sparse(dense: &[f32], k: usize) -> SparseVec {
     out
 }
 
-/// Sparsifies by keeping every entry with `|value| > thr`.
-///
-/// Runs chunk-parallel for large inputs; chunks are contiguous and
-/// gathered in order, so the result is identical to the serial filter.
-pub fn threshold_sparse(dense: &[f32], thr: f32) -> SparseVec {
-    let parts = parallel::map_chunks(dense, PAR_MIN_CHUNK, |_, start, chunk| {
-        // SIMD compaction emits the surviving indices in order; the
-        // (short) value gather reads only the survivors back.
-        let mut indices = Vec::new();
-        simd::compact_above(chunk, thr, start as u32, &mut indices);
-        let values: Vec<f32> = indices.iter().map(|&i| dense[i as usize]).collect();
-        (indices, values)
-    });
-    let total: usize = parts.iter().map(|(i, _)| i.len()).sum();
-    let mut indices = Vec::with_capacity(total);
-    let mut values = Vec::with_capacity(total);
-    for (i, v) in parts {
-        indices.extend_from_slice(&i);
-        values.extend_from_slice(&v);
-    }
-    SparseVec::from_sorted(dense.len(), indices, values)
-}
-
-/// Approximate top-k via sampled-threshold estimation, returning exactly
-/// `min(k, len)` entries.
-///
-/// A uniform sample of `sample` coordinates estimates the k-th largest
-/// magnitude; a threshold pass collects candidates; the candidate set is
-/// then trimmed (exact top-k over candidates) or, if the estimate was too
-/// aggressive, the threshold is relaxed geometrically until enough
-/// candidates exist. This mirrors the DGC-style sampling trick and is the
-/// cheaper of the two selection kernels for large `m` on hardware where a
-/// full quickselect is expensive.
-///
-/// # Panics
-///
-/// Panics if `sample == 0` while `k > 0` and the input is non-empty.
-pub fn sampled_topk_sparse(
-    dense: &[f32],
-    k: usize,
-    sample: usize,
-    rng: &mut impl Rng,
-) -> SparseVec {
-    let n = dense.len();
-    if k == 0 || n == 0 {
-        return SparseVec::empty(n);
-    }
-    if k >= n {
-        return topk_sparse(dense, k);
-    }
-    assert!(sample > 0, "sample size must be positive");
-    let sample = sample.min(n);
-    // Sample |values| uniformly with replacement (NaN counted as 0, like
-    // the exact kernel's comparator).
-    let mut mags: Vec<f32> = (0..sample)
-        .map(|_| mag(dense[rng.gen_range(0..n)]))
-        .collect();
-    // Estimated threshold: the value such that a fraction k/n of samples
-    // exceeds it — deliberately relaxed by a 4x margin so the candidate
-    // pass overshoots k (a slightly-too-large candidate set costs one
-    // cheap exact pass over ~4k entries; an undershoot costs a full
-    // O(m) rescan).
-    let quota = ((k as f64 / n as f64) * sample as f64).ceil() as usize;
-    let quota = (quota.saturating_mul(4)).clamp(1, sample);
-    // `mag` outputs are never NaN, so this sort is total.
-    mags.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap_or(Ordering::Equal));
-    let mut thr = mags[quota - 1];
-    // Collect candidates, relaxing the threshold a bounded number of
-    // times before falling back to the exact kernel (an unbounded relax
-    // loop can rescan the full buffer many times and lose to
-    // quickselect outright).
-    for _ in 0..3 {
-        let cand = threshold_sparse(dense, thr);
-        if cand.nnz() >= k {
-            if cand.nnz() == k {
-                return cand;
-            }
-            // Exact top-k over the (small) candidate set.
-            let pairs: Vec<(u32, f32)> = cand.iter().collect();
-            let vals: Vec<f32> = pairs.iter().map(|&(_, v)| v).collect();
-            let local = topk_indices(&vals, k);
-            let selected: Vec<(u32, f32)> = local.iter().map(|&li| pairs[li as usize]).collect();
-            return SparseVec::from_pairs(n, selected);
-        }
-        if thr <= 0.0 {
-            break;
-        }
-        thr *= 0.25;
-        if thr < 1e-30 {
-            thr = 0.0;
-        }
-    }
-    // Estimate failed (pathological distribution): exact fallback.
-    topk_sparse(dense, k)
-}
-
 /// Fused residual-accumulate + exact top-k extraction: the per-step
 /// gradient hot loop in **one memory pass** instead of three.
 ///
@@ -501,8 +401,7 @@ mod tests {
     use super::*;
     use gtopk_tensor::parallel::{with_min_chunk, with_thread_limit};
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use std::cmp::Ordering;
 
     /// The order the kernel promises, written the slow obvious way:
     /// larger |value| first, then lower index (the sort oracle's
@@ -650,8 +549,6 @@ mod tests {
         // All-NaN input: pure index order.
         let nans = [f32::NAN; 5];
         assert_eq!(topk_indices(&nans, 2), vec![0, 1]);
-        let sv = threshold_sparse(&v, 10.0);
-        assert_eq!(sv.indices(), &[2, 3]);
     }
 
     #[test]
@@ -740,57 +637,6 @@ mod tests {
                 assert_eq!(topk_indices(&v, k), oracle(&v, k), "n={n} k={k}");
             }
         }
-    }
-
-    #[test]
-    fn threshold_filters_strictly() {
-        let v = [0.5, -2.0, 2.0, 1.0];
-        let sv = threshold_sparse(&v, 1.0);
-        assert_eq!(sv.indices(), &[1, 2]);
-    }
-
-    #[test]
-    fn threshold_parallel_matches_serial() {
-        let v: Vec<f32> = (0..5000).map(|i| ((i % 13) as f32) - 6.0).collect();
-        let serial = with_thread_limit(1, || threshold_sparse(&v, 3.0));
-        let par = with_thread_limit(4, || with_min_chunk(32, || threshold_sparse(&v, 3.0)));
-        assert_eq!(par, serial);
-    }
-
-    #[test]
-    fn sampled_topk_exact_count() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let dense: Vec<f32> = (0..1000)
-            .map(|i| ((i * 7919) % 997) as f32 - 498.0)
-            .collect();
-        for k in [1usize, 10, 100] {
-            let sv = sampled_topk_sparse(&dense, k, 64, &mut rng);
-            assert_eq!(sv.nnz(), k, "k={k}");
-        }
-    }
-
-    #[test]
-    fn sampled_topk_overlaps_exact_heavily() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let dense: Vec<f32> = (0..2000)
-            .map(|i| {
-                if i % 100 == 0 {
-                    50.0 + i as f32
-                } else {
-                    (i % 7) as f32 * 0.01
-                }
-            })
-            .collect();
-        let k = 20;
-        let approx = sampled_topk_sparse(&dense, k, 256, &mut rng);
-        let exact = topk_sparse(&dense, k);
-        let overlap = approx
-            .indices()
-            .iter()
-            .filter(|i| exact.contains(**i))
-            .count();
-        // With a clear heavy-hitter structure the approximation should agree.
-        assert!(overlap >= k * 9 / 10, "overlap {overlap} of {k}");
     }
 
     #[test]
@@ -964,19 +810,6 @@ mod tests {
                 with_min_chunk(min_chunk, || topk_indices(&values, k))
             });
             prop_assert_eq!(par, serial);
-        }
-
-        /// Sampled top-k returns exactly min(k, n) entries and each selected
-        /// value matches the dense source.
-        #[test]
-        fn prop_sampled_topk_consistent(values in proptest::collection::vec(-5.0f32..5.0, 1..300),
-                                        k in 0usize..40, seed in 0u64..50) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let sv = sampled_topk_sparse(&values, k, 32, &mut rng);
-            prop_assert_eq!(sv.nnz(), k.min(values.len()));
-            for (i, v) in sv.iter() {
-                prop_assert_eq!(v, values[i as usize]);
-            }
         }
     }
 }

@@ -164,9 +164,9 @@ fn fused_path_allocates_nothing_at_steady_state() {
     assert_eq!(allocs, 0, "steady-state fused epoch allocated {allocs}x");
 }
 
-/// The default selector's step — `Selector::Exact` runs the fused kernel
-/// — at first-warm-up-epoch and steady-state densities. Stricter than the epochs above: only the first
-/// *step* may allocate, although every later step sees a different
+/// The selection step the aggregator runs — the fused kernel — at
+/// first-warm-up-epoch and steady-state densities. Stricter than the
+/// epochs above: only the first *step* may allocate, although every later step sees a different
 /// gradient and collects a different number of candidates.
 #[test]
 fn exact_fused_path_allocates_nothing_after_the_first_step() {

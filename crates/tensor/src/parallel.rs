@@ -1,10 +1,9 @@
 //! Dependency-free chunked parallel runtime for hot-path kernels.
 //!
-//! Every parallel kernel in the workspace (matmul, the plain threshold
-//! filter) funnels through this module, which partitions a slice into
-//! contiguous chunks and runs them on scoped `std::thread` workers — no
-//! thread-pool crate, no unsafe, no allocation beyond the per-call result
-//! vector.
+//! Every parallel kernel in the workspace (the matmul family) funnels
+//! through this module, which partitions a matrix into contiguous blocks
+//! of rows and runs them on scoped `std::thread` workers — no thread-pool
+//! crate, no unsafe, no allocation beyond the per-call chunk bounds.
 //!
 //! # Thread count
 //!
@@ -20,8 +19,8 @@
 //!
 //! # Determinism
 //!
-//! These primitives are *structured*: chunks are contiguous, in-order, and
-//! results are returned in chunk order, so callers can (and do) guarantee
+//! These primitives are *structured*: chunks are contiguous and in order,
+//! and each writes only its own rows, so callers can (and do) guarantee
 //! bitwise-identical results to their serial variants regardless of thread
 //! count. See the module docs of `gtopk_tensor::matmul` for the
 //! per-kernel argument.
@@ -125,45 +124,6 @@ fn partition(len: usize, chunks: usize) -> Vec<(usize, usize)> {
     bounds
 }
 
-/// Maps contiguous chunks of `data` through `f` in parallel, returning the
-/// per-chunk results **in chunk order**.
-///
-/// `f` receives `(chunk_index, start_offset, chunk)` where `start_offset`
-/// is the chunk's position in `data`. Runs serially (one chunk, calling
-/// thread) when the input is below the parallel threshold.
-pub fn map_chunks<T, R, F>(data: &[T], min_chunk: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, usize, &[T]) -> R + Sync,
-{
-    let chunks = chunk_count(data.len(), min_chunk);
-    if chunks <= 1 {
-        return vec![f(0, 0, data)];
-    }
-    let bounds = partition(data.len(), chunks);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = bounds[1..]
-            .iter()
-            .enumerate()
-            .map(|(i, &(start, end))| {
-                let f = &f;
-                let chunk = &data[start..end];
-                scope.spawn(move || f(i + 1, start, chunk))
-            })
-            .collect();
-        let (start, end) = bounds[0];
-        let mut out = Vec::with_capacity(chunks);
-        out.push(f(0, start, &data[start..end]));
-        out.extend(
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked")),
-        );
-        out
-    })
-}
-
 /// Runs `f` over blocks of whole rows of a row-major matrix in parallel.
 ///
 /// `data` has `data.len() / row_len` rows of `row_len` elements each; `f`
@@ -245,25 +205,6 @@ mod tests {
     }
 
     #[test]
-    fn map_chunks_preserves_order_and_offsets() {
-        let data: Vec<u32> = (0..1000).collect();
-        with_thread_limit(4, || {
-            with_min_chunk(10, || {
-                let sums = map_chunks(&data, 10, |idx, start, chunk| {
-                    assert_eq!(chunk[0] as usize, start);
-                    (idx, chunk.iter().map(|&x| x as u64).sum::<u64>())
-                });
-                assert!(sums.len() > 1);
-                for (i, (idx, _)) in sums.iter().enumerate() {
-                    assert_eq!(i, *idx);
-                }
-                let total: u64 = sums.iter().map(|(_, s)| s).sum();
-                assert_eq!(total, 999 * 1000 / 2);
-            });
-        });
-    }
-
-    #[test]
     fn row_blocks_align_to_rows() {
         let rows = 37;
         let row_len = 8;
@@ -285,12 +226,16 @@ mod tests {
 
     #[test]
     fn serial_fallback_below_threshold() {
-        let data: Vec<u32> = (0..100).collect();
+        // 100 rows under a 2^20-row floor: one block, on the calling thread.
+        let mut data = vec![0u32; 100];
+        let caller = std::thread::current().id();
         with_thread_limit(8, || {
-            let results = map_chunks(&data, 1 << 20, |idx, start, chunk| {
-                (idx, start, chunk.len())
+            for_each_row_block_mut(&mut data, 1, 1 << 20, |first_row, block| {
+                assert_eq!((first_row, block.len()), (0, 100));
+                assert_eq!(std::thread::current().id(), caller);
+                block.fill(1);
             });
-            assert_eq!(results, vec![(0, 0, 100)]);
         });
+        assert!(data.iter().all(|&v| v == 1));
     }
 }

@@ -116,9 +116,20 @@ require_tests -p gtopk-core --lib overlap::tests::sharded_server_keeps_replicas_
 require_tests -p gtopk-core --lib ckpt::tests::a_mode_four_payload_decodes_as_one_bucket
 # Durable-recovery fault paths that used to panic: a failed checkpoint
 # write trains on, a donor transfer that disagrees with the joiner's disk
-# copy makes the joiner leave.
+# copy makes the joiner leave, and so does a disk generation of another
+# run shape; the CLI refuses such a checkpoint dir up front, naming the
+# field.
 require_tests -p gtopk-core --lib trainer::tests::a_failed_durable_write_warns_and_trains_on
 require_tests -p gtopk-core --lib trainer::tests::a_donor_transfer_that_disagrees_with_the_disk_copy_makes_the_joiner_leave
+require_tests -p gtopk-core --lib trainer::tests::a_joiner_whose_checkpoint_does_not_fit_the_run_leaves
+require_tests -p gtopk-core --lib trainer::tests::check_resume_names_the_first_field_that_disagrees
+require_tests -p gtopk-cli --lib a_checkpoint_dir_of_another_run_shape_is_an_error_naming_the_field
+# One exact selector: checkpoint bytes written while the selector was
+# configurable still decode (exact) or fail typed (sampled), and the
+# retired selector kinds are typed errors.
+require_tests -p gtopk-core --lib ckpt::tests::pinned_exact_checkpoint_bytes_decode_to_their_state
+require_tests -p gtopk-core --lib ckpt::tests::pinned_sampled_checkpoint_bytes_decode_as_pinned
+require_tests -p gtopk-core --lib ckpt::tests::retired_selector_tag_is_a_typed_error
 # CLI numbers that used to panic or be silently ignored are argument
 # errors naming the flag.
 require_tests -p gtopk-cli --lib numbers_that_would_panic_or_be_ignored_are_rejected_naming_the_flag
@@ -141,8 +152,9 @@ done
 # Committed numbers must not go stale: the analytic bins price every
 # schedule by thread-free plan replay (seconds in total), two of the
 # convergence bins train Dense and gTop-k end to end through the trainer
-# (~11 s in release), and the two PS bins price and execute the
-# parameter server (seconds in release), so rerun them and require their
+# (~11 s in release), the two PS bins price and execute the parameter
+# server (seconds in release), and six more deterministic bins take
+# under 20 s together in release, so rerun them and require their
 # committed outputs to come back byte-identical.
 echo "==> analytic and convergence results reproduce byte-identically"
 for bin in table1_complexity fig09_allreduce_time fig10_scaling_efficiency \
@@ -162,12 +174,21 @@ done
 for bin in ext_overlap ext_momentum_correction; do
   cargo run -q --offline --release -p gtopk-bench --bin "$bin" >/dev/null 2>&1
 done
+# The k-from-kP selection figure, the put-back ablation, the support
+# overlap, the plan and zoo replays, and the fault-tolerance table.
+for bin in fig01_select_k_from_kp ext_putback_ablation ext_support_overlap \
+  bench_plans bench_zoo ext_fault_tolerance; do
+  cargo run -q --offline --release -p gtopk-bench --bin "$bin" >/dev/null 2>&1
+done
 git diff --exit-code -- results/table1_complexity.tsv results/fig09_*.tsv \
   results/fig10_scaling_*.tsv results/fig11_time_breakdown.tsv \
   results/table4_throughput.tsv results/fig05_convergence_*.tsv \
   results/fig07_convergence_lstm.tsv BENCH_ps.json \
   results/ext_ps_crossover.tsv results/ext_ps_vs_tree.tsv \
-  results/ext_overlap.tsv results/ext_momentum_correction.tsv BENCH_overlap.json
+  results/ext_overlap.tsv results/ext_momentum_correction.tsv BENCH_overlap.json \
+  results/fig01_select_k_from_kp.tsv results/ext_putback_ablation.tsv \
+  results/ext_support_overlap.tsv results/bench_plans.tsv BENCH_plans.json \
+  results/ext_zoo.tsv BENCH_zoo.json results/ext_fault_tolerance.tsv BENCH_faults.json
 
 # Real processes, real sockets, a real SIGKILL: a 4-process localhost
 # cluster over `--transport tcp --rendezvous` (OS-assigned ports published

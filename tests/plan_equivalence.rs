@@ -16,10 +16,7 @@
 //!    the ring chain reproduces that left fold bitwise even for
 //!    overlapping supports, because its plan *is* the fold.
 
-use gtopk::{
-    gtopk_all_reduce_over, sparse_sum_recursive_doubling, sparse_zoo_all_reduce_over, Selector,
-    SelectorState,
-};
+use gtopk::{gtopk_all_reduce_over, sparse_sum_recursive_doubling, sparse_zoo_all_reduce_over};
 use gtopk_comm::{collectives, Cluster, CostModel, Topology};
 use gtopk_perfmodel::{dense_plan_ms, gtopk_plan_ms, topk_plan_ms, ZooSchedule};
 use gtopk_sparse::{topk_merge_many, topk_sparse, Residual, SparseVec};
@@ -221,16 +218,9 @@ proptest! {
             Cluster::new(p, CostModel::zero()).run(move |comm| {
                 let rank = comm.rank();
                 let mut residual = Residual::new(dim);
-                let mut select =
-                    SelectorState::new(Selector::Exact, rank);
                 let mut local = SparseVec::empty(dim);
                 let g = grad(rank, dim, seed);
-                select.accumulate_extract_into(
-                    &mut residual,
-                    &g,
-                    sched.contrib_slots,
-                    &mut local,
-                );
+                residual.accumulate_extract_into(&g, sched.contrib_slots, &mut local);
                 let mass_in: Vec<f32> = residual
                     .dense()
                     .iter()
