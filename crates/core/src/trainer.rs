@@ -425,9 +425,10 @@ impl RankOutcome {
 ///
 /// Panics if [`TrainConfig::validate`] refuses the configuration (with
 /// its message), if the configuration is inconsistent with the dataset
-/// (e.g. a shard smaller than one batch), if model replicas diverge, or
-/// if a communication error occurs (worker threads treat transport
-/// failures as fatal, like an MPI abort).
+/// (e.g. a shard smaller than one batch) or a one-rank run's checkpoint
+/// directory ([`check_resume`]), if model replicas diverge, or if a
+/// communication error occurs (worker threads treat transport failures
+/// as fatal, like an MPI abort).
 pub fn train_distributed<M, F>(
     cfg: &TrainConfig,
     build_model: F,
