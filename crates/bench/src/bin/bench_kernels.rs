@@ -17,6 +17,8 @@
 //!   layer and at m = 25M in 8 buckets;
 //! * the blocked/row-parallel matmul against the naive i-k-j loop (and
 //!   asserting the single-thread dispatch is never slower than naive);
+//! * vgg-lite's two convolutions, forward and backward, at the benchmark
+//!   workload's batch of 16 8×8 images;
 //! * every available `GTOPK_SIMD` level against the scalar kernels;
 //! * the fused single-pass residual+select against the three-pass
 //!   accumulate / scan / compact sequence, at m = 25M;
@@ -35,13 +37,13 @@
 
 use gtopk_comm::transport::frame::{encode_into, read_frame_into, Frame};
 use gtopk_comm::Payload;
-use gtopk_nn::{models, Model, MomentumSgd};
+use gtopk_nn::{models, Conv2d, Layer, Model, MomentumSgd};
 use gtopk_sparse::{
     topk_merge, topk_merge_into, topk_merge_split_into, topk_sparse, topk_sparse_into, Mask,
     MergeScratch, Residual, SparseVec, TopkScratch,
 };
 use gtopk_tensor::simd::{self, SimdLevel};
-use gtopk_tensor::{matmul_flat, parallel, Tensor};
+use gtopk_tensor::{matmul_flat, parallel, Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -84,14 +86,18 @@ impl Row {
 
 /// Median-of-`runs` wall time for `f`, after one warm-up call.
 fn time_median<F: FnMut()>(runs: usize, mut f: F) -> f64 {
-    f();
-    let mut samples: Vec<f64> = (0..runs)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64()
-        })
-        .collect();
+    median_of(runs, || {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_secs_f64()
+    })
+}
+
+/// Median of `runs` seconds that `sample` measures itself, after one
+/// warm-up call.
+fn median_of(runs: usize, mut sample: impl FnMut() -> f64) -> f64 {
+    sample();
+    let mut samples: Vec<f64> = (0..runs).map(|_| sample()).collect();
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     samples[samples.len() / 2]
 }
@@ -533,6 +539,54 @@ fn bench_matmul(rows: &mut Vec<Row>) {
     }
 }
 
+/// vgg-lite's two convolutions at the benchmark workload's shape (batch
+/// 16 of 8×8 images: conv1 maps 3→16 channels at 8×8, conv2 16→32 at the
+/// pooled 4×4), single thread: forward and backward, each summed over 20
+/// calls a sample. Backward consumes the input its forward cached, so
+/// every timed backward follows an untimed forward. `elements` is the
+/// forward GEMM's multiply-adds, so a layer's two rows share a unit.
+fn bench_conv(rows: &mut Vec<Row>) {
+    const CALLS: usize = 20;
+    let mut rng = StdRng::seed_from_u64(23);
+    for (kernel, in_c, out_c, img) in [
+        ("conv2d_vgg_conv1", 3, 16, 8),
+        ("conv2d_vgg_conv2", 16, 32, 4),
+    ] {
+        let batch = 16;
+        let mut conv = Conv2d::new(&mut rng, in_c, out_c, 3, 1, 1);
+        let mut random = |shape: Shape| {
+            let data = (0..shape.volume()).map(|_| rng.gen_range(-1.0f32..1.0));
+            Tensor::from_vec(shape, data.collect()).expect("numel matches")
+        };
+        let x = random(Shape::d4(batch, in_c, img, img));
+        let dy = random(Shape::d4(batch, out_c, img, img));
+        for backward in [false, true] {
+            let call = |conv: &mut Conv2d| {
+                let t = Instant::now();
+                black_box(conv.forward(black_box(&x), true));
+                if !backward {
+                    return t.elapsed().as_secs_f64();
+                }
+                let t = Instant::now();
+                black_box(conv.backward(black_box(&dy)));
+                t.elapsed().as_secs_f64()
+            };
+            let secs = parallel::with_thread_limit(1, || {
+                median_of(5, || (0..CALLS).map(|_| call(&mut conv)).sum())
+            });
+            rows.push(Row {
+                kernel,
+                variant: if backward { "backward" } else { "forward" },
+                threads: 1,
+                simd: simd::level().name(),
+                elements: batch * img * img * out_c * in_c * 9 * CALLS,
+                baseline: !backward,
+                secs,
+            });
+        }
+    }
+}
+
 /// Residual accumulate (`acc += grad`) at every SIMD level, m = 25M.
 fn bench_axpy(rows: &mut Vec<Row>) {
     let mut rng = StdRng::seed_from_u64(17);
@@ -643,7 +697,7 @@ fn render_json(rows: &[Row]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(
         out,
-        "  \"bench\": \"hot-path kernels at paper scale (n=14M k=14000 for select/merge, n=1M k=250000 for the _rho25 rows, put_back and frame_codec; n=25M k=25000 for opt_apply/simd/fusion rows; opt_apply_bucketed: n=25M in 8 buckets at rho=0.001, _vgg: vgg-lite per layer at rho=0.005, 200 steps a sample)\","
+        "  \"bench\": \"hot-path kernels at paper scale (n=14M k=14000 for select/merge, n=1M k=250000 for the _rho25 rows, put_back and frame_codec; n=25M k=25000 for opt_apply/simd/fusion rows; opt_apply_bucketed: n=25M in 8 buckets at rho=0.001, _vgg: vgg-lite per layer at rho=0.005, 200 steps a sample; conv2d_vgg_*: vgg-lite's convolutions at batch 16 of 8x8 images, 20 calls a sample, elements = forward multiply-adds)\","
     );
     let cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let _ = writeln!(out, "  \"cpus\": {cpus},");
@@ -726,6 +780,8 @@ fn main() {
     bench_opt_apply(&mut rows, "opt_apply_bucketed_vgg", vgg, 0.005, 200);
     eprintln!("benchmarking matmul ...");
     bench_matmul(&mut rows);
+    eprintln!("benchmarking vgg-lite's convolutions (batch 16, 8x8 images) ...");
+    bench_conv(&mut rows);
     eprintln!("benchmarking residual axpy across simd levels (n = {N2}) ...");
     bench_axpy(&mut rows);
     eprintln!("benchmarking threshold compaction across simd levels ...");

@@ -798,9 +798,10 @@ fn clip_to_norm(g: &mut [f32], max_norm: f32) {
 /// The joiner side of a multi-rank durable restart: broadcast JOIN_REQ,
 /// wait for the coordinator's WELCOME, restore the agreed generation
 /// from disk, and verify the donor's state transfer bit-for-bit. Returns
-/// `false` if the cluster is gone, the generation does not fit the run
-/// ([`check_resume`]), the transfer never arrived, or it disagrees with
-/// the disk copy (the restarted process leaves the run).
+/// `false` if the cluster is gone, the generation is missing from disk or
+/// unreadable, does not fit the run ([`check_resume`]), the transfer
+/// never arrived, or it disagrees with the disk copy (the restarted
+/// process leaves the run).
 fn rejoin<M: Model>(
     cfg: &TrainConfig,
     comm: &mut Communicator,
@@ -814,14 +815,24 @@ fn rejoin<M: Model>(
     };
     comm.set_epoch(epoch);
     log.members = members;
-    let gen = log
+    let rank = comm.rank();
+    // The rollback iteration came off a socket: a generation this store
+    // does not hold (or cannot read) makes the joiner leave, not panic.
+    let loaded = log
         .store
         .as_ref()
         .expect("a restart was detected from the store")
-        .load(rollback)
-        .expect("the agreed rollback generation is retained on disk");
+        .load(rollback);
+    let gen = match loaded {
+        Ok(gen) => gen,
+        Err(err) => {
+            eprintln!(
+                "rank {rank}: checkpoint {rollback} cannot be loaded ({err}); leaving the run"
+            );
+            return false;
+        }
+    };
     if let Err(err) = check_resume(cfg, &state.model.param_segments(), &gen) {
-        let rank = comm.rank();
         eprintln!(
             "rank {rank}: checkpoint {rollback} does not fit this run ({err}); leaving the run"
         );
@@ -849,7 +860,6 @@ fn rejoin<M: Model>(
     // process: without agreement the replica invariant does not hold, so
     // the joiner leaves the run instead.
     if !bits_eq(&donor_params, &gen.params) || !bits_eq(&donor_vel, &gen.velocity) {
-        let rank = comm.rank();
         eprintln!("rank {rank}: donor state differs from checkpoint {rollback}; leaving the run");
         return false;
     }
@@ -912,7 +922,9 @@ fn request_join(
 /// that checkpoint, maintain the pinned-anchor window, and — when this
 /// rank coordinates a growth round — transfer model state to the
 /// joiners. Returns `false` if no coordinator was reachable (this rank
-/// was expelled and must leave the run).
+/// was expelled) or the agreed rollback generation is neither in memory
+/// nor loadable from this rank's store: either way the rank leaves the
+/// run.
 fn handle_recovery<M: Model>(
     comm: &mut Communicator,
     state: &mut TrainState<M>,
@@ -943,13 +955,22 @@ fn handle_recovery<M: Model>(
             // The agreed rollback predates the in-memory window (a
             // joiner whose newest disk generation was corrupt fell back
             // an extra interval). Reload it from this rank's own durable
-            // store and rebuild the deque.
-            let gen = log
-                .store
-                .as_ref()
-                .expect("a rollback below the in-memory window needs a durable store")
-                .load(rec.rollback_iter)
-                .expect("agreed rollback generation is retained on disk");
+            // store and rebuild the deque; without a store, or with the
+            // generation missing or unreadable, this rank leaves the run.
+            let (rank, iter) = (comm.rank(), rec.rollback_iter);
+            let gen = match log.store.as_ref().map(|store| store.load(iter)) {
+                Some(Ok(gen)) => gen,
+                Some(Err(err)) => {
+                    eprintln!(
+                        "rank {rank}: checkpoint {iter} cannot be loaded ({err}); leaving the run"
+                    );
+                    return false;
+                }
+                None => {
+                    eprintln!("rank {rank}: checkpoint {iter} is not in memory and no checkpoint directory is set; leaving the run");
+                    return false;
+                }
+            };
             log.ckpts.clear();
             log.ckpts.push_back(gen);
         }
@@ -1377,6 +1398,56 @@ mod tests {
                 .unwrap();
         }
         assert_eq!(request_join(&mut joiner, 40), Some((vec![0, 1], 40, 0, 3)));
+    }
+
+    #[test]
+    fn a_welcome_naming_a_generation_missing_from_disk_makes_the_joiner_leave() {
+        use gtopk_comm::transport::SimTransport;
+        let mut ends = SimTransport::mesh(2)
+            .into_iter()
+            .map(|endpoint| Communicator::from_transport(Box::new(endpoint), CostModel::zero()));
+        let (mut coordinator, mut joiner) = (ends.next().unwrap(), ends.next().unwrap());
+        let dir = unique_dir("missing-generation");
+        let _ = std::fs::remove_dir_all(&dir);
+        let cfg = TrainConfig {
+            checkpoint_dir: Some(dir.clone()),
+            ..quick_cfg(Algorithm::GTopK, 2)
+        };
+        let data = GaussianMixture::new(61, 256, 8, 4, 2.5, 0.4);
+        let mut state = TrainState::new(&cfg, &joiner, models::mlp(61, 8, 16, 4), &data);
+        // The joiner's store holds generation 80 only.
+        let store = CheckpointStore::new(&dir, 1).unwrap();
+        store
+            .save(&DurableCheckpoint {
+                iter: 80,
+                ..state.snapshot(1)
+            })
+            .unwrap();
+        let mut log = RecoveryLog {
+            members: vec![0, 1],
+            ckpts: VecDeque::new(),
+            pinned: 0,
+            store: Some(store),
+        };
+        // A well-formed WELCOME: epoch 3, rollback 40, members {0, 1}.
+        coordinator
+            .send(
+                1,
+                Message::JOIN_WELCOME_TAG,
+                Payload::dense(vec![3.0, 40.0, 0.0, 1.0]),
+            )
+            .unwrap();
+        let mut timing = TimingBreakdown::default();
+        assert!(!rejoin(
+            &cfg,
+            &mut joiner,
+            &mut state,
+            &mut log,
+            80,
+            &mut timing
+        ));
+        assert_eq!(timing.recoveries, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn unique_dir(label: &str) -> std::path::PathBuf {

@@ -25,7 +25,10 @@
 //! models on every rank regardless of `GTOPK_THREADS` or `GTOPK_SIMD`.
 //! (The `A·Bᵀ` kernel keeps its scalar sequential dot product: its
 //! accumulation chain is a single running sum, which a lane-parallel
-//! reduction would reassociate.)
+//! reduction would reassociate. `Linear` and `Lstm` call it; `Conv2d` no
+//! longer does — its weight gradient runs the same chains as
+//! [`crate::simd::row_axpy`]s across a transposed im2col block, see
+//! `gtopk_nn`'s conv module.)
 
 use crate::{parallel, simd};
 use crate::{Result, Shape, Tensor, TensorError};

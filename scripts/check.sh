@@ -123,6 +123,9 @@ require_tests -p gtopk-core --lib trainer::tests::a_failed_durable_write_warns_a
 require_tests -p gtopk-core --lib trainer::tests::a_donor_transfer_that_disagrees_with_the_disk_copy_makes_the_joiner_leave
 require_tests -p gtopk-core --lib trainer::tests::a_joiner_whose_checkpoint_does_not_fit_the_run_leaves
 require_tests -p gtopk-core --lib trainer::tests::check_resume_names_the_first_field_that_disagrees
+# A WELCOME naming a rollback generation the joiner's disk does not hold
+# makes the joiner leave instead of panicking.
+require_tests -p gtopk-core --lib trainer::tests::a_welcome_naming_a_generation_missing_from_disk_makes_the_joiner_leave
 require_tests -p gtopk-cli --lib a_checkpoint_dir_of_another_run_shape_is_an_error_naming_the_field
 # One exact selector: checkpoint bytes written while the selector was
 # configurable still decode (exact) or fail typed (sampled), and the
@@ -130,6 +133,9 @@ require_tests -p gtopk-cli --lib a_checkpoint_dir_of_another_run_shape_is_an_err
 require_tests -p gtopk-core --lib ckpt::tests::pinned_exact_checkpoint_bytes_decode_to_their_state
 require_tests -p gtopk-core --lib ckpt::tests::pinned_sampled_checkpoint_bytes_decode_as_pinned
 require_tests -p gtopk-core --lib ckpt::tests::retired_selector_tag_is_a_typed_error
+# The chunked convolution: forward, input gradient and accumulated weight
+# and bias gradients equal the per-sample oracle bit for bit.
+require_tests -p gtopk-nn --lib conv::tests::prop_chunked_conv_is_bitwise_the_per_sample_oracle
 # CLI numbers that used to panic or be silently ignored are argument
 # errors naming the flag.
 require_tests -p gtopk-cli --lib numbers_that_would_panic_or_be_ignored_are_rejected_naming_the_flag
@@ -150,18 +156,21 @@ for threads in "${THREAD_MATRIX[@]}"; do
 done
 
 # Committed numbers must not go stale: the analytic bins price every
-# schedule by thread-free plan replay (seconds in total), two of the
+# schedule by thread-free plan replay (seconds in total), the five
 # convergence bins train Dense and gTop-k end to end through the trainer
-# (~11 s in release), the two PS bins price and execute the parameter
-# server (seconds in release), and six more deterministic bins take
-# under 20 s together in release, so rerun them and require their
-# committed outputs to come back byte-identical.
+# (~65 s in release; fig06, fig12 and fig13_14 also run the convolution
+# at 16×16 images, stride-2 projections and other batch sizes), the two
+# PS bins price and execute the parameter server (seconds in release),
+# and six more deterministic bins take under 20 s together in release,
+# so rerun them and require their committed outputs to come back
+# byte-identical.
 echo "==> analytic and convergence results reproduce byte-identically"
 for bin in table1_complexity fig09_allreduce_time fig10_scaling_efficiency \
   fig11_time_breakdown table4_throughput; do
   cargo run -q --offline -p gtopk-bench --bin "$bin" >/dev/null
 done
-for bin in fig05_convergence_cifar fig07_convergence_lstm; do
+for bin in fig05_convergence_cifar fig06_convergence_imagenet fig07_convergence_lstm \
+  fig12_density_sensitivity fig13_14_batch_size; do
   cargo run -q --offline --release -p gtopk-bench --bin "$bin" >/dev/null 2>&1
 done
 # The parameter server's numbers: the crossover map priced by the PS plan
@@ -183,7 +192,8 @@ done
 git diff --exit-code -- results/table1_complexity.tsv results/fig09_*.tsv \
   results/fig10_scaling_*.tsv results/fig11_time_breakdown.tsv \
   results/table4_throughput.tsv results/fig05_convergence_*.tsv \
-  results/fig07_convergence_lstm.tsv BENCH_ps.json \
+  results/fig06_*.tsv results/fig07_convergence_lstm.tsv results/fig12_*.tsv \
+  results/fig13_*.tsv BENCH_ps.json \
   results/ext_ps_crossover.tsv results/ext_ps_vs_tree.tsv \
   results/ext_overlap.tsv results/ext_momentum_correction.tsv BENCH_overlap.json \
   results/fig01_select_k_from_kp.tsv results/ext_putback_ablation.tsv \
