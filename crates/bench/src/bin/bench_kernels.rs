@@ -15,10 +15,11 @@
 //! * a bucketed step with one full-model add per bucket (the overlap
 //!   engine's former pattern) against one add per step, on vgg-lite per
 //!   layer and at m = 25M in 8 buckets;
-//! * the blocked/row-parallel matmul against the naive i-k-j loop (and
-//!   asserting the single-thread dispatch is never slower than naive);
-//! * vgg-lite's two convolutions, forward and backward, at the benchmark
-//!   workload's batch of 16 8×8 images;
+//! * the tiled, row-parallel matmul against the naive i-k-j loop (and
+//!   asserting the single-thread kernel is never slower than naive);
+//! * vgg-lite's two convolutions and its first fully-connected layer,
+//!   forward and backward, at the benchmark workload's batch of 16 8×8
+//!   images;
 //! * every available `GTOPK_SIMD` level against the scalar kernels;
 //! * the fused single-pass residual+select against the three-pass
 //!   accumulate / scan / compact sequence, at m = 25M;
@@ -37,7 +38,7 @@
 
 use gtopk_comm::transport::frame::{encode_into, read_frame_into, Frame};
 use gtopk_comm::Payload;
-use gtopk_nn::{models, Conv2d, Layer, Model, MomentumSgd};
+use gtopk_nn::{models, Conv2d, Layer, Linear, Model, MomentumSgd};
 use gtopk_sparse::{
     topk_merge, topk_merge_into, topk_merge_split_into, topk_sparse, topk_sparse_into, Mask,
     MergeScratch, Residual, SparseVec, TopkScratch,
@@ -515,16 +516,11 @@ fn bench_matmul(rows: &mut Vec<Row>) {
         }),
     });
     for &t in THREADS {
-        // At one effective thread `matmul_flat` dispatches the unblocked
-        // serial kernel (blocking only pays for itself with row
-        // parallelism); label the row accordingly.
+        // One tiled-kernel call over all rows at one thread, one per row
+        // block at more.
         rows.push(Row {
             kernel: "matmul",
-            variant: if t == 1 {
-                "serial_unblocked"
-            } else {
-                "blocked_parallel"
-            },
+            variant: if t == 1 { "tiled" } else { "tiled_parallel" },
             threads: t,
             simd: simd::level().name(),
             elements: flops,
@@ -539,52 +535,78 @@ fn bench_matmul(rows: &mut Vec<Row>) {
     }
 }
 
-/// vgg-lite's two convolutions at the benchmark workload's shape (batch
-/// 16 of 8×8 images: conv1 maps 3→16 channels at 8×8, conv2 16→32 at the
-/// pooled 4×4), single thread: forward and backward, each summed over 20
-/// calls a sample. Backward consumes the input its forward cached, so
-/// every timed backward follows an untimed forward. `elements` is the
-/// forward GEMM's multiply-adds, so a layer's two rows share a unit.
-fn bench_conv(rows: &mut Vec<Row>) {
+/// One layer's forward and backward at a fixed input, single thread,
+/// each summed over 20 calls a sample. Backward consumes the input its
+/// forward cached, so every timed backward follows an untimed forward.
+/// `elements` is the forward's multiply-adds per call, so a layer's two
+/// rows share a unit.
+fn bench_layer(
+    rows: &mut Vec<Row>,
+    kernel: &'static str,
+    layer: &mut dyn Layer,
+    (x, dy): (&Tensor, &Tensor),
+    elements: usize,
+) {
     const CALLS: usize = 20;
+    for backward in [false, true] {
+        let mut call = || {
+            let t = Instant::now();
+            black_box(layer.forward(black_box(x), true));
+            if !backward {
+                return t.elapsed().as_secs_f64();
+            }
+            let t = Instant::now();
+            black_box(layer.backward(black_box(dy)));
+            t.elapsed().as_secs_f64()
+        };
+        let secs =
+            parallel::with_thread_limit(1, || median_of(5, || (0..CALLS).map(|_| call()).sum()));
+        rows.push(Row {
+            kernel,
+            variant: if backward { "backward" } else { "forward" },
+            threads: 1,
+            simd: simd::level().name(),
+            elements: elements * CALLS,
+            baseline: !backward,
+            secs,
+        });
+    }
+}
+
+/// Uniform `[-1, 1)` values of `shape`.
+fn random_tensor(rng: &mut StdRng, shape: Shape) -> Tensor {
+    let data = (0..shape.volume()).map(|_| rng.gen_range(-1.0f32..1.0));
+    Tensor::from_vec(shape, data.collect()).expect("numel matches")
+}
+
+/// vgg-lite's two convolutions and its first fully-connected layer at the
+/// benchmark workload's shape: a batch of 16 8×8 images, so conv1 maps
+/// 3→16 channels at 8×8, conv2 16→32 at the pooled 4×4, and fc1 the
+/// flattened 128 features to 128.
+fn bench_vgg_layers(rows: &mut Vec<Row>) {
+    let batch = 16;
     let mut rng = StdRng::seed_from_u64(23);
     for (kernel, in_c, out_c, img) in [
         ("conv2d_vgg_conv1", 3, 16, 8),
         ("conv2d_vgg_conv2", 16, 32, 4),
     ] {
-        let batch = 16;
         let mut conv = Conv2d::new(&mut rng, in_c, out_c, 3, 1, 1);
-        let mut random = |shape: Shape| {
-            let data = (0..shape.volume()).map(|_| rng.gen_range(-1.0f32..1.0));
-            Tensor::from_vec(shape, data.collect()).expect("numel matches")
-        };
-        let x = random(Shape::d4(batch, in_c, img, img));
-        let dy = random(Shape::d4(batch, out_c, img, img));
-        for backward in [false, true] {
-            let call = |conv: &mut Conv2d| {
-                let t = Instant::now();
-                black_box(conv.forward(black_box(&x), true));
-                if !backward {
-                    return t.elapsed().as_secs_f64();
-                }
-                let t = Instant::now();
-                black_box(conv.backward(black_box(&dy)));
-                t.elapsed().as_secs_f64()
-            };
-            let secs = parallel::with_thread_limit(1, || {
-                median_of(5, || (0..CALLS).map(|_| call(&mut conv)).sum())
-            });
-            rows.push(Row {
-                kernel,
-                variant: if backward { "backward" } else { "forward" },
-                threads: 1,
-                simd: simd::level().name(),
-                elements: batch * img * img * out_c * in_c * 9 * CALLS,
-                baseline: !backward,
-                secs,
-            });
-        }
+        let x = random_tensor(&mut rng, Shape::d4(batch, in_c, img, img));
+        let dy = random_tensor(&mut rng, Shape::d4(batch, out_c, img, img));
+        let elements = batch * img * img * out_c * in_c * 9;
+        bench_layer(rows, kernel, &mut conv, (&x, &dy), elements);
     }
+    let (nin, nout) = (128, 128);
+    let mut fc1 = Linear::new(&mut rng, nin, nout);
+    let x = random_tensor(&mut rng, Shape::d2(batch, nin));
+    let dy = random_tensor(&mut rng, Shape::d2(batch, nout));
+    bench_layer(
+        rows,
+        "linear_vgg_fc1",
+        &mut fc1,
+        (&x, &dy),
+        batch * nin * nout,
+    );
 }
 
 /// Residual accumulate (`acc += grad`) at every SIMD level, m = 25M.
@@ -697,7 +719,7 @@ fn render_json(rows: &[Row]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(
         out,
-        "  \"bench\": \"hot-path kernels at paper scale (n=14M k=14000 for select/merge, n=1M k=250000 for the _rho25 rows, put_back and frame_codec; n=25M k=25000 for opt_apply/simd/fusion rows; opt_apply_bucketed: n=25M in 8 buckets at rho=0.001, _vgg: vgg-lite per layer at rho=0.005, 200 steps a sample; conv2d_vgg_*: vgg-lite's convolutions at batch 16 of 8x8 images, 20 calls a sample, elements = forward multiply-adds)\","
+        "  \"bench\": \"hot-path kernels at paper scale (n=14M k=14000 for select/merge, n=1M k=250000 for the _rho25 rows, put_back and frame_codec; n=25M k=25000 for opt_apply/simd/fusion rows; opt_apply_bucketed: n=25M in 8 buckets at rho=0.001, _vgg: vgg-lite per layer at rho=0.005, 200 steps a sample; conv2d_vgg_*, linear_vgg_fc1: vgg-lite's convolutions and first fc layer at batch 16 of 8x8 images, 20 calls a sample, elements = forward multiply-adds)\","
     );
     let cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let _ = writeln!(out, "  \"cpus\": {cpus},");
@@ -729,9 +751,8 @@ fn render_json(rows: &[Row]) -> String {
     out
 }
 
-/// Single-thread matmul dispatch must never lose to the naive loop — the
-/// whole point of the serial-unblocked dispatch (the 1.05 factor absorbs
-/// timer noise on shared CI machines).
+/// The single-thread tiled matmul must never lose to the naive loop (the
+/// 1.05 factor absorbs timer noise on shared CI machines).
 fn assert_single_thread_matmul_not_slower(rows: &[Row]) {
     let naive = rows
         .iter()
@@ -739,7 +760,7 @@ fn assert_single_thread_matmul_not_slower(rows: &[Row]) {
         .expect("naive matmul row");
     let serial = rows
         .iter()
-        .find(|r| r.kernel == "matmul" && r.variant == "serial_unblocked")
+        .find(|r| r.kernel == "matmul" && r.variant == "tiled")
         .expect("serial matmul row");
     assert!(
         serial.secs <= naive.secs * 1.05,
@@ -780,8 +801,8 @@ fn main() {
     bench_opt_apply(&mut rows, "opt_apply_bucketed_vgg", vgg, 0.005, 200);
     eprintln!("benchmarking matmul ...");
     bench_matmul(&mut rows);
-    eprintln!("benchmarking vgg-lite's convolutions (batch 16, 8x8 images) ...");
-    bench_conv(&mut rows);
+    eprintln!("benchmarking vgg-lite's convolutions and fc1 (batch 16, 8x8 images) ...");
+    bench_vgg_layers(&mut rows);
     eprintln!("benchmarking residual axpy across simd levels (n = {N2}) ...");
     bench_axpy(&mut rows);
     eprintln!("benchmarking threshold compaction across simd levels ...");

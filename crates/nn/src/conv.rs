@@ -30,8 +30,10 @@
 //!   cols[p, pos]` stays one sequential chain from `+0.0` in ascending
 //!   `pos`, and `grads += dW_s` sample by sample. To run that chain on SIMD
 //!   lanes across `p`, the sample's cols block is transposed to `[l, ckk]`
-//!   and `dW_s[oc, ·]` is built by one `row_axpy` per `pos` that skips no
-//!   product (the dot product it replaces skips none). One GEMM over the
+//!   and `dW_s = dY_s·cols_t` is one [`simd::gemm_acc`] call from a zeroed
+//!   `dW_s` that skips no product (the dot product it replaces skips
+//!   none): the kernel holds a tile of `dW_s[oc, ·]` in registers while
+//!   it walks `pos`, so each element's chain is untouched. One GEMM over the
 //!   whole chunk would reassociate these sums across samples, so the
 //!   weight gradient is the one product that stays per sample.
 
@@ -306,11 +308,7 @@ impl Layer for Conv2d {
                     }
                 }
                 dw.fill(0.0);
-                for (oc, dw_row) in dw.chunks_exact_mut(ckk).enumerate() {
-                    for (pos, &d) in dys[oc * l..(oc + 1) * l].iter().enumerate() {
-                        simd::row_axpy(dw_row, &cols_t[pos * ckk..(pos + 1) * ckk], d);
-                    }
-                }
+                simd::gemm_acc(dys, &cols_t, &mut dw, oc_n, l, ckk, false);
                 let (wg, bg) = self.grads.split_at_mut(oc_n * ckk);
                 simd::axpy(wg, &dw);
                 // db += per-channel sum of dY.
@@ -352,7 +350,7 @@ impl Layer for Conv2d {
 mod tests {
     use super::*;
     use crate::gradcheck::check_layer_gradients;
-    use gtopk_tensor::{matmul_bt_flat, parallel};
+    use gtopk_tensor::parallel;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -383,9 +381,11 @@ mod tests {
     }
 
     /// The one-sample-at-a-time backward the chunked path replaced:
-    /// `dW` by `matmul_bt_flat`'s dot products, `dcols` by one
-    /// `matmul_at_flat_acc` and one col2im per sample. Accumulates into
-    /// `grads` and returns the input gradient.
+    /// `dW` by scalar dot products (one accumulator from `+0.0` in
+    /// ascending `pos`, the chain `matmul_bt_flat` ran before it went
+    /// through the tiled GEMM), `dcols` by one `matmul_at_flat_acc` and
+    /// one col2im per sample. Accumulates into `grads` and returns the
+    /// input gradient.
     fn oracle_backward(
         conv: &Conv2d,
         input: &Tensor,
@@ -401,8 +401,15 @@ mod tests {
             let mut cols = vec![0.0f32; ckk * l];
             conv.im2col(xin, &g, &mut cols, l, 0);
             let dy = &grad_out.data()[s * oc_n * l..(s + 1) * oc_n * l];
-            dw_tmp.iter_mut().for_each(|v| *v = 0.0);
-            matmul_bt_flat(dy, &cols, &mut dw_tmp, oc_n, l, ckk);
+            for (oc, dw_row) in dw_tmp.chunks_exact_mut(ckk).enumerate() {
+                for (p, d) in dw_row.iter_mut().enumerate() {
+                    let mut acc = 0.0f32;
+                    for pos in 0..l {
+                        acc += dy[oc * l + pos] * cols[p * l + pos];
+                    }
+                    *d = acc;
+                }
+            }
             let (wg, bg) = grads.split_at_mut(oc_n * ckk);
             for (g, d) in wg.iter_mut().zip(dw_tmp.iter()) {
                 *g += d;

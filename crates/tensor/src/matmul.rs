@@ -1,41 +1,38 @@
 //! Matrix multiplication kernels, including the transposed variants used by
-//! backpropagation (`dX = dY·Wᵀ`, `dW = Xᵀ·dY`).
+//! backpropagation (`Y = X·Wᵀ`, `dW += dYᵀ·X`).
 //!
 //! All kernels operate on flat row-major slices so they can be reused on
 //! tensor views without reshaping.
 //!
+//! # One kernel
+//!
+//! Every product runs on [`crate::simd::gemm_acc`], `C[rows,n] +=
+//! A[rows,k]·B[k,n]`, which holds a tile of one C row's columns in
+//! registers across the whole ascending-`p` loop. The transposed variants
+//! first transpose their transposed operand once per call into a buffer:
+//! `A·Bᵀ` transposes `B` to `[k, n]`, `Aᵀ·B` transposes `A` to `[k, m]`.
+//! A transpose only moves bits, so it changes no sum.
+//!
 //! # Threading & determinism
 //!
-//! Large multiplies run row-parallel (threads own disjoint blocks of
-//! output rows, see `crate::parallel`) and the standard kernels block the
-//! shared dimension so a `KC`-row panel of `B` stays cache-resident across
-//! output rows — but only when more than one thread will actually engage:
-//! the single-thread path dispatches to an unblocked i-k-j kernel, since
-//! blocking without sharing only re-reads `C` rows. All transformations
-//! are *bitwise identical* to the plain serial i-k-j loops: every output
-//! element accumulates its products in exactly the same order (ascending
-//! `p` for the standard kernels, ascending `i` for the `Aᵀ·B` kernel),
-//! because row-parallelism only partitions independent output rows and the
-//! `p`-blocking visits blocks in ascending order with the same per-thread
-//! row kernel serial execution uses. The `av == 0.0` skip is likewise
-//! shared by every path, and the inner `c += a·b` loop runs through the
-//! [`crate::simd`] microkernel (one multiply + one add per element, never
-//! FMA), which is itself bitwise identical at every dispatch level.
-//! Training replicas rely on this: identical inputs must produce identical
-//! models on every rank regardless of `GTOPK_THREADS` or `GTOPK_SIMD`.
-//! (The `A·Bᵀ` kernel keeps its scalar sequential dot product: its
-//! accumulation chain is a single running sum, which a lane-parallel
-//! reduction would reassociate. `Linear` and `Lstm` call it; `Conv2d` no
-//! longer does — its weight gradient runs the same chains as
-//! [`crate::simd::row_axpy`]s across a transposed im2col block, see
-//! `gtopk_nn`'s conv module.)
+//! Large multiplies run row-parallel: threads own disjoint blocks of
+//! output rows (see `crate::parallel`) and run the same kernel on them
+//! that serial execution runs on all rows. Every output element keeps one
+//! accumulation chain, the same at every thread count and SIMD level: its
+//! starting value, then `c + a·b` as a separate multiply and add (never
+//! FMA) for each term in ascending order of the shared index. That chain
+//! is ascending `p` for `A·B`, ascending `i` for `Aᵀ·B`, and for `A·Bᵀ`
+//! the scalar dot product's: from `+0.0` in ascending `p`. `A·B` and
+//! `Aᵀ·B` skip the terms whose `A` entry is `0.0`; `A·Bᵀ` skips none. The
+//! tile never splits or reorders a chain — it only keeps the partial sums
+//! of neighbouring columns in registers instead of storing and reloading
+//! them — so a dot product gets SIMD lanes across output columns without
+//! reassociating anything. Training replicas rely on this: identical
+//! inputs must produce identical models on every rank regardless of
+//! `GTOPK_THREADS` or `GTOPK_SIMD`.
 
 use crate::{parallel, simd};
 use crate::{Result, Shape, Tensor, TensorError};
-
-/// Shared-dimension block size: a `KC × n` panel of `B` (`KC` rows) is
-/// reused across all output rows before moving on.
-const KC: usize = 128;
 
 /// Below this many fused multiply-adds a multiply stays serial.
 const PAR_MIN_FLOPS: usize = 1 << 20;
@@ -46,56 +43,21 @@ fn min_rows_for(flops_per_row: usize) -> usize {
     (PAR_MIN_FLOPS / flops_per_row.max(1)).max(1)
 }
 
-/// `C[rows,n] += A[rows,k] · B[k,n]` for a contiguous row block, with the
-/// shared dimension visited in ascending `KC`-blocks.
-///
-/// This is THE row kernel for [`matmul_flat`] / [`matmul_flat_acc`]: the
-/// serial path calls it once over all rows, the parallel path once per
-/// disjoint row block, so per-element accumulation order (ascending `p`)
-/// is identical everywhere.
-fn flat_acc_rows(a: &[f32], b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
-    let mut p0 = 0;
-    while p0 < k {
-        let p1 = (p0 + KC).min(k);
-        for i in 0..rows {
-            let arow = &a[i * k + p0..i * k + p1];
-            let crow = &mut c[i * n..(i + 1) * n];
-            for (off, &av) in arow.iter().enumerate() {
-                if av == 0.0 {
-                    continue;
-                }
-                let brow = &b[(p0 + off) * n..(p0 + off + 1) * n];
-                simd::row_axpy(crow, brow, av);
-            }
-        }
-        p0 = p1;
-    }
-}
-
-/// Unblocked serial i-k-j kernel for [`matmul_flat_acc`]'s single-thread
-/// path. The `KC`-blocking exists to keep a `B` panel cache-resident
-/// while *several threads* stream over it; with one thread it only adds
-/// `⌈k/KC⌉` re-reads of every `C` row, which the kernel benchmark showed
-/// costs ~25% at large sizes. Per-element accumulation order is ascending
-/// `p` — identical to the blocked kernel — so dispatching on thread count
-/// stays bitwise deterministic.
-fn serial_acc_rows(a: &[f32], b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
-    for i in 0..rows {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        for (p, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            simd::row_axpy(crow, &b[p * n..(p + 1) * n], av);
+/// `[rows, cols]` row-major → `[cols, rows]`.
+fn transposed(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut t = vec![0.0f32; x.len()];
+    for (i, row) in x.chunks_exact(cols.max(1)).enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            t[j * rows + i] = v;
         }
     }
+    t
 }
 
 /// `C[m,n] = A[m,k] · B[k,n]` over flat row-major slices.
 ///
-/// Blocked and row-parallel for large inputs; bitwise identical to the
-/// serial loop for any thread count (see module docs).
+/// Row-parallel for large inputs; bitwise identical to the serial loop
+/// for any thread count (see module docs).
 ///
 /// # Panics
 ///
@@ -114,44 +76,19 @@ pub fn matmul_flat_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, 
     if m == 0 || n == 0 {
         return;
     }
-    let min_rows = min_rows_for(k * n);
-    if parallel::chunk_count(m, min_rows) <= 1 {
-        // Effective threads == 1 (below the blocking/parallel threshold
-        // or a single-core limit): skip the p-blocking — see
-        // `serial_acc_rows`. Bitwise identical to the blocked path by
-        // the shared accumulation order.
-        serial_acc_rows(a, b, c, m, k, n);
-        return;
-    }
-    parallel::for_each_row_block_mut(c, n, min_rows, |first_row, cblock| {
+    parallel::for_each_row_block_mut(c, n, min_rows_for(k * n), |first_row, cblock| {
         let rows = cblock.len() / n;
         let ablock = &a[first_row * k..(first_row + rows) * k];
-        flat_acc_rows(ablock, b, cblock, rows, k, n);
+        simd::gemm_acc(ablock, b, cblock, rows, k, n, true);
     });
-}
-
-/// Dot-product row kernel for [`matmul_bt_flat`]: one output row of
-/// `A · Bᵀ`. Single sequential accumulator per element, shared by the
-/// serial and parallel paths.
-fn bt_rows(a: &[f32], b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
-    for i in 0..rows {
-        let arow = &a[i * k..(i + 1) * k];
-        let crow = &mut c[i * n..(i + 1) * n];
-        for (j, cv) in crow.iter_mut().enumerate() {
-            let brow = &b[j * k..(j + 1) * k];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in arow.iter().zip(brow.iter()) {
-                acc += av * bv;
-            }
-            *cv = acc;
-        }
-    }
 }
 
 /// `C[m,n] = A[m,k] · B[n,k]ᵀ` — right operand stored transposed.
 ///
-/// This is the `dX = dY · Wᵀ` step of a linear layer's backward pass when
-/// `W` is stored `[n_out, n_in]`. Row-parallel for large inputs with a
+/// This is a linear layer's forward `Y = X · Wᵀ` when `W` is stored
+/// `[n_out, n_in]`. `B` is transposed to `[k, n]` once per call; every
+/// element is then the dot product's chain — from `+0.0`, `c + a·b` in
+/// ascending `p`, no term skipped. Row-parallel for large inputs with a
 /// bitwise-identical result.
 pub fn matmul_bt_flat(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
@@ -160,43 +97,22 @@ pub fn matmul_bt_flat(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
     if m == 0 || n == 0 {
         return;
     }
+    let bt = transposed(b, n, k);
+    c.fill(0.0);
     parallel::for_each_row_block_mut(c, n, min_rows_for(k * n), |first_row, cblock| {
         let rows = cblock.len() / n;
         let ablock = &a[first_row * k..(first_row + rows) * k];
-        bt_rows(ablock, b, cblock, rows, k, n);
+        simd::gemm_acc(ablock, &bt, cblock, rows, k, n, false);
     });
-}
-
-/// Row kernel for [`matmul_at_flat_acc`]: accumulates `Aᵀ · B` into the
-/// contiguous block of `C` rows `[p_lo, p_lo + rows)`, visiting `i` in
-/// ascending order — the same per-element order as the serial loop.
-fn at_acc_rows(
-    a: &[f32],
-    b: &[f32],
-    cblock: &mut [f32],
-    p_lo: usize,
-    m: usize,
-    k: usize,
-    n: usize,
-) {
-    let rows = cblock.len() / n;
-    for i in 0..m {
-        let arow = &a[i * k + p_lo..i * k + p_lo + rows];
-        let brow = &b[i * n..(i + 1) * n];
-        for (r, &av) in arow.iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            simd::row_axpy(&mut cblock[r * n..(r + 1) * n], brow, av);
-        }
-    }
 }
 
 /// `C[k,n] += A[m,k]ᵀ · B[m,n]` — left operand transposed, accumulating.
 ///
-/// This is the `dW += Xᵀ · dY` step of a linear layer's backward pass.
-/// Threads own disjoint blocks of `C` rows (columns of `A`); each walks
-/// `i` ascending, so the result is bitwise identical to the serial loop.
+/// This is a linear layer's `dW += dYᵀ · X`. `A` is transposed to
+/// `[k, m]` once per call, so every element sums over ascending `i`,
+/// skipping `A[i, p] == 0.0`. Threads own disjoint blocks of `C` rows
+/// (columns of `A`), so the result is bitwise identical to the serial
+/// loop.
 pub fn matmul_at_flat_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), m * n);
@@ -204,8 +120,18 @@ pub fn matmul_at_flat_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usiz
     if k == 0 || n == 0 {
         return;
     }
+    let at = transposed(a, m, k);
     parallel::for_each_row_block_mut(c, n, min_rows_for(m * n), |p_lo, cblock| {
-        at_acc_rows(a, b, cblock, p_lo, m, k, n);
+        let rows = cblock.len() / n;
+        simd::gemm_acc(
+            &at[p_lo * m..(p_lo + rows) * m],
+            b,
+            cblock,
+            rows,
+            m,
+            n,
+            true,
+        );
     });
 }
 
@@ -255,13 +181,7 @@ impl Tensor {
             });
         }
         let (m, n) = (s.dim(0), s.dim(1));
-        let mut out = Tensor::zeros(Shape::d2(n, m));
-        for i in 0..m {
-            for j in 0..n {
-                out.data_mut()[j * m + i] = self.data()[i * n + j];
-            }
-        }
-        Ok(out)
+        Tensor::from_vec(Shape::d2(n, m), transposed(self.data(), m, n))
     }
 }
 
@@ -348,10 +268,10 @@ mod tests {
     fn serial_blocked_and_simd_dispatch_bitwise_identical() {
         use crate::parallel::{with_min_chunk, with_thread_limit};
         use crate::simd::{self, SimdLevel};
-        // k > KC exercises the p-blocked kernel on the parallel path vs
-        // the unblocked kernel on the single-thread path; irrational
-        // inputs make any reassociation visible in the low bits.
-        let (m, k, n) = (7, 2 * KC + 13, 9);
+        // A long shared dimension and a 9-column C (one 8-lane tile and a
+        // scalar tail); irrational inputs make any reassociation visible
+        // in the low bits.
+        let (m, k, n) = (7, 269, 9);
         let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.61).sin()).collect();
         let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.29).cos()).collect();
         let run = || {
@@ -366,6 +286,133 @@ mod tests {
                 with_thread_limit(4, || {
                     with_min_chunk(1, || assert_eq!(run(), reference, "parallel {level}"));
                 });
+            });
+        }
+    }
+
+    /// The dot-product kernel `matmul_bt_flat` ran before it went through
+    /// the tiled GEMM: per element one scalar accumulator from `+0.0`,
+    /// `acc + a·b` in ascending `p`, no term skipped.
+    fn bt_rows(a: &[f32], b: &[f32], c: &mut [f32], rows: usize, k: usize, n: usize) {
+        for i in 0..rows {
+            let arow = &a[i * k..(i + 1) * k];
+            let crow = &mut c[i * n..(i + 1) * n];
+            for (j, cv) in crow.iter_mut().enumerate() {
+                let brow = &b[j * k..(j + 1) * k];
+                let mut acc = 0.0f32;
+                for (&av, &bv) in arow.iter().zip(brow.iter()) {
+                    acc += av * bv;
+                }
+                *cv = acc;
+            }
+        }
+    }
+
+    /// The row kernel `matmul_at_flat_acc` ran before it went through the
+    /// tiled GEMM: one `row_axpy` per `(i, p)` in ascending `i`, skipping
+    /// `A[i, p] == 0.0`.
+    fn at_acc_rows(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        for i in 0..m {
+            let arow = &a[i * k..(i + 1) * k];
+            let brow = &b[i * n..(i + 1) * n];
+            for (p, &av) in arow.iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                simd::row_axpy(&mut c[p * n..(p + 1) * n], brow, av);
+            }
+        }
+    }
+
+    /// Finite values with `±0.0` mixed in, and `±∞`/NaN where `specials`
+    /// is set — a pure function of `(i, salt)`.
+    fn awkward(len: usize, salt: u64, specials: bool) -> Vec<f32> {
+        (0..len)
+            .map(|i| {
+                let h = (i as u64 + 1)
+                    .wrapping_mul(salt.wrapping_mul(2) + 1)
+                    .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                match (h >> 59, specials) {
+                    (0, _) => 0.0,
+                    (1, _) => -0.0,
+                    (2, true) => f32::INFINITY,
+                    (3, true) => f32::NEG_INFINITY,
+                    (4, true) => f32::NAN,
+                    _ => ((h >> 40) as f32 / (1u64 << 24) as f32 - 0.5) * 3.0,
+                }
+            })
+            .collect()
+    }
+
+    /// Bit patterns, with every NaN as `f32::NAN`'s: Rust leaves the sign
+    /// and payload of a NaN result unspecified (the compiler may commute
+    /// an add, and a vector body and a scalar tail may differ), so a NaN
+    /// matches any NaN and every other value matches bit for bit.
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter()
+            .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    /// Runs `f` at every runnable SIMD level, on one thread and on four
+    /// with every row its own block.
+    fn on_every_level_and_thread_count(mut f: impl FnMut(String)) {
+        use crate::parallel::{with_min_chunk, with_thread_limit};
+        use crate::simd::SimdLevel;
+        for level in SimdLevel::ALL.into_iter().filter(|l| l.available()) {
+            for threads in [1, 4] {
+                simd::with_simd_level(level, || {
+                    with_thread_limit(threads, || {
+                        with_min_chunk(1, || f(format!("{level}, {threads} threads")))
+                    })
+                });
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// `matmul_bt_flat` (transpose B, then the tiled GEMM from a
+        /// zeroed C with no skip) is bitwise the scalar dot-product
+        /// oracle, for C widths hitting every tile and tail.
+        #[test]
+        fn prop_matmul_bt_flat_is_bitwise_the_dot_product_oracle(
+            m in 1usize..=6, k in 0usize..=40, n in 1usize..=130,
+            specials in 0u32..2, salt in 0u64..1000,
+        ) {
+            let specials = specials == 1;
+            let a = awkward(m * k, salt, specials);
+            let b = awkward(n * k, salt + 1, specials);
+            let mut expect = vec![0.0f32; m * n];
+            bt_rows(&a, &b, &mut expect, m, k, n);
+            on_every_level_and_thread_count(|at| {
+                let mut c = awkward(m * n, salt + 2, true);
+                matmul_bt_flat(&a, &b, &mut c, m, k, n);
+                assert_eq!(bits(&c), bits(&expect), "{at}, m={m} k={k} n={n}");
+            });
+        }
+
+        /// `matmul_at_flat_acc` (transpose A, then the tiled GEMM with the
+        /// zero skip) is bitwise the per-`(i, p)` `row_axpy` oracle,
+        /// accumulating onto a C that holds `-0.0`, `±∞` and NaN.
+        #[test]
+        fn prop_matmul_at_flat_acc_is_bitwise_the_row_axpy_oracle(
+            m in 0usize..=12, k in 1usize..=6, n in 1usize..=130,
+            specials in 0u32..2, salt in 0u64..1000,
+        ) {
+            let specials = specials == 1;
+            let a = awkward(m * k, salt, true);
+            let b = awkward(m * n, salt + 1, specials);
+            let c0 = awkward(k * n, salt + 2, specials);
+            let mut expect = c0.clone();
+            simd::with_simd_level(simd::SimdLevel::Scalar, || {
+                at_acc_rows(&a, &b, &mut expect, m, k, n)
+            });
+            on_every_level_and_thread_count(|at| {
+                let mut c = c0.clone();
+                matmul_at_flat_acc(&a, &b, &mut c, m, k, n);
+                assert_eq!(bits(&c), bits(&expect), "{at}, m={m} k={k} n={n}");
             });
         }
     }

@@ -13,7 +13,11 @@ pub fn relu(x: &[f32], out: &mut [f32]) {
     }
 }
 
-/// ReLU backward: `dx[i] = dy[i] * (x[i] > 0)`.
+/// ReLU backward: `dx[i] = dy[i]` where `x[i] > 0`, else `+0.0` (NaN
+/// included).
+///
+/// A zipped select rather than an indexed loop with a branch, so it
+/// vectorises.
 ///
 /// # Panics
 ///
@@ -21,8 +25,8 @@ pub fn relu(x: &[f32], out: &mut [f32]) {
 pub fn relu_backward(x: &[f32], dy: &[f32], dx: &mut [f32]) {
     assert_eq!(x.len(), dy.len());
     assert_eq!(x.len(), dx.len());
-    for i in 0..x.len() {
-        dx[i] = if x[i] > 0.0 { dy[i] } else { 0.0 };
+    for ((d, &v), &g) in dx.iter_mut().zip(x).zip(dy) {
+        *d = if v > 0.0 { g } else { 0.0 };
     }
 }
 

@@ -3,7 +3,8 @@
 //! Every per-element pass the per-step critical path performs — residual
 //! accumulate (`acc += g`), magnitude scans (max / count-above-threshold),
 //! threshold compaction (emit the indices where `|v| > thr`), the fused
-//! accumulate-and-compact pass, and the matmul inner microkernel — funnels
+//! accumulate-and-compact pass, and the GEMM kernel under every matmul
+//! ([`gemm_acc`], with its one-row step [`row_axpy`]) — funnels
 //! through this module, which picks an AVX2, SSE2, or portable-scalar
 //! implementation at runtime.
 //!
@@ -35,9 +36,12 @@
 //! - the elementwise kernels (`acc += g`, `c += a·b`) perform exactly one
 //!   IEEE-754 rounding per element per operation in lane order; vector
 //!   `addps`/`mulps` round each lane exactly like the scalar ops. The
-//!   matmul microkernel deliberately uses separate multiply and add
+//!   matmul kernels deliberately use separate multiply and add
 //!   instructions — **no FMA** — because fusing would drop the
-//!   intermediate rounding the scalar loop performs.
+//!   intermediate rounding the scalar loop performs. [`gemm_acc`]'s
+//!   register tile only keeps a C row's partial sums in registers between
+//!   terms instead of storing and reloading them; no chain is split or
+//!   reordered.
 //! - the comparison kernels use ordered, non-signaling predicates
 //!   (`_CMP_GT_OQ` / `cmpgtps`), which treat NaN as *not greater* — the
 //!   same verdict the scalar `v.abs() > thr` reaches (and the same one
@@ -207,6 +211,27 @@ fn row_axpy_scalar(c: &mut [f32], b: &[f32], a: f32) {
     }
 }
 
+/// The per-(row, p) loop every [`gemm_acc`] level reproduces: one
+/// `row_kernel(C row, B row, a)` per term, in ascending `p`.
+fn gemm_acc_rows(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    k: usize,
+    n: usize,
+    skip_zero: bool,
+    row_kernel: impl Fn(&mut [f32], &[f32], f32),
+) {
+    for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+        for (brow, &av) in b.chunks_exact(n).zip(arow) {
+            if skip_zero && av == 0.0 {
+                continue;
+            }
+            row_kernel(crow, brow, av);
+        }
+    }
+}
+
 /// `|v|` with NaN mapped to +0.0 — the top-k comparator's magnitude.
 #[inline]
 fn mag(v: f32) -> f32 {
@@ -352,6 +377,93 @@ mod x86 {
             }
         }
         row_axpy_scalar(&mut c[i..], &b[i..], a);
+    }
+
+    /// `C[rows, n] += A[rows, k] · B[k, n]`, holding `8·R` columns of one
+    /// C row in `R` registers across the whole ascending-`p` loop: per
+    /// element the same `c + a·b` chain (separate mul and add) as one
+    /// `row_axpy` per `p`, with C loaded and stored once instead of `k`
+    /// times.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and `k` and `n` must be non-zero (A and
+    /// C are read as whole rows of `k` and `n`; B's length is checked).
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gemm_acc_avx2(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        k: usize,
+        n: usize,
+        skip_zero: bool,
+    ) {
+        assert_eq!(b.len(), k * n, "gemm_acc: B is not [k, n]");
+        // Every tile call below meets `gemm_tile_avx2`'s contract: `crow`
+        // is a whole row of `n`, `arow` one of `k` with `b.len() == k·n`,
+        // and each loop condition is `j + 8·R <= n`.
+        for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
+            let mut j = 0usize;
+            while j + 64 <= n {
+                gemm_tile_avx2::<8>(arow, b, crow, j, n, skip_zero);
+                j += 64;
+            }
+            while j + 32 <= n {
+                gemm_tile_avx2::<4>(arow, b, crow, j, n, skip_zero);
+                j += 32;
+            }
+            while j + 8 <= n {
+                gemm_tile_avx2::<1>(arow, b, crow, j, n, skip_zero);
+                j += 8;
+            }
+            if j < n {
+                for (p, &av) in arow.iter().enumerate() {
+                    if skip_zero && av == 0.0 {
+                        continue;
+                    }
+                    row_axpy_scalar(&mut crow[j..], &b[p * n + j..(p + 1) * n], av);
+                }
+            }
+        }
+    }
+
+    /// Columns `j..j + 8·R` of one C row `crow` of [`gemm_acc_avx2`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, `crow.len() == n`, `j + 8·R <= n` and
+    /// `b.len() == arow.len()·n`: together they keep every load and store
+    /// inside `crow` and `b`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn gemm_tile_avx2<const R: usize>(
+        arow: &[f32],
+        b: &[f32],
+        crow: &mut [f32],
+        j: usize,
+        n: usize,
+        skip_zero: bool,
+    ) {
+        debug_assert!(j + 8 * R <= n && b.len() == arow.len() * n && crow.len() == n);
+        let pc = crow.as_mut_ptr().add(j);
+        let mut acc = [_mm256_setzero_ps(); R];
+        for (r, v) in acc.iter_mut().enumerate() {
+            *v = _mm256_loadu_ps(pc.add(8 * r));
+        }
+        for (p, &av) in arow.iter().enumerate() {
+            if skip_zero && av == 0.0 {
+                continue;
+            }
+            let va = _mm256_set1_ps(av);
+            let pb = b.as_ptr().add(p * n + j);
+            for (r, v) in acc.iter_mut().enumerate() {
+                // Separate mul + add (no FMA), as in `row_axpy_avx2`.
+                *v = _mm256_add_ps(*v, _mm256_mul_ps(va, _mm256_loadu_ps(pb.add(8 * r))));
+            }
+        }
+        for (r, v) in acc.iter().enumerate() {
+            _mm256_storeu_ps(pc.add(8 * r), *v);
+        }
     }
 
     #[target_feature(enable = "avx2")]
@@ -553,8 +665,8 @@ pub fn axpy(acc: &mut [f32], x: &[f32]) {
     }
 }
 
-/// `c[j] += a * b[j]` — the matmul inner microkernel (one output row,
-/// one shared-dimension element).
+/// `c[j] += a * b[j]` — one term of [`gemm_acc`] (one output row, one
+/// shared-dimension element), and the step its SSE2 and scalar paths take.
 ///
 /// Uses separate multiply and add (never FMA) so the two per-element
 /// roundings match the scalar loop exactly.
@@ -571,6 +683,51 @@ pub fn row_axpy(c: &mut [f32], b: &[f32], a: f32) {
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Sse2 => x86::row_axpy_sse2(c, b, a),
         _ => row_axpy_scalar(c, b, a),
+    }
+}
+
+/// `C[rows, n] += A[rows, k] · B[k, n]` over flat row-major slices — the
+/// one GEMM kernel under every `nn` matmul.
+///
+/// Every element of C keeps the chain one [`row_axpy`] per `(row, p)`
+/// gives it: its starting value, then `c + a·b` (a separate multiply and
+/// add, never FMA) for ascending `p`, skipping the terms whose
+/// `A[row, p] == 0.0` when `skip_zero` is set. The skip is part of the
+/// result, not an optimisation: `0·∞` is NaN and `-0.0 + 0.0` is `+0.0`,
+/// so a skipped term and an added one can differ.
+///
+/// Dispatched once per call. At AVX2 each C row is swept in tiles of
+/// 64, 32 and 8 columns held in registers across the whole `p` loop, with
+/// a scalar tail; at SSE2 and scalar level it is that `row_axpy` loop.
+/// Bitwise identical at every level.
+///
+/// # Panics
+///
+/// Panics unless `a`, `b` and `c` hold `rows·k`, `k·n` and `rows·n`
+/// elements.
+pub fn gemm_acc(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    rows: usize,
+    k: usize,
+    n: usize,
+    skip_zero: bool,
+) {
+    assert_eq!(a.len(), rows * k, "gemm_acc: A is not [rows, k]");
+    assert_eq!(b.len(), k * n, "gemm_acc: B is not [k, n]");
+    assert_eq!(c.len(), rows * n, "gemm_acc: C is not [rows, n]");
+    if k == 0 || n == 0 {
+        return;
+    }
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level()` never returns a level above `detect_best()`,
+        // and `k`, `n` are non-zero past the early return.
+        SimdLevel::Avx2 => unsafe { x86::gemm_acc_avx2(a, b, c, k, n, skip_zero) },
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Sse2 => gemm_acc_rows(a, b, c, k, n, skip_zero, x86::row_axpy_sse2),
+        _ => gemm_acc_rows(a, b, c, k, n, skip_zero, row_axpy_scalar),
     }
 }
 

@@ -136,6 +136,11 @@ require_tests -p gtopk-core --lib ckpt::tests::retired_selector_tag_is_a_typed_e
 # The chunked convolution: forward, input gradient and accumulated weight
 # and bias gradients equal the per-sample oracle bit for bit.
 require_tests -p gtopk-nn --lib conv::tests::prop_chunked_conv_is_bitwise_the_per_sample_oracle
+# The one tiled GEMM kernel equals the per-(row, p) scalar loop at every
+# level, and the transposed products equal the kernels they replaced.
+require_tests -p gtopk-core --test simd_identity prop_gemm_acc_is_bitwise_the_row_axpy_loop
+require_tests -p gtopk-tensor --lib matmul::tests::prop_matmul_bt_flat_is_bitwise_the_dot_product_oracle
+require_tests -p gtopk-tensor --lib matmul::tests::prop_matmul_at_flat_acc_is_bitwise_the_row_axpy_oracle
 # CLI numbers that used to panic or be silently ignored are argument
 # errors naming the flag.
 require_tests -p gtopk-cli --lib numbers_that_would_panic_or_be_ignored_are_rejected_naming_the_flag
@@ -161,7 +166,7 @@ done
 # (~65 s in release; fig06, fig12 and fig13_14 also run the convolution
 # at 16×16 images, stride-2 projections and other batch sizes), the two
 # PS bins price and execute the parameter server (seconds in release),
-# and six more deterministic bins take under 20 s together in release,
+# and eight more deterministic bins take under 20 s together in release,
 # so rerun them and require their committed outputs to come back
 # byte-identical.
 echo "==> analytic and convergence results reproduce byte-identically"
@@ -184,9 +189,10 @@ for bin in ext_overlap ext_momentum_correction; do
   cargo run -q --offline --release -p gtopk-bench --bin "$bin" >/dev/null 2>&1
 done
 # The k-from-kP selection figure, the put-back ablation, the support
-# overlap, the plan and zoo replays, and the fault-tolerance table.
+# overlap, the plan and zoo replays, the fault-tolerance table, and the
+# sim-clock point-to-point and hierarchical-network tables.
 for bin in fig01_select_k_from_kp ext_putback_ablation ext_support_overlap \
-  bench_plans bench_zoo ext_fault_tolerance; do
+  bench_plans bench_zoo ext_fault_tolerance fig08_p2p ext_hierarchical_network; do
   cargo run -q --offline --release -p gtopk-bench --bin "$bin" >/dev/null 2>&1
 done
 git diff --exit-code -- results/table1_complexity.tsv results/fig09_*.tsv \
@@ -198,7 +204,8 @@ git diff --exit-code -- results/table1_complexity.tsv results/fig09_*.tsv \
   results/ext_overlap.tsv results/ext_momentum_correction.tsv BENCH_overlap.json \
   results/fig01_select_k_from_kp.tsv results/ext_putback_ablation.tsv \
   results/ext_support_overlap.tsv results/bench_plans.tsv BENCH_plans.json \
-  results/ext_zoo.tsv BENCH_zoo.json results/ext_fault_tolerance.tsv BENCH_faults.json
+  results/ext_zoo.tsv BENCH_zoo.json results/ext_fault_tolerance.tsv BENCH_faults.json \
+  results/fig08_p2p.tsv results/ext_hierarchical_network.tsv
 
 # Real processes, real sockets, a real SIGKILL: a 4-process localhost
 # cluster over `--transport tcp --rendezvous` (OS-assigned ports published

@@ -5,7 +5,8 @@
 //! `GTOPK_SIMD` level and `GTOPK_THREADS` count — replicas of a training
 //! run must not diverge because one host has AVX2 and another does not.
 //! These properties pin that contract for every kernel the SIMD layer
-//! dispatches: residual accumulate (axpy), the matmul row microkernel,
+//! dispatches: residual accumulate (axpy), the matmul row microkernel
+//! and the tiled GEMM kernel every `nn` matmul runs on,
 //! magnitude scans, threshold compaction, the fused
 //! accumulate+select+compact pass, and the full selection pipeline
 //! through `Residual`.
@@ -54,6 +55,16 @@ fn scalar_ref<T>(f: impl FnOnce() -> T) -> T {
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// [`bits`] with every NaN as `f32::NAN`'s: where two NaNs meet in an add,
+/// Rust leaves the sign and payload of the result unspecified (the
+/// compiler may commute the add, and a vector body and a scalar tail may
+/// differ), so a NaN matches any NaN and every other value bit for bit.
+fn bits_any_nan(v: &[f32]) -> Vec<u32> {
+    v.iter()
+        .map(|x| if x.is_nan() { f32::NAN } else { *x }.to_bits())
+        .collect()
 }
 
 /// Values chosen to stress IEEE edge cases: NaN (comparisons false),
@@ -238,6 +249,82 @@ proptest! {
             assert_eq!(run(false), expect, "unfused pipeline at {:?}", simd::level());
             assert_eq!(run(true), expect, "fused pipeline at {:?}", simd::level());
         });
+    }
+}
+
+/// The per-`(row, p)` loop [`simd::gemm_acc`] must reproduce: for each
+/// row and ascending `p`, one scalar `c += a·b` sweep over the C row,
+/// skipping `a == 0.0` when `skip_zero` is set.
+fn gemm_oracle(
+    a: &[f32],
+    b: &[f32],
+    c: &mut [f32],
+    rows: usize,
+    k: usize,
+    n: usize,
+    skip_zero: bool,
+) {
+    for i in 0..rows {
+        let crow = &mut c[i * n..(i + 1) * n];
+        for p in 0..k {
+            let av = a[i * k + p];
+            if skip_zero && av == 0.0 {
+                continue;
+            }
+            for (cv, &bv) in crow.iter_mut().zip(&b[p * n..(p + 1) * n]) {
+                *cv += av * bv;
+            }
+        }
+    }
+}
+
+/// GEMM operands that pin the skip: `±0.0` in A, `-0.0` in C and `±∞`/NaN
+/// in B, where `0·∞` is NaN and `-0.0 + 0.0` is `+0.0` — a skipped term
+/// and an added one differ.
+fn gemm_operands(rng: &mut StdRng, rows: usize, k: usize, n: usize) -> [Vec<f32>; 3] {
+    let mut pick = |len: usize, specials: &[f32]| -> Vec<f32> {
+        (0..len)
+            .map(|_| {
+                let sel = rng.gen_range(0..12usize);
+                specials
+                    .get(sel)
+                    .copied()
+                    .unwrap_or_else(|| rng.gen_range(-2.0f32..2.0))
+            })
+            .collect()
+    };
+    [
+        pick(rows * k, &[0.0, -0.0, 0.0]),
+        pick(k * n, &[f32::INFINITY, f32::NEG_INFINITY, f32::NAN]),
+        pick(rows * n, &[-0.0, -0.0]),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The tiled GEMM kernel equals the per-`(row, p)` scalar loop bit
+    /// for bit at every matrix point, in both skip modes, for every C
+    /// width 1..=130 — every 64/32/8-lane tile combination and every
+    /// scalar tail.
+    #[test]
+    fn prop_gemm_acc_is_bitwise_the_row_axpy_loop(
+        rows in 1usize..=3, k in 0usize..=9, seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        for n in 1..=130 {
+            let [a, b, c0] = gemm_operands(&mut rng, rows, k, n);
+            for skip_zero in [false, true] {
+                let mut expect = c0.clone();
+                gemm_oracle(&a, &b, &mut expect, rows, k, n, skip_zero);
+                on_matrix(|| {
+                    let mut c = c0.clone();
+                    simd::gemm_acc(&a, &b, &mut c, rows, k, n, skip_zero);
+                    assert_eq!(bits_any_nan(&c), bits_any_nan(&expect),
+                               "gemm_acc at {:?}, {rows}x{k}x{n}, skip {skip_zero}", simd::level());
+                });
+            }
+        }
     }
 }
 
