@@ -19,7 +19,9 @@
 //!   asserting the single-thread kernel is never slower than naive);
 //! * vgg-lite's two convolutions and its first fully-connected layer,
 //!   forward and backward, at the benchmark workload's batch of 16 8×8
-//!   images;
+//!   images, and conv1's backward as a first layer runs it (no input
+//!   gradient);
+//! * fc1's per-forward weight transpose, per element against 8×8 tiles;
 //! * every available `GTOPK_SIMD` level against the scalar kernels;
 //! * the fused single-pass residual+select against the three-pass
 //!   accumulate / scan / compact sequence, at m = 25M;
@@ -44,7 +46,7 @@ use gtopk_sparse::{
     MergeScratch, Residual, SparseVec, TopkScratch,
 };
 use gtopk_tensor::simd::{self, SimdLevel};
-use gtopk_tensor::{matmul_flat, parallel, Shape, Tensor};
+use gtopk_tensor::{matmul_flat, parallel, transpose_into, Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -538,36 +540,46 @@ fn bench_matmul(rows: &mut Vec<Row>) {
 /// One layer's forward and backward at a fixed input, single thread,
 /// each summed over 20 calls a sample. Backward consumes the input its
 /// forward cached, so every timed backward follows an untimed forward.
-/// `elements` is the forward's multiply-adds per call, so a layer's two
-/// rows share a unit.
+/// `elements` is the forward's multiply-adds per call, so a layer's rows
+/// share a unit. A `first` layer also gets a `backward_params` row: the
+/// backward a network's first layer runs, without the input gradient.
 fn bench_layer(
     rows: &mut Vec<Row>,
-    kernel: &'static str,
+    (kernel, first): (&'static str, bool),
     layer: &mut dyn Layer,
     (x, dy): (&Tensor, &Tensor),
     elements: usize,
 ) {
     const CALLS: usize = 20;
-    for backward in [false, true] {
+    let variants: &[&'static str] = if first {
+        &["forward", "backward", "backward_params"]
+    } else {
+        &["forward", "backward"]
+    };
+    for &variant in variants {
         let mut call = || {
             let t = Instant::now();
             black_box(layer.forward(black_box(x), true));
-            if !backward {
+            if variant == "forward" {
                 return t.elapsed().as_secs_f64();
             }
             let t = Instant::now();
-            black_box(layer.backward(black_box(dy)));
+            if variant == "backward" {
+                black_box(layer.backward(black_box(dy)));
+            } else {
+                layer.backward_params(black_box(dy));
+            }
             t.elapsed().as_secs_f64()
         };
         let secs =
             parallel::with_thread_limit(1, || median_of(5, || (0..CALLS).map(|_| call()).sum()));
         rows.push(Row {
             kernel,
-            variant: if backward { "backward" } else { "forward" },
+            variant,
             threads: 1,
             simd: simd::level().name(),
             elements: elements * CALLS,
-            baseline: !backward,
+            baseline: variant == "forward",
             secs,
         });
     }
@@ -594,7 +606,8 @@ fn bench_vgg_layers(rows: &mut Vec<Row>) {
         let x = random_tensor(&mut rng, Shape::d4(batch, in_c, img, img));
         let dy = random_tensor(&mut rng, Shape::d4(batch, out_c, img, img));
         let elements = batch * img * img * out_c * in_c * 9;
-        bench_layer(rows, kernel, &mut conv, (&x, &dy), elements);
+        let first = kernel == "conv2d_vgg_conv1";
+        bench_layer(rows, (kernel, first), &mut conv, (&x, &dy), elements);
     }
     let (nin, nout) = (128, 128);
     let mut fc1 = Linear::new(&mut rng, nin, nout);
@@ -602,11 +615,47 @@ fn bench_vgg_layers(rows: &mut Vec<Row>) {
     let dy = random_tensor(&mut rng, Shape::d2(batch, nout));
     bench_layer(
         rows,
-        "linear_vgg_fc1",
+        ("linear_vgg_fc1", false),
         &mut fc1,
         (&x, &dy),
         batch * nin * nout,
     );
+}
+
+/// The transpose `matmul_bt_flat` makes of fc1's 128×128 weight on every
+/// forward: one element at a time with `rows`-strided writes (what it did
+/// before `transpose_into`) against the 8×8-tiled `transpose_into`.
+fn bench_transpose(rows: &mut Vec<Row>) {
+    let n = 128;
+    let mut rng = StdRng::seed_from_u64(29);
+    let x: Vec<f32> = (0..n * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let mut out = vec![0.0f32; n * n];
+    const CALLS: usize = 1000;
+    for variant in ["per_element", "tiled"] {
+        let secs = time_median(5, || {
+            for _ in 0..CALLS {
+                if variant == "tiled" {
+                    transpose_into(black_box(&x), n, n, n, &mut out);
+                } else {
+                    for (i, row) in black_box(&x).chunks_exact(n).enumerate() {
+                        for (j, &v) in row.iter().enumerate() {
+                            out[j * n + i] = v;
+                        }
+                    }
+                }
+                black_box(&out);
+            }
+        });
+        rows.push(Row {
+            kernel: "transpose_128x128",
+            variant,
+            threads: 1,
+            simd: "scalar",
+            elements: n * n * CALLS,
+            baseline: variant == "per_element",
+            secs,
+        });
+    }
 }
 
 /// Residual accumulate (`acc += grad`) at every SIMD level, m = 25M.
@@ -719,7 +768,7 @@ fn render_json(rows: &[Row]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(
         out,
-        "  \"bench\": \"hot-path kernels at paper scale (n=14M k=14000 for select/merge, n=1M k=250000 for the _rho25 rows, put_back and frame_codec; n=25M k=25000 for opt_apply/simd/fusion rows; opt_apply_bucketed: n=25M in 8 buckets at rho=0.001, _vgg: vgg-lite per layer at rho=0.005, 200 steps a sample; conv2d_vgg_*, linear_vgg_fc1: vgg-lite's convolutions and first fc layer at batch 16 of 8x8 images, 20 calls a sample, elements = forward multiply-adds)\","
+        "  \"bench\": \"hot-path kernels at paper scale (n=14M k=14000 for select/merge, n=1M k=250000 for the _rho25 rows, put_back and frame_codec; n=25M k=25000 for opt_apply/simd/fusion rows; opt_apply_bucketed: n=25M in 8 buckets at rho=0.001, _vgg: vgg-lite per layer at rho=0.005, 200 steps a sample; conv2d_vgg_*, linear_vgg_fc1: vgg-lite's convolutions and first fc layer at batch 16 of 8x8 images, 20 calls a sample, elements = forward multiply-adds, backward_params = backward without the input gradient; transpose_128x128: 1000 transposes a sample)\","
     );
     let cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let _ = writeln!(out, "  \"cpus\": {cpus},");
@@ -803,6 +852,7 @@ fn main() {
     bench_matmul(&mut rows);
     eprintln!("benchmarking vgg-lite's convolutions and fc1 (batch 16, 8x8 images) ...");
     bench_vgg_layers(&mut rows);
+    bench_transpose(&mut rows);
     eprintln!("benchmarking residual axpy across simd levels (n = {N2}) ...");
     bench_axpy(&mut rows);
     eprintln!("benchmarking threshold compaction across simd levels ...");

@@ -7,11 +7,26 @@
 //! columns even where a layer's output plane is small. For a chunk of `ns`
 //! samples the columns are laid out sample-major, `[ckk, ns·l]` with
 //! `ckk = in_c·k·k` and `l = oh·ow`: sample `s`'s `l` columns sit at offset
-//! `s·l` of every row. The chunk's im2col buffer (which backward reuses for
-//! `dcols`) and `dY` buffer are allocated once per call and reused by every
-//! chunk; nothing is cached from forward to backward (backward recomputes
-//! im2col, as the per-sample code did), so memory stays flat in the batch
-//! size.
+//! `s·l` of every row.
+//!
+//! # Data movement
+//!
+//! * **Row runs.** For each `(ci, ky, kx, oy)` the output columns `ox`
+//!   that read inside the image form one range, computed once. im2col
+//!   copies that range in one zipped loop over a chunk zeroed once (a
+//!   strided loop at larger strides); col2im adds the range back in one
+//!   pass. No element is bounds-tested on its own.
+//! * **Forward's columns feed backward.** Forward writes the whole batch's
+//!   im2col, chunk after chunk (chunk `s0..s0 + ns` at offset
+//!   `ckk·s0·l`), into a grow-only buffer the layer keeps, and remembers
+//!   the input's shape, not the input. Backward reads the weight
+//!   gradient's operand from that buffer and then overwrites each chunk
+//!   with its `dcols`. The buffer holds `ckk·n·l` floats; the one-shot
+//!   contract is unchanged (backward without a forward panics).
+//! * **No input gradient for a first layer.** [`Layer::backward_params`]
+//!   runs the weight and bias gradients only: no `dcols` GEMM and no
+//!   col2im. [`crate::Model::backward`] calls it on a network's first
+//!   layer, whose input gradient nobody reads.
 //!
 //! # Bitwise identity with the per-sample code
 //!
@@ -22,24 +37,28 @@
 //!   [`matmul_flat`], which sums in ascending `p` from `+0.0` and skips
 //!   `W[oc, p] == 0.0` — per column, independently of how many columns
 //!   there are. The bias is added afterwards.
-//! * **Input gradient.** `dcols = Wᵀ·dY` runs through
-//!   [`matmul_at_flat_acc`] over the chunk, ascending `oc` with the same
-//!   skip, again per column; col2im then scatters each sample in the
-//!   `(ci, ky, kx, oy, ox)` order it always used.
+//! * **Input gradient.** `dcols = Wᵀ·dY` runs through [`matmul_flat`]
+//!   over the chunk, from a `Wᵀ` transposed once per call: the product
+//!   [`gtopk_tensor::matmul_at_flat_acc`] runs, ascending `oc` with the
+//!   same skip, again per column. col2im then scatters each sample in the
+//!   `(ci, ky, kx, oy, ox)` order it always used (a row run gives each
+//!   input element at most one add, in ascending `ox`).
 //! * **Weight gradient.** Each sample's `dW_s[oc, p] = Σ_pos dY[oc, pos]·
 //!   cols[p, pos]` stays one sequential chain from `+0.0` in ascending
 //!   `pos`, and `grads += dW_s` sample by sample. To run that chain on SIMD
 //!   lanes across `p`, the sample's cols block is transposed to `[l, ckk]`
-//!   and `dW_s = dY_s·cols_t` is one [`simd::gemm_acc`] call from a zeroed
-//!   `dW_s` that skips no product (the dot product it replaces skips
-//!   none): the kernel holds a tile of `dW_s[oc, ·]` in registers while
-//!   it walks `pos`, so each element's chain is untouched. One GEMM over the
-//!   whole chunk would reassociate these sums across samples, so the
-//!   weight gradient is the one product that stays per sample.
+//!   by [`transpose_into`] and `dW_s = dY_s·cols_t` is one
+//!   [`simd::gemm_acc`] call from a zeroed `dW_s` that skips no product
+//!   (the dot product it replaces skips none): the kernel holds a tile of
+//!   `dW_s[oc, ·]` in registers while it walks `pos`, so each element's
+//!   chain is untouched. One GEMM over the whole chunk would reassociate
+//!   these sums across samples, so the weight gradient is the one product
+//!   that stays per sample.
 
 use crate::Layer;
-use gtopk_tensor::{kaiming_uniform, matmul_at_flat_acc, matmul_flat, simd, Shape, Tensor};
+use gtopk_tensor::{kaiming_uniform, matmul_flat, simd, transpose_into, Shape, Tensor};
 use rand::Rng;
+use std::ops::Range;
 
 /// Minimum output columns per GEMM: a chunk holds `⌈MIN_COLS / l⌉`
 /// samples.
@@ -74,7 +93,11 @@ pub struct Conv2d {
     /// `[W (out_c · in_c·k·k) | b (out_c)]`
     params: Vec<f32>,
     grads: Vec<f32>,
-    cached_input: Option<Tensor>,
+    /// Shape of the last forward's input, until a backward consumes it.
+    input_shape: Option<Shape>,
+    /// The last forward's im2col, chunk after chunk (grow-only; backward
+    /// overwrites each chunk with its `dcols`).
+    cols: Vec<f32>,
 }
 
 /// Shape of one forward/backward call: input `[n, c, h, w]` (`chw`
@@ -90,6 +113,20 @@ struct Geometry {
     l: usize,
     ckk: usize,
     chunk: usize,
+}
+
+impl Geometry {
+    /// `(s0, ns)` of every chunk: samples `s0..s0 + ns`.
+    fn chunks(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.n)
+            .step_by(self.chunk)
+            .map(|s0| (s0, self.chunk.min(self.n - s0)))
+    }
+
+    /// Chunk `s0..s0 + ns`'s `[ckk, ns·l]` block of the batch's columns.
+    fn block(&self, s0: usize, ns: usize) -> Range<usize> {
+        self.ckk * s0 * self.l..self.ckk * (s0 + ns) * self.l
+    }
 }
 
 impl Conv2d {
@@ -122,7 +159,8 @@ impl Conv2d {
             pad,
             params,
             grads: vec![0.0; n],
-            cached_input: None,
+            input_shape: None,
+            cols: Vec::new(),
         }
     }
 
@@ -160,11 +198,235 @@ impl Conv2d {
         }
     }
 
+    /// The outputs `o < n_out` whose input coordinate `o·stride + kd − pad`
+    /// at kernel offset `kd` lies inside `0..n_in`: one contiguous range.
+    fn valid_run(&self, kd: usize, n_in: usize, n_out: usize) -> Range<usize> {
+        let (s, p) = (self.stride, self.pad);
+        let hi = (n_in + p).saturating_sub(kd).div_ceil(s).min(n_out);
+        let lo = p.saturating_sub(kd).div_ceil(s).min(hi);
+        lo..hi
+    }
+
     /// im2col for one sample into columns `off..off + oh·ow` of the
-    /// `[in_c·k·k, ld]` matrix `cols`. Entries the kernel reads from the
-    /// padding are left untouched, so `cols` must arrive zeroed.
+    /// `[in_c·k·k, ld]` matrix `cols`, one `(ci, ky, kx, oy)` row run at a
+    /// time. Entries the kernel reads from the padding are left
+    /// untouched, so `cols` must arrive zeroed.
     fn im2col(&self, x: &[f32], g: &Geometry, cols: &mut [f32], ld: usize, off: usize) {
-        let (c, k, s, p) = (self.in_c, self.k, self.stride, self.pad);
+        let (k, s, p) = (self.k, self.stride, self.pad);
+        let (h, w, ow) = (g.h, g.w, g.ow);
+        for ci in 0..self.in_c {
+            let plane = &x[ci * h * w..(ci + 1) * h * w];
+            for ky in 0..k {
+                let ys = self.valid_run(ky, h, g.oh);
+                for kx in 0..k {
+                    let xs = self.valid_run(kx, w, ow);
+                    let row = (ci * k * k + ky * k + kx) * ld + off;
+                    for oy in ys.clone() {
+                        let run = &mut cols[row + oy * ow..][xs.clone()];
+                        let src = &plane[(oy * s + ky - p) * w + xs.start * s + kx - p..];
+                        // A zipped loop, not `copy_from_slice`: runs are a
+                        // few elements long, shorter than a `memcpy` call
+                        // pays for.
+                        if s == 1 {
+                            for (d, &v) in run.iter_mut().zip(src) {
+                                *d = v;
+                            }
+                        } else {
+                            for (d, &v) in run.iter_mut().zip(src.iter().step_by(s)) {
+                                *d = v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Scatter-add of one sample's columns `off..off + oh·ow` of the
+    /// `[in_c·k·k, ld]` matrix `cols` back to its image (inverse of
+    /// [`Self::im2col`]), in `(ci, ky, kx, oy, ox)` order, one row run at
+    /// a time.
+    fn col2im(&self, cols: &[f32], ld: usize, off: usize, dx: &mut [f32], g: &Geometry) {
+        let (k, s, p) = (self.k, self.stride, self.pad);
+        let (h, w, oh, ow) = (g.h, g.w, g.oh, g.ow);
+        for ci in 0..self.in_c {
+            let plane = &mut dx[ci * h * w..(ci + 1) * h * w];
+            for ky in 0..k {
+                let ys = self.valid_run(ky, h, oh);
+                for kx in 0..k {
+                    let xs = self.valid_run(kx, w, ow);
+                    let row = (ci * k * k + ky * k + kx) * ld + off;
+                    for oy in ys.clone() {
+                        let src = &cols[row + oy * ow..][xs.clone()];
+                        let dst = &mut plane[(oy * s + ky - p) * w + xs.start * s + kx - p..];
+                        if s == 1 {
+                            for (d, &v) in dst.iter_mut().zip(src) {
+                                *d += v;
+                            }
+                        } else {
+                            for (d, &v) in dst.iter_mut().step_by(s).zip(src) {
+                                *d += v;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Backward over the columns forward left: accumulates the weight and
+    /// bias gradients and, given `grad_in`, scatters the input gradient
+    /// into it.
+    fn backprop(&mut self, shape: &Shape, grad_out: &Tensor, mut grad_in: Option<&mut Tensor>) {
+        let g = self.geometry(shape.dims());
+        let (oc_n, l, ckk, chw) = (self.out_c, g.l, g.ckk, g.chw);
+        assert_eq!(grad_out.len(), g.n * oc_n * l);
+        let mut cols = std::mem::take(&mut self.cols);
+        let mut dy = vec![0.0f32; oc_n * g.chunk * l];
+        let mut cols_t = vec![0.0f32; l * ckk];
+        let mut dw = vec![0.0f32; oc_n * ckk];
+        // Wᵀ [ckk, oc] for the input gradient, once per call.
+        let mut wt = vec![0.0f32; ckk * oc_n];
+        transpose_into(self.weight(), ckk, oc_n, ckk, &mut wt);
+        for (s0, ns) in g.chunks() {
+            let cb = ns * l;
+            let block = &mut cols[g.block(s0, ns)];
+            let dy_chunk = &grad_out.data()[s0 * oc_n * l..(s0 + ns) * oc_n * l];
+            for (si, dys) in dy_chunk.chunks_exact(oc_n * l).enumerate() {
+                // dW_s [oc, ckk] = dY_s [oc, l] · cols_sᵀ: per (oc, p) one
+                // chain over ascending pos from +0.0, run across p.
+                transpose_into(&block[si * l..], cb, ckk, l, &mut cols_t);
+                dw.fill(0.0);
+                simd::gemm_acc(dys, &cols_t, &mut dw, oc_n, l, ckk, false);
+                let (wg, bg) = self.grads.split_at_mut(oc_n * ckk);
+                simd::axpy(wg, &dw);
+                // db += per-channel sum of dY.
+                for (gb, dyc) in bg.iter_mut().zip(dys.chunks_exact(l)) {
+                    *gb += dyc.iter().sum::<f32>();
+                }
+            }
+            let Some(grad_in) = grad_in.as_deref_mut() else {
+                continue;
+            };
+            // dY of the chunk as [oc, ns·l].
+            let dy = &mut dy[..oc_n * cb];
+            for (si, dys) in dy_chunk.chunks_exact(oc_n * l).enumerate() {
+                for (oc, dyc) in dys.chunks_exact(l).enumerate() {
+                    dy[oc * cb + si * l..oc * cb + (si + 1) * l].copy_from_slice(dyc);
+                }
+            }
+            // dcols [ckk, ns·l] = Wᵀ [ckk, oc] · dY [oc, ns·l], into the
+            // chunk's columns: the weight gradient is done with them.
+            let dcols = block;
+            matmul_flat(&wt, dy, dcols, ckk, oc_n, cb);
+            for si in 0..ns {
+                let dxs = &mut grad_in.data_mut()[(s0 + si) * chw..(s0 + si + 1) * chw];
+                self.col2im(dcols, cb, si * l, dxs, &g);
+            }
+        }
+        self.cols = cols;
+    }
+}
+
+impl Layer for Conv2d {
+    fn name(&self) -> &'static str {
+        "conv2d"
+    }
+
+    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
+        let g = self.geometry(input.shape().dims());
+        let (oc_n, l, ckk, chw) = (self.out_c, g.l, g.ckk, g.chw);
+        let mut out = Tensor::zeros(Shape::d4(g.n, oc_n, g.oh, g.ow));
+        let mut cols = std::mem::take(&mut self.cols);
+        if cols.len() < ckk * g.n * l {
+            cols.resize(ckk * g.n * l, 0.0);
+        }
+        let mut y = vec![0.0f32; oc_n * g.chunk * l];
+        let bias = &self.params[oc_n * ckk..];
+        for (s0, ns) in g.chunks() {
+            let cb = ns * l;
+            let block = &mut cols[g.block(s0, ns)];
+            block.fill(0.0);
+            for si in 0..ns {
+                let xs = &input.data()[(s0 + si) * chw..(s0 + si + 1) * chw];
+                self.im2col(xs, &g, block, cb, si * l);
+            }
+            // Y [oc, ns·l] = W [oc, ckk] · cols [ckk, ns·l]
+            let y = &mut y[..oc_n * cb];
+            matmul_flat(self.weight(), block, y, oc_n, ckk, cb);
+            // Back to [n, oc, l], adding the bias per output channel.
+            for si in 0..ns {
+                for (oc, &b) in bias.iter().enumerate() {
+                    let dst = ((s0 + si) * oc_n + oc) * l;
+                    let src = &y[oc * cb + si * l..oc * cb + (si + 1) * l];
+                    for (o, &v) in out.data_mut()[dst..dst + l].iter_mut().zip(src) {
+                        *o = v + b;
+                    }
+                }
+            }
+        }
+        self.cols = cols;
+        self.input_shape = Some(input.shape().clone());
+        out
+    }
+
+    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
+        let shape = self
+            .input_shape
+            .take()
+            .expect("backward called without forward");
+        let mut grad_in = Tensor::zeros(shape.clone());
+        self.backprop(&shape, grad_out, Some(&mut grad_in));
+        grad_in
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let shape = self
+            .input_shape
+            .take()
+            .expect("backward called without forward");
+        self.backprop(&shape, grad_out, None);
+    }
+
+    fn params(&self) -> &[f32] {
+        &self.params
+    }
+
+    fn params_mut(&mut self) -> &mut [f32] {
+        &mut self.params
+    }
+
+    fn grads(&self) -> &[f32] {
+        &self.grads
+    }
+
+    fn param_grad_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (&mut self.params, &mut self.grads)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::gradcheck::check_layer_gradients;
+    use gtopk_tensor::{matmul_at_flat_acc, parallel};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The per-element im2col the row runs replaced: one bounds test and
+    /// one copy per element, for one sample into columns `off..off + l` of
+    /// the `[ckk, ld]` matrix `cols`. Padding entries are left untouched,
+    /// so `cols` must arrive zeroed.
+    fn oracle_im2col(
+        conv: &Conv2d,
+        x: &[f32],
+        g: &Geometry,
+        cols: &mut [f32],
+        ld: usize,
+        off: usize,
+    ) {
+        let (c, k, s, p) = (conv.in_c, conv.k, conv.stride, conv.pad);
         let (h, w, oh, ow) = (g.h, g.w, g.oh, g.ow);
         for ci in 0..c {
             let plane = &x[ci * h * w..(ci + 1) * h * w];
@@ -189,11 +451,17 @@ impl Conv2d {
         }
     }
 
-    /// Scatter-add of one sample's columns `off..off + oh·ow` of the
-    /// `[in_c·k·k, ld]` matrix `cols` back to its image (inverse of
-    /// [`Self::im2col`]), in `(ci, ky, kx, oy, ox)` order.
-    fn col2im(&self, cols: &[f32], ld: usize, off: usize, dx: &mut [f32], g: &Geometry) {
-        let (c, k, s, p) = (self.in_c, self.k, self.stride, self.pad);
+    /// The per-element col2im the row runs replaced: a scatter-add in
+    /// `(ci, ky, kx, oy, ox)` order with one bounds test per element.
+    fn oracle_col2im(
+        conv: &Conv2d,
+        cols: &[f32],
+        ld: usize,
+        off: usize,
+        dx: &mut [f32],
+        g: &Geometry,
+    ) {
+        let (c, k, s, p) = (conv.in_c, conv.k, conv.stride, conv.pad);
         let (h, w, oh, ow) = (g.h, g.w, g.oh, g.ow);
         for ci in 0..c {
             let plane = &mut dx[ci * h * w..(ci + 1) * h * w];
@@ -218,145 +486,8 @@ impl Conv2d {
         }
     }
 
-    /// im2col of samples `s0..s0 + ns` of `x` into the zeroed-here
-    /// `[ckk, ns·l]` prefix of `cols`; returns that prefix.
-    fn im2col_chunk<'a>(
-        &self,
-        x: &[f32],
-        g: &Geometry,
-        s0: usize,
-        ns: usize,
-        cols: &'a mut [f32],
-    ) -> &'a mut [f32] {
-        let (chw, cb) = (g.chw, ns * g.l);
-        let cols = &mut cols[..g.ckk * cb];
-        cols.fill(0.0);
-        for si in 0..ns {
-            let xs = &x[(s0 + si) * chw..(s0 + si + 1) * chw];
-            self.im2col(xs, g, cols, cb, si * g.l);
-        }
-        cols
-    }
-}
-
-impl Layer for Conv2d {
-    fn name(&self) -> &'static str {
-        "conv2d"
-    }
-
-    fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
-        let g = self.geometry(input.shape().dims());
-        let (oc_n, l, ckk) = (self.out_c, g.l, g.ckk);
-        let mut out = Tensor::zeros(Shape::d4(g.n, oc_n, g.oh, g.ow));
-        let mut cols = vec![0.0f32; ckk * g.chunk * l];
-        let mut y = vec![0.0f32; oc_n * g.chunk * l];
-        let bias = &self.params[oc_n * ckk..];
-        for s0 in (0..g.n).step_by(g.chunk) {
-            let ns = g.chunk.min(g.n - s0);
-            let cb = ns * l;
-            let cols = self.im2col_chunk(input.data(), &g, s0, ns, &mut cols);
-            // Y [oc, ns·l] = W [oc, ckk] · cols [ckk, ns·l]
-            let y = &mut y[..oc_n * cb];
-            matmul_flat(self.weight(), cols, y, oc_n, ckk, cb);
-            // Back to [n, oc, l], adding the bias per output channel.
-            for si in 0..ns {
-                for (oc, &b) in bias.iter().enumerate() {
-                    let dst = ((s0 + si) * oc_n + oc) * l;
-                    let src = &y[oc * cb + si * l..oc * cb + (si + 1) * l];
-                    for (o, &v) in out.data_mut()[dst..dst + l].iter_mut().zip(src) {
-                        *o = v + b;
-                    }
-                }
-            }
-        }
-        self.cached_input = Some(input.clone());
-        out
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .take()
-            .expect("backward called without forward");
-        let g = self.geometry(input.shape().dims());
-        let (oc_n, l, ckk, chw) = (self.out_c, g.l, g.ckk, g.chw);
-        assert_eq!(grad_out.len(), g.n * oc_n * l);
-
-        let mut grad_in = Tensor::zeros(input.shape().clone());
-        let mut cols = vec![0.0f32; ckk * g.chunk * l];
-        let mut dy = vec![0.0f32; oc_n * g.chunk * l];
-        let mut cols_t = vec![0.0f32; l * ckk];
-        let mut dw = vec![0.0f32; oc_n * ckk];
-        for s0 in (0..g.n).step_by(g.chunk) {
-            let ns = g.chunk.min(g.n - s0);
-            let cb = ns * l;
-            let cols = self.im2col_chunk(input.data(), &g, s0, ns, &mut cols);
-            let dy = &mut dy[..oc_n * cb];
-            for si in 0..ns {
-                let dys = &grad_out.data()[(s0 + si) * oc_n * l..(s0 + si + 1) * oc_n * l];
-                // dY of the chunk as [oc, ns·l], for the input gradient.
-                for oc in 0..oc_n {
-                    dy[oc * cb + si * l..oc * cb + (si + 1) * l]
-                        .copy_from_slice(&dys[oc * l..(oc + 1) * l]);
-                }
-                // dW_s [oc, ckk] = dY_s [oc, l] · cols_sᵀ: per (oc, p) one
-                // chain over ascending pos from +0.0, run across p.
-                for p in 0..ckk {
-                    let row = &cols[p * cb + si * l..p * cb + (si + 1) * l];
-                    for (pos, &v) in row.iter().enumerate() {
-                        cols_t[pos * ckk + p] = v;
-                    }
-                }
-                dw.fill(0.0);
-                simd::gemm_acc(dys, &cols_t, &mut dw, oc_n, l, ckk, false);
-                let (wg, bg) = self.grads.split_at_mut(oc_n * ckk);
-                simd::axpy(wg, &dw);
-                // db += per-channel sum of dY.
-                for (oc, gb) in bg.iter_mut().enumerate() {
-                    *gb += dys[oc * l..(oc + 1) * l].iter().sum::<f32>();
-                }
-            }
-            // dcols [ckk, ns·l] = Wᵀ [ckk, oc] · dY [oc, ns·l], into the
-            // chunk's cols buffer: the weight gradient is done with it.
-            let dcols = cols;
-            dcols.fill(0.0);
-            matmul_at_flat_acc(self.weight(), dy, dcols, oc_n, ckk, cb);
-            for si in 0..ns {
-                let dxs = &mut grad_in.data_mut()[(s0 + si) * chw..(s0 + si + 1) * chw];
-                self.col2im(dcols, cb, si * l, dxs, &g);
-            }
-        }
-        grad_in
-    }
-
-    fn params(&self) -> &[f32] {
-        &self.params
-    }
-
-    fn params_mut(&mut self) -> &mut [f32] {
-        &mut self.params
-    }
-
-    fn grads(&self) -> &[f32] {
-        &self.grads
-    }
-
-    fn param_grad_mut(&mut self) -> (&mut [f32], &mut [f32]) {
-        (&mut self.params, &mut self.grads)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::gradcheck::check_layer_gradients;
-    use gtopk_tensor::parallel;
-    use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    /// The one-sample-at-a-time forward the chunked path replaced: im2col
-    /// and one GEMM per sample, then the bias.
+    /// The one-sample-at-a-time forward the chunked path replaced: the
+    /// per-element im2col and one GEMM per sample, then the bias.
     fn oracle_forward(conv: &Conv2d, input: &Tensor) -> Tensor {
         let g = conv.geometry(input.shape().dims());
         let (n, chw, l, ckk) = (g.n, g.chw, g.l, g.ckk);
@@ -364,7 +495,7 @@ mod tests {
         for s in 0..n {
             let xin = &input.data()[s * chw..(s + 1) * chw];
             let mut cols = vec![0.0f32; ckk * l];
-            conv.im2col(xin, &g, &mut cols, l, 0);
+            oracle_im2col(conv, xin, &g, &mut cols, l, 0);
             let yout = &mut out.data_mut()[s * conv.out_c * l..(s + 1) * conv.out_c * l];
             matmul_flat(conv.weight(), &cols, yout, conv.out_c, ckk, l);
         }
@@ -384,7 +515,7 @@ mod tests {
     /// `dW` by scalar dot products (one accumulator from `+0.0` in
     /// ascending `pos`, the chain `matmul_bt_flat` ran before it went
     /// through the tiled GEMM), `dcols` by one `matmul_at_flat_acc` and
-    /// one col2im per sample. Accumulates into `grads` and returns the
+    /// one per-element col2im per sample. Accumulates into `grads` and returns the
     /// input gradient.
     fn oracle_backward(
         conv: &Conv2d,
@@ -399,7 +530,7 @@ mod tests {
         for s in 0..g.n {
             let xin = &input.data()[s * chw..(s + 1) * chw];
             let mut cols = vec![0.0f32; ckk * l];
-            conv.im2col(xin, &g, &mut cols, l, 0);
+            oracle_im2col(conv, xin, &g, &mut cols, l, 0);
             let dy = &grad_out.data()[s * oc_n * l..(s + 1) * oc_n * l];
             for (oc, dw_row) in dw_tmp.chunks_exact_mut(ckk).enumerate() {
                 for (p, d) in dw_row.iter_mut().enumerate() {
@@ -420,7 +551,7 @@ mod tests {
             let mut dcols = vec![0.0f32; ckk * l];
             matmul_at_flat_acc(conv.weight(), dy, &mut dcols, oc_n, ckk, l);
             let dxs = &mut grad_in.data_mut()[s * chw..(s + 1) * chw];
-            conv.col2im(&dcols, l, 0, dxs, &g);
+            oracle_col2im(conv, &dcols, l, 0, dxs, &g);
         }
         grad_in
     }
@@ -456,17 +587,19 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The chunked forward and backward reproduce the per-sample
-        /// oracle bit for bit — output, input gradient, and weight and
-        /// bias gradients accumulated over two backward calls — across
-        /// kernel sizes, strides, paddings, batch sizes 1–9 and output
-        /// planes below, at and above `MIN_COLS` (full and partial
-        /// chunks), on one thread and on four.
+        /// The chunked forward and backward reproduce the per-sample,
+        /// per-element oracle bit for bit — output, input gradient, and
+        /// weight and bias gradients accumulated over two backward calls,
+        /// by `backward` and by `backward_params` — across kernel sizes,
+        /// strides and paddings whose row runs are empty, partial and full
+        /// (a padding wider than the kernel's reach included), batch sizes
+        /// 1–9 and output planes below, at and above `MIN_COLS` (full and
+        /// partial chunks), on one thread and on four.
         #[test]
         fn prop_chunked_conv_is_bitwise_the_per_sample_oracle(
-            (k, stride, pad) in (1usize..=3, 1usize..=2, 0usize..=1),
+            (k, stride, pad) in (1usize..=4, 1usize..=3, 0usize..=2),
             (in_c, out_c, n) in (1usize..=3, 1usize..=4, 1usize..=9),
-            (plane, a, b, slack) in (0usize..6, 1usize..=7, 1usize..=7, 0usize..2),
+            (plane, a, b, slack) in (0usize..6, 1usize..=7, 1usize..=7, 0usize..3),
             (specials, seed) in (0usize..3, 0u64..u64::MAX),
         ) {
             let (oh, ow) = [(a, b), (8, 8), (4, 16), (16, 4), (9, 8), (10, 10)][plane];
@@ -520,8 +653,47 @@ mod tests {
                     prop_assert_eq!(bits(dx.data()), bits(expect.data()), "grad_in, {} threads", threads);
                 }
                 prop_assert_eq!(bits(&conv.grads), bits(&grads), "param grads, {} threads", threads);
+                conv.grads.fill(0.0);
+                parallel::with_thread_limit(threads, || {
+                    parallel::with_min_chunk(1, || {
+                        for dy in &dys {
+                            conv.forward(&x, true);
+                            conv.backward_params(dy);
+                        }
+                    })
+                });
+                prop_assert_eq!(bits(&conv.grads), bits(&grads), "backward_params, {} threads", threads);
             }
         }
+    }
+
+    /// A forward over a smaller batch than the one before it reads its own
+    /// columns from the grow-only buffer, not the larger batch's.
+    #[test]
+    fn a_smaller_batch_after_a_larger_one_uses_its_own_columns() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut conv = Conv2d::new(&mut rng, 2, 3, 3, 1, 1);
+        let big = Tensor::from_vec(Shape::d4(6, 2, 3, 3), awkward(&mut rng, 108, 0)).unwrap();
+        let small = Tensor::from_vec(Shape::d4(2, 2, 3, 3), awkward(&mut rng, 36, 0)).unwrap();
+        let dy = Tensor::from_vec(Shape::d4(2, 3, 3, 3), awkward(&mut rng, 54, 0)).unwrap();
+        let mut grads = vec![0.0f32; conv.params.len()];
+        let expect_dx = oracle_backward(&conv, &small, &dy, &mut grads);
+        conv.forward(&big, true);
+        let y = conv.forward(&small, true);
+        assert_eq!(bits(y.data()), bits(oracle_forward(&conv, &small).data()));
+        assert_eq!(bits(conv.backward(&dy).data()), bits(expect_dx.data()));
+        assert_eq!(bits(&conv.grads), bits(&grads));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called without forward")]
+    fn backward_params_consumes_the_forward_cache() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut conv = Conv2d::new(&mut rng, 1, 2, 3, 1, 1);
+        conv.forward(&Tensor::zeros(Shape::d4(2, 1, 4, 4)), true);
+        let dy = Tensor::zeros(Shape::d4(2, 2, 4, 4));
+        conv.backward_params(&dy);
+        conv.backward_params(&dy);
     }
 
     #[test]

@@ -15,6 +15,10 @@ use gtopk_tensor::Tensor;
 ///   gradient w.r.t. its *input*;
 /// * a `backward` must follow the corresponding `forward` (one-shot
 ///   caches);
+/// * [`Layer::backward_params`] is `backward` for a caller that drops the
+///   input gradient: the same parameter gradients, bit for bit, the same
+///   cache consumed, and no input gradient computed where a layer can
+///   skip it;
 /// * gradients accumulate across calls until [`Layer::zero_grads`].
 ///
 /// Leaf layers implement [`Layer::params`], [`Layer::params_mut`],
@@ -39,6 +43,20 @@ pub trait Layer: Send {
     ///
     /// Implementations may panic if called without a preceding `forward`.
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
+
+    /// [`Layer::backward`] without its result: accumulates exactly the
+    /// parameter gradients `backward` would and consumes the same cache,
+    /// but need not compute the gradient w.r.t. the input.
+    /// [`crate::Model::backward`] calls it on a network's first layer,
+    /// whose input is the data. The default runs `backward` and drops
+    /// the input gradient.
+    ///
+    /// # Panics
+    ///
+    /// Wherever `backward` would.
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let _ = self.backward(grad_out);
+    }
 
     /// Flat view of trainable parameters (leaf layers; empty otherwise).
     fn params(&self) -> &[f32] {

@@ -71,6 +71,27 @@ impl Linear {
     fn bias(&self) -> &[f32] {
         &self.params[self.out_features * self.in_features..]
     }
+
+    /// Accumulates `dW` and `db` from the cached input, which it consumes
+    /// and returns.
+    fn backprop_params(&mut self, grad_out: &Tensor) -> Tensor {
+        let input = self
+            .cached_input
+            .take()
+            .expect("backward called without forward");
+        let batch = input.shape().dim(0);
+        assert_eq!(grad_out.len(), batch * self.out_features);
+        let (nin, nout) = (self.in_features, self.out_features);
+        // dW[o, i] += sum_b dy[b, o] * x[b, i]  ==  dYᵀ · X
+        let (wg, bg) = self.grads.split_at_mut(nout * nin);
+        matmul_at_flat_acc(grad_out.data(), input.data(), wg, batch, nout, nin);
+        for row in grad_out.data().chunks_exact(nout) {
+            for (g, &d) in bg.iter_mut().zip(row) {
+                *g += d;
+            }
+        }
+        input
+    }
 }
 
 impl Layer for Linear {
@@ -107,35 +128,22 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .take()
-            .expect("backward called without forward");
-        let batch = input.shape().dim(0);
-        assert_eq!(grad_out.len(), batch * self.out_features);
-        let (nin, nout) = (self.in_features, self.out_features);
-        // dW[o, i] += sum_b dy[b, o] * x[b, i]  ==  dYᵀ · X
-        {
-            let (wg, bg) = self.grads.split_at_mut(nout * nin);
-            matmul_at_flat_acc(grad_out.data(), input.data(), wg, batch, nout, nin);
-            for b in 0..batch {
-                let row = &grad_out.data()[b * nout..(b + 1) * nout];
-                for (g, &d) in bg.iter_mut().zip(row.iter()) {
-                    *g += d;
-                }
-            }
-        }
+        let input = self.backprop_params(grad_out);
         // dX = dY · W
         let mut grad_in = Tensor::zeros(input.shape().clone());
         matmul_flat(
             grad_out.data(),
             self.weight(),
             grad_in.data_mut(),
-            batch,
-            nout,
-            nin,
+            input.shape().dim(0),
+            self.out_features,
+            self.in_features,
         );
         grad_in
+    }
+
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        self.backprop_params(grad_out);
     }
 
     fn params(&self) -> &[f32] {
@@ -206,6 +214,17 @@ mod tests {
         }
         fc.zero_grads();
         assert!(fc.grads().iter().all(|&g| g == 0.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "backward called without forward")]
+    fn backward_params_consumes_the_forward_cache() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut fc = Linear::new(&mut rng, 2, 2);
+        fc.forward(&Tensor::zeros(Shape::d2(1, 2)), true);
+        let dy = Tensor::zeros(Shape::d2(1, 2));
+        fc.backward_params(&dy);
+        fc.backward_params(&dy);
     }
 
     #[test]

@@ -152,7 +152,7 @@ pub fn lstm_lm(seed: u64, vocab: usize, embed: usize, hidden: usize) -> Sequenti
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{softmax_cross_entropy, Model, MomentumSgd};
+    use crate::{softmax_cross_entropy, Layer, Model, MomentumSgd};
     use gtopk_tensor::{Shape, Tensor};
     use rand::Rng;
 
@@ -279,6 +279,66 @@ mod tests {
         )
         .unwrap();
         train_drops_loss(resnet20_full(5, 3, 4), x, vec![0, 1, 2, 3], 0.05);
+    }
+
+    /// `Model::backward` skips the first layer's input gradient; the
+    /// gradients it accumulates over two steps are bit for bit those of
+    /// `Layer::backward` on an identical replica, for every zoo family
+    /// (a conv, linear or embedding first layer), on one thread and on
+    /// four.
+    #[test]
+    fn skipping_the_first_layers_input_gradient_leaves_the_grads_bitwise() {
+        use gtopk_tensor::parallel;
+        let mut rng = StdRng::seed_from_u64(13);
+        let mut uniform = |shape: Shape| {
+            let data = (0..shape.volume())
+                .map(|_| rng.gen_range(-1.0..1.0))
+                .collect();
+            Tensor::from_vec(shape, data).unwrap()
+        };
+        let check = |name: &str, build: fn() -> Sequential, x: Tensor| {
+            for threads in [1, 4] {
+                let grads = |skip: bool| {
+                    let mut net = build();
+                    for _ in 0..2 {
+                        let logits = Model::forward(&mut net, &x, true);
+                        let labels: Vec<usize> =
+                            (0..logits.shape().dim(0)).map(|i| i % 3).collect();
+                        let (_, grad) = softmax_cross_entropy(&logits, &labels);
+                        if skip {
+                            Model::backward(&mut net, &grad);
+                        } else {
+                            let _ = Layer::backward(&mut net, &grad);
+                        }
+                    }
+                    let g = net.flat_grads();
+                    g.iter().map(|g| g.to_bits()).collect::<Vec<u32>>()
+                };
+                let (skipped, full) = parallel::with_thread_limit(threads, || {
+                    parallel::with_min_chunk(1, || (grads(true), grads(false)))
+                });
+                assert_eq!(skipped, full, "{name}, {threads} threads");
+            }
+        };
+        check("mlp", || mlp(1, 4, 16, 3), uniform(Shape::d2(5, 4)));
+        check(
+            "vgg_lite",
+            || vgg_lite(2, 3, 8, 4),
+            uniform(Shape::d4(5, 3, 8, 8)),
+        );
+        check(
+            "resnet20_lite",
+            || resnet20_lite(3, 3, 4),
+            uniform(Shape::d4(3, 3, 8, 8)),
+        );
+        check(
+            "alex_lite",
+            || alex_lite(4, 3, 8, 4),
+            uniform(Shape::d4(5, 3, 8, 8)),
+        );
+        let ids = (0..10).map(|i| (i * 7 % 12) as f32).collect();
+        let ids = Tensor::from_vec(Shape::d2(2, 5), ids).unwrap();
+        check("lstm_lm", || lstm_lm(5, 12, 6, 8), ids);
     }
 
     #[test]

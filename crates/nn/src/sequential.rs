@@ -1,6 +1,7 @@
 use crate::layer::{add_to_params, collect_grads, collect_params, scatter_params};
 use crate::Layer;
 use gtopk_tensor::Tensor;
+use std::borrow::Cow;
 
 /// A trainable network exposed as one flat parameter/gradient vector.
 ///
@@ -15,7 +16,8 @@ pub trait Model: Send {
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
 
     /// Backward pass from the loss gradient w.r.t. the logits;
-    /// accumulates parameter gradients.
+    /// accumulates parameter gradients. No gradient w.r.t. the input
+    /// batch is computed where it can be skipped.
     fn backward(&mut self, grad_logits: &Tensor);
 
     /// Zeroes accumulated gradients.
@@ -136,6 +138,19 @@ impl Layer for Sequential {
         g
     }
 
+    /// Backpropagates through every layer but the first, then runs the
+    /// first layer's [`Layer::backward_params`].
+    fn backward_params(&mut self, grad_out: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g = Cow::Borrowed(grad_out);
+        for layer in rest.iter_mut().rev() {
+            g = Cow::Owned(layer.backward(&g));
+        }
+        first.backward_params(&g);
+    }
+
     fn for_each_param_buf(&self, f: &mut dyn FnMut(&[f32], &[f32])) {
         for layer in &self.layers {
             layer.for_each_param_buf(f);
@@ -159,7 +174,7 @@ impl Model for Sequential {
     }
 
     fn backward(&mut self, grad_logits: &Tensor) {
-        let _ = Layer::backward(self, grad_logits);
+        self.backward_params(grad_logits);
     }
 
     fn zero_grads(&mut self) {

@@ -35,7 +35,9 @@ mod tensor;
 
 pub use error::TensorError;
 pub use init::{kaiming_uniform, uniform, xavier_uniform, zeros_vec};
-pub use matmul::{matmul_at_flat_acc, matmul_bt_flat, matmul_flat, matmul_flat_acc};
+pub use matmul::{
+    matmul_at_flat_acc, matmul_bt_flat, matmul_flat, matmul_flat_acc, transpose_into,
+};
 pub use ops::{
     log_softmax_rows, relu, relu_backward, sigmoid, sigmoid_backward, softmax_rows, tanh_backward,
     tanh_forward,

@@ -43,15 +43,61 @@ fn min_rows_for(flops_per_row: usize) -> usize {
     (PAR_MIN_FLOPS / flops_per_row.max(1)).max(1)
 }
 
-/// `[rows, cols]` row-major → `[cols, rows]`.
-fn transposed(x: &[f32], rows: usize, cols: usize) -> Vec<f32> {
-    let mut t = vec![0.0f32; x.len()];
-    for (i, row) in x.chunks_exact(cols.max(1)).enumerate() {
-        for (j, &v) in row.iter().enumerate() {
-            t[j * rows + i] = v;
+/// Side of the square tiles [`transpose_into`] moves at a time.
+const TILE: usize = 8;
+
+/// Writes the transpose of the `[rows, cols]` matrix `x`, whose rows start
+/// `ld` elements apart, into the row-major `[cols, rows]` matrix `out`.
+///
+/// Full 8×8 tiles are read as eight row slices and written as eight
+/// contiguous column runs, so a tile touches a few cache lines instead of
+/// one `rows`-strided line per element; the ragged right and bottom edges
+/// go element by element. It only moves bits.
+///
+/// # Panics
+///
+/// Panics if `ld < cols`, if `out` does not hold `rows·cols` elements or
+/// if `x` ends before its last row does.
+///
+/// # Examples
+///
+/// ```
+/// use gtopk_tensor::transpose_into;
+/// // The left two columns of a [2, 3] matrix, read with row stride 3.
+/// let x = [1.0, 2.0, 9.0, 3.0, 4.0, 9.0];
+/// let mut out = [0.0; 4];
+/// transpose_into(&x, 3, 2, 2, &mut out);
+/// assert_eq!(out, [1.0, 3.0, 2.0, 4.0]);
+/// ```
+pub fn transpose_into(x: &[f32], ld: usize, rows: usize, cols: usize, out: &mut [f32]) {
+    assert!(ld >= cols, "row stride {ld} below the row length {cols}");
+    assert_eq!(out.len(), rows * cols, "transpose output length");
+    if rows == 0 || cols == 0 {
+        return;
+    }
+    assert!(
+        x.len() >= (rows - 1) * ld + cols,
+        "transpose input too short"
+    );
+    let (full_rows, full_cols) = (rows / TILE * TILE, cols / TILE * TILE);
+    for i0 in (0..full_rows).step_by(TILE) {
+        for j0 in (0..full_cols).step_by(TILE) {
+            let src: [&[f32]; TILE] = std::array::from_fn(|r| &x[(i0 + r) * ld + j0..][..TILE]);
+            for c in 0..TILE {
+                let dst = &mut out[(j0 + c) * rows + i0..][..TILE];
+                for (d, row) in dst.iter_mut().zip(&src) {
+                    *d = row[c];
+                }
+            }
         }
     }
-    t
+    // The ragged edges: each tiled row's last columns, then the last rows.
+    for i in 0..rows {
+        let j0 = if i < full_rows { full_cols } else { 0 };
+        for (j, &v) in (j0..cols).zip(&x[i * ld + j0..i * ld + cols]) {
+            out[j * rows + i] = v;
+        }
+    }
 }
 
 /// `C[m,n] = A[m,k] · B[k,n]` over flat row-major slices.
@@ -97,7 +143,8 @@ pub fn matmul_bt_flat(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
     if m == 0 || n == 0 {
         return;
     }
-    let bt = transposed(b, n, k);
+    let mut bt = vec![0.0f32; k * n];
+    transpose_into(b, k, n, k, &mut bt);
     c.fill(0.0);
     parallel::for_each_row_block_mut(c, n, min_rows_for(k * n), |first_row, cblock| {
         let rows = cblock.len() / n;
@@ -120,7 +167,8 @@ pub fn matmul_at_flat_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usiz
     if k == 0 || n == 0 {
         return;
     }
-    let at = transposed(a, m, k);
+    let mut at = vec![0.0f32; k * m];
+    transpose_into(a, k, m, k, &mut at);
     parallel::for_each_row_block_mut(c, n, min_rows_for(m * n), |p_lo, cblock| {
         let rows = cblock.len() / n;
         simd::gemm_acc(
@@ -181,7 +229,9 @@ impl Tensor {
             });
         }
         let (m, n) = (s.dim(0), s.dim(1));
-        Tensor::from_vec(Shape::d2(n, m), transposed(self.data(), m, n))
+        let mut t = vec![0.0f32; m * n];
+        transpose_into(self.data(), n, m, n, &mut t);
+        Tensor::from_vec(Shape::d2(n, m), t)
     }
 }
 
@@ -372,6 +422,30 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The tiled `transpose_into` writes what the one-element-at-a-time
+        /// loop writes, for every shape in 1..=20 × 1..=20 (full, partial
+        /// and single tiles in either dimension) and a source row stride
+        /// at or above the row length.
+        #[test]
+        fn prop_transpose_into_is_the_naive_loop(slack in 0usize..=3, salt in 0u64..1000) {
+            let raw = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            for rows in 1..=20 {
+                for cols in 1..=20 {
+                    let ld = cols + slack;
+                    let x = awkward((rows - 1) * ld + cols, salt, true);
+                    let mut expect = vec![0.0f32; rows * cols];
+                    for i in 0..rows {
+                        for j in 0..cols {
+                            expect[j * rows + i] = x[i * ld + j];
+                        }
+                    }
+                    let mut out = awkward(rows * cols, salt + 1, true);
+                    transpose_into(&x, ld, rows, cols, &mut out);
+                    proptest::prop_assert_eq!(raw(&out), raw(&expect), "rows={} cols={} ld={}", rows, cols, ld);
+                }
+            }
+        }
 
         /// `matmul_bt_flat` (transpose B, then the tiled GEMM from a
         /// zeroed C with no skip) is bitwise the scalar dot-product

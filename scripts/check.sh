@@ -134,8 +134,14 @@ require_tests -p gtopk-core --lib ckpt::tests::pinned_exact_checkpoint_bytes_dec
 require_tests -p gtopk-core --lib ckpt::tests::pinned_sampled_checkpoint_bytes_decode_as_pinned
 require_tests -p gtopk-core --lib ckpt::tests::retired_selector_tag_is_a_typed_error
 # The chunked convolution: forward, input gradient and accumulated weight
-# and bias gradients equal the per-sample oracle bit for bit.
+# and bias gradients (by `backward` and by `backward_params`) equal the
+# per-sample, per-element im2col/col2im oracle bit for bit over empty,
+# partial and full row runs; skipping a first layer's input gradient
+# leaves every zoo model's gradients bitwise; the tiled transpose writes
+# the naive loop's bits.
 require_tests -p gtopk-nn --lib conv::tests::prop_chunked_conv_is_bitwise_the_per_sample_oracle
+require_tests -p gtopk-nn --lib models::tests::skipping_the_first_layers_input_gradient_leaves_the_grads_bitwise
+require_tests -p gtopk-tensor --lib matmul::tests::prop_transpose_into_is_the_naive_loop
 # The one tiled GEMM kernel equals the per-(row, p) scalar loop at every
 # level, and the transposed products equal the kernels they replaced.
 require_tests -p gtopk-core --test simd_identity prop_gemm_acc_is_bitwise_the_row_axpy_loop
