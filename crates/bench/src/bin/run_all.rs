@@ -19,7 +19,6 @@ const BINARIES: &[&str] = &[
     "fig13_14_batch_size",
     "table4_throughput",
     "ext_overlap",
-    "ext_ps_vs_tree",
     "ext_putback_ablation",
     "ext_hierarchical_network",
     "ext_momentum_correction",
@@ -28,7 +27,6 @@ const BINARIES: &[&str] = &[
     "ext_elastic",
     "bench_plans",
     "bench_zoo",
-    "bench_ps",
 ];
 
 fn main() {

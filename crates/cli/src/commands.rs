@@ -3,7 +3,7 @@
 use crate::args::{ArgError, ParsedArgs};
 use gtopk::{
     check_resume, train_distributed, train_rank, Algorithm, CheckpointStore, DensitySchedule,
-    OverlapConfig, PsConfig, Topology, TrainConfig,
+    OverlapConfig, Topology, TrainConfig,
 };
 use gtopk_comm::transport::{install_leave_signals, AddrResolver, TcpConfig, TcpTransport};
 use gtopk_comm::{Communicator, CostModel, FaultPlan};
@@ -304,8 +304,6 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
         "topology",
         "momentum-correction",
         "clip",
-        "mode",
-        "shards",
         "transport",
         "rank",
         "listen",
@@ -361,27 +359,6 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
         return Err(ArgError("--buckets requires --overlap".into()));
     }
     cfg.topology = parse_topology(&parsed.get_str("topology", "binomial"))?;
-
-    // Execution mode: the allreduce family (default) or the sharded
-    // parameter-server push/reply engine.
-    let mode = parsed.get_str("mode", "allreduce");
-    match mode.as_str() {
-        "allreduce" => {
-            if parsed.has_option("shards") {
-                return Err(ArgError(
-                    "--shards requires --mode ps (the allreduce mode has no \
-                     server shards)"
-                        .into(),
-                ));
-            }
-        }
-        "ps" => cfg.ps = Some(PsConfig::bulk_sync(parsed.get("shards", workers)?)),
-        other => {
-            return Err(ArgError(format!(
-                "unknown mode `{other}` (accepted values: allreduce, ps)"
-            )))
-        }
-    }
 
     let tcp = parsed.get_str("transport", "sim") == "tcp";
 
@@ -487,12 +464,6 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
         "{} on {model_name} ({} parameters), P = {}, b = {batch}, rho = {density}\n",
         report.algorithm, m, report.workers
     ));
-    if let Some(ps) = &cfg.ps {
-        out.push_str(&format!(
-            "parameter server: {} shard(s), bulk-sync\n",
-            ps.shards
-        ));
-    }
     for e in &report.epochs {
         out.push_str(&format!(
             "epoch {:3}  density {:.4}  loss {:.4}\n",
@@ -882,11 +853,6 @@ mod tests {
                 "algorithm Dense",
                 "checkpoint_dir",
             ),
-            ("--mode ps --algorithm dense", "algorithm Dense", "mode ps"),
-            ("--mode ps --overlap", "mode ps", "overlap"),
-            ("--mode ps --topology ring", "mode ps", "topology ring"),
-            ("--mode ps --workers 2 --shards 5", "shards 5", "workers 2"),
-            ("--mode ps --shards 0", "shards 0", "workers 4"),
         ] {
             let err = run_line(&format!("train {line}")).unwrap_err().0;
             assert!(
@@ -949,40 +915,21 @@ mod tests {
     }
 
     #[test]
-    fn train_ps_mode_runs_and_reports_the_discipline() {
-        let out = run_line(
-            "train --model mlp --workers 4 --epochs 2 --batch 4 --density 0.05 \
-             --mode ps --shards 2",
-        )
-        .unwrap();
-        assert!(
-            out.contains("parameter server: 2 shard(s), bulk-sync"),
-            "{out}"
-        );
-        assert!(out.contains("rank-0 traffic"), "{out}");
-    }
-
-    #[test]
-    fn ps_mode_options_are_validated() {
-        // The shard count belongs to the PS mode.
-        let err = run_line("train --shards 2").unwrap_err();
-        assert!(err.0.contains("--mode ps"), "{}", err.0);
-        // Unknown modes list the accepted values.
-        let err = run_line("train --mode star").unwrap_err();
-        assert!(err.0.contains("allreduce, ps"), "{}", err.0);
-    }
-
-    #[test]
-    fn ps_mode_composes_with_crash_recovery() {
-        // Bulk-sync PS runs through the same rollback/shrink loop as the
-        // allreduce family.
-        let out = run_line(
-            "train --model mlp --workers 4 --epochs 2 --batch 4 --density 0.05 \
-             --mode ps --shards 4 --fault-seed 3 --fault-crash 3:6 --fault-checkpoint 4",
-        )
-        .unwrap();
-        assert!(out.contains("parameter server"), "{out}");
-        assert!(out.contains("3/4 ranks survived"), "{out}");
+    fn the_removed_parameter_server_options_are_unknown() {
+        // The parameter server is gone, and with it `--mode` (whose one
+        // remaining value would be `allreduce`) and `--shards`.
+        for line in [
+            "train --mode ps",
+            "train --mode allreduce",
+            "train --shards 2",
+        ] {
+            let err = run_line(line).unwrap_err().0;
+            let option = line.split_whitespace().nth(1).unwrap();
+            assert!(
+                err.contains(&format!("unknown option {option} ")),
+                "{line}: {err}"
+            );
+        }
     }
 
     #[test]

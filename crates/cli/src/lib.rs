@@ -8,8 +8,8 @@
 //!   simulated network;
 //! * `sweep` — Fig.-9-style sweep of aggregation time over worker counts;
 //! * `info` — describe the reproduction (paper, algorithms, models) and
-//!   print the support matrix: which algorithm runs with which topology,
-//!   execution mode and recovery policy;
+//!   print the support matrix: which algorithm runs with which topology
+//!   and recovery policy;
 //! * `help` — usage.
 //!
 //! The binary is a thin `main` over [`run`], so everything is testable.
@@ -31,7 +31,7 @@ USAGE:
 
 COMMANDS:
   train       train a model with distributed S-SGD on a simulated cluster
-              (which algorithm combines with which topology, mode and
+              (which algorithm combines with which topology and
               recovery option: see `gtopk info`)
     --model      mlp | vgg | resnet | alexnet | lstm     [mlp]
     --algorithm  dense | topk | gtopk | naive | feedback | no-putback
@@ -48,10 +48,6 @@ COMMANDS:
     --topology   binomial | hierarchical | ring collective plan [binomial]
     --momentum-correction   apply DGC-style momentum correction
     --clip N                clip local gradients to L2 norm N
-    --mode       allreduce | ps execution mode            [allreduce]
-                 (ps: bulk-sync sharded parameter server, workers push
-                 k-sparse shard slices and pull dense shard updates)
-    --shards S              server shard count (ps)           [workers]
     fault injection:
     --fault-seed S          deterministic fault schedule seed     [1]
     --fault-drop P          per-message drop probability in [0,1) [0]

@@ -678,8 +678,8 @@ impl Communicator {
     /// Delivery models a full-duplex link with a serialized inbound
     /// direction: a message of `n` elements cannot complete before the
     /// previous inbound delivery plus its own `α + nβ` transfer time, so
-    /// incast patterns (e.g. a parameter server receiving from P−1
-    /// workers "simultaneously") pay their true serialized cost, while
+    /// incast patterns (several peers sending to one rank
+    /// "simultaneously") pay their true serialized cost, while
     /// symmetric exchanges (ring steps, recursive-doubling rounds) are
     /// unaffected.
     ///

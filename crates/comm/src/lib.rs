@@ -56,7 +56,6 @@ pub mod fault;
 mod message;
 pub mod plan;
 mod pool;
-pub mod shard;
 pub mod transport;
 
 pub use cluster::Cluster;
@@ -67,7 +66,6 @@ pub use fault::{FaultPlan, RetryPolicy};
 pub use message::{Message, Payload};
 pub use plan::{execute_plan, CollectivePlan, Exchange, PlanOps, Round, Topology, PLAN_TAG_WINDOW};
 pub use pool::{BufferPool, PoolStats};
-pub use shard::ShardMap;
 
 /// Convenient `Result` alias for communication operations.
 pub type Result<T> = std::result::Result<T, CommError>;

@@ -940,7 +940,20 @@ mod tests {
         peers_b[1] = l1b.local_addr().unwrap();
         let mut t1b = TcpTransport::establish(l1b, 1, peers_b, cfg).unwrap();
         t1b.send(0, msg(9)).unwrap();
-        assert_eq!(t0.recv(1, Some(Duration::from_secs(20))).unwrap().tag, 9);
+        // Rank 0 acks the dial before its parked reader takes the stream
+        // and clears the dead flag, and `recv` fails fast while that flag
+        // is set: wait for the revival within a bound, as the resolver
+        // test below does.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let revived = loop {
+            match t0.recv(1, Some(Duration::from_secs(20))) {
+                Err(CommError::Disconnected { peer: 1 }) if Instant::now() < deadline => {
+                    thread::sleep(Duration::from_millis(50));
+                }
+                got => break got,
+            }
+        };
+        assert_eq!(revived.unwrap().tag, 9);
         t0.send(1, msg(11)).unwrap();
         assert_eq!(t1b.recv(0, Some(Duration::from_secs(10))).unwrap().tag, 11);
     }

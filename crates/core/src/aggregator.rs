@@ -14,20 +14,13 @@
 //! `--overlap` is its one-bucket case, the step over the whole vector.
 //! [`Aggregator::charge_twin`] replays the same collective on the
 //! engine's analytic clock.
-//!
-//! The parameter server is not a separate engine: a `mode ps` run's
-//! aggregator reduces over [`Collective::Sharded`] instead of its row's
-//! collective, and everything else — the residual, the put-back, the
-//! averaging, the apply, the checkpoint — is the same step.
 
 use crate::capability::{Algorithm, Collective, Rejects, Row};
 use crate::ft::epoch_tag_offset;
 use crate::gtopk_allreduce::{naive_gtopk_all_reduce, tree_all_reduce};
-use crate::ps::ps_round;
 use crate::sparse_coll::{sparse_sum_recursive_doubling, sparse_zoo_all_reduce_over};
-use crate::TrainConfig;
 use gtopk_comm::collectives::{self, ring_chunk};
-use gtopk_comm::{CollectivePlan, Communicator, CostModel, Result, ShardMap, Topology};
+use gtopk_comm::{CollectivePlan, Communicator, CostModel, Result, Topology};
 use gtopk_perfmodel::{sparse_sum_wire, PlanClock, ZooSchedule};
 use gtopk_sparse::{Residual, SparseVec};
 
@@ -51,15 +44,13 @@ impl Update {
 }
 
 /// One rank's aggregation step for one [`Algorithm`] row: the schedule
-/// caches of its collective — the row's, or the sharded parameter server
-/// in `mode ps`. Local selection is the residual's one exact kernel, so
-/// the step carries no selection state. The residual it works on
-/// stays with the caller — one bucket's of the overlap engine, which is
-/// the whole vector's when there is one bucket.
+/// caches of its collective. Local selection is the residual's one exact
+/// kernel, so the step carries no selection state. The residual it works
+/// on stays with the caller — one bucket's of the overlap engine, which
+/// is the whole vector's when there is one bucket.
 #[derive(Debug, Clone)]
 pub struct Aggregator {
     algorithm: Algorithm,
-    collective: Collective,
     topology: Topology,
     /// Zoo rows: the schedule for the current `(P, k)`.
     sched: Option<ZooSchedule>,
@@ -76,23 +67,10 @@ impl Aggregator {
     pub fn new(algorithm: Algorithm, topology: Topology) -> Self {
         Aggregator {
             algorithm,
-            collective: algorithm.row().collective,
             topology,
             sched: None,
             plans: Vec::new(),
         }
-    }
-
-    /// The step a training run configures: `cfg`'s algorithm and
-    /// topology, reducing over the sharded parameter server
-    /// ([`Collective::Sharded`]) in place of the row's collective when
-    /// `cfg.ps` is set.
-    pub fn for_config(cfg: &TrainConfig) -> Self {
-        let mut step = Aggregator::new(cfg.algorithm, cfg.topology);
-        if let Some(ps) = cfg.ps {
-            step.collective = Collective::Sharded { shards: ps.shards };
-        }
-        step
     }
 
     /// Aggregates this iteration's gradient across `members` (the
@@ -102,11 +80,10 @@ impl Aggregator {
     /// On entry, `residual` holds the error feedback carried over from
     /// previous iterations and `grad` this iteration's fresh gradient.
     /// The step folds `grad` into the residual (Algorithm 1/4, line 4 —
-    /// fused with the exact selection into a single memory pass, bar the
-    /// parameter server's per-shard selection), extracts its share,
-    /// communicates, returns rejected values to `residual` as the row's
-    /// [`Rejects`] policy says, and yields the update averaged over
-    /// `|members|`. Must be called collectively by every member.
+    /// fused with the exact selection into a single memory pass), extracts
+    /// its share, communicates, returns rejected values to `residual` as
+    /// the row's [`Rejects`] policy says, and yields the update averaged
+    /// over `|members|`. Must be called collectively by every member.
     ///
     /// # Errors
     ///
@@ -119,8 +96,11 @@ impl Aggregator {
         grad: &[f32],
         k: usize,
     ) -> Result<Update> {
-        let Row { rejects, caps, .. } = self.algorithm.row();
-        let collective = self.collective;
+        let Row {
+            collective,
+            rejects,
+            caps,
+        } = self.algorithm.row();
         debug_assert!(
             caps.member_subset || members.len() == comm.size(),
             "{} runs a fixed full-cluster schedule",
@@ -179,24 +159,6 @@ impl Aggregator {
                         sparse_zoo_all_reduce_over(comm, members, local, sched, tag_off)?;
                     (global, None, Some(witnessed))
                 }
-                Collective::Sharded { shards } => {
-                    // Stratified selection: each shard region's own top-k_s,
-                    // so every push has a size known before the round.
-                    let map = ShardMap::new(residual.dim(), shards.min(p));
-                    let budgets = map.budgets(k);
-                    residual.accumulate(grad);
-                    let mut locals = Vec::with_capacity(map.num_shards());
-                    let (mut idx, mut val) = (Vec::new(), Vec::new());
-                    for (s, &budget) in budgets.iter().enumerate() {
-                        let l = residual.extract_topk_range(map.range(s), budget);
-                        idx.extend_from_slice(l.indices());
-                        val.extend_from_slice(l.values());
-                        locals.push(l);
-                    }
-                    let local = SparseVec::from_sorted(residual.dim(), idx, val);
-                    let global = ps_round(comm, members, &map, &budgets, locals)?;
-                    (global, Some(local), None)
-                }
             };
         // Rejects: what the collective turned away goes where the row says,
         // each in one walk against the global selection's indices.
@@ -222,10 +184,10 @@ impl Aggregator {
 
     /// Replays the collective [`Aggregator::aggregate`] runs for `p`
     /// members over a `dim`-element buffer with budget `k` on an analytic
-    /// clock — the overlap engine's plan-clock twin. The tree, the ring,
-    /// the zoo and the sharded server are charged what execution sends, so
-    /// the replay is exact; the two sparse sums at their disjoint-support
-    /// bound ([`sparse_sum_wire`]), which overlapping supports undercut.
+    /// clock — the overlap engine's plan-clock twin. The tree, the ring
+    /// and the zoo are charged what execution sends, so the replay is
+    /// exact; the two sparse sums at their disjoint-support bound
+    /// ([`sparse_sum_wire`]), which overlapping supports undercut.
     pub fn charge_twin(
         &mut self,
         clock: &mut PlanClock,
@@ -234,7 +196,7 @@ impl Aggregator {
         dim: usize,
         k: usize,
     ) {
-        let collective = self.collective;
+        let collective = self.algorithm.row().collective;
         if let Collective::Zoo(kind) = collective {
             return zoo_schedule(&mut self.sched, kind, p, k).charge(clock, net);
         }
@@ -245,27 +207,15 @@ impl Aggregator {
                     CollectivePlan::reduce(self.topology, p),
                     CollectivePlan::broadcast(self.topology, p, self.topology.reduce_root(p)),
                 ],
-                Collective::Sharded { shards } => vec![
-                    CollectivePlan::ps_push(p, shards.min(p)),
-                    CollectivePlan::ps_reply(p, shards.min(p)),
-                ],
                 _ => vec![CollectivePlan::exchange(p)],
             };
-        }
-        if let (Collective::Sharded { shards }, [push, reply]) = (collective, &self.plans[..]) {
-            // A push carries the receiving shard's padded budget, a reply
-            // its host's dense region.
-            let map = ShardMap::new(dim, shards.min(p));
-            let budgets = map.budgets(k);
-            clock.charge(net, push, |_, _, host| 2 * budgets[host]);
-            return clock.charge(net, reply, |_, host, _| map.len(host));
         }
         for plan in &self.plans {
             match collective {
                 Collective::DenseRing => {
-                    clock.charge(net, plan, |r, src, _| ring_chunk(dim, p, r, src).len())
+                    clock.charge(net, plan, |r, src| ring_chunk(dim, p, r, src).len())
                 }
-                Collective::Tree => clock.charge(net, plan, |_, _, _| 2 * k),
+                Collective::Tree => clock.charge(net, plan, |_, _| 2 * k),
                 _ => clock.charge(net, plan, sparse_sum_wire(p, k)),
             }
         }

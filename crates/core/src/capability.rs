@@ -10,11 +10,6 @@
 //! [`Row`]; the one [`crate::Aggregator`] executes any row, the row's
 //! [`Caps`] drive the one validator ([`TrainConfig::validate`]), and
 //! [`capability_table`] prints the same table for `gtopk info`.
-//!
-//! The sharded parameter server (paper footnote 2) is one more
-//! [`Collective`], [`Collective::Sharded`], and no row's: the aggregator
-//! runs it in place of the gTop-k row's tree when the configuration asks
-//! for `mode ps`, under the same put-back policy.
 
 use crate::TrainConfig;
 use gtopk_comm::Topology;
@@ -71,15 +66,6 @@ pub enum Collective {
     /// A budget-padded split/gather schedule over the binomial exchange
     /// plans.
     Zoo(ZooKind),
-    /// The bulk-synchronous sharded parameter server ([`crate::ps`]):
-    /// stratified per-shard selection, a push round to the shard hosts,
-    /// which reselect their regions, and a reply round back. Shards are
-    /// capped at the membership. Never a row's collective: the aggregator
-    /// picks it for `mode ps`.
-    Sharded {
-        /// Server shards `S`, each hosted by one member.
-        shards: usize,
-    },
 }
 
 /// Which sparse-allreduce zoo schedule a [`Collective::Zoo`] row runs.
@@ -110,7 +96,6 @@ impl Collective {
             Collective::Tree => "tree(topology)",
             Collective::Zoo(ZooKind::OkTopk) => "zoo(ok-topk)",
             Collective::Zoo(ZooKind::SparDl) => "zoo(spardl)",
-            Collective::Sharded { .. } => "sharded(ps)",
         }
     }
 }
@@ -244,11 +229,6 @@ const WHY_RECOVERY: &str = "checkpoint/rollback recovery (fault plans, checkpoin
      only rows with the `recovery` capability";
 const WHY_REJOIN: &str = "a restarted rank of a multi-rank run rejoins through the recovery \
      policy: arm a fault plan with the checkpoint dir (an empty seeded plan injects nothing)";
-const WHY_PS_ROW: &str = "mode ps requires algorithm gTop-k";
-const WHY_PS_OVERLAP: &str = "the parameter server schedules its own push/pull pipeline";
-const WHY_PS_TOPOLOGY: &str = "the parameter server replaces the collective entirely; only \
-     the default binomial topology applies";
-const WHY_PS_SHARDS: &str = "need 1 <= shards <= workers (each shard is hosted by a worker)";
 
 /// The support matrix, one line per [`Algorithm`] row, followed by the
 /// rules [`TrainConfig::validate`] applies to it — rendered from the same
@@ -283,10 +263,6 @@ pub fn capability_table() -> String {
         ("non-binomial topology", WHY_TOPOLOGY),
         ("fault plan / checkpoint dir", WHY_RECOVERY),
         ("checkpoint dir, workers > 1", WHY_REJOIN),
-        ("mode ps", WHY_PS_ROW),
-        ("mode ps + overlap", WHY_PS_OVERLAP),
-        ("mode ps + topology", WHY_PS_TOPOLOGY),
-        ("mode ps, shards", WHY_PS_SHARDS),
     ] {
         out.push_str(&format!("  {setting}: {why}\n"));
     }
@@ -319,8 +295,7 @@ impl std::error::Error for ConfigError {}
 
 impl TrainConfig {
     /// Checks the configuration against the capability table — the one
-    /// place a combination of algorithm, topology, execution mode and
-    /// recovery policy is ruled legal or not. [`crate::train_distributed`]
+    /// place a combination of algorithm, topology and recovery policy is ruled legal or not. [`crate::train_distributed`]
     /// and [`crate::train_rank`] call it up front.
     ///
     /// # Errors
@@ -355,25 +330,6 @@ impl TrainConfig {
         if self.fault_tolerant() && !caps.recovery {
             return refuse(algorithm(), fault_plan(), WHY_RECOVERY);
         }
-        let Some(ps) = &self.ps else { return Ok(()) };
-        let mode = || "mode ps".to_string();
-        if self.algorithm != Algorithm::GTopK {
-            return refuse(algorithm(), mode(), WHY_PS_ROW);
-        }
-        if self.overlap.is_some() {
-            return refuse(mode(), "overlap".into(), WHY_PS_OVERLAP);
-        }
-        if self.topology != Topology::Binomial {
-            return refuse(mode(), topology(), WHY_PS_TOPOLOGY);
-        }
-        if ps.shards == 0 || ps.shards > self.workers {
-            let (shards, workers) = (ps.shards, self.workers);
-            return refuse(
-                format!("shards {shards}"),
-                format!("workers {workers}"),
-                WHY_PS_SHARDS,
-            );
-        }
         Ok(())
     }
 }
@@ -384,12 +340,8 @@ mod tests {
 
     #[test]
     fn rows_pair_reject_policies_with_collectives_that_can_serve_them() {
-        let selects = |c: Collective| {
-            matches!(
-                c,
-                Collective::Tree | Collective::SparseSumThenSelect | Collective::Sharded { .. }
-            )
-        };
+        let selects =
+            |c: Collective| matches!(c, Collective::Tree | Collective::SparseSumThenSelect);
         let witnesses = |c: Collective| matches!(c, Collective::Tree | Collective::Zoo(_));
         let serves = |c: Collective, rejects: Rejects| match rejects {
             Rejects::None => !selects(c) && !witnesses(c),
@@ -411,17 +363,7 @@ mod tests {
             assert_eq!(caps.member_subset, plan_driven, "{}", alg.name());
             assert!(!caps.topology || collective == Collective::Tree);
             assert!(!caps.recovery || caps.member_subset);
-            assert!(
-                !matches!(collective, Collective::Sharded { .. }),
-                "{}: the sharded server is no row's collective",
-                alg.name()
-            );
         }
-        // Mode ps runs the gTop-k row's policy over the sharded server.
-        assert!(serves(
-            Collective::Sharded { shards: 2 },
-            Algorithm::GTopK.row().rejects
-        ));
     }
 
     #[test]
@@ -430,6 +372,6 @@ mod tests {
         for alg in Algorithm::ALL {
             assert!(table.contains(alg.name()), "{table}");
         }
-        assert!(table.contains(WHY_PS_SHARDS) && table.contains(WHY_TOPOLOGY));
+        assert!(table.contains(WHY_REJOIN) && table.contains(WHY_TOPOLOGY));
     }
 }

@@ -102,7 +102,7 @@ pub struct DurableCheckpoint {
     /// Optimizer momentum buffer.
     pub velocity: Vec<f32>,
     /// Per-bucket dense residuals of the aggregation engine, in backward
-    /// bucket order (one bucket without `--overlap`, `mode ps` included).
+    /// bucket order (one bucket without `--overlap`).
     pub residuals: Vec<Vec<f32>>,
     /// DGC-style local momentum buffer, when momentum correction is on.
     pub local_velocity: Option<Vec<f32>>,
@@ -240,8 +240,8 @@ pub fn encode(c: &DurableCheckpoint) -> Vec<u8> {
     put_u64(&mut p, c.data_cursor);
     put_f64(&mut p, c.epoch_loss);
     // Modes 0 (a whole-vector residual with an optional selector) and 4
-    // (the parameter server's residual) are no longer written; `decode`
-    // reads each as the one bucket it was.
+    // (a layout written by the since-removed parameter server) are no
+    // longer written; `decode` reads each as the one bucket it was.
     p.push(1 | if c.local_velocity.is_some() { 2 } else { 0 });
     put_fvec(&mut p, &c.params);
     put_fvec(&mut p, &c.velocity);
@@ -337,8 +337,8 @@ pub fn decode(bytes: &[u8]) -> Result<DurableCheckpoint, CkptError> {
         None
     };
     let residuals = if flags & 4 != 0 {
-        // Mode 4, the parameter server's whole-vector residual, is the
-        // one-bucket state of a `mode ps` run.
+        // Mode 4, a layout written by the since-removed parameter server,
+        // holds one whole-vector residual: the one-bucket state.
         vec![r.fvec()?]
     } else {
         // Mode 0, a run without buckets, is exactly the one-bucket state:
@@ -617,8 +617,8 @@ mod tests {
         }
     }
 
-    /// A parameter-server checkpoint as its own engine wrote it (mode 4,
-    /// with local momentum): rank 2 at iteration 25, the rest of
+    /// A mode-4 checkpoint, a layout written by the since-removed parameter
+    /// server (with local momentum): rank 2 at iteration 25, the rest of
     /// `sample_ckpt(25, false)`, and the whole-vector residual
     /// `[0.25, -0.0, 1.5, f32::MIN_POSITIVE]`.
     const MODE4: [u8; 344] = [

@@ -577,7 +577,7 @@ impl OverlapEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Algorithm, PsConfig, TrainConfig};
+    use crate::{Algorithm, TrainConfig};
     use gtopk_comm::{Cluster, CostModel, Topology};
     use gtopk_nn::models;
 
@@ -703,7 +703,7 @@ mod tests {
                     sparsify_ms: 0.0,
                 }),
                 CostModel::gigabit_ethernet(),
-                Aggregator::for_config(cfg),
+                Aggregator::new(cfg.algorithm, cfg.topology),
             );
             let members: Vec<usize> = (0..comm.size()).collect();
             for it in 0..3u64 {
@@ -787,7 +787,7 @@ mod tests {
                         &[24, 20, 20],
                         None,
                         CostModel::gigabit_ethernet(),
-                        Aggregator::for_config(&cfg),
+                        Aggregator::new(cfg.algorithm, cfg.topology),
                     );
                     assert_eq!(engine.stats().buckets, want_buckets, "{what}");
                     let members: Vec<usize> = (0..comm.size()).collect();
@@ -874,41 +874,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_server_keeps_replicas_identical_and_matches_its_twin_exactly() {
-        // Pushes are padded to their shard's budget and replies are dense
-        // regions, so the twin replays the executed rounds exactly — one
-        // bucket (a `mode ps` run) or two — and a one-bucket run is its
-        // own serial baseline.
-        for p in [4usize, 5] {
-            for shards in [1, 2, p] {
-                let cfg = TrainConfig::convergence(p, 8, 1, 0.1, 0.05)
-                    .with_ps(PsConfig::bulk_sync(shards));
-                for segments in [&[64usize][..], &[24, 40]] {
-                    let what = format!("P={p} S={shards} buckets={}", segments.len());
-                    let out = run_configured(&cfg, segments);
-                    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    for (params, stats, _) in &out {
-                        assert_eq!(bits(params), bits(&out[0].0), "{what}: replicas diverged");
-                        check_timeline_invariants(&stats.timelines).unwrap();
-                        assert!(
-                            stats.max_abs_dev_ms < 1e-9,
-                            "{what}: executed deviates from the twin by {} ms",
-                            stats.max_abs_dev_ms
-                        );
-                        if segments.len() == 1 {
-                            assert_eq!(
-                                stats.analytic_serial_ms.to_bits(),
-                                stats.analytic_overlapped_ms.to_bits(),
-                                "{what}: serial baseline"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn the_serial_baseline_is_the_one_bucket_run() {
         // The serial baseline replays the one-bucket schedule on the
         // twin's clock, so a one-bucket run is its own baseline and a
@@ -922,7 +887,6 @@ mod tests {
             base(6).with_algorithm(Algorithm::TopK),
             base(5).with_algorithm(Algorithm::Dense),
             base(4).with_algorithm(Algorithm::SparDl),
-            base(5).with_ps(PsConfig::bulk_sync(2)),
         ];
         for cfg in &configs {
             let what = format!(

@@ -4,16 +4,15 @@
 //! There is exactly **one** training loop ([`run_rank`]), one bundle of
 //! training state ([`TrainState`]) and one per-iteration executor, the
 //! bucketed [`OverlapEngine`] — one bucket without `--overlap`. The
-//! collective each bucket's step reduces over (a row's, or the sharded
-//! parameter server's in `mode ps`) and the *recovery policy*
-//! (fault-tolerant checkpoint/rollback vs. fail-fast) are orthogonal
+//! collective each bucket's step reduces over (the algorithm row's) and
+//! the *recovery policy* (fault-tolerant checkpoint/rollback vs.
+//! fail-fast) are orthogonal
 //! switches on the same loop, so `--overlap` composes with crash
 //! recovery instead of selecting a different code path. Which
 //! combinations are legal is [`TrainConfig::validate`]'s call alone.
 
 use crate::ckpt::{CheckpointStore, DurableCheckpoint};
 use crate::overlap::{bucket_ranges, ComputeCost, OverlapConfig, OverlapEngine, OverlapStats};
-use crate::ps::PsConfig;
 use crate::{
     ft, Aggregator, Algorithm, DensitySchedule, EpochRecord, LrSchedule, Selector, TimingBreakdown,
     TrainReport,
@@ -24,7 +23,7 @@ use gtopk_nn::{accuracy, softmax_cross_entropy, Model, MomentumSgd};
 use std::collections::VecDeque;
 
 /// Configuration of a distributed training run. Which combinations of
-/// algorithm, topology, execution mode and recovery policy may run is
+/// algorithm, topology and recovery policy may run is
 /// decided by [`TrainConfig::validate`] from the capability table
 /// ([`crate::capability_table`]).
 #[derive(Debug, Clone)]
@@ -92,12 +91,12 @@ pub struct TrainConfig {
     /// policy armed — rejoins the membership via the join protocol in
     /// [`crate::ft`].
     pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Sharded parameter-server mode (see [`crate::ps`]). `None` (the
-    /// default) runs the configured allreduce family; `Some` makes the
-    /// step reduce over [`crate::Collective::Sharded`] — bulk-synchronous
-    /// per-shard push/reply rounds — with the same error-feedback,
-    /// checkpoint and recovery machinery.
-    pub ps: Option<PsConfig>,
+    /// Always `None`: the parameter-server mode is gone and its config
+    /// type is [`std::convert::Infallible`], so no other value can be
+    /// built. The field remains only because `benchmark/src/traced.rs`
+    /// reads it; ROADMAP item 1's `[benchmark]` change deletes it
+    /// together with that file.
+    pub ps: Option<std::convert::Infallible>,
 }
 
 impl TrainConfig {
@@ -158,13 +157,6 @@ impl TrainConfig {
     /// Returns a copy with the executed overlap engine enabled.
     pub fn with_overlap(mut self, overlap: OverlapConfig) -> Self {
         self.overlap = Some(overlap);
-        self
-    }
-
-    /// Returns a copy running the sharded parameter-server execution
-    /// mode instead of an allreduce collective.
-    pub fn with_ps(mut self, ps: PsConfig) -> Self {
-        self.ps = Some(ps);
         self
     }
 
@@ -279,7 +271,7 @@ impl<M: Model> TrainState<M> {
                 &model.param_segments(),
                 Some(cost),
                 cfg.cost_model,
-                Aggregator::for_config(cfg),
+                Aggregator::new(cfg.algorithm, cfg.topology),
             )),
             cost,
             local_velocity: cfg.momentum_correction.then(|| vec![0.0; m]),

@@ -1,6 +1,5 @@
 //! Capability sweep: every cell of Algorithm (8) × engine {serial,
-//! overlap, ps} × Topology (3) × recovery {off, fault plan, checkpoint
-//! dir}.
+//! overlap} × Topology (3) × recovery {off, fault plan, checkpoint dir}.
 //!
 //! * `TrainConfig::validate()` is `Ok` ⇒ a one-epoch mlp run at P = 4
 //!   finishes with replicas consistent (`train_distributed` asserts
@@ -12,9 +11,7 @@
 //!   one table — widened since by the overlap engine running every row,
 //!   so each row's overlap line equals its serial line.
 
-use gtopk::{
-    train_distributed, Algorithm, ComputeCost, OverlapConfig, PsConfig, TrainConfig, TrainReport,
-};
+use gtopk::{train_distributed, Algorithm, ComputeCost, OverlapConfig, TrainConfig, TrainReport};
 use gtopk_comm::{FaultPlan, Topology};
 use gtopk_data::GaussianMixture;
 use gtopk_nn::models;
@@ -24,7 +21,6 @@ use std::path::PathBuf;
 enum Engine {
     Serial,
     Overlap,
-    Ps,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -36,45 +32,21 @@ enum Recovery {
     CheckpointDir,
 }
 
-const ENGINES: [Engine; 3] = [Engine::Serial, Engine::Overlap, Engine::Ps];
+const ENGINES: [Engine; 2] = [Engine::Serial, Engine::Overlap];
 const RECOVERIES: [Recovery; 3] = [Recovery::Off, Recovery::FaultPlan, Recovery::CheckpointDir];
 
-/// `#` = accepted. One line per engine (serial, overlap, ps); per line one
+/// `#` = accepted. One line per engine (serial, overlap); per line one
 /// group per topology (binomial, hierarchical, ring), per group one column
 /// per recovery (off, fault plan, checkpoint dir).
-const ACCEPTED: [(Algorithm, [&str; 3]); 8] = [
-    (
-        Algorithm::Dense,
-        ["#.. ... ...", "#.. ... ...", "... ... ..."],
-    ),
-    (
-        Algorithm::TopK,
-        ["#.. ... ...", "#.. ... ...", "... ... ..."],
-    ),
-    (
-        Algorithm::GTopK,
-        ["### ### ###", "### ### ###", "### ... ..."],
-    ),
-    (
-        Algorithm::NaiveGTopK,
-        ["#.. ... ...", "#.. ... ...", "... ... ..."],
-    ),
-    (
-        Algorithm::GTopKFeedback,
-        ["### ### ###", "### ### ###", "... ... ..."],
-    ),
-    (
-        Algorithm::GTopKNoPutback,
-        ["#.. #.. #..", "#.. #.. #..", "... ... ..."],
-    ),
-    (
-        Algorithm::OkTopk,
-        ["#.. ... ...", "#.. ... ...", "... ... ..."],
-    ),
-    (
-        Algorithm::SparDl,
-        ["#.. ... ...", "#.. ... ...", "... ... ..."],
-    ),
+const ACCEPTED: [(Algorithm, [&str; 2]); 8] = [
+    (Algorithm::Dense, ["#.. ... ...", "#.. ... ..."]),
+    (Algorithm::TopK, ["#.. ... ...", "#.. ... ..."]),
+    (Algorithm::GTopK, ["### ### ###", "### ### ###"]),
+    (Algorithm::NaiveGTopK, ["#.. ... ...", "#.. ... ..."]),
+    (Algorithm::GTopKFeedback, ["### ### ###", "### ### ###"]),
+    (Algorithm::GTopKNoPutback, ["#.. #.. #..", "#.. #.. #.."]),
+    (Algorithm::OkTopk, ["#.. ... ...", "#.. ... ..."]),
+    (Algorithm::SparDl, ["#.. ... ...", "#.. ... ..."]),
 ];
 
 fn scratch_dir(label: &str) -> PathBuf {
@@ -88,7 +60,6 @@ fn cell(alg: Algorithm, engine: Engine, topology: Topology, recovery: Recovery) 
     match engine {
         Engine::Serial => {}
         Engine::Overlap => cfg.overlap = Some(OverlapConfig::buckets(2)),
-        Engine::Ps => cfg.ps = Some(PsConfig::bulk_sync(2)),
     }
     match recovery {
         Recovery::Off => {}
@@ -109,7 +80,6 @@ fn active_settings(engine: Engine, topology: Topology, recovery: Recovery) -> Ve
     match engine {
         Engine::Serial => {}
         Engine::Overlap => on.push("overlap"),
-        Engine::Ps => on.push("mode ps"),
     }
     if topology != Topology::Binomial {
         on.push("topology");
@@ -174,7 +144,7 @@ fn every_cell_runs_or_is_refused_naming_both_settings() {
         assert_eq!(got, want, "{}: accepted set moved", alg.name());
         assert_eq!(got[1], got[0], "{}: overlap line", alg.name());
     }
-    assert_eq!(accepted, 55);
+    assert_eq!(accepted, 52);
 }
 
 #[test]

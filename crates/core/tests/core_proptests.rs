@@ -1,9 +1,7 @@
 //! Property-based tests over the core aggregation algorithms.
 
-use gtopk::{
-    gtopk_all_reduce, naive_gtopk_all_reduce, ps_pull_round, ps_push_round, Aggregator, Algorithm,
-};
-use gtopk_comm::{Cluster, CostModel, ShardMap, Topology};
+use gtopk::{gtopk_all_reduce, Aggregator, Algorithm};
+use gtopk_comm::{Cluster, CostModel, Topology};
 use gtopk_sparse::{topk_sparse, Residual};
 use proptest::prelude::*;
 
@@ -24,31 +22,6 @@ fn grad(rank: usize, dim: usize, seed: u64) -> Vec<f32> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
-
-    /// The single-shard PS (the old star's semantics) and the exact-sum
-    /// reference select identical coordinate sets for any P, k and
-    /// input. The pull reconstruction drops exact zeros, so supports
-    /// are compared over nonzero entries.
-    #[test]
-    fn prop_ps_matches_naive(p in 1usize..9, k in 1usize..8, seed in 0u64..40) {
-        let dim = 48usize;
-        let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-            let members: Vec<usize> = (0..p).collect();
-            let local = topk_sparse(&grad(comm.rank(), dim, seed), k);
-            let map = ShardMap::new(dim, 1);
-            let own = ps_push_round(comm, &members, &map, &[k], vec![local.clone()]).unwrap();
-            let ps = ps_pull_round(comm, &members, &map, &own).unwrap();
-            let naive = naive_gtopk_all_reduce(comm, local, k).unwrap();
-            (ps, naive)
-        });
-        for (ps, (nv, _nm)) in out {
-            let pidx: Vec<u32> =
-                ps.iter().filter(|&(_, v)| v != 0.0).map(|(i, _)| i).collect();
-            let nidx: Vec<u32> =
-                nv.iter().filter(|&(_, v)| v != 0.0).map(|(i, _)| i).collect();
-            prop_assert_eq!(pidx, nidx);
-        }
-    }
 
     /// The Top-k aggregator never loses gradient mass: residual plus
     /// P×(averaged update) reconstructs the contributed gradients.

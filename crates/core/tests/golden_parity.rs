@@ -12,17 +12,16 @@
 //! apply were rewritten. The training-run literals and the remaining
 //! sparse rows' overlapped literals were recorded while the trainer still
 //! had a separate whole-vector arm beside the bucketed engine. The
-//! parameter-server literals were recorded while the PS round still had
-//! its own hand-written send/receive loop. The momentum-correction
-//! literals were recorded while the optimizer still added each bucket's
-//! update into the parameters as that bucket's collective landed. A
-//! change that moves a fingerprint changed the numerics of that row.
+//! momentum-correction literals were recorded while the optimizer still
+//! added each bucket's update into the parameters as that bucket's
+//! collective landed. A change that moves a fingerprint changed the
+//! numerics of that row.
 
 use gtopk::{
-    train_distributed, Aggregator, Algorithm, ComputeCost, OverlapConfig, OverlapEngine, PsConfig,
+    train_distributed, Aggregator, Algorithm, ComputeCost, OverlapConfig, OverlapEngine,
     TrainConfig, Update,
 };
-use gtopk_comm::{Cluster, CostModel, FaultPlan, Topology};
+use gtopk_comm::{Cluster, CostModel, Topology};
 use gtopk_data::GaussianMixture;
 use gtopk_nn::{models, Model, MomentumSgd};
 use gtopk_sparse::Residual;
@@ -455,35 +454,6 @@ fn the_other_sparse_rows_reproduce_their_overlapped_trajectory() {
         }
     }
     check("overlap", &got, &WANT);
-}
-
-#[test]
-fn ps_rows_train_to_their_recorded_report() {
-    const WANT: [u64; 7] = [
-        0xed87a8e7b53164d8, // PS P=4 S=1
-        0x08cdd44cb437dd59, // PS P=4 S=2
-        0x0331b9b68e6bc8b4, // PS P=4 S=4
-        0xca0c81a2007279f8, // PS P=5 S=1
-        0x0de116f722218848, // PS P=5 S=2
-        0x38673866379921ca, // PS P=5 S=5
-        0x3b3309b71f951358, // PS P=4 S=4 host 1 crashes at step 13
-    ];
-    let mut got = Vec::new();
-    for p in [4usize, 5] {
-        for shards in [1, 2, p] {
-            let what = format!("PS P={p} S={shards}");
-            let cfg = train_cfg(p).with_ps(PsConfig::bulk_sync(shards));
-            got.push((what.clone(), run_fingerprint(&cfg, &what)));
-        }
-    }
-    // Shard host 1 dies mid-run: rollback, shrink to three members and
-    // remap its shard.
-    let what = "PS P=4 S=4 host 1 crashes at step 13".to_string();
-    let cfg = train_cfg(4)
-        .with_ps(PsConfig::bulk_sync(4))
-        .with_fault_plan(FaultPlan::seeded(3).with_crash(1, 13));
-    got.push((what.clone(), run_fingerprint(&cfg, &what)));
-    check("parameter-server run", &got, &WANT);
 }
 
 #[test]

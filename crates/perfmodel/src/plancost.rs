@@ -27,7 +27,7 @@
 //! see the tests below.
 
 use gtopk_comm::collectives::{largest_power_of_two_leq, ring_chunk};
-use gtopk_comm::{CollectivePlan, CostModel, Exchange, ShardMap, Topology};
+use gtopk_comm::{CollectivePlan, CostModel, Exchange, Topology};
 
 /// Deterministic replay clock for plan executions: one simulated clock
 /// and one inbound-link horizon per plan position, mirroring the
@@ -96,17 +96,14 @@ impl PlanClock {
     }
 
     /// Charges one full plan execution over the uniform network `net`,
-    /// the message position `src` sends to `dst` in round `r` carrying
-    /// `wire(r, src, dst)` elements on the wire.
+    /// the message position `src` sends in round `r` carrying
+    /// `wire(r, src)` elements on the wire.
     ///
     /// Within a round all sends are charged before any delivery — the
     /// per-thread program order of `execute_plan` (each rank sends before
     /// it receives, and a message's arrival stamp depends only on its
     /// sender's clock); each delivery then serializes on its receiver's
-    /// inbound link at that message's own cost, in exchange order — the
-    /// order `execute_plan` receives in. A star's fan-in thus queues on
-    /// the hub's inbound horizon: the incast a parameter-server host
-    /// pays.
+    /// inbound link at that message's own cost.
     ///
     /// # Panics
     ///
@@ -115,7 +112,7 @@ impl PlanClock {
         &mut self,
         net: &CostModel,
         plan: &CollectivePlan,
-        wire: impl Fn(usize, usize, usize) -> usize,
+        wire: impl Fn(usize, usize) -> usize,
     ) {
         assert_eq!(
             plan.size,
@@ -128,11 +125,11 @@ impl PlanClock {
             for ex in &round.exchanges {
                 match *ex {
                     Exchange::Send { src, dst } => {
-                        self.send(&mut pending, net, src, dst, wire(r, src, dst));
+                        self.send(&mut pending, net, src, dst, wire(r, src));
                     }
                     Exchange::Swap { a, b } => {
-                        self.send(&mut pending, net, a, b, wire(r, a, b));
-                        self.send(&mut pending, net, b, a, wire(r, b, a));
+                        self.send(&mut pending, net, a, b, wire(r, a));
+                        self.send(&mut pending, net, b, a, wire(r, b));
                     }
                 }
             }
@@ -172,7 +169,7 @@ impl PlanClock {
 #[must_use]
 pub fn dense_plan_ms(net: &CostModel, p: usize, m: usize) -> f64 {
     let mut clock = PlanClock::new(p);
-    clock.charge(net, &CollectivePlan::ring_allreduce(p), |r, src, _| {
+    clock.charge(net, &CollectivePlan::ring_allreduce(p), |r, src| {
         ring_chunk(m, p, r, src).len()
     });
     clock.max_now()
@@ -198,14 +195,13 @@ pub fn topk_plan_ms(net: &CostModel, p: usize, k: usize) -> f64 {
 
 /// Wire elements position `src` sends in round `r` of the exact sparse
 /// sum over [`CollectivePlan::exchange`]`(p)` at [`topk_plan_ms`]'s
-/// disjoint-support worst case — an upper bound on the executed wire. The
-/// third argument, the receiver, does not matter.
-pub fn sparse_sum_wire(p: usize, k: usize) -> impl Fn(usize, usize, usize) -> usize {
+/// disjoint-support worst case — an upper bound on the executed wire.
+pub fn sparse_sum_wire(p: usize, k: usize) -> impl Fn(usize, usize) -> usize {
     let p2 = largest_power_of_two_leq(p);
     let extra = p - p2;
     let fold = usize::from(extra > 0);
     let fold_out = fold + p2.trailing_zeros() as usize;
-    move |r, src, _| {
+    move |r, src| {
         let held = if src >= p2 {
             1
         } else if extra > 0 && r == fold_out {
@@ -235,42 +231,8 @@ pub fn gtopk_plan_ms(net: &CostModel, topology: Topology, p: usize, k: usize) ->
     let reduce = CollectivePlan::reduce(topology, p);
     let bcast = CollectivePlan::broadcast(topology, p, reduce.root);
     let mut clock = PlanClock::new(p);
-    clock.charge(net, &reduce, |_, _, _| 2 * k);
-    clock.charge(net, &bcast, |_, _, _| 2 * k);
-    clock.max_now()
-}
-
-/// Exact cost of `rounds` bulk-synchronous sharded parameter-server
-/// rounds of an `m`-parameter model with global budget `k`, from time
-/// zero. Each round is the [`CollectivePlan::ps_push`] plan, every push
-/// carrying its receiving shard's zero-padded `k_s` entries (`2·k_s` wire
-/// elements), then the [`CollectivePlan::ps_reply`] plan, every reply its
-/// host's dense `len_s`-element region. Shards are capped at `p`, as the
-/// executed engine caps them at the membership. A host's incast is its
-/// inbound horizon in the push round; at `S = 1` the round is the
-/// single-server star.
-///
-/// # Panics
-///
-/// Panics if `p == 0`, `shards == 0` or `shards > m`.
-#[must_use]
-pub fn ps_plan_ms(
-    net: &CostModel,
-    p: usize,
-    m: usize,
-    shards: usize,
-    k: usize,
-    rounds: usize,
-) -> f64 {
-    let map = ShardMap::new(m, shards.min(p));
-    let budgets = map.budgets(k);
-    let push = CollectivePlan::ps_push(p, map.num_shards());
-    let reply = CollectivePlan::ps_reply(p, map.num_shards());
-    let mut clock = PlanClock::new(p);
-    for _ in 0..rounds {
-        clock.charge(net, &push, |_, _, host| 2 * budgets[host]);
-        clock.charge(net, &reply, |_, host, _| map.len(host));
-    }
+    clock.charge(net, &reduce, |_, _| 2 * k);
+    clock.charge(net, &bcast, |_, _| 2 * k);
     clock.max_now()
 }
 
@@ -407,7 +369,7 @@ mod tests {
         // star; the root's inbound link carries multiple serialized
         // deliveries.
         let mut clock = PlanClock::new(p);
-        clock.charge(&net, &plan, |_, _, _| 2);
+        clock.charge(&net, &plan, |_, _| 2);
         let cost = clock.max_now();
         assert!(
             cost >= 3.0,
@@ -421,10 +383,10 @@ mod tests {
         let p = 4;
         let reduce = CollectivePlan::reduce(Topology::Binomial, p);
         let mut clock = PlanClock::new(p);
-        clock.charge(&net, &reduce, |_, _, _| 2);
+        clock.charge(&net, &reduce, |_, _| 2);
         let after_reduce = clock.max_now();
         let bcast = CollectivePlan::broadcast(Topology::Binomial, p, reduce.root);
-        clock.charge(&net, &bcast, |_, _, _| 2);
+        clock.charge(&net, &bcast, |_, _| 2);
         assert!(clock.max_now() > after_reduce);
         // Identical to the one-shot helper.
         assert_eq!(
@@ -440,9 +402,9 @@ mod tests {
             let plan = CollectivePlan::exchange(p);
             let sizes = vec![64usize; plan.num_rounds()];
             let mut uniform = PlanClock::new(p);
-            uniform.charge(&net, &plan, |_, _, _| 64);
+            uniform.charge(&net, &plan, |_, _| 64);
             let mut per_round = PlanClock::new(p);
-            per_round.charge(&net, &plan, |r, _, _| sizes[r]);
+            per_round.charge(&net, &plan, |r, _| sizes[r]);
             for pos in 0..p {
                 assert_eq!(uniform.now(pos), per_round.now(pos), "P={p} pos={pos}");
             }
@@ -457,53 +419,10 @@ mod tests {
         let plan = CollectivePlan::exchange(2);
         assert_eq!(plan.num_rounds(), 1);
         let mut clock = PlanClock::new(2);
-        clock.charge(&net, &plan, |_, _, _| 100);
-        clock.charge(&net, &plan, |_, _, _| 10);
+        clock.charge(&net, &plan, |_, _| 100);
+        clock.charge(&net, &plan, |_, _| 10);
         let expect = net.transfer_ms(100) + net.transfer_ms(10);
         assert!((clock.max_now() - expect).abs() < 1e-12);
-    }
-
-    #[test]
-    fn single_shard_star_has_the_closed_form_incast_cost() {
-        // S = 1: P−1 pushes serialize on the server's inbound link, then
-        // P−1 dense replies serialize on its outbound clock — the round
-        // costs exactly (P−1)·(push + pull) with the last reply's
-        // delivery landing at that same instant.
-        let net = CostModel::new(0.7, 0.003);
-        let (m, k) = (4096usize, 64usize);
-        for p in [2usize, 4, 8, 16] {
-            let got = ps_plan_ms(&net, p, m, 1, k, 1);
-            let expect = (p as f64 - 1.0) * (net.transfer_ms(2 * k) + net.transfer_ms(m));
-            assert!((got - expect).abs() < 1e-9, "P={p}: {got} vs {expect}");
-        }
-    }
-
-    #[test]
-    fn sharding_cuts_the_star_incast() {
-        let net = CostModel::gigabit_ethernet();
-        let (p, m, k) = (16usize, 100_000usize, 1_000usize);
-        let star = ps_plan_ms(&net, p, m, 1, k, 1);
-        let sharded = ps_plan_ms(&net, p, m, p, k, 1);
-        assert!(
-            sharded * 2.0 < star,
-            "P-way sharding must at least halve the round: {star} vs {sharded}"
-        );
-    }
-
-    #[test]
-    fn tree_allreduce_beats_the_star_at_scale_but_not_tiny_p() {
-        // The crossover the benchmark maps: at P = 2 the star is one
-        // hop each way while the tree pays two rounds; by P = 32 the
-        // star's linear incast loses to the tree's log depth.
-        let net = CostModel::gigabit_ethernet();
-        let (m, k) = (1_000_000usize, 1_000usize);
-        let star = |p| ps_plan_ms(&net, p, m, 1, k, 1);
-        let tree = |p| gtopk_plan_ms(&net, Topology::Binomial, p, k);
-        assert!(star(32) > tree(32), "the star must lose at P=32");
-        assert!(
-            ps_plan_ms(&net, 32, m, 32, k, 1) < star(32),
-            "sharding must recover part of the gap"
-        );
     }
 
     #[test]
@@ -514,7 +433,7 @@ mod tests {
         let mut clock = PlanClock::new(p);
         // The sender (position 1) is busy computing before it can send.
         clock.advance_compute(1, 10.0);
-        clock.charge(&net, &plan, |_, _, _| 2);
+        clock.charge(&net, &plan, |_, _| 2);
         assert_eq!(clock.now(0), 11.0);
     }
 }

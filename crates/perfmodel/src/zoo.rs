@@ -178,8 +178,8 @@ impl ZooSchedule {
     ///
     /// Panics if the clock's position count disagrees with `p`.
     pub fn charge(&self, clock: &mut PlanClock, net: &CostModel) {
-        clock.charge(net, &self.split, |r, _, _| 2 * self.split_slots[r]);
-        clock.charge(net, &self.gather, |r, _, _| 2 * self.gather_slots[r]);
+        clock.charge(net, &self.split, |r, _| 2 * self.split_slots[r]);
+        clock.charge(net, &self.gather, |r, _| 2 * self.gather_slots[r]);
     }
 
     /// Makespan of one collective executed from time zero.

@@ -12,10 +12,9 @@
 //! [`Residual::accumulate_extract_into`], which folds the gradient in and
 //! selects in a single pass over the buffer.
 
-use crate::topk::{accumulate_select_compact, topk_indices_into, topk_sparse_into, TopkScratch};
+use crate::topk::{accumulate_select_compact, topk_sparse_into, TopkScratch};
 use crate::SparseVec;
 use gtopk_tensor::simd;
-use std::ops::Range;
 
 /// Dense error-feedback buffer with top-k extraction.
 ///
@@ -117,42 +116,6 @@ impl Residual {
         out: &mut SparseVec,
     ) -> usize {
         accumulate_select_compact(&mut self.acc, grad, k, &mut self.scratch, out)
-    }
-
-    /// Extracts the top-`k` coordinates by |value| *within* the
-    /// contiguous region `range`, zeroing them in the buffer. Returned
-    /// indices are global (full-`dim`) coordinates, ascending.
-    ///
-    /// Exactly `min(k, range.len())` entries are extracted — when the
-    /// region holds fewer than `k` nonzeros, zero-valued coordinates pad
-    /// the selection — so the result's nnz is a *static* function of
-    /// `(range, k)`, never of gradient content. With `range == 0..dim`
-    /// this is bitwise identical to [`Residual::extract_topk`]. This is
-    /// the stratified per-shard selection of the parameter-server push
-    /// path.
-    pub fn extract_topk_range(&mut self, range: Range<usize>, k: usize) -> SparseVec {
-        let mut sv = SparseVec::empty(self.acc.len());
-        self.extract_topk_range_into(range, k, &mut sv);
-        sv
-    }
-
-    /// Like [`Residual::extract_topk_range`] but writing into a
-    /// caller-supplied vector — allocation-free in steady state.
-    pub fn extract_topk_range_into(&mut self, range: Range<usize>, k: usize, out: &mut SparseVec) {
-        let start = range.start as u32;
-        out.dim = self.acc.len();
-        let mut indices = std::mem::take(&mut out.indices);
-        topk_indices_into(&self.acc[range], k, &mut self.scratch, &mut indices);
-        for i in indices.iter_mut() {
-            *i += start;
-        }
-        out.values.clear();
-        out.values
-            .extend(indices.iter().map(|&i| self.acc[i as usize]));
-        out.indices = indices;
-        for &i in out.indices() {
-            self.acc[i as usize] = 0.0;
-        }
     }
 
     /// Returns previously extracted coordinates to the buffer
@@ -324,34 +287,6 @@ mod tests {
                 assert_eq!(bits(&got), bits(&want), "inside={walk_inside}");
             }
         }
-    }
-
-    #[test]
-    fn range_extraction_full_range_matches_extract_topk() {
-        let g: Vec<f32> = (0..97)
-            .map(|i| ((i * 37 + 11) % 53) as f32 - 26.0 + (i as f32 * 0.31).cos())
-            .collect();
-        let mut a = Residual::new(97);
-        let mut b = Residual::new(97);
-        a.accumulate(&g);
-        b.accumulate(&g);
-        let whole = a.extract_topk(13);
-        let ranged = b.extract_topk_range(0..97, 13);
-        assert_eq!(whole, ranged);
-        assert_eq!(a.dense(), b.dense());
-    }
-
-    #[test]
-    fn range_extraction_is_stratified_and_pads_with_zeros() {
-        let mut r = Residual::new(8);
-        r.accumulate(&[9.0, 1.0, 0.0, 0.0, -7.0, 2.0, 0.0, 0.0]);
-        // Region [2, 6) holds {0, 0, -7, 2}: top-3 must include one
-        // zero-valued pad and leave the rest of the buffer untouched.
-        let ext = r.extract_topk_range(2..6, 3);
-        assert_eq!(ext.nnz(), 3);
-        assert_eq!(ext.indices(), &[2, 4, 5]);
-        assert_eq!(ext.values(), &[0.0, -7.0, 2.0]);
-        assert_eq!(r.dense(), &[9.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]);
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! value (Algorithm 1, lines 5–7) and its Fig. 11 flags that selection as
 //! the overhead left once the wire is O(k log P). Every exact caller — the
 //! local select ([`topk_indices_into`]), its fusion with the residual
-//! accumulate ([`accumulate_select_compact`]), the `⊤` merge's re-selection
-//! and the parameter-server range extraction — runs one streaming kernel:
+//! accumulate ([`accumulate_select_compact`]) and the `⊤` merge's
+//! re-selection — runs one streaming kernel:
 //!
 //! 1. a magnitude **sample** picks a two-sided cut: `t_lo` aimed at `k`
 //!    plus four binomial standard deviations of candidates (≈ 1.03 k at
@@ -427,9 +427,9 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    /// Runs every exact entry point — plain, fused, and `Residual`'s range
-    /// extraction — on `values` and checks each against the sort oracle,
-    /// values and buffer state included.
+    /// Runs every exact entry point — plain and fused — on `values` and
+    /// checks each against the sort oracle, values and buffer state
+    /// included.
     fn assert_all_paths_match_oracle(values: &[f32], k: usize) {
         let n = values.len();
         let want = oracle(values, k);
@@ -450,25 +450,9 @@ mod tests {
         assert_eq!(out.dim(), n);
         assert_eq!(out.indices(), want_doubled, "fused n={n} k={k}");
         assert_eq!(bits(out.values()), gather(&doubled, &want_doubled));
-        let mut left = doubled.clone();
+        let mut left = doubled;
         want_doubled.iter().for_each(|&i| left[i as usize] = 0.0);
         assert_eq!(bits(&acc), bits(&left), "fused buffer n={n} k={k}");
-        // Range extraction over the middle half, global indices.
-        let (lo, hi) = (n / 4, n - n / 4);
-        let mut r = crate::Residual::new(n);
-        r.accumulate(values);
-        let before = r.dense().to_vec();
-        let mut out = SparseVec::empty(0);
-        r.extract_topk_range_into(lo..hi, k, &mut out);
-        let want_range: Vec<u32> = oracle(&before[lo..hi], k)
-            .iter()
-            .map(|&i| i + lo as u32)
-            .collect();
-        assert_eq!(out.indices(), want_range, "range n={n} k={k}");
-        assert_eq!(bits(out.values()), gather(&before, &want_range));
-        let mut left = before;
-        want_range.iter().for_each(|&i| left[i as usize] = 0.0);
-        assert_eq!(bits(r.dense()), bits(&left), "range buffer n={n} k={k}");
     }
 
     /// A buffer of `n` values of one hostile `shape`, a pure function of

@@ -142,20 +142,6 @@ impl SparseVec {
         }
     }
 
-    /// Adds every entry into a contiguous dense *region* starting at
-    /// global coordinate `start`: `region[i - start] += v`. The
-    /// parameter-server fold uses this to accumulate globally-indexed
-    /// shard pushes into a region-local buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any index falls outside `[start, start + region.len())`.
-    pub fn add_into_region(&self, start: usize, region: &mut [f32]) {
-        for (&i, &v) in self.indices.iter().zip(self.values.iter()) {
-            region[i as usize - start] += v;
-        }
-    }
-
     /// Logical dimension of the vector.
     pub fn dim(&self) -> usize {
         self.dim

@@ -102,18 +102,13 @@ require_tests -p gtopk-comm --test frame_alloc a_one_gib_header_after_a_small_fr
 require_tests -p gtopk-core --lib zoo
 require_tests -p gtopk-perfmodel --lib zoo
 require_tests -p gtopk-sparse --test alloc_steadystate oktopk
-# Sharded parameter server: the shard map, the push/reply rounds, its
-# training run pinned bit for bit (a shard-host crash included), the
-# executed rounds equal to their PlanClock replay over a shrunk,
-# non-contiguous membership, the sharded collective's plan-clock twin
-# exact under the one engine, and the old PS checkpoint layout (mode 4)
-# decoding as the one-bucket state.
-require_tests -p gtopk-comm --lib shard
-require_tests -p gtopk-core --lib ps::
-require_tests -p gtopk-core --test golden_parity ps_rows_train_to_their_recorded_report
-require_tests -p gtopk-core --test ps_plan_equivalence replay_is_exact_over_a_shrunk_membership
-require_tests -p gtopk-core --lib overlap::tests::sharded_server_keeps_replicas_identical_and_matches_its_twin_exactly
+# The checkpoint layout of the removed parameter server (mode 4) still
+# decodes as the one-bucket state, and the CLI refuses its options.
 require_tests -p gtopk-core --lib ckpt::tests::a_mode_four_payload_decodes_as_one_bucket
+require_tests -p gtopk-cli --lib the_removed_parameter_server_options_are_unknown
+# A plan round sends at most once and receives at most once per position.
+require_tests -p gtopk-comm --lib plan::tests::a_position_may_not_send_twice_in_one_round
+require_tests -p gtopk-comm --lib plan::tests::a_position_may_not_receive_twice_in_one_round
 # Durable-recovery fault paths that used to panic: a failed checkpoint
 # write trains on, a donor transfer that disagrees with the joiner's disk
 # copy makes the joiner leave, and so does a disk generation of another
@@ -170,9 +165,8 @@ done
 # schedule by thread-free plan replay (seconds in total), the five
 # convergence bins train Dense and gTop-k end to end through the trainer
 # (~65 s in release; fig06, fig12 and fig13_14 also run the convolution
-# at 16×16 images, stride-2 projections and other batch sizes), the two
-# PS bins price and execute the parameter server (seconds in release),
-# and eight more deterministic bins take under 20 s together in release,
+# at 16×16 images, stride-2 projections and other batch sizes), and
+# eight more deterministic bins take under 20 s together in release,
 # so rerun them and require their committed outputs to come back
 # byte-identical.
 echo "==> analytic and convergence results reproduce byte-identically"
@@ -182,11 +176,6 @@ for bin in table1_complexity fig09_allreduce_time fig10_scaling_efficiency \
 done
 for bin in fig05_convergence_cifar fig06_convergence_imagenet fig07_convergence_lstm \
   fig12_density_sensitivity fig13_14_batch_size; do
-  cargo run -q --offline --release -p gtopk-bench --bin "$bin" >/dev/null 2>&1
-done
-# The parameter server's numbers: the crossover map priced by the PS plan
-# replay, its convergence gate, and the executed PS-vs-tree rounds.
-for bin in bench_ps ext_ps_vs_tree; do
   cargo run -q --offline --release -p gtopk-bench --bin "$bin" >/dev/null 2>&1
 done
 # The bucketed engine and momentum correction: multi-bucket and corrected
@@ -205,8 +194,7 @@ git diff --exit-code -- results/table1_complexity.tsv results/fig09_*.tsv \
   results/fig10_scaling_*.tsv results/fig11_time_breakdown.tsv \
   results/table4_throughput.tsv results/fig05_convergence_*.tsv \
   results/fig06_*.tsv results/fig07_convergence_lstm.tsv results/fig12_*.tsv \
-  results/fig13_*.tsv BENCH_ps.json \
-  results/ext_ps_crossover.tsv results/ext_ps_vs_tree.tsv \
+  results/fig13_*.tsv \
   results/ext_overlap.tsv results/ext_momentum_correction.tsv BENCH_overlap.json \
   results/fig01_select_k_from_kp.tsv results/ext_putback_ablation.tsv \
   results/ext_support_overlap.tsv results/bench_plans.tsv BENCH_plans.json \
@@ -230,13 +218,6 @@ if cargo run -q --offline -p gtopk-cli -- info >/dev/null 2>&1 \
   # rejoin, and heal the membership back to full strength.
   echo "==> chaos cluster (kill one worker, restart it, expect heal)"
   scripts/run_chaos_cluster.sh 4 24
-
-  # Sharded parameter server over real sockets: S = P co-located shards,
-  # one shard HOST is SIGKILLed mid-run; the survivors must remap its
-  # shard onto the shrunken membership and finish. (100 epochs: the kill
-  # lands 2 s in, and 8 epochs of this workload are over by then.)
-  echo "==> PS cluster (kill one shard host mid-run)"
-  scripts/run_ps_cluster.sh 4 100
 else
   echo "    skipped: loopback sockets unavailable"
 fi

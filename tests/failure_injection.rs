@@ -2,22 +2,9 @@
 //! [`gtopk_comm::CommError::Disconnected`] errors (an MPI-abort-style
 //! model), never as silent hangs or corrupted aggregates.
 
-use gtopk::{gtopk_all_reduce, ps_pull_round, ps_push_round};
-use gtopk_comm::{collectives, Cluster, CommError, CostModel, FaultPlan, Payload, ShardMap};
+use gtopk::gtopk_all_reduce;
+use gtopk_comm::{collectives, Cluster, CommError, CostModel, FaultPlan, Payload};
 use gtopk_sparse::SparseVec;
-
-/// One full sharded-PS round (push + pull) with a single shard, so all
-/// traffic goes through the lone shard host `members[0]`.
-fn ps_round_s1(
-    comm: &mut gtopk_comm::Communicator,
-    members: &[usize],
-    local: SparseVec,
-) -> Result<SparseVec, CommError> {
-    let map = ShardMap::new(local.dim(), 1);
-    let budgets = [local.nnz()]; // pushes must arrive padded to the budget
-    let own = ps_push_round(comm, members, &map, &budgets, vec![local])?;
-    ps_pull_round(comm, members, &map, &own)
-}
 
 #[test]
 fn recv_from_dead_peer_errors_instead_of_hanging() {
@@ -81,24 +68,6 @@ fn gtopk_all_reduce_fails_cleanly_when_a_worker_dies() {
         !errors.is_empty(),
         "some rank must observe the dead worker: {out:?}"
     );
-}
-
-#[test]
-fn ps_shard_host_death_is_observed_by_all_workers() {
-    let out = Cluster::new(4, CostModel::zero()).run(|comm| {
-        if comm.rank() == 0 {
-            return None; // the lone shard host dies
-        }
-        let members: Vec<usize> = (0..4).collect();
-        let local = SparseVec::from_pairs(8, vec![(comm.rank() as u32, 1.0)]);
-        Some(ps_round_s1(comm, &members, local))
-    });
-    for (r, res) in out.iter().enumerate().skip(1) {
-        match res {
-            Some(Err(CommError::Disconnected { peer: 0 })) => {}
-            other => panic!("rank {r}: expected Disconnected from the shard host, got {other:?}"),
-        }
-    }
 }
 
 #[test]
@@ -170,29 +139,6 @@ fn gtopk_all_reduce_fails_cleanly_at_non_power_of_two_sizes() {
         assert!(
             !errors.is_empty(),
             "P={p}, dead={dead}: some rank must observe the death: {out:?}"
-        );
-    }
-}
-
-#[test]
-fn ps_worker_death_is_observed_by_the_shard_host() {
-    // The PS path must also fail cleanly when a *worker* (not the
-    // shard host) dies, including at non-power-of-two sizes: the host's
-    // fold waits on every member's push, so the hole surfaces there.
-    for p in [4usize, 5] {
-        let dead = p - 1;
-        let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-            if comm.rank() == dead {
-                return None;
-            }
-            let members: Vec<usize> = (0..p).collect();
-            let local = SparseVec::from_pairs(8, vec![(comm.rank() as u32, 1.0)]);
-            Some(ps_round_s1(comm, &members, local))
-        });
-        assert!(
-            matches!(&out[0], Some(Err(CommError::Disconnected { peer })) if *peer == dead),
-            "P={p}: the shard host must observe the dead worker: {:?}",
-            out[0]
         );
     }
 }
