@@ -1,13 +1,14 @@
-//! Plan-cost sweep: gTopKAllReduce time per collective topology →
+//! Plan-cost sweep: gTopKAllReduce time on the binomial tree →
 //! `BENCH_plans.json`.
 //!
-//! For every topology the reduce/broadcast plan pair is replayed on the
-//! exact α-β clock ([`gtopk_perfmodel::PlanClock`]) over a sweep of
-//! worker counts (powers of two *and* folded non-powers) and selection
-//! budgets `k`. On the binomial topology at power-of-two `P` the plan
-//! cost must coincide with the paper's closed form (Eq. 7,
-//! `2·log₂P·α + 4k·log₂P·β`) — the sweep checks that identity while it
-//! measures, so the emitted table doubles as a regression gate.
+//! The reduce/broadcast plan pair is replayed on the exact α-β clock
+//! ([`gtopk_perfmodel::PlanClock`]) over a sweep of worker counts (powers
+//! of two *and* folded non-powers) and selection budgets `k`. At
+//! power-of-two `P` the plan cost must coincide with the paper's closed
+//! form (Eq. 7, `2·log₂P·α + 4k·log₂P·β`) — the sweep checks that
+//! identity while it measures, so the emitted table doubles as a
+//! regression gate. (The `topology` column is always `binomial`: the
+//! tree has one shape.)
 
 use gtopk_bench::report::{workspace_root, Table};
 use gtopk_comm::{CostModel, Topology};
@@ -18,7 +19,6 @@ const WORKERS: [usize; 9] = [2, 4, 6, 8, 12, 16, 24, 32, 64];
 const BUDGETS: [usize; 3] = [250, 2_500, 25_000];
 
 struct Cell {
-    topology: &'static str,
     p: usize,
     k: usize,
     plan_ms: f64,
@@ -32,34 +32,31 @@ fn main() {
         &["topology", "P", "k", "plan ms", "Eq.7 ms", "vs Eq.7"],
     );
     let mut cells = Vec::new();
-    for topology in Topology::ALL {
-        for &p in &WORKERS {
-            for &k in &BUDGETS {
-                let plan_ms = gtopk_plan_ms(&net, topology, p, k);
-                let eq7_ms = gtopk_allreduce_ms(&net, p, k);
-                if topology == Topology::Binomial && p.is_power_of_two() {
-                    assert!(
-                        (plan_ms - eq7_ms).abs() < 1e-9,
-                        "binomial plan must equal Eq. 7 at P={p}, k={k}: \
-                         {plan_ms} vs {eq7_ms}"
-                    );
-                }
-                table.row(vec![
-                    topology.name().to_string(),
-                    p.to_string(),
-                    k.to_string(),
-                    format!("{plan_ms:.3}"),
-                    format!("{eq7_ms:.3}"),
-                    format!("{:.2}x", plan_ms / eq7_ms),
-                ]);
-                cells.push(Cell {
-                    topology: topology.name(),
-                    p,
-                    k,
-                    plan_ms,
-                    eq7_ms,
-                });
+    for &p in &WORKERS {
+        for &k in &BUDGETS {
+            let plan_ms = gtopk_plan_ms(&net, Topology::Binomial, p, k);
+            let eq7_ms = gtopk_allreduce_ms(&net, p, k);
+            if p.is_power_of_two() {
+                assert!(
+                    (plan_ms - eq7_ms).abs() < 1e-9,
+                    "binomial plan must equal Eq. 7 at P={p}, k={k}: \
+                     {plan_ms} vs {eq7_ms}"
+                );
             }
+            table.row(vec![
+                "binomial".to_string(),
+                p.to_string(),
+                k.to_string(),
+                format!("{plan_ms:.3}"),
+                format!("{eq7_ms:.3}"),
+                format!("{:.2}x", plan_ms / eq7_ms),
+            ]);
+            cells.push(Cell {
+                p,
+                k,
+                plan_ms,
+                eq7_ms,
+            });
         }
     }
     table.emit("bench_plans");
@@ -86,9 +83,9 @@ fn render_json(cells: &[Cell]) -> String {
         let comma = if i + 1 == cells.len() { "" } else { "," };
         let _ = writeln!(
             out,
-            "    {{\"topology\": \"{}\", \"p\": {}, \"k\": {}, \
+            "    {{\"topology\": \"binomial\", \"p\": {}, \"k\": {}, \
              \"plan_ms\": {:.6}, \"eq7_ms\": {:.6}}}{comma}",
-            c.topology, c.p, c.k, c.plan_ms, c.eq7_ms
+            c.p, c.k, c.plan_ms, c.eq7_ms
         );
     }
     let _ = writeln!(out, "  ]");

@@ -70,7 +70,7 @@ fn execute_zoo(p: usize, k: usize, net: CostModel, sched: &ZooSchedule) -> (f64,
     let sched = sched.clone();
     let out = Cluster::new(p, net).run(move |comm| {
         let mine = disjoint_local(comm.rank(), k, M);
-        sparse_zoo_all_reduce_over(comm, &members, mine, &sched, 0).unwrap();
+        sparse_zoo_all_reduce_over(comm, &members, mine, &sched).unwrap();
         (comm.now_ms(), comm.stats().elems_sent)
     });
     let executed = out.iter().map(|c| c.0).fold(0.0f64, f64::max);

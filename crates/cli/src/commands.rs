@@ -58,16 +58,6 @@ fn parse_network(name: &str) -> Result<CostModel, ArgError> {
     })
 }
 
-fn parse_topology(name: &str) -> Result<Topology, ArgError> {
-    Topology::parse(name).ok_or_else(|| {
-        let accepted: Vec<&str> = Topology::ALL.iter().map(Topology::name).collect();
-        ArgError(format!(
-            "unknown topology `{name}` (accepted values: {})",
-            accepted.join(", ")
-        ))
-    })
-}
-
 /// Parses a `rank:value[,rank:value...]` list (used by `--fault-crash`
 /// and `--fault-straggle`).
 fn parse_rank_pairs<T: std::str::FromStr>(
@@ -301,7 +291,6 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
         "seed",
         "overlap",
         "buckets",
-        "topology",
         "momentum-correction",
         "clip",
         "transport",
@@ -358,7 +347,6 @@ fn cmd_train(parsed: &ParsedArgs) -> Result<String, ArgError> {
     } else if parsed.has_option("buckets") {
         return Err(ArgError("--buckets requires --overlap".into()));
     }
-    cfg.topology = parse_topology(&parsed.get_str("topology", "binomial"))?;
 
     let tcp = parsed.get_str("transport", "sim") == "tcp";
 
@@ -754,23 +742,6 @@ mod tests {
     }
 
     #[test]
-    fn topology_options_are_validated() {
-        // Unknown names list the accepted values.
-        let err = run_line("train --topology star").unwrap_err();
-        assert!(err.0.contains("binomial, hierarchical, ring"), "{}", err.0);
-    }
-
-    #[test]
-    fn train_runs_on_a_non_default_topology() {
-        let out = run_line(
-            "train --model mlp --workers 2 --epochs 2 --batch 4 --density 0.05 \
-             --topology ring",
-        )
-        .unwrap();
-        assert!(out.contains("rank-0 traffic"), "{out}");
-    }
-
-    #[test]
     fn overlap_composes_with_crash_recovery_end_to_end() {
         // --overlap --buckets N --fault-crash runs through rollback and
         // shrink-and-continue in the unified loop.
@@ -839,9 +810,9 @@ mod tests {
         // is to surface its text: both settings and where the matrix is.
         for (line, first, second) in [
             (
-                "--algorithm spardl --topology ring",
-                "algorithm SparDL",
-                "topology ring",
+                "--algorithm no-putback --fault-crash 3:6",
+                "algorithm gTop-k(no-putback)",
+                "fault plan",
             ),
             (
                 "--algorithm oktopk --fault-drop 0.1",
@@ -917,11 +888,14 @@ mod tests {
     #[test]
     fn the_removed_parameter_server_options_are_unknown() {
         // The parameter server is gone, and with it `--mode` (whose one
-        // remaining value would be `allreduce`) and `--shards`.
+        // remaining value would be `allreduce`) and `--shards`; so are the
+        // non-binomial gTop-k trees and `--topology`.
         for line in [
             "train --mode ps",
             "train --mode allreduce",
             "train --shards 2",
+            "train --topology ring",
+            "train --topology binomial",
         ] {
             let err = run_line(line).unwrap_err().0;
             let option = line.split_whitespace().nth(1).unwrap();

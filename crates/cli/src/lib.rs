@@ -8,8 +8,8 @@
 //!   simulated network;
 //! * `sweep` — Fig.-9-style sweep of aggregation time over worker counts;
 //! * `info` — describe the reproduction (paper, algorithms, models) and
-//!   print the support matrix: which algorithm runs with which topology
-//!   and recovery policy;
+//!   print the support matrix: which algorithm runs with which recovery
+//!   policy;
 //! * `help` — usage.
 //!
 //! The binary is a thin `main` over [`run`], so everything is testable.
@@ -31,8 +31,8 @@ USAGE:
 
 COMMANDS:
   train       train a model with distributed S-SGD on a simulated cluster
-              (which algorithm combines with which topology and
-              recovery option: see `gtopk info`)
+              (which algorithm combines with which recovery
+              option: see `gtopk info`)
     --model      mlp | vgg | resnet | alexnet | lstm     [mlp]
     --algorithm  dense | topk | gtopk | naive | feedback | no-putback
                  | oktopk | spardl                        [gtopk]
@@ -45,7 +45,6 @@ COMMANDS:
     --overlap               pipeline per-bucket collectives behind
                             backward compute
     --buckets N             overlap buckets (0 = one per layer)    [4]
-    --topology   binomial | hierarchical | ring collective plan [binomial]
     --momentum-correction   apply DGC-style momentum correction
     --clip N                clip local gradients to L2 norm N
     fault injection:

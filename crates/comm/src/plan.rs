@@ -1,6 +1,5 @@
-//! Plan-driven collectives: explicit, inspectable schedules generated
-//! from a topology and executed round-by-round against the simulated
-//! α-β clock.
+//! Plan-driven collectives: explicit, inspectable schedules executed
+//! round-by-round against the simulated α-β clock.
 //!
 //! A [`CollectivePlan`] is a sequence of [`Round`]s; each round is a set
 //! of point-to-point [`Exchange`]s between *positions* `0..size`. The
@@ -29,54 +28,27 @@ use crate::{Communicator, Result};
 /// round order.
 pub const PLAN_TAG_WINDOW: u32 = 256;
 
-/// The schedule shape a plan is generated from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The gTop-k tree's shape: there is one, the binomial tree of the
+/// paper's Algorithm 3 — `⌈log₂P⌉` rounds, with a fold pre-round over
+/// the ranks beyond the largest power of two (Eq. 7 cost for
+/// power-of-two `P`). Over contiguous ranks it is already rack-aware:
+/// only its top `log₂(racks)` rounds cross a backbone.
+///
+/// The type, [`Topology::reduce_root`] and the arguments of
+/// [`CollectivePlan::reduce`] and [`CollectivePlan::broadcast`] that take
+/// it remain only because `benchmark/src/traced.rs` names them; ROADMAP
+/// item 1's `[benchmark]` change deletes them together with that file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Topology {
-    /// Binomial tree — the paper's Algorithm 3 shape: `⌈log₂P⌉` rounds,
-    /// with a fold pre-round over the ranks beyond the largest power of
-    /// two (Eq. 7 cost for power-of-two `P`).
-    #[default]
+    /// The binomial tree.
     Binomial,
-    /// Two-level hierarchy: `⌈√P⌉`-sized groups reduce internally, then
-    /// the group leaders reduce — about `2(√P−1)` rounds, the shape of a
-    /// rack/cluster network hierarchy.
-    Hierarchical,
-    /// Chain ring: `P−1` sequential rounds, one peer at a time — minimal
-    /// per-round fan-out, maximal depth.
-    Ring,
 }
 
 impl Topology {
-    /// Every topology, for sweeps.
-    pub const ALL: [Topology; 3] = [Topology::Binomial, Topology::Hierarchical, Topology::Ring];
-
-    /// CLI / display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Topology::Binomial => "binomial",
-            Topology::Hierarchical => "hierarchical",
-            Topology::Ring => "ring",
-        }
-    }
-
-    /// Parses a CLI topology name.
-    pub fn parse(s: &str) -> Option<Topology> {
-        Topology::ALL.into_iter().find(|t| t.name() == s)
-    }
-
     /// The position a `p`-position [`CollectivePlan::reduce`] plan roots
-    /// its result at (without generating the plan).
-    pub fn reduce_root(&self, p: usize) -> usize {
-        match self {
-            Topology::Ring => p.saturating_sub(1),
-            _ => 0,
-        }
-    }
-}
-
-impl std::fmt::Display for Topology {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
+    /// its result at: always position 0.
+    pub fn reduce_root(&self, _p: usize) -> usize {
+        0
     }
 }
 
@@ -113,8 +85,6 @@ pub struct Round {
 /// An explicit collective schedule over positions `0..size`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CollectivePlan {
-    /// Topology the plan was generated from.
-    pub topology: Topology,
     /// Number of participating positions.
     pub size: usize,
     /// For reductions: the position holding the final result. For
@@ -126,173 +96,80 @@ pub struct CollectivePlan {
 }
 
 impl CollectivePlan {
-    /// Reduction plan over `p` positions: after execution, position
-    /// [`CollectivePlan::root`] holds the combined result.
-    ///
-    /// * `Binomial` — fold round (positions `≥ 2^⌊log₂p⌋` send down),
-    ///   then ascending-mask binomial combining into position 0;
-    /// * `Hierarchical` — group members star into their group leader,
-    ///   then leaders star into position 0;
-    /// * `Ring` — ascending chain `0→1→…→p−1`, rooted at `p−1` (the
-    ///   combine order of a left fold over positions).
+    /// Binomial reduction plan over `p` positions: a fold round
+    /// (positions `≥ 2^⌊log₂p⌋` send down), then ascending-mask binomial
+    /// combining into position 0, which holds the combined result after
+    /// execution.
     ///
     /// # Panics
     ///
     /// Panics if `p == 0`.
-    pub fn reduce(topology: Topology, p: usize) -> Self {
+    pub fn reduce(_topology: Topology, p: usize) -> Self {
         assert!(p > 0, "plan needs at least one position");
+        let p2 = crate::collectives::largest_power_of_two_leq(p);
+        let extra = p - p2;
         let mut rounds = Vec::new();
-        let root = match topology {
-            Topology::Binomial => {
-                let p2 = crate::collectives::largest_power_of_two_leq(p);
-                let extra = p - p2;
-                if extra > 0 {
-                    rounds.push(Round {
-                        exchanges: (0..extra)
-                            .map(|i| Exchange::Send {
-                                src: p2 + i,
-                                dst: i,
-                            })
-                            .collect(),
-                    });
-                }
-                let mut mask = 1usize;
-                while mask < p2 {
-                    rounds.push(Round {
-                        exchanges: (0..p2)
-                            .step_by(2 * mask)
-                            .filter(|dst| dst | mask < p2)
-                            .map(|dst| Exchange::Send {
-                                src: dst | mask,
-                                dst,
-                            })
-                            .collect(),
-                    });
-                    mask <<= 1;
-                }
-                0
-            }
-            Topology::Hierarchical => {
-                let g = group_size(p);
-                for t in 1..g {
-                    let exchanges: Vec<Exchange> = (0..p)
-                        .step_by(g)
-                        .filter(|leader| leader + t < p && leader + t < leader + g)
-                        .map(|leader| Exchange::Send {
-                            src: leader + t,
-                            dst: leader,
-                        })
-                        .collect();
-                    if !exchanges.is_empty() {
-                        rounds.push(Round { exchanges });
-                    }
-                }
-                for leader in (0..p).step_by(g).skip(1) {
-                    rounds.push(Round {
-                        exchanges: vec![Exchange::Send {
-                            src: leader,
-                            dst: 0,
-                        }],
-                    });
-                }
-                0
-            }
-            Topology::Ring => {
-                for i in 0..p.saturating_sub(1) {
-                    rounds.push(Round {
-                        exchanges: vec![Exchange::Send { src: i, dst: i + 1 }],
-                    });
-                }
-                p - 1
-            }
-        };
+        if extra > 0 {
+            rounds.push(Round {
+                exchanges: (0..extra)
+                    .map(|i| Exchange::Send {
+                        src: p2 + i,
+                        dst: i,
+                    })
+                    .collect(),
+            });
+        }
+        let mut mask = 1usize;
+        while mask < p2 {
+            rounds.push(Round {
+                exchanges: (0..p2)
+                    .step_by(2 * mask)
+                    .filter(|dst| dst | mask < p2)
+                    .map(|dst| Exchange::Send {
+                        src: dst | mask,
+                        dst,
+                    })
+                    .collect(),
+            });
+            mask <<= 1;
+        }
         let plan = CollectivePlan {
-            topology,
             size: p,
-            root,
+            root: 0,
             rounds,
         };
         plan.check();
         plan
     }
 
-    /// Broadcast plan from position `root` to all `p` positions — the
-    /// mirror of [`CollectivePlan::reduce`] shapes, rotated so the plan
-    /// works for any root:
-    ///
-    /// * `Binomial` — descending-mask binomial fan-out (handles any `p`,
-    ///   no fold needed; identical round structure to the classic
-    ///   relative-rank binomial broadcast);
-    /// * `Hierarchical` — root to group leaders, then leaders fan out
-    ///   within their groups;
-    /// * `Ring` — chain from the root around the ring.
+    /// Binomial broadcast plan from position `root` to all `p` positions:
+    /// descending-mask fan-out over positions relative to the root (any
+    /// `p`, no fold needed; the round structure of the classic
+    /// relative-rank binomial broadcast).
     ///
     /// # Panics
     ///
     /// Panics if `p == 0` or `root >= p`.
-    pub fn broadcast(topology: Topology, p: usize, root: usize) -> Self {
+    pub fn broadcast(_topology: Topology, p: usize, root: usize) -> Self {
         assert!(p > 0, "plan needs at least one position");
         assert!(root < p, "broadcast root {root} out of range for size {p}");
         let rot = |rel: usize| (rel + root) % p;
         let mut rounds = Vec::new();
-        match topology {
-            Topology::Binomial => {
-                let mut top = 1usize;
-                while top < p {
-                    top <<= 1;
-                }
-                let mut mask = top >> 1;
-                while mask > 0 {
-                    rounds.push(Round {
-                        exchanges: (0..p)
-                            .step_by(2 * mask)
-                            .filter(|src| src + mask < p)
-                            .map(|src| Exchange::Send {
-                                src: rot(src),
-                                dst: rot(src + mask),
-                            })
-                            .collect(),
-                    });
-                    mask >>= 1;
-                }
-            }
-            Topology::Hierarchical => {
-                let g = group_size(p);
-                for leader in (0..p).step_by(g).skip(1) {
-                    rounds.push(Round {
-                        exchanges: vec![Exchange::Send {
-                            src: rot(0),
-                            dst: rot(leader),
-                        }],
-                    });
-                }
-                for t in 1..g {
-                    let exchanges: Vec<Exchange> = (0..p)
-                        .step_by(g)
-                        .filter(|leader| leader + t < p && leader + t < leader + g)
-                        .map(|leader| Exchange::Send {
-                            src: rot(leader),
-                            dst: rot(leader + t),
-                        })
-                        .collect();
-                    if !exchanges.is_empty() {
-                        rounds.push(Round { exchanges });
-                    }
-                }
-            }
-            Topology::Ring => {
-                for i in 0..p.saturating_sub(1) {
-                    rounds.push(Round {
-                        exchanges: vec![Exchange::Send {
-                            src: rot(i),
-                            dst: rot(i + 1),
-                        }],
-                    });
-                }
-            }
+        let mut mask = p.next_power_of_two() >> 1;
+        while mask > 0 {
+            rounds.push(Round {
+                exchanges: (0..p)
+                    .step_by(2 * mask)
+                    .filter(|src| src + mask < p)
+                    .map(|src| Exchange::Send {
+                        src: rot(src),
+                        dst: rot(src + mask),
+                    })
+                    .collect(),
+            });
+            mask >>= 1;
         }
         let plan = CollectivePlan {
-            topology,
             size: p,
             root,
             rounds,
@@ -346,7 +223,6 @@ impl CollectivePlan {
             });
         }
         let plan = CollectivePlan {
-            topology: Topology::Binomial,
             size: p,
             root: 0,
             rounds,
@@ -393,7 +269,6 @@ impl CollectivePlan {
             mask >>= 1;
         }
         let plan = CollectivePlan {
-            topology: Topology::Binomial,
             size: p,
             root: 0,
             rounds,
@@ -438,7 +313,6 @@ impl CollectivePlan {
             });
         }
         let plan = CollectivePlan {
-            topology: Topology::Binomial,
             size: p,
             root: 0,
             rounds,
@@ -466,7 +340,6 @@ impl CollectivePlan {
                 .collect(),
         };
         let plan = CollectivePlan {
-            topology: Topology::Ring,
             size: p,
             root: 0,
             rounds: vec![round; 2 * (p - 1)],
@@ -523,15 +396,6 @@ impl CollectivePlan {
             }
         }
     }
-}
-
-/// Group width of the two-level hierarchy: `⌈√p⌉`.
-fn group_size(p: usize) -> usize {
-    let mut g = 1usize;
-    while g * g < p {
-        g += 1;
-    }
-    g.max(1)
 }
 
 /// The data movement a plan execution performs at each exchange the
@@ -651,21 +515,17 @@ mod tests {
     #[test]
     fn reduce_plans_combine_everything_for_all_topologies() {
         for p in 1..=17usize {
-            for topo in Topology::ALL {
-                let plan = CollectivePlan::reduce(topo, p);
-                assert_eq!(plan.root, topo.reduce_root(p));
-                reaches_root(&plan);
-            }
+            let plan = CollectivePlan::reduce(Topology::Binomial, p);
+            assert_eq!(plan.root, Topology::Binomial.reduce_root(p));
+            reaches_root(&plan);
         }
     }
 
     #[test]
     fn broadcast_plans_cover_everything_for_all_topologies() {
         for p in 1..=17usize {
-            for topo in Topology::ALL {
-                for root in [0, p - 1, p / 2] {
-                    covers_all(&CollectivePlan::broadcast(topo, p, root));
-                }
+            for root in [0, p - 1, p / 2] {
+                covers_all(&CollectivePlan::broadcast(Topology::Binomial, p, root));
             }
         }
     }
@@ -776,19 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_plans_are_chains() {
-        let plan = CollectivePlan::reduce(Topology::Ring, 5);
-        assert_eq!(plan.num_rounds(), 4);
-        assert_eq!(plan.root, 4);
-        assert_eq!(plan.num_messages(), 4);
-        let bc = CollectivePlan::broadcast(Topology::Ring, 5, 4);
-        assert_eq!(
-            bc.rounds[0].exchanges,
-            vec![Exchange::Send { src: 4, dst: 0 }]
-        );
-    }
-
-    #[test]
     fn ring_allreduce_plan_is_two_phases_of_full_rings() {
         for p in 1..=9usize {
             let plan = CollectivePlan::ring_allreduce(p);
@@ -808,20 +655,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn topology_names_round_trip() {
-        for t in Topology::ALL {
-            assert_eq!(Topology::parse(t.name()), Some(t));
-            assert_eq!(format!("{t}"), t.name());
-        }
-        assert_eq!(Topology::parse("torus"), None);
-        assert_eq!(Topology::default(), Topology::Binomial);
-    }
-
     /// A one-round plan of `exchanges` over `size` positions.
     fn one_round(size: usize, exchanges: Vec<Exchange>) -> CollectivePlan {
         CollectivePlan {
-            topology: Topology::Binomial,
             size,
             root: 0,
             rounds: vec![Round { exchanges }],
@@ -860,10 +696,14 @@ mod tests {
 
     #[test]
     fn single_position_plans_are_empty() {
-        for topo in Topology::ALL {
-            assert_eq!(CollectivePlan::reduce(topo, 1).num_rounds(), 0);
-            assert_eq!(CollectivePlan::broadcast(topo, 1, 0).num_rounds(), 0);
-        }
+        assert_eq!(
+            CollectivePlan::reduce(Topology::Binomial, 1).num_rounds(),
+            0
+        );
+        assert_eq!(
+            CollectivePlan::broadcast(Topology::Binomial, 1, 0).num_rounds(),
+            0
+        );
         assert_eq!(CollectivePlan::exchange(1).num_rounds(), 0);
     }
 }

@@ -16,7 +16,6 @@
 //! engine's analytic clock.
 
 use crate::capability::{Algorithm, Collective, Rejects, Row};
-use crate::ft::epoch_tag_offset;
 use crate::gtopk_allreduce::{naive_gtopk_all_reduce, tree_all_reduce};
 use crate::sparse_coll::{sparse_sum_recursive_doubling, sparse_zoo_all_reduce_over};
 use gtopk_comm::collectives::{self, ring_chunk};
@@ -51,7 +50,6 @@ impl Update {
 #[derive(Debug, Clone)]
 pub struct Aggregator {
     algorithm: Algorithm,
-    topology: Topology,
     /// Zoo rows: the schedule for the current `(P, k)`.
     sched: Option<ZooSchedule>,
     /// Every other collective: the plans it executes for the current `P`,
@@ -60,14 +58,12 @@ pub struct Aggregator {
 }
 
 impl Aggregator {
-    /// The step for `algorithm`, reducing — on the rows whose collective
-    /// executes a plan topology — over `topology`. Which combinations a
-    /// training run may use is
+    /// The step for `algorithm`. Which configurations a training run may
+    /// use it in is
     /// [`TrainConfig::validate`](crate::TrainConfig::validate)'s call.
-    pub fn new(algorithm: Algorithm, topology: Topology) -> Self {
+    pub fn new(algorithm: Algorithm) -> Self {
         Aggregator {
             algorithm,
-            topology,
             sched: None,
             plans: Vec::new(),
         }
@@ -108,7 +104,6 @@ impl Aggregator {
         );
         let p = members.len();
         let inv = 1.0 / p as f32;
-        let tag_off = epoch_tag_offset(comm.epoch());
         // Select and reduce. Besides the global selection, a collective
         // that selects hands back this rank's own selection (the global
         // mask is the global selection's support), and one that truncates
@@ -143,8 +138,6 @@ impl Aggregator {
                         members,
                         local.clone(),
                         k,
-                        tag_off,
-                        self.topology,
                         rejects == Rejects::PutBackOwnAndWitnessed,
                     )?;
                     (global, Some(local), witnessed)
@@ -156,7 +149,7 @@ impl Aggregator {
                     let mut local = comm.pool().take_sparse(grad.len());
                     residual.accumulate_extract_into(grad, sched.contrib_slots, &mut local);
                     let (global, witnessed) =
-                        sparse_zoo_all_reduce_over(comm, members, local, sched, tag_off)?;
+                        sparse_zoo_all_reduce_over(comm, members, local, sched)?;
                     (global, None, Some(witnessed))
                 }
             };
@@ -204,8 +197,8 @@ impl Aggregator {
             self.plans = match collective {
                 Collective::DenseRing => vec![CollectivePlan::ring_allreduce(p)],
                 Collective::Tree => vec![
-                    CollectivePlan::reduce(self.topology, p),
-                    CollectivePlan::broadcast(self.topology, p, self.topology.reduce_root(p)),
+                    CollectivePlan::reduce(Topology::Binomial, p),
+                    CollectivePlan::broadcast(Topology::Binomial, p, 0),
                 ],
                 _ => vec![CollectivePlan::exchange(p)],
             };
@@ -237,12 +230,7 @@ fn zoo_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TrainConfig;
     use gtopk_comm::{Cluster, CostModel};
-
-    fn step_for(alg: Algorithm) -> Aggregator {
-        Aggregator::new(alg, Topology::Binomial)
-    }
 
     fn worker_grad(r: usize, dim: usize) -> Vec<f32> {
         (0..dim)
@@ -257,7 +245,7 @@ mod tests {
 
     fn run_algorithm(alg: Algorithm, p: usize, dim: usize, k: usize) -> Vec<(Update, Vec<f32>)> {
         Cluster::new(p, CostModel::zero()).run(move |comm| {
-            let mut agg = step_for(alg);
+            let mut agg = Aggregator::new(alg);
             let members: Vec<usize> = (0..comm.size()).collect();
             let mut residual = Residual::new(dim);
             let update = agg
@@ -286,40 +274,29 @@ mod tests {
 
     #[test]
     fn plan_driven_algorithms_agree_on_every_topology() {
+        // The tree rows over the binomial plan (the one topology) at a
+        // folded P.
         for alg in Algorithm::ALL
             .into_iter()
-            .filter(|alg| alg.row().caps.topology)
+            .filter(|alg| alg.row().collective == Collective::Tree)
         {
-            for topology in Topology::ALL {
-                let out = Cluster::new(5, CostModel::zero()).run(move |comm| {
-                    let mut agg = Aggregator::new(alg, topology);
-                    let members: Vec<usize> = (0..comm.size()).collect();
-                    let mut residual = Residual::new(32);
-                    agg.aggregate(
-                        comm,
-                        &members,
-                        &mut residual,
-                        &worker_grad(comm.rank(), 32),
-                        3,
-                    )
-                    .unwrap()
-                });
-                for u in &out {
-                    assert_eq!(u, &out[0], "{} over {topology}", alg.name());
-                }
+            let out = Cluster::new(5, CostModel::zero()).run(move |comm| {
+                let mut agg = Aggregator::new(alg);
+                let members: Vec<usize> = (0..comm.size()).collect();
+                let mut residual = Residual::new(32);
+                agg.aggregate(
+                    comm,
+                    &members,
+                    &mut residual,
+                    &worker_grad(comm.rank(), 32),
+                    3,
+                )
+                .unwrap()
+            });
+            for u in &out {
+                assert_eq!(u, &out[0], "{}", alg.name());
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "fixed schedule")]
-    fn fixed_schedule_algorithms_reject_other_topologies() {
-        // Construction takes any pairing; legality is the validator's call.
-        TrainConfig::convergence(4, 8, 1, 0.1, 0.05)
-            .with_algorithm(Algorithm::Dense)
-            .with_topology(Topology::Ring)
-            .validate()
-            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     #[test]
@@ -381,7 +358,7 @@ mod tests {
         let p = 4;
         let dim = 16;
         let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-            let mut agg = step_for(Algorithm::GTopK);
+            let mut agg = Aggregator::new(Algorithm::GTopK);
             let members: Vec<usize> = (0..comm.size()).collect();
             let mut residual = Residual::new(dim);
             let mut g = vec![0.0f32; dim];
@@ -438,7 +415,7 @@ mod tests {
         let dim = 32usize;
         let k = 2usize;
         let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-            let mut agg = step_for(Algorithm::GTopKFeedback);
+            let mut agg = Aggregator::new(Algorithm::GTopKFeedback);
             let members: Vec<usize> = (0..comm.size()).collect();
             let mut residual = Residual::new(dim);
             let r = comm.rank() as u32;
@@ -486,7 +463,7 @@ mod tests {
         let p = 4usize;
         let dim = 8usize;
         let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-            let mut agg = step_for(Algorithm::GTopK);
+            let mut agg = Aggregator::new(Algorithm::GTopK);
             let members: Vec<usize> = (0..comm.size()).collect();
             let mut residual = Residual::new(dim);
             let mut g = vec![0.0f32; dim];
@@ -524,12 +501,12 @@ mod tests {
         assert_eq!(Algorithm::GTopK.name(), "gTop-k");
         assert_eq!(Algorithm::OkTopk.name(), "Ok-Topk");
         assert_eq!(Algorithm::SparDl.name(), "SparDL");
-        let takes_topology = |alg: Algorithm| alg.row().caps.topology;
-        assert!(takes_topology(Algorithm::GTopK));
-        assert!(!takes_topology(Algorithm::Dense));
-        assert!(!takes_topology(Algorithm::NaiveGTopK));
-        assert!(!takes_topology(Algorithm::OkTopk));
-        assert!(!takes_topology(Algorithm::SparDl));
+        let recovers = |alg: Algorithm| alg.row().caps.recovery;
+        assert!(recovers(Algorithm::GTopK));
+        assert!(!recovers(Algorithm::Dense));
+        assert!(!recovers(Algorithm::NaiveGTopK));
+        assert!(!recovers(Algorithm::OkTopk));
+        assert!(!recovers(Algorithm::SparDl));
     }
 
     #[test]
@@ -544,7 +521,7 @@ mod tests {
             let dim = 32usize;
             let k = 4usize;
             let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-                let mut agg = step_for(alg);
+                let mut agg = Aggregator::new(alg);
                 let members: Vec<usize> = (0..comm.size()).collect();
                 let mut residual = Residual::new(dim);
                 let g = worker_grad(comm.rank(), dim);

@@ -12,7 +12,6 @@
 //! [`capability_table`] prints the same table for `gtopk info`.
 
 use crate::TrainConfig;
-use gtopk_comm::Topology;
 use gtopk_perfmodel::ZooSchedule;
 use std::fmt;
 
@@ -61,7 +60,7 @@ pub enum Collective {
     /// (Algorithm 2).
     SparseSumThenSelect,
     /// gTopKAllReduce (Algorithm 3): a `⊤`-reduction and broadcast
-    /// executed as plans over the configured [`Topology`].
+    /// executed as binomial-tree plans.
     Tree,
     /// A budget-padded split/gather schedule over the binomial exchange
     /// plans.
@@ -93,7 +92,7 @@ impl Collective {
             Collective::DenseRing => "dense ring",
             Collective::SparseSum => "sparse sum",
             Collective::SparseSumThenSelect => "sparse sum, then select",
-            Collective::Tree => "tree(topology)",
+            Collective::Tree => "binomial tree",
             Collective::Zoo(ZooKind::OkTopk) => "zoo(ok-topk)",
             Collective::Zoo(ZooKind::SparDl) => "zoo(spardl)",
         }
@@ -135,15 +134,13 @@ impl Rejects {
 }
 
 /// Which configurations a row may run in. Every row runs at full
-/// membership on the binomial topology with no recovery policy, over one
-/// overlap bucket or several.
+/// membership with no recovery policy, over one overlap bucket or
+/// several.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Caps {
     /// The collective runs over a member *subset* (plans regenerate over
     /// the survivors); the others have fixed full-cluster schedules.
     pub member_subset: bool,
-    /// Accepts a non-binomial plan [`Topology`].
-    pub topology: bool,
     /// Checkpoint/rollback recovery: fault plans and checkpoint dirs.
     pub recovery: bool,
 }
@@ -159,11 +156,10 @@ pub struct Row {
     pub caps: Caps,
 }
 
-const fn caps(bits: [bool; 3]) -> Caps {
+const fn caps(bits: [bool; 2]) -> Caps {
     Caps {
         member_subset: bits[0],
-        topology: bits[1],
-        recovery: bits[2],
+        recovery: bits[1],
     }
 }
 
@@ -205,15 +201,15 @@ impl Algorithm {
         const N: bool = false;
         #[rustfmt::skip]
         let (collective, rejects, caps) = match self {
-            // caps: [member_subset, topology, recovery]
-            Algorithm::Dense          => (DenseRing,            R::None,                   caps([N, N, N])),
-            Algorithm::TopK           => (SparseSum,            R::None,                   caps([N, N, N])),
-            Algorithm::GTopK          => (Tree,                 R::PutBackOwn,             caps([Y, Y, Y])),
-            Algorithm::NaiveGTopK     => (SparseSumThenSelect,  R::PutBackOwn,             caps([N, N, N])),
-            Algorithm::GTopKFeedback  => (Tree,                 R::PutBackOwnAndWitnessed, caps([Y, Y, Y])),
-            Algorithm::GTopKNoPutback => (Tree,                 R::Drop,                   caps([Y, Y, N])),
-            Algorithm::OkTopk         => (Zoo(ZooKind::OkTopk), R::Witnessed,              caps([Y, N, N])),
-            Algorithm::SparDl         => (Zoo(ZooKind::SparDl), R::Witnessed,              caps([Y, N, N])),
+            // caps: [member_subset, recovery]
+            Algorithm::Dense          => (DenseRing,            R::None,                   caps([N, N])),
+            Algorithm::TopK           => (SparseSum,            R::None,                   caps([N, N])),
+            Algorithm::GTopK          => (Tree,                 R::PutBackOwn,             caps([Y, Y])),
+            Algorithm::NaiveGTopK     => (SparseSumThenSelect,  R::PutBackOwn,             caps([N, N])),
+            Algorithm::GTopKFeedback  => (Tree,                 R::PutBackOwnAndWitnessed, caps([Y, Y])),
+            Algorithm::GTopKNoPutback => (Tree,                 R::Drop,                   caps([Y, N])),
+            Algorithm::OkTopk         => (Zoo(ZooKind::OkTopk), R::Witnessed,              caps([Y, N])),
+            Algorithm::SparDl         => (Zoo(ZooKind::SparDl), R::Witnessed,              caps([Y, N])),
         };
         Row {
             collective,
@@ -223,8 +219,6 @@ impl Algorithm {
     }
 }
 
-const WHY_TOPOLOGY: &str = "the row's collective runs a fixed schedule; only rows with the \
-     `topology` capability execute a plan topology";
 const WHY_RECOVERY: &str = "checkpoint/rollback recovery (fault plans, checkpoint dirs) covers \
      only rows with the `recovery` capability";
 const WHY_REJOIN: &str = "a restarted rank of a multi-rank run rejoins through the recovery \
@@ -235,8 +229,8 @@ const WHY_REJOIN: &str = "a restarted rank of a multi-rank run rejoins through t
 /// table and the same reasons the validator reports.
 pub fn capability_table() -> String {
     let mut out = format!(
-        "{:20}{:25}{:26}{:8}{:10}{}\n",
-        "algorithm", "collective", "rejects", "subset", "topology", "recovery"
+        "{:20}{:25}{:26}{:8}{}\n",
+        "algorithm", "collective", "rejects", "subset", "recovery"
     );
     let mark = |cap: bool| if cap { "yes" } else { "-" };
     for alg in Algorithm::ALL {
@@ -246,21 +240,16 @@ pub fn capability_table() -> String {
             caps,
         } = alg.row();
         out.push_str(&format!(
-            "{:20}{:25}{:26}{:8}{:10}{}\n",
+            "{:20}{:25}{:26}{:8}{}\n",
             alg.name(),
             collective.label(),
             rejects.label(),
             mark(caps.member_subset),
-            mark(caps.topology),
             mark(caps.recovery),
         ));
     }
-    out.push_str(
-        "every row runs, with or without overlap, on the binomial topology without recovery; \
-         beyond that:\n",
-    );
+    out.push_str("every row runs, with or without overlap, without recovery; beyond that:\n");
     for (setting, why) in [
-        ("non-binomial topology", WHY_TOPOLOGY),
         ("fault plan / checkpoint dir", WHY_RECOVERY),
         ("checkpoint dir, workers > 1", WHY_REJOIN),
     ] {
@@ -295,8 +284,9 @@ impl std::error::Error for ConfigError {}
 
 impl TrainConfig {
     /// Checks the configuration against the capability table — the one
-    /// place a combination of algorithm, topology and recovery policy is ruled legal or not. [`crate::train_distributed`]
-    /// and [`crate::train_rank`] call it up front.
+    /// place a combination of algorithm and recovery policy is ruled
+    /// legal or not. [`crate::train_distributed`] and
+    /// [`crate::train_rank`] call it up front.
     ///
     /// # Errors
     ///
@@ -311,13 +301,9 @@ impl TrainConfig {
             })
         };
         let algorithm = || format!("algorithm {}", self.algorithm.name());
-        let topology = || format!("topology {}", self.topology.name());
         let fault_plan = || "fault plan".to_string();
         let checkpoint_dir = || "checkpoint_dir".to_string();
 
-        if self.topology != Topology::Binomial && !caps.topology {
-            return refuse(algorithm(), topology(), WHY_TOPOLOGY);
-        }
         if self.checkpoint_dir.is_some() {
             if !caps.recovery {
                 return refuse(algorithm(), checkpoint_dir(), WHY_RECOVERY);
@@ -357,11 +343,10 @@ mod tests {
                 caps,
             } = alg.row();
             assert!(serves(collective, rejects), "{}", alg.name());
-            // Only plan executions regenerate over survivors or take a
-            // topology; recovery shrinks the membership.
+            // Only plan executions regenerate over survivors; recovery
+            // shrinks the membership.
             let plan_driven = matches!(collective, Collective::Tree | Collective::Zoo(_));
             assert_eq!(caps.member_subset, plan_driven, "{}", alg.name());
-            assert!(!caps.topology || collective == Collective::Tree);
             assert!(!caps.recovery || caps.member_subset);
         }
     }
@@ -372,6 +357,6 @@ mod tests {
         for alg in Algorithm::ALL {
             assert!(table.contains(alg.name()), "{table}");
         }
-        assert!(table.contains(WHY_REJOIN) && table.contains(WHY_TOPOLOGY));
+        assert!(table.contains(WHY_REJOIN) && table.contains(WHY_RECOVERY));
     }
 }

@@ -25,14 +25,17 @@
 //!    epoch, purges traffic of the revoked epoch, rolls its training
 //!    state back to the agreed checkpoint, and resumes with the
 //!    collective *plan regenerated over the survivor positions* (the
-//!    same [`Topology`] generator, a smaller position→rank mapping — no
+//!    same binomial generator, a smaller position→rank mapping — no
 //!    bespoke tree surgery) and gradient averaging rescaled to the live
 //!    member count.
 //!
 //! Collective tags are epoch-stamped (`tag + epoch ·
-//! [`EPOCH_TAG_STRIDE`]`), so traffic from before a recovery can never
-//! alias a post-recovery receive; at epoch 0 the offset is zero and the
-//! message schedule is bit-identical to the fault-free collectives.
+//! [`EPOCH_TAG_STRIDE`]`, see [`epoch_tag_offset`]) by the member-set
+//! collectives themselves ([`crate::gtopk_all_reduce_over`],
+//! [`crate::sparse_zoo_all_reduce_over`]), so traffic from before a
+//! recovery can never alias a post-recovery receive; at epoch 0 the
+//! offset is zero and the message schedule is bit-identical to the
+//! fault-free collectives.
 //!
 //! A live rank that the coordinator times out on is *expelled*: it is not
 //! told the new membership, every candidate walk it attempts dies, and it
@@ -58,9 +61,7 @@
 //! with [`Message::JOIN_WELCOME_TAG`] carrying the new epoch, the
 //! rollback iteration, and the full member list.
 
-use crate::gtopk_allreduce::{gtopk_all_reduce_over, tree_all_reduce};
-use gtopk_comm::{CommError, Communicator, Message, Payload, Result, Topology};
-use gtopk_sparse::{Mask, SparseVec};
+use gtopk_comm::{CommError, Communicator, Message, Payload, Result};
 use std::time::Duration;
 
 /// Emits a recovery-protocol trace line on stderr when `GTOPK_FT_TRACE`
@@ -110,48 +111,6 @@ pub fn epoch_tag_offset(epoch: u64) -> u32 {
         "too many membership epochs for the tag space"
     );
     off as u32
-}
-
-/// Membership-aware, epoch-stamped gTopKAllReduce: [Algorithm 3] over
-/// the `topology`-shaped plan regenerated on `members` (sorted, must
-/// contain the caller). With the full membership at epoch 0 and the
-/// binomial topology this is identical to [`crate::gtopk_all_reduce`].
-///
-/// # Errors
-///
-/// Propagates transport errors — including [`CommError::Disconnected`] /
-/// [`CommError::Aborted`] when a member failed, which the caller should
-/// answer with [`recover`].
-pub fn ft_gtopk_all_reduce(
-    comm: &mut Communicator,
-    members: &[usize],
-    local: SparseVec,
-    k: usize,
-    topology: Topology,
-) -> Result<(SparseVec, Mask)> {
-    let off = epoch_tag_offset(comm.epoch());
-    let (global, _) = tree_all_reduce(comm, members, local, k, off, topology, false)?;
-    let mask = Mask::of_sparse(&global);
-    Ok((global, mask))
-}
-
-/// Membership-aware, epoch-stamped variant of
-/// [`crate::gtopk_all_reduce_with_feedback`]: additionally returns the
-/// entries this rank's tree merges truncated away, so error feedback
-/// stays exact across a shrink-and-continue membership change.
-///
-/// # Errors
-///
-/// As for [`ft_gtopk_all_reduce`].
-pub fn ft_gtopk_all_reduce_with_feedback(
-    comm: &mut Communicator,
-    members: &[usize],
-    local: SparseVec,
-    k: usize,
-    topology: Topology,
-) -> Result<(SparseVec, Mask, SparseVec)> {
-    let off = epoch_tag_offset(comm.epoch());
-    gtopk_all_reduce_over(comm, members, local, k, off, topology)
 }
 
 /// The outcome of a survivor-agreement round.
@@ -462,6 +421,7 @@ fn agree_survivors(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gtopk_all_reduce_over;
     use gtopk_comm::{Cluster, CostModel, FaultPlan};
     use gtopk_sparse::topk_sparse;
 
@@ -485,11 +445,10 @@ mod tests {
                 let g = worker_grad(comm.rank(), 64, 7);
                 let local = topk_sparse(&g, 4);
                 let plain = crate::gtopk_all_reduce(comm, local.clone(), 4).unwrap();
-                let ft =
-                    ft_gtopk_all_reduce(comm, members_ref, local, 4, Topology::Binomial).unwrap();
+                let ft = gtopk_all_reduce_over(comm, members_ref, local, 4).unwrap();
                 (plain, ft)
             });
-            for ((pv, pm), (fv, fm)) in out {
+            for ((pv, pm), (fv, fm, _)) in out {
                 assert_eq!(pv, fv, "P={p}");
                 assert_eq!(pm, fm);
             }
@@ -499,26 +458,23 @@ mod tests {
     #[test]
     fn ft_allreduce_over_a_shrunk_membership() {
         // 5 ranks, rank 2 "dead" (never participates): the other four run
-        // the collective over the shrunk member set and agree — for every
-        // plan topology.
-        for topo in Topology::ALL {
-            let members = vec![0usize, 1, 3, 4];
-            let members_ref = &members;
-            let out = Cluster::new(5, CostModel::zero()).run(move |comm| {
-                if comm.rank() == 2 {
-                    return None;
-                }
-                let g = worker_grad(comm.rank(), 64, 3);
-                let local = topk_sparse(&g, 4);
-                Some(ft_gtopk_all_reduce(comm, members_ref, local, 4, topo).unwrap())
-            });
-            let (first, _) = out[0].clone().unwrap();
-            assert!(first.nnz() <= 4 && first.nnz() > 0);
-            for (r, o) in out.iter().enumerate() {
-                match o {
-                    None => assert_eq!(r, 2),
-                    Some((v, _)) => assert_eq!(v, &first, "{} rank {r}", topo.name()),
-                }
+        // the collective over the shrunk member set and agree.
+        let members = vec![0usize, 1, 3, 4];
+        let members_ref = &members;
+        let out = Cluster::new(5, CostModel::zero()).run(move |comm| {
+            if comm.rank() == 2 {
+                return None;
+            }
+            let g = worker_grad(comm.rank(), 64, 3);
+            let local = topk_sparse(&g, 4);
+            Some(gtopk_all_reduce_over(comm, members_ref, local, 4).unwrap())
+        });
+        let (first, _, _) = out[0].clone().unwrap();
+        assert!(first.nnz() <= 4 && first.nnz() > 0);
+        for (r, o) in out.iter().enumerate() {
+            match o {
+                None => assert_eq!(r, 2),
+                Some((v, _, _)) => assert_eq!(v, &first, "rank {r}"),
             }
         }
     }
@@ -531,24 +487,10 @@ mod tests {
         let members_ref = &members;
         let out = Cluster::new(4, CostModel::zero()).run(move |comm| {
             let g0 = worker_grad(comm.rank(), 32, 1);
-            let r0 = ft_gtopk_all_reduce(
-                comm,
-                members_ref,
-                topk_sparse(&g0, 3),
-                3,
-                Topology::Binomial,
-            )
-            .unwrap();
+            let r0 = gtopk_all_reduce_over(comm, members_ref, topk_sparse(&g0, 3), 3).unwrap();
             comm.set_epoch(1);
             let g1 = worker_grad(comm.rank(), 32, 2);
-            let r1 = ft_gtopk_all_reduce(
-                comm,
-                members_ref,
-                topk_sparse(&g1, 3),
-                3,
-                Topology::Binomial,
-            )
-            .unwrap();
+            let r1 = gtopk_all_reduce_over(comm, members_ref, topk_sparse(&g1, 3), 3).unwrap();
             (r0, r1)
         });
         for (r0, r1) in &out {
@@ -572,7 +514,7 @@ mod tests {
                 let members: Vec<usize> = (0..4).collect();
                 let g = worker_grad(comm.rank(), 32, 1);
                 let local = topk_sparse(&g, 3);
-                let err = ft_gtopk_all_reduce(comm, &members, local, 3, Topology::Binomial)
+                let err = gtopk_all_reduce_over(comm, &members, local, 3)
                     .expect_err("collective over a dead member must fail");
                 assert!(
                     matches!(
@@ -610,7 +552,7 @@ mod tests {
                 let members: Vec<usize> = (0..4).collect();
                 let g = worker_grad(comm.rank(), 32, 2);
                 let local = topk_sparse(&g, 3);
-                ft_gtopk_all_reduce(comm, &members, local, 3, Topology::Binomial)
+                gtopk_all_reduce_over(comm, &members, local, 3)
                     .expect_err("collective over a dead member must fail");
                 Some(recover(comm, &members, 7, 7, &[]).unwrap())
             });
@@ -654,9 +596,7 @@ mod tests {
                 assert_eq!(rollback, 40);
                 assert_eq!(members, vec![0, 1, 2, 3, 4]);
                 let g = worker_grad(4, 32, 9);
-                let sum =
-                    ft_gtopk_all_reduce(comm, &members, topk_sparse(&g, 3), 3, Topology::Binomial)
-                        .unwrap();
+                let sum = gtopk_all_reduce_over(comm, &members, topk_sparse(&g, 3), 3).unwrap();
                 return (members, rollback, sum.0);
             }
             // Member side: wait until the join request is visible (as the
@@ -676,14 +616,7 @@ mod tests {
             assert_eq!(rec.coordinator, 0);
             assert_eq!(rec.joined, vec![4]);
             let g = worker_grad(comm.rank(), 32, 9);
-            let sum = ft_gtopk_all_reduce(
-                comm,
-                &rec.members,
-                topk_sparse(&g, 3),
-                3,
-                Topology::Binomial,
-            )
-            .unwrap();
+            let sum = gtopk_all_reduce_over(comm, &rec.members, topk_sparse(&g, 3), 3).unwrap();
             (rec.members, rec.rollback_iter, sum.0)
         });
         for (members, rollback, sum) in &out {
@@ -696,8 +629,8 @@ mod tests {
     #[test]
     fn collective_works_after_recovery() {
         // End-to-end shrink-and-continue at the collective level: fail,
-        // recover, and run the next epoch-stamped collectives over the
-        // survivors — regenerating the plan for every topology.
+        // recover, and run the next epoch-stamped collective over the
+        // survivors on the regenerated plan.
         let out = Cluster::new(4, CostModel::zero())
             .with_fault_plan(FaultPlan::seeded(8).with_crash(2, 0))
             .run(|comm| {
@@ -707,30 +640,20 @@ mod tests {
                 let members: Vec<usize> = (0..4).collect();
                 let g = worker_grad(comm.rank(), 48, 4);
                 let local = topk_sparse(&g, 4);
-                ft_gtopk_all_reduce(comm, &members, local.clone(), 4, Topology::Binomial)
+                gtopk_all_reduce_over(comm, &members, local.clone(), 4)
                     .expect_err("must fail with rank 2 dead");
                 let rec = recover(comm, &members, 0, 0, &[]).unwrap();
                 assert_eq!(rec.members, vec![0, 1, 3]);
                 assert_eq!(rec.coordinator, 0);
                 assert!(rec.joined.is_empty());
-                let results: Vec<_> = Topology::ALL
-                    .iter()
-                    .map(|&topo| {
-                        ft_gtopk_all_reduce(comm, &rec.members, local.clone(), 4, topo).unwrap()
-                    })
-                    .collect();
-                Some(results)
+                Some(gtopk_all_reduce_over(comm, &rec.members, local, 4).unwrap())
             });
-        let first = out[0].clone().unwrap();
-        assert!(first.iter().all(|(v, _)| v.nnz() > 0));
+        let (first, _, _) = out[0].clone().unwrap();
+        assert!(first.nnz() > 0);
         for (r, o) in out.iter().enumerate() {
             match o {
                 None => assert_eq!(r, 2),
-                Some(results) => {
-                    for (t, ((v, _), (fv, _))) in results.iter().zip(first.iter()).enumerate() {
-                        assert_eq!(v, fv, "topology {t} rank {r}");
-                    }
-                }
+                Some((v, _, _)) => assert_eq!(v, &first, "rank {r}"),
             }
         }
     }

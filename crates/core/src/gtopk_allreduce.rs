@@ -2,11 +2,11 @@
 //! reference, Algorithm 2.
 //!
 //! The reduction and broadcast phases are plan executions: the schedule
-//! comes from [`CollectivePlan::reduce`] / [`CollectivePlan::broadcast`]
-//! for a chosen [`Topology`], so the same algorithm runs over the
-//! paper's binomial tree, a two-level hierarchy, or a chain ring — and
-//! fault-tolerant callers regenerate the plan over the survivor set.
+//! is the paper's binomial tree from [`CollectivePlan::reduce`] /
+//! [`CollectivePlan::broadcast`], generated over positions, so
+//! fault-tolerant callers regenerate it over the survivor set.
 
+use crate::ft::epoch_tag_offset;
 use crate::sparse_coll::{sparse_broadcast_over, sparse_sum_recursive_doubling};
 use gtopk_comm::{
     execute_plan, CollectivePlan, Communicator, Message, Payload, PlanOps, Result, Topology,
@@ -15,8 +15,8 @@ use gtopk_sparse::{
     topk_merge_into, topk_merge_split_into, topk_sparse, Mask, MergeScratch, SparseVec,
 };
 
-/// Tree-reduction plan tag window (one tag per round; fault-tolerant
-/// callers add the epoch offset).
+/// Tree-reduction plan tag window (one tag per round, plus the epoch
+/// offset).
 const TAG_TREE: u32 = Message::COLLECTIVE_TAG_BASE + 256;
 
 /// gTopKAllReduce (paper **Algorithm 3**).
@@ -47,25 +47,8 @@ pub fn gtopk_all_reduce(
     local: SparseVec,
     k: usize,
 ) -> Result<(SparseVec, Mask)> {
-    gtopk_all_reduce_topo(comm, local, k, Topology::Binomial)
-}
-
-/// [`gtopk_all_reduce`] over an explicit plan [`Topology`] — binomial
-/// tree (the paper's shape), two-level hierarchy, or chain ring. All
-/// topologies return the same set-consistent global top-k on every rank;
-/// the schedule (and therefore the α-β cost) is what changes.
-///
-/// # Errors
-///
-/// Propagates transport errors.
-pub fn gtopk_all_reduce_topo(
-    comm: &mut Communicator,
-    local: SparseVec,
-    k: usize,
-    topology: Topology,
-) -> Result<(SparseVec, Mask)> {
     let members: Vec<usize> = (0..comm.size()).collect();
-    let (global, _) = tree_all_reduce(comm, &members, local, k, 0, topology, false)?;
+    let (global, _) = tree_all_reduce(comm, &members, local, k, false)?;
     let mask = Mask::of_sparse(&global);
     Ok((global, mask))
 }
@@ -93,24 +76,27 @@ pub fn gtopk_all_reduce_with_feedback(
     // other branch and globally selected are *partially* represented in
     // the result; we still return them so no mass is dropped — the update
     // under-counted them.)
-    gtopk_all_reduce_over(comm, &members, local, k, 0, Topology::Binomial)
+    gtopk_all_reduce_over(comm, &members, local, k)
 }
 
-/// The general gTopKAllReduce with rejection feedback:
-/// membership-aware, tag-offsettable, topology-parameterized. Runs the
-/// `⊤`-reduction plan over `members` (a sorted subset of ranks that must
-/// include the caller), then the matching broadcast plan from the
-/// reduction's root position. Returns `(global top-k, mask, this rank's
-/// merge rejects)`.
+/// The general gTopKAllReduce with rejection feedback: membership-aware
+/// and epoch-stamped. Runs the `⊤`-reduction plan over `members` (a
+/// sorted subset of ranks that must include the caller), then the
+/// broadcast plan from the reduction's root, in the tag window of the
+/// communicator's membership epoch ([`epoch_tag_offset`]). Returns
+/// `(global top-k, mask, this rank's merge rejects)`. With the full
+/// membership at epoch 0 the global is [`gtopk_all_reduce`]'s.
 ///
-/// [`gtopk_all_reduce_with_feedback`] and the epoch-stamped
-/// fault-tolerant wrappers in [`crate::ft`] funnel through here, so a
+/// [`gtopk_all_reduce_with_feedback`] funnels through here, so a
 /// shrink-and-continue recovery is literally "regenerate the plan over
 /// the survivors".
 ///
 /// # Errors
 ///
-/// Propagates transport errors.
+/// Propagates transport errors — including
+/// [`CommError::Disconnected`](gtopk_comm::CommError::Disconnected) /
+/// [`CommError::Aborted`](gtopk_comm::CommError::Aborted) when a member
+/// failed, which the caller should answer with [`crate::ft::recover`].
 ///
 /// # Panics
 ///
@@ -120,19 +106,17 @@ pub fn gtopk_all_reduce_over(
     members: &[usize],
     local: SparseVec,
     k: usize,
-    tag_off: u32,
-    topology: Topology,
 ) -> Result<(SparseVec, Mask, SparseVec)> {
-    let (global, rejected) = tree_all_reduce(comm, members, local, k, tag_off, topology, true)?;
+    let (global, rejected) = tree_all_reduce(comm, members, local, k, true)?;
     let mask = Mask::of_sparse(&global);
     Ok((global, mask, rejected.expect("witnessed on request")))
 }
 
 /// The one gTopKAllReduce every entry point runs: the `⊤`-reduction plan
-/// over `members`, then the broadcast from the reduction's root. Returns
-/// the global top-k and — only when `witness` asks for them — the entries
-/// this rank's merges truncated, summed over its rounds; without
-/// `witness` every merge is the reject-free `⊤`.
+/// over `members`, then the broadcast from the reduction's root, both
+/// epoch-stamped. Returns the global top-k and — only when `witness` asks
+/// for them — the entries this rank's merges truncated, summed over its
+/// rounds; without `witness` every merge is the reject-free `⊤`.
 ///
 /// # Errors
 ///
@@ -146,23 +130,19 @@ pub(crate) fn tree_all_reduce(
     members: &[usize],
     local: SparseVec,
     k: usize,
-    tag_off: u32,
-    topology: Topology,
     witness: bool,
 ) -> Result<(SparseVec, Option<SparseVec>)> {
-    let (global, rejected) = tree_reduce_over(comm, members, local, k, tag_off, topology, witness)?;
-    let root = members[topology.reduce_root(members.len())];
-    let global = sparse_broadcast_over(comm, members, global, root, tag_off, topology)?;
+    let (global, rejected) = tree_reduce_over(comm, members, local, k, witness)?;
+    let global = sparse_broadcast_over(comm, members, global, members[0])?;
     Ok((global, rejected))
 }
 
 /// The plan-driven tree-reduction phase: the reduce plan's root position
 /// ends with the pairwise `⊤` combination of every member's
 /// contribution; with `witness`, every rank also accumulates the entries
-/// its own merges rejected. `tag_off` shifts the collective tag window
-/// (fault-tolerant callers stamp the membership epoch into it); with the
-/// full membership, `tag_off == 0` and the binomial topology the message
-/// schedule is bit-identical to the historical fixed-topology reduction.
+/// its own merges rejected. The tag window is the membership epoch's, so
+/// at epoch 0 over the full membership the message schedule is the
+/// plain binomial reduction's.
 ///
 /// # Panics
 ///
@@ -172,8 +152,6 @@ fn tree_reduce_over(
     members: &[usize],
     local: SparseVec,
     k: usize,
-    tag_off: u32,
-    topology: Topology,
     witness: bool,
 ) -> Result<(SparseVec, Option<SparseVec>)> {
     let p = members.len();
@@ -247,15 +225,9 @@ fn tree_reduce_over(
         let empty = SparseVec::empty(dim);
         ops.merge_in(&empty);
     }
-    let plan = CollectivePlan::reduce(topology, p);
-    execute_plan(
-        comm,
-        &plan,
-        me,
-        TAG_TREE + tag_off,
-        |pos| members[pos],
-        &mut ops,
-    )?;
+    let plan = CollectivePlan::reduce(Topology::Binomial, p);
+    let tag_base = TAG_TREE + epoch_tag_offset(comm.epoch());
+    execute_plan(comm, &plan, me, tag_base, |pos| members[pos], &mut ops)?;
     comm.pool().put_scratch(ops.scratch);
     comm.pool().put_sparse(ops.merged);
     let rejected = ops.witnessed.map(|rej| {

@@ -72,12 +72,9 @@ pub use capability::{
     capability_table, Algorithm, Caps, Collective, ConfigError, Rejects, Row, ZooKind,
 };
 pub use ckpt::{CheckpointStore, CkptError, DurableCheckpoint};
-pub use ft::{
-    ft_gtopk_all_reduce, ft_gtopk_all_reduce_with_feedback, recover, Recovery, EPOCH_TAG_STRIDE,
-};
+pub use ft::{recover, Recovery, EPOCH_TAG_STRIDE};
 pub use gtopk_allreduce::{
-    gtopk_all_reduce, gtopk_all_reduce_over, gtopk_all_reduce_topo, gtopk_all_reduce_with_feedback,
-    naive_gtopk_all_reduce,
+    gtopk_all_reduce, gtopk_all_reduce_over, gtopk_all_reduce_with_feedback, naive_gtopk_all_reduce,
 };
 pub use gtopk_comm::{LinkStats, Topology};
 pub use metrics::{EpochRecord, TimingBreakdown, TrainReport};
@@ -85,7 +82,7 @@ pub use overlap::{BucketSpec, ComputeCost, OverlapConfig, OverlapEngine, Overlap
 pub use schedule::{DensitySchedule, LrSchedule};
 pub use selector::{Selector, SelectorState};
 pub use sparse_coll::{
-    ok_topk_all_reduce, spardl_all_reduce, sparse_broadcast, sparse_sum_recursive_doubling,
+    ok_topk_all_reduce, spardl_all_reduce, sparse_sum_recursive_doubling,
     sparse_zoo_all_reduce_over,
 };
 pub use trainer::{check_resume, train_distributed, train_rank, ResumeMismatch, TrainConfig};

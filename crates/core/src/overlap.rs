@@ -15,7 +15,7 @@
 //! starts at `max(ready, channel_free)`. The engine carries a
 //! [`PlanClock`] twin that replays each bucket's collective plans on the
 //! analytic α-β clock, so the executed timeline is verifiable *exactly*,
-//! for any worker count and topology (the two sparse sums excepted: their
+//! for any worker count (the two sparse sums excepted: their
 //! twin charges the disjoint-support bound). A second twin replays the
 //! one-bucket schedule — the whole backward, then one collective over the
 //! whole vector — on the same clock: the serial baseline the overlap is
@@ -73,9 +73,9 @@ pub enum BucketSpec {
     PerLayer,
 }
 
-/// Configuration of the executed overlap engine. (The collective and its
-/// plan topology are the training configuration's: the engine runs the
-/// configured step per bucket.)
+/// Configuration of the executed overlap engine. (The collective is the
+/// training configuration's: the engine runs the configured step per
+/// bucket.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OverlapConfig {
     /// Bucket partition of the flat gradient.
@@ -118,8 +118,7 @@ pub struct OverlapStats {
     /// Sum of the plan-clock twin's predicted iteration spans, ms. The
     /// twin ([`gtopk_perfmodel::PlanClock`]) replays the exact collective
     /// plans on the analytic α-β clock, so this matches the executed
-    /// span for **every** worker count and topology, not just powers of
-    /// two.
+    /// span for **every** worker count, not just powers of two.
     pub analytic_overlapped_ms: f64,
     /// Sum of the *serial* baseline's iteration spans, ms: the plan-clock
     /// replay of the one-bucket schedule (full backward, then one
@@ -129,7 +128,7 @@ pub struct OverlapStats {
     /// Largest single-iteration deviation |executed − analytic|, ms
     /// (recorded only on straggle-free ranks at full membership).
     /// Absent fault injection the plan-clock twin reproduces the
-    /// executed schedule exactly — for any `P`, any topology; armed
+    /// executed schedule exactly — for any `P`; armed
     /// drop/jitter plans legitimately inflate this — retransmits and
     /// jitter are not in the α-β model. Top-k's and the naive gTop-k's
     /// twin charges the sparse sum's disjoint-support bound
@@ -578,12 +577,8 @@ impl OverlapEngine {
 mod tests {
     use super::*;
     use crate::{Algorithm, TrainConfig};
-    use gtopk_comm::{Cluster, CostModel, Topology};
+    use gtopk_comm::{Cluster, CostModel};
     use gtopk_nn::models;
-
-    fn step_for(alg: Algorithm) -> Aggregator {
-        Aggregator::new(alg, Topology::Binomial)
-    }
 
     #[test]
     fn bucket_ranges_cover_flat_vector_back_to_front() {
@@ -595,7 +590,7 @@ mod tests {
             &segments,
             None,
             CostModel::zero(),
-            step_for(Algorithm::GTopK),
+            Aggregator::new(Algorithm::GTopK),
         );
         assert_eq!(engine.ranges.len(), 2);
         // Backward order: the first bucket ends at the top of the vector.
@@ -619,7 +614,7 @@ mod tests {
             &segments,
             None,
             CostModel::zero(),
-            step_for(Algorithm::GTopK),
+            Aggregator::new(Algorithm::GTopK),
         );
         assert_eq!(engine.ranges.len(), 3);
         // Backward order reverses the segment list.
@@ -703,7 +698,7 @@ mod tests {
                     sparsify_ms: 0.0,
                 }),
                 CostModel::gigabit_ethernet(),
-                Aggregator::new(cfg.algorithm, cfg.topology),
+                Aggregator::new(cfg.algorithm),
             );
             let members: Vec<usize> = (0..comm.size()).collect();
             for it in 0..3u64 {
@@ -787,7 +782,7 @@ mod tests {
                         &[24, 20, 20],
                         None,
                         CostModel::gigabit_ethernet(),
-                        Aggregator::new(cfg.algorithm, cfg.topology),
+                        Aggregator::new(cfg.algorithm),
                     );
                     assert_eq!(engine.stats().buckets, want_buckets, "{what}");
                     let members: Vec<usize> = (0..comm.size()).collect();
@@ -878,23 +873,17 @@ mod tests {
         // The serial baseline replays the one-bucket schedule on the
         // twin's clock, so a one-bucket run is its own baseline and a
         // two-bucket run's baseline is the one-bucket run's twin, bit for
-        // bit — whatever the collective, topology or worker count.
+        // bit — whatever the collective or worker count.
         let base = |p| TrainConfig::convergence(p, 8, 1, 0.1, 0.05);
         let configs = [
             base(3),
             base(5),
-            base(4).with_topology(Topology::Ring),
             base(6).with_algorithm(Algorithm::TopK),
             base(5).with_algorithm(Algorithm::Dense),
             base(4).with_algorithm(Algorithm::SparDl),
         ];
         for cfg in &configs {
-            let what = format!(
-                "{} {:?} P={}",
-                cfg.algorithm.name(),
-                cfg.topology,
-                cfg.workers
-            );
+            let what = format!("{} P={}", cfg.algorithm.name(), cfg.workers);
             let one = run_configured(cfg, &[64]);
             let two = run_configured(cfg, &[24, 40]);
             for (rank, ((_, one, _), (_, two, _))) in one.iter().zip(&two).enumerate() {
@@ -910,18 +899,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "fixed schedule")]
-    fn zoo_overlap_rejects_non_binomial_topologies() {
-        // The zoo schedules are fixed halving/doubling exchanges; the
-        // engine builds over any step, so the validator has to say so.
-        TrainConfig::convergence(4, 8, 1, 0.1, 0.05)
-            .with_algorithm(Algorithm::SparDl)
-            .with_overlap(OverlapConfig::buckets(2))
-            .with_topology(Topology::Ring)
-            .validate()
-            .unwrap_or_else(|e| panic!("{e}"));
     }
 }

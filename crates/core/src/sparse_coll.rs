@@ -5,11 +5,12 @@
 //! so the sparse variants live here, next to the algorithms that need
 //! them. Like their dense cousins they are *plan executions*: the round
 //! schedule comes from [`CollectivePlan`] generators and runs through
-//! [`execute_plan`], so the broadcast tree shape is a [`Topology`]
-//! parameter and fault-tolerant callers rebuild the schedule over
-//! survivors by re-generating the plan with a different position→rank
-//! mapping.
+//! [`execute_plan`], and fault-tolerant callers rebuild the schedule
+//! over survivors by re-generating the plan with a different
+//! position→rank mapping. The collectives that take a member set run in
+//! their membership epoch's tag window ([`epoch_tag_offset`]).
 
+use crate::ft::epoch_tag_offset;
 use gtopk_comm::collectives::largest_power_of_two_leq;
 use gtopk_comm::{
     execute_plan, CollectivePlan, Communicator, Message, Payload, PlanOps, Result, Topology,
@@ -18,47 +19,22 @@ use gtopk_perfmodel::ZooSchedule;
 use gtopk_sparse::{topk_merge_split_into, MergeScratch, SparseVec};
 use std::sync::Arc;
 
-// Plan tag windows (one tag per round). Fault-tolerant callers add the
-// epoch offset (a multiple of `EPOCH_TAG_STRIDE` = 4096), so each window
-// must fit between its base and the next within a 4096-wide epoch.
+// Plan tag windows (one tag per round). The member-set collectives add
+// the epoch offset (a multiple of `EPOCH_TAG_STRIDE` = 4096), so each
+// window must fit between its base and the next within a 4096-wide epoch.
 const TAG_SBCAST: u32 = Message::COLLECTIVE_TAG_BASE + 1536;
 const TAG_SSUM: u32 = Message::COLLECTIVE_TAG_BASE + 1792;
 const TAG_ZOO_SPLIT: u32 = Message::COLLECTIVE_TAG_BASE + 2048;
 const TAG_ZOO_GATHER: u32 = Message::COLLECTIVE_TAG_BASE + 2304;
 
-/// Binomial-tree broadcast of a sparse vector from `root`.
-///
-/// Non-root ranks pass any placeholder (e.g. `SparseVec::empty(dim)`); the
-/// root's vector is returned on every rank. This is the second phase of
-/// gTopKAllReduce (Algorithm 3, line 19), costing
-/// `⌈log₂P⌉·(α + 2kβ)` — the paper's `log(P)α + 2k·log(P)β` term.
-///
-/// # Errors
-///
-/// Propagates transport errors; rejects an invalid root rank.
-pub fn sparse_broadcast(
-    comm: &mut Communicator,
-    local: SparseVec,
-    root: usize,
-) -> Result<SparseVec> {
-    let p = comm.size();
-    if root >= p {
-        return Err(gtopk_comm::CommError::InvalidRank {
-            rank: root,
-            size: p,
-        });
-    }
-    let members: Vec<usize> = (0..p).collect();
-    sparse_broadcast_over(comm, &members, local, root, 0, Topology::Binomial)
-}
-
-/// Membership-aware broadcast over a plan: the `topology`-shaped tree is
-/// built over `members` (a sorted subset of ranks that must include the
-/// caller and `root`), addressing members by position — the
-/// fault-tolerant counterpart of [`sparse_broadcast`]. `tag_off` shifts
-/// the collective tag window (epoch-stamped by fault-tolerant callers);
-/// with the full membership, `tag_off == 0` and the binomial topology the
-/// schedule is bit-identical to the historical fixed-topology broadcast.
+/// Binomial-tree broadcast of a sparse vector from `root` over
+/// `members` (a sorted subset of ranks that must include the caller and
+/// `root`), addressing members by position, in the membership epoch's tag
+/// window. Non-root ranks pass any placeholder (e.g.
+/// `SparseVec::empty(dim)`); the root's vector is returned on every
+/// member. This is the second phase of gTopKAllReduce (Algorithm 3, line
+/// 19), costing `⌈log₂P⌉·(α + 2kβ)` — the paper's `log(P)α + 2k·log(P)β`
+/// term.
 ///
 /// # Errors
 ///
@@ -72,8 +48,6 @@ pub(crate) fn sparse_broadcast_over(
     members: &[usize],
     local: SparseVec,
     root: usize,
-    tag_off: u32,
-    topology: Topology,
 ) -> Result<SparseVec> {
     let p = members.len();
     let me = members
@@ -103,7 +77,7 @@ pub(crate) fn sparse_broadcast_over(
             Ok(())
         }
     }
-    let plan = CollectivePlan::broadcast(topology, p, root_pos);
+    let plan = CollectivePlan::broadcast(Topology::Binomial, p, root_pos);
     let mut ops = BcastOps {
         shared: Arc::new(local),
     };
@@ -111,7 +85,7 @@ pub(crate) fn sparse_broadcast_over(
         comm,
         &plan,
         me,
-        TAG_SBCAST + tag_off,
+        TAG_SBCAST + epoch_tag_offset(comm.epoch()),
         |pos| members[pos],
         &mut ops,
     )?;
@@ -438,7 +412,8 @@ impl PlanOps for ZooOps<'_> {
 
 /// Membership-aware zoo collective: runs the split-and-aggregate phase
 /// and the gather phase of `sched` over `members` (sorted, including the
-/// caller), addressing members by position. Returns the global sparse
+/// caller), addressing members by position, in the membership epoch's
+/// tag window. Returns the global sparse
 /// result — **identical on every member** — together with this rank's
 /// witnessed rejects (entries some budget forced this rank to drop),
 /// which the caller returns to its residual.
@@ -459,7 +434,6 @@ pub fn sparse_zoo_all_reduce_over(
     members: &[usize],
     local: SparseVec,
     sched: &ZooSchedule,
-    tag_off: u32,
 ) -> Result<(SparseVec, SparseVec)> {
     let p = members.len();
     assert_eq!(
@@ -473,6 +447,7 @@ pub fn sparse_zoo_all_reduce_over(
         .expect("caller must be a member of the zoo group");
     let dim = local.dim();
     let p2 = largest_power_of_two_leq(p);
+    let tag_off = epoch_tag_offset(comm.epoch());
     let mut rejects = comm.pool().take_sparse(dim);
     rejects.clear();
     let mut ops = ZooOps {
@@ -537,7 +512,7 @@ pub fn ok_topk_all_reduce(
 ) -> Result<(SparseVec, SparseVec)> {
     let members: Vec<usize> = (0..comm.size()).collect();
     let sched = ZooSchedule::oktopk(members.len(), k);
-    sparse_zoo_all_reduce_over(comm, &members, local, &sched, 0)
+    sparse_zoo_all_reduce_over(comm, &members, local, &sched)
 }
 
 /// SparDL sparse allreduce over the full communicator: Spar-Reduce-
@@ -555,7 +530,7 @@ pub fn spardl_all_reduce(
 ) -> Result<(SparseVec, SparseVec)> {
     let members: Vec<usize> = (0..comm.size()).collect();
     let sched = ZooSchedule::spardl(members.len(), k);
-    sparse_zoo_all_reduce_over(comm, &members, local, &sched, 0)
+    sparse_zoo_all_reduce_over(comm, &members, local, &sched)
 }
 
 #[cfg(test)]
@@ -569,16 +544,23 @@ mod tests {
     fn broadcast_delivers_sparse_everywhere() {
         for &p in SIZES {
             let out = Cluster::new(p, CostModel::zero()).run(|comm| {
+                let members: Vec<usize> = (0..comm.size()).collect();
                 let local = if comm.rank() == 0 {
                     SparseVec::from_pairs(10, vec![(2, 1.5), (7, -3.0)])
                 } else {
                     SparseVec::empty(10)
                 };
-                sparse_broadcast(comm, local, 0).unwrap()
+                let got = sparse_broadcast_over(comm, &members, local, 0).unwrap();
+                // A root outside the membership is refused before any
+                // message moves.
+                let err =
+                    sparse_broadcast_over(comm, &members, SparseVec::empty(10), p).unwrap_err();
+                (got, err)
             });
-            for v in out {
+            for (v, err) in out {
                 assert_eq!(v.indices(), &[2, 7], "P={p}");
                 assert_eq!(v.values(), &[1.5, -3.0]);
+                assert_eq!(err, gtopk_comm::CommError::InvalidRank { rank: p, size: p });
             }
         }
     }
@@ -637,8 +619,7 @@ mod tests {
                     let members: Vec<usize> = (0..comm.size()).collect();
                     let sched = sched_of(comm.size(), k);
                     let (global, rejects) =
-                        sparse_zoo_all_reduce_over(comm, &members, local.clone(), &sched, 0)
-                            .unwrap();
+                        sparse_zoo_all_reduce_over(comm, &members, local.clone(), &sched).unwrap();
                     (local, global, rejects)
                 });
                 let first = &out[0].1;
@@ -714,7 +695,7 @@ mod tests {
                         }
                         let local = SparseVec::from_pairs(256, dedup);
                         let members: Vec<usize> = (0..comm.size()).collect();
-                        sparse_zoo_all_reduce_over(comm, &members, local, &sched, 0).unwrap();
+                        sparse_zoo_all_reduce_over(comm, &members, local, &sched).unwrap();
                         (comm.stats().elems_sent, comm.now_ms())
                     })
                 };
@@ -737,7 +718,7 @@ mod tests {
                     let sched = sched_of(comm.size(), k);
                     let local = SparseVec::from_pairs(128, vec![(comm.rank() as u32, 1.0)]);
                     let members: Vec<usize> = (0..comm.size()).collect();
-                    sparse_zoo_all_reduce_over(comm, &members, local, &sched, 0).unwrap();
+                    sparse_zoo_all_reduce_over(comm, &members, local, &sched).unwrap();
                     (comm.rank(), comm.stats().elems_sent)
                 });
                 let sched = sched_of(p, k);

@@ -23,8 +23,8 @@ use gtopk_nn::{accuracy, softmax_cross_entropy, Model, MomentumSgd};
 use std::collections::VecDeque;
 
 /// Configuration of a distributed training run. Which combinations of
-/// algorithm, topology and recovery policy may run is
-/// decided by [`TrainConfig::validate`] from the capability table
+/// algorithm and recovery policy may run is decided by
+/// [`TrainConfig::validate`] from the capability table
 /// ([`crate::capability_table`]).
 #[derive(Debug, Clone)]
 pub struct TrainConfig {
@@ -49,8 +49,10 @@ pub struct TrainConfig {
     /// Local top-k selection kernel: always [`Selector::Exact`], and read
     /// by no training path (see [`Selector`] for why it remains).
     pub selector: Selector,
-    /// Collective plan topology, for the algorithms whose collective
-    /// executes one (in every bucket).
+    /// Always [`Topology::Binomial`], the one gTop-k tree, and read by no
+    /// training path. The field remains only because
+    /// `benchmark/src/traced.rs` reads it; ROADMAP item 1's `[benchmark]`
+    /// change deletes it together with that file.
     pub topology: Topology,
     /// DGC-style momentum correction (Lin et al., cited in §VI): apply
     /// momentum *locally before* residual accumulation, so delayed
@@ -159,12 +161,6 @@ impl TrainConfig {
         self.overlap = Some(overlap);
         self
     }
-
-    /// Returns a copy with a different collective plan topology.
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        self.topology = topology;
-        self
-    }
 }
 
 /// A generation on disk whose state has another shape than the run that
@@ -271,7 +267,7 @@ impl<M: Model> TrainState<M> {
                 &model.param_segments(),
                 Some(cost),
                 cfg.cost_model,
-                Aggregator::new(cfg.algorithm, cfg.topology),
+                Aggregator::new(cfg.algorithm),
             )),
             cost,
             local_velocity: cfg.momentum_correction.then(|| vec![0.0; m]),
@@ -1083,15 +1079,14 @@ mod tests {
     #[test]
     fn plan_driven_algorithms_train_on_every_topology() {
         let data = GaussianMixture::new(6, 320, 8, 4, 2.5, 0.4);
-        for topology in Topology::ALL {
-            let mut cfg = quick_cfg(Algorithm::GTopK, 5).with_topology(topology);
-            cfg.epochs = 5;
-            let report = train_distributed(&cfg, || models::mlp(19, 8, 16, 4), &data, None);
-            assert!(
-                report.final_loss() < report.epochs[0].train_loss,
-                "{topology}: loss did not drop"
-            );
-        }
+        // gTop-k over the binomial plan (the one topology) at a folded P.
+        let mut cfg = quick_cfg(Algorithm::GTopK, 5);
+        cfg.epochs = 5;
+        let report = train_distributed(&cfg, || models::mlp(19, 8, 16, 4), &data, None);
+        assert!(
+            report.final_loss() < report.epochs[0].train_loss,
+            "loss did not drop"
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Capability sweep: every cell of Algorithm (8) × engine {serial,
-//! overlap} × Topology (3) × recovery {off, fault plan, checkpoint dir}.
+//! overlap} × recovery {off, fault plan, checkpoint dir}.
 //!
 //! * `TrainConfig::validate()` is `Ok` ⇒ a one-epoch mlp run at P = 4
 //!   finishes with replicas consistent (`train_distributed` asserts
@@ -11,8 +11,8 @@
 //!   one table — widened since by the overlap engine running every row,
 //!   so each row's overlap line equals its serial line.
 
-use gtopk::{train_distributed, Algorithm, ComputeCost, OverlapConfig, TrainConfig, TrainReport};
-use gtopk_comm::{FaultPlan, Topology};
+use gtopk::{train_distributed, Algorithm, OverlapConfig, TrainConfig, TrainReport};
+use gtopk_comm::FaultPlan;
 use gtopk_data::GaussianMixture;
 use gtopk_nn::models;
 use std::path::PathBuf;
@@ -36,26 +36,24 @@ const ENGINES: [Engine; 2] = [Engine::Serial, Engine::Overlap];
 const RECOVERIES: [Recovery; 3] = [Recovery::Off, Recovery::FaultPlan, Recovery::CheckpointDir];
 
 /// `#` = accepted. One line per engine (serial, overlap); per line one
-/// group per topology (binomial, hierarchical, ring), per group one column
-/// per recovery (off, fault plan, checkpoint dir).
+/// column per recovery (off, fault plan, checkpoint dir).
 const ACCEPTED: [(Algorithm, [&str; 2]); 8] = [
-    (Algorithm::Dense, ["#.. ... ...", "#.. ... ..."]),
-    (Algorithm::TopK, ["#.. ... ...", "#.. ... ..."]),
-    (Algorithm::GTopK, ["### ### ###", "### ### ###"]),
-    (Algorithm::NaiveGTopK, ["#.. ... ...", "#.. ... ..."]),
-    (Algorithm::GTopKFeedback, ["### ### ###", "### ### ###"]),
-    (Algorithm::GTopKNoPutback, ["#.. #.. #..", "#.. #.. #.."]),
-    (Algorithm::OkTopk, ["#.. ... ...", "#.. ... ..."]),
-    (Algorithm::SparDl, ["#.. ... ...", "#.. ... ..."]),
+    (Algorithm::Dense, ["#..", "#.."]),
+    (Algorithm::TopK, ["#..", "#.."]),
+    (Algorithm::GTopK, ["###", "###"]),
+    (Algorithm::NaiveGTopK, ["#..", "#.."]),
+    (Algorithm::GTopKFeedback, ["###", "###"]),
+    (Algorithm::GTopKNoPutback, ["#..", "#.."]),
+    (Algorithm::OkTopk, ["#..", "#.."]),
+    (Algorithm::SparDl, ["#..", "#.."]),
 ];
 
 fn scratch_dir(label: &str) -> PathBuf {
     std::env::temp_dir().join(format!("gtopk-sweep-{label}-{}", std::process::id()))
 }
 
-fn cell(alg: Algorithm, engine: Engine, topology: Topology, recovery: Recovery) -> TrainConfig {
+fn cell(alg: Algorithm, engine: Engine, recovery: Recovery) -> TrainConfig {
     let mut cfg = TrainConfig::convergence(4, 8, 1, 0.1, 0.05).with_algorithm(alg);
-    cfg.topology = topology;
     cfg.checkpoint_interval = 2;
     match engine {
         Engine::Serial => {}
@@ -66,7 +64,7 @@ fn cell(alg: Algorithm, engine: Engine, topology: Topology, recovery: Recovery) 
         Recovery::FaultPlan => cfg.fault_plan = Some(FaultPlan::seeded(7).with_drop_prob(0.05)),
         Recovery::CheckpointDir => {
             cfg.fault_plan = Some(FaultPlan::seeded(7));
-            let label = format!("{alg:?}-{engine:?}-{topology:?}");
+            let label = format!("{alg:?}-{engine:?}");
             cfg.checkpoint_dir = Some(scratch_dir(&label));
         }
     }
@@ -75,14 +73,11 @@ fn cell(alg: Algorithm, engine: Engine, topology: Topology, recovery: Recovery) 
 
 /// The setting names (as `ConfigError` spells their prefix) a cell turned
 /// on — an error may only blame these.
-fn active_settings(engine: Engine, topology: Topology, recovery: Recovery) -> Vec<&'static str> {
+fn active_settings(engine: Engine, recovery: Recovery) -> Vec<&'static str> {
     let mut on = vec!["algorithm"];
     match engine {
         Engine::Serial => {}
         Engine::Overlap => on.push("overlap"),
-    }
-    if topology != Topology::Binomial {
-        on.push("topology");
     }
     match recovery {
         Recovery::Off => {}
@@ -104,47 +99,44 @@ fn every_cell_runs_or_is_refused_naming_both_settings() {
         let mut got: Vec<String> = Vec::new();
         for engine in ENGINES {
             let mut line = String::new();
-            for topology in Topology::ALL {
-                for recovery in RECOVERIES {
-                    let cfg = cell(alg, engine, topology, recovery);
-                    let what = format!("{} {engine:?} {topology} {recovery:?}", alg.name());
-                    match cfg.validate() {
-                        Ok(()) => {
-                            line.push('#');
-                            accepted += 1;
-                            if let Some(dir) = &cfg.checkpoint_dir {
-                                let _ = std::fs::remove_dir_all(dir);
-                            }
-                            let report = run(&cfg);
-                            assert_eq!(report.epochs.len(), 1, "{what}");
-                            assert_eq!(report.survivors, 4, "{what}");
-                            assert!(report.final_loss().is_finite(), "{what}");
-                            if let Some(dir) = &cfg.checkpoint_dir {
-                                let _ = std::fs::remove_dir_all(dir);
-                            }
+            for recovery in RECOVERIES {
+                let cfg = cell(alg, engine, recovery);
+                let what = format!("{} {engine:?} {recovery:?}", alg.name());
+                match cfg.validate() {
+                    Ok(()) => {
+                        line.push('#');
+                        accepted += 1;
+                        if let Some(dir) = &cfg.checkpoint_dir {
+                            let _ = std::fs::remove_dir_all(dir);
                         }
-                        Err(err) => {
-                            line.push('.');
-                            let on = active_settings(engine, topology, recovery);
-                            let names = |s: &str| on.iter().any(|a| s.starts_with(a));
-                            assert!(
-                                names(&err.setting)
-                                    && names(&err.conflicts_with)
-                                    && err.setting != err.conflicts_with,
-                                "{what}: `{err}` must name two of {on:?}"
-                            );
-                            assert!(!err.reason.is_empty(), "{what}");
+                        let report = run(&cfg);
+                        assert_eq!(report.epochs.len(), 1, "{what}");
+                        assert_eq!(report.survivors, 4, "{what}");
+                        assert!(report.final_loss().is_finite(), "{what}");
+                        if let Some(dir) = &cfg.checkpoint_dir {
+                            let _ = std::fs::remove_dir_all(dir);
                         }
                     }
+                    Err(err) => {
+                        line.push('.');
+                        let on = active_settings(engine, recovery);
+                        let names = |s: &str| on.iter().any(|a| s.starts_with(a));
+                        assert!(
+                            names(&err.setting)
+                                && names(&err.conflicts_with)
+                                && err.setting != err.conflicts_with,
+                            "{what}: `{err}` must name two of {on:?}"
+                        );
+                        assert!(!err.reason.is_empty(), "{what}");
+                    }
                 }
-                line.push(' ');
             }
-            got.push(line.trim_end().to_string());
+            got.push(line);
         }
         assert_eq!(got, want, "{}: accepted set moved", alg.name());
         assert_eq!(got[1], got[0], "{}: overlap line", alg.name());
     }
-    assert_eq!(accepted, 52);
+    assert_eq!(accepted, 24);
 }
 
 #[test]
@@ -161,41 +153,6 @@ fn a_multi_rank_checkpoint_dir_needs_the_recovery_policy_up_front() {
     // A solo run cold-resumes without any protocol.
     cfg.workers = 1;
     assert_eq!(cfg.validate(), Ok(()));
-}
-
-#[test]
-fn an_overlapped_run_executes_the_configured_topology() {
-    // Built by struct literal, not through `with_topology`: the overlap
-    // engine has no topology of its own to fall out of sync.
-    let literal = |topology| TrainConfig {
-        topology,
-        overlap: Some(OverlapConfig::buckets(1)),
-        compute_cost: Some(ComputeCost {
-            compute_ms: 4.0,
-            sparsify_ms: 0.5,
-        }),
-        ..TrainConfig::convergence(4, 8, 1, 0.1, 0.05)
-    };
-    let (ring, binomial) = (
-        run(&literal(Topology::Ring)),
-        run(&literal(Topology::Binomial)),
-    );
-    // The ring chain is P − 1 sequential rounds each way against the
-    // tree's log₂P: it must show on the clock, and the plan-clock twin
-    // must have replayed the same (ring) plan.
-    assert!(
-        ring.sim_time_ms > binomial.sim_time_ms,
-        "ring {} ms vs binomial {} ms",
-        ring.sim_time_ms,
-        binomial.sim_time_ms
-    );
-    let stats = ring.overlap.expect("overlap stats present");
-    assert!(stats.max_abs_dev_ms < 1e-9, "{}", stats.max_abs_dev_ms);
-    let serial_ring = run(&TrainConfig {
-        overlap: None,
-        ..literal(Topology::Ring)
-    });
-    assert_eq!(ring.elems_sent_rank0, serial_ring.elems_sent_rank0);
 }
 
 #[test]

@@ -1,13 +1,9 @@
 //! Property-based tests over the core aggregation algorithms.
 
 use gtopk::{gtopk_all_reduce, Aggregator, Algorithm};
-use gtopk_comm::{Cluster, CostModel, Topology};
+use gtopk_comm::{Cluster, CostModel};
 use gtopk_sparse::{topk_sparse, Residual};
 use proptest::prelude::*;
-
-fn step_for(alg: Algorithm) -> Aggregator {
-    Aggregator::new(alg, Topology::Binomial)
-}
 
 fn grad(rank: usize, dim: usize, seed: u64) -> Vec<f32> {
     (0..dim)
@@ -29,7 +25,7 @@ proptest! {
     fn prop_topk_aggregator_conserves(p in 1usize..8, k in 1usize..6, seed in 0u64..30) {
         let dim = 32usize;
         let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-            let mut agg = step_for(Algorithm::TopK);
+            let mut agg = Aggregator::new(Algorithm::TopK);
             let members: Vec<usize> = (0..comm.size()).collect();
             let mut residual = Residual::new(dim);
             let g = grad(comm.rank(), dim, seed);
@@ -80,7 +76,7 @@ proptest! {
         let dim = 40usize;
         let k = 3usize;
         let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
-            let mut agg = step_for(Algorithm::GTopK);
+            let mut agg = Aggregator::new(Algorithm::GTopK);
             let members: Vec<usize> = (0..comm.size()).collect();
             let mut residual = Residual::new(dim);
             let mut updates = Vec::new();

@@ -21,7 +21,7 @@ use gtopk::{
     train_distributed, Aggregator, Algorithm, ComputeCost, OverlapConfig, OverlapEngine,
     TrainConfig, Update,
 };
-use gtopk_comm::{Cluster, CostModel, Topology};
+use gtopk_comm::{Cluster, CostModel};
 use gtopk_data::GaussianMixture;
 use gtopk_nn::{models, Model, MomentumSgd};
 use gtopk_sparse::Residual;
@@ -86,17 +86,13 @@ fn grad(rank: usize, step: u64, dim: usize) -> Vec<f32> {
         .collect()
 }
 
-fn step_for(alg: Algorithm) -> Aggregator {
-    Aggregator::new(alg, Topology::Binomial)
-}
-
 fn serial_fingerprint(alg: Algorithm, p: usize) -> u64 {
     // Above the streaming kernel's 4096-element cut-off, so the sampled
     // threshold pass runs.
     let dim = 6000usize;
     let k = 48usize;
     let per_rank = Cluster::new(p, CostModel::zero()).run(move |comm| {
-        let mut agg = step_for(alg);
+        let mut agg = Aggregator::new(alg);
         let members: Vec<usize> = (0..comm.size()).collect();
         let mut residual = Residual::new(dim);
         let mut h = Fnv::new();
@@ -124,7 +120,7 @@ fn warmup_fingerprint(alg: Algorithm, p: usize) -> u64 {
         let dim = model.num_params();
         let k = dim / 4;
         let mut opt = MomentumSgd::new(dim, 0.1, 0.9);
-        let mut agg = step_for(alg);
+        let mut agg = Aggregator::new(alg);
         let members: Vec<usize> = (0..comm.size()).collect();
         let mut residual = Residual::new(dim);
         let mut h = Fnv::new();
@@ -158,7 +154,7 @@ fn overlap_fingerprint(alg: Algorithm, p: usize, buckets: usize) -> u64 {
             &segments,
             None,
             net,
-            step_for(alg),
+            Aggregator::new(alg),
         );
         let members: Vec<usize> = (0..comm.size()).collect();
         let mut h = Fnv::new();

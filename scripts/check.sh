@@ -61,7 +61,7 @@ done
 # large enough to take the fused kernel's sampled cut, every row's whole
 # training run, and every sparse row under the bucketed engine), the
 # bucketed optimizer apply against the dense step, and the capability
-# sweep over every (algorithm, engine, topology, recovery) cell.
+# sweep over every (algorithm, engine, recovery) cell.
 require_tests -p gtopk-core --test golden_parity
 require_tests -p gtopk-core --test golden_parity tree_rows_reproduce_their_warmup_density_trajectory
 require_tests -p gtopk-core --test golden_parity every_row_trains_to_its_recorded_report

@@ -16,8 +16,8 @@
 //! again over the survivors — the shrunken collective must be equally
 //! lossless, over the whole vector and bucket by bucket alike.
 
-use gtopk::ft_gtopk_all_reduce_with_feedback;
-use gtopk_comm::{Cluster, CostModel, Topology};
+use gtopk::gtopk_all_reduce_over;
+use gtopk_comm::{Cluster, CostModel};
 use gtopk_sparse::{Residual, SparseVec};
 
 const DIM: usize = 48;
@@ -56,8 +56,7 @@ fn round(
         mass_in[range.clone()].copy_from_slice(residual.dense());
         let local = residual.extract_topk(K);
         let (global, gmask, tree_rejects) =
-            ft_gtopk_all_reduce_with_feedback(comm, members, local.clone(), K, Topology::Binomial)
-                .unwrap();
+            gtopk_all_reduce_over(comm, members, local.clone(), K).unwrap();
         // The trainer's put-back discipline (see
         // `Rejects::PutBackOwnAndWitnessed`).
         let (_kept, rejected) = local.partition_by(&gmask);

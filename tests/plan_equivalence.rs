@@ -1,31 +1,28 @@
 //! Property tests pinning the plan IR to its two contracts.
 //!
-//! 1. **Cost is a fold over the plan**: for arbitrary P ∈ [2, 48], k,
-//!    topology and network, the α-β time a cluster actually spends
-//!    executing gTopKAllReduce equals `gtopk_perfmodel::gtopk_plan_ms`'s
-//!    offline replay of the same plans *exactly* — not to a tolerance.
-//!    The same holds for the dense ring (`dense_plan_ms`), the exact
-//!    sparse sum at disjoint supports (`topk_plan_ms`) and the zoo
-//!    schedules, and past the 256-round tag window, which plan execution
-//!    wraps.
-//! 2. **Topology changes the schedule, not the answer**: under disjoint
-//!    per-rank supports with globally distinct magnitudes (where the
-//!    non-associativity of the ⊤ merge cannot bite), every topology
+//! 1. **Cost is a fold over the plan**: for arbitrary P ∈ [2, 48], k and
+//!    network, the α-β time a cluster actually spends executing
+//!    gTopKAllReduce equals `gtopk_perfmodel::gtopk_plan_ms`'s offline
+//!    replay of the same plans *exactly* — not to a tolerance. The same
+//!    holds for the dense ring (`dense_plan_ms`), the exact sparse sum at
+//!    disjoint supports (`topk_plan_ms`) and the zoo schedules, and past
+//!    the 256-round tag window, which plan execution wraps.
+//! 2. **The tree computes the paper's answer**: under disjoint per-rank
+//!    supports with globally distinct magnitudes (where the
+//!    non-associativity of the ⊤ merge cannot bite), the binomial tree
 //!    produces the same global bit-for-bit on every rank, equal to the
-//!    paper's `G̃₁ ⊤ G̃₂ ⊤ … ⊤ G̃_P` reference (`topk_merge_many`); and
-//!    the ring chain reproduces that left fold bitwise even for
-//!    overlapping supports, because its plan *is* the fold.
+//!    paper's `G̃₁ ⊤ G̃₂ ⊤ … ⊤ G̃_P` reference (`topk_merge_many`).
 
 use gtopk::{gtopk_all_reduce_over, sparse_sum_recursive_doubling, sparse_zoo_all_reduce_over};
 use gtopk_comm::{collectives, Cluster, CostModel, Topology};
 use gtopk_perfmodel::{dense_plan_ms, gtopk_plan_ms, topk_plan_ms, ZooSchedule};
-use gtopk_sparse::{topk_merge_many, topk_sparse, Residual, SparseVec};
+use gtopk_sparse::{topk_merge_many, Residual, SparseVec};
 use proptest::prelude::*;
 
 /// Rank `r`'s k-sparse contribution with support disjoint from every
 /// other rank's (rank `r` owns indices `r·k .. (r+1)·k`) and globally
 /// distinct magnitudes, so the global top-k is order-independent and
-/// cross-topology bitwise identity is well-defined.
+/// bitwise identity with the merge reference is well-defined.
 fn disjoint_local(r: usize, p: usize, k: usize) -> SparseVec {
     let dim = p * k;
     let pairs = (0..k)
@@ -98,27 +95,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Executed α-β time == plan-cost replay, exactly, for any worker
-    /// count (power-of-two or folded), any topology, any network.
+    /// count (power-of-two or folded), any network.
     #[test]
     fn prop_executed_time_equals_plan_cost(
         p in 2usize..=48,
         k in 1usize..=6,
-        topo_idx in 0usize..3,
         net_idx in 0usize..3,
     ) {
-        let topo = Topology::ALL[topo_idx];
         let net = NETS[net_idx];
         let members: Vec<usize> = (0..p).collect();
         let times = Cluster::new(p, net).run(|comm| {
             let mine = disjoint_local(comm.rank(), p, k);
-            gtopk_all_reduce_over(comm, &members, mine, k, 0, topo).unwrap();
+            gtopk_all_reduce_over(comm, &members, mine, k).unwrap();
             comm.now_ms()
         });
         let executed = times.iter().copied().fold(0.0f64, f64::max);
-        let planned = gtopk_plan_ms(&net, topo, p, k);
+        let planned = gtopk_plan_ms(&net, Topology::Binomial, p, k);
         prop_assert!(
             executed == planned,
-            "{topo} P={p} k={k} net={net_idx}: executed {executed} != plan cost {planned}"
+            "P={p} k={k} net={net_idx}: executed {executed} != plan cost {planned}"
         );
     }
 
@@ -187,7 +182,7 @@ proptest! {
             let sched = sched.clone();
             Cluster::new(p, net).run(move |comm| {
                 let mine = disjoint_local(comm.rank(), p, k);
-                sparse_zoo_all_reduce_over(comm, &members, mine, &sched, 0).unwrap();
+                sparse_zoo_all_reduce_over(comm, &members, mine, &sched).unwrap();
                 comm.now_ms()
             })
         };
@@ -228,7 +223,7 @@ proptest! {
                     .map(|(r, l)| r + l)
                     .collect();
                 let (global, rejects) =
-                    sparse_zoo_all_reduce_over(comm, &members, local, &sched, 0).unwrap();
+                    sparse_zoo_all_reduce_over(comm, &members, local, &sched).unwrap();
                 residual.put_back(&rejects);
                 (mass_in, residual.dense().to_vec(), global)
             })
@@ -249,9 +244,9 @@ proptest! {
         }
     }
 
-    /// Every topology yields the same global on every rank, bit-for-bit
-    /// equal to the paper's ⊤-fold reference, when supports are disjoint
-    /// with distinct magnitudes.
+    /// The binomial tree (the one topology) yields the same global on
+    /// every rank, bit-for-bit equal to the paper's ⊤-fold reference, when
+    /// supports are disjoint with distinct magnitudes.
     #[test]
     fn prop_topologies_agree_bitwise_with_the_merge_reference(
         p in 2usize..=48,
@@ -260,72 +255,21 @@ proptest! {
         let members: Vec<usize> = (0..p).collect();
         let locals: Vec<SparseVec> = (0..p).map(|r| disjoint_local(r, p, k)).collect();
         let reference = bits(&topk_merge_many(&locals, k));
-        for topo in Topology::ALL {
-            let globals = Cluster::new(p, CostModel::zero()).run(|comm| {
-                let mine = disjoint_local(comm.rank(), p, k);
-                let (global, _mask, _rejects) =
-                    gtopk_all_reduce_over(comm, &members, mine, k, 0, topo).unwrap();
-                bits(&global)
-            });
-            for (r, g) in globals.iter().enumerate() {
-                prop_assert_eq!(
-                    g,
-                    &reference,
-                    "{} P={} k={}: rank {} diverges from the ⊤-fold reference",
-                    topo, p, k, r
-                );
-            }
-        }
-    }
-
-    /// The ring chain is literally the paper's left fold, so it matches
-    /// `topk_merge_many` bitwise even for *overlapping* supports, where
-    /// ⊤'s non-associativity makes other topologies legitimately differ.
-    #[test]
-    fn prop_ring_chain_is_the_papers_left_fold(
-        p in 2usize..=12,
-        k in 1usize..=8,
-        seed in 0u64..40,
-    ) {
-        let dim = 32usize;
-        let members: Vec<usize> = (0..p).collect();
-        let locals: Vec<SparseVec> =
-            (0..p).map(|r| topk_sparse(&grad(r, dim, seed), k)).collect();
-        let reference = bits(&topk_merge_many(&locals, k));
         let globals = Cluster::new(p, CostModel::zero()).run(|comm| {
-            let mine = topk_sparse(&grad(comm.rank(), dim, seed), k);
+            let mine = disjoint_local(comm.rank(), p, k);
             let (global, _mask, _rejects) =
-                gtopk_all_reduce_over(comm, &members, mine, k, 0, Topology::Ring).unwrap();
+                gtopk_all_reduce_over(comm, &members, mine, k).unwrap();
             bits(&global)
         });
         for (r, g) in globals.iter().enumerate() {
             prop_assert_eq!(
                 g,
                 &reference,
-                "P={} k={} seed={}: rank {} diverges from the left fold",
-                p, k, seed, r
+                "P={} k={}: rank {} diverges from the ⊤-fold reference",
+                p, k, r
             );
         }
     }
-}
-
-/// Past the old 256-round tag window: a ring-topology tree at P = 260
-/// (259 reduce + 259 broadcast rounds) runs, every rank agrees, and the
-/// executed time equals its replay.
-#[test]
-fn ring_topology_tree_past_the_tag_window_equals_its_replay() {
-    let (p, k) = (260usize, 2usize);
-    let net = NETS[0];
-    let members: Vec<usize> = (0..p).collect();
-    let out = Cluster::new(p, net).run(|comm| {
-        let mine = disjoint_local(comm.rank(), p, k);
-        let (global, _mask, _rejects) =
-            gtopk_all_reduce_over(comm, &members, mine, k, 0, Topology::Ring).unwrap();
-        (bits(&global), comm.now_ms())
-    });
-    assert!(out.iter().all(|(g, _)| g == &out[0].0), "ranks disagree");
-    let executed = out.iter().map(|&(_, t)| t).fold(0.0f64, f64::max);
-    assert_eq!(executed, gtopk_plan_ms(&net, Topology::Ring, p, k));
 }
 
 /// Past the old tag window: the dense ring at P = 140 runs 278 rounds,
