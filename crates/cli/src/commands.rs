@@ -888,14 +888,11 @@ mod tests {
     #[test]
     fn the_removed_parameter_server_options_are_unknown() {
         // The parameter server is gone, and with it `--mode` (whose one
-        // remaining value would be `allreduce`) and `--shards`; so are the
-        // non-binomial gTop-k trees and `--topology`.
+        // remaining value would be `allreduce`) and `--shards`.
         for line in [
             "train --mode ps",
             "train --mode allreduce",
             "train --shards 2",
-            "train --topology ring",
-            "train --topology binomial",
         ] {
             let err = run_line(line).unwrap_err().0;
             let option = line.split_whitespace().nth(1).unwrap();
@@ -903,6 +900,18 @@ mod tests {
                 err.contains(&format!("unknown option {option} ")),
                 "{line}: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn topology_options_are_validated() {
+        // The binomial tree is the one gTop-k shape, so `--topology` is no
+        // longer an option: every value, the old default included, is
+        // refused as an unknown option rather than silently ignored.
+        for value in ["binomial", "hierarchical", "ring", "star"] {
+            let line = format!("train --topology {value}");
+            let err = run_line(&line).unwrap_err().0;
+            assert!(err.contains("unknown option --topology "), "{line}: {err}");
         }
     }
 

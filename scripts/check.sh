@@ -106,6 +106,7 @@ require_tests -p gtopk-sparse --test alloc_steadystate oktopk
 # decodes as the one-bucket state, and the CLI refuses its options.
 require_tests -p gtopk-core --lib ckpt::tests::a_mode_four_payload_decodes_as_one_bucket
 require_tests -p gtopk-cli --lib the_removed_parameter_server_options_are_unknown
+require_tests -p gtopk-cli --lib topology_options_are_validated
 # A plan round sends at most once and receives at most once per position.
 require_tests -p gtopk-comm --lib plan::tests::a_position_may_not_send_twice_in_one_round
 require_tests -p gtopk-comm --lib plan::tests::a_position_may_not_receive_twice_in_one_round
