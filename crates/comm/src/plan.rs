@@ -694,6 +694,123 @@ mod tests {
         .check();
     }
 
+    /// A plan's rounds as text: `s>d` for a send, `a<>b` for a swap,
+    /// rounds separated by ` | `.
+    fn rounds_text(plan: &CollectivePlan) -> String {
+        plan.rounds
+            .iter()
+            .map(|r| {
+                r.exchanges
+                    .iter()
+                    .map(|e| match *e {
+                        Exchange::Send { src, dst } => format!("{src}>{dst}"),
+                        Exchange::Swap { a, b } => format!("{a}<>{b}"),
+                    })
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            })
+            .collect::<Vec<_>>()
+            .join(" | ")
+    }
+
+    /// Every plan generator's exact rounds at P ∈ {1, 2, 5, 6, 8} (a
+    /// broadcast from root 0 and, where it exists, root 2), as written
+    /// out by the generators before the fold and swap rounds had one
+    /// builder each.
+    #[test]
+    fn every_generator_emits_its_pinned_rounds() {
+        #[rustfmt::skip]
+        let pins: &[(&str, usize, &str)] = &[
+            ("reduce", 1, ""),
+            ("broadcast0", 1, ""),
+            ("exchange", 1, ""),
+            ("halving", 1, ""),
+            ("doubling", 1, ""),
+            ("ring", 1, ""),
+            ("reduce", 2, "1>0"),
+            ("broadcast0", 2, "0>1"),
+            ("exchange", 2, "0<>1"),
+            ("halving", 2, "0<>1"),
+            ("doubling", 2, "0<>1"),
+            ("ring", 2, "0>1 1>0 | 0>1 1>0"),
+            ("reduce", 5, "4>0 | 1>0 3>2 | 2>0"),
+            ("broadcast0", 5, "0>4 | 0>2 | 0>1 2>3"),
+            ("broadcast2", 5, "2>1 | 2>4 | 2>3 4>0"),
+            ("exchange", 5, "4>0 | 0<>1 2<>3 | 0<>2 1<>3 | 0>4"),
+            ("halving", 5, "4>0 | 0<>2 1<>3 | 0<>1 2<>3"),
+            ("doubling", 5, "0<>1 2<>3 | 0<>2 1<>3 | 0>4"),
+            ("ring", 5, "\
+                 0>1 1>2 2>3 3>4 4>0 | \
+                 0>1 1>2 2>3 3>4 4>0 | \
+                 0>1 1>2 2>3 3>4 4>0 | \
+                 0>1 1>2 2>3 3>4 4>0 | \
+                 0>1 1>2 2>3 3>4 4>0 | \
+                 0>1 1>2 2>3 3>4 4>0 | \
+                 0>1 1>2 2>3 3>4 4>0 | \
+                 0>1 1>2 2>3 3>4 4>0"),
+            ("reduce", 6, "4>0 5>1 | 1>0 3>2 | 2>0"),
+            ("broadcast0", 6, "0>4 | 0>2 | 0>1 2>3 4>5"),
+            ("broadcast2", 6, "2>0 | 2>4 | 2>3 4>5 0>1"),
+            ("exchange", 6, "4>0 5>1 | 0<>1 2<>3 | 0<>2 1<>3 | 0>4 1>5"),
+            ("halving", 6, "4>0 5>1 | 0<>2 1<>3 | 0<>1 2<>3"),
+            ("doubling", 6, "0<>1 2<>3 | 0<>2 1<>3 | 0>4 1>5"),
+            ("ring", 6, "\
+                 0>1 1>2 2>3 3>4 4>5 5>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>0"),
+            ("reduce", 8, "1>0 3>2 5>4 7>6 | 2>0 6>4 | 4>0"),
+            ("broadcast0", 8, "0>4 | 0>2 4>6 | 0>1 2>3 4>5 6>7"),
+            ("broadcast2", 8, "2>6 | 2>4 6>0 | 2>3 4>5 6>7 0>1"),
+            ("exchange", 8, "\
+                 0<>1 2<>3 4<>5 6<>7 | \
+                 0<>2 1<>3 4<>6 5<>7 | \
+                 0<>4 1<>5 2<>6 3<>7"),
+            ("halving", 8, "\
+                 0<>4 1<>5 2<>6 3<>7 | \
+                 0<>2 1<>3 4<>6 5<>7 | \
+                 0<>1 2<>3 4<>5 6<>7"),
+            ("doubling", 8, "\
+                 0<>1 2<>3 4<>5 6<>7 | \
+                 0<>2 1<>3 4<>6 5<>7 | \
+                 0<>4 1<>5 2<>6 3<>7"),
+            ("ring", 8, "\
+                 0>1 1>2 2>3 3>4 4>5 5>6 6>7 7>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>6 6>7 7>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>6 6>7 7>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>6 6>7 7>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>6 6>7 7>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>6 6>7 7>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>6 6>7 7>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>6 6>7 7>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>6 6>7 7>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>6 6>7 7>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>6 6>7 7>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>6 6>7 7>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>6 6>7 7>0 | \
+                 0>1 1>2 2>3 3>4 4>5 5>6 6>7 7>0"),
+        ];
+        for &(name, p, want) in pins {
+            let plan = match name {
+                "reduce" => CollectivePlan::reduce(Topology::Binomial, p),
+                "broadcast0" => CollectivePlan::broadcast(Topology::Binomial, p, 0),
+                "broadcast2" => CollectivePlan::broadcast(Topology::Binomial, p, 2),
+                "exchange" => CollectivePlan::exchange(p),
+                "halving" => CollectivePlan::halving_exchange(p),
+                "doubling" => CollectivePlan::doubling_exchange(p),
+                "ring" => CollectivePlan::ring_allreduce(p),
+                _ => unreachable!("unknown generator {name}"),
+            };
+            assert_eq!(rounds_text(&plan), want, "{name} P={p}");
+        }
+    }
+
     #[test]
     fn single_position_plans_are_empty() {
         assert_eq!(

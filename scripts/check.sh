@@ -110,6 +110,8 @@ require_tests -p gtopk-cli --lib topology_options_are_validated
 # A plan round sends at most once and receives at most once per position.
 require_tests -p gtopk-comm --lib plan::tests::a_position_may_not_send_twice_in_one_round
 require_tests -p gtopk-comm --lib plan::tests::a_position_may_not_receive_twice_in_one_round
+# Every plan generator's exact rounds at P in {1, 2, 5, 6, 8}, as literals.
+require_tests -p gtopk-comm --lib plan::tests::every_generator_emits_its_pinned_rounds
 # Durable-recovery fault paths that used to panic: a failed checkpoint
 # write trains on, a donor transfer that disagrees with the joiner's disk
 # copy makes the joiner leave, and so does a disk generation of another
