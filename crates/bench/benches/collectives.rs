@@ -1,4 +1,4 @@
-//! Micro-benchmark: real wall-clock cost of the dense collectives on the
+//! Micro-benchmark: real wall-clock cost of the dense ring AllReduce on the
 //! threaded substrate (thread scheduling + data movement, not simulated
 //! time) — sanity check that the simulation harness itself is cheap
 //! enough to run paper-scale sweeps.
@@ -18,30 +18,6 @@ fn bench_collectives(c: &mut Criterion) {
                 cluster.run(|comm| {
                     let mut v = vec![1.0f32; m];
                     collectives::allreduce_ring(comm, &mut v).unwrap();
-                    black_box(v[0])
-                })
-            })
-        });
-        group.bench_with_input(
-            BenchmarkId::new("recursive_doubling_allreduce", p),
-            &p,
-            |b, &p| {
-                let cluster = Cluster::new(p, CostModel::zero());
-                b.iter(|| {
-                    cluster.run(|comm| {
-                        let mut v = vec![1.0f32; m];
-                        collectives::allreduce_recursive_doubling(comm, &mut v).unwrap();
-                        black_box(v[0])
-                    })
-                })
-            },
-        );
-        group.bench_with_input(BenchmarkId::new("broadcast", p), &p, |b, &p| {
-            let cluster = Cluster::new(p, CostModel::zero());
-            b.iter(|| {
-                cluster.run(|comm| {
-                    let mut v = vec![1.0f32; m];
-                    collectives::broadcast(comm, &mut v, 0).unwrap();
                     black_box(v[0])
                 })
             })

@@ -854,8 +854,10 @@ mod tests {
     #[test]
     fn a_checkpoint_dir_of_another_run_shape_is_an_error_naming_the_field() {
         // Each row resumes a one-worker run's directory with one setting
-        // changed; a run of the same shape resumes.
-        let base = "train --workers 1 --batch 4 --density 0.05 --epochs";
+        // changed; a run of the same shape resumes. An epoch is 256 steps
+        // of 8 samples and a checkpoint is written once per epoch, so the
+        // rows make a few durable writes (two fsyncs each), not hundreds.
+        let base = "train --workers 1 --batch 8 --density 0.05 --fault-checkpoint 256 --epochs";
         for (i, (change, field)) in [
             ("--overlap --buckets 2", Some("bucket count")),
             ("--model vgg", Some("parameter count")),

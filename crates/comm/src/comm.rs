@@ -383,16 +383,8 @@ impl Communicator {
     /// epoch-stamped tags) so it can never alias a future receive.
     pub fn purge_pending<F: Fn(&Message) -> bool>(&mut self, stale: F) -> usize {
         for src in 0..self.size {
-            if src == self.rank {
-                continue;
-            }
-            let mut drained = Vec::new();
-            while let Some(msg) = self.transport.try_recv(src) {
-                drained.push(msg);
-            }
-            for mut msg in drained {
-                self.serialize_inbound_at(src, &mut msg);
-                self.pending[src].push_back(msg);
+            if src != self.rank {
+                self.stash_link(src);
             }
         }
         let mut dropped = 0;
@@ -402,6 +394,16 @@ impl Communicator {
             dropped += before - queue.len();
         }
         dropped
+    }
+
+    /// Moves every message already queued on the inbound link from `src`
+    /// into its pending stash, charging inbound serialization in arrival
+    /// order.
+    fn stash_link(&mut self, src: usize) {
+        while let Some(mut msg) = self.transport.try_recv(src) {
+            self.serialize_inbound_at(src, &mut msg);
+            self.pending[src].push_back(msg);
+        }
     }
 
     /// Non-blocking probe of the inbound link from `src`: moves every
@@ -494,14 +496,7 @@ impl Communicator {
             if src == self.rank || src >= self.size {
                 continue;
             }
-            let mut drained = Vec::new();
-            while let Some(msg) = self.transport.try_recv(src) {
-                drained.push(msg);
-            }
-            for mut msg in drained {
-                self.serialize_inbound_at(src, &mut msg);
-                self.pending[src].push_back(msg);
-            }
+            self.stash_link(src);
             let mut newest: Option<u64> = None;
             self.pending[src].retain(|m| {
                 if m.tag == Message::JOIN_REQ_TAG {

@@ -8,10 +8,11 @@
 //!   full mesh of lock-free channels;
 //! * a blocking, tagged, point-to-point [`Communicator`] API
 //!   (`send`/`recv`/`sendrecv`) modeled on MPI;
-//! * classic collective algorithms built *only* from those point-to-point
-//!   primitives: binomial-tree broadcast, ring and recursive-doubling
-//!   AllReduce, and barrier (module [`collectives`]), all but the barrier
-//!   executed as round schedules of the [`plan`] IR;
+//! * the [`plan`] IR — explicit round schedules (the binomial tree, the
+//!   recursive-doubling and -halving exchanges, the ring) over plan
+//!   positions, run by one executor — and the dense collective built
+//!   *only* from the point-to-point primitives on it: the ring AllReduce
+//!   of the paper's Eq. 5 (module [`collectives`]);
 //! * a per-rank [`SimClock`] driven by an α-β [`CostModel`]: every message
 //!   of `n` elements charges `α + nβ` to the sender and delivers at
 //!   `sender_send_time + α + nβ`, the receiver's clock advancing to

@@ -152,19 +152,6 @@ impl Payload {
         }
     }
 
-    /// Extracts the shared dense buffer itself (no copy ever; relays that
-    /// only forward keep the reference count at work).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload is not [`Payload::Dense`].
-    pub fn into_dense_arc(self) -> Arc<Vec<f32>> {
-        match self {
-            Payload::Dense(v) => v,
-            other => panic!("expected dense payload, got {other:?}"),
-        }
-    }
-
     /// Extracts a sparse vector, copy-on-write (see [`Payload::into_dense`]).
     ///
     /// # Panics

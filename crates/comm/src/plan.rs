@@ -18,6 +18,7 @@
 //! `PlanClock` is that replay, and property tests pin the two to exact
 //! equality.
 
+use crate::collectives::largest_power_of_two_leq;
 use crate::{Communicator, Result};
 
 /// Width of the tag window a plan occupies: round `r` is tagged
@@ -95,8 +96,56 @@ pub struct CollectivePlan {
     pub rounds: Vec<Round>,
 }
 
+/// The fold-in round of a `p`-position plan: each position `p2 + i`
+/// beyond the largest power of two `p2` sends to position `i`. `None`
+/// when `p` is a power of two.
+fn fold_in(p: usize) -> Option<Round> {
+    let p2 = largest_power_of_two_leq(p);
+    (p > p2).then(|| Round {
+        exchanges: (p2..p)
+            .map(|src| Exchange::Send { src, dst: src - p2 })
+            .collect(),
+    })
+}
+
+/// The fold-out round: [`fold_in`] reversed, position `i` sending to
+/// `p2 + i`.
+fn fold_out(p: usize) -> Option<Round> {
+    let p2 = largest_power_of_two_leq(p);
+    (p > p2).then(|| Round {
+        exchanges: (p2..p)
+            .map(|dst| Exchange::Send { src: dst - p2, dst })
+            .collect(),
+    })
+}
+
+/// The swap round at `mask` over the first `p2` positions: every `a`
+/// with bit `mask` clear swaps with `a ^ mask`.
+fn swap_round(p2: usize, mask: usize) -> Round {
+    Round {
+        exchanges: (0..p2)
+            .filter(|a| a & mask == 0)
+            .map(|a| Exchange::Swap { a, b: a ^ mask })
+            .collect(),
+    }
+}
+
+/// The masks `1, 2, …, p2/2` of a `p2`-position (power-of-two)
+/// butterfly, ascending.
+fn masks(p2: usize) -> impl DoubleEndedIterator<Item = usize> {
+    (0..p2.trailing_zeros()).map(|s| 1 << s)
+}
+
 impl CollectivePlan {
-    /// Binomial reduction plan over `p` positions: a fold round
+    /// A checked plan of `rounds` over `size` positions.
+    fn new(size: usize, root: usize, rounds: Vec<Round>) -> Self {
+        assert!(size > 0, "plan needs at least one position");
+        let plan = CollectivePlan { size, root, rounds };
+        plan.check();
+        plan
+    }
+
+    /// Binomial reduction plan over `p` positions: the fold-in round
     /// (positions `≥ 2^⌊log₂p⌋` send down), then ascending-mask binomial
     /// combining into position 0, which holds the combined result after
     /// execution.
@@ -105,41 +154,17 @@ impl CollectivePlan {
     ///
     /// Panics if `p == 0`.
     pub fn reduce(_topology: Topology, p: usize) -> Self {
-        assert!(p > 0, "plan needs at least one position");
-        let p2 = crate::collectives::largest_power_of_two_leq(p);
-        let extra = p - p2;
-        let mut rounds = Vec::new();
-        if extra > 0 {
-            rounds.push(Round {
-                exchanges: (0..extra)
-                    .map(|i| Exchange::Send {
-                        src: p2 + i,
-                        dst: i,
-                    })
-                    .collect(),
-            });
-        }
-        let mut mask = 1usize;
-        while mask < p2 {
-            rounds.push(Round {
-                exchanges: (0..p2)
-                    .step_by(2 * mask)
-                    .filter(|dst| dst | mask < p2)
-                    .map(|dst| Exchange::Send {
-                        src: dst | mask,
-                        dst,
-                    })
-                    .collect(),
-            });
-            mask <<= 1;
-        }
-        let plan = CollectivePlan {
-            size: p,
-            root: 0,
-            rounds,
-        };
-        plan.check();
-        plan
+        let p2 = largest_power_of_two_leq(p);
+        let tree = masks(p2).map(|mask| Round {
+            exchanges: (0..p2)
+                .step_by(2 * mask)
+                .map(|dst| Exchange::Send {
+                    src: dst | mask,
+                    dst,
+                })
+                .collect(),
+        });
+        Self::new(p, 0, fold_in(p).into_iter().chain(tree).collect())
     }
 
     /// Binomial broadcast plan from position `root` to all `p` positions:
@@ -151,13 +176,11 @@ impl CollectivePlan {
     ///
     /// Panics if `p == 0` or `root >= p`.
     pub fn broadcast(_topology: Topology, p: usize, root: usize) -> Self {
-        assert!(p > 0, "plan needs at least one position");
         assert!(root < p, "broadcast root {root} out of range for size {p}");
         let rot = |rel: usize| (rel + root) % p;
-        let mut rounds = Vec::new();
-        let mut mask = p.next_power_of_two() >> 1;
-        while mask > 0 {
-            rounds.push(Round {
+        let rounds = masks(p.next_power_of_two())
+            .rev()
+            .map(|mask| Round {
                 exchanges: (0..p)
                     .step_by(2 * mask)
                     .filter(|src| src + mask < p)
@@ -166,73 +189,32 @@ impl CollectivePlan {
                         dst: rot(src + mask),
                     })
                     .collect(),
-            });
-            mask >>= 1;
-        }
-        let plan = CollectivePlan {
-            size: p,
-            root,
-            rounds,
-        };
-        plan.check();
-        plan
+            })
+            .collect();
+        Self::new(p, root, rounds)
     }
 
-    /// Recursive-doubling all-reduce plan: fold-in round (positions
-    /// beyond the largest power of two send down), `log₂` rounds of
-    /// pairwise [`Exchange::Swap`], then a fold-out round returning the
-    /// result to the folded positions. After execution every position
-    /// holds the combined result.
+    /// Recursive-doubling all-reduce plan: the fold-in round
+    /// (positions beyond the largest power of two send down), then
+    /// [`CollectivePlan::doubling_exchange`] — `log₂` rounds of pairwise
+    /// [`Exchange::Swap`] and the fold-out round returning the result to
+    /// the folded positions. After execution every position holds the
+    /// combined result.
     ///
     /// # Panics
     ///
     /// Panics if `p == 0`.
     pub fn exchange(p: usize) -> Self {
-        assert!(p > 0, "plan needs at least one position");
-        let p2 = crate::collectives::largest_power_of_two_leq(p);
-        let extra = p - p2;
-        let mut rounds = Vec::new();
-        if extra > 0 {
-            rounds.push(Round {
-                exchanges: (0..extra)
-                    .map(|i| Exchange::Send {
-                        src: p2 + i,
-                        dst: i,
-                    })
-                    .collect(),
-            });
-        }
-        let mut mask = 1usize;
-        while mask < p2 {
-            rounds.push(Round {
-                exchanges: (0..p2)
-                    .filter(|a| a & mask == 0)
-                    .map(|a| Exchange::Swap { a, b: a ^ mask })
-                    .collect(),
-            });
-            mask <<= 1;
-        }
-        if extra > 0 {
-            rounds.push(Round {
-                exchanges: (0..extra)
-                    .map(|i| Exchange::Send {
-                        src: i,
-                        dst: p2 + i,
-                    })
-                    .collect(),
-            });
-        }
-        let plan = CollectivePlan {
-            size: p,
-            root: 0,
-            rounds,
-        };
-        plan.check();
-        plan
+        let doubling = Self::doubling_exchange(p);
+        Self::new(
+            p,
+            0,
+            fold_in(p).into_iter().chain(doubling.rounds).collect(),
+        )
     }
 
-    /// Recursive-halving plan: fold-in round (positions beyond the
-    /// largest power of two `p2` send down), then `log₂p2` rounds of
+    /// Recursive-halving plan: the fold-in round (positions beyond
+    /// the largest power of two `p2` send down), then `log₂p2` rounds of
     /// pairwise [`Exchange::Swap`] with *descending* masks
     /// `p2/2, p2/4, …, 1`. This is the reduce-scatter shape: at swap
     /// round `s` each position trades with the peer `p2/2^{s+1}` away,
@@ -244,43 +226,15 @@ impl CollectivePlan {
     ///
     /// Panics if `p == 0`.
     pub fn halving_exchange(p: usize) -> Self {
-        assert!(p > 0, "plan needs at least one position");
-        let p2 = crate::collectives::largest_power_of_two_leq(p);
-        let extra = p - p2;
-        let mut rounds = Vec::new();
-        if extra > 0 {
-            rounds.push(Round {
-                exchanges: (0..extra)
-                    .map(|i| Exchange::Send {
-                        src: p2 + i,
-                        dst: i,
-                    })
-                    .collect(),
-            });
-        }
-        let mut mask = p2 >> 1;
-        while mask > 0 {
-            rounds.push(Round {
-                exchanges: (0..p2)
-                    .filter(|a| a & mask == 0)
-                    .map(|a| Exchange::Swap { a, b: a ^ mask })
-                    .collect(),
-            });
-            mask >>= 1;
-        }
-        let plan = CollectivePlan {
-            size: p,
-            root: 0,
-            rounds,
-        };
-        plan.check();
-        plan
+        let p2 = largest_power_of_two_leq(p);
+        let swaps = masks(p2).rev().map(|mask| swap_round(p2, mask));
+        Self::new(p, 0, fold_in(p).into_iter().chain(swaps).collect())
     }
 
     /// Recursive-doubling all-gather plan: `log₂p2` rounds of pairwise
-    /// [`Exchange::Swap`] with *ascending* masks `1, 2, …, p2/2`, then a
-    /// fold-out round shipping the assembled result to the positions
-    /// beyond the largest power of two. The mirror of
+    /// [`Exchange::Swap`] with *ascending* masks `1, 2, …, p2/2`, then
+    /// the fold-out round shipping the assembled result to the
+    /// positions beyond the largest power of two. The mirror of
     /// [`CollectivePlan::halving_exchange`]: each swap round doubles the
     /// slice of the index space a position holds.
     ///
@@ -288,37 +242,9 @@ impl CollectivePlan {
     ///
     /// Panics if `p == 0`.
     pub fn doubling_exchange(p: usize) -> Self {
-        assert!(p > 0, "plan needs at least one position");
-        let p2 = crate::collectives::largest_power_of_two_leq(p);
-        let extra = p - p2;
-        let mut rounds = Vec::new();
-        let mut mask = 1usize;
-        while mask < p2 {
-            rounds.push(Round {
-                exchanges: (0..p2)
-                    .filter(|a| a & mask == 0)
-                    .map(|a| Exchange::Swap { a, b: a ^ mask })
-                    .collect(),
-            });
-            mask <<= 1;
-        }
-        if extra > 0 {
-            rounds.push(Round {
-                exchanges: (0..extra)
-                    .map(|i| Exchange::Send {
-                        src: i,
-                        dst: p2 + i,
-                    })
-                    .collect(),
-            });
-        }
-        let plan = CollectivePlan {
-            size: p,
-            root: 0,
-            rounds,
-        };
-        plan.check();
-        plan
+        let p2 = largest_power_of_two_leq(p);
+        let swaps = masks(p2).map(|mask| swap_round(p2, mask));
+        Self::new(p, 0, swaps.chain(fold_out(p)).collect())
     }
 
     /// Ring all-reduce plan: `p − 1` reduce-scatter rounds then `p − 1`
@@ -330,7 +256,6 @@ impl CollectivePlan {
     ///
     /// Panics if `p == 0`.
     pub fn ring_allreduce(p: usize) -> Self {
-        assert!(p > 0, "plan needs at least one position");
         let round = Round {
             exchanges: (0..p)
                 .map(|src| Exchange::Send {
@@ -339,13 +264,7 @@ impl CollectivePlan {
                 })
                 .collect(),
         };
-        let plan = CollectivePlan {
-            size: p,
-            root: 0,
-            rounds: vec![round; 2 * (p - 1)],
-        };
-        plan.check();
-        plan
+        Self::new(p, 0, vec![round; 2 * p.saturating_sub(1)])
     }
 
     /// Number of rounds (the plan's α depth along the busiest position).
@@ -513,7 +432,7 @@ mod tests {
     }
 
     #[test]
-    fn reduce_plans_combine_everything_for_all_topologies() {
+    fn reduce_plans_combine_everything_at_every_size() {
         for p in 1..=17usize {
             let plan = CollectivePlan::reduce(Topology::Binomial, p);
             assert_eq!(plan.root, Topology::Binomial.reduce_root(p));
@@ -522,7 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn broadcast_plans_cover_everything_for_all_topologies() {
+    fn broadcast_plans_cover_everything_at_every_size_and_root() {
         for p in 1..=17usize {
             for root in [0, p - 1, p / 2] {
                 covers_all(&CollectivePlan::broadcast(Topology::Binomial, p, root));

@@ -273,7 +273,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_driven_algorithms_agree_on_every_topology() {
+    fn plan_driven_algorithms_agree_at_a_folded_size() {
         // The tree rows over the binomial plan (the one topology) at a
         // folded P.
         for alg in Algorithm::ALL

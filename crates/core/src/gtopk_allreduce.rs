@@ -36,8 +36,7 @@ const TAG_TREE: u32 = Message::COLLECTIVE_TAG_BASE + 256;
 /// coordinates — note that, exactly as in the paper's algorithm, a
 /// contribution can be truncated at an interior tree node even when its
 /// coordinate survives elsewhere, so values lower-bound the exact sparse
-/// sum. See [`gtopk_all_reduce_with_feedback`] for the loss-free
-/// extension.
+/// sum. See [`gtopk_all_reduce_over`] for the loss-free extension.
 ///
 /// # Errors
 ///
@@ -53,42 +52,20 @@ pub fn gtopk_all_reduce(
     Ok((global, mask))
 }
 
-/// gTopKAllReduce with per-merge rejection feedback (extension).
+/// gTopKAllReduce with per-merge rejection feedback (extension),
+/// membership-aware and epoch-stamped. Runs the `⊤`-reduction plan over
+/// `members` (a sorted subset of ranks that must include the caller),
+/// then the broadcast plan from the reduction's root, in the tag window
+/// of the communicator's membership epoch ([`epoch_tag_offset`]).
+/// Returns `(global top-k, mask, this rank's merge rejects)`. With the
+/// full membership at epoch 0 the communication pattern, cost and global
+/// are [`gtopk_all_reduce`]'s.
 ///
-/// Identical communication pattern and cost to [`gtopk_all_reduce`], but
-/// each receiving rank keeps the entries its local `⊤` merges truncated
-/// away. The second return value holds those rejected entries so the
-/// caller can credit them back into its residual — making the *global*
-/// error-feedback exact: summed over all ranks,
+/// The rejects are the entries this rank's `⊤` merges truncated away, so
+/// the caller can credit them back into its residual — making the
+/// *global* error feedback exact: summed over all ranks,
 /// `applied update + residual increments == Σ local contributions`.
-///
-/// # Errors
-///
-/// Propagates transport errors.
-pub fn gtopk_all_reduce_with_feedback(
-    comm: &mut Communicator,
-    local: SparseVec,
-    k: usize,
-) -> Result<(SparseVec, Mask, SparseVec)> {
-    let members: Vec<usize> = (0..comm.size()).collect();
-    // Entries rejected at this rank's merges that did not make the final
-    // selection anyway. (Entries rejected here but re-introduced by some
-    // other branch and globally selected are *partially* represented in
-    // the result; we still return them so no mass is dropped — the update
-    // under-counted them.)
-    gtopk_all_reduce_over(comm, &members, local, k)
-}
-
-/// The general gTopKAllReduce with rejection feedback: membership-aware
-/// and epoch-stamped. Runs the `⊤`-reduction plan over `members` (a
-/// sorted subset of ranks that must include the caller), then the
-/// broadcast plan from the reduction's root, in the tag window of the
-/// communicator's membership epoch ([`epoch_tag_offset`]). Returns
-/// `(global top-k, mask, this rank's merge rejects)`. With the full
-/// membership at epoch 0 the global is [`gtopk_all_reduce`]'s.
-///
-/// [`gtopk_all_reduce_with_feedback`] funnels through here, so a
-/// shrink-and-continue recovery is literally "regenerate the plan over
+/// A shrink-and-continue recovery is literally "regenerate the plan over
 /// the survivors".
 ///
 /// # Errors
@@ -374,8 +351,9 @@ mod tests {
             let out = Cluster::new(p, CostModel::zero()).run(|comm| {
                 let g = worker_grad(comm.rank(), dim, 5);
                 let local = topk_sparse(&g, k);
+                let members: Vec<usize> = (0..comm.size()).collect();
                 let (global, _mask, rejected) =
-                    gtopk_all_reduce_with_feedback(comm, local.clone(), k).unwrap();
+                    gtopk_all_reduce_over(comm, &members, local.clone(), k).unwrap();
                 (local, global, rejected)
             });
             // Σ locals == global + Σ rejects (the applied update plus what

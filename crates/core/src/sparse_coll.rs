@@ -1,9 +1,9 @@
 //! Sparse collectives built on the simulated MPI substrate.
 //!
-//! The dense collectives in `gtopk_comm` cannot carry irregularly-indexed
+//! The dense ring AllReduce in `gtopk_comm` cannot carry irregularly-indexed
 //! sparse gradients (the exact difficulty the paper describes in §II-E),
 //! so the sparse variants live here, next to the algorithms that need
-//! them. Like their dense cousins they are *plan executions*: the round
+//! them. Like the dense ring they are *plan executions*: the round
 //! schedule comes from [`CollectivePlan`] generators and runs through
 //! [`execute_plan`], and fault-tolerant callers rebuild the schedule
 //! over survivors by re-generating the plan with a different
@@ -89,17 +89,61 @@ pub(crate) fn sparse_broadcast_over(
         |pos| members[pos],
         &mut ops,
     )?;
-    // Materialize our own copy: free if the reference is unique by now,
-    // otherwise copied into pooled buffers (no fresh allocation at steady
-    // state).
-    Ok(match Arc::try_unwrap(ops.shared) {
-        Ok(v) => v,
-        Err(shared) => {
-            let mut owned = comm.pool().take_sparse(shared.dim());
-            owned.copy_from(&shared);
-            owned
-        }
+    Ok(reclaim(comm, ops.shared))
+}
+
+/// Takes back a vector shared with outgoing messages: free when the
+/// reference is unique by now, otherwise copied into a pooled buffer (no
+/// fresh allocation at steady state).
+fn reclaim(comm: &mut Communicator, shared: Arc<SparseVec>) -> SparseVec {
+    Arc::try_unwrap(shared).unwrap_or_else(|shared| {
+        let mut owned = comm.pool().take_sparse(shared.dim());
+        owned.copy_from(&shared);
+        owned
     })
+}
+
+/// Sends the accumulator `acc` to `peer` without cloning it: it is
+/// Arc-shared with the payload `wrap` builds, then [`reclaim`]ed.
+fn send_shared(
+    comm: &mut Communicator,
+    peer: usize,
+    tag: u32,
+    acc: &mut SparseVec,
+    wrap: impl FnOnce(Arc<SparseVec>) -> Payload,
+) -> Result<()> {
+    let dim = acc.dim();
+    let shared = Arc::new(std::mem::replace(acc, SparseVec::empty(dim)));
+    comm.send(peer, tag, wrap(shared.clone()))?;
+    *acc = reclaim(comm, shared);
+    Ok(())
+}
+
+/// Swaps the accumulator `acc` with `peer` and merge-adds the partner's
+/// vector into it. The outgoing side is Arc-shared with the payload
+/// `wrap` builds instead of cloned, and the merge reads it through the
+/// Arc; every buffer left over goes back to the pool.
+fn swap_add(
+    comm: &mut Communicator,
+    peer: usize,
+    tag: u32,
+    acc: &mut SparseVec,
+    wrap: impl FnOnce(Arc<SparseVec>) -> Payload,
+) -> Result<()> {
+    let dim = acc.dim();
+    let shared = Arc::new(std::mem::replace(acc, SparseVec::empty(dim)));
+    let other = comm
+        .sendrecv(peer, tag, wrap(shared.clone()))?
+        .payload
+        .into_sparse();
+    let mut next = comm.pool().take_sparse(dim);
+    shared.add_into(&other, &mut next);
+    *acc = next;
+    comm.pool().put_sparse(other);
+    if let Ok(v) = Arc::try_unwrap(shared) {
+        comm.pool().put_sparse(v);
+    }
+    Ok(())
 }
 
 /// Exact sparse sum across all ranks by recursive doubling.
@@ -142,17 +186,7 @@ pub fn sparse_sum_recursive_doubling(
                 let outgoing = std::mem::replace(&mut self.acc, SparseVec::empty(self.dim));
                 comm.send(peer, tag, Payload::sparse(outgoing))
             } else {
-                let shared = Arc::new(std::mem::replace(&mut self.acc, SparseVec::empty(self.dim)));
-                comm.send(peer, tag, Payload::sparse_shared(shared.clone()))?;
-                self.acc = match Arc::try_unwrap(shared) {
-                    Ok(v) => v,
-                    Err(shared) => {
-                        let mut owned = comm.pool().take_sparse(self.dim);
-                        owned.copy_from(&shared);
-                        owned
-                    }
-                };
-                Ok(())
+                send_shared(comm, peer, tag, &mut self.acc, Payload::sparse_shared)
             }
         }
         fn on_recv(&mut self, comm: &mut Communicator, peer: usize, tag: u32) -> Result<()> {
@@ -169,19 +203,7 @@ pub fn sparse_sum_recursive_doubling(
             Ok(())
         }
         fn on_swap(&mut self, comm: &mut Communicator, peer: usize, tag: u32) -> Result<()> {
-            // Share the accumulator with the outgoing message instead of
-            // cloning it; the merge reads it through the Arc.
-            let shared = Arc::new(std::mem::replace(&mut self.acc, SparseVec::empty(self.dim)));
-            let msg = comm.sendrecv(peer, tag, Payload::sparse_shared(shared.clone()))?;
-            let other = msg.payload.into_sparse();
-            let mut next = comm.pool().take_sparse(self.dim);
-            shared.add_into(&other, &mut next);
-            self.acc = next;
-            comm.pool().put_sparse(other);
-            if let Ok(v) = Arc::try_unwrap(shared) {
-                comm.pool().put_sparse(v);
-            }
-            Ok(())
+            swap_add(comm, peer, tag, &mut self.acc, Payload::sparse_shared)
         }
     }
     let plan = CollectivePlan::exchange(p);
@@ -276,21 +298,9 @@ impl PlanOps for ZooOps<'_> {
         let r = (tag - self.tag_base) as usize;
         if self.gather {
             let cap = self.sched.gather_slots[r];
-            let shared = Arc::new(std::mem::replace(&mut self.acc, SparseVec::empty(self.dim)));
-            comm.send(
-                peer,
-                tag,
-                Payload::sparse_padded_shared(shared.clone(), cap),
-            )?;
-            self.acc = match Arc::try_unwrap(shared) {
-                Ok(v) => v,
-                Err(shared) => {
-                    let mut owned = comm.pool().take_sparse(self.dim);
-                    owned.copy_from(&shared);
-                    owned
-                }
-            };
-            Ok(())
+            send_shared(comm, peer, tag, &mut self.acc, |v| {
+                Payload::sparse_padded_shared(v, cap)
+            })
         } else {
             let cap = self.sched.split_slots[r];
             self.cap_acc(cap);
@@ -338,21 +348,9 @@ impl PlanOps for ZooOps<'_> {
             // Doubling round: exchange whole holdings (disjoint region
             // sets) and merge-add.
             let cap = self.sched.gather_slots[r];
-            let shared = Arc::new(std::mem::replace(&mut self.acc, SparseVec::empty(self.dim)));
-            let msg = comm.sendrecv(
-                peer,
-                tag,
-                Payload::sparse_padded_shared(shared.clone(), cap),
-            )?;
-            let other = msg.payload.into_sparse();
-            let mut next = comm.pool().take_sparse(self.dim);
-            shared.add_into(&other, &mut next);
-            self.acc = next;
-            comm.pool().put_sparse(other);
-            if let Ok(v) = Arc::try_unwrap(shared) {
-                comm.pool().put_sparse(v);
-            }
-            return Ok(());
+            return swap_add(comm, peer, tag, &mut self.acc, |v| {
+                Payload::sparse_padded_shared(v, cap)
+            });
         }
         // Halving round: split holdings at this round's (re-balanced)
         // block boundary, ship the partner's half under the round budget,
@@ -496,43 +494,6 @@ pub fn sparse_zoo_all_reduce_over(
     Ok((ops.acc, ops.rejects))
 }
 
-/// Ok-Topk sparse allreduce over the full communicator: equal per-rank
-/// contribution quota `⌈k/P⌉`, balanced split-and-aggregate rounds, and
-/// a gather of the per-region selections — per-rank volume `O(k)` with
-/// no `log P` factor. Returns `(global, witnessed rejects)`; see
-/// [`sparse_zoo_all_reduce_over`].
-///
-/// # Errors
-///
-/// Propagates transport errors.
-pub fn ok_topk_all_reduce(
-    comm: &mut Communicator,
-    local: SparseVec,
-    k: usize,
-) -> Result<(SparseVec, SparseVec)> {
-    let members: Vec<usize> = (0..comm.size()).collect();
-    let sched = ZooSchedule::oktopk(members.len(), k);
-    sparse_zoo_all_reduce_over(comm, &members, local, &sched)
-}
-
-/// SparDL sparse allreduce over the full communicator: Spar-Reduce-
-/// Scatter with cascading `⌈h/2⌉` holding budgets, then Spar-All-Gather
-/// of the surviving regions — no dense allgather tail. Returns
-/// `(global, witnessed rejects)`; see [`sparse_zoo_all_reduce_over`].
-///
-/// # Errors
-///
-/// Propagates transport errors.
-pub fn spardl_all_reduce(
-    comm: &mut Communicator,
-    local: SparseVec,
-    k: usize,
-) -> Result<(SparseVec, SparseVec)> {
-    let members: Vec<usize> = (0..comm.size()).collect();
-    let sched = ZooSchedule::spardl(members.len(), k);
-    sparse_zoo_all_reduce_over(comm, &members, local, &sched)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -658,7 +619,11 @@ mod tests {
             let r = comm.rank() as u32;
             let local =
                 SparseVec::from_pairs(64, vec![(r * 16, 10.0 + r as f32), (r * 16 + 3, 1.0)]);
-            ok_topk_all_reduce(comm, local, k).unwrap().0
+            let members: Vec<usize> = (0..comm.size()).collect();
+            let sched = ZooSchedule::oktopk(members.len(), k);
+            sparse_zoo_all_reduce_over(comm, &members, local, &sched)
+                .unwrap()
+                .0
         });
         for v in &out {
             assert_eq!(v, &out[0]);

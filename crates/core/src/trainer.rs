@@ -1077,7 +1077,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_driven_algorithms_train_on_every_topology() {
+    fn plan_driven_algorithms_train_at_a_folded_size() {
         let data = GaussianMixture::new(6, 320, 8, 4, 2.5, 0.4);
         // gTop-k over the binomial plan (the one topology) at a folded P.
         let mut cfg = quick_cfg(Algorithm::GTopK, 5);

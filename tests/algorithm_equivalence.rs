@@ -1,7 +1,7 @@
 //! Cross-crate invariant tests relating the gTop-k variants to each
 //! other and to dense references, over the real threaded substrate.
 
-use gtopk::{gtopk_all_reduce, gtopk_all_reduce_with_feedback, naive_gtopk_all_reduce};
+use gtopk::{gtopk_all_reduce, gtopk_all_reduce_over, naive_gtopk_all_reduce};
 use gtopk_comm::{Cluster, CostModel};
 use gtopk_sparse::{topk_merge_many, topk_sparse, SparseVec};
 
@@ -51,7 +51,8 @@ fn all_variants_select_same_coordinates_when_supports_agree() {
             );
             let tree = gtopk_all_reduce(comm, local.clone(), k).unwrap().0;
             let naive = naive_gtopk_all_reduce(comm, local.clone(), k).unwrap().0;
-            let (fb, _, _) = gtopk_all_reduce_with_feedback(comm, local, k).unwrap();
+            let all: Vec<usize> = (0..comm.size()).collect();
+            let (fb, _, _) = gtopk_all_reduce_over(comm, &all, local, k).unwrap();
             (tree, naive, fb)
         });
         for (tree, naive, fb) in out {
@@ -126,8 +127,8 @@ fn feedback_rejects_account_for_all_truncated_mass() {
         let (dim, k) = (64usize, 3usize);
         let out = Cluster::new(p, CostModel::zero()).run(move |comm| {
             let local = topk_sparse(&grad(comm.rank(), dim, 4), k);
-            let (global, _, rejects) =
-                gtopk_all_reduce_with_feedback(comm, local.clone(), k).unwrap();
+            let all: Vec<usize> = (0..comm.size()).collect();
+            let (global, _, rejects) = gtopk_all_reduce_over(comm, &all, local.clone(), k).unwrap();
             (local, global, rejects)
         });
         let mut contributed = vec![0.0f64; dim];
@@ -172,7 +173,8 @@ fn plain_gtopk_can_lose_mass_but_feedback_cannot() {
             _ => SparseVec::from_pairs(dim, vec![(3, 0.2)]),
         };
         let (g1, _) = gtopk_all_reduce(comm, local.clone(), 1).unwrap();
-        let (_, _, rejects) = gtopk_all_reduce_with_feedback(comm, local, 1).unwrap();
+        let all: Vec<usize> = (0..comm.size()).collect();
+        let (_, _, rejects) = gtopk_all_reduce_over(comm, &all, local, 1).unwrap();
         (g1, rejects)
     });
     // Plain: coordinate 1 wins with 5.0 (rank 2's subtree) or 6.0 if the

@@ -3,12 +3,13 @@
 //! algorithms, using the comm substrate's element counters.
 
 use gtopk::{
-    gtopk_all_reduce, ok_topk_all_reduce, spardl_all_reduce, sparse_sum_recursive_doubling,
-    Algorithm, DensitySchedule, LrSchedule, Selector, TrainConfig,
+    gtopk_all_reduce, sparse_sum_recursive_doubling, sparse_zoo_all_reduce_over, Algorithm,
+    DensitySchedule, LrSchedule, Selector, TrainConfig,
 };
 use gtopk_comm::{collectives, Cluster, CostModel};
 use gtopk_data::GaussianMixture;
 use gtopk_nn::models;
+use gtopk_perfmodel::ZooSchedule;
 use gtopk_sparse::topk_sparse;
 
 /// Deterministic per-rank pseudo-gradient.
@@ -46,11 +47,13 @@ fn rank0_elems_topk(p: usize, dim: usize, k: usize) -> usize {
 fn rank0_sent_zoo(p: usize, dim: usize, k: usize, oktopk: bool) -> usize {
     let stats = Cluster::new(p, CostModel::zero()).run(move |comm| {
         let local = topk_sparse(&grad(comm.rank(), dim), k);
-        if oktopk {
-            ok_topk_all_reduce(comm, local, k).unwrap();
+        let all: Vec<usize> = (0..comm.size()).collect();
+        let sched = if oktopk {
+            ZooSchedule::oktopk(p, k)
         } else {
-            spardl_all_reduce(comm, local, k).unwrap();
-        }
+            ZooSchedule::spardl(p, k)
+        };
+        sparse_zoo_all_reduce_over(comm, &all, local, &sched).unwrap();
         comm.stats()
     });
     stats[0].elems_sent

@@ -2,7 +2,7 @@
 //! [`gtopk_comm::CommError::Disconnected`] errors (an MPI-abort-style
 //! model), never as silent hangs or corrupted aggregates.
 
-use gtopk::gtopk_all_reduce;
+use gtopk::{gtopk_all_reduce, sparse_sum_recursive_doubling};
 use gtopk_comm::{collectives, Cluster, CommError, CostModel, FaultPlan, Payload};
 use gtopk_sparse::SparseVec;
 
@@ -91,18 +91,17 @@ fn collective_after_partial_failure_reports_error() {
 
 #[test]
 fn allgather_fails_cleanly_when_a_rank_dies() {
-    // The AllGather exchange shape — recursive doubling, folded at
-    // P = 6 — on the kept collective, the recursive-doubling AllReduce,
-    // with a dead member: the survivors' exchange chains reach the hole
-    // within log P rounds, so they must error rather than return a
-    // partial result.
+    // The AllGather-equivalent exact sparse sum — the recursive-doubling
+    // exchange plan, folded at P = 6 — with a dead member: the
+    // survivors' exchange chains reach the hole within log P rounds, so
+    // they must error rather than return a partial result.
     for p in [4usize, 6] {
         let out = Cluster::new(p, CostModel::zero()).run(|comm| {
             if comm.rank() == 1 {
                 return None;
             }
-            let mut v = vec![comm.rank() as f32; 4];
-            Some(collectives::allreduce_recursive_doubling(comm, &mut v).map(|()| v))
+            let local = SparseVec::from_pairs(16, vec![(comm.rank() as u32, 1.0)]);
+            Some(sparse_sum_recursive_doubling(comm, local))
         });
         let failed = out
             .iter()

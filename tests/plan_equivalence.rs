@@ -248,7 +248,7 @@ proptest! {
     /// every rank, bit-for-bit equal to the paper's ⊤-fold reference, when
     /// supports are disjoint with distinct magnitudes.
     #[test]
-    fn prop_topologies_agree_bitwise_with_the_merge_reference(
+    fn prop_the_tree_agrees_bitwise_with_the_merge_reference(
         p in 2usize..=48,
         k in 1usize..=6,
     ) {
