@@ -24,7 +24,8 @@
 //! * fc1's per-forward weight transpose, per element against 8×8 tiles;
 //! * every available `GTOPK_SIMD` level against the scalar kernels;
 //! * the fused single-pass residual+select against the three-pass
-//!   accumulate / scan / compact sequence, at m = 25M;
+//!   accumulate / scan / compact sequence, at m = 25M and, at the best
+//!   SIMD level, at m = 1M, k = 250 000;
 //! * the TCP frame codec on one 250 000-entry sparse DATA frame (the
 //!   message a ρ = 0.25 step of a 1M-parameter model ships): one-pass
 //!   encode into a reused buffer, and read + slice-pass decode into a
@@ -45,7 +46,7 @@ use gtopk_sparse::{
     topk_merge, topk_merge_into, topk_merge_split_into, topk_sparse, topk_sparse_into, Mask,
     MergeScratch, Residual, SparseVec, TopkScratch,
 };
-use gtopk_tensor::simd::{self, SimdLevel};
+use gtopk_tensor::simd::{self, Pairs, SimdLevel};
 use gtopk_tensor::{matmul_flat, parallel, transpose_into, Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -689,7 +690,7 @@ fn bench_compact(rows: &mut Vec<Row>) {
     let mut rng = StdRng::seed_from_u64(19);
     let dense: Vec<f32> = (0..N2).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     let thr = 1.0 - K2 as f32 / N2 as f32;
-    let mut out: Vec<u32> = Vec::new();
+    let (mut idx, mut val) = (Vec::new(), Vec::new());
     for level in levels() {
         rows.push(Row {
             kernel: "threshold_compact",
@@ -701,9 +702,14 @@ fn bench_compact(rows: &mut Vec<Row>) {
             secs: parallel::with_thread_limit(1, || {
                 simd::with_simd_level(level, || {
                     time_median(5, || {
-                        out.clear();
-                        simd::compact_above(black_box(&dense), thr, 0, &mut out);
-                        black_box(&out);
+                        idx.clear();
+                        val.clear();
+                        let src = Pairs::Dense {
+                            v: black_box(&dense),
+                            base: 0,
+                        };
+                        simd::partition_above(src, thr, Some((&mut idx, &mut val)), None);
+                        black_box((&idx, &val));
                     })
                 })
             }),
@@ -712,7 +718,10 @@ fn bench_compact(rows: &mut Vec<Row>) {
 }
 
 /// Fused accumulate+select+compact vs the three-pass accumulate / scan /
-/// compact sequence, m = 25M, k = 25 000, single thread.
+/// compact sequence, single thread: m = 25M, k = 25 000 at every level
+/// (`residual_select`), and m = 1M, k = 250 000 — the first warm-up
+/// epoch's density, where the candidate tail is as large as the pass —
+/// at the best level (`residual_select_rho25`).
 ///
 /// Each rep re-accumulates the same fresh gradient and extracts the
 /// top-k, so the residual reaches the trainer's steady state (rotating
@@ -721,8 +730,6 @@ fn bench_compact(rows: &mut Vec<Row>) {
 /// identical rep sequence, so thresholds — and every float — match
 /// bitwise between them; only the number of memory passes differs.
 fn bench_fused_select(rows: &mut Vec<Row>) {
-    let mut rng = StdRng::seed_from_u64(21);
-    let grad: Vec<f32> = (0..N2).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
     let best = simd::detect_best();
     let configs: [(&'static str, SimdLevel, bool); 4] = [
         ("three_pass_scalar", SimdLevel::Scalar, false),
@@ -730,30 +737,39 @@ fn bench_fused_select(rows: &mut Vec<Row>) {
         ("fused_scalar", SimdLevel::Scalar, true),
         ("fused_simd", best, true),
     ];
-    for (variant, level, fused) in configs {
-        let mut r = Residual::new(N2);
-        let mut out = SparseVec::empty(N2);
-        rows.push(Row {
-            kernel: "residual_select",
-            variant,
-            threads: 1,
-            simd: level.name(),
-            elements: N2,
-            baseline: variant == "three_pass_scalar",
-            secs: parallel::with_thread_limit(1, || {
-                simd::with_simd_level(level, || {
-                    time_median(5, || {
-                        if fused {
-                            r.accumulate_extract_into(black_box(&grad), K2, &mut out);
-                        } else {
-                            r.accumulate(black_box(&grad));
-                            r.extract_topk_into(K2, &mut out);
-                        }
-                        black_box(&out);
+    let rho25 = [configs[1], configs[3]];
+    let shapes: [(&'static str, usize, usize, &[_]); 2] = [
+        ("residual_select", N2, K2, &configs),
+        ("residual_select_rho25", N3, K3, &rho25),
+    ];
+    for (kernel, n, k, configs) in shapes {
+        let mut rng = StdRng::seed_from_u64(21);
+        let grad: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        for &(variant, level, fused) in configs {
+            let mut r = Residual::new(n);
+            let mut out = SparseVec::empty(n);
+            rows.push(Row {
+                kernel,
+                variant,
+                threads: 1,
+                simd: level.name(),
+                elements: n,
+                baseline: variant == configs[0].0,
+                secs: parallel::with_thread_limit(1, || {
+                    simd::with_simd_level(level, || {
+                        time_median(5, || {
+                            if fused {
+                                r.accumulate_extract_into(black_box(&grad), k, &mut out);
+                            } else {
+                                r.accumulate(black_box(&grad));
+                                r.extract_topk_into(k, &mut out);
+                            }
+                            black_box(&out);
+                        })
                     })
-                })
-            }),
-        });
+                }),
+            });
+        }
     }
 }
 

@@ -12,9 +12,11 @@
 //!
 //! Buffers migrate between ranks: a zero-copy send moves its buffer into
 //! the message, and the receiver eventually retires it into *its own*
-//! pool. Because collective schedules are fixed, per-rank gains and
-//! losses balance out after one iteration; [`BufferPool::MAX_POOLED`]
-//! caps the free lists so pathological callers cannot hoard memory.
+//! pool. Because collective schedules are fixed, each rank gains and
+//! loses the same buffers every iteration — a tree's root gains what its
+//! children send each step, a leaf loses what it sends — so
+//! [`BufferPool::MAX_POOLED`] caps the free lists: a rank that only gains
+//! holds at most that many idle buffers, whatever the number of steps.
 
 use gtopk_sparse::{MergeScratch, SparseVec};
 
@@ -31,7 +33,10 @@ pub struct PoolStats {
 
 /// A per-rank free list of reusable sparse-gradient buffers.
 ///
-/// See the [module docs](self) for the lifecycle.
+/// Sends move buffers into messages and receivers retire them into their
+/// own pool, so a rank's free list gains what its collective role
+/// receives and loses what it sends; [`BufferPool::MAX_POOLED`] bounds
+/// what a rank that only gains can hold.
 #[derive(Debug, Default)]
 pub struct BufferPool {
     pairs: Vec<(Vec<u32>, Vec<f32>)>,
@@ -41,7 +46,10 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// Free-list cap: returns beyond this are dropped (bounds memory).
-    pub const MAX_POOLED: usize = 64;
+    /// Four is the smallest cap under which a tree root, which holds four
+    /// pairs through a feedback step's merges, still serves every
+    /// steady-state step from its pool.
+    pub const MAX_POOLED: usize = 4;
 
     /// An empty pool.
     pub fn new() -> Self {

@@ -55,6 +55,11 @@ pub struct Aggregator {
     /// Every other collective: the plans it executes for the current `P`,
     /// for the analytic twin ([`Aggregator::charge_twin`]).
     plans: Vec<CollectivePlan>,
+    /// The buffers the tree rows copy their selection into: the
+    /// collective consumes the copy while the step keeps the selection
+    /// for its put-back, after which the selection's buffers serve the
+    /// next step's copy.
+    spare: SparseVec,
 }
 
 impl Aggregator {
@@ -66,6 +71,7 @@ impl Aggregator {
             algorithm,
             sched: None,
             plans: Vec::new(),
+            spare: SparseVec::empty(0),
         }
     }
 
@@ -128,15 +134,17 @@ impl Aggregator {
                 }
                 Collective::SparseSumThenSelect => {
                     let local = residual.accumulate_extract(grad, k);
-                    let (global, _) = naive_gtopk_all_reduce(comm, local.clone(), k)?;
+                    let sent = self.copy_of(&local);
+                    let (global, _) = naive_gtopk_all_reduce(comm, sent, k)?;
                     (global, Some(local), None)
                 }
                 Collective::Tree => {
                     let local = residual.accumulate_extract(grad, k);
+                    let sent = self.copy_of(&local);
                     let (global, witnessed) = tree_all_reduce(
                         comm,
                         members,
-                        local.clone(),
+                        sent,
                         k,
                         rejects == Rejects::PutBackOwnAndWitnessed,
                     )?;
@@ -161,6 +169,9 @@ impl Aggregator {
             // Alg. 4 line 10: Gᵍ += G̃ᵍ ⊙ ¬gMask ⊙ Mask.
             residual.put_back_unselected(local, global.indices());
         }
+        if let Some(local) = own {
+            self.spare = local;
+        }
         if let Some(witnessed) = witnessed {
             match rejects {
                 Rejects::Witnessed => residual.put_back(&witnessed),
@@ -173,6 +184,14 @@ impl Aggregator {
         }
         global.scale(inv);
         Ok(Update::Sparse(global))
+    }
+
+    /// A copy of `local` in the previous step's selection buffers, for a
+    /// collective that consumes what it is given.
+    fn copy_of(&mut self, local: &SparseVec) -> SparseVec {
+        let mut copy = std::mem::replace(&mut self.spare, SparseVec::empty(0));
+        copy.copy_from(local);
+        copy
     }
 
     /// Replays the collective [`Aggregator::aggregate`] runs for `p`
@@ -230,7 +249,7 @@ fn zoo_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gtopk_comm::{Cluster, CostModel};
+    use gtopk_comm::{BufferPool, Cluster, CostModel};
 
     fn worker_grad(r: usize, dim: usize) -> Vec<f32> {
         (0..dim)
@@ -296,6 +315,36 @@ mod tests {
             for u in &out {
                 assert_eq!(u, &out[0], "{}", alg.name());
             }
+        }
+    }
+
+    #[test]
+    fn every_ranks_idle_buffers_stay_bounded_whatever_the_step_count() {
+        // The tree moves buffers towards the root every step: the root
+        // and the interior ranks gain what their children send, so
+        // without a cap the root's idle buffers grow with the step count.
+        // Over a long run no rank ever holds more idle buffers than one
+        // step draws from its pool.
+        let out = Cluster::new(5, CostModel::zero()).run(|comm| {
+            let mut agg = Aggregator::new(Algorithm::GTopKFeedback);
+            let members: Vec<usize> = (0..comm.size()).collect();
+            let mut residual = Residual::new(64);
+            let (mut most_idle, mut draws) = (0, 0);
+            for step in 0..40 {
+                let before = comm.pool_stats();
+                let g = worker_grad(comm.rank() + step, 64);
+                agg.aggregate(comm, &members, &mut residual, &g, 8).unwrap();
+                let after = comm.pool_stats();
+                draws = (after.hits + after.misses - before.hits - before.misses) as usize;
+                most_idle = most_idle.max(comm.pool().idle());
+            }
+            (most_idle, draws)
+        });
+        for (rank, &(most_idle, draws)) in out.iter().enumerate() {
+            assert!(
+                most_idle <= draws.min(BufferPool::MAX_POOLED),
+                "rank {rank} held {most_idle} idle buffers, one step draws {draws}"
+            );
         }
     }
 

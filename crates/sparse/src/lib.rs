@@ -44,7 +44,6 @@ pub use merge::{
 };
 pub use residual::Residual;
 pub use topk::{
-    accumulate_select_compact, topk_indices, topk_indices_into, topk_sparse, topk_sparse_into,
-    TopkScratch,
+    accumulate_select_compact, topk_indices, topk_sparse, topk_sparse_into, TopkScratch,
 };
 pub use vector::SparseVec;

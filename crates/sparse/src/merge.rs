@@ -11,27 +11,28 @@
 //! The sum is never materialised. Both [`topk_merge_into`] and
 //! [`topk_merge_split_into`]:
 //!
-//! 1. **sample the sum's magnitudes** at ascending positions of both
-//!    inputs — an `a` entry's partner in `b` is found by a forward gallop,
-//!    and a sampled `b` entry that is also in `a` is skipped, so every sum
-//!    entry is sampled at the same rate — and read the selection kernel's
-//!    two-sided cut `t_lo`/`t_hi` off that sample (see [`crate::topk`]'s
-//!    module docs);
+//! 1. **sample the sum's magnitudes** at the selection kernel's ascending
+//!    stratified positions of both inputs — an `a` entry's partner in `b`
+//!    is found by a forward gallop, and a sampled `b` entry that is also
+//!    in `a` is skipped, so every sum entry is sampled at the same rate —
+//!    and read the selection kernel's two-sided cut `t_lo`/`t_hi` off
+//!    that sample (see [`crate::topk`]'s module docs);
 //! 2. make **one two-pointer walk** over `a` and `b` that forms each sum
-//!    entry and writes, branch-free, only the candidates (`|v| > t_lo`) —
-//!    plus, for the split, the entries at or below `t_lo`, which are
-//!    certain rejects;
-//! 3. run the selection kernel's exact tail over the candidates: gather
-//!    the band magnitudes (`t_lo < |v| ≤ t_hi`), `select_nth` over the
-//!    band only, then one ordered emit scan that writes the result already
-//!    sorted (and, for the split, slots each rejected candidate in among
-//!    the certain rejects). The band is gathered from the candidates
-//!    rather than in the walk: a streaming pass over ~k values costs less
-//!    than the register pressure a third output adds to every walk step.
+//!    entry and writes, branch-free, only the candidate pairs
+//!    (`|v| > t_lo`) — plus, for the split, the entries at or below
+//!    `t_lo`, which are certain rejects;
+//! 3. run **the selection kernel's one tail** over those candidate pairs,
+//!    exactly as the local select does: one packed compare gathers the
+//!    band (`t_lo < |v| ≤ t_hi`), a radix select over it finds the k-th
+//!    magnitude, and the packed emit writes the kept pairs straight into
+//!    the result, already sorted. For the split the emit also packs the
+//!    rejected candidates, which are then slotted in among the certain
+//!    rejects, so the rejects come out ascending too.
 //!
 //! When cancellation leaves fewer than `k` candidates the walk reruns
 //! with every sum entry a candidate; below the 4096-entry cut-off no
-//! sample is taken and every entry is a candidate from the start.
+//! sample is taken and every entry is a candidate from the start. Either
+//! way the tail then selects over every candidate, without a band.
 //!
 //! # Determinism
 //!
@@ -50,9 +51,9 @@
 //! steady-state allocation — there is no intermediate `a.add(b)` vector
 //! and no dense mask/partition pass.
 
-use crate::topk::{gather_band, mag, Cut, KthMagnitude, PREFILTER_MIN};
+use crate::topk::{mag, sample_positions, sample_step, Band, Cut, Kth, PREFILTER_MIN};
 use crate::SparseVec;
-use gtopk_tensor::simd::select_f32;
+use gtopk_tensor::simd::{select_f32, Pairs};
 use std::hint::select_unpredictable;
 
 /// Reusable buffers for the `_into` merge kernels. The walk's outputs are
@@ -69,8 +70,8 @@ pub struct MergeScratch {
     rej_idx: Vec<u32>,
     /// Values parallel to `rej_idx`.
     rej_val: Vec<f32>,
-    /// The sample's magnitudes, then the band's (a plain vector).
-    mags: Vec<f32>,
+    /// The sample, the tail's band, then the split's rejected candidates.
+    band: Band,
 }
 
 impl MergeScratch {
@@ -101,18 +102,6 @@ fn gallop(idx: &[u32], from: usize, target: u32) -> usize {
     lo + idx[lo..hi].partition_point(|&i| i < target)
 }
 
-/// One position from each block of `step` positions below `n`, at a
-/// hashed offset within the block: ascending, and every position is
-/// drawn with probability `1/step`.
-fn sample_positions(n: usize, step: usize) -> impl Iterator<Item = usize> {
-    (0..n.div_ceil(step))
-        .map(move |j| {
-            let h = (j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
-            j * step + h as usize % step
-        })
-        .filter(move |&x| x < n)
-}
-
 /// Replaces `mags` with the magnitudes of a sample of the sum `a + b`:
 /// every sum entry is drawn with probability `1/step`.
 /// A sampled `a` entry adds its partner in `b`, found by a forward
@@ -140,17 +129,23 @@ fn sample_sum(a: &SparseVec, b: &SparseVec, step: usize, mags: &mut Vec<f32>) {
 }
 
 /// Step 1: the cut for the top-`k` of `a + b`, from a sample of about
-/// `min(64 Ki, n/16)` of the sum's entries over `n = nnz(a) + nnz(b)`.
-/// `None` below the cut-off, for a degenerate merge (`k == 0`, `k ≥ n`),
-/// and when the sum is too small for a cut to exclude anything.
-fn merge_cut(a: &SparseVec, b: &SparseVec, k: usize, mags: &mut Vec<f32>) -> Option<Cut> {
+/// `min(64 Ki, n/16)` of the sum's entries over `n = nnz(a) + nnz(b)`,
+/// with room made in `band` for the tail. `None` below the cut-off, for
+/// a degenerate merge (`k == 0`, `k ≥ n`), and when the sum is too small
+/// for a cut to exclude anything.
+fn merge_cut(a: &SparseVec, b: &SparseVec, k: usize, band: &mut Band) -> Option<Cut> {
     let n = a.nnz() + b.nnz();
     if n < PREFILTER_MIN || k == 0 || k >= n {
         return None;
     }
-    let step = n.div_ceil(64 * 1024).max(16);
-    sample_sum(a, b, step, mags);
-    Cut::from_sample(mags, k as f64 / step as f64)
+    let step = sample_step(n);
+    let q = k as f64 / step as f64;
+    sample_sum(a, b, step, &mut band.val);
+    let cut = Cut::from_sample(&mut band.val, q)?;
+    // The split's rejected candidates reuse the band's room after it:
+    // whenever the cut holds there are fewer of them than band entries.
+    band.reserve_for(q, step);
+    Some(cut)
 }
 
 /// Grow-only slot arrays the walk appends to without a branch: each
@@ -258,7 +253,7 @@ fn fused_merge(
     k: usize,
     scratch: &mut MergeScratch,
     kept: &mut SparseVec,
-    mut rejected: Option<&mut SparseVec>,
+    rejected: Option<&mut SparseVec>,
 ) -> usize {
     assert_eq!(a.dim, b.dim, "dimension mismatch in sparse merge");
     let n = a.nnz() + b.nnz();
@@ -267,7 +262,7 @@ fn fused_merge(
     } else {
         walk::<false>
     };
-    let sampled = merge_cut(a, b, k, &mut scratch.mags);
+    let sampled = merge_cut(a, b, k, &mut scratch.band);
     let mut cut = sampled.unwrap_or(Cut::NONE);
     let (mut n_cand, mut n_rej) = walk(a, b, cut.lo, scratch);
     if sampled.is_some() && n_cand < k {
@@ -282,39 +277,36 @@ fn fused_merge(
         cand_val,
         rej_idx,
         rej_val,
-        mags,
+        band,
     } = scratch;
-    let (cand_idx, cand_val) = (&mut cand_idx[..n_cand], &mut cand_val[..n_cand]);
-    let (rej_idx, rej_val) = (&rej_idx[..n_rej], &rej_val[..n_rej]);
+    let (cand_idx, cand_val) = (&cand_idx[..n_cand], &cand_val[..n_cand]);
     kept.dim = a.dim;
     kept.clear();
-    kept.indices.reserve(k.min(n));
-    kept.values.reserve(k.min(n));
-    if let Some(rejected) = rejected.as_deref_mut() {
+    kept.indices.reserve_exact(k.min(n));
+    kept.values.reserve_exact(k.min(n));
+    // Steps 3–4: the selection kernel's tail over the candidate pairs.
+    let kth = Kth::find(k, cand_val, cut.hi, band);
+    let src = |r: std::ops::Range<usize>| Pairs::Packed {
+        idx: &cand_idx[r.clone()],
+        val: &cand_val[r],
+    };
+    let kept_pairs = (&mut kept.indices, &mut kept.values);
+    kth.emit(
+        n_cand,
+        src,
+        kept_pairs,
+        rejected.is_some().then(|| band.cleared()),
+    );
+    if let Some(rejected) = rejected {
+        // Slot each rejected candidate in among the certain rejects; both
+        // ascend, so the result does too.
         rejected.dim = a.dim;
         rejected.clear();
-        rejected.indices.reserve(n.saturating_sub(k));
-        rejected.values.reserve(n.saturating_sub(k));
-    }
-    // Step 3: the k-th magnitude, from the candidates' band only.
-    let mut kth = if n_cand <= k {
-        KthMagnitude::ALL
-    } else {
-        mags.clear();
-        mags.reserve(n);
-        let (n_hi, hi) = gather_band(k, cut.hi, cand_val.iter().map(|&v| mag(v)), mags);
-        KthMagnitude::find(k, n_hi, hi, mags)
-    };
-    // The emit scan, compacting the kept candidates in place; candidates
-    // ascend, so both outputs do too.
-    let (mut c, mut r) = (0, 0);
-    for j in 0..n_cand {
-        let (i, v) = (cand_idx[j], cand_val[j]);
-        let keep = kth.keeps(mag(v));
-        cand_idx[c] = i;
-        cand_val[c] = v;
-        c += usize::from(keep);
-        if let (false, Some(rejected)) = (keep, rejected.as_deref_mut()) {
+        rejected.indices.reserve_exact(n.saturating_sub(k));
+        rejected.values.reserve_exact(n.saturating_sub(k));
+        let (rej_idx, rej_val) = (&rej_idx[..n_rej], &rej_val[..n_rej]);
+        let mut r = 0;
+        for (&i, &v) in band.pos.iter().zip(&band.val) {
             let upto = gallop(rej_idx, r, i);
             rejected.indices.extend_from_slice(&rej_idx[r..upto]);
             rejected.values.extend_from_slice(&rej_val[r..upto]);
@@ -322,10 +314,6 @@ fn fused_merge(
             rejected.values.push(v);
             r = upto;
         }
-    }
-    kept.indices.extend_from_slice(&cand_idx[..c]);
-    kept.values.extend_from_slice(&cand_val[..c]);
-    if let Some(rejected) = rejected {
         rejected.indices.extend_from_slice(&rej_idx[r..]);
         rejected.values.extend_from_slice(&rej_val[r..]);
     }

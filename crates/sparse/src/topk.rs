@@ -3,28 +3,38 @@
 //! The paper selects the `k = ρ·m` gradient coordinates of largest absolute
 //! value (Algorithm 1, lines 5–7) and its Fig. 11 flags that selection as
 //! the overhead left once the wire is O(k log P). Every exact caller — the
-//! local select ([`topk_indices_into`]), its fusion with the residual
+//! local select ([`topk_sparse_into`]), its fusion with the residual
 //! accumulate ([`accumulate_select_compact`]) and the `⊤` merge's
-//! re-selection — runs one streaming kernel:
+//! re-selection — runs one streaming kernel over **packed (index, value)
+//! candidate pairs**:
 //!
 //! 1. a magnitude **sample** picks a two-sided cut: `t_lo` aimed at `k`
 //!    plus four binomial standard deviations of candidates (≈ 1.03 k at
-//!    ρ = 0.25, ≤ 1.6 k at ρ = 0.001), `t_hi` at `k` minus four;
-//! 2. one SIMD pass collects the coordinates *strictly above* `t_lo`, in
-//!    ascending index order;
-//! 3. the candidates above `t_hi` are certain members; `select_nth` runs
-//!    only over the **band** `t_lo < |v| ≤ t_hi` (plain `f32` compares,
-//!    ≈ 16k of ≈ 257k candidates at n = 1M, k = 250k) to find the k-th
-//!    magnitude `t*`;
-//! 4. one ordered scan emits every `|v| > t*` plus the lowest-index ties
-//!    at `t*` — so the output is born sorted.
+//!    ρ = 0.25, ≤ 1.6 k at ρ = 0.001), `t_hi` at `k` minus four. The
+//!    sample is one position per block of `step` (about `n/16`, at most
+//!    64 Ki of them), at a hashed offset inside the block: ascending, so
+//!    the reads stream, and every position is drawn with the same
+//!    probability;
+//! 2. one SIMD pass writes the pairs *strictly above* `t_lo` — index and
+//!    value, in ascending index order — left-packed without a
+//!    data-dependent branch (`gtopk_tensor::simd::partition_above`);
+//! 3. the **band**: the candidates above `t_hi` are certain members; one
+//!    packed compare over the candidate values gathers the rest
+//!    (`t_lo < |v| ≤ t_hi`, ≈ 16k of ≈ 257k candidates at n = 1M,
+//!    k = 250k), and a radix select over the band's magnitude bits finds
+//!    the k-th magnitude `t*` and how many of its ties the top-k admits
+//!    — ties go to the lower index, so the admitted ones end at one
+//!    candidate position;
+//! 4. the **emit**: two more packed compares write the answer's pairs
+//!    straight into the output, already sorted — `|v| ≥ t*` before the
+//!    ties' end, `|v| > t*` from it.
 //!
-//! The `⊤` merge ([`crate::topk_merge_into`]) reads the same cut off a
-//! sample of its sum and shares steps 3–4. There is no approximate
-//! selector: this one already reads its cut off a sample, and fused with
-//! the residual accumulate it crosses the buffer once, which leaves an
-//! approximate select nothing to save at paper scale (EXPERIMENTS.md,
-//! `ext_selection_kernels`).
+//! Steps 3–4 are **the one tail**: the `⊤` merge ([`crate::topk_merge_into`])
+//! runs them unchanged over the candidate pairs its walk writes. There is
+//! no approximate selector: this one already reads its cut off a sample,
+//! and fused with the residual accumulate it crosses the buffer once,
+//! which leaves an approximate select nothing to save at paper scale
+//! (EXPERIMENTS.md, `ext_selection_kernels`).
 //!
 //! # Determinism
 //!
@@ -33,23 +43,25 @@
 //! coordinate the threshold pass drops is strictly beaten by every
 //! candidate, hence **candidates ⊇ answer** whenever at least `k` survive;
 //! if at most `k` clear `t_hi`, all of those are in the answer and `t*`
-//! lies in the band, so steps 3–4 resolve it exactly, ties by ascending
-//! scan. When more than `k` clear `t_hi`, every candidate is band. When
+//! lies in the band, so steps 3–4 resolve it exactly. When more than `k`
+//! clear `t_hi`, the radix select runs over every candidate instead. When
 //! fewer than `k` survive (a sample that overshot, zero-heavy buffers) —
 //! or the input is too small for a sample to pay — *every* index is a
-//! candidate and the same two steps run. The result is therefore a pure
-//! function of the buffer: independent of the sample, the SIMD level and
-//! the thread count, which is what keeps worker replicas bitwise in step.
-//! The sampler reads a fixed Weyl sequence of positions — no RNG.
+//! candidate: the radix select and the emit then read the buffer itself,
+//! which is never copied. The result is therefore a pure function of the
+//! buffer: independent of the sample, the SIMD level and the thread
+//! count, which is what keeps worker replicas bitwise in step. The
+//! sampler's offsets are a fixed hash — no RNG.
 //!
 //! # Scratch reuse
 //!
-//! The `_into` variants take a [`TopkScratch`] holding the candidate and
-//! magnitude buffers — O(k) on the threshold path — so steady-state
-//! selection allocates nothing. The plain variants allocate internally.
+//! The `_into` variants take a [`TopkScratch`] holding the candidate pairs
+//! and the band — O(k) on the threshold path — so steady-state selection
+//! allocates nothing. The plain variants allocate internally.
 
 use crate::SparseVec;
-use gtopk_tensor::simd;
+use gtopk_tensor::simd::{self, PairVecs, Pairs};
+use std::ops::Range;
 
 /// Below this many elements the built-in sampler is skipped: sampling
 /// would cost more than the select over all of them that it spares.
@@ -73,9 +85,12 @@ pub(crate) fn mag(v: f32) -> f32 {
 #[derive(Debug, Clone, Default)]
 pub struct TopkScratch {
     /// Strictly-above-threshold candidate indices, ascending.
-    cand: Vec<u32>,
-    /// The sampled magnitudes, then the candidates' magnitudes.
-    mags: Vec<f32>,
+    cand_idx: Vec<u32>,
+    /// The sample's magnitudes, then the candidates' values, parallel to
+    /// `cand_idx`.
+    cand_val: Vec<f32>,
+    /// The tail's band.
+    band: Band,
 }
 
 impl TopkScratch {
@@ -85,11 +100,62 @@ impl TopkScratch {
     }
 }
 
+/// The exact tail's working pairs: the band's (candidate position,
+/// value) pairs — and, in the split merge, first the sample's magnitudes
+/// (in `val`) and last its rejected candidates' (index, value) pairs.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Band {
+    pub(crate) pos: Vec<u32>,
+    pub(crate) val: Vec<f32>,
+}
+
+impl Band {
+    /// Both vectors, emptied, as one side of a partition.
+    pub(crate) fn cleared(&mut self) -> PairVecs<'_> {
+        self.pos.clear();
+        self.val.clear();
+        (&mut self.pos, &mut self.val)
+    }
+
+    /// Empties both vectors and makes them hold at least the band behind
+    /// a cut read off a sample taken every `step` entries with `q`
+    /// expected top-k members in it. The band spans the `8·√q` sample
+    /// entries between the cut's two ranks; room for that many sampled
+    /// entries' worth plus four standard deviations of the count is a
+    /// function of the select's shape, not of how one sample fell, so a
+    /// warm buffer does not grow (and a band past it grows the vectors
+    /// once).
+    pub(crate) fn reserve_for(&mut self, q: f64, step: usize) {
+        let sampled = 8.0 * q.sqrt();
+        let room = ((sampled + 4.0 * sampled.sqrt()) * step as f64) as usize;
+        let (pos, val) = self.cleared();
+        pos.reserve_exact(room);
+        val.reserve_exact(room);
+    }
+}
+
+/// The sampling stride over `n` entries: about `min(64 Ki, n/16)` samples.
+pub(crate) fn sample_step(n: usize) -> usize {
+    n.div_ceil(64 * 1024).max(16)
+}
+
+/// One position from each block of `step` positions below `n`, at a
+/// hashed offset within the block: ascending, and every position is
+/// drawn with probability `1/step`.
+pub(crate) fn sample_positions(n: usize, step: usize) -> impl Iterator<Item = usize> {
+    (0..n.div_ceil(step))
+        .map(move |j| {
+            let h = (j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 32;
+            j * step + h as usize % step
+        })
+        .filter(move |&x| x < n)
+}
+
 /// A two-sided magnitude cut read off a sample: every entry strictly
 /// above `lo` is a candidate, every entry strictly above `hi` a certain
 /// member of the top-k — provided at least `k` entries clear `lo` and at
 /// most `k` clear `hi` (the *band check*). Only the band `lo < |v| ≤ hi`
-/// then needs a `select_nth`.
+/// then needs a select.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Cut {
     pub(crate) lo: f32,
@@ -132,49 +198,130 @@ impl Cut {
     }
 }
 
-/// The k-th magnitude `t` of a candidate set and how many candidates tied
-/// at `t` the top-k still admits, ties going to the lower index — steps
-/// 3–4 of the module docs, as a predicate for the ordered emit scan.
+/// Step 3's answer over a candidate list: the k-th magnitude `t` and the
+/// position where the admitted ties end. The candidate at position `j` is
+/// selected iff its magnitude is `> t`, or `== t` with `j < tie_end`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct KthMagnitude {
+pub(crate) struct Kth {
     t: f32,
-    ties: usize,
+    tie_end: usize,
 }
 
-impl KthMagnitude {
-    /// Keeps every candidate (there are at most `k`).
-    pub(crate) const ALL: KthMagnitude = KthMagnitude { t: -1.0, ties: 0 };
+impl Kth {
+    /// Every candidate is selected.
+    const ALL: Kth = Kth {
+        t: -1.0,
+        tie_end: 0,
+    };
 
-    /// Finds the k-th magnitude of candidates of which `n_hi` lie
-    /// strictly above `hi` and the rest have magnitudes `band` (all
-    /// `≤ hi`). Requires `n_hi ≤ k ≤ n_hi + band.len()`.
-    pub(crate) fn find(k: usize, n_hi: usize, hi: f32, band: &mut [f32]) -> Self {
-        if n_hi == k {
-            // The certain members are the whole answer.
-            return KthMagnitude { t: hi, ties: 0 };
+    /// Step 3 for the top-`k` of the candidate values `vals`, given that
+    /// at most `k` of them should lie above `hi` (`+∞`: no band): gathers
+    /// the band `|v| ≤ hi` into `band` and radix-selects over it — or over
+    /// all of `vals` when there is no band or more than `k` clear `hi`.
+    pub(crate) fn find(k: usize, vals: &[f32], hi: f32, band: &mut Band) -> Kth {
+        let n = vals.len();
+        if k >= n {
+            return Kth::ALL;
         }
-        let (above, &mut t, _) = band.select_nth_unstable_by(k - n_hi - 1, |a, b| b.total_cmp(a));
-        let ties = k - n_hi - above.iter().filter(|&&m| m > t).count();
-        KthMagnitude { t, ties }
+        if k == 0 {
+            // Nothing is above +∞.
+            return Kth {
+                t: f32::INFINITY,
+                tie_end: 0,
+            };
+        }
+        if hi < f32::INFINITY {
+            let dense = Pairs::Dense { v: vals, base: 0 };
+            simd::partition_above(dense, hi, None, Some(band.cleared()));
+            let n_hi = n - band.pos.len();
+            if n_hi == k {
+                // The certain members are the whole answer.
+                return Kth { t: hi, tie_end: 0 };
+            }
+            if n_hi < k {
+                let at = band.pos.iter().map(|&p| p as usize);
+                return Kth::rank(k - n_hi, &band.val, at, n);
+            }
+        }
+        Kth::rank(k, vals, 0..n, n)
     }
 
-    /// Whether the candidate of magnitude `m` is selected; must be asked
-    /// of every candidate in ascending index order.
-    #[inline]
-    pub(crate) fn keeps(&mut self, m: f32) -> bool {
-        m > self.t
-            || (m == self.t && self.ties > 0 && {
-                self.ties -= 1;
-                true
-            })
+    /// The `r`-th largest magnitude of `vals` (`1 ≤ r ≤ vals.len()`),
+    /// whose candidate positions out of `n` are `at`: every tie at it is
+    /// admitted when the top `r` holds all of them, else they end at the
+    /// first one it does not hold.
+    fn rank(r: usize, vals: &[f32], at: impl Iterator<Item = usize>, n: usize) -> Kth {
+        let (t, admitted, ties) = radix_select(r, vals);
+        let tie_end = if admitted == ties {
+            n
+        } else {
+            let mut tied = at.zip(vals).filter(|&(_, &v)| mag(v) == t);
+            tied.nth(admitted).map_or(n, |(j, _)| j)
+        };
+        Kth { t, tie_end }
     }
+
+    /// Step 4: appends the selected pairs of the `n` candidates to
+    /// `kept` and, when given, every other one to `rejected`, both in
+    /// candidate order — a partition at `mag ≥ t` over the candidates
+    /// before the ties' end and one at `mag > t` over those from it.
+    /// `src(range)` yields the candidates in `range`.
+    pub(crate) fn emit<'s>(
+        self,
+        n: usize,
+        src: impl Fn(Range<usize>) -> Pairs<'s>,
+        (kept_idx, kept_val): PairVecs<'_>,
+        mut rejected: Option<PairVecs<'_>>,
+    ) {
+        // For magnitudes (never NaN, never negative), `m ≥ t` is `m > t⁻`
+        // with `t⁻` the next float down; at `t = 0` every one passes.
+        let at_least = if self.t > 0.0 {
+            f32::from_bits(self.t.to_bits() - 1)
+        } else {
+            -1.0
+        };
+        let end = self.tie_end.min(n);
+        for (range, thr) in [(0..end, at_least), (end..n, self.t)] {
+            if !range.is_empty() {
+                let rejected = rejected.as_mut().map(|(i, v)| (&mut **i, &mut **v));
+                let kept = (&mut *kept_idx, &mut *kept_val);
+                simd::partition_above(src(range), thr, Some(kept), rejected);
+            }
+        }
+    }
+}
+
+/// The `r`-th largest magnitude of `vals` (`1 ≤ r ≤ vals.len()`), how
+/// many entries of that magnitude the top `r` admits, and how many there
+/// are: three histogram passes over the magnitudes' bits (11, 11 and 10
+/// of them — non-negative floats order as their bit patterns), each
+/// counting only the entries that match the digits fixed so far. Reads
+/// `vals` three times and copies nothing.
+fn radix_select(r: usize, vals: &[f32]) -> (f32, usize, usize) {
+    let (mut prefix, mut rank, mut ties) = (0u32, r, 0);
+    for (shift, width) in [(21, 11), (10, 11), (0, 10)] {
+        let fixed = u32::MAX.checked_shl(shift + width).unwrap_or(0);
+        let digit = (1u32 << width) - 1;
+        let mut hist = [0usize; 1 << 11];
+        for &v in vals {
+            let bits = mag(v).to_bits();
+            hist[(bits >> shift & digit) as usize] += usize::from(bits & fixed == prefix);
+        }
+        let mut d = digit as usize;
+        while hist[d] < rank {
+            rank -= hist[d];
+            d -= 1;
+        }
+        prefix |= (d as u32) << shift;
+        ties = hist[d];
+    }
+    (f32::from_bits(prefix), rank, ties)
 }
 
 /// Step 1 of the kernel for a top-`k`-of-`n` select over the buffer whose
-/// i-th value is `value_at(i)`: a [`Cut`] from a sample of `min(64 Ki,
-/// n/16)` positions of a golden-ratio Weyl sequence (equidistributed,
-/// blind to any stride in the buffer's layout), no RNG. `None` — and
-/// nothing sampled — below the cut-off and for a degenerate select
+/// i-th value is `value_at(i)`: a [`Cut`] from the magnitudes at
+/// [`sample_positions`], with room reserved for the candidate pairs. `None`
+/// — and nothing sampled — below the cut-off and for a degenerate select
 /// (`k == 0`, `k ≥ n`).
 fn sampled_cut(
     n: usize,
@@ -185,124 +332,110 @@ fn sampled_cut(
     if n < PREFILTER_MIN || k == 0 || k >= n {
         return None;
     }
-    let s = (n / 16).min(64 * 1024);
-    let TopkScratch { cand, mags } = scratch;
-    mags.clear();
-    mags.extend((0..s).map(|j| {
-        let frac = (j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        mag(value_at(((frac as u128 * n as u128) >> 64) as usize))
-    }));
-    let q = k as f64 / n as f64 * s as f64;
-    let cut = Cut::from_sample(mags, q)?;
+    let step = sample_step(n);
+    // The candidates' value vector holds the sample until the cut is read.
+    let sample = &mut scratch.cand_val;
+    sample.extend(sample_positions(n, step).map(|x| mag(value_at(x))));
+    let q = k as f64 / step as f64;
+    let cut = Cut::from_sample(sample, q);
+    sample.clear();
+    let cut = cut?;
+    scratch.band.reserve_for(q, step);
     // Room for the expected candidates plus eight of their standard
     // deviations: capacity is then a function of (n, k), not of how this
-    // step's sample happened to fall.
+    // step's sample happened to fall, and exact — a candidate past it
+    // grows the vectors only as far as it needs.
     let quota = q + 4.0 * q.sqrt();
-    let per_hit = n as f64 / s as f64;
-    let room = n.min(((quota + 8.0 * quota.sqrt()) * per_hit) as usize);
-    cand.reserve(room);
-    mags.reserve(room);
+    let room = n.min(((quota + 8.0 * quota.sqrt()) * step as f64) as usize);
+    scratch.cand_idx.reserve_exact(room);
+    scratch.cand_val.reserve_exact(room);
     Some(cut)
 }
 
-/// Step 3's gather: replaces `band` with the candidate magnitudes `mags`
-/// that are `≤ hi` and returns how many lie above `hi`, with that `hi` —
-/// unless more than `k` do (the sample's upper cut overshot), in which
-/// case every candidate is band and `(0, +∞)` is returned.
-pub(crate) fn gather_band(
-    k: usize,
-    hi: f32,
-    mags: impl Iterator<Item = f32> + Clone,
-    band: &mut Vec<f32>,
-) -> (usize, f32) {
-    band.clear();
-    let mut n_hi = 0;
-    for m in mags.clone() {
-        if m > hi {
-            n_hi += 1;
-        } else {
-            band.push(m);
-        }
-    }
-    if n_hi <= k {
-        return (n_hi, hi);
-    }
-    band.clear();
-    band.extend(mags);
-    (0, f32::INFINITY)
-}
-
-/// Steps 3–4 of the kernel over the ascending candidates `cand`, all
-/// strictly above the cut's `lo`: appends the exact top-`k` (`1 ≤ k ≤`
-/// candidate count) to `out`, ascending.
-fn emit_topk(
-    values: &[f32],
-    k: usize,
-    cand: impl Iterator<Item = u32> + Clone,
-    hi: f32,
-    mags: &mut Vec<f32>,
-    out: &mut Vec<u32>,
-) {
-    let magnitudes = cand.clone().map(|i| mag(values[i as usize]));
-    let (n_hi, hi) = gather_band(k, hi, magnitudes, mags);
-    let mut kth = KthMagnitude::find(k, n_hi, hi, mags);
-    out.extend(cand.filter(|&i| kth.keeps(mag(values[i as usize]))));
-}
-
-/// The shared exact tail: writes the top-`k` indices of `values` into
-/// `out`, ascending, given the candidates strictly above `cut.lo` in
-/// `scratch` — or, when fewer than `k` were collected, over every index.
-/// Returns how many coordinates the tail examined.
+/// Steps 3–4 of the kernel over `values`: writes the exact top-`k` pairs
+/// into `out`, ascending, given the candidates strictly above the cut's
+/// `lo` in `scratch` — or, without a cut or when fewer than `k` were
+/// collected, over every index. Returns how many coordinates the tail
+/// examined.
 fn select_among(
     values: &[f32],
     k: usize,
-    cut: Cut,
+    cut: Option<Cut>,
     scratch: &mut TopkScratch,
-    out: &mut Vec<u32>,
+    out: &mut SparseVec,
 ) -> usize {
-    let TopkScratch { cand, mags } = scratch;
-    out.clear();
     let n = values.len();
+    out.dim = n;
+    out.clear();
     if k >= n {
-        out.extend(0..n as u32);
-    } else if k > cand.len() {
-        emit_topk(values, k, 0..n as u32, f32::INFINITY, mags, out);
-    } else if k > 0 {
-        emit_topk(values, k, cand.iter().copied(), cut.hi, mags, out);
-        return cand.len();
+        out.indices.extend(0..n as u32);
+        out.values.extend_from_slice(values);
+        return n;
     }
-    n
+    if k == 0 {
+        return n;
+    }
+    out.indices.reserve_exact(k);
+    out.values.reserve_exact(k);
+    let TopkScratch {
+        cand_idx,
+        cand_val,
+        band,
+    } = scratch;
+    let kept = (&mut out.indices, &mut out.values);
+    match cut {
+        Some(cut) if cand_idx.len() >= k => {
+            let kth = Kth::find(k, cand_val, cut.hi, band);
+            let src = |r: Range<usize>| Pairs::Packed {
+                idx: &cand_idx[r.clone()],
+                val: &cand_val[r],
+            };
+            kth.emit(cand_idx.len(), src, kept, None);
+            cand_idx.len()
+        }
+        _ => {
+            let kth = Kth::find(k, values, f32::INFINITY, band);
+            let src = |r: Range<usize>| Pairs::Dense {
+                base: r.start as u32,
+                v: &values[r],
+            };
+            kth.emit(n, src, kept, None);
+            n
+        }
+    }
 }
 
-/// Writes the indices of the `k` entries of largest absolute value into
-/// `out`, ascending, reusing `scratch` buffers.
+/// Sparsifies a dense vector into `out`, keeping the `k` entries of
+/// largest |value| and reusing `scratch` buffers.
 ///
-/// Writes all indices if `k >= values.len()`. One streaming O(m) pass plus
-/// an O(k) select (see the module docs); a pure function of `values`.
-/// Deterministic under ties (lower index wins).
+/// This is exactly `G̃ = G ⊙ Mask` of Algorithm 1, allocation-free in
+/// steady state: one streaming O(m) pass plus an O(k) tail (see the
+/// module docs), a pure function of `dense`, deterministic under ties
+/// (lower index wins). Keeps every entry if `k >= dense.len()`.
 ///
 /// Returns the number of coordinates the final exact select examined:
-/// the candidate count on the threshold path, `values.len()` otherwise —
+/// the candidate count on the threshold path, `dense.len()` otherwise —
 /// the speed-vs-exactness tests use it to show the fast path engages.
-pub fn topk_indices_into(
-    values: &[f32],
+pub fn topk_sparse_into(
+    dense: &[f32],
     k: usize,
     scratch: &mut TopkScratch,
-    out: &mut Vec<u32>,
+    out: &mut SparseVec,
 ) -> usize {
-    scratch.cand.clear();
-    // `|v| > thr` and `mag(v) > thr` agree for every thr ≥ 0: NaN fails both.
-    let cut = sampled_cut(values.len(), k, scratch, |i| values[i]);
+    scratch.cand_idx.clear();
+    scratch.cand_val.clear();
+    let cut = sampled_cut(dense.len(), k, scratch, |i| dense[i]);
     if let Some(cut) = cut {
-        simd::compact_above(values, cut.lo, 0, &mut scratch.cand);
+        let cand = (&mut scratch.cand_idx, &mut scratch.cand_val);
+        simd::partition_above(Pairs::Dense { v: dense, base: 0 }, cut.lo, Some(cand), None);
     }
-    select_among(values, k, cut.unwrap_or(Cut::NONE), scratch, out)
+    select_among(dense, k, cut, scratch, out)
 }
 
 /// Indices of the `k` entries of largest absolute value, ascending order.
 ///
-/// Allocating wrapper around [`topk_indices_into`]; hot paths hold a
-/// [`TopkScratch`] and call the `_into` variant instead.
+/// Allocating wrapper around [`topk_sparse_into`]; hot paths hold a
+/// [`TopkScratch`] and call it instead.
 ///
 /// # Examples
 ///
@@ -311,28 +444,7 @@ pub fn topk_indices_into(
 /// assert_eq!(topk_indices(&[1.0, -9.0, 3.0], 2), vec![1, 2]);
 /// ```
 pub fn topk_indices(values: &[f32], k: usize) -> Vec<u32> {
-    let mut out = Vec::new();
-    topk_indices_into(values, k, &mut TopkScratch::new(), &mut out);
-    out
-}
-
-/// Sparsifies a dense vector into `out`, keeping the `k` entries of
-/// largest |value| and reusing `scratch` buffers.
-///
-/// This is exactly `G̃ = G ⊙ Mask` of Algorithm 1, allocation-free in
-/// steady state. Returns the examined count of [`topk_indices_into`].
-pub fn topk_sparse_into(
-    dense: &[f32],
-    k: usize,
-    scratch: &mut TopkScratch,
-    out: &mut SparseVec,
-) -> usize {
-    out.dim = dense.len();
-    let examined = topk_indices_into(dense, k, scratch, &mut out.indices);
-    out.values.clear();
-    out.values
-        .extend(out.indices.iter().map(|&i| dense[i as usize]));
-    examined
+    topk_sparse(values, k).indices
 }
 
 /// Sparsifies a dense vector keeping the `k` entries of largest |value|.
@@ -353,18 +465,20 @@ pub fn topk_sparse(dense: &[f32], k: usize) -> SparseVec {
 /// 2. [`topk_sparse_into`] over the accumulated buffer,
 /// 3. zeroing the selected coordinates in `acc`,
 ///
-/// but the accumulate, the threshold scan, and the candidate compaction
-/// all happen in a single traversal (`gtopk_tensor::simd::
-/// accumulate_compact_above`), so the big buffer crosses the memory bus
-/// once rather than three times. The threshold is estimated *before*
-/// the pass by sampling `mag(acc[i] + grad[i])` — the identical floats
-/// (one IEEE rounding per add) the unfused path samples after
-/// accumulating, at the identical positions.
+/// but the accumulate, the threshold compare and the packing of the
+/// candidate pairs all happen in a single traversal
+/// (`gtopk_tensor::simd::partition_above` over `Pairs::Accumulate`), so
+/// the big buffer crosses the memory bus once rather than three times,
+/// and the tail writes the selected values straight from the candidate
+/// pairs. The threshold is estimated *before* the pass by sampling
+/// `mag(acc[i] + grad[i])` — the identical floats (one IEEE rounding per
+/// add) the unfused path samples after accumulating, at the identical
+/// positions.
 ///
 /// Writes the exact top-`k` of the accumulated buffer into `out` and
 /// zeroes the selected coordinates in `acc`. Returns the number of
 /// coordinates the final exact select examined, like
-/// [`topk_indices_into`].
+/// [`topk_sparse_into`].
 ///
 /// # Panics
 ///
@@ -377,22 +491,27 @@ pub fn accumulate_select_compact(
     out: &mut SparseVec,
 ) -> usize {
     assert_eq!(grad.len(), acc.len(), "gradient length mismatch");
-    scratch.cand.clear();
+    scratch.cand_idx.clear();
+    scratch.cand_val.clear();
     let cut = sampled_cut(acc.len(), k, scratch, |i| acc[i] + grad[i]);
     match cut {
         // THE fused pass: accumulate, threshold-compare the accumulated
-        // value, and emit candidate indices, one traversal.
-        Some(cut) => simd::accumulate_compact_above(acc, grad, cut.lo, 0, &mut scratch.cand),
+        // value, and pack the candidate pairs, one traversal.
+        Some(cut) => {
+            let src = Pairs::Accumulate {
+                acc,
+                g: grad,
+                base: 0,
+            };
+            let cand = (&mut scratch.cand_idx, &mut scratch.cand_val);
+            simd::partition_above(src, cut.lo, Some(cand), None);
+        }
         None => simd::axpy(acc, grad),
     }
-    out.dim = acc.len();
-    let examined = select_among(acc, k, cut.unwrap_or(Cut::NONE), scratch, &mut out.indices);
-    out.values.clear();
-    let taken = out
-        .indices
-        .iter()
-        .map(|&i| std::mem::take(&mut acc[i as usize]));
-    out.values.extend(taken);
+    let examined = select_among(acc, k, cut, scratch, out);
+    for &i in &out.indices {
+        acc[i as usize] = 0.0;
+    }
     examined
 }
 
@@ -538,14 +657,11 @@ mod tests {
     #[test]
     fn scratch_reuse_matches_fresh_allocation() {
         let mut scratch = TopkScratch::new();
-        let mut out = Vec::new();
         let mut sv = SparseVec::empty(0);
         for seed in 0..5u64 {
             let v: Vec<f32> = (0..500)
                 .map(|i| (((i as u64 + 1) * (seed + 3) * 2_654_435_761) % 1000) as f32 - 500.0)
                 .collect();
-            topk_indices_into(&v, 17, &mut scratch, &mut out);
-            assert_eq!(out, topk_indices(&v, 17), "seed {seed}");
             topk_sparse_into(&v, 17, &mut scratch, &mut sv);
             assert_eq!(sv, topk_sparse(&v, 17), "seed {seed}");
         }
@@ -596,20 +712,48 @@ mod tests {
 
     #[test]
     fn a_sample_that_puts_more_than_k_above_hi_stays_exact() {
-        // Small magnitudes exactly at the Weyl positions the sampler
-        // reads, large ones everywhere else: more than k candidates clear
-        // `t_hi`, and every candidate turns band.
+        // Small magnitudes exactly at the positions the sampler reads,
+        // large ones everywhere else: more than k candidates clear
+        // `t_hi`, and the tail selects over every candidate.
         let n = 3 * PREFILTER_MIN;
         let mut values: Vec<f32> = (0..n).map(|i| 10.0 + (i % 7) as f32).collect();
-        for j in 0..n / 16 {
-            let frac = (j as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-            values[((frac as u128 * n as u128) >> 64) as usize] = 0.1 + j as f32 * 1e-4;
+        let sampled: Vec<usize> = sample_positions(n, sample_step(n)).collect();
+        assert_eq!(sampled.len(), n / 16);
+        for (j, &x) in sampled.iter().enumerate() {
+            values[x] = 0.1 + j as f32 * 1e-4;
         }
         for k in [n / 4, n / 2] {
             assert_all_paths_match_oracle(&values, k);
-            let examined = topk_indices_into(&values, k, &mut TopkScratch::new(), &mut Vec::new());
+            let examined = topk_sparse_into(
+                &values,
+                k,
+                &mut TopkScratch::new(),
+                &mut SparseVec::empty(0),
+            );
             assert!(examined > n - n / 16, "k={k}: examined {examined}");
         }
+    }
+
+    #[test]
+    fn a_pass_that_collects_more_candidates_than_its_room_stays_exact() {
+        // The sampled positions hold the small magnitudes, every other
+        // position ties at a larger one: the pass collects every one of
+        // those, far past the room reserved for the candidates, and the
+        // answer is the lowest-index ties.
+        let n = 3 * PREFILTER_MIN;
+        let mut values = vec![-2.0f32; n];
+        for (j, x) in sample_positions(n, sample_step(n)).enumerate() {
+            values[x] = 1.0 + j as f32 * 1e-4;
+        }
+        let k = n / 100;
+        assert_all_paths_match_oracle(&values, k);
+        let mut scratch = TopkScratch::new();
+        let examined = topk_sparse_into(&values, k, &mut scratch, &mut SparseVec::empty(0));
+        assert!(examined > n - n / 16, "examined {examined}");
+        assert!(
+            scratch.cand_idx.capacity() < examined * 2,
+            "the candidates doubled"
+        );
     }
 
     #[test]

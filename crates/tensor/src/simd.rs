@@ -2,9 +2,10 @@
 //!
 //! Every per-element pass the per-step critical path performs — residual
 //! accumulate (`acc += g`), magnitude scans (max / count-above-threshold),
-//! threshold compaction (emit the indices where `|v| > thr`), the fused
-//! accumulate-and-compact pass, and the GEMM kernel under every matmul
-//! ([`gemm_acc`], with its one-row step [`row_axpy`]) — funnels
+//! the packing kernel under every top-k threshold pass
+//! ([`partition_above`]: split `(index, value)` pairs at a magnitude,
+//! optionally fused with the accumulate), and the GEMM kernel under every
+//! matmul ([`gemm_acc`], with its one-row step [`row_axpy`]) — funnels
 //! through this module, which picks an AVX2, SSE2, or portable-scalar
 //! implementation at runtime.
 //!
@@ -18,8 +19,9 @@
 //!    `auto`, `avx2`, `sse2`, or `scalar` — anything else falls back to
 //!    `auto`), mirroring `GTOPK_THREADS`,
 //! 3. feature detection (`is_x86_feature_detected!`): AVX2 when the CPU
-//!    has it, otherwise SSE2 (always present on `x86_64`), otherwise —
-//!    on non-x86 targets — scalar.
+//!    has it (with POPCNT, which every AVX2 CPU has), otherwise SSE2
+//!    (always present on `x86_64`), otherwise — on non-x86 targets —
+//!    scalar.
 //!
 //! A requested level the CPU cannot execute is clamped down to the best
 //! detected one, so `GTOPK_SIMD=avx2` on an SSE2-only host degrades
@@ -44,14 +46,17 @@
 //!   reordered.
 //! - the comparison kernels use ordered, non-signaling predicates
 //!   (`_CMP_GT_OQ` / `cmpgtps`), which treat NaN as *not greater* — the
-//!   same verdict the scalar `v.abs() > thr` reaches (and the same one
-//!   the top-k comparator's NaN-counts-as-zero magnitude produces for
-//!   any threshold ≥ 0).
+//!   same verdict the scalar `v.abs() > thr` reaches. The packing kernel
+//!   compares the top-k comparator's magnitude instead: `max(|v|, +0.0)`
+//!   (`maxps` returns its second operand when the first is NaN) maps NaN
+//!   to +0.0 exactly as the scalar `mag` does, so a NaN passes a negative
+//!   threshold and ties `t = 0` like any zero.
 //! - [`max_abs`] masks NaN lanes to `+0.0` before taking lane maxima;
 //!   max over non-NaN, non-negative floats is associative and
 //!   commutative, so the horizontal reduction order cannot matter.
-//! - compaction walks each lane mask in ascending bit order, so indices
-//!   are emitted in exactly the serial order.
+//! - packing keeps each side's lanes in ascending lane order — a
+//!   left-pack permutation at AVX2, slot writes lane by lane at SSE2 and
+//!   scalar level — so pairs are emitted in exactly the serial order.
 //! - denormals behave identically: Rust never enables FTZ/DAZ, and the
 //!   scalar f32 ops on `x86_64` execute on the same SSE units.
 
@@ -114,7 +119,8 @@ impl fmt::Display for SimdLevel {
 pub fn detect_best() -> SimdLevel {
     static BEST: OnceLock<SimdLevel> = OnceLock::new();
     *BEST.get_or_init(|| {
-        if std::is_x86_feature_detected!("avx2") {
+        // Every AVX2 CPU has POPCNT; the packing kernels use both.
+        if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("popcnt") {
             SimdLevel::Avx2
         } else {
             // SSE2 is part of the x86_64 baseline ABI.
@@ -251,27 +257,263 @@ fn count_above_scalar(v: &[f32], thr: f32) -> usize {
     v.iter().filter(|&&x| x.abs() > thr).count()
 }
 
-fn compact_above_scalar(v: &[f32], thr: f32, base: u32, out: &mut Vec<u32>) {
-    for (i, &x) in v.iter().enumerate() {
-        if x.abs() > thr {
-            out.push(base + i as u32);
+/// The slot-write [`partition_above`] of the levels without a variable
+/// lane permute (scalar, and SSE2 with `W = 4`), and the AVX2 kernel's
+/// remainder: groups of `W` pairs, summed by `add` for
+/// [`Pairs::Accumulate`] and compared by `mask` (bit `l` set for lane `l`
+/// above `thr`; a last group may be shorter), then written pair by pair
+/// without a branch on each side — the above side skipping a group with
+/// no lane set, as at AVX2.
+fn partition_slots<const W: usize, const ABOVE: bool, const BELOW: bool>(
+    src: Pairs<'_>,
+    thr: f32,
+    above: &mut PairSink<'_>,
+    below: &mut PairSink<'_>,
+    add: impl Fn(&mut [f32], &[f32]),
+    mask: impl Fn(&[f32], f32) -> u32,
+) {
+    let iota = |at: u32| -> [u32; W] { std::array::from_fn(|lane| at + lane as u32) };
+    let n = src.len();
+    // Whole groups as fixed-size windows, so every per-lane loop below
+    // has a constant trip count; then the short last group.
+    let whole = n - n % W;
+    let mut sides = Sides::new(above, below);
+    match src {
+        Pairs::Dense { v, base } => {
+            for j in (0..whole).step_by(W) {
+                let val = &v[j..j + W];
+                let mask = mask(val, thr);
+                if Sides::writes::<ABOVE, BELOW>(mask) {
+                    sides.put::<ABOVE, BELOW>(mask, &iota(base + j as u32), val);
+                }
+            }
+            let val = &v[whole..];
+            let idx = iota(base + whole as u32);
+            sides.put::<ABOVE, BELOW>(mask(val, thr), &idx[..val.len()], val);
+        }
+        Pairs::Accumulate { acc, g, base } => {
+            for j in (0..whole).step_by(W) {
+                let sums = &mut acc[j..j + W];
+                add(sums, &g[j..j + W]);
+                let mask = mask(sums, thr);
+                if Sides::writes::<ABOVE, BELOW>(mask) {
+                    sides.put::<ABOVE, BELOW>(mask, &iota(base + j as u32), sums);
+                }
+            }
+            let sums = &mut acc[whole..];
+            add(sums, &g[whole..]);
+            let idx = iota(base + whole as u32);
+            sides.put::<ABOVE, BELOW>(mask(sums, thr), &idx[..sums.len()], sums);
+        }
+        Pairs::Packed { idx, val } => {
+            for j in (0..whole).step_by(W) {
+                let val = &val[j..j + W];
+                sides.put::<ABOVE, BELOW>(mask(val, thr), &idx[j..j + W], val);
+            }
+            let val = &val[whole..];
+            sides.put::<ABOVE, BELOW>(mask(val, thr), &idx[whole..], val);
+        }
+    }
+    sides.finish();
+}
+
+/// The two sides of a partition, their cursors held apart from the
+/// sinks for the length of a kernel's loop.
+struct Sides<'s, 'a, 'b> {
+    above: &'s mut PairSink<'a>,
+    below: &'s mut PairSink<'b>,
+    a: Cursor,
+    b: Cursor,
+}
+
+impl<'s, 'a, 'b> Sides<'s, 'a, 'b> {
+    fn new(above: &'s mut PairSink<'a>, below: &'s mut PairSink<'b>) -> Self {
+        let (a, b) = (above.at, below.at);
+        Sides { above, below, a, b }
+    }
+
+    /// Whether a group whose lanes above are `mask` writes anything: the
+    /// above side skips a group with no lane set.
+    #[inline(always)]
+    fn writes<const ABOVE: bool, const BELOW: bool>(mask: u32) -> bool {
+        BELOW || (ABOVE && mask != 0)
+    }
+
+    /// Slot writes of one group's pairs `(idx, val)`, above where their
+    /// bit of `mask` is set (see [`Sides::writes`]).
+    #[inline(always)]
+    fn put<const ABOVE: bool, const BELOW: bool>(&mut self, mask: u32, idx: &[u32], val: &[f32]) {
+        if ABOVE && mask != 0 {
+            put_lanes(&mut self.a, self.above, mask, idx, val);
+        }
+        if BELOW {
+            put_lanes(&mut self.b, self.below, !mask, idx, val);
+        }
+    }
+
+    /// Stores the cursors back into their sinks.
+    fn finish(self) {
+        (self.above.at, self.below.at) = (self.a, self.b);
+    }
+}
+
+/// [`Cursor::put`] for each pair of `(idx, val)`, kept where its bit of
+/// `mask` is set.
+#[inline(always)]
+fn put_lanes(at: &mut Cursor, sink: &mut PairSink<'_>, mask: u32, idx: &[u32], val: &[f32]) {
+    for (lane, (&i, &v)) in idx.iter().zip(val).enumerate() {
+        at.put(sink, i, v, mask >> lane & 1 == 1);
+    }
+}
+
+/// Bit `l` set for each lane `l` of `val` with `mag(val[l]) > thr`.
+fn mask_scalar(val: &[f32], thr: f32) -> u32 {
+    let hits = val.iter().map(|&v| u32::from(mag(v) > thr));
+    hits.enumerate().fold(0, |m, (lane, hit)| m | hit << lane)
+}
+
+/// The scalar [`partition_above`].
+fn partition_scalar<const ABOVE: bool, const BELOW: bool>(
+    src: Pairs<'_>,
+    thr: f32,
+    above: &mut PairSink<'_>,
+    below: &mut PairSink<'_>,
+) {
+    partition_slots::<8, ABOVE, BELOW>(src, thr, above, below, axpy_scalar, mask_scalar);
+}
+
+/// Where [`partition_above`] reads its `(index, value)` pairs from.
+#[derive(Debug)]
+pub enum Pairs<'a> {
+    /// `(base + j, v[j])`.
+    Dense {
+        /// The values.
+        v: &'a [f32],
+        /// The index of `v[0]`.
+        base: u32,
+    },
+    /// `(base + j, acc[j] + g[j])`, each sum also stored back into
+    /// `acc[j]`: the residual accumulate, fused with the partition.
+    Accumulate {
+        /// The accumulator, updated in place.
+        acc: &'a mut [f32],
+        /// What is added to it.
+        g: &'a [f32],
+        /// The index of `acc[0]`.
+        base: u32,
+    },
+    /// `(idx[j], val[j])`: packed candidates.
+    Packed {
+        /// The indices.
+        idx: &'a [u32],
+        /// The values, parallel to `idx`.
+        val: &'a [f32],
+    },
+}
+
+impl Pairs<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Pairs::Dense { v, .. } => v.len(),
+            Pairs::Accumulate { acc, .. } => acc.len(),
+            Pairs::Packed { val, .. } => val.len(),
         }
     }
 }
 
-fn accumulate_compact_above_scalar(
-    acc: &mut [f32],
-    g: &[f32],
-    thr: f32,
-    base: u32,
-    out: &mut Vec<u32>,
-) {
-    for (i, (a, &gv)) in acc.iter_mut().zip(g.iter()).enumerate() {
-        let s = *a + gv;
-        *a = s;
-        if s.abs() > thr {
-            out.push(base + i as u32);
+/// One side's output of [`partition_above`]: parallel index and value
+/// vectors, appended to.
+pub type PairVecs<'a> = (&'a mut Vec<u32>, &'a mut Vec<f32>);
+
+/// An index and a value vector being appended to by branch-free slot
+/// writes: each pair is written to the slot past the end, inside spare
+/// capacity, and only a kept pair moves the end. Only a pair kept while
+/// no capacity is spare grows the vectors, so they never grow beyond
+/// what the kept pairs need. Dropping the sink sets both lengths.
+///
+/// The kernels copy the write state ([`Cursor`]) into a local for their
+/// loops and store it back before they return or grow the vectors, so it
+/// stays in registers: as a field of the sink it would be reloaded
+/// around every store through its own pointers.
+struct PairSink<'a> {
+    idx: &'a mut Vec<u32>,
+    val: &'a mut Vec<f32>,
+    at: Cursor,
+}
+
+/// Where a [`PairSink`] writes next: the vectors' buffers, the pairs
+/// written so far and the slots allocated.
+#[derive(Clone, Copy)]
+struct Cursor {
+    pi: *mut u32,
+    pv: *mut f32,
+    len: usize,
+    cap: usize,
+}
+
+impl Cursor {
+    /// Appends `(i, v)` to `sink`, whose cursor `self` is, if `keep` —
+    /// without a branch while capacity is spare.
+    #[inline(always)]
+    fn put(&mut self, sink: &mut PairSink<'_>, i: u32, v: f32, keep: bool) {
+        if self.len < self.cap {
+            // SAFETY: `len < cap` keeps both writes inside the vectors'
+            // allocations; `len` only moves past initialised slots.
+            unsafe {
+                self.pi.add(self.len).write(i);
+                self.pv.add(self.len).write(v);
+            }
+            self.len += usize::from(keep);
+        } else if keep {
+            sink.at = *self;
+            sink.push_growing(i, v);
+            *self = sink.at;
         }
+    }
+}
+
+impl<'a> PairSink<'a> {
+    fn new((idx, val): PairVecs<'a>) -> Self {
+        assert_eq!(
+            idx.len(),
+            val.len(),
+            "index and value vectors differ in length"
+        );
+        let at = Cursor {
+            pi: idx.as_mut_ptr(),
+            pv: val.as_mut_ptr(),
+            len: idx.len(),
+            cap: idx.capacity().min(val.capacity()),
+        };
+        PairSink { idx, val, at }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn push_growing(&mut self, i: u32, v: f32) {
+        self.set_lens();
+        self.idx.push(i);
+        self.val.push(v);
+        self.at = Cursor {
+            pi: self.idx.as_mut_ptr(),
+            pv: self.val.as_mut_ptr(),
+            len: self.at.len + 1,
+            cap: self.idx.capacity().min(self.val.capacity()),
+        };
+    }
+
+    fn set_lens(&mut self) {
+        // SAFETY: `len <= cap` and every slot below `len` was written.
+        unsafe {
+            self.idx.set_len(self.at.len);
+            self.val.set_len(self.at.len);
+        }
+    }
+}
+
+impl Drop for PairSink<'_> {
+    fn drop(&mut self) {
+        self.set_lens();
     }
 }
 
@@ -283,8 +525,8 @@ fn accumulate_compact_above_scalar(
 #[allow(unsafe_code)]
 mod x86 {
     use super::{
-        accumulate_compact_above_scalar, axpy_scalar, compact_above_scalar, count_above_scalar,
-        max_abs_scalar, row_axpy_scalar,
+        axpy_scalar, count_above_scalar, mask_scalar, max_abs_scalar, partition_scalar,
+        partition_slots, put_lanes, row_axpy_scalar, Cursor, PairSink, Pairs, Sides,
     };
     use core::arch::x86_64::*;
 
@@ -292,17 +534,6 @@ mod x86 {
     // named target feature is available (enforced by `super::level()`
     // clamping to `detect_best()`); the pointer arithmetic stays inside
     // the slice bounds by construction of the `i + LANES <= n` loops.
-
-    /// Emits `base + i + lane` for every set lane of `mask`, in ascending
-    /// lane order — the exact order the scalar loop visits them.
-    #[inline(always)]
-    fn emit_mask(mut mask: u32, base: u32, i: usize, out: &mut Vec<u32>) {
-        while mask != 0 {
-            let lane = mask.trailing_zeros();
-            out.push(base + i as u32 + lane);
-            mask &= mask - 1;
-        }
-    }
 
     #[target_feature(enable = "avx2")]
     pub unsafe fn axpy_avx2(acc: &mut [f32], x: &[f32]) {
@@ -553,91 +784,191 @@ mod x86 {
         count + count_above_scalar(&v[i..], thr)
     }
 
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn compact_above_avx2(v: &[f32], thr: f32, base: u32, out: &mut Vec<u32>) {
-        let n = v.len();
-        let pv = v.as_ptr();
-        let sign = _mm256_set1_ps(-0.0);
-        let vthr = _mm256_set1_ps(thr);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let x = _mm256_loadu_ps(pv.add(i));
-            let m = _mm256_andnot_ps(sign, x);
-            let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(m, vthr);
-            emit_mask(_mm256_movemask_ps(gt) as u32, base, i, out);
-            i += 8;
+    /// For each 8-lane mask, its set lanes in ascending order, then
+    /// padding: the `permutevar8x32` control that left-packs those lanes.
+    static LEFT_PACK: [[u32; 8]; 256] = {
+        let mut table = [[0u32; 8]; 256];
+        let mut mask = 0;
+        while mask < 256 {
+            let (mut lane, mut n) = (0, 0);
+            while lane < 8 {
+                if mask >> lane & 1 == 1 {
+                    table[mask][n] = lane as u32;
+                    n += 1;
+                }
+                lane += 1;
+            }
+            mask += 1;
         }
-        compact_above_scalar(&v[i..], thr, base + i as u32, out);
-    }
+        table
+    };
 
-    pub fn compact_above_sse2(v: &[f32], thr: f32, base: u32, out: &mut Vec<u32>) {
-        let n = v.len();
-        let pv = v.as_ptr();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: i + 4 <= n keeps the load in bounds; SSE2 is baseline.
-            let mask = unsafe {
-                let x = _mm_loadu_ps(pv.add(i));
-                let m = _mm_andnot_ps(_mm_set1_ps(-0.0), x);
-                _mm_movemask_ps(_mm_cmpgt_ps(m, _mm_set1_ps(thr))) as u32
-            };
-            emit_mask(mask, base, i, out);
-            i += 4;
-        }
-        compact_above_scalar(&v[i..], thr, base + i as u32, out);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn accumulate_compact_above_avx2(
-        acc: &mut [f32],
-        g: &[f32],
-        thr: f32,
-        base: u32,
-        out: &mut Vec<u32>,
+    /// Appends the lanes of `(idx, val)` set in `mask` to `sink`, whose
+    /// cursor `at` is, in lane order: one permute and one store of all
+    /// eight per vector, the end then moved by the lane count — slot
+    /// writes lane by lane once fewer than eight slots are spare.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and POPCNT.
+    #[target_feature(enable = "avx2,popcnt")]
+    #[inline]
+    unsafe fn pack8(
+        at: &mut Cursor,
+        sink: &mut PairSink<'_>,
+        mask: u32,
+        idx: __m256i,
+        val: __m256,
     ) {
-        let n = acc.len();
-        debug_assert_eq!(n, g.len());
-        let pa = acc.as_mut_ptr();
-        let pg = g.as_ptr();
-        let sign = _mm256_set1_ps(-0.0);
-        let vthr = _mm256_set1_ps(thr);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let s = _mm256_add_ps(_mm256_loadu_ps(pa.add(i)), _mm256_loadu_ps(pg.add(i)));
-            _mm256_storeu_ps(pa.add(i), s);
-            let m = _mm256_andnot_ps(sign, s);
-            let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(m, vthr);
-            emit_mask(_mm256_movemask_ps(gt) as u32, base, i, out);
-            i += 8;
+        if at.cap - at.len >= 8 {
+            let perm = _mm256_loadu_si256(LEFT_PACK[mask as usize].as_ptr().cast());
+            _mm256_storeu_si256(
+                at.pi.add(at.len).cast(),
+                _mm256_permutevar8x32_epi32(idx, perm),
+            );
+            _mm256_storeu_ps(at.pv.add(at.len), _mm256_permutevar8x32_ps(val, perm));
+            at.len += mask.count_ones() as usize;
+        } else {
+            let (mut ia, mut va) = ([0u32; 8], [0.0f32; 8]);
+            _mm256_storeu_si256(ia.as_mut_ptr().cast(), idx);
+            _mm256_storeu_ps(va.as_mut_ptr(), val);
+            put_spilled(at, sink, mask, &ia, &va);
         }
-        accumulate_compact_above_scalar(&mut acc[i..], &g[i..], thr, base + i as u32, out);
     }
 
-    pub fn accumulate_compact_above_sse2(
-        acc: &mut [f32],
-        g: &[f32],
-        thr: f32,
-        base: u32,
-        out: &mut Vec<u32>,
-    ) {
-        let n = acc.len();
-        debug_assert_eq!(n, g.len());
-        let pa = acc.as_mut_ptr();
-        let pg = g.as_ptr();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: i + 4 <= n keeps the accesses in bounds; SSE2 is
-            // baseline.
-            let mask = unsafe {
-                let s = _mm_add_ps(_mm_loadu_ps(pa.add(i)), _mm_loadu_ps(pg.add(i)));
-                _mm_storeu_ps(pa.add(i), s);
-                let m = _mm_andnot_ps(_mm_set1_ps(-0.0), s);
-                _mm_movemask_ps(_mm_cmpgt_ps(m, _mm_set1_ps(thr))) as u32
-            };
-            emit_mask(mask, base, i, out);
-            i += 4;
+    /// [`pack8`]'s lanes as slot writes, once fewer than eight slots are
+    /// spare.
+    #[cold]
+    #[inline(never)]
+    fn put_spilled(at: &mut Cursor, sink: &mut PairSink<'_>, mask: u32, idx: &[u32], val: &[f32]) {
+        put_lanes(at, sink, mask, idx, val);
+    }
+
+    impl Sides<'_, '_, '_> {
+        /// One group of eight pairs: the magnitude compare
+        /// (`max(|v|, 0)` maps NaN to +0.0, as `mag` does), then a pack
+        /// per side. The above side skips a group with no lane set: in a
+        /// threshold pass at the paper's density nearly every group is
+        /// one, and the branch predicts well. The below side — a band or
+        /// the rejected candidates, a few per cent of the pairs — always
+        /// packs, since there a skip would mispredict on about half the
+        /// groups.
+        ///
+        /// # Safety
+        ///
+        /// The CPU must support AVX2 and POPCNT.
+        #[target_feature(enable = "avx2,popcnt")]
+        #[inline]
+        unsafe fn group8<const ABOVE: bool, const BELOW: bool>(
+            &mut self,
+            idx: __m256i,
+            val: __m256,
+            thr: __m256,
+        ) {
+            let m = _mm256_max_ps(
+                _mm256_andnot_ps(_mm256_set1_ps(-0.0), val),
+                _mm256_setzero_ps(),
+            );
+            let mask = _mm256_movemask_ps(_mm256_cmp_ps::<_CMP_GT_OQ>(m, thr)) as u32;
+            if ABOVE && mask != 0 {
+                pack8(&mut self.a, self.above, mask, idx, val);
+            }
+            if BELOW {
+                pack8(&mut self.b, self.below, !mask & 0xff, idx, val);
+            }
         }
-        accumulate_compact_above_scalar(&mut acc[i..], &g[i..], thr, base + i as u32, out);
+    }
+
+    /// [`super::partition_above`] at AVX2.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and POPCNT.
+    #[target_feature(enable = "avx2,popcnt")]
+    pub unsafe fn partition_avx2<const ABOVE: bool, const BELOW: bool>(
+        src: Pairs<'_>,
+        thr: f32,
+        above: &mut PairSink<'_>,
+        below: &mut PairSink<'_>,
+    ) {
+        let n = src.len();
+        let vthr = _mm256_set1_ps(thr);
+        let eight = _mm256_set1_epi32(8);
+        let iota = |base: u32| {
+            _mm256_add_epi32(
+                _mm256_set1_epi32(base as i32),
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            )
+        };
+        let mut sides = Sides::new(above, below);
+        let mut j = 0usize;
+        // Every load and store below covers `j..j + 8` with `j + 8 <= n`.
+        let rest = match src {
+            Pairs::Dense { v, base } => {
+                let mut lanes = iota(base);
+                while j + 8 <= n {
+                    let x = _mm256_loadu_ps(v.as_ptr().add(j));
+                    sides.group8::<ABOVE, BELOW>(lanes, x, vthr);
+                    lanes = _mm256_add_epi32(lanes, eight);
+                    j += 8;
+                }
+                Pairs::Dense {
+                    v: &v[j..],
+                    base: base + j as u32,
+                }
+            }
+            Pairs::Accumulate { acc, g, base } => {
+                let (pa, pg) = (acc.as_mut_ptr(), g.as_ptr());
+                let mut lanes = iota(base);
+                while j + 8 <= n {
+                    let s = _mm256_add_ps(_mm256_loadu_ps(pa.add(j)), _mm256_loadu_ps(pg.add(j)));
+                    _mm256_storeu_ps(pa.add(j), s);
+                    sides.group8::<ABOVE, BELOW>(lanes, s, vthr);
+                    lanes = _mm256_add_epi32(lanes, eight);
+                    j += 8;
+                }
+                Pairs::Accumulate {
+                    acc: &mut acc[j..],
+                    g: &g[j..],
+                    base: base + j as u32,
+                }
+            }
+            Pairs::Packed { idx, val } => {
+                while j + 8 <= n {
+                    let i = _mm256_loadu_si256(idx.as_ptr().add(j).cast());
+                    let x = _mm256_loadu_ps(val.as_ptr().add(j));
+                    sides.group8::<ABOVE, BELOW>(i, x, vthr);
+                    j += 8;
+                }
+                Pairs::Packed {
+                    idx: &idx[j..],
+                    val: &val[j..],
+                }
+            }
+        };
+        sides.finish();
+        partition_scalar::<ABOVE, BELOW>(rest, thr, above, below);
+    }
+
+    /// [`super::partition_above`] at SSE2: the magnitude compare and the
+    /// accumulate four lanes at a time, then slot writes.
+    pub fn partition_sse2<const ABOVE: bool, const BELOW: bool>(
+        src: Pairs<'_>,
+        thr: f32,
+        above: &mut PairSink<'_>,
+        below: &mut PairSink<'_>,
+    ) {
+        let add = |sums: &mut [f32], g: &[f32]| axpy_sse2(sums, g);
+        let mask = |val: &[f32], thr: f32| match val.len() {
+            // SAFETY: `val` holds four values; SSE2 is baseline on x86_64.
+            4 => unsafe {
+                let x = _mm_loadu_ps(val.as_ptr());
+                let m = _mm_max_ps(_mm_andnot_ps(_mm_set1_ps(-0.0), x), _mm_setzero_ps());
+                _mm_movemask_ps(_mm_cmpgt_ps(m, _mm_set1_ps(thr))) as u32
+            },
+            _ => mask_scalar(val, thr),
+        };
+        partition_slots::<4, ABOVE, BELOW>(src, thr, above, below, add, mask);
     }
 }
 
@@ -756,45 +1087,65 @@ pub fn count_above(v: &[f32], thr: f32) -> usize {
     }
 }
 
-/// Appends `base + i` to `out` for every entry with `|v[i]| > thr`
-/// (strict; NaN never passes), in ascending index order.
-pub fn compact_above(v: &[f32], thr: f32, base: u32, out: &mut Vec<u32>) {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level()` never returns a level above `detect_best()`.
-        SimdLevel::Avx2 => unsafe { x86::compact_above_avx2(v, thr, base, out) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => x86::compact_above_sse2(v, thr, base, out),
-        _ => compact_above_scalar(v, thr, base, out),
-    }
-}
-
-/// The fused hot-path kernel: `acc[i] += g[i]`, and `base + i` is
-/// appended to `out` wherever the *accumulated* value satisfies
-/// `|acc[i]| > thr` — residual accumulate, threshold scan, and
-/// compaction in a single memory pass.
+/// Partitions the pairs of `src` by magnitude: every pair whose value
+/// has `mag(v) > thr` (`|v|`, NaN counting as +0.0 — so NaN passes only a
+/// negative threshold) is appended to `above`, every other one to
+/// `below`, each side in source order; a side given as `None` is
+/// skipped. With [`Pairs::Accumulate`] the sums are stored back as the
+/// pass goes.
 ///
-/// Bitwise identical (accumulated values *and* emitted indices) to
-/// [`axpy`] followed by [`compact_above`] at every dispatch level.
+/// The top-k kernels run every threshold pass through this one kernel:
+/// the fused accumulate-and-collect pass, the band gather and the
+/// ordered emit. At AVX2 each group of eight lanes is left-packed per
+/// side by one `permutevar8x32` of the indices and one of the values; at
+/// SSE2 (which has no variable lane permute) and scalar level each pair
+/// is a branch-free slot write. A group whose side mask is empty skips
+/// that side. Bitwise identical — pairs, order, and stored sums — at
+/// every level.
 ///
 /// # Panics
 ///
-/// Panics if the slices differ in length.
-pub fn accumulate_compact_above(
-    acc: &mut [f32],
-    g: &[f32],
+/// Panics if the slices of `src` differ in length, or a side's index and
+/// value vectors do.
+pub fn partition_above(
+    src: Pairs<'_>,
     thr: f32,
-    base: u32,
-    out: &mut Vec<u32>,
+    above: Option<PairVecs<'_>>,
+    below: Option<PairVecs<'_>>,
 ) {
-    assert_eq!(acc.len(), g.len(), "accumulate_compact length mismatch");
+    match &src {
+        Pairs::Accumulate { acc, g, .. } => assert_eq!(acc.len(), g.len(), "pair length mismatch"),
+        Pairs::Packed { idx, val } => assert_eq!(idx.len(), val.len(), "pair length mismatch"),
+        Pairs::Dense { .. } => {}
+    }
+    let (on_above, on_below) = (above.is_some(), below.is_some());
+    let (mut idx_a, mut val_a, mut idx_b, mut val_b) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let mut above = PairSink::new(above.unwrap_or((&mut idx_a, &mut val_a)));
+    let mut below = PairSink::new(below.unwrap_or((&mut idx_b, &mut val_b)));
+    let (a, b) = (&mut above, &mut below);
+    match (on_above, on_below) {
+        (true, true) => partition_at::<true, true>(src, thr, a, b),
+        (true, false) => partition_at::<true, false>(src, thr, a, b),
+        (false, true) => partition_at::<false, true>(src, thr, a, b),
+        (false, false) => partition_at::<false, false>(src, thr, a, b),
+    }
+}
+
+fn partition_at<const ABOVE: bool, const BELOW: bool>(
+    src: Pairs<'_>,
+    thr: f32,
+    above: &mut PairSink<'_>,
+    below: &mut PairSink<'_>,
+) {
     match level() {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level()` never returns a level above `detect_best()`.
-        SimdLevel::Avx2 => unsafe { x86::accumulate_compact_above_avx2(acc, g, thr, base, out) },
+        // SAFETY: `level()` never returns a level above `detect_best()`,
+        // which requires POPCNT along with AVX2.
+        SimdLevel::Avx2 => unsafe { x86::partition_avx2::<ABOVE, BELOW>(src, thr, above, below) },
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => x86::accumulate_compact_above_sse2(acc, g, thr, base, out),
-        _ => accumulate_compact_above_scalar(acc, g, thr, base, out),
+        SimdLevel::Sse2 => x86::partition_sse2::<ABOVE, BELOW>(src, thr, above, below),
+        _ => partition_scalar::<ABOVE, BELOW>(src, thr, above, below),
     }
 }
 
@@ -883,41 +1234,84 @@ mod tests {
         assert!(!features_string().is_empty());
     }
 
+    /// Both sides of a partition of `src` at `thr`: (indices, value bits)
+    /// above, then below.
+    fn partition(src: Pairs<'_>, thr: f32) -> [(Vec<u32>, Vec<u32>); 2] {
+        let (mut ai, mut av, mut bi, mut bv) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        partition_above(src, thr, Some((&mut ai, &mut av)), Some((&mut bi, &mut bv)));
+        let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect();
+        [(ai, bits(av)), (bi, bits(bv))]
+    }
+
     #[test]
     fn all_levels_match_scalar_on_nasty_inputs() {
         // Lengths straddling the 4- and 8-lane boundaries.
         for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 64, 100] {
             let v = nasty_input(n);
             let g = nasty_input(n + 1)[1..].to_vec();
-            for thr in [0.0f32, 1.0, 2.5, f32::NAN] {
-                let expect_cnt = with_simd_level(SimdLevel::Scalar, || count_above(&v, thr));
-                let mut expect_idx = Vec::new();
-                with_simd_level(SimdLevel::Scalar, || {
-                    compact_above(&v, thr, 7, &mut expect_idx)
-                });
-                let expect_max = with_simd_level(SimdLevel::Scalar, || max_abs(&v)).to_bits();
-                let mut expect_acc = v.clone();
-                let mut expect_fused = Vec::new();
-                with_simd_level(SimdLevel::Scalar, || {
-                    accumulate_compact_above(&mut expect_acc, &g, thr, 3, &mut expect_fused)
-                });
+            let idx: Vec<u32> = (0..n as u32).map(|i| i * 3 + 1).collect();
+            for thr in [-1.0f32, 0.0, 1.0, 2.5, f32::NAN] {
+                let run = || {
+                    let mut acc = v.clone();
+                    let fused = partition(
+                        Pairs::Accumulate {
+                            acc: &mut acc,
+                            g: &g,
+                            base: 3,
+                        },
+                        thr,
+                    );
+                    let acc: Vec<u32> = acc.iter().map(|x| x.to_bits()).collect();
+                    (
+                        count_above(&v, thr),
+                        max_abs(&v).to_bits(),
+                        partition(Pairs::Dense { v: &v, base: 7 }, thr),
+                        partition(Pairs::Packed { idx: &idx, val: &v }, thr),
+                        fused,
+                        acc,
+                    )
+                };
+                let expect = with_simd_level(SimdLevel::Scalar, run);
                 for l in runnable_levels() {
-                    with_simd_level(l, || {
-                        assert_eq!(count_above(&v, thr), expect_cnt, "{l} n={n} thr={thr}");
-                        let mut idx = Vec::new();
-                        compact_above(&v, thr, 7, &mut idx);
-                        assert_eq!(idx, expect_idx, "{l} n={n} thr={thr}");
-                        assert_eq!(max_abs(&v).to_bits(), expect_max, "{l} n={n}");
-                        let mut acc = v.clone();
-                        let mut fused = Vec::new();
-                        accumulate_compact_above(&mut acc, &g, thr, 3, &mut fused);
-                        assert_eq!(fused, expect_fused, "{l} n={n} thr={thr}");
-                        let ab: Vec<u32> = acc.iter().map(|x| x.to_bits()).collect();
-                        let eb: Vec<u32> = expect_acc.iter().map(|x| x.to_bits()).collect();
-                        assert_eq!(ab, eb, "{l} n={n} thr={thr}");
-                    });
+                    assert_eq!(with_simd_level(l, run), expect, "{l} n={n} thr={thr}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn partition_keeps_the_magnitude_order_with_nan_as_zero() {
+        let v = [f32::NAN, -0.0, 1.0e-40, -2.5, f32::INFINITY, 0.5];
+        let above = |thr: f32| {
+            partition(Pairs::Dense { v: &v, base: 10 }, thr)[0]
+                .0
+                .clone()
+        };
+        assert_eq!(above(-1.0), [10, 11, 12, 13, 14, 15]);
+        assert_eq!(above(0.0), [12, 13, 14, 15]);
+        assert_eq!(above(0.5), [13, 14]);
+        assert_eq!(above(f32::MAX), [14]);
+        assert!(above(f32::NAN).is_empty());
+    }
+
+    #[test]
+    fn a_side_without_spare_capacity_grows_only_for_kept_pairs() {
+        let v: Vec<f32> = (0..40)
+            .map(|i| if i % 5 == 0 { 9.0 } else { 0.0 })
+            .collect();
+        for l in runnable_levels() {
+            with_simd_level(l, || {
+                let (mut idx, mut val) = (Vec::with_capacity(8), Vec::with_capacity(8));
+                partition_above(
+                    Pairs::Dense { v: &v, base: 0 },
+                    1.0,
+                    Some((&mut idx, &mut val)),
+                    None,
+                );
+                assert_eq!(idx, [0, 5, 10, 15, 20, 25, 30, 35], "{l}");
+                assert_eq!(val, [9.0; 8], "{l}");
+                assert_eq!((idx.capacity(), val.capacity()), (8, 8), "{l}");
+            });
         }
     }
 
@@ -956,13 +1350,23 @@ mod tests {
             with_simd_level(l, || {
                 let mut two_pass = v.clone();
                 axpy(&mut two_pass, &g);
-                let mut expect_idx = Vec::new();
-                compact_above(&two_pass, 1.0, 0, &mut expect_idx);
-
+                let expect = partition(
+                    Pairs::Dense {
+                        v: &two_pass,
+                        base: 0,
+                    },
+                    1.0,
+                );
                 let mut fused_acc = v.clone();
-                let mut idx = Vec::new();
-                accumulate_compact_above(&mut fused_acc, &g, 1.0, 0, &mut idx);
-                assert_eq!(idx, expect_idx, "{l}");
+                let fused = partition(
+                    Pairs::Accumulate {
+                        acc: &mut fused_acc,
+                        g: &g,
+                        base: 0,
+                    },
+                    1.0,
+                );
+                assert_eq!(fused, expect, "{l}");
                 let fb: Vec<u32> = fused_acc.iter().map(|x| x.to_bits()).collect();
                 let tb: Vec<u32> = two_pass.iter().map(|x| x.to_bits()).collect();
                 assert_eq!(fb, tb, "{l}");

@@ -28,6 +28,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 # replica to the product path bit for bit; its contract test pins
 # BENCHMARK.json to the code. Run them here so a product change that
 # breaks either fails in the gate, not at measurement time (~15 s).
+# Every public item's docs build without a broken or private link
+# (`--lib`: the CLI's lib and bin would collide on one output name).
+echo "==> cargo doc --workspace --lib -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --lib --offline
+
 echo "==> benchmark package tests (replica equivalence + contract)"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml --target-dir target
 
@@ -82,6 +87,18 @@ require_tests -p gtopk-core --test capability_sweep
 # sort, and the allocation gate over both merges and the one-walk put-back.
 require_tests -p gtopk-sparse --lib merge::
 require_tests -p gtopk-sparse --test alloc_steadystate merge
+# The packed top-k kernel: every level writes the scalar reference's
+# (index, value) pairs at every lane remainder, with NaN, ±0, ±∞,
+# denormals and ties, into outputs with and without spare room; the
+# select stays exact when the stratified sample overshoots `t_hi` or
+# the pass collects more candidates than its room, allocates nothing
+# after its first step, and no rank's pool hoards buffers as steps go by.
+require_tests -p gtopk-core --test simd_identity packed_kernels_match_the_scalar_reference_at_every_remainder
+require_tests -p gtopk-core --test simd_identity prop_compact_and_fused_bitwise_identical
+require_tests -p gtopk-sparse --lib topk::tests::a_sample_that_puts_more_than_k_above_hi_stays_exact
+require_tests -p gtopk-sparse --lib topk::tests::a_pass_that_collects_more_candidates_than_its_room_stays_exact
+require_tests -p gtopk-sparse --test alloc_steadystate exact_fused_path_allocates_nothing_after_the_first_step
+require_tests -p gtopk-core --lib aggregator::tests::every_ranks_idle_buffers_stay_bounded_whatever_the_step_count
 # Transport contract: the shared conformance suite must hold for both the
 # simulated and the real-TCP backend.
 require_tests -p gtopk-comm --test transport_conformance

@@ -7,8 +7,9 @@
 //! These properties pin that contract for every kernel the SIMD layer
 //! dispatches: residual accumulate (axpy), the matmul row microkernel
 //! and the tiled GEMM kernel every `nn` matmul runs on,
-//! magnitude scans, threshold compaction, the fused
-//! accumulate+select+compact pass, and the full selection pipeline
+//! magnitude scans, the packing kernel under every top-k threshold pass
+//! (fused with the accumulate or not, over dense or packed pairs), the
+//! fused accumulate+select+compact pass, and the full selection pipeline
 //! through `Residual`.
 //!
 //! Inputs deliberately include NaN, ±0.0, denormals, heavy |v| ties, and
@@ -17,7 +18,7 @@
 
 use gtopk_sparse::{accumulate_select_compact, Residual, SparseVec, TopkScratch};
 use gtopk_tensor::parallel::with_thread_limit;
-use gtopk_tensor::simd::{self, SimdLevel};
+use gtopk_tensor::simd::{self, Pairs, SimdLevel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -163,33 +164,149 @@ proptest! {
         });
     }
 
-    /// Threshold compaction emits the same indices in the same (serial)
-    /// order at every level, and the fused accumulate+compact pass equals
-    /// axpy-then-compact exactly — same emitted indices, same buffer bits.
+    /// The packing kernel (`partition_above`) writes the scalar
+    /// reference's pairs — indices and value bits, both sides, in order —
+    /// at every level, from every source; the fused source's stored sums
+    /// equal `axpy`'s bits; and the output vectors hold exactly `room`
+    /// slots beforehand, so candidates past them arrive too.
     #[test]
     fn prop_compact_and_fused_bitwise_identical(
         pairs in nasty_pairs(69),
         thr in nasty_f32(),
         base in 0u32..1000,
+        room in 0usize..16,
     ) {
         let (acc0, g) = unzip(&pairs);
-        let expect = scalar_ref(|| {
-            let mut idx = Vec::new();
-            simd::compact_above(&acc0, thr, base, &mut idx);
-            let mut acc = acc0.clone();
-            let mut fused_idx = Vec::new();
-            simd::accumulate_compact_above(&mut acc, &g, thr, base, &mut fused_idx);
-            (idx, fused_idx, bits(&acc))
-        });
+        let idx: Vec<u32> = (0..acc0.len() as u32).map(|i| base + 2 * i).collect();
+        let expect = (
+            partition_oracle(&idx, &acc0, thr),
+            partition_oracle(&(base..).take(acc0.len()).collect::<Vec<_>>(), &acc0, thr),
+            {
+                let mut sum = acc0.clone();
+                simd::axpy(&mut sum, &g);
+                (partition_oracle(&(base..).take(sum.len()).collect::<Vec<_>>(), &sum, thr), bits(&sum))
+            },
+        );
         on_matrix(|| {
-            let mut idx = Vec::new();
-            simd::compact_above(&acc0, thr, base, &mut idx);
+            let packed = partition(Pairs::Packed { idx: &idx, val: &acc0 }, thr, room);
+            let dense = partition(Pairs::Dense { v: &acc0, base }, thr, room);
             let mut acc = acc0.clone();
-            let mut fused_idx = Vec::new();
-            simd::accumulate_compact_above(&mut acc, &g, thr, base, &mut fused_idx);
-            assert_eq!((idx, fused_idx, bits(&acc)), expect,
-                       "compaction at {:?}", simd::level());
+            let fused = partition(Pairs::Accumulate { acc: &mut acc, g: &g, base }, thr, room);
+            assert_eq!((packed, dense, (fused, bits(&acc))), expect.clone(),
+                       "partition at {:?}", simd::level());
         });
+    }
+}
+
+/// One side of a partition: indices and value bits.
+type Side = (Vec<u32>, Vec<u32>);
+
+/// What `partition_above` must write, the slow obvious way: each pair in
+/// order to the side its magnitude (`|v|`, NaN as +0.0) puts it on.
+fn partition_oracle(idx: &[u32], val: &[f32], thr: f32) -> [Side; 2] {
+    let mut sides: [Side; 2] = Default::default();
+    for (&i, &v) in idx.iter().zip(val) {
+        let m = if v.is_nan() { 0.0 } else { v.abs() };
+        let side = &mut sides[if m > thr { 0 } else { 1 }];
+        side.0.push(i);
+        side.1.push(v.to_bits());
+    }
+    sides
+}
+
+/// Both sides of `simd::partition_above` over `src` at `thr`, each
+/// written into vectors that start with exactly `room` slots.
+fn partition(src: Pairs<'_>, thr: f32, room: usize) -> [Side; 2] {
+    let vecs = || (Vec::with_capacity(room), Vec::<f32>::with_capacity(room));
+    let ((mut ai, mut av), (mut bi, mut bv)) = (vecs(), vecs());
+    simd::partition_above(src, thr, Some((&mut ai, &mut av)), Some((&mut bi, &mut bv)));
+    for (len, caps) in [
+        (ai.len(), [ai.capacity(), av.capacity()]),
+        (bi.len(), [bi.capacity(), bv.capacity()]),
+    ] {
+        assert!(
+            len > room || caps == [room; 2],
+            "a side grew beyond its pairs"
+        );
+    }
+    [(ai, bits(&av)), (bi, bits(&bv))]
+}
+
+/// Every lane remainder of both widths (lengths 0..=24), every source,
+/// thresholds below zero, at zero, at a tie, at a denormal, at `+∞` and
+/// NaN, with NaN, ±0.0, ±∞, denormals and magnitude ties in the data:
+/// the pairs equal the reference at every level, and one side alone
+/// writes what it writes beside the other.
+#[test]
+fn packed_kernels_match_the_scalar_reference_at_every_remainder() {
+    let special = [
+        f32::NAN,
+        -0.0,
+        0.0,
+        1.0e-40,
+        -1.0e-40,
+        2.5,
+        -2.5,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.75,
+        -3.0,
+    ];
+    for n in 0..=24usize {
+        let v: Vec<f32> = (0..n)
+            .map(|i| special[(i * 7 + n) % special.len()])
+            .collect();
+        let g: Vec<f32> = (0..n)
+            .map(|i| special[(i * 5 + 3) % special.len()])
+            .collect();
+        let idx: Vec<u32> = (0..n as u32).map(|i| 3 * i + 1).collect();
+        for thr in [-1.0f32, 0.0, 1.0e-40, 0.75, 2.5, f32::INFINITY, f32::NAN] {
+            let mut sum = v.clone();
+            simd::axpy(&mut sum, &g);
+            let iota: Vec<u32> = (5..5 + n as u32).collect();
+            let expect = [
+                partition_oracle(&idx, &v, thr),
+                partition_oracle(&iota, &v, thr),
+                partition_oracle(&iota, &sum, thr),
+            ];
+            for room in [0, 3, 8, 64] {
+                on_matrix(|| {
+                    let mut acc = v.clone();
+                    let got = [
+                        partition(Pairs::Packed { idx: &idx, val: &v }, thr, room),
+                        partition(Pairs::Dense { v: &v, base: 5 }, thr, room),
+                        partition(
+                            Pairs::Accumulate {
+                                acc: &mut acc,
+                                g: &g,
+                                base: 5,
+                            },
+                            thr,
+                            room,
+                        ),
+                    ];
+                    let what = format!("n={n} thr={thr} room={room} at {:?}", simd::level());
+                    assert_eq!(got, expect, "{what}");
+                    assert_eq!(bits(&acc), bits(&sum), "{what}");
+                    let (mut ai, mut av) = (Vec::new(), Vec::new());
+                    simd::partition_above(
+                        Pairs::Dense { v: &v, base: 5 },
+                        thr,
+                        Some((&mut ai, &mut av)),
+                        None,
+                    );
+                    assert_eq!((ai, bits(&av)), expect[1][0], "above alone {what}");
+                    let (mut bi, mut bv) = (Vec::new(), Vec::new());
+                    simd::partition_above(
+                        Pairs::Dense { v: &v, base: 5 },
+                        thr,
+                        None,
+                        Some((&mut bi, &mut bv)),
+                    );
+                    assert_eq!((bi, bits(&bv)), expect[1][1], "below alone {what}");
+                });
+            }
+        }
     }
 }
 
