@@ -21,6 +21,9 @@
 //!   forward and backward, at the benchmark workload's batch of 16 8×8
 //!   images, and conv1's backward as a first layer runs it (no input
 //!   gradient);
+//! * vgg-lite's first max pool, forward and backward;
+//! * conv1's per-sample weight-gradient GEMM (27 columns, none in a
+//!   32-wide tile) at every SIMD level;
 //! * fc1's per-forward weight transpose, per element against 8×8 tiles;
 //! * every available `GTOPK_SIMD` level against the scalar kernels;
 //! * the fused single-pass residual+select against the three-pass
@@ -41,7 +44,7 @@
 
 use gtopk_comm::transport::frame::{encode_into, read_frame_into, Frame};
 use gtopk_comm::Payload;
-use gtopk_nn::{models, Conv2d, Layer, Linear, Model, MomentumSgd};
+use gtopk_nn::{models, Conv2d, Layer, Linear, MaxPool2d, Model, MomentumSgd};
 use gtopk_sparse::{
     topk_merge, topk_merge_into, topk_merge_split_into, topk_sparse, topk_sparse_into, Mask,
     MergeScratch, Residual, SparseVec, TopkScratch,
@@ -623,6 +626,58 @@ fn bench_vgg_layers(rows: &mut Vec<Row>) {
     );
 }
 
+/// vgg-lite's first max pool at the benchmark workload's shape: conv1's
+/// 16 ReLU'd 8×8 planes a sample, batch 16. `elements` is the inputs
+/// read per call.
+fn bench_vgg_pool(rows: &mut Vec<Row>) {
+    let mut rng = StdRng::seed_from_u64(31);
+    let shape = Shape::d4(16, 16, 8, 8);
+    let x = random_tensor(&mut rng, shape.clone()).map(|v| v.max(0.0));
+    let dy = random_tensor(&mut rng, Shape::d4(16, 16, 4, 4));
+    let elements = shape.volume();
+    let pool = &mut MaxPool2d::new(2);
+    bench_layer(
+        rows,
+        ("maxpool2d_vgg_pool1", false),
+        pool,
+        (&x, &dy),
+        elements,
+    );
+}
+
+/// conv1's per-sample weight-gradient GEMM, `dW_s [16, 27] = dY_s [16, 64]
+/// · cols_sᵀ [64, 27]` from a zeroed `dW_s` without skips, 16 calls (one
+/// batch) a sample, at every SIMD level: 27 columns, all of them past the
+/// last 32-wide tile. `elements` is multiply-adds.
+fn bench_gemm_narrow(rows: &mut Vec<Row>) {
+    const CALLS: usize = 16;
+    let (m, k, n) = (16usize, 64usize, 27usize);
+    let mut rng = StdRng::seed_from_u64(37);
+    let a: Vec<f32> = (0..m * k).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let b: Vec<f32> = (0..k * n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let mut c = vec![0.0f32; m * n];
+    for level in levels() {
+        let secs = simd::with_simd_level(level, || {
+            time_median(9, || {
+                for _ in 0..CALLS {
+                    c.fill(0.0);
+                    simd::gemm_acc(black_box(&a), black_box(&b), &mut c, m, k, n, false);
+                }
+                black_box(&c);
+            })
+        });
+        rows.push(Row {
+            kernel: "gemm_acc_vgg_conv1_dw",
+            variant: level.name(),
+            threads: 1,
+            simd: level.name(),
+            elements: m * k * n * CALLS,
+            baseline: level == SimdLevel::Scalar,
+            secs,
+        });
+    }
+}
+
 /// The transpose `matmul_bt_flat` makes of fc1's 128×128 weight on every
 /// forward: one element at a time with `rows`-strided writes (what it did
 /// before `transpose_into`) against the 8×8-tiled `transpose_into`.
@@ -784,7 +839,7 @@ fn render_json(rows: &[Row]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(
         out,
-        "  \"bench\": \"hot-path kernels at paper scale (n=14M k=14000 for select/merge, n=1M k=250000 for the _rho25 rows, put_back and frame_codec; n=25M k=25000 for opt_apply/simd/fusion rows; opt_apply_bucketed: n=25M in 8 buckets at rho=0.001, _vgg: vgg-lite per layer at rho=0.005, 200 steps a sample; conv2d_vgg_*, linear_vgg_fc1: vgg-lite's convolutions and first fc layer at batch 16 of 8x8 images, 20 calls a sample, elements = forward multiply-adds, backward_params = backward without the input gradient; transpose_128x128: 1000 transposes a sample)\","
+        "  \"bench\": \"hot-path kernels at paper scale (n=14M k=14000 for select/merge, n=1M k=250000 for the _rho25 rows, put_back and frame_codec; n=25M k=25000 for opt_apply/simd/fusion rows; opt_apply_bucketed: n=25M in 8 buckets at rho=0.001, _vgg: vgg-lite per layer at rho=0.005, 200 steps a sample; conv2d_vgg_*, linear_vgg_fc1: vgg-lite's convolutions and first fc layer at batch 16 of 8x8 images, 20 calls a sample, elements = forward multiply-adds, backward_params = backward without the input gradient; maxpool2d_vgg_pool1: vgg-lite's first 2x2 max pool at batch 16, 20 calls a sample, elements = inputs read; gemm_acc_vgg_conv1_dw: conv1's per-sample weight-gradient GEMM [16,64]x[64,27], 16 calls a sample, elements = multiply-adds; transpose_128x128: 1000 transposes a sample)\","
     );
     let cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let _ = writeln!(out, "  \"cpus\": {cpus},");
@@ -868,6 +923,8 @@ fn main() {
     bench_matmul(&mut rows);
     eprintln!("benchmarking vgg-lite's convolutions and fc1 (batch 16, 8x8 images) ...");
     bench_vgg_layers(&mut rows);
+    bench_vgg_pool(&mut rows);
+    bench_gemm_narrow(&mut rows);
     bench_transpose(&mut rows);
     eprintln!("benchmarking residual axpy across simd levels (n = {N2}) ...");
     bench_axpy(&mut rows);

@@ -11,18 +11,25 @@
 //!
 //! # Data movement
 //!
-//! * **Row runs.** For each `(ci, ky, kx, oy)` the output columns `ox`
-//!   that read inside the image form one range, computed once. im2col
-//!   copies that range in one zipped loop over a chunk zeroed once (a
-//!   strided loop at larger strides); col2im adds the range back in one
-//!   pass. No element is bounds-tested on its own.
-//! * **Forward's columns feed backward.** Forward writes the whole batch's
-//!   im2col, chunk after chunk (chunk `s0..s0 + ns` at offset
-//!   `ckk·s0·l`), into a grow-only buffer the layer keeps, and remembers
-//!   the input's shape, not the input. Backward reads the weight
-//!   gradient's operand from that buffer and then overwrites each chunk
-//!   with its `dcols`. The buffer holds `ckk·n·l` floats; the one-shot
-//!   contract is unchanged (backward without a forward panics).
+//! * **Index tables, not row runs.** Where every im2col entry comes from
+//!   depends only on the input's plane size, so the layer builds it once
+//!   per `(h, w)` and keeps it: `gather` (`[ckk, l]`) names, for each
+//!   column entry, the element of the sample's padded copy `[x | 0.0]` it
+//!   reads, with every padding entry pointing at the trailing zero. im2col
+//!   is then one gather per entry — no padding test, no per-run setup and
+//!   no zeroing of the columns first; conv2's 4×4 planes used to cost
+//!   9 216 runs of at most four elements a step. col2im is a gather-sum
+//!   over the table inverted (`starts`/`sources`: each input element's
+//!   readers).
+//! * **Forward keeps its input, not its columns.** Forward copies the
+//!   batch into padded samples (a grow-only buffer) and builds one chunk
+//!   of columns at a time. Backward gathers each sample's weight-gradient
+//!   operand straight into its `[l, ckk]` layout through the transposed
+//!   table (`gather_t`) — no transpose — into the chunk buffer, which then
+//!   takes `dcols`. Every other per-call buffer (`Y`, the chunk's `dY`,
+//!   `dW_s`, `Wᵀ`) is grow-only too, so a steady-state call allocates only
+//!   the tensor it returns. The one-shot contract is unchanged (backward
+//!   without a forward panics).
 //! * **No input gradient for a first layer.** [`Layer::backward_params`]
 //!   runs the weight and bias gradients only: no `dcols` GEMM and no
 //!   col2im. [`crate::Model::backward`] calls it on a network's first
@@ -40,14 +47,15 @@
 //! * **Input gradient.** `dcols = Wᵀ·dY` runs through [`matmul_flat`]
 //!   over the chunk, from a `Wᵀ` transposed once per call: the product
 //!   [`gtopk_tensor::matmul_at_flat_acc`] runs, ascending `oc` with the
-//!   same skip, again per column. col2im then scatters each sample in the
-//!   `(ci, ky, kx, oy, ox)` order it always used (a row run gives each
-//!   input element at most one add, in ascending `ox`).
+//!   same skip, again per column. col2im then sums each input element's
+//!   readers from `+0.0` in ascending `(ky, kx)`: the order the
+//!   `(ci, ky, kx, oy, ox)` scatter into a zeroed gradient gave it (each
+//!   `(ky, kx)` reads an element at most once).
 //! * **Weight gradient.** Each sample's `dW_s[oc, p] = Σ_pos dY[oc, pos]·
 //!   cols[p, pos]` stays one sequential chain from `+0.0` in ascending
 //!   `pos`, and `grads += dW_s` sample by sample. To run that chain on SIMD
-//!   lanes across `p`, the sample's cols block is transposed to `[l, ckk]`
-//!   by [`transpose_into`] and `dW_s = dY_s·cols_t` is one
+//!   lanes across `p`, the sample's columns are gathered as `[l, ckk]`
+//!   and `dW_s = dY_s·cols_t` is one
 //!   [`simd::gemm_acc`] call from a zeroed `dW_s` that skips no product
 //!   (the dot product it replaces skips none): the kernel holds a tile of
 //!   `dW_s[oc, ·]` in registers while it walks `pos`, so each element's
@@ -95,9 +103,10 @@ pub struct Conv2d {
     grads: Vec<f32>,
     /// Shape of the last forward's input, until a backward consumes it.
     input_shape: Option<Shape>,
-    /// The last forward's im2col, chunk after chunk (grow-only; backward
-    /// overwrites each chunk with its `dcols`).
-    cols: Vec<f32>,
+    /// im2col/col2im index tables of the last input plane size.
+    tables: Tables,
+    /// Grow-only buffers, reused by every call.
+    scratch: Scratch,
 }
 
 /// Shape of one forward/backward call: input `[n, c, h, w]` (`chw`
@@ -123,10 +132,100 @@ impl Geometry {
             .map(|s0| (s0, self.chunk.min(self.n - s0)))
     }
 
-    /// Chunk `s0..s0 + ns`'s `[ckk, ns·l]` block of the batch's columns.
-    fn block(&self, s0: usize, ns: usize) -> Range<usize> {
-        self.ckk * s0 * self.l..self.ckk * (s0 + ns) * self.l
+    /// Sample `s`'s `chw` inputs and its trailing zero in the padded copy.
+    fn padded(&self, s: usize) -> Range<usize> {
+        s * (self.chw + 1)..(s + 1) * (self.chw + 1)
     }
+}
+
+/// Where every im2col entry comes from, for one input plane size. A
+/// sample is read from its padded copy `[x | 0.0]`, so an entry the
+/// kernel reads from the padding points at the trailing zero (`chw`).
+#[derive(Default)]
+struct Tables {
+    /// `(h, w)` the tables were built for.
+    plane: (usize, usize),
+    /// `[ckk, l]`: the padded-sample index of each column entry.
+    gather: Vec<u32>,
+    /// `[l, ckk]`: `gather` transposed, the weight gradient's operand.
+    gather_t: Vec<u32>,
+    /// Input element `e` is read by the column entries
+    /// `sources[starts[e]..starts[e + 1]]`, as `(row, pos)` in ascending
+    /// `(ky, kx)`.
+    starts: Vec<u32>,
+    sources: Vec<(u32, u32)>,
+}
+
+impl Tables {
+    fn new(conv: &Conv2d, g: &Geometry) -> Self {
+        let (k, s, p) = (conv.k, conv.stride, conv.pad);
+        let (h, w, ow, l, chw) = (g.h, g.w, g.ow, g.l, g.chw);
+        let pad = u32::try_from(chw).expect("a sample's index fits u32");
+        // The input coordinate output `o` reads at kernel offset `kd`, if
+        // it lies inside `0..n_in`.
+        let at =
+            |kd: usize, o: usize, n_in: usize| (o * s + kd).checked_sub(p).filter(|&i| i < n_in);
+        let mut gather = vec![pad; g.ckk * l];
+        // (element, row, pos) of every entry that reads the image, in
+        // (ci, ky, kx, oy, ox) order.
+        let mut reads = Vec::with_capacity(g.ckk * l);
+        for (row, idx) in gather.chunks_exact_mut(l).enumerate() {
+            let (ci, ky, kx) = (row / (k * k), row / k % k, row % k);
+            for (pos, i) in idx.iter_mut().enumerate() {
+                if let (Some(iy), Some(ix)) = (at(ky, pos / ow, h), at(kx, pos % ow, w)) {
+                    let e = ci * h * w + iy * w + ix;
+                    *i = e as u32;
+                    reads.push((e, row as u32, pos as u32));
+                }
+            }
+        }
+        // Stable: each element keeps its readers in ascending (ky, kx).
+        reads.sort_by_key(|&(e, ..)| e);
+        let mut starts = vec![0u32; chw + 1];
+        for &(e, ..) in &reads {
+            starts[e + 1] += 1;
+        }
+        for e in 0..chw {
+            starts[e + 1] += starts[e];
+        }
+        let mut gather_t = vec![0u32; l * g.ckk];
+        for (row, idx) in gather.chunks_exact(l).enumerate() {
+            for (pos, &i) in idx.iter().enumerate() {
+                gather_t[pos * g.ckk + row] = i;
+            }
+        }
+        Tables {
+            plane: (h, w),
+            gather,
+            gather_t,
+            starts,
+            sources: reads.into_iter().map(|(_, row, pos)| (row, pos)).collect(),
+        }
+    }
+}
+
+/// Grow-only buffers for one forward/backward pair.
+#[derive(Default)]
+struct Scratch {
+    /// The last forward's input, each sample followed by one `0.0`.
+    xpad: Vec<f32>,
+    /// One chunk's columns `[ckk, ns·l]`: im2col in forward; in backward
+    /// each sample's weight-gradient operand `[l, ckk]`, then `dcols`.
+    cols: Vec<f32>,
+    /// One chunk's `[oc, ns·l]`: forward's `Y`, backward's `dY`.
+    y: Vec<f32>,
+    /// One sample's weight gradient `[oc, ckk]`.
+    dw: Vec<f32>,
+    /// `Wᵀ` `[ckk, oc]`.
+    wt: Vec<f32>,
+}
+
+/// `buf`'s first `len` elements, growing it if it is shorter.
+fn grown(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
 }
 
 impl Conv2d {
@@ -160,7 +259,8 @@ impl Conv2d {
             params,
             grads: vec![0.0; n],
             input_shape: None,
-            cols: Vec::new(),
+            tables: Tables::default(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -173,10 +273,6 @@ impl Conv2d {
         let padded = h + 2 * self.pad;
         assert!(padded >= self.k, "kernel larger than padded input");
         (padded - self.k) / self.stride + 1
-    }
-
-    fn weight(&self) -> &[f32] {
-        &self.params[..self.out_c * self.in_c * self.k * self.k]
     }
 
     fn geometry(&self, dims: &[usize]) -> Geometry {
@@ -198,133 +294,71 @@ impl Conv2d {
         }
     }
 
-    /// The outputs `o < n_out` whose input coordinate `o·stride + kd − pad`
-    /// at kernel offset `kd` lies inside `0..n_in`: one contiguous range.
-    fn valid_run(&self, kd: usize, n_in: usize, n_out: usize) -> Range<usize> {
-        let (s, p) = (self.stride, self.pad);
-        let hi = (n_in + p).saturating_sub(kd).div_ceil(s).min(n_out);
-        let lo = p.saturating_sub(kd).div_ceil(s).min(hi);
-        lo..hi
-    }
-
-    /// im2col for one sample into columns `off..off + oh·ow` of the
-    /// `[in_c·k·k, ld]` matrix `cols`, one `(ci, ky, kx, oy)` row run at a
-    /// time. Entries the kernel reads from the padding are left
-    /// untouched, so `cols` must arrive zeroed.
-    fn im2col(&self, x: &[f32], g: &Geometry, cols: &mut [f32], ld: usize, off: usize) {
-        let (k, s, p) = (self.k, self.stride, self.pad);
-        let (h, w, ow) = (g.h, g.w, g.ow);
-        for ci in 0..self.in_c {
-            let plane = &x[ci * h * w..(ci + 1) * h * w];
-            for ky in 0..k {
-                let ys = self.valid_run(ky, h, g.oh);
-                for kx in 0..k {
-                    let xs = self.valid_run(kx, w, ow);
-                    let row = (ci * k * k + ky * k + kx) * ld + off;
-                    for oy in ys.clone() {
-                        let run = &mut cols[row + oy * ow..][xs.clone()];
-                        let src = &plane[(oy * s + ky - p) * w + xs.start * s + kx - p..];
-                        // A zipped loop, not `copy_from_slice`: runs are a
-                        // few elements long, shorter than a `memcpy` call
-                        // pays for.
-                        if s == 1 {
-                            for (d, &v) in run.iter_mut().zip(src) {
-                                *d = v;
-                            }
-                        } else {
-                            for (d, &v) in run.iter_mut().zip(src.iter().step_by(s)) {
-                                *d = v;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Scatter-add of one sample's columns `off..off + oh·ow` of the
-    /// `[in_c·k·k, ld]` matrix `cols` back to its image (inverse of
-    /// [`Self::im2col`]), in `(ci, ky, kx, oy, ox)` order, one row run at
-    /// a time.
-    fn col2im(&self, cols: &[f32], ld: usize, off: usize, dx: &mut [f32], g: &Geometry) {
-        let (k, s, p) = (self.k, self.stride, self.pad);
-        let (h, w, oh, ow) = (g.h, g.w, g.oh, g.ow);
-        for ci in 0..self.in_c {
-            let plane = &mut dx[ci * h * w..(ci + 1) * h * w];
-            for ky in 0..k {
-                let ys = self.valid_run(ky, h, oh);
-                for kx in 0..k {
-                    let xs = self.valid_run(kx, w, ow);
-                    let row = (ci * k * k + ky * k + kx) * ld + off;
-                    for oy in ys.clone() {
-                        let src = &cols[row + oy * ow..][xs.clone()];
-                        let dst = &mut plane[(oy * s + ky - p) * w + xs.start * s + kx - p..];
-                        if s == 1 {
-                            for (d, &v) in dst.iter_mut().zip(src) {
-                                *d += v;
-                            }
-                        } else {
-                            for (d, &v) in dst.iter_mut().step_by(s).zip(src) {
-                                *d += v;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Backward over the columns forward left: accumulates the weight and
-    /// bias gradients and, given `grad_in`, scatters the input gradient
-    /// into it.
-    fn backprop(&mut self, shape: &Shape, grad_out: &Tensor, mut grad_in: Option<&mut Tensor>) {
+    /// Backward from the padded input forward kept: accumulates the
+    /// weight and bias gradients and, given `grad_in`, writes the input
+    /// gradient into it.
+    fn backprop(&mut self, shape: &Shape, grad_out: &Tensor, grad_in: Option<&mut Tensor>) {
         let g = self.geometry(shape.dims());
         let (oc_n, l, ckk, chw) = (self.out_c, g.l, g.ckk, g.chw);
         assert_eq!(grad_out.len(), g.n * oc_n * l);
-        let mut cols = std::mem::take(&mut self.cols);
-        let mut dy = vec![0.0f32; oc_n * g.chunk * l];
-        let mut cols_t = vec![0.0f32; l * ckk];
-        let mut dw = vec![0.0f32; oc_n * ckk];
+        let Scratch {
+            xpad,
+            cols,
+            y: dy,
+            dw,
+            wt,
+        } = &mut self.scratch;
+        let t = &self.tables;
+        let dw = grown(dw, oc_n * ckk);
+        let (wg, bg) = self.grads.split_at_mut(oc_n * ckk);
+        for (s, dys) in grad_out.data().chunks_exact(oc_n * l).enumerate() {
+            // dW_s [oc, ckk] = dY_s [oc, l] · cols_sᵀ: per (oc, p) one
+            // chain over ascending pos from +0.0, run across p.
+            let xs = &xpad[g.padded(s)];
+            let cols_t = grown(cols, l * ckk);
+            for (d, &i) in cols_t.iter_mut().zip(&t.gather_t) {
+                *d = xs[i as usize];
+            }
+            dw.fill(0.0);
+            simd::gemm_acc(dys, cols_t, dw, oc_n, l, ckk, false);
+            simd::axpy(wg, dw);
+            // db += per-channel sum of dY.
+            for (gb, dyc) in bg.iter_mut().zip(dys.chunks_exact(l)) {
+                *gb += dyc.iter().sum::<f32>();
+            }
+        }
+        let Some(grad_in) = grad_in else {
+            return;
+        };
         // Wᵀ [ckk, oc] for the input gradient, once per call.
-        let mut wt = vec![0.0f32; ckk * oc_n];
-        transpose_into(self.weight(), ckk, oc_n, ckk, &mut wt);
+        let wt = grown(wt, ckk * oc_n);
+        transpose_into(&self.params[..oc_n * ckk], ckk, oc_n, ckk, wt);
         for (s0, ns) in g.chunks() {
             let cb = ns * l;
-            let block = &mut cols[g.block(s0, ns)];
-            let dy_chunk = &grad_out.data()[s0 * oc_n * l..(s0 + ns) * oc_n * l];
-            for (si, dys) in dy_chunk.chunks_exact(oc_n * l).enumerate() {
-                // dW_s [oc, ckk] = dY_s [oc, l] · cols_sᵀ: per (oc, p) one
-                // chain over ascending pos from +0.0, run across p.
-                transpose_into(&block[si * l..], cb, ckk, l, &mut cols_t);
-                dw.fill(0.0);
-                simd::gemm_acc(dys, &cols_t, &mut dw, oc_n, l, ckk, false);
-                let (wg, bg) = self.grads.split_at_mut(oc_n * ckk);
-                simd::axpy(wg, &dw);
-                // db += per-channel sum of dY.
-                for (gb, dyc) in bg.iter_mut().zip(dys.chunks_exact(l)) {
-                    *gb += dyc.iter().sum::<f32>();
-                }
-            }
-            let Some(grad_in) = grad_in.as_deref_mut() else {
-                continue;
-            };
             // dY of the chunk as [oc, ns·l].
-            let dy = &mut dy[..oc_n * cb];
+            let dy = grown(dy, oc_n * cb);
+            let dy_chunk = &grad_out.data()[s0 * oc_n * l..(s0 + ns) * oc_n * l];
             for (si, dys) in dy_chunk.chunks_exact(oc_n * l).enumerate() {
                 for (oc, dyc) in dys.chunks_exact(l).enumerate() {
                     dy[oc * cb + si * l..oc * cb + (si + 1) * l].copy_from_slice(dyc);
                 }
             }
-            // dcols [ckk, ns·l] = Wᵀ [ckk, oc] · dY [oc, ns·l], into the
-            // chunk's columns: the weight gradient is done with them.
-            let dcols = block;
-            matmul_flat(&wt, dy, dcols, ckk, oc_n, cb);
-            for si in 0..ns {
-                let dxs = &mut grad_in.data_mut()[(s0 + si) * chw..(s0 + si + 1) * chw];
-                self.col2im(dcols, cb, si * l, dxs, &g);
+            // dcols [ckk, ns·l] = Wᵀ [ckk, oc] · dY [oc, ns·l].
+            let dcols = grown(cols, ckk * cb);
+            matmul_flat(wt, dy, dcols, ckk, oc_n, cb);
+            // col2im: each input element sums its readers from +0.0.
+            let dx = &mut grad_in.data_mut()[s0 * chw..(s0 + ns) * chw];
+            for (si, dxs) in dx.chunks_exact_mut(chw).enumerate() {
+                let dcols = &dcols[si * l..];
+                for (d, span) in dxs.iter_mut().zip(t.starts.windows(2)) {
+                    *d = t.sources[span[0] as usize..span[1] as usize]
+                        .iter()
+                        .fold(0.0f32, |acc, &(row, pos)| {
+                            acc + dcols[row as usize * cb + pos as usize]
+                        });
+                }
             }
         }
-        self.cols = cols;
     }
 }
 
@@ -336,24 +370,35 @@ impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
         let g = self.geometry(input.shape().dims());
         let (oc_n, l, ckk, chw) = (self.out_c, g.l, g.ckk, g.chw);
-        let mut out = Tensor::zeros(Shape::d4(g.n, oc_n, g.oh, g.ow));
-        let mut cols = std::mem::take(&mut self.cols);
-        if cols.len() < ckk * g.n * l {
-            cols.resize(ckk * g.n * l, 0.0);
+        if self.tables.plane != (g.h, g.w) || self.tables.gather.is_empty() {
+            self.tables = Tables::new(self, &g);
         }
-        let mut y = vec![0.0f32; oc_n * g.chunk * l];
+        let mut out = Tensor::zeros(Shape::d4(g.n, oc_n, g.oh, g.ow));
+        let Scratch { xpad, cols, y, .. } = &mut self.scratch;
+        let xpad = grown(xpad, g.n * (chw + 1));
+        for (dst, src) in xpad
+            .chunks_exact_mut(chw + 1)
+            .zip(input.data().chunks_exact(chw))
+        {
+            dst[..chw].copy_from_slice(src);
+            dst[chw] = 0.0;
+        }
+        let (gather, weight) = (&self.tables.gather, &self.params[..oc_n * ckk]);
         let bias = &self.params[oc_n * ckk..];
         for (s0, ns) in g.chunks() {
             let cb = ns * l;
-            let block = &mut cols[g.block(s0, ns)];
-            block.fill(0.0);
+            let cols = grown(cols, ckk * cb);
             for si in 0..ns {
-                let xs = &input.data()[(s0 + si) * chw..(s0 + si + 1) * chw];
-                self.im2col(xs, &g, block, cb, si * l);
+                let xs = &xpad[g.padded(s0 + si)];
+                for (row, idx) in gather.chunks_exact(l).enumerate() {
+                    for (d, &i) in cols[row * cb + si * l..][..l].iter_mut().zip(idx) {
+                        *d = xs[i as usize];
+                    }
+                }
             }
             // Y [oc, ns·l] = W [oc, ckk] · cols [ckk, ns·l]
-            let y = &mut y[..oc_n * cb];
-            matmul_flat(self.weight(), block, y, oc_n, ckk, cb);
+            let y = grown(y, oc_n * cb);
+            matmul_flat(weight, cols, y, oc_n, ckk, cb);
             // Back to [n, oc, l], adding the bias per output channel.
             for si in 0..ns {
                 for (oc, &b) in bias.iter().enumerate() {
@@ -365,7 +410,6 @@ impl Layer for Conv2d {
                 }
             }
         }
-        self.cols = cols;
         self.input_shape = Some(input.shape().clone());
         out
     }
@@ -414,7 +458,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// The per-element im2col the row runs replaced: one bounds test and
+    fn weight(conv: &Conv2d) -> &[f32] {
+        &conv.params[..conv.out_c * conv.in_c * conv.k * conv.k]
+    }
+
+    /// The per-element im2col the index tables replaced: one bounds test and
     /// one copy per element, for one sample into columns `off..off + l` of
     /// the `[ckk, ld]` matrix `cols`. Padding entries are left untouched,
     /// so `cols` must arrive zeroed.
@@ -451,7 +499,7 @@ mod tests {
         }
     }
 
-    /// The per-element col2im the row runs replaced: a scatter-add in
+    /// The per-element col2im the gather-sum replaced: a scatter-add in
     /// `(ci, ky, kx, oy, ox)` order with one bounds test per element.
     fn oracle_col2im(
         conv: &Conv2d,
@@ -497,7 +545,7 @@ mod tests {
             let mut cols = vec![0.0f32; ckk * l];
             oracle_im2col(conv, xin, &g, &mut cols, l, 0);
             let yout = &mut out.data_mut()[s * conv.out_c * l..(s + 1) * conv.out_c * l];
-            matmul_flat(conv.weight(), &cols, yout, conv.out_c, ckk, l);
+            matmul_flat(weight(conv), &cols, yout, conv.out_c, ckk, l);
         }
         let bias = conv.params[conv.out_c * ckk..].to_vec();
         for s in 0..n {
@@ -549,7 +597,7 @@ mod tests {
                 bg[oc] += dy[oc * l..(oc + 1) * l].iter().sum::<f32>();
             }
             let mut dcols = vec![0.0f32; ckk * l];
-            matmul_at_flat_acc(conv.weight(), dy, &mut dcols, oc_n, ckk, l);
+            matmul_at_flat_acc(weight(conv), dy, &mut dcols, oc_n, ckk, l);
             let dxs = &mut grad_in.data_mut()[s * chw..(s + 1) * chw];
             oracle_col2im(conv, &dcols, l, 0, dxs, &g);
         }
@@ -591,8 +639,9 @@ mod tests {
         /// per-element oracle bit for bit — output, input gradient, and
         /// weight and bias gradients accumulated over two backward calls,
         /// by `backward` and by `backward_params` — across kernel sizes,
-        /// strides and paddings whose row runs are empty, partial and full
-        /// (a padding wider than the kernel's reach included), batch sizes
+        /// strides and paddings whose windows read the padding partly,
+        /// wholly or not at all (a padding wider than the kernel's reach
+        /// included), batch sizes
         /// 1–9 and output planes below, at and above `MIN_COLS` (full and
         /// partial chunks), on one thread and on four.
         #[test]
@@ -668,7 +717,7 @@ mod tests {
     }
 
     /// A forward over a smaller batch than the one before it reads its own
-    /// columns from the grow-only buffer, not the larger batch's.
+    /// input from the grow-only buffers, not the larger batch's.
     #[test]
     fn a_smaller_batch_after_a_larger_one_uses_its_own_columns() {
         let mut rng = StdRng::seed_from_u64(5);
@@ -683,6 +732,36 @@ mod tests {
         assert_eq!(bits(y.data()), bits(oracle_forward(&conv, &small).data()));
         assert_eq!(bits(conv.backward(&dy).data()), bits(expect_dx.data()));
         assert_eq!(bits(&conv.grads), bits(&grads));
+    }
+
+    /// A forward over another plane size rebuilds the index tables, and
+    /// going back rebuilds them again: every pass matches the oracle.
+    #[test]
+    fn a_new_plane_size_rebuilds_the_tables() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut conv = Conv2d::new(&mut rng, 2, 3, 3, 2, 1);
+        for (h, w) in [(6, 6), (5, 7), (6, 6), (1, 4)] {
+            let x =
+                Tensor::from_vec(Shape::d4(3, 2, h, w), awkward(&mut rng, 6 * h * w, 0)).unwrap();
+            let (oh, ow) = (conv.out_size(h), conv.out_size(w));
+            let dy = Tensor::from_vec(Shape::d4(3, 3, oh, ow), awkward(&mut rng, 9 * oh * ow, 0))
+                .unwrap();
+            let mut grads = vec![0.0f32; conv.params.len()];
+            let expect_dx = oracle_backward(&conv, &x, &dy, &mut grads);
+            conv.grads.fill(0.0);
+            let y = conv.forward(&x, true);
+            assert_eq!(
+                bits(y.data()),
+                bits(oracle_forward(&conv, &x).data()),
+                "{h}x{w}"
+            );
+            assert_eq!(
+                bits(conv.backward(&dy).data()),
+                bits(expect_dx.data()),
+                "{h}x{w}"
+            );
+            assert_eq!(bits(&conv.grads), bits(&grads), "{h}x{w}");
+        }
     }
 
     #[test]

@@ -116,10 +116,8 @@ impl Layer for Linear {
             self.in_features,
             self.out_features,
         );
-        let bias = self.bias().to_vec();
-        for b in 0..batch {
-            let row = &mut out.data_mut()[b * self.out_features..(b + 1) * self.out_features];
-            for (o, &bb) in row.iter_mut().zip(bias.iter()) {
+        for row in out.data_mut().chunks_exact_mut(self.out_features) {
+            for (o, &bb) in row.iter_mut().zip(self.bias()) {
                 *o += bb;
             }
         }

@@ -2,12 +2,16 @@
 
 use crate::Layer;
 use gtopk_tensor::{Shape, Tensor};
+use std::hint::select_unpredictable;
 
 /// Max pooling over `[N, C, H, W]` with a square window and equal stride.
 #[derive(Debug)]
 pub struct MaxPool2d {
     k: usize,
-    cached: Option<(Shape, Vec<usize>)>, // input shape + argmax flat indices
+    /// The last forward's input shape, until a backward consumes it.
+    in_shape: Option<Shape>,
+    /// Flat input index of each output's maximum (grow-only).
+    argmax: Vec<usize>,
 }
 
 impl MaxPool2d {
@@ -18,7 +22,11 @@ impl MaxPool2d {
     /// Panics if `k == 0`.
     pub fn new(k: usize) -> Self {
         assert!(k > 0, "pool window must be positive");
-        MaxPool2d { k, cached: None }
+        MaxPool2d {
+            k,
+            in_shape: None,
+            argmax: Vec::new(),
+        }
     }
 }
 
@@ -27,6 +35,11 @@ impl Layer for MaxPool2d {
         "maxpool2d"
     }
 
+    /// Each output is its window's first strict maximum in `(dy, dx)`
+    /// order, from `(-∞, flat index 0)`: a tie keeps the earlier element
+    /// and NaN never wins, so a window of only NaN and `-∞` outputs `-∞`
+    /// and routes its gradient to index 0. The select is branch-free, one
+    /// output row's windows advanced together per window element.
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
         let dims = input.shape().dims();
         assert_eq!(dims.len(), 4, "maxpool expects [N, C, H, W]");
@@ -34,42 +47,43 @@ impl Layer for MaxPool2d {
         let k = self.k;
         assert!(h >= k && w >= k, "input smaller than pool window");
         let (oh, ow) = (h / k, w / k);
-        let mut out = Tensor::zeros(Shape::d4(n, c, oh, ow));
-        let mut argmax = vec![0usize; n * c * oh * ow];
-        for s in 0..n {
-            for ci in 0..c {
-                let plane_off = (s * c + ci) * h * w;
-                let out_off = (s * c + ci) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        let mut best_idx = 0usize;
-                        for dy in 0..k {
-                            for dx in 0..k {
-                                let idx = plane_off + (oy * k + dy) * w + ox * k + dx;
-                                let v = input.data()[idx];
-                                if v > best {
-                                    best = v;
-                                    best_idx = idx;
-                                }
-                            }
-                        }
-                        out.data_mut()[out_off + oy * ow + ox] = best;
-                        argmax[out_off + oy * ow + ox] = best_idx;
+        let mut out = Tensor::full(Shape::d4(n, c, oh, ow), f32::NEG_INFINITY);
+        self.argmax.clear();
+        self.argmax.resize(out.len(), 0);
+        let x = input.data();
+        let rows = out
+            .data_mut()
+            .chunks_exact_mut(ow)
+            .zip(self.argmax.chunks_exact_mut(ow));
+        for (r, (best, arg)) in rows.enumerate() {
+            // Output row `oy` of plane `r / oh` starts input row `oy·k`.
+            let (plane, oy) = (r / oh, r % oh);
+            for dy in 0..k {
+                for dx in 0..k {
+                    let start = plane * h * w + (oy * k + dy) * w + dx;
+                    for (ox, (b, a)) in best.iter_mut().zip(arg.iter_mut()).enumerate() {
+                        let idx = start + ox * k;
+                        let v = x[idx];
+                        let wins = v > *b;
+                        *b = select_unpredictable(wins, v, *b);
+                        *a = select_unpredictable(wins, idx, *a);
                     }
                 }
             }
         }
-        self.cached = Some((input.shape().clone(), argmax));
+        self.in_shape = Some(input.shape().clone());
         out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (in_shape, argmax) = self.cached.take().expect("backward called without forward");
-        assert_eq!(grad_out.len(), argmax.len());
+        let in_shape = self
+            .in_shape
+            .take()
+            .expect("backward called without forward");
+        assert_eq!(grad_out.len(), self.argmax.len());
         let mut grad_in = Tensor::zeros(in_shape);
-        for (pos, &src) in argmax.iter().enumerate() {
-            grad_in.data_mut()[src] += grad_out.data()[pos];
+        for (&src, &g) in self.argmax.iter().zip(grad_out.data()) {
+            grad_in.data_mut()[src] += g;
         }
         grad_in
     }
@@ -287,6 +301,9 @@ impl Layer for Flatten {
 mod tests {
     use super::*;
     use crate::gradcheck::{check_layer_gradients, check_layer_gradients_with_input};
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn maxpool_picks_maxima() {
@@ -302,6 +319,73 @@ mod tests {
         let dy = Tensor::from_vec(Shape::d4(1, 1, 1, 2), vec![1.0, 2.0]).unwrap();
         let dx = pool.backward(&dy);
         assert_eq!(dx.data(), &[0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0]);
+    }
+
+    /// The branching loop the select replaced: per window, `v > best`
+    /// from `(-∞, index 0)` in `(dy, dx)` order.
+    fn oracle_maxpool(x: &Tensor, k: usize) -> (Vec<f32>, Vec<usize>) {
+        let d = x.shape().dims();
+        let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
+        let (oh, ow) = (h / k, w / k);
+        let (mut out, mut arg) = (Vec::new(), Vec::new());
+        for plane in 0..n * c {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let (mut best, mut best_idx) = (f32::NEG_INFINITY, 0usize);
+                    for dy in 0..k {
+                        for dx in 0..k {
+                            let idx = plane * h * w + (oy * k + dy) * w + ox * k + dx;
+                            if x.data()[idx] > best {
+                                best = x.data()[idx];
+                                best_idx = idx;
+                            }
+                        }
+                    }
+                    out.push(best);
+                    arg.push(best_idx);
+                }
+            }
+        }
+        (out, arg)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The branch-free forward outputs the branching loop's maxima bit
+        /// for bit and routes the gradient to the same elements, over
+        /// windows of NaN, `±0.0`, `±∞` and ties (all-NaN and all-`-∞`
+        /// windows included), ragged planes and windows of 1–3.
+        #[test]
+        fn prop_maxpool_is_the_branching_loop(
+            (k, n, c) in (1usize..=3, 1usize..=3, 1usize..=3),
+            (h_extra, w_extra, seed) in (0usize..5, 0usize..5, 0u64..u64::MAX),
+        ) {
+            let (h, w) = (k + h_extra, k + w_extra);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let palette = [f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, 1.0, -1.0];
+            let data: Vec<f32> = (0..n * c * h * w)
+                .map(|_| match rng.gen_range(0..10usize) {
+                    i @ 0..=6 => palette[i],
+                    _ => rng.gen_range(-2.0f32..2.0),
+                })
+                .collect();
+            let x = Tensor::from_vec(Shape::d4(n, c, h, w), data).unwrap();
+            let (expect, expect_arg) = oracle_maxpool(&x, k);
+            let mut pool = MaxPool2d::new(k);
+            let y = pool.forward(&x, true);
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(y.data()), bits(&expect));
+            // Small distinct integers: the gradient shows where each output
+            // went, and every sum of them is exact.
+            let dy: Vec<f32> = (0..y.len()).map(|i| (i % 20) as f32 + 1.0).collect();
+            let dx = pool.backward(&Tensor::from_vec(y.shape().clone(), dy.clone()).unwrap());
+            let mut expect_dx = vec![0.0f32; x.len()];
+            for (&src, &g) in expect_arg.iter().zip(&dy) {
+                expect_dx[src] += g;
+            }
+            prop_assert_eq!(bits(dx.data()), bits(&expect_dx));
+        }
     }
 
     #[test]

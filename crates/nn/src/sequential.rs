@@ -123,19 +123,19 @@ impl Layer for Sequential {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let mut x = input.clone();
+        let mut x = Cow::Borrowed(input);
         for layer in &mut self.layers {
-            x = layer.forward(&x, train);
+            x = Cow::Owned(layer.forward(&x, train));
         }
-        x
+        x.into_owned()
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
+        let mut g = Cow::Borrowed(grad_out);
         for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g);
+            g = Cow::Owned(layer.backward(&g));
         }
-        g
+        g.into_owned()
     }
 
     /// Backpropagates through every layer but the first, then runs the

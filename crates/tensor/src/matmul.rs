@@ -7,8 +7,9 @@
 //! # One kernel
 //!
 //! Every product runs on [`crate::simd::gemm_acc`], `C[rows,n] +=
-//! A[rows,k]·B[k,n]`, which holds a tile of one C row's columns in
-//! registers across the whole ascending-`p` loop. The transposed variants
+//! A[rows,k]·B[k,n]`, which holds tiles of C (64 or 32 columns of one
+//! row, or 16 columns of four rows) in registers across the whole
+//! ascending-`p` loop. The transposed variants
 //! first transpose their transposed operand once per call into a buffer:
 //! `A·Bᵀ` transposes `B` to `[k, n]`, `Aᵀ·B` transposes `A` to `[k, m]`.
 //! A transpose only moves bits, so it changes no sum.
@@ -25,7 +26,7 @@
 //! the scalar dot product's: from `+0.0` in ascending `p`. `A·B` and
 //! `Aᵀ·B` skip the terms whose `A` entry is `0.0`; `A·Bᵀ` skips none. The
 //! tile never splits or reorders a chain — it only keeps the partial sums
-//! of neighbouring columns in registers instead of storing and reloading
+//! of neighbouring elements in registers instead of storing and reloading
 //! them — so a dot product gets SIMD lanes across output columns without
 //! reassociating anything. Training replicas rely on this: identical
 //! inputs must produce identical models on every rank regardless of
@@ -319,8 +320,8 @@ mod tests {
         use crate::parallel::{with_min_chunk, with_thread_limit};
         use crate::simd::{self, SimdLevel};
         // A long shared dimension and a 9-column C (one 8-lane tile and a
-        // scalar tail); irrational inputs make any reassociation visible
-        // in the low bits.
+        // one-lane masked one at AVX2); irrational inputs make any
+        // reassociation visible in the low bits.
         let (m, k, n) = (7, 269, 9);
         let a: Vec<f32> = (0..m * k).map(|i| (i as f32 * 0.61).sin()).collect();
         let b: Vec<f32> = (0..k * n).map(|i| (i as f32 * 0.29).cos()).collect();

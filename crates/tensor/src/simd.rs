@@ -41,9 +41,9 @@
 //!   matmul kernels deliberately use separate multiply and add
 //!   instructions — **no FMA** — because fusing would drop the
 //!   intermediate rounding the scalar loop performs. [`gemm_acc`]'s
-//!   register tile only keeps a C row's partial sums in registers between
-//!   terms instead of storing and reloading them; no chain is split or
-//!   reordered.
+//!   register tiles only keep C's partial sums in registers between terms
+//!   instead of storing and reloading them; no chain is split or
+//!   reordered, and a skipped term keeps its accumulator by a blend.
 //! - the comparison kernels use ordered, non-signaling predicates
 //!   (`_CMP_GT_OQ` / `cmpgtps`), which treat NaN as *not greater* — the
 //!   same verdict the scalar `v.abs() > thr` reaches. The packing kernel
@@ -610,11 +610,16 @@ mod x86 {
         row_axpy_scalar(&mut c[i..], &b[i..], a);
     }
 
-    /// `C[rows, n] += A[rows, k] · B[k, n]`, holding `8·R` columns of one
-    /// C row in `R` registers across the whole ascending-`p` loop: per
-    /// element the same `c + a·b` chain (separate mul and add) as one
-    /// `row_axpy` per `p`, with C loaded and stored once instead of `k`
-    /// times.
+    /// `C[rows, n] += A[rows, k] · B[k, n]`, holding C tiles in registers
+    /// across the whole ascending-`p` loop: per element the same `c + a·b`
+    /// chain (separate mul and add) as one `row_axpy` per `p`, with C
+    /// loaded and stored once instead of `k` times.
+    ///
+    /// The first `n − n mod 32` columns go one C row at a time, 64 or 32
+    /// columns (8 or 4 registers) per tile. The last `n mod 32` columns
+    /// go four C rows at a time, 16 columns (two registers a row, eight
+    /// independent chains) per pass; the last pass masks its loads and
+    /// stores to the columns that remain, so no scalar tail is left.
     ///
     /// # Safety
     ///
@@ -630,29 +635,181 @@ mod x86 {
         skip_zero: bool,
     ) {
         assert_eq!(b.len(), k * n, "gemm_acc: B is not [k, n]");
+        let wide = n / 32 * 32;
         // Every tile call below meets `gemm_tile_avx2`'s contract: `crow`
         // is a whole row of `n`, `arow` one of `k` with `b.len() == k·n`,
-        // and each loop condition is `j + 8·R <= n`.
+        // and each loop condition is `j + 8·R <= wide <= n`. The narrow
+        // call meets `gemm_narrow_avx2`'s: `wide < n`, and `a` and `c`
+        // hold the same whole rows the tiles walked.
         for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
             let mut j = 0usize;
-            while j + 64 <= n {
+            while j + 64 <= wide {
                 gemm_tile_avx2::<8>(arow, b, crow, j, n, skip_zero);
                 j += 64;
             }
-            while j + 32 <= n {
+            if j < wide {
                 gemm_tile_avx2::<4>(arow, b, crow, j, n, skip_zero);
-                j += 32;
             }
-            while j + 8 <= n {
-                gemm_tile_avx2::<1>(arow, b, crow, j, n, skip_zero);
-                j += 8;
+        }
+        if wide < n {
+            gemm_narrow_avx2(a, b, c, wide, k, n, skip_zero);
+        }
+    }
+
+    /// Columns `j0..n` of every C row of [`gemm_acc_avx2`], in blocks of
+    /// four rows (the last block holds what is left).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, `j0 < n`, `b.len() == k·n` and `a`, `c`
+    /// hold whole rows of `k` and `n` (the same number of rows).
+    #[target_feature(enable = "avx2")]
+    unsafe fn gemm_narrow_avx2(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        j0: usize,
+        k: usize,
+        n: usize,
+        skip_zero: bool,
+    ) {
+        let rows = c.len() / n;
+        let mut r = 0usize;
+        // Each call's rows `r..r + block` lie inside C: `block <= rows − r`.
+        while r < rows {
+            let block = (rows - r).min(4);
+            match block {
+                4 => gemm_rows_avx2::<4>(a, b, c, r, j0, k, n, skip_zero),
+                3 => gemm_rows_avx2::<3>(a, b, c, r, j0, k, n, skip_zero),
+                2 => gemm_rows_avx2::<2>(a, b, c, r, j0, k, n, skip_zero),
+                _ => gemm_rows_avx2::<1>(a, b, c, r, j0, k, n, skip_zero),
             }
-            if j < n {
-                for (p, &av) in arow.iter().enumerate() {
-                    if skip_zero && av == 0.0 {
-                        continue;
-                    }
-                    row_axpy_scalar(&mut crow[j..], &b[p * n + j..(p + 1) * n], av);
+            r += block;
+        }
+    }
+
+    /// Columns `j0..n` of C rows `r0..r0 + R`: whole 16-column passes,
+    /// then one masked pass of two tiles (9–15 columns left) or one tile
+    /// (1–8 left).
+    ///
+    /// # Safety
+    ///
+    /// As [`gemm_narrow_avx2`], with `r0 + R` rows inside C.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn gemm_rows_avx2<const R: usize>(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        r0: usize,
+        j0: usize,
+        k: usize,
+        n: usize,
+        skip_zero: bool,
+    ) {
+        // Lanes below `m` set: the columns a masked tile touches.
+        let lanes = |m: usize| {
+            _mm256_cmpgt_epi32(
+                _mm256_set1_epi32(m as i32),
+                _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+            )
+        };
+        // Every pass's columns, masked lanes only in the last, lie below
+        // `n`: `j + 16 <= n`, then `left = n − j` columns.
+        let mut j = j0;
+        while j + 16 <= n {
+            gemm_block_avx2::<R, 2, false>(a, b, c, r0, j, k, n, skip_zero, lanes(8));
+            j += 16;
+        }
+        match n - j {
+            0 => {}
+            left @ 1..=8 => {
+                gemm_block_avx2::<R, 1, true>(a, b, c, r0, j, k, n, skip_zero, lanes(left))
+            }
+            left => gemm_block_avx2::<R, 2, true>(a, b, c, r0, j, k, n, skip_zero, lanes(left - 8)),
+        }
+    }
+
+    /// C rows `r0..r0 + R`, columns `j..j + 8·T` (the last tile only in
+    /// `mask`'s lanes when `MASKED`), held in `R·T` registers across the
+    /// ascending-`p` loop. A skipped term (`skip_zero` and
+    /// `A[row, p] == 0.0`) keeps the row's accumulators by a blend, as
+    /// `continue` would.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2; `r0 + R` rows of `k` and `n` lie inside
+    /// `a` and `c`, `b.len() == k·n`, and the tiles' columns (the masked
+    /// lanes only, for the last tile) lie below `n`.
+    #[allow(clippy::too_many_arguments)]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn gemm_block_avx2<const R: usize, const T: usize, const MASKED: bool>(
+        a: &[f32],
+        b: &[f32],
+        c: &mut [f32],
+        r0: usize,
+        j: usize,
+        k: usize,
+        n: usize,
+        skip_zero: bool,
+        mask: __m256i,
+    ) {
+        debug_assert!((r0 + R) * n <= c.len() && (r0 + R) * k <= a.len() && b.len() == k * n);
+        let masked = |t: usize| MASKED && t == T - 1;
+        let pa = a.as_ptr().add(r0 * k);
+        let pb = b.as_ptr().add(j);
+        let pc = c.as_mut_ptr().add(r0 * n + j);
+        let mut acc = [[_mm256_setzero_ps(); T]; R];
+        for (r, row) in acc.iter_mut().enumerate() {
+            for (t, v) in row.iter_mut().enumerate() {
+                let src = pc.add(r * n + 8 * t);
+                *v = if masked(t) {
+                    _mm256_maskload_ps(src, mask)
+                } else {
+                    _mm256_loadu_ps(src)
+                };
+            }
+        }
+        let zero = _mm256_setzero_ps();
+        for p in 0..k {
+            let row_b = pb.add(p * n);
+            let mut vb = [zero; T];
+            for (t, v) in vb.iter_mut().enumerate() {
+                let src = row_b.add(8 * t);
+                *v = if masked(t) {
+                    _mm256_maskload_ps(src, mask)
+                } else {
+                    _mm256_loadu_ps(src)
+                };
+            }
+            let av: [f32; R] = core::array::from_fn(|r| *pa.add(r * k + p));
+            // The blend costs as much as the term, so only a `p` with a
+            // zero among its R terms pays for it.
+            let blend = skip_zero && av.contains(&0.0);
+            for (row, &a) in acc.iter_mut().zip(&av) {
+                let va = _mm256_set1_ps(a);
+                // EQ_OQ: true for ±0.0 only, as the scalar `av == 0.0`.
+                let skip = _mm256_cmp_ps::<_CMP_EQ_OQ>(va, zero);
+                for (v, &bv) in row.iter_mut().zip(&vb) {
+                    // Separate mul + add (no FMA), as in `row_axpy_avx2`.
+                    let sum = _mm256_add_ps(*v, _mm256_mul_ps(va, bv));
+                    *v = if blend {
+                        _mm256_blendv_ps(sum, *v, skip)
+                    } else {
+                        sum
+                    };
+                }
+            }
+        }
+        for (r, row) in acc.iter().enumerate() {
+            for (t, &v) in row.iter().enumerate() {
+                let dst = pc.add(r * n + 8 * t);
+                if masked(t) {
+                    _mm256_maskstore_ps(dst, mask, v);
+                } else {
+                    _mm256_storeu_ps(dst, v);
                 }
             }
         }
@@ -1027,10 +1184,12 @@ pub fn row_axpy(c: &mut [f32], b: &[f32], a: f32) {
 /// result, not an optimisation: `0·∞` is NaN and `-0.0 + 0.0` is `+0.0`,
 /// so a skipped term and an added one can differ.
 ///
-/// Dispatched once per call. At AVX2 each C row is swept in tiles of
-/// 64, 32 and 8 columns held in registers across the whole `p` loop, with
-/// a scalar tail; at SSE2 and scalar level it is that `row_axpy` loop.
-/// Bitwise identical at every level.
+/// Dispatched once per call. At AVX2 C is held in register tiles across
+/// the whole `p` loop: 64 or 32 columns of one row, then the last
+/// `n mod 32` columns four rows at a time, two 8-lane tiles a row, with
+/// masked loads and stores for the last partial tile (no scalar tail).
+/// At SSE2 and scalar level it is that `row_axpy` loop. Bitwise identical
+/// at every level.
 ///
 /// # Panics
 ///

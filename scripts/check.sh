@@ -150,15 +150,23 @@ require_tests -p gtopk-core --lib ckpt::tests::pinned_sampled_checkpoint_bytes_d
 require_tests -p gtopk-core --lib ckpt::tests::retired_selector_tag_is_a_typed_error
 # The chunked convolution: forward, input gradient and accumulated weight
 # and bias gradients (by `backward` and by `backward_params`) equal the
-# per-sample, per-element im2col/col2im oracle bit for bit over empty,
-# partial and full row runs; skipping a first layer's input gradient
-# leaves every zoo model's gradients bitwise; the tiled transpose writes
-# the naive loop's bits.
+# per-sample, per-element im2col/col2im oracle bit for bit over kernels,
+# strides and paddings whose windows read the padding partly, wholly or
+# not at all, and again after the input's plane size changes (the index
+# tables are rebuilt); skipping a first layer's input gradient leaves
+# every zoo model's gradients bitwise; the tiled transpose writes the
+# naive loop's bits; the branch-free max pool is the branching loop; a
+# warm vgg-lite step allocates no layer scratch (an exact count).
 require_tests -p gtopk-nn --lib conv::tests::prop_chunked_conv_is_bitwise_the_per_sample_oracle
+require_tests -p gtopk-nn --lib conv::tests::a_new_plane_size_rebuilds_the_tables
+require_tests -p gtopk-nn --lib pool::tests::prop_maxpool_is_the_branching_loop
+require_tests -p gtopk-nn --test alloc_step_sparse a_warm_vgg_lite_step_allocates_no_layer_scratch
 require_tests -p gtopk-nn --lib models::tests::skipping_the_first_layers_input_gradient_leaves_the_grads_bitwise
 require_tests -p gtopk-tensor --lib matmul::tests::prop_transpose_into_is_the_naive_loop
 # The one tiled GEMM kernel equals the per-(row, p) scalar loop at every
-# level, and the transposed products equal the kernels they replaced.
+# level (1–9 rows: whole four-row blocks and every remainder; every C
+# width 1..=130), and the transposed products equal the kernels they
+# replaced.
 require_tests -p gtopk-core --test simd_identity prop_gemm_acc_is_bitwise_the_row_axpy_loop
 require_tests -p gtopk-tensor --lib matmul::tests::prop_matmul_bt_flat_is_bitwise_the_dot_product_oracle
 require_tests -p gtopk-tensor --lib matmul::tests::prop_matmul_at_flat_acc_is_bitwise_the_row_axpy_oracle

@@ -422,11 +422,12 @@ proptest! {
 
     /// The tiled GEMM kernel equals the per-`(row, p)` scalar loop bit
     /// for bit at every matrix point, in both skip modes, for every C
-    /// width 1..=130 — every 64/32/8-lane tile combination and every
-    /// scalar tail.
+    /// width 1..=130 — every 64/32-lane row tile, every 16-column pass
+    /// and masked remainder of the narrow columns — and for 1–9 rows:
+    /// whole four-row blocks and every remainder block of 1–3 rows.
     #[test]
     fn prop_gemm_acc_is_bitwise_the_row_axpy_loop(
-        rows in 1usize..=3, k in 0usize..=9, seed in 0u64..u64::MAX,
+        rows in 1usize..=9, k in 0usize..=17, seed in 0u64..u64::MAX,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);
         for n in 1..=130 {
