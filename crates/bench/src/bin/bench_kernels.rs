@@ -77,7 +77,7 @@ struct Row {
     kernel: &'static str,
     variant: &'static str,
     threads: usize,
-    /// SIMD level the row actually dispatched ("scalar"/"sse2"/"avx2").
+    /// SIMD level the row actually dispatched ("scalar"/"avx2").
     simd: &'static str,
     elements: usize,
     secs: f64,

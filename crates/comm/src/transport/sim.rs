@@ -9,8 +9,8 @@
 
 use super::Transport;
 use crate::{CommError, Message, Result};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -69,9 +69,9 @@ impl SimMesh {
         let mut inner = self.shared.inner.lock().unwrap();
         for d in 0..self.size {
             if d != rank {
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 inner.chan[rank][d] = Some((tx, Some(rx)));
-                let (tx, rx) = unbounded();
+                let (tx, rx) = channel();
                 inner.chan[d][rank] = Some((tx, Some(rx)));
             }
         }
@@ -157,7 +157,7 @@ impl SimTransport {
         for (s, row) in chan.iter_mut().enumerate() {
             for (d, slot) in row.iter_mut().enumerate() {
                 if s != d {
-                    let (tx, rx) = unbounded();
+                    let (tx, rx) = channel();
                     *slot = Some((tx, Some(rx)));
                 }
             }
@@ -286,7 +286,7 @@ impl Transport for SimTransport {
 
     fn try_recv(&mut self, src: usize) -> Option<Message> {
         self.refresh();
-        self.rx(src).try_recv()
+        self.rx(src).try_recv().ok()
     }
 }
 

@@ -53,10 +53,10 @@
 use super::frame::{self, Frame};
 use super::Transport;
 use crate::{CommError, Message, Result};
-use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use std::io::{self, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -289,7 +289,7 @@ impl TcpTransport {
             if p == rank {
                 continue;
             }
-            let (t, r) = unbounded();
+            let (t, r) = channel();
             *t_slot = Some(t);
             *r_slot = Some(r);
         }
@@ -298,7 +298,7 @@ impl TcpTransport {
                 rx_slots.push(None);
                 continue;
             }
-            let (tx, rx) = unbounded();
+            let (tx, rx) = channel();
             rx_slots.push(Some(rx));
             let ctx2 = ctx.clone();
             let repl = repl_slot.take().expect("replacement channel built");
@@ -450,7 +450,7 @@ impl Transport for TcpTransport {
         let shared = self.ctx.links[src].as_ref().expect("valid peer").clone();
         let deadline = Instant::now() + cap;
         loop {
-            if let Some(m) = rx.try_recv() {
+            if let Ok(m) = rx.try_recv() {
                 return Ok(m);
             }
             if shared.dead.load(SeqCst) {
@@ -479,6 +479,7 @@ impl Transport for TcpTransport {
             .as_ref()
             .expect("recv source is a valid peer")
             .try_recv()
+            .ok()
     }
 
     fn wall_clock(&self) -> bool {

@@ -36,10 +36,11 @@ impl Layer for MaxPool2d {
     }
 
     /// Each output is its window's first strict maximum in `(dy, dx)`
-    /// order, from `(-∞, flat index 0)`: a tie keeps the earlier element
-    /// and NaN never wins, so a window of only NaN and `-∞` outputs `-∞`
-    /// and routes its gradient to index 0. The select is branch-free, one
-    /// output row's windows advanced together per window element.
+    /// order, from `(-∞, the window's first element)`: a tie keeps the
+    /// earlier element and NaN never wins, so a window of only NaN and
+    /// `-∞` outputs `-∞` and routes its gradient to its first element.
+    /// The select is branch-free, one output row's windows advanced
+    /// together per window element.
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
         let dims = input.shape().dims();
         assert_eq!(dims.len(), 4, "maxpool expects [N, C, H, W]");
@@ -58,6 +59,10 @@ impl Layer for MaxPool2d {
         for (r, (best, arg)) in rows.enumerate() {
             // Output row `oy` of plane `r / oh` starts input row `oy·k`.
             let (plane, oy) = (r / oh, r % oh);
+            let first = plane * h * w + oy * k * w;
+            for (ox, a) in arg.iter_mut().enumerate() {
+                *a = first + ox * k;
+            }
             for dy in 0..k {
                 for dx in 0..k {
                     let start = plane * h * w + (oy * k + dy) * w + dx;
@@ -321,8 +326,41 @@ mod tests {
         assert_eq!(dx.data(), &[0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 2.0, 0.0]);
     }
 
+    /// Sample 1's bottom-right window (flat indices 26, 27, 30, 31) is all
+    /// NaN: it outputs `-∞` and its gradient lands on its own first
+    /// element, 26, not on sample 0's pixel 0.
+    #[test]
+    fn an_all_nan_window_routes_its_gradient_inside_the_window() {
+        let nan_window = [26, 27, 30, 31];
+        let data: Vec<f32> = (0..32)
+            .map(|i| {
+                if nan_window.contains(&i) {
+                    f32::NAN
+                } else {
+                    i as f32
+                }
+            })
+            .collect();
+        let mut pool = MaxPool2d::new(2);
+        let y = pool.forward(
+            &Tensor::from_vec(Shape::d4(2, 1, 4, 4), data).unwrap(),
+            true,
+        );
+        assert_eq!(
+            y.data(),
+            &[5.0, 7.0, 13.0, 15.0, 21.0, 23.0, 29.0, f32::NEG_INFINITY]
+        );
+        let dy: Vec<f32> = (1..=8).map(|g| g as f32).collect();
+        let dx = pool.backward(&Tensor::from_vec(y.shape().clone(), dy).unwrap());
+        let mut expect = [0.0f32; 32];
+        for (src, g) in [5, 7, 13, 15, 21, 23, 29, 26].into_iter().zip(1..=8) {
+            expect[src] = g as f32;
+        }
+        assert_eq!(dx.data(), &expect);
+    }
+
     /// The branching loop the select replaced: per window, `v > best`
-    /// from `(-∞, index 0)` in `(dy, dx)` order.
+    /// from `(-∞, the window's first index)` in `(dy, dx)` order.
     fn oracle_maxpool(x: &Tensor, k: usize) -> (Vec<f32>, Vec<usize>) {
         let d = x.shape().dims();
         let (n, c, h, w) = (d[0], d[1], d[2], d[3]);
@@ -331,7 +369,8 @@ mod tests {
         for plane in 0..n * c {
             for oy in 0..oh {
                 for ox in 0..ow {
-                    let (mut best, mut best_idx) = (f32::NEG_INFINITY, 0usize);
+                    let first = plane * h * w + oy * k * w + ox * k;
+                    let (mut best, mut best_idx) = (f32::NEG_INFINITY, first);
                     for dy in 0..k {
                         for dx in 0..k {
                             let idx = plane * h * w + (oy * k + dy) * w + ox * k + dx;

@@ -360,7 +360,8 @@ mod tests {
     }
 
     /// The row kernel `matmul_at_flat_acc` ran before it went through the
-    /// tiled GEMM: one `row_axpy` per `(i, p)` in ascending `i`, skipping
+    /// tiled GEMM: one scalar row axpy `c[j] += a·b[j]` (a rounded product,
+    /// then a rounded sum) per `(i, p)` in ascending `i`, skipping
     /// `A[i, p] == 0.0`.
     fn at_acc_rows(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
         for i in 0..m {
@@ -370,7 +371,9 @@ mod tests {
                 if av == 0.0 {
                     continue;
                 }
-                simd::row_axpy(&mut c[p * n..(p + 1) * n], brow, av);
+                for (cv, &bv) in c[p * n..(p + 1) * n].iter_mut().zip(brow) {
+                    *cv += av * bv;
+                }
             }
         }
     }
@@ -469,7 +472,7 @@ mod tests {
         }
 
         /// `matmul_at_flat_acc` (transpose A, then the tiled GEMM with the
-        /// zero skip) is bitwise the per-`(i, p)` `row_axpy` oracle,
+        /// zero skip) is bitwise the per-`(i, p)` scalar row-axpy oracle,
         /// accumulating onto a C that holds `-0.0`, `±∞` and NaN.
         #[test]
         fn prop_matmul_at_flat_acc_is_bitwise_the_row_axpy_oracle(
@@ -481,9 +484,7 @@ mod tests {
             let b = awkward(m * n, salt + 1, specials);
             let c0 = awkward(k * n, salt + 2, specials);
             let mut expect = c0.clone();
-            simd::with_simd_level(simd::SimdLevel::Scalar, || {
-                at_acc_rows(&a, &b, &mut expect, m, k, n)
-            });
+            at_acc_rows(&a, &b, &mut expect, m, k, n);
             on_every_level_and_thread_count(|at| {
                 let mut c = c0.clone();
                 matmul_at_flat_acc(&a, &b, &mut c, m, k, n);

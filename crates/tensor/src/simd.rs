@@ -1,13 +1,11 @@
 //! Runtime-dispatched SIMD kernels for the gradient hot path.
 //!
 //! Every per-element pass the per-step critical path performs — residual
-//! accumulate (`acc += g`), magnitude scans (max / count-above-threshold),
-//! the packing kernel under every top-k threshold pass
-//! ([`partition_above`]: split `(index, value)` pairs at a magnitude,
-//! optionally fused with the accumulate), and the GEMM kernel under every
-//! matmul ([`gemm_acc`], with its one-row step [`row_axpy`]) — funnels
-//! through this module, which picks an AVX2, SSE2, or portable-scalar
-//! implementation at runtime.
+//! accumulate (`acc += g`), the packing kernel under every top-k
+//! threshold pass ([`partition_above`]: split `(index, value)` pairs at a
+//! magnitude, optionally fused with the accumulate), and the GEMM kernel
+//! under every matmul ([`gemm_acc`]) — funnels through this module, which
+//! picks an AVX2 or a portable-scalar implementation at runtime.
 //!
 //! # Dispatch
 //!
@@ -16,16 +14,14 @@
 //! 1. a thread-local override installed by [`with_simd_level`] (used by the
 //!    identity tests and benchmarks to compare levels on the same inputs),
 //! 2. the `GTOPK_SIMD` environment variable (read once per process;
-//!    `auto`, `avx2`, `sse2`, or `scalar` — anything else falls back to
-//!    `auto`), mirroring `GTOPK_THREADS`,
+//!    `auto`, `avx2`, or `scalar` — anything else falls back to `auto`),
+//!    mirroring `GTOPK_THREADS`,
 //! 3. feature detection (`is_x86_feature_detected!`): AVX2 when the CPU
-//!    has it (with POPCNT, which every AVX2 CPU has), otherwise SSE2
-//!    (always present on `x86_64`), otherwise — on non-x86 targets —
-//!    scalar.
+//!    has it (with POPCNT, which every AVX2 CPU has), otherwise scalar.
 //!
 //! A requested level the CPU cannot execute is clamped down to the best
-//! detected one, so `GTOPK_SIMD=avx2` on an SSE2-only host degrades
-//! gracefully instead of faulting.
+//! detected one, so `GTOPK_SIMD=avx2` on a host without AVX2 runs scalar
+//! instead of faulting.
 //!
 //! # Determinism
 //!
@@ -44,19 +40,15 @@
 //!   register tiles only keep C's partial sums in registers between terms
 //!   instead of storing and reloading them; no chain is split or
 //!   reordered, and a skipped term keeps its accumulator by a blend.
-//! - the comparison kernels use ordered, non-signaling predicates
-//!   (`_CMP_GT_OQ` / `cmpgtps`), which treat NaN as *not greater* — the
-//!   same verdict the scalar `v.abs() > thr` reaches. The packing kernel
-//!   compares the top-k comparator's magnitude instead: `max(|v|, +0.0)`
-//!   (`maxps` returns its second operand when the first is NaN) maps NaN
-//!   to +0.0 exactly as the scalar `mag` does, so a NaN passes a negative
-//!   threshold and ties `t = 0` like any zero.
-//! - [`max_abs`] masks NaN lanes to `+0.0` before taking lane maxima;
-//!   max over non-NaN, non-negative floats is associative and
-//!   commutative, so the horizontal reduction order cannot matter.
+//! - the packing kernel compares the top-k comparator's magnitude
+//!   `max(|v|, +0.0)` with an ordered, non-signaling predicate
+//!   (`_CMP_GT_OQ`): `maxps` returns its second operand when the first is
+//!   NaN, so a NaN value counts as +0.0 exactly as the scalar `mag` makes
+//!   it — it passes a negative threshold and ties `t = 0` like any zero —
+//!   and, as with the scalar `>`, nothing is above a NaN threshold.
 //! - packing keeps each side's lanes in ascending lane order — a
-//!   left-pack permutation at AVX2, slot writes lane by lane at SSE2 and
-//!   scalar level — so pairs are emitted in exactly the serial order.
+//!   left-pack permutation at AVX2, slot writes lane by lane at scalar
+//!   level — so pairs are emitted in exactly the serial order.
 //! - denormals behave identically: Rust never enables FTZ/DAZ, and the
 //!   scalar f32 ops on `x86_64` execute on the same SSE units.
 
@@ -66,27 +58,24 @@ use std::sync::OnceLock;
 
 /// A SIMD instruction-set level the kernels can dispatch to.
 ///
-/// Ordered by capability: `Scalar < Sse2 < Avx2`.
+/// Ordered by capability: `Scalar < Avx2`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SimdLevel {
     /// Portable scalar loops — the reference implementation every other
     /// level must match bitwise.
     Scalar,
-    /// 128-bit SSE2 (4 × f32 lanes) — baseline on every `x86_64`.
-    Sse2,
     /// 256-bit AVX2 (8 × f32 lanes).
     Avx2,
 }
 
 impl SimdLevel {
     /// All levels, weakest first.
-    pub const ALL: [SimdLevel; 3] = [SimdLevel::Scalar, SimdLevel::Sse2, SimdLevel::Avx2];
+    pub const ALL: [SimdLevel; 2] = [SimdLevel::Scalar, SimdLevel::Avx2];
 
     /// Lower-case name as accepted by `GTOPK_SIMD`.
     pub fn name(self) -> &'static str {
         match self {
             SimdLevel::Scalar => "scalar",
-            SimdLevel::Sse2 => "sse2",
             SimdLevel::Avx2 => "avx2",
         }
     }
@@ -101,7 +90,6 @@ impl SimdLevel {
     pub fn parse(s: &str) -> Option<SimdLevel> {
         match s.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(SimdLevel::Scalar),
-            "sse2" => Some(SimdLevel::Sse2),
             "avx2" => Some(SimdLevel::Avx2),
             _ => None,
         }
@@ -123,8 +111,7 @@ pub fn detect_best() -> SimdLevel {
         if std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("popcnt") {
             SimdLevel::Avx2
         } else {
-            // SSE2 is part of the x86_64 baseline ABI.
-            SimdLevel::Sse2
+            SimdLevel::Scalar
         }
     })
 }
@@ -218,22 +205,14 @@ fn row_axpy_scalar(c: &mut [f32], b: &[f32], a: f32) {
 }
 
 /// The per-(row, p) loop every [`gemm_acc`] level reproduces: one
-/// `row_kernel(C row, B row, a)` per term, in ascending `p`.
-fn gemm_acc_rows(
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-    k: usize,
-    n: usize,
-    skip_zero: bool,
-    row_kernel: impl Fn(&mut [f32], &[f32], f32),
-) {
+/// `c[j] += a·b[j]` row step per term, in ascending `p`.
+fn gemm_acc_rows(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize, skip_zero: bool) {
     for (arow, crow) in a.chunks_exact(k).zip(c.chunks_exact_mut(n)) {
         for (brow, &av) in b.chunks_exact(n).zip(arow) {
             if skip_zero && av == 0.0 {
                 continue;
             }
-            row_kernel(crow, brow, av);
+            row_axpy_scalar(crow, brow, av);
         }
     }
 }
@@ -249,29 +228,18 @@ fn mag(v: f32) -> f32 {
     }
 }
 
-fn max_abs_scalar(v: &[f32]) -> f32 {
-    v.iter().fold(0.0f32, |m, &x| m.max(mag(x)))
-}
-
-fn count_above_scalar(v: &[f32], thr: f32) -> usize {
-    v.iter().filter(|&&x| x.abs() > thr).count()
-}
-
-/// The slot-write [`partition_above`] of the levels without a variable
-/// lane permute (scalar, and SSE2 with `W = 4`), and the AVX2 kernel's
-/// remainder: groups of `W` pairs, summed by `add` for
-/// [`Pairs::Accumulate`] and compared by `mask` (bit `l` set for lane `l`
-/// above `thr`; a last group may be shorter), then written pair by pair
-/// without a branch on each side — the above side skipping a group with
-/// no lane set, as at AVX2.
-fn partition_slots<const W: usize, const ABOVE: bool, const BELOW: bool>(
+/// The scalar [`partition_above`], and the AVX2 kernel's remainder:
+/// groups of eight pairs, summed for [`Pairs::Accumulate`] and compared
+/// by [`mask_scalar`] (a last group may be shorter), then written pair by
+/// pair without a branch on each side — the above side skipping a group
+/// with no lane set, as at AVX2.
+fn partition_scalar<const ABOVE: bool, const BELOW: bool>(
     src: Pairs<'_>,
     thr: f32,
     above: &mut PairSink<'_>,
     below: &mut PairSink<'_>,
-    add: impl Fn(&mut [f32], &[f32]),
-    mask: impl Fn(&[f32], f32) -> u32,
 ) {
+    const W: usize = 8;
     let iota = |at: u32| -> [u32; W] { std::array::from_fn(|lane| at + lane as u32) };
     let n = src.len();
     // Whole groups as fixed-size windows, so every per-lane loop below
@@ -282,36 +250,36 @@ fn partition_slots<const W: usize, const ABOVE: bool, const BELOW: bool>(
         Pairs::Dense { v, base } => {
             for j in (0..whole).step_by(W) {
                 let val = &v[j..j + W];
-                let mask = mask(val, thr);
+                let mask = mask_scalar(val, thr);
                 if Sides::writes::<ABOVE, BELOW>(mask) {
                     sides.put::<ABOVE, BELOW>(mask, &iota(base + j as u32), val);
                 }
             }
             let val = &v[whole..];
             let idx = iota(base + whole as u32);
-            sides.put::<ABOVE, BELOW>(mask(val, thr), &idx[..val.len()], val);
+            sides.put::<ABOVE, BELOW>(mask_scalar(val, thr), &idx[..val.len()], val);
         }
         Pairs::Accumulate { acc, g, base } => {
             for j in (0..whole).step_by(W) {
                 let sums = &mut acc[j..j + W];
-                add(sums, &g[j..j + W]);
-                let mask = mask(sums, thr);
+                axpy_scalar(sums, &g[j..j + W]);
+                let mask = mask_scalar(sums, thr);
                 if Sides::writes::<ABOVE, BELOW>(mask) {
                     sides.put::<ABOVE, BELOW>(mask, &iota(base + j as u32), sums);
                 }
             }
             let sums = &mut acc[whole..];
-            add(sums, &g[whole..]);
+            axpy_scalar(sums, &g[whole..]);
             let idx = iota(base + whole as u32);
-            sides.put::<ABOVE, BELOW>(mask(sums, thr), &idx[..sums.len()], sums);
+            sides.put::<ABOVE, BELOW>(mask_scalar(sums, thr), &idx[..sums.len()], sums);
         }
         Pairs::Packed { idx, val } => {
             for j in (0..whole).step_by(W) {
                 let val = &val[j..j + W];
-                sides.put::<ABOVE, BELOW>(mask(val, thr), &idx[j..j + W], val);
+                sides.put::<ABOVE, BELOW>(mask_scalar(val, thr), &idx[j..j + W], val);
             }
             let val = &val[whole..];
-            sides.put::<ABOVE, BELOW>(mask(val, thr), &idx[whole..], val);
+            sides.put::<ABOVE, BELOW>(mask_scalar(val, thr), &idx[whole..], val);
         }
     }
     sides.finish();
@@ -370,16 +338,6 @@ fn put_lanes(at: &mut Cursor, sink: &mut PairSink<'_>, mask: u32, idx: &[u32], v
 fn mask_scalar(val: &[f32], thr: f32) -> u32 {
     let hits = val.iter().map(|&v| u32::from(mag(v) > thr));
     hits.enumerate().fold(0, |m, (lane, hit)| m | hit << lane)
-}
-
-/// The scalar [`partition_above`].
-fn partition_scalar<const ABOVE: bool, const BELOW: bool>(
-    src: Pairs<'_>,
-    thr: f32,
-    above: &mut PairSink<'_>,
-    below: &mut PairSink<'_>,
-) {
-    partition_slots::<8, ABOVE, BELOW>(src, thr, above, below, axpy_scalar, mask_scalar);
 }
 
 /// Where [`partition_above`] reads its `(index, value)` pairs from.
@@ -524,10 +482,7 @@ impl Drop for PairSink<'_> {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
-    use super::{
-        axpy_scalar, count_above_scalar, mask_scalar, max_abs_scalar, partition_scalar,
-        partition_slots, put_lanes, row_axpy_scalar, Cursor, PairSink, Pairs, Sides,
-    };
+    use super::{axpy_scalar, partition_scalar, put_lanes, Cursor, PairSink, Pairs, Sides};
     use core::arch::x86_64::*;
 
     // Every function in this module requires the caller to guarantee the
@@ -551,69 +506,10 @@ mod x86 {
         axpy_scalar(&mut acc[i..], &x[i..]);
     }
 
-    pub fn axpy_sse2(acc: &mut [f32], x: &[f32]) {
-        let n = acc.len();
-        debug_assert_eq!(n, x.len());
-        let pa = acc.as_mut_ptr();
-        let px = x.as_ptr();
-        let mut i = 0usize;
-        while i + 4 <= n {
-            // SAFETY: i + 4 <= n keeps both 128-bit accesses in bounds;
-            // SSE2 is baseline on x86_64.
-            unsafe {
-                let va = _mm_loadu_ps(pa.add(i));
-                let vx = _mm_loadu_ps(px.add(i));
-                _mm_storeu_ps(pa.add(i), _mm_add_ps(va, vx));
-            }
-            i += 4;
-        }
-        axpy_scalar(&mut acc[i..], &x[i..]);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn row_axpy_avx2(c: &mut [f32], b: &[f32], a: f32) {
-        let n = c.len();
-        debug_assert_eq!(n, b.len());
-        let pc = c.as_mut_ptr();
-        let pb = b.as_ptr();
-        let va = _mm256_set1_ps(a);
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let vc = _mm256_loadu_ps(pc.add(i));
-            let vb = _mm256_loadu_ps(pb.add(i));
-            // Separate mul + add (no FMA): the scalar loop rounds the
-            // product before the add, and bitwise identity requires the
-            // same two roundings here.
-            _mm256_storeu_ps(pc.add(i), _mm256_add_ps(vc, _mm256_mul_ps(va, vb)));
-            i += 8;
-        }
-        row_axpy_scalar(&mut c[i..], &b[i..], a);
-    }
-
-    pub fn row_axpy_sse2(c: &mut [f32], b: &[f32], a: f32) {
-        let n = c.len();
-        debug_assert_eq!(n, b.len());
-        let pc = c.as_mut_ptr();
-        let pb = b.as_ptr();
-        let mut i = 0usize;
-        // SAFETY: i + 4 <= n keeps the accesses in bounds; SSE2 is
-        // baseline on x86_64.
-        unsafe {
-            let va = _mm_set1_ps(a);
-            while i + 4 <= n {
-                let vc = _mm_loadu_ps(pc.add(i));
-                let vb = _mm_loadu_ps(pb.add(i));
-                _mm_storeu_ps(pc.add(i), _mm_add_ps(vc, _mm_mul_ps(va, vb)));
-                i += 4;
-            }
-        }
-        row_axpy_scalar(&mut c[i..], &b[i..], a);
-    }
-
     /// `C[rows, n] += A[rows, k] · B[k, n]`, holding C tiles in registers
     /// across the whole ascending-`p` loop: per element the same `c + a·b`
-    /// chain (separate mul and add) as one `row_axpy` per `p`, with C
-    /// loaded and stored once instead of `k` times.
+    /// chain (separate mul and add) as the scalar row loop, with C loaded
+    /// and stored once instead of `k` times.
     ///
     /// The first `n − n mod 32` columns go one C row at a time, 64 or 32
     /// columns (8 or 4 registers) per tile. The last `n mod 32` columns
@@ -793,7 +689,7 @@ mod x86 {
                 // EQ_OQ: true for ±0.0 only, as the scalar `av == 0.0`.
                 let skip = _mm256_cmp_ps::<_CMP_EQ_OQ>(va, zero);
                 for (v, &bv) in row.iter_mut().zip(&vb) {
-                    // Separate mul + add (no FMA), as in `row_axpy_avx2`.
+                    // Separate mul + add (no FMA), as in `gemm_tile_avx2`.
                     let sum = _mm256_add_ps(*v, _mm256_mul_ps(va, bv));
                     *v = if blend {
                         _mm256_blendv_ps(sum, *v, skip)
@@ -845,100 +741,15 @@ mod x86 {
             let va = _mm256_set1_ps(av);
             let pb = b.as_ptr().add(p * n + j);
             for (r, v) in acc.iter_mut().enumerate() {
-                // Separate mul + add (no FMA), as in `row_axpy_avx2`.
+                // Separate mul + add (no FMA): the scalar loop rounds the
+                // product before the add, and bitwise identity requires the
+                // same two roundings here.
                 *v = _mm256_add_ps(*v, _mm256_mul_ps(va, _mm256_loadu_ps(pb.add(8 * r))));
             }
         }
         for (r, v) in acc.iter().enumerate() {
             _mm256_storeu_ps(pc.add(8 * r), *v);
         }
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn max_abs_avx2(v: &[f32]) -> f32 {
-        let n = v.len();
-        let pv = v.as_ptr();
-        let sign = _mm256_set1_ps(-0.0);
-        let mut best = _mm256_setzero_ps();
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let x = _mm256_loadu_ps(pv.add(i));
-            // |x|, then force NaN lanes to +0.0 (the scalar `mag`).
-            let m = _mm256_andnot_ps(sign, x);
-            let ordered = _mm256_cmp_ps::<_CMP_ORD_Q>(x, x);
-            best = _mm256_max_ps(best, _mm256_and_ps(m, ordered));
-            i += 8;
-        }
-        // Horizontal max — order-free over non-NaN, non-negative lanes.
-        let lo = _mm256_castps256_ps128(best);
-        let hi = _mm256_extractf128_ps::<1>(best);
-        let m4 = _mm_max_ps(lo, hi);
-        let m2 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
-        let m1 = _mm_max_ss(m2, _mm_shuffle_ps::<0b01>(m2, m2));
-        let mut out = _mm_cvtss_f32(m1);
-        out = out.max(max_abs_scalar(&v[i..]));
-        out
-    }
-
-    pub fn max_abs_sse2(v: &[f32]) -> f32 {
-        let n = v.len();
-        let pv = v.as_ptr();
-        let mut i = 0usize;
-        // SAFETY: i + 4 <= n keeps the loads in bounds; SSE2 is baseline.
-        let head = unsafe {
-            let sign = _mm_set1_ps(-0.0);
-            let mut best = _mm_setzero_ps();
-            while i + 4 <= n {
-                let x = _mm_loadu_ps(pv.add(i));
-                let m = _mm_andnot_ps(sign, x);
-                let ordered = _mm_cmpord_ps(x, x);
-                best = _mm_max_ps(best, _mm_and_ps(m, ordered));
-                i += 4;
-            }
-            let m2 = _mm_max_ps(best, _mm_movehl_ps(best, best));
-            let m1 = _mm_max_ss(m2, _mm_shuffle_ps::<0b01>(m2, m2));
-            _mm_cvtss_f32(m1)
-        };
-        head.max(max_abs_scalar(&v[i..]))
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn count_above_avx2(v: &[f32], thr: f32) -> usize {
-        let n = v.len();
-        let pv = v.as_ptr();
-        let sign = _mm256_set1_ps(-0.0);
-        let vthr = _mm256_set1_ps(thr);
-        let mut count = 0usize;
-        let mut i = 0usize;
-        while i + 8 <= n {
-            let x = _mm256_loadu_ps(pv.add(i));
-            let m = _mm256_andnot_ps(sign, x);
-            // GT_OQ: NaN compares not-greater, same as scalar `>`.
-            let gt = _mm256_cmp_ps::<_CMP_GT_OQ>(m, vthr);
-            count += (_mm256_movemask_ps(gt) as u32).count_ones() as usize;
-            i += 8;
-        }
-        count + count_above_scalar(&v[i..], thr)
-    }
-
-    pub fn count_above_sse2(v: &[f32], thr: f32) -> usize {
-        let n = v.len();
-        let pv = v.as_ptr();
-        let mut count = 0usize;
-        let mut i = 0usize;
-        // SAFETY: i + 4 <= n keeps the loads in bounds; SSE2 is baseline.
-        unsafe {
-            let sign = _mm_set1_ps(-0.0);
-            let vthr = _mm_set1_ps(thr);
-            while i + 4 <= n {
-                let x = _mm_loadu_ps(pv.add(i));
-                let m = _mm_andnot_ps(sign, x);
-                let gt = _mm_cmpgt_ps(m, vthr);
-                count += (_mm_movemask_ps(gt) as u32).count_ones() as usize;
-                i += 4;
-            }
-        }
-        count + count_above_scalar(&v[i..], thr)
     }
 
     /// For each 8-lane mask, its set lanes in ascending order, then
@@ -1106,27 +917,6 @@ mod x86 {
         sides.finish();
         partition_scalar::<ABOVE, BELOW>(rest, thr, above, below);
     }
-
-    /// [`super::partition_above`] at SSE2: the magnitude compare and the
-    /// accumulate four lanes at a time, then slot writes.
-    pub fn partition_sse2<const ABOVE: bool, const BELOW: bool>(
-        src: Pairs<'_>,
-        thr: f32,
-        above: &mut PairSink<'_>,
-        below: &mut PairSink<'_>,
-    ) {
-        let add = |sums: &mut [f32], g: &[f32]| axpy_sse2(sums, g);
-        let mask = |val: &[f32], thr: f32| match val.len() {
-            // SAFETY: `val` holds four values; SSE2 is baseline on x86_64.
-            4 => unsafe {
-                let x = _mm_loadu_ps(val.as_ptr());
-                let m = _mm_max_ps(_mm_andnot_ps(_mm_set1_ps(-0.0), x), _mm_setzero_ps());
-                _mm_movemask_ps(_mm_cmpgt_ps(m, _mm_set1_ps(thr))) as u32
-            },
-            _ => mask_scalar(val, thr),
-        };
-        partition_slots::<4, ABOVE, BELOW>(src, thr, above, below, add, mask);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1147,39 +937,16 @@ pub fn axpy(acc: &mut [f32], x: &[f32]) {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `level()` never returns a level above `detect_best()`.
         SimdLevel::Avx2 => unsafe { x86::axpy_avx2(acc, x) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => x86::axpy_sse2(acc, x),
         _ => axpy_scalar(acc, x),
-    }
-}
-
-/// `c[j] += a * b[j]` — one term of [`gemm_acc`] (one output row, one
-/// shared-dimension element), and the step its SSE2 and scalar paths take.
-///
-/// Uses separate multiply and add (never FMA) so the two per-element
-/// roundings match the scalar loop exactly.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn row_axpy(c: &mut [f32], b: &[f32], a: f32) {
-    assert_eq!(c.len(), b.len(), "row_axpy length mismatch");
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level()` never returns a level above `detect_best()`.
-        SimdLevel::Avx2 => unsafe { x86::row_axpy_avx2(c, b, a) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => x86::row_axpy_sse2(c, b, a),
-        _ => row_axpy_scalar(c, b, a),
     }
 }
 
 /// `C[rows, n] += A[rows, k] · B[k, n]` over flat row-major slices — the
 /// one GEMM kernel under every `nn` matmul.
 ///
-/// Every element of C keeps the chain one [`row_axpy`] per `(row, p)`
-/// gives it: its starting value, then `c + a·b` (a separate multiply and
-/// add, never FMA) for ascending `p`, skipping the terms whose
+/// Every element of C keeps the chain one row step `c[j] += a·b[j]` per
+/// `(row, p)` gives it: its starting value, then `c + a·b` (a separate
+/// multiply and add, never FMA) for ascending `p`, skipping the terms whose
 /// `A[row, p] == 0.0` when `skip_zero` is set. The skip is part of the
 /// result, not an optimisation: `0·∞` is NaN and `-0.0 + 0.0` is `+0.0`,
 /// so a skipped term and an added one can differ.
@@ -1188,8 +955,8 @@ pub fn row_axpy(c: &mut [f32], b: &[f32], a: f32) {
 /// the whole `p` loop: 64 or 32 columns of one row, then the last
 /// `n mod 32` columns four rows at a time, two 8-lane tiles a row, with
 /// masked loads and stores for the last partial tile (no scalar tail).
-/// At SSE2 and scalar level it is that `row_axpy` loop. Bitwise identical
-/// at every level.
+/// At scalar level it is that row-step loop. Bitwise identical at every
+/// level.
 ///
 /// # Panics
 ///
@@ -1215,34 +982,7 @@ pub fn gemm_acc(
         // SAFETY: `level()` never returns a level above `detect_best()`,
         // and `k`, `n` are non-zero past the early return.
         SimdLevel::Avx2 => unsafe { x86::gemm_acc_avx2(a, b, c, k, n, skip_zero) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => gemm_acc_rows(a, b, c, k, n, skip_zero, x86::row_axpy_sse2),
-        _ => gemm_acc_rows(a, b, c, k, n, skip_zero, row_axpy_scalar),
-    }
-}
-
-/// Maximum magnitude `max_i |v[i]|`, with NaN entries counting as `+0.0`
-/// (the top-k comparator's convention). Returns `0.0` for an empty slice.
-pub fn max_abs(v: &[f32]) -> f32 {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level()` never returns a level above `detect_best()`.
-        SimdLevel::Avx2 => unsafe { x86::max_abs_avx2(v) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => x86::max_abs_sse2(v),
-        _ => max_abs_scalar(v),
-    }
-}
-
-/// Number of entries with `|v[i]| > thr` (strict; NaN never counts).
-pub fn count_above(v: &[f32], thr: f32) -> usize {
-    match level() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `level()` never returns a level above `detect_best()`.
-        SimdLevel::Avx2 => unsafe { x86::count_above_avx2(v, thr) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => x86::count_above_sse2(v, thr),
-        _ => count_above_scalar(v, thr),
+        _ => gemm_acc_rows(a, b, c, k, n, skip_zero),
     }
 }
 
@@ -1257,8 +997,7 @@ pub fn count_above(v: &[f32], thr: f32) -> usize {
 /// the fused accumulate-and-collect pass, the band gather and the
 /// ordered emit. At AVX2 each group of eight lanes is left-packed per
 /// side by one `permutevar8x32` of the indices and one of the values; at
-/// SSE2 (which has no variable lane permute) and scalar level each pair
-/// is a branch-free slot write. A group whose side mask is empty skips
+/// scalar level each pair is a branch-free slot write. A group whose side mask is empty skips
 /// that side. Bitwise identical — pairs, order, and stored sums — at
 /// every level.
 ///
@@ -1302,8 +1041,6 @@ fn partition_at<const ABOVE: bool, const BELOW: bool>(
         // SAFETY: `level()` never returns a level above `detect_best()`,
         // which requires POPCNT along with AVX2.
         SimdLevel::Avx2 => unsafe { x86::partition_avx2::<ABOVE, BELOW>(src, thr, above, below) },
-        #[cfg(target_arch = "x86_64")]
-        SimdLevel::Sse2 => x86::partition_sse2::<ABOVE, BELOW>(src, thr, above, below),
         _ => partition_scalar::<ABOVE, BELOW>(src, thr, above, below),
     }
 }
@@ -1363,8 +1100,8 @@ mod tests {
     fn level_override_nests_and_restores() {
         with_simd_level(SimdLevel::Scalar, || {
             assert_eq!(level(), SimdLevel::Scalar);
-            with_simd_level(SimdLevel::Sse2, || {
-                assert_eq!(level(), SimdLevel::Sse2.min(detect_best()));
+            with_simd_level(SimdLevel::Avx2, || {
+                assert_eq!(level(), SimdLevel::Avx2.min(detect_best()));
             });
             assert_eq!(level(), SimdLevel::Scalar);
         });
@@ -1381,8 +1118,8 @@ mod tests {
     #[test]
     fn parse_accepts_known_names_only() {
         assert_eq!(SimdLevel::parse("scalar"), Some(SimdLevel::Scalar));
-        assert_eq!(SimdLevel::parse(" SSE2 "), Some(SimdLevel::Sse2));
-        assert_eq!(SimdLevel::parse("avx2"), Some(SimdLevel::Avx2));
+        assert_eq!(SimdLevel::parse(" SSE2 "), None);
+        assert_eq!(SimdLevel::parse(" AVX2 "), Some(SimdLevel::Avx2));
         assert_eq!(SimdLevel::parse("auto"), None);
         assert_eq!(SimdLevel::parse("neon"), None);
     }
@@ -1404,7 +1141,7 @@ mod tests {
 
     #[test]
     fn all_levels_match_scalar_on_nasty_inputs() {
-        // Lengths straddling the 4- and 8-lane boundaries.
+        // Lengths straddling the 8-lane groups (and 4 within them).
         for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 64, 100] {
             let v = nasty_input(n);
             let g = nasty_input(n + 1)[1..].to_vec();
@@ -1422,8 +1159,6 @@ mod tests {
                     );
                     let acc: Vec<u32> = acc.iter().map(|x| x.to_bits()).collect();
                     (
-                        count_above(&v, thr),
-                        max_abs(&v).to_bits(),
                         partition(Pairs::Dense { v: &v, base: 7 }, thr),
                         partition(Pairs::Packed { idx: &idx, val: &v }, thr),
                         fused,
@@ -1475,14 +1210,12 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_row_axpy_match_scalar_bitwise() {
+    fn axpy_matches_scalar_bitwise() {
         for n in [0usize, 1, 5, 8, 13, 16, 33, 100] {
             let base = nasty_input(n);
             let x = nasty_input(n + 2)[2..].to_vec();
             let mut expect = base.clone();
             with_simd_level(SimdLevel::Scalar, || axpy(&mut expect, &x));
-            let mut expect_row = base.clone();
-            with_simd_level(SimdLevel::Scalar, || row_axpy(&mut expect_row, &x, 0.7));
             for l in runnable_levels() {
                 with_simd_level(l, || {
                     let mut acc = base.clone();
@@ -1490,11 +1223,6 @@ mod tests {
                     let ab: Vec<u32> = acc.iter().map(|v| v.to_bits()).collect();
                     let eb: Vec<u32> = expect.iter().map(|v| v.to_bits()).collect();
                     assert_eq!(ab, eb, "axpy {l} n={n}");
-                    let mut c = base.clone();
-                    row_axpy(&mut c, &x, 0.7);
-                    let cb: Vec<u32> = c.iter().map(|v| v.to_bits()).collect();
-                    let rb: Vec<u32> = expect_row.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(cb, rb, "row_axpy {l} n={n}");
                 });
             }
         }

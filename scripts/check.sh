@@ -155,11 +155,13 @@ require_tests -p gtopk-core --lib ckpt::tests::retired_selector_tag_is_a_typed_e
 # not at all, and again after the input's plane size changes (the index
 # tables are rebuilt); skipping a first layer's input gradient leaves
 # every zoo model's gradients bitwise; the tiled transpose writes the
-# naive loop's bits; the branch-free max pool is the branching loop; a
-# warm vgg-lite step allocates no layer scratch (an exact count).
+# naive loop's bits; the branch-free max pool is the branching loop, and
+# an all-NaN window's gradient stays inside its window; a warm vgg-lite
+# step allocates no layer scratch (an exact count).
 require_tests -p gtopk-nn --lib conv::tests::prop_chunked_conv_is_bitwise_the_per_sample_oracle
 require_tests -p gtopk-nn --lib conv::tests::a_new_plane_size_rebuilds_the_tables
 require_tests -p gtopk-nn --lib pool::tests::prop_maxpool_is_the_branching_loop
+require_tests -p gtopk-nn --lib pool::tests::an_all_nan_window_routes_its_gradient_inside_the_window
 require_tests -p gtopk-nn --test alloc_step_sparse a_warm_vgg_lite_step_allocates_no_layer_scratch
 require_tests -p gtopk-nn --lib models::tests::skipping_the_first_layers_input_gradient_leaves_the_grads_bitwise
 require_tests -p gtopk-tensor --lib matmul::tests::prop_transpose_into_is_the_naive_loop
