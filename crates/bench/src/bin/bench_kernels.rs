@@ -15,8 +15,8 @@
 //! * a bucketed step with one full-model add per bucket (the overlap
 //!   engine's former pattern) against one add per step, on vgg-lite per
 //!   layer and at m = 25M in 8 buckets;
-//! * the tiled, row-parallel matmul against the naive i-k-j loop (and
-//!   asserting the single-thread kernel is never slower than naive);
+//! * the tiled matmul against the naive i-k-j loop, timed in alternating
+//!   pairs (and asserting the tiled kernel is never slower than naive);
 //! * vgg-lite's two convolutions and its first fully-connected layer,
 //!   forward and backward, at the benchmark workload's batch of 16 8×8
 //!   images, and conv1's backward as a first layer runs it (no input
@@ -32,11 +32,9 @@
 //! * the TCP frame codec on one 250 000-entry sparse DATA frame (the
 //!   message a ρ = 0.25 step of a 1M-parameter model ships): one-pass
 //!   encode into a reused buffer, and read + slice-pass decode into a
-//!   reused body, against the per-element codec they replaced;
-//! * thread counts 1/2/4 via the `crate::parallel` runtime for matmul
-//!   (selection is one single-threaded streaming pass; on a machine with
-//!   fewer cores than threads the rows document oversubscription rather
-//!   than speedup — `cpus` in the JSON records what was available).
+//!   reused body, against the per-element codec they replaced.
+//!
+//! Every kernel runs on the calling thread, as it does on a rank.
 //!
 //! Run with `cargo run --release -p gtopk-bench --bin bench_kernels`;
 //! the JSON lands in the repository root so future PRs have a perf
@@ -50,7 +48,7 @@ use gtopk_sparse::{
     MergeScratch, Residual, SparseVec, TopkScratch,
 };
 use gtopk_tensor::simd::{self, Pairs, SimdLevel};
-use gtopk_tensor::{matmul_flat, parallel, transpose_into, Shape, Tensor};
+use gtopk_tensor::{matmul_flat, transpose_into, Shape, Tensor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -71,12 +69,10 @@ const K2: usize = 25_000;
 /// re-selection dominate instead of the streaming pass.
 const N3: usize = 1_000_000;
 const K3: usize = 250_000;
-const THREADS: &[usize] = &[1, 2, 4];
 
 struct Row {
     kernel: &'static str,
     variant: &'static str,
-    threads: usize,
     /// SIMD level the row actually dispatched ("scalar"/"avx2").
     simd: &'static str,
     elements: usize,
@@ -104,7 +100,10 @@ fn time_median<F: FnMut()>(runs: usize, mut f: F) -> f64 {
 /// warm-up call.
 fn median_of(runs: usize, mut sample: impl FnMut() -> f64) -> f64 {
     sample();
-    let mut samples: Vec<f64> = (0..runs).map(|_| sample()).collect();
+    median((0..runs).map(|_| sample()).collect())
+}
+
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     samples[samples.len() / 2]
 }
@@ -117,8 +116,8 @@ fn levels() -> Vec<SimdLevel> {
         .collect()
 }
 
-/// The pre-optimization matmul: plain scalar i-k-j, no blocking, no
-/// threads. Kept here as the ablation baseline.
+/// The pre-optimization matmul: plain scalar i-k-j, no blocking. Kept
+/// here as the ablation baseline.
 fn naive_matmul(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     c.iter_mut().for_each(|v| *v = 0.0);
     for i in 0..m {
@@ -144,7 +143,6 @@ fn bench_select(rows: &mut Vec<Row>, kernel: &'static str, n: usize, k: usize) {
     rows.push(Row {
         kernel,
         variant: "alloc_per_call",
-        threads: 1,
         simd: simd::level().name(),
         elements: n,
         baseline: true,
@@ -157,7 +155,6 @@ fn bench_select(rows: &mut Vec<Row>, kernel: &'static str, n: usize, k: usize) {
     rows.push(Row {
         kernel,
         variant: "scratch_reuse",
-        threads: 1,
         simd: simd::level().name(),
         elements: n,
         baseline: false,
@@ -187,7 +184,6 @@ fn bench_merge(rows: &mut Vec<Row>, kernel: &'static str, n: usize, k: usize, re
     rows.push(Row {
         kernel,
         variant: "alloc_per_call",
-        threads: 1,
         simd: simd::level().name(),
         elements: 2 * k * reps,
         baseline: true,
@@ -202,7 +198,6 @@ fn bench_merge(rows: &mut Vec<Row>, kernel: &'static str, n: usize, k: usize, re
     rows.push(Row {
         kernel,
         variant: "scratch_reuse",
-        threads: 1,
         simd: simd::level().name(),
         elements: 2 * k * reps,
         baseline: false,
@@ -224,7 +219,6 @@ fn bench_merge_split(rows: &mut Vec<Row>) {
     rows.push(Row {
         kernel: "topk_merge_split_rho25",
         variant: "scratch_reuse",
-        threads: 1,
         simd: simd::level().name(),
         elements: 2 * K3 * 10,
         baseline: true,
@@ -250,7 +244,6 @@ fn bench_put_back(rows: &mut Vec<Row>) {
         rows.push(Row {
             kernel: "put_back",
             variant,
-            threads: 1,
             simd: simd::level().name(),
             elements: K3 * 10,
             baseline: !walk,
@@ -359,7 +352,6 @@ fn bench_frame_codec(rows: &mut Vec<Row>) {
             } else {
                 "per_element"
             },
-            threads: 1,
             simd: "scalar",
             elements: K3 * 10,
             baseline: !one_pass,
@@ -385,7 +377,6 @@ fn bench_frame_codec(rows: &mut Vec<Row>) {
             } else {
                 "per_element"
             },
-            threads: 1,
             simd: "scalar",
             elements: K3 * 10,
             baseline: !one_pass,
@@ -470,7 +461,6 @@ fn bench_opt_apply(
         rows.push(Row {
             kernel,
             variant,
-            threads: 1,
             simd: simd::level().name(),
             elements: m * steps,
             baseline: variant == variants[0],
@@ -501,6 +491,8 @@ fn bench_opt_apply(
 }
 
 fn bench_matmul(rows: &mut Vec<Row>) {
+    /// Samples of each variant, taken as (naive, tiled) pairs.
+    const PAIRS: usize = 9;
     // A VGG-style fully-connected shape: 256-sample batch × 512 × 512.
     let (m, k, n) = (256usize, 512usize, 512usize);
     let mut rng = StdRng::seed_from_u64(13);
@@ -509,34 +501,35 @@ fn bench_matmul(rows: &mut Vec<Row>) {
     let mut c = vec![0.0f32; m * n];
     let flops = m * k * n;
 
-    rows.push(Row {
-        kernel: "matmul",
-        variant: "naive_ikj",
-        threads: 1,
-        simd: "scalar",
-        elements: flops,
-        baseline: true,
-        secs: time_median(5, || {
+    let mut sample = |tiled: bool| {
+        let t = Instant::now();
+        if tiled {
+            matmul_flat(black_box(&a), black_box(&b), &mut c, m, k, n);
+        } else {
             naive_matmul(black_box(&a), black_box(&b), &mut c, m, k, n);
-            black_box(&c);
-        }),
-    });
-    for &t in THREADS {
-        // One tiled-kernel call over all rows at one thread, one per row
-        // block at more.
+        }
+        black_box(&c);
+        t.elapsed().as_secs_f64()
+    };
+    // Alternating the two lets host load fall on both variants alike.
+    sample(false);
+    sample(true);
+    let (mut naive, mut tiled) = (Vec::new(), Vec::new());
+    for _ in 0..PAIRS {
+        naive.push(sample(false));
+        tiled.push(sample(true));
+    }
+    for (variant, simd, samples) in [
+        ("naive_ikj", "scalar", naive),
+        ("tiled", simd::level().name(), tiled),
+    ] {
         rows.push(Row {
             kernel: "matmul",
-            variant: if t == 1 { "tiled" } else { "tiled_parallel" },
-            threads: t,
-            simd: simd::level().name(),
+            variant,
+            simd,
             elements: flops,
-            baseline: false,
-            secs: parallel::with_thread_limit(t, || {
-                time_median(5, || {
-                    matmul_flat(black_box(&a), black_box(&b), &mut c, m, k, n);
-                    black_box(&c);
-                })
-            }),
+            baseline: variant == "naive_ikj",
+            secs: median(samples),
         });
     }
 }
@@ -575,12 +568,10 @@ fn bench_layer(
             }
             t.elapsed().as_secs_f64()
         };
-        let secs =
-            parallel::with_thread_limit(1, || median_of(5, || (0..CALLS).map(|_| call()).sum()));
+        let secs = median_of(5, || (0..CALLS).map(|_| call()).sum());
         rows.push(Row {
             kernel,
             variant,
-            threads: 1,
             simd: simd::level().name(),
             elements: elements * CALLS,
             baseline: variant == "forward",
@@ -669,7 +660,6 @@ fn bench_gemm_narrow(rows: &mut Vec<Row>) {
         rows.push(Row {
             kernel: "gemm_acc_vgg_conv1_dw",
             variant: level.name(),
-            threads: 1,
             simd: level.name(),
             elements: m * k * n * CALLS,
             baseline: level == SimdLevel::Scalar,
@@ -705,7 +695,6 @@ fn bench_transpose(rows: &mut Vec<Row>) {
         rows.push(Row {
             kernel: "transpose_128x128",
             variant,
-            threads: 1,
             simd: "scalar",
             elements: n * n * CALLS,
             baseline: variant == "per_element",
@@ -723,15 +712,12 @@ fn bench_axpy(rows: &mut Vec<Row>) {
         rows.push(Row {
             kernel: "residual_axpy",
             variant: level.name(),
-            threads: 1,
             simd: level.name(),
             elements: N2,
             baseline: level == SimdLevel::Scalar,
-            secs: parallel::with_thread_limit(1, || {
-                simd::with_simd_level(level, || {
-                    time_median(5, || {
-                        simd::axpy(black_box(&mut acc), black_box(&grad));
-                    })
+            secs: simd::with_simd_level(level, || {
+                time_median(5, || {
+                    simd::axpy(black_box(&mut acc), black_box(&grad));
                 })
             }),
         });
@@ -750,22 +736,19 @@ fn bench_compact(rows: &mut Vec<Row>) {
         rows.push(Row {
             kernel: "threshold_compact",
             variant: level.name(),
-            threads: 1,
             simd: level.name(),
             elements: N2,
             baseline: level == SimdLevel::Scalar,
-            secs: parallel::with_thread_limit(1, || {
-                simd::with_simd_level(level, || {
-                    time_median(5, || {
-                        idx.clear();
-                        val.clear();
-                        let src = Pairs::Dense {
-                            v: black_box(&dense),
-                            base: 0,
-                        };
-                        simd::partition_above(src, thr, Some((&mut idx, &mut val)), None);
-                        black_box((&idx, &val));
-                    })
+            secs: simd::with_simd_level(level, || {
+                time_median(5, || {
+                    idx.clear();
+                    val.clear();
+                    let src = Pairs::Dense {
+                        v: black_box(&dense),
+                        base: 0,
+                    };
+                    simd::partition_above(src, thr, Some((&mut idx, &mut val)), None);
+                    black_box((&idx, &val));
                 })
             }),
         });
@@ -806,21 +789,18 @@ fn bench_fused_select(rows: &mut Vec<Row>) {
             rows.push(Row {
                 kernel,
                 variant,
-                threads: 1,
                 simd: level.name(),
                 elements: n,
                 baseline: variant == configs[0].0,
-                secs: parallel::with_thread_limit(1, || {
-                    simd::with_simd_level(level, || {
-                        time_median(5, || {
-                            if fused {
-                                r.accumulate_extract_into(black_box(&grad), k, &mut out);
-                            } else {
-                                r.accumulate(black_box(&grad));
-                                r.extract_topk_into(k, &mut out);
-                            }
-                            black_box(&out);
-                        })
+                secs: simd::with_simd_level(level, || {
+                    time_median(5, || {
+                        if fused {
+                            r.accumulate_extract_into(black_box(&grad), k, &mut out);
+                        } else {
+                            r.accumulate(black_box(&grad));
+                            r.extract_topk_into(k, &mut out);
+                        }
+                        black_box(&out);
                     })
                 }),
             });
@@ -845,21 +825,14 @@ fn render_json(rows: &[Row]) -> String {
     let _ = writeln!(out, "  \"cpus\": {cpus},");
     let _ = writeln!(out, "  \"cpu_features\": \"{}\",", simd::features_string());
     let _ = writeln!(out, "  \"simd_default\": \"{}\",", simd::level().name());
-    if cpus < 4 {
-        let _ = writeln!(
-            out,
-            "  \"note\": \"measured on a {cpus}-cpu machine: rows with threads > {cpus} document oversubscription overhead, not speedup; rerun on a multi-core host for the threading trajectory\","
-        );
-    }
     let _ = writeln!(out, "  \"rows\": [");
     for (i, r) in rows.iter().enumerate() {
         let speedup = baseline(r.kernel) / per_elem(r);
         let _ = writeln!(
             out,
-            "    {{\"kernel\": \"{}\", \"variant\": \"{}\", \"threads\": {}, \"simd\": \"{}\", \"millis\": {:.3}, \"elements_per_sec\": {:.0}, \"speedup_vs_baseline\": {:.2}}}{}",
+            "    {{\"kernel\": \"{}\", \"variant\": \"{}\", \"simd\": \"{}\", \"millis\": {:.3}, \"elements_per_sec\": {:.0}, \"speedup_vs_baseline\": {:.2}}}{}",
             r.kernel,
             r.variant,
-            r.threads,
             r.simd,
             r.secs * 1e3,
             r.elements_per_sec(),
@@ -871,21 +844,21 @@ fn render_json(rows: &[Row]) -> String {
     out
 }
 
-/// The single-thread tiled matmul must never lose to the naive loop (the
-/// 1.05 factor absorbs timer noise on shared CI machines).
+/// The tiled matmul must never lose to the naive loop (the 1.05 factor
+/// absorbs timer noise on shared CI machines).
 fn assert_single_thread_matmul_not_slower(rows: &[Row]) {
     let naive = rows
         .iter()
         .find(|r| r.kernel == "matmul" && r.variant == "naive_ikj")
         .expect("naive matmul row");
-    let serial = rows
+    let tiled = rows
         .iter()
         .find(|r| r.kernel == "matmul" && r.variant == "tiled")
-        .expect("serial matmul row");
+        .expect("tiled matmul row");
     assert!(
-        serial.secs <= naive.secs * 1.05,
-        "single-thread matmul regressed vs naive: {:.3}ms vs {:.3}ms",
-        serial.secs * 1e3,
+        tiled.secs <= naive.secs * 1.05,
+        "tiled matmul regressed vs naive: {:.3}ms vs {:.3}ms",
+        tiled.secs * 1e3,
         naive.secs * 1e3,
     );
 }

@@ -203,6 +203,38 @@ fn purge_revoked_epochs(comm: &mut Communicator, epoch: u64) {
     });
 }
 
+/// The values of a dense payload, `None` for any other kind: a recovery
+/// frame may come off a socket, and a wrong kind must not panic.
+pub(crate) fn dense_values(payload: &Payload) -> Option<&[f32]> {
+    match payload {
+        Payload::Dense(v) => Some(v),
+        _ => None,
+    }
+}
+
+/// Decodes a membership announcement, `[rollback, n_joined, joined..,
+/// members..]`, into `(rollback_iter, joined, members)`. `None` unless
+/// the payload is dense, holds `n_joined` joiners, and lists strictly
+/// ascending members below `size` that include `me` and every joiner.
+fn decode_announcement(
+    payload: &Payload,
+    me: usize,
+    size: usize,
+) -> Option<(u64, Vec<usize>, Vec<usize>)> {
+    let [rollback, n_joined, rest @ ..] = dense_values(payload)? else {
+        return None;
+    };
+    let (joined, members) = rest.split_at_checked(*n_joined as usize)?;
+    let ranks = |v: &[f32]| v.iter().map(|&r| r as usize).collect::<Vec<usize>>();
+    let (joined, members) = (ranks(joined), ranks(members));
+    let listed = |r: &usize| members.binary_search(r).is_ok();
+    let well_formed = members.windows(2).all(|w| w[0] < w[1])
+        && members.last().is_some_and(|&r| r < size)
+        && listed(&me)
+        && joined.iter().all(listed);
+    well_formed.then_some((*rollback as u64, joined, members))
+}
+
 /// The agreement round of [`recover`] (already at the new epoch).
 fn agree_survivors(
     comm: &mut Communicator,
@@ -250,11 +282,15 @@ fn agree_survivors(
                 loop {
                     let down = comm.probe_link(m);
                     if let Some(msg) = comm.poll_tagged_from(m, tag_alive) {
-                        let wire = msg.payload.into_dense();
-                        ft_trace(|| format!("coordinator {me}: {m} ALIVE {wire:?}"));
-                        min_latest = min_latest.min(wire[0] as u64);
-                        min_anchor = min_anchor.min(wire[1] as u64);
-                        members.push(m);
+                        // A malformed ALIVE excludes its sender.
+                        if let Some(&[latest, anchor]) = dense_values(&msg.payload) {
+                            ft_trace(|| format!("coordinator {me}: {m} ALIVE {latest} {anchor}"));
+                            min_latest = min_latest.min(latest as u64);
+                            min_anchor = min_anchor.min(anchor as u64);
+                            members.push(m);
+                        } else {
+                            ft_trace(|| format!("coordinator {me}: {m} malformed ALIVE, excluded"));
+                        }
                         break;
                     }
                     let joins = comm.poll_join_requests(&[m]);
@@ -390,17 +426,20 @@ fn agree_survivors(
             }
             std::thread::sleep(Duration::from_millis(1));
         };
-        match announcement {
-            Ok(msg) => {
-                let wire = msg.payload.into_dense();
-                ft_trace(|| format!("rank {me}: announcement from {candidate}: {wire:?}"));
-                let rollback_iter = wire[0] as u64;
-                let n_joined = wire[1] as usize;
-                let joined: Vec<usize> =
-                    wire[2..2 + n_joined].iter().map(|&r| r as usize).collect();
-                let members: Vec<usize> =
-                    wire[2 + n_joined..].iter().map(|&r| r as usize).collect();
-                debug_assert!(members.contains(&me));
+        // A malformed announcement, or one that leaves this rank out,
+        // counts as none from this candidate.
+        let decoded = announcement.and_then(|msg| {
+            decode_announcement(&msg.payload, me, comm.size())
+                .ok_or_else(|| CommError::timeout(candidate))
+        });
+        match decoded {
+            Ok((rollback_iter, joined, members)) => {
+                ft_trace(|| {
+                    format!(
+                        "rank {me}: announcement from {candidate}: rollback {rollback_iter}, \
+                         joined {joined:?}, members {members:?}"
+                    )
+                });
                 return Ok(Recovery {
                     members,
                     rollback_iter,
@@ -623,6 +662,66 @@ mod tests {
             assert_eq!(members, &vec![0, 1, 2, 3, 4]);
             assert_eq!(*rollback, 40);
             assert_eq!(sum, &out[0].2, "post-join collective must agree");
+        }
+    }
+
+    #[test]
+    fn a_malformed_alive_excludes_its_sender() {
+        // Rank 1 answers the coordinator with a scalar and rank 2 with one
+        // value instead of `[latest, anchor]`; both are excluded and rank
+        // 3's well-formed ALIVE alone joins the coordinator.
+        let prev: Vec<usize> = (0..4).collect();
+        let prev = &prev;
+        let out = Cluster::new(4, CostModel::zero()).run(move |comm| {
+            let tag_alive = TAG_ALIVE + epoch_tag_offset(1);
+            match comm.rank() {
+                1 => comm.send(0, tag_alive, Payload::Scalar(7.0)).unwrap(),
+                2 => comm.send(0, tag_alive, Payload::dense(vec![7.0])).unwrap(),
+                _ => return Some(recover(comm, prev, 7, 7, &[]).unwrap()),
+            }
+            None
+        });
+        for r in [0, 3] {
+            let rec = out[r].as_ref().expect("survivor");
+            assert_eq!(rec.members, vec![0, 3], "rank {r}");
+            assert_eq!((rec.rollback_iter, rec.coordinator), (7, 0));
+        }
+    }
+
+    #[test]
+    fn a_malformed_announcement_or_one_without_the_caller_moves_to_the_next_candidate() {
+        // Rank 0 collects the ALIVEs of its round, then announces a
+        // scalar to rank 1, a joined count beyond the frame to rank 2 and
+        // a member list without rank 3 to rank 3, and exits. Each counts
+        // as no announcement: the walk moves on to rank 1, which agrees
+        // on {1, 2, 3}.
+        let prev: Vec<usize> = (0..4).collect();
+        let prev = &prev;
+        let out = Cluster::new(4, CostModel::zero()).run(move |comm| {
+            if comm.rank() != 0 {
+                return Some(recover(comm, prev, 9, 9, &[]).unwrap());
+            }
+            let off = epoch_tag_offset(1);
+            for m in 1..4 {
+                while comm.poll_tagged_from(m, TAG_ALIVE + off).is_none() {
+                    comm.probe_link(m);
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+            let tag_member = TAG_MEMBERSHIP + off;
+            comm.send(1, tag_member, Payload::Scalar(9.0)).unwrap();
+            let beyond = vec![9.0, 1e9, 1.0];
+            comm.send(2, tag_member, Payload::dense(beyond)).unwrap();
+            let without = vec![9.0, 0.0, 0.0, 1.0, 2.0];
+            comm.send(3, tag_member, Payload::dense(without)).unwrap();
+            None
+        });
+        assert!(out[0].is_none());
+        for (r, rec) in out.iter().enumerate().skip(1) {
+            let rec = rec.as_ref().expect("survivor");
+            assert_eq!(rec.members, vec![1, 2, 3], "rank {r}");
+            assert_eq!((rec.rollback_iter, rec.coordinator), (9, 1), "rank {r}");
+            assert!(rec.joined.is_empty());
         }
     }
 

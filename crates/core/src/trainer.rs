@@ -836,23 +836,23 @@ fn rejoin<M: Model>(
         .recv_deadline(coordinator, ft::TAG_XFER + off, timeout)
         .and_then(|p| {
             let v = comm.recv_deadline(coordinator, ft::TAG_XFER + off + 1, timeout)?;
-            Ok((p.payload.into_dense(), v.payload.into_dense()))
+            Ok((p.payload, v.payload))
         });
-    let Ok((donor_params, donor_vel)) = xfer else {
+    let Ok((params, velocity)) = xfer else {
         return false;
     };
-    let bits_eq = |a: &[f32], b: &[f32]| {
-        a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
+    let bits_eq = |donor: &Payload, disk: &[f32]| {
+        ft::dense_values(donor).is_some_and(|a| {
+            a.len() == disk.len() && a.iter().zip(disk).all(|(x, y)| x.to_bits() == y.to_bits())
+        })
     };
-    // Bytes off a socket (or a disk copy gone bad) must not kill the
-    // process: without agreement the replica invariant does not hold, so
-    // the joiner leaves the run instead.
-    if !bits_eq(&donor_params, &gen.params) || !bits_eq(&donor_vel, &gen.velocity) {
+    // Bytes off a socket (a transfer that is not dense, or a disk copy
+    // gone bad) must not kill the process: without agreement the replica
+    // invariant does not hold, so the joiner leaves the run instead.
+    if !bits_eq(&params, &gen.params) || !bits_eq(&velocity, &gen.velocity) {
         eprintln!("rank {rank}: donor state differs from checkpoint {rollback}; leaving the run");
         return false;
     }
-    state.model.set_flat_params(&donor_params);
-    state.opt.set_velocity(&donor_vel);
     timing.recoveries += 1;
     true
 }
@@ -886,10 +886,9 @@ fn request_join(
         let slice_end = std::time::Instant::now() + std::time::Duration::from_millis(slice_ms);
         while std::time::Instant::now() < slice_end {
             let welcome = comm.poll_tagged(Message::JOIN_WELCOME_TAG);
-            let wire = welcome.as_ref().map(|msg| match &msg.payload {
-                Payload::Dense(wire) => (msg.src, wire.as_slice()),
-                _ => (msg.src, &[][..]),
-            });
+            let wire = welcome
+                .as_ref()
+                .map(|msg| (msg.src, ft::dense_values(&msg.payload).unwrap_or_default()));
             match wire {
                 Some((coordinator, [epoch, rollback, members @ ..])) if !members.is_empty() => {
                     let members = members.iter().map(|&v| v as usize).collect();

@@ -453,7 +453,7 @@ impl Layer for Conv2d {
 mod tests {
     use super::*;
     use crate::gradcheck::check_layer_gradients;
-    use gtopk_tensor::{matmul_at_flat_acc, parallel};
+    use gtopk_tensor::matmul_at_flat_acc;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -643,7 +643,7 @@ mod tests {
         /// wholly or not at all (a padding wider than the kernel's reach
         /// included), batch sizes
         /// 1–9 and output planes below, at and above `MIN_COLS` (full and
-        /// partial chunks), on one thread and on four.
+        /// partial chunks).
         #[test]
         fn prop_chunked_conv_is_bitwise_the_per_sample_oracle(
             (k, stride, pad) in (1usize..=4, 1usize..=3, 0usize..=2),
@@ -679,40 +679,21 @@ mod tests {
             let expect_y = oracle_forward(&conv, &x);
             let expect_dx: Vec<Tensor> =
                 dys.iter().map(|dy| oracle_backward(&conv, &x, dy, &mut grads)).collect();
-            for threads in [1, 4] {
-                let run = || {
-                    conv.grads.fill(0.0);
-                    let y = conv.forward(&x, true);
-                    let dxs: Vec<Tensor> = dys
-                        .iter()
-                        .map(|dy| {
-                            conv.forward(&x, true);
-                            conv.backward(dy)
-                        })
-                        .collect();
-                    (y, dxs)
-                };
-                // A minimum chunk of one row makes the four-thread run
-                // split even these small GEMMs.
-                let (y, dxs) = parallel::with_thread_limit(threads, || {
-                    parallel::with_min_chunk(1, run)
-                });
-                prop_assert_eq!(bits(y.data()), bits(expect_y.data()), "forward, {} threads", threads);
-                for (dx, expect) in dxs.iter().zip(&expect_dx) {
-                    prop_assert_eq!(bits(dx.data()), bits(expect.data()), "grad_in, {} threads", threads);
-                }
-                prop_assert_eq!(bits(&conv.grads), bits(&grads), "param grads, {} threads", threads);
-                conv.grads.fill(0.0);
-                parallel::with_thread_limit(threads, || {
-                    parallel::with_min_chunk(1, || {
-                        for dy in &dys {
-                            conv.forward(&x, true);
-                            conv.backward_params(dy);
-                        }
-                    })
-                });
-                prop_assert_eq!(bits(&conv.grads), bits(&grads), "backward_params, {} threads", threads);
+            conv.grads.fill(0.0);
+            let y = conv.forward(&x, true);
+            prop_assert_eq!(bits(y.data()), bits(expect_y.data()), "forward");
+            for (dy, expect) in dys.iter().zip(&expect_dx) {
+                conv.forward(&x, true);
+                let dx = conv.backward(dy);
+                prop_assert_eq!(bits(dx.data()), bits(expect.data()), "grad_in");
             }
+            prop_assert_eq!(bits(&conv.grads), bits(&grads), "param grads");
+            conv.grads.fill(0.0);
+            for dy in &dys {
+                conv.forward(&x, true);
+                conv.backward_params(dy);
+            }
+            prop_assert_eq!(bits(&conv.grads), bits(&grads), "backward_params");
         }
     }
 

@@ -284,11 +284,9 @@ mod tests {
     /// `Model::backward` skips the first layer's input gradient; the
     /// gradients it accumulates over two steps are bit for bit those of
     /// `Layer::backward` on an identical replica, for every zoo family
-    /// (a conv, linear or embedding first layer), on one thread and on
-    /// four.
+    /// (a conv, linear or embedding first layer).
     #[test]
     fn skipping_the_first_layers_input_gradient_leaves_the_grads_bitwise() {
-        use gtopk_tensor::parallel;
         let mut rng = StdRng::seed_from_u64(13);
         let mut uniform = |shape: Shape| {
             let data = (0..shape.volume())
@@ -297,28 +295,22 @@ mod tests {
             Tensor::from_vec(shape, data).unwrap()
         };
         let check = |name: &str, build: fn() -> Sequential, x: Tensor| {
-            for threads in [1, 4] {
-                let grads = |skip: bool| {
-                    let mut net = build();
-                    for _ in 0..2 {
-                        let logits = Model::forward(&mut net, &x, true);
-                        let labels: Vec<usize> =
-                            (0..logits.shape().dim(0)).map(|i| i % 3).collect();
-                        let (_, grad) = softmax_cross_entropy(&logits, &labels);
-                        if skip {
-                            Model::backward(&mut net, &grad);
-                        } else {
-                            let _ = Layer::backward(&mut net, &grad);
-                        }
+            let grads = |skip: bool| {
+                let mut net = build();
+                for _ in 0..2 {
+                    let logits = Model::forward(&mut net, &x, true);
+                    let labels: Vec<usize> = (0..logits.shape().dim(0)).map(|i| i % 3).collect();
+                    let (_, grad) = softmax_cross_entropy(&logits, &labels);
+                    if skip {
+                        Model::backward(&mut net, &grad);
+                    } else {
+                        let _ = Layer::backward(&mut net, &grad);
                     }
-                    let g = net.flat_grads();
-                    g.iter().map(|g| g.to_bits()).collect::<Vec<u32>>()
-                };
-                let (skipped, full) = parallel::with_thread_limit(threads, || {
-                    parallel::with_min_chunk(1, || (grads(true), grads(false)))
-                });
-                assert_eq!(skipped, full, "{name}, {threads} threads");
-            }
+                }
+                let g = net.flat_grads();
+                g.iter().map(|g| g.to_bits()).collect::<Vec<u32>>()
+            };
+            assert_eq!(grads(true), grads(false), "{name}");
         };
         check("mlp", || mlp(1, 4, 16, 3), uniform(Shape::d2(5, 4)));
         check(

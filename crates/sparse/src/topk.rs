@@ -518,7 +518,6 @@ pub fn accumulate_select_compact(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gtopk_tensor::parallel::{with_min_chunk, with_thread_limit};
     use proptest::prelude::*;
     use std::cmp::Ordering;
 
@@ -664,20 +663,6 @@ mod tests {
                 .collect();
             topk_sparse_into(&v, 17, &mut scratch, &mut sv);
             assert_eq!(sv, topk_sparse(&v, 17), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn parallel_matches_serial_on_forced_chunking() {
-        let v: Vec<f32> = (0..10_000)
-            .map(|i| ((i * 2_654_435_761u64 as usize) % 997) as f32 - 498.0)
-            .collect();
-        for k in [1usize, 7, 100, 999] {
-            let serial = with_thread_limit(1, || topk_indices(&v, k));
-            for threads in [2, 3, 4, 8] {
-                let par = with_thread_limit(threads, || with_min_chunk(64, || topk_indices(&v, k)));
-                assert_eq!(par, serial, "threads={threads} k={k}");
-            }
         }
     }
 
@@ -917,27 +902,6 @@ mod tests {
                     .fold(0.0f32, f32::max);
                 prop_assert!(min_sel >= max_rest);
             }
-        }
-
-        /// Parallel selection is bitwise-identical to serial for any thread
-        /// count and chunking, including tie-heavy and NaN-bearing inputs.
-        #[test]
-        fn prop_parallel_topk_identical_to_serial(
-            values in proptest::collection::vec(-8i32..8, 1..400),
-            k in 0usize..48,
-            threads in 1usize..8,
-            min_chunk in 4usize..64,
-        ) {
-            // Integer-derived values make magnitude ties extremely common;
-            // sprinkle NaNs at a fixed stride.
-            let values: Vec<f32> = values.iter().enumerate()
-                .map(|(i, &v)| if i % 11 == 10 { f32::NAN } else { v as f32 })
-                .collect();
-            let serial = with_thread_limit(1, || topk_indices(&values, k));
-            let par = with_thread_limit(threads, || {
-                with_min_chunk(min_chunk, || topk_indices(&values, k))
-            });
-            prop_assert_eq!(par, serial);
         }
     }
 }

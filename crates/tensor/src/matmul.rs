@@ -14,12 +14,11 @@
 //! `A·Bᵀ` transposes `B` to `[k, n]`, `Aᵀ·B` transposes `A` to `[k, m]`.
 //! A transpose only moves bits, so it changes no sum.
 //!
-//! # Threading & determinism
+//! # Determinism
 //!
-//! Large multiplies run row-parallel: threads own disjoint blocks of
-//! output rows (see `crate::parallel`) and run the same kernel on them
-//! that serial execution runs on all rows. Every output element keeps one
-//! accumulation chain, the same at every thread count and SIMD level: its
+//! Each product is one [`crate::simd::gemm_acc`] call over all rows, on
+//! the calling rank's thread. Every output element keeps one
+//! accumulation chain, the same at every SIMD level: its
 //! starting value, then `c + a·b` as a separate multiply and add (never
 //! FMA) for each term in ascending order of the shared index. That chain
 //! is ascending `p` for `A·B`, ascending `i` for `Aᵀ·B`, and for `A·Bᵀ`
@@ -30,19 +29,10 @@
 //! them — so a dot product gets SIMD lanes across output columns without
 //! reassociating anything. Training replicas rely on this: identical
 //! inputs must produce identical models on every rank regardless of
-//! `GTOPK_THREADS` or `GTOPK_SIMD`.
+//! `GTOPK_SIMD`.
 
-use crate::{parallel, simd};
+use crate::simd;
 use crate::{Result, Shape, Tensor, TensorError};
-
-/// Below this many fused multiply-adds a multiply stays serial.
-const PAR_MIN_FLOPS: usize = 1 << 20;
-
-/// Minimum output rows per thread so each spawn amortizes over at least
-/// `PAR_MIN_FLOPS` work.
-fn min_rows_for(flops_per_row: usize) -> usize {
-    (PAR_MIN_FLOPS / flops_per_row.max(1)).max(1)
-}
 
 /// Side of the square tiles [`transpose_into`] moves at a time.
 const TILE: usize = 8;
@@ -103,9 +93,6 @@ pub fn transpose_into(x: &[f32], ld: usize, rows: usize, cols: usize, out: &mut 
 
 /// `C[m,n] = A[m,k] · B[k,n]` over flat row-major slices.
 ///
-/// Row-parallel for large inputs; bitwise identical to the serial loop
-/// for any thread count (see module docs).
-///
 /// # Panics
 ///
 /// Debug-asserts that slice lengths match the given dimensions.
@@ -120,14 +107,7 @@ pub fn matmul_flat_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, 
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(c.len(), m * n);
-    if m == 0 || n == 0 {
-        return;
-    }
-    parallel::for_each_row_block_mut(c, n, min_rows_for(k * n), |first_row, cblock| {
-        let rows = cblock.len() / n;
-        let ablock = &a[first_row * k..(first_row + rows) * k];
-        simd::gemm_acc(ablock, b, cblock, rows, k, n, true);
-    });
+    simd::gemm_acc(a, b, c, m, k, n, true);
 }
 
 /// `C[m,n] = A[m,k] · B[n,k]ᵀ` — right operand stored transposed.
@@ -135,8 +115,7 @@ pub fn matmul_flat_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, 
 /// This is a linear layer's forward `Y = X · Wᵀ` when `W` is stored
 /// `[n_out, n_in]`. `B` is transposed to `[k, n]` once per call; every
 /// element is then the dot product's chain — from `+0.0`, `c + a·b` in
-/// ascending `p`, no term skipped. Row-parallel for large inputs with a
-/// bitwise-identical result.
+/// ascending `p`, no term skipped.
 pub fn matmul_bt_flat(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
@@ -147,20 +126,14 @@ pub fn matmul_bt_flat(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
     let mut bt = vec![0.0f32; k * n];
     transpose_into(b, k, n, k, &mut bt);
     c.fill(0.0);
-    parallel::for_each_row_block_mut(c, n, min_rows_for(k * n), |first_row, cblock| {
-        let rows = cblock.len() / n;
-        let ablock = &a[first_row * k..(first_row + rows) * k];
-        simd::gemm_acc(ablock, &bt, cblock, rows, k, n, false);
-    });
+    simd::gemm_acc(a, &bt, c, m, k, n, false);
 }
 
 /// `C[k,n] += A[m,k]ᵀ · B[m,n]` — left operand transposed, accumulating.
 ///
 /// This is a linear layer's `dW += dYᵀ · X`. `A` is transposed to
 /// `[k, m]` once per call, so every element sums over ascending `i`,
-/// skipping `A[i, p] == 0.0`. Threads own disjoint blocks of `C` rows
-/// (columns of `A`), so the result is bitwise identical to the serial
-/// loop.
+/// skipping `A[i, p] == 0.0`.
 pub fn matmul_at_flat_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), m * n);
@@ -170,18 +143,7 @@ pub fn matmul_at_flat_acc(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usiz
     }
     let mut at = vec![0.0f32; k * m];
     transpose_into(a, k, m, k, &mut at);
-    parallel::for_each_row_block_mut(c, n, min_rows_for(m * n), |p_lo, cblock| {
-        let rows = cblock.len() / n;
-        simd::gemm_acc(
-            &at[p_lo * m..(p_lo + rows) * m],
-            b,
-            cblock,
-            rows,
-            m,
-            n,
-            true,
-        );
-    });
+    simd::gemm_acc(&at, b, c, k, m, n, true);
 }
 
 impl Tensor {
@@ -317,7 +279,6 @@ mod tests {
 
     #[test]
     fn serial_blocked_and_simd_dispatch_bitwise_identical() {
-        use crate::parallel::{with_min_chunk, with_thread_limit};
         use crate::simd::{self, SimdLevel};
         // A long shared dimension and a 9-column C (one 8-lane tile and a
         // one-lane masked one at AVX2); irrational inputs make any
@@ -330,14 +291,9 @@ mod tests {
             matmul_flat(&a, &b, &mut c, m, k, n);
             c.iter().map(|v| v.to_bits()).collect::<Vec<u32>>()
         };
-        let reference = with_thread_limit(1, || simd::with_simd_level(SimdLevel::Scalar, run));
+        let reference = simd::with_simd_level(SimdLevel::Scalar, run);
         for level in SimdLevel::ALL.into_iter().filter(|l| l.available()) {
-            simd::with_simd_level(level, || {
-                assert_eq!(with_thread_limit(1, run), reference, "serial {level}");
-                with_thread_limit(4, || {
-                    with_min_chunk(1, || assert_eq!(run(), reference, "parallel {level}"));
-                });
-            });
+            assert_eq!(simd::with_simd_level(level, run), reference, "{level}");
         }
     }
 
@@ -408,19 +364,11 @@ mod tests {
             .collect()
     }
 
-    /// Runs `f` at every runnable SIMD level, on one thread and on four
-    /// with every row its own block.
-    fn on_every_level_and_thread_count(mut f: impl FnMut(String)) {
-        use crate::parallel::{with_min_chunk, with_thread_limit};
+    /// Runs `f` at every runnable SIMD level.
+    fn on_every_level(mut f: impl FnMut(String)) {
         use crate::simd::SimdLevel;
         for level in SimdLevel::ALL.into_iter().filter(|l| l.available()) {
-            for threads in [1, 4] {
-                simd::with_simd_level(level, || {
-                    with_thread_limit(threads, || {
-                        with_min_chunk(1, || f(format!("{level}, {threads} threads")))
-                    })
-                });
-            }
+            simd::with_simd_level(level, || f(level.to_string()));
         }
     }
 
@@ -464,7 +412,7 @@ mod tests {
             let b = awkward(n * k, salt + 1, specials);
             let mut expect = vec![0.0f32; m * n];
             bt_rows(&a, &b, &mut expect, m, k, n);
-            on_every_level_and_thread_count(|at| {
+            on_every_level(|at| {
                 let mut c = awkward(m * n, salt + 2, true);
                 matmul_bt_flat(&a, &b, &mut c, m, k, n);
                 assert_eq!(bits(&c), bits(&expect), "{at}, m={m} k={k} n={n}");
@@ -485,7 +433,7 @@ mod tests {
             let c0 = awkward(k * n, salt + 2, specials);
             let mut expect = c0.clone();
             at_acc_rows(&a, &b, &mut expect, m, k, n);
-            on_every_level_and_thread_count(|at| {
+            on_every_level(|at| {
                 let mut c = c0.clone();
                 matmul_at_flat_acc(&a, &b, &mut c, m, k, n);
                 assert_eq!(bits(&c), bits(&expect), "{at}, m={m} k={k} n={n}");

@@ -15,7 +15,6 @@
 //!    identity tests and benchmarks to compare levels on the same inputs),
 //! 2. the `GTOPK_SIMD` environment variable (read once per process;
 //!    `auto`, `avx2`, or `scalar` — anything else falls back to `auto`),
-//!    mirroring `GTOPK_THREADS`,
 //! 3. feature detection (`is_x86_feature_detected!`): AVX2 when the CPU
 //!    has it (with POPCNT, which every AVX2 CPU has), otherwise scalar.
 //!
@@ -25,10 +24,9 @@
 //!
 //! # Determinism
 //!
-//! Every kernel here is **bitwise identical** to its serial scalar
-//! counterpart at every level — the same contract the threading layer
-//! ([`crate::parallel`]) gives, and for the same reason: replicas must
-//! not diverge just because one host has AVX2 and another does not.
+//! Every kernel here is **bitwise identical** to its scalar counterpart
+//! at every level: replicas must not diverge just because one host has
+//! AVX2 and another does not.
 //! The identity holds by construction, not by tolerance:
 //!
 //! - the elementwise kernels (`acc += g`, `c += a·b`) perform exactly one

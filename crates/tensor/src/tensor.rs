@@ -81,11 +81,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Element at a multi-axis index.
     ///
     /// # Panics
@@ -121,24 +116,6 @@ impl Tensor {
     /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
     pub fn add_assign(&mut self, other: &Tensor) -> Result<()> {
         self.zip_assign(other, "add", |a, b| a + b)
-    }
-
-    /// Element-wise in-place subtraction: `self -= other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn sub_assign(&mut self, other: &Tensor) -> Result<()> {
-        self.zip_assign(other, "sub", |a, b| a - b)
-    }
-
-    /// Element-wise in-place Hadamard product: `self *= other`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TensorError::ShapeMismatch`] if shapes differ.
-    pub fn mul_assign(&mut self, other: &Tensor) -> Result<()> {
-        self.zip_assign(other, "mul", |a, b| a * b)
     }
 
     fn zip_assign(
@@ -216,29 +193,12 @@ impl Tensor {
         self.data.iter().map(|v| v * v).sum::<f32>().sqrt()
     }
 
-    /// Maximum absolute value, or 0.0 for an empty tensor.
-    pub fn abs_max(&self) -> f32 {
-        self.data.iter().fold(0.0f32, |m, v| m.max(v.abs()))
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
-    }
-
     /// Returns a new tensor with `f` applied element-wise.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
         Tensor {
             shape: self.shape.clone(),
             data: self.data.iter().map(|&v| f(v)).collect(),
         }
-    }
-
-    /// Fills the tensor with zeros, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|v| *v = 0.0);
     }
 }
 
@@ -284,12 +244,8 @@ mod tests {
         let b = t(vec![4.0, 5.0, 6.0]);
         a.add_assign(&b).unwrap();
         assert_eq!(a.data(), &[5.0, 7.0, 9.0]);
-        a.sub_assign(&b).unwrap();
-        assert_eq!(a.data(), &[1.0, 2.0, 3.0]);
-        a.mul_assign(&b).unwrap();
-        assert_eq!(a.data(), &[4.0, 10.0, 18.0]);
         a.scale(0.5);
-        assert_eq!(a.data(), &[2.0, 5.0, 9.0]);
+        assert_eq!(a.data(), &[2.5, 3.5, 4.5]);
     }
 
     #[test]
@@ -313,7 +269,6 @@ mod tests {
         assert_eq!(a.sum(), -1.0);
         assert_eq!(a.mean(), -0.5);
         assert_eq!(a.norm2(), 5.0);
-        assert_eq!(a.abs_max(), 4.0);
         assert_eq!(a.dot(&t(vec![1.0, 1.0])).unwrap(), -1.0);
     }
 
@@ -327,13 +282,9 @@ mod tests {
 
     #[test]
     fn map_and_fill() {
-        let mut a = t(vec![1.0, -2.0]);
+        let a = t(vec![1.0, -2.0]);
         let b = a.map(f32::abs);
         assert_eq!(b.data(), &[1.0, 2.0]);
-        a.map_inplace(|v| v * 2.0);
-        assert_eq!(a.data(), &[2.0, -4.0]);
-        a.fill_zero();
-        assert_eq!(a.data(), &[0.0, 0.0]);
     }
 
     #[test]

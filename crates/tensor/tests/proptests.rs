@@ -1,9 +1,6 @@
 //! Property-based tests for the dense tensor substrate.
 
-use gtopk_tensor::{
-    log_softmax_rows, matmul_at_flat_acc, matmul_bt_flat, matmul_flat, matmul_flat_acc, parallel,
-    softmax_rows, Shape, Tensor,
-};
+use gtopk_tensor::{log_softmax_rows, matmul_flat, softmax_rows, Shape, Tensor};
 use proptest::prelude::*;
 
 fn tensor_strategy(n: usize) -> impl Strategy<Value = Tensor> {
@@ -125,61 +122,5 @@ proptest! {
         let mut sum = a.clone();
         sum.add_assign(&b).unwrap();
         prop_assert!(sum.norm2() <= a.norm2() + b.norm2() + 1e-3);
-    }
-
-    /// Every matmul kernel is bitwise identical under any thread count and
-    /// any chunk granularity — the replica-consistency guarantee training
-    /// relies on. Inputs include exact zeros to exercise the skip path.
-    #[test]
-    fn prop_parallel_matmul_identical_to_serial(
-        m in 1usize..12, k in 1usize..12, n in 1usize..12,
-        threads in 1usize..9, min_rows in 1usize..5,
-        seed in 0u64..30,
-    ) {
-        let fill = |len: usize, salt: u64| -> Vec<f32> {
-            (0..len)
-                .map(|i| {
-                    let h = (i as u64 + 1)
-                        .wrapping_mul(seed * 3 + salt + 1)
-                        .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-                    if h.is_multiple_of(5) { 0.0 } else { ((h >> 40) as f32 / 256.0) - 32.0 }
-                })
-                .collect()
-        };
-        let a = fill(m * k, 1);
-        let b = fill(k * n, 2);
-        let bt = fill(n * k, 3);
-        let b2 = fill(m * n, 4);
-
-        // Serial reference: one thread, default granularity.
-        let mut c_flat = vec![0.0f32; m * n];
-        let mut c_acc = fill(m * n, 5);
-        let mut c_bt = vec![0.0f32; m * n];
-        let mut c_at = fill(k * n, 6);
-        parallel::with_thread_limit(1, || {
-            matmul_flat(&a, &b, &mut c_flat, m, k, n);
-            matmul_flat_acc(&a, &b, &mut c_acc, m, k, n);
-            matmul_bt_flat(&a, &bt, &mut c_bt, m, k, n);
-            matmul_at_flat_acc(&a, &b2, &mut c_at, m, k, n);
-        });
-
-        // Parallel run with chunking forced down to `min_rows` rows.
-        let mut p_flat = vec![0.0f32; m * n];
-        let mut p_acc = fill(m * n, 5);
-        let mut p_bt = vec![0.0f32; m * n];
-        let mut p_at = fill(k * n, 6);
-        parallel::with_thread_limit(threads, || {
-            parallel::with_min_chunk(min_rows, || {
-                matmul_flat(&a, &b, &mut p_flat, m, k, n);
-                matmul_flat_acc(&a, &b, &mut p_acc, m, k, n);
-                matmul_bt_flat(&a, &bt, &mut p_bt, m, k, n);
-                matmul_at_flat_acc(&a, &b2, &mut p_at, m, k, n);
-            });
-        });
-
-        prop_assert_eq!(c_flat, p_flat);
-        prop_assert_eq!(c_acc, p_acc);
-        prop_assert_eq!(c_bt, p_bt);
-        prop_assert_eq!(c_at, p_at);
     }
 }

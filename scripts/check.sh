@@ -3,10 +3,9 @@
 #
 # Usage: scripts/check.sh
 #
-# Tests run under a GTOPK_THREADS × GTOPK_SIMD matrix ({1, 4} ×
-# {scalar, auto} by default) because the kernels promise bit-identical
-# results for any pool size at any SIMD dispatch level; exporting
-# GTOPK_THREADS / GTOPK_SIMD pins single values (CI's matrix jobs do
+# Tests run once per GTOPK_SIMD level ({scalar, auto} by default)
+# because the kernels promise bit-identical results at any SIMD dispatch
+# level; exporting GTOPK_SIMD pins a single level (CI's matrix jobs do
 # exactly that).
 #
 # The build environment has no registry access; everything runs with
@@ -14,7 +13,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-THREAD_MATRIX=(${GTOPK_THREADS:-1 4})
 SIMD_MATRIX=(${GTOPK_SIMD:-scalar auto})
 
 echo "==> cargo fmt --check"
@@ -141,6 +139,11 @@ require_tests -p gtopk-core --lib trainer::tests::check_resume_names_the_first_f
 # A WELCOME naming a rollback generation the joiner's disk does not hold
 # makes the joiner leave instead of panicking.
 require_tests -p gtopk-core --lib trainer::tests::a_welcome_naming_a_generation_missing_from_disk_makes_the_joiner_leave
+# A malformed ALIVE excludes its sender, and a malformed announcement (or
+# one that leaves the caller out) sends the caller on to the next
+# candidate, instead of panicking.
+require_tests -p gtopk-core --lib ft::tests::a_malformed_alive_excludes_its_sender
+require_tests -p gtopk-core --lib ft::tests::a_malformed_announcement_or_one_without_the_caller_moves_to_the_next_candidate
 require_tests -p gtopk-cli --lib a_checkpoint_dir_of_another_run_shape_is_an_error_naming_the_field
 # One exact selector: checkpoint bytes written while the selector was
 # configurable still decode (exact) or fail typed (sampled), and the
@@ -183,12 +186,10 @@ require_tests -p gtopk-core --test plan_equivalence prop_sparse_sum_time_equals_
 require_tests -p gtopk-core --test plan_equivalence past_the_tag_window
 require_tests -p gtopk-perfmodel --lib plancost
 
-for threads in "${THREAD_MATRIX[@]}"; do
-  for simd in "${SIMD_MATRIX[@]}"; do
-    export GTOPK_THREADS="$threads" GTOPK_SIMD="$simd"
-    echo "==> cargo test -q (GTOPK_THREADS=$threads GTOPK_SIMD=$simd)"
-    cargo test -q --offline
-  done
+for simd in "${SIMD_MATRIX[@]}"; do
+  export GTOPK_SIMD="$simd"
+  echo "==> cargo test -q (GTOPK_SIMD=$simd)"
+  cargo test -q --offline
 done
 
 # Committed numbers must not go stale: the analytic bins price every

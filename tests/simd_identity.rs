@@ -1,9 +1,9 @@
 //! Bitwise-identity property tests for the SIMD dispatch matrix.
 //!
 //! The determinism contract (README "Threading & determinism") says every
-//! kernel produces bitwise-identical results at **any** combination of
-//! `GTOPK_SIMD` level and `GTOPK_THREADS` count — replicas of a training
-//! run must not diverge because one host has AVX2 and another does not.
+//! kernel produces bitwise-identical results at **any** `GTOPK_SIMD`
+//! level — replicas of a training run must not diverge because one host
+//! has AVX2 and another does not.
 //! These properties pin that contract for every kernel the SIMD layer
 //! dispatches: residual accumulate (axpy), the tiled GEMM kernel every
 //! `nn` matmul runs on, the packing kernel under every top-k threshold pass
@@ -16,41 +16,37 @@
 //! comparison semantics, and signed-zero handling are all exercised.
 
 use gtopk_sparse::{accumulate_select_compact, Residual, SparseVec, TopkScratch};
-use gtopk_tensor::parallel::with_thread_limit;
 use gtopk_tensor::simd::{self, Pairs, SimdLevel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The dispatch matrix: every available SIMD level plus the "auto"
-/// (no-override) default, crossed with single- and multi-threaded
-/// execution. `None` means no override — the env/detect default path.
-fn matrix_points() -> Vec<(Option<SimdLevel>, usize)> {
-    let mut pts = Vec::new();
-    for &threads in &[1usize, 4] {
-        for l in SimdLevel::ALL {
-            if l.available() {
-                pts.push((Some(l), threads));
-            }
-        }
-        pts.push((None, threads));
-    }
+/// (no-override) default. `None` means no override — the env/detect
+/// default path.
+fn matrix_points() -> Vec<Option<SimdLevel>> {
+    let mut pts: Vec<_> = SimdLevel::ALL
+        .into_iter()
+        .filter(|l| l.available())
+        .map(Some)
+        .collect();
+    pts.push(None);
     pts
 }
 
 /// Runs `f` at every matrix point.
 fn on_matrix(mut f: impl FnMut()) {
-    for (level, threads) in matrix_points() {
-        with_thread_limit(threads, || match level {
+    for level in matrix_points() {
+        match level {
             Some(l) => simd::with_simd_level(l, &mut f),
             None => f(),
-        });
+        }
     }
 }
 
-/// Runs `f` in the scalar serial reference configuration.
+/// Runs `f` in the scalar reference configuration.
 fn scalar_ref<T>(f: impl FnOnce() -> T) -> T {
-    with_thread_limit(1, || simd::with_simd_level(SimdLevel::Scalar, f))
+    simd::with_simd_level(SimdLevel::Scalar, f)
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {
@@ -113,7 +109,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `axpy` (residual accumulate) is bitwise identical at every
-    /// dispatch level and thread count.
+    /// dispatch level.
     #[test]
     fn prop_axpy_bitwise_identical(pairs in nasty_pairs(69)) {
         let (acc0, x) = unzip(&pairs);
@@ -298,8 +294,7 @@ proptest! {
         };
         let expect = scalar_ref(run);
         on_matrix(|| {
-            assert_eq!(run(), expect, "fused selection at {:?} threads={}",
-                       simd::level(), gtopk_tensor::parallel::num_threads());
+            assert_eq!(run(), expect, "fused selection at {:?}", simd::level());
         });
     }
 
