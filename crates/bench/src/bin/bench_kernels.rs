@@ -103,6 +103,20 @@ fn median_of(runs: usize, mut sample: impl FnMut() -> f64) -> f64 {
     median((0..runs).map(|_| sample()).collect())
 }
 
+/// Medians of two variants' samples taken in `pairs` alternating pairs
+/// after one warm-up sample each, so host load falls on both alike.
+fn alternating(pairs: usize, mut sample: impl FnMut(usize) -> f64) -> [f64; 2] {
+    sample(0);
+    sample(1);
+    let mut samples = [Vec::new(), Vec::new()];
+    for _ in 0..pairs {
+        for (v, secs) in samples.iter_mut().enumerate() {
+            secs.push(sample(v));
+        }
+    }
+    samples.map(median)
+}
+
 fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
     samples[samples.len() / 2]
@@ -234,23 +248,33 @@ fn bench_merge_split(rows: &mut Vec<Row>) {
 /// Algorithm 4 line 10 at the first warm-up epoch's density: return a
 /// rank's k = 250 000 selected entries that the global top-k (another
 /// k-selection, partly overlapping) rejected to the n = 1M residual —
-/// mask + partition + put-back (the former path) vs the one-walk
-/// put-back. Looped 10 times per sample.
+/// mask + partition + put-back (the path the benchmark's replica runs)
+/// vs the select-then-retire pass over the global selection, which
+/// zeroes the coordinates both selections took. Looped 10 times per
+/// sample.
 fn bench_put_back(rows: &mut Vec<Row>) {
     let (local, other) = merge_inputs(N3, K3);
     let global = topk_merge(&local, &other, K3);
-    for (variant, walk) in [("mask_partition_put_back", false), ("one_walk", true)] {
-        let mut residual = Residual::new(N3);
+    // A residual whose select took exactly `local`: its only non-zeros.
+    let mut residual = Residual::new(N3);
+    residual.accumulate(&local.to_dense());
+    let mut selection = SparseVec::empty(N3);
+    let rule = residual.accumulate_select_into(&vec![0.0; N3], K3, &mut selection);
+    assert_eq!(selection, local);
+    for (variant, retire) in [
+        ("mask_partition_put_back", false),
+        ("threshold_retire", true),
+    ] {
         rows.push(Row {
             kernel: "put_back",
             variant,
             simd: simd::level().name(),
             elements: K3 * 10,
-            baseline: !walk,
+            baseline: !retire,
             secs: time_median(5, || {
                 for _ in 0..10 {
-                    if walk {
-                        residual.put_back_unselected(black_box(&local), global.indices());
+                    if retire {
+                        residual.retire(rule, black_box(global.indices()));
                     } else {
                         let mask = Mask::of_sparse(black_box(&global));
                         residual.put_back(&local.partition_by(&mask).1);
@@ -426,8 +450,9 @@ impl Model for FlatModel {
 }
 
 /// Momentum-SGD apply of a sparse aggregated update at density `rho`,
-/// `steps` times a sample, over `model`'s layers as overlap buckets
-/// (back to front). One bucket: densify into a fresh m-vector then
+/// `steps` times a sample, the two variants' samples taken in alternating
+/// pairs, over `model`'s layers as overlap buckets (back to front). One
+/// bucket: densify into a fresh m-vector then
 /// `step_dense` (what `step_sparse` once did) vs the windowed
 /// `step_sparse`. Several: the engine's former pattern (per bucket, a
 /// range step into a `−0.0` scratch, a full-model add and the slice
@@ -456,36 +481,40 @@ fn bench_opt_apply(
     // The former scratch holds −0.0 between steps and the spent gradient
     // is overwritten whole, so one buffer serves both.
     let mut buf = vec![-0.0f32; m];
-    for variant in variants {
-        let mut opt = MomentumSgd::new(m, 0.01, 0.9);
-        rows.push(Row {
-            kernel,
-            variant,
-            simd: simd::level().name(),
-            elements: m * steps,
-            baseline: variant == variants[0],
-            secs: time_median(5, || {
-                for _ in 0..steps {
-                    let whole = &black_box(&buckets)[0].1;
-                    match variant {
-                        "densify_then_dense" => opt.step_dense(model, &whole.to_dense()),
-                        "step_sparse" => opt.step_sparse(model, whole),
-                        _ => {
-                            for (r, update) in black_box(&buckets) {
-                                opt.step_range(r.clone(), update, &mut buf[r.clone()]);
-                                if variant == "per_bucket_add" {
-                                    model.add_to_flat_params(&buf);
-                                    buf[r.clone()].fill(-0.0);
-                                }
-                            }
-                            if variant == "one_add" {
-                                model.add_to_flat_params(&buf);
-                            }
+    let mut opts = variants.map(|_| MomentumSgd::new(m, 0.01, 0.9));
+    let sample = |v: usize| {
+        let (variant, opt) = (variants[v], &mut opts[v]);
+        let t = Instant::now();
+        for _ in 0..steps {
+            let whole = &black_box(&buckets)[0].1;
+            match variant {
+                "densify_then_dense" => opt.step_dense(model, &whole.to_dense()),
+                "step_sparse" => opt.step_sparse(model, whole),
+                _ => {
+                    for (r, update) in black_box(&buckets) {
+                        opt.step_range(r.clone(), update, &mut buf[r.clone()]);
+                        if variant == "per_bucket_add" {
+                            model.add_to_flat_params(&buf);
+                            buf[r.clone()].fill(-0.0);
                         }
                     }
+                    if variant == "one_add" {
+                        model.add_to_flat_params(&buf);
+                    }
                 }
-                black_box(&buf);
-            }),
+            }
+        }
+        black_box(&buf);
+        t.elapsed().as_secs_f64()
+    };
+    for (v, secs) in alternating(5, sample).into_iter().enumerate() {
+        rows.push(Row {
+            kernel,
+            variant: variants[v],
+            simd: simd::level().name(),
+            elements: m * steps,
+            baseline: v == 0,
+            secs,
         });
     }
 }
@@ -501,25 +530,17 @@ fn bench_matmul(rows: &mut Vec<Row>) {
     let mut c = vec![0.0f32; m * n];
     let flops = m * k * n;
 
-    let mut sample = |tiled: bool| {
+    let [naive, tiled] = alternating(PAIRS, |v| {
         let t = Instant::now();
-        if tiled {
+        if v == 1 {
             matmul_flat(black_box(&a), black_box(&b), &mut c, m, k, n);
         } else {
             naive_matmul(black_box(&a), black_box(&b), &mut c, m, k, n);
         }
         black_box(&c);
         t.elapsed().as_secs_f64()
-    };
-    // Alternating the two lets host load fall on both variants alike.
-    sample(false);
-    sample(true);
-    let (mut naive, mut tiled) = (Vec::new(), Vec::new());
-    for _ in 0..PAIRS {
-        naive.push(sample(false));
-        tiled.push(sample(true));
-    }
-    for (variant, simd, samples) in [
+    });
+    for (variant, simd, secs) in [
         ("naive_ikj", "scalar", naive),
         ("tiled", simd::level().name(), tiled),
     ] {
@@ -529,7 +550,7 @@ fn bench_matmul(rows: &mut Vec<Row>) {
             simd,
             elements: flops,
             baseline: variant == "naive_ikj",
-            secs: median(samples),
+            secs,
         });
     }
 }

@@ -13,10 +13,11 @@
 //! Buffers migrate between ranks: a zero-copy send moves its buffer into
 //! the message, and the receiver eventually retires it into *its own*
 //! pool. Because collective schedules are fixed, each rank gains and
-//! loses the same buffers every iteration — a tree's root gains what its
-//! children send each step, a leaf loses what it sends — so
-//! [`BufferPool::MAX_POOLED`] caps the free lists: a rank that only gains
-//! holds at most that many idle buffers, whatever the number of steps.
+//! loses the same buffers every iteration — in the gTop-k tree, where
+//! every rank receives an owned buffer for each it sends, the counts
+//! balance — and [`BufferPool::MAX_POOLED`] caps the free lists: a rank
+//! that only gains holds at most that many idle buffers, whatever the
+//! number of steps.
 
 use gtopk_sparse::{MergeScratch, SparseVec};
 
@@ -46,10 +47,11 @@ pub struct BufferPool {
 
 impl BufferPool {
     /// Free-list cap: returns beyond this are dropped (bounds memory).
-    /// Four is the smallest cap under which a tree root, which holds four
-    /// pairs through a feedback step's merges, still serves every
+    /// Five is the smallest cap under which a tree rank, which holds five
+    /// pairs through a feedback step's reduction — its selection, the
+    /// merge's double buffer and three of rejects — still serves every
     /// steady-state step from its pool.
-    pub const MAX_POOLED: usize = 4;
+    pub const MAX_POOLED: usize = 5;
 
     /// An empty pool.
     pub fn new() -> Self {

@@ -55,11 +55,6 @@ pub struct Aggregator {
     /// Every other collective: the plans it executes for the current `P`,
     /// for the analytic twin ([`Aggregator::charge_twin`]).
     plans: Vec<CollectivePlan>,
-    /// The buffers the tree rows copy their selection into: the
-    /// collective consumes the copy while the step keeps the selection
-    /// for its put-back, after which the selection's buffers serve the
-    /// next step's copy.
-    spare: SparseVec,
 }
 
 impl Aggregator {
@@ -71,7 +66,6 @@ impl Aggregator {
             algorithm,
             sched: None,
             plans: Vec::new(),
-            spare: SparseVec::empty(0),
         }
     }
 
@@ -110,67 +104,66 @@ impl Aggregator {
         );
         let p = members.len();
         let inv = 1.0 / p as f32;
-        // Select and reduce. Besides the global selection, a collective
-        // that selects hands back this rank's own selection (the global
-        // mask is the global selection's support), and one that truncates
-        // hands back what this rank witnessed it truncate — the two things
-        // a rejects policy can ask for. The tree computes its merge
-        // rejects only for the row that reads them.
-        let (mut global, own, witnessed): (_, Option<SparseVec>, Option<SparseVec>) =
-            match collective {
-                Collective::DenseRing => {
-                    // Dense training has no residuals: every gradient is
-                    // applied immediately, so the buffer drains whole.
-                    residual.accumulate(grad);
-                    let mut sum = residual.dense().to_vec();
-                    residual.clear();
-                    collectives::allreduce_ring(comm, &mut sum)?;
-                    sum.iter_mut().for_each(|v| *v *= inv);
-                    return Ok(Update::Dense(sum));
-                }
-                Collective::SparseSum => {
-                    let local = residual.accumulate_extract(grad, k);
-                    (sparse_sum_recursive_doubling(comm, local)?, None, None)
-                }
-                Collective::SparseSumThenSelect => {
-                    let local = residual.accumulate_extract(grad, k);
-                    let sent = self.copy_of(&local);
-                    let (global, _) = naive_gtopk_all_reduce(comm, sent, k)?;
-                    (global, Some(local), None)
-                }
-                Collective::Tree => {
-                    let local = residual.accumulate_extract(grad, k);
-                    let sent = self.copy_of(&local);
-                    let (global, witnessed) = tree_all_reduce(
-                        comm,
-                        members,
-                        sent,
-                        k,
-                        rejects == Rejects::PutBackOwnAndWitnessed,
-                    )?;
-                    (global, Some(local), witnessed)
-                }
-                Collective::Zoo(kind) => {
-                    let sched = zoo_schedule(&mut self.sched, kind, p, k);
-                    // The schedule's contribution quota, into a pooled
-                    // vector: allocation-free in steady state.
-                    let mut local = comm.pool().take_sparse(grad.len());
-                    residual.accumulate_extract_into(grad, sched.contrib_slots, &mut local);
-                    let (global, witnessed) =
-                        sparse_zoo_all_reduce_over(comm, members, local, sched)?;
-                    (global, None, Some(witnessed))
-                }
+        // A row that puts its own rejects back selects without taking the
+        // selection out of the residual, and retires what the global
+        // selection took once it is known (Alg. 4 lines 8 and 10,
+        // `Residual::retire`); every other row extracts at once. Either
+        // way the selection goes to the collective in a pooled buffer.
+        let puts_back = matches!(
+            rejects,
+            Rejects::PutBackOwn | Rejects::PutBackOwnAndWitnessed
+        );
+        let select = |comm: &mut Communicator, residual: &mut Residual, k: usize| {
+            let mut local = comm.pool().take_sparse(grad.len());
+            let rule = if puts_back {
+                Some(residual.accumulate_select_into(grad, k, &mut local))
+            } else {
+                residual.accumulate_extract_into(grad, k, &mut local);
+                None
             };
+            (local, rule)
+        };
+        // Select and reduce. Besides the global selection, a collective
+        // that truncates hands back what this rank witnessed it truncate.
+        // The tree computes its merge rejects only for the row that reads
+        // them.
+        let (mut global, rule, witnessed) = match collective {
+            Collective::DenseRing => {
+                // Dense training has no residuals: every gradient is
+                // applied immediately, so the buffer drains whole.
+                residual.accumulate(grad);
+                let mut sum = residual.dense().to_vec();
+                residual.clear();
+                collectives::allreduce_ring(comm, &mut sum)?;
+                sum.iter_mut().for_each(|v| *v *= inv);
+                return Ok(Update::Dense(sum));
+            }
+            Collective::SparseSum => {
+                let local = residual.accumulate_extract(grad, k);
+                (sparse_sum_recursive_doubling(comm, local)?, None, None)
+            }
+            Collective::SparseSumThenSelect => {
+                let (local, rule) = select(comm, residual, k);
+                (naive_gtopk_all_reduce(comm, local, k)?.0, rule, None)
+            }
+            Collective::Tree => {
+                let (local, rule) = select(comm, residual, k);
+                let witness = rejects == Rejects::PutBackOwnAndWitnessed;
+                let (global, witnessed) = tree_all_reduce(comm, members, local, k, witness)?;
+                (global, rule, witnessed)
+            }
+            Collective::Zoo(kind) => {
+                let sched = zoo_schedule(&mut self.sched, kind, p, k);
+                let (local, _) = select(comm, residual, sched.contrib_slots);
+                let (global, witnessed) = sparse_zoo_all_reduce_over(comm, members, local, sched)?;
+                (global, None, Some(witnessed))
+            }
+        };
         // Rejects: what the collective turned away goes where the row says,
-        // each in one walk against the global selection's indices.
-        if let (Rejects::PutBackOwn | Rejects::PutBackOwnAndWitnessed, Some(local)) =
-            (rejects, &own)
-        {
-            // Alg. 4 line 10: Gᵍ += G̃ᵍ ⊙ ¬gMask ⊙ Mask.
-            residual.put_back_unselected(local, global.indices());
-        }
-        if let Some(local) = own {
-            self.spare = local;
+        // each in one pass against the global selection's indices.
+        if let Some(rule) = rule {
+            // Alg. 4 lines 8 and 10: Gᵍ ← Gᵍ ⊙ ¬(Mask ⊙ gMask).
+            residual.retire(rule, global.indices());
         }
         if let Some(witnessed) = witnessed {
             match rejects {
@@ -184,14 +177,6 @@ impl Aggregator {
         }
         global.scale(inv);
         Ok(Update::Sparse(global))
-    }
-
-    /// A copy of `local` in the previous step's selection buffers, for a
-    /// collective that consumes what it is given.
-    fn copy_of(&mut self, local: &SparseVec) -> SparseVec {
-        let mut copy = std::mem::replace(&mut self.spare, SparseVec::empty(0));
-        copy.copy_from(local);
-        copy
     }
 
     /// Replays the collective [`Aggregator::aggregate`] runs for `p`

@@ -485,9 +485,13 @@ impl OverlapEngine {
             nnz += update.nnz() as u64;
             // The bucket's gradient is spent: its slice takes the delta.
             let delta = &mut grad[range.clone()];
-            match &update {
-                Update::Dense(v) => opt.step_dense_range(range.clone(), v, delta),
-                Update::Sparse(sv) => opt.step_range(range.clone(), sv, delta),
+            match update {
+                Update::Dense(v) => opt.step_dense_range(range.clone(), &v, delta),
+                Update::Sparse(sv) => {
+                    opt.step_range(range.clone(), &sv, delta);
+                    // Applied: its buffers serve the next step's selection.
+                    comm.pool().put_sparse(sv);
+                }
             }
             self.timelines.push(LayerTimeline {
                 ready_ms: ready - t0,
@@ -808,6 +812,46 @@ mod tests {
                     }
                 });
             }
+        }
+    }
+
+    #[test]
+    fn every_rank_serves_its_steps_from_its_pool_after_warm_up() {
+        // The broadcast hands every rank an owned copy of the global and
+        // the engine returns the applied update's buffers to the pool, so
+        // a tree leaf — which gives its selection to its parent — takes
+        // the next step's selection from its pool: after the warm-up
+        // steps no rank of any tree row misses.
+        for alg in [
+            Algorithm::GTopK,
+            Algorithm::GTopKFeedback,
+            Algorithm::GTopKNoPutback,
+        ] {
+            let misses = Cluster::new(4, CostModel::zero()).run(move |comm| {
+                let mut model = models::logistic(9, 7, 8);
+                let m = model.num_params();
+                let mut opt = MomentumSgd::new(m, 0.1, 0.9);
+                let mut engine = OverlapEngine::new(
+                    &OverlapConfig::buckets(1),
+                    &[m],
+                    None,
+                    CostModel::zero(),
+                    Aggregator::new(alg),
+                );
+                let members: Vec<usize> = (0..comm.size()).collect();
+                let mut after_warm_up = 0;
+                for it in 0..12u64 {
+                    if it == 2 {
+                        after_warm_up = comm.pool_stats().misses;
+                    }
+                    let mut g = test_grad(comm.rank(), it, m);
+                    engine
+                        .step(comm, &members, &mut g, 0.25, &mut opt, &mut model)
+                        .unwrap();
+                }
+                comm.pool_stats().misses - after_warm_up
+            });
+            assert_eq!(misses, [0; 4], "{}: misses per rank", alg.name());
         }
     }
 

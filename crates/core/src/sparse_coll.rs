@@ -63,24 +63,26 @@ pub(crate) fn sparse_broadcast_over(
     if p == 1 {
         return Ok(local);
     }
-    // One Arc-shared buffer travels the whole tree: relays forward the
-    // reference they received and fan-out sends bump a reference count.
+    // Every send is a copy in a pooled buffer, given away: a rank ends
+    // the broadcast owning one more buffer for each it received, so a
+    // tree leaf — which gave its selection to its parent — gets a buffer
+    // back, and no rank copies out of a buffer others still share.
     struct BcastOps {
-        shared: Arc<SparseVec>,
+        global: SparseVec,
     }
     impl PlanOps for BcastOps {
         fn on_send(&mut self, comm: &mut Communicator, peer: usize, tag: u32) -> Result<()> {
-            comm.send(peer, tag, Payload::sparse_shared(self.shared.clone()))
+            let mut copy = comm.pool().take_sparse(self.global.dim());
+            copy.copy_from(&self.global);
+            comm.send(peer, tag, Payload::sparse(copy))
         }
         fn on_recv(&mut self, comm: &mut Communicator, peer: usize, tag: u32) -> Result<()> {
-            self.shared = comm.recv(peer, tag)?.payload.into_sparse_arc();
+            self.global = comm.recv(peer, tag)?.payload.into_sparse();
             Ok(())
         }
     }
     let plan = CollectivePlan::broadcast(Topology::Binomial, p, root_pos);
-    let mut ops = BcastOps {
-        shared: Arc::new(local),
-    };
+    let mut ops = BcastOps { global: local };
     execute_plan(
         comm,
         &plan,
@@ -89,22 +91,13 @@ pub(crate) fn sparse_broadcast_over(
         |pos| members[pos],
         &mut ops,
     )?;
-    Ok(reclaim(comm, ops.shared))
-}
-
-/// Takes back a vector shared with outgoing messages: free when the
-/// reference is unique by now, otherwise copied into a pooled buffer (no
-/// fresh allocation at steady state).
-fn reclaim(comm: &mut Communicator, shared: Arc<SparseVec>) -> SparseVec {
-    Arc::try_unwrap(shared).unwrap_or_else(|shared| {
-        let mut owned = comm.pool().take_sparse(shared.dim());
-        owned.copy_from(&shared);
-        owned
-    })
+    Ok(ops.global)
 }
 
 /// Sends the accumulator `acc` to `peer` without cloning it: it is
-/// Arc-shared with the payload `wrap` builds, then [`reclaim`]ed.
+/// Arc-shared with the payload `wrap` builds, then taken back — free when
+/// the reference is unique by now, otherwise copied into a pooled buffer
+/// (no fresh allocation at steady state).
 fn send_shared(
     comm: &mut Communicator,
     peer: usize,
@@ -115,7 +108,11 @@ fn send_shared(
     let dim = acc.dim();
     let shared = Arc::new(std::mem::replace(acc, SparseVec::empty(dim)));
     comm.send(peer, tag, wrap(shared.clone()))?;
-    *acc = reclaim(comm, shared);
+    *acc = Arc::try_unwrap(shared).unwrap_or_else(|shared| {
+        let mut owned = comm.pool().take_sparse(dim);
+        owned.copy_from(&shared);
+        owned
+    });
     Ok(())
 }
 

@@ -1,12 +1,10 @@
 use crate::Model;
 use gtopk_sparse::SparseVec;
-use std::iter::repeat;
 use std::ops::Range;
 
 /// Coordinates per window of [`MomentumSgd::step_range`]: a window's
-/// velocity and delta (32 KiB) stay in cache across its three passes,
-/// and its support — at most this many entries — is staged in 16 KiB of
-/// stack.
+/// velocity, delta and dense gradient (48 KiB, the last on the stack)
+/// stay in cache across its three passes.
 const SPARSE_WINDOW: usize = 4096;
 
 /// Momentum SGD over the model's flat parameter vector:
@@ -123,13 +121,14 @@ impl MomentumSgd {
     /// overlap engine applies each step.
     ///
     /// The coordinates are taken in windows of 4096 (`SPARSE_WINDOW`). Per
-    /// window, `μ·v[i] + g` is staged on the stack for each support entry
-    /// in it, the dense step's `g = 0.0` arithmetic runs as one
-    /// vectorisable pass over the whole window, and the support entries'
-    /// `v[i]` and `−η·v[i]` are then overwritten with the staged values —
-    /// the same floats, `+ 0.0` off the support included, with no call per
-    /// gap, no heap buffer, and a window small enough to stay in cache
-    /// between the staging reads and the overwrite.
+    /// window, the support entries are scattered into a zeroed stack
+    /// array, the dense step runs as one vectorisable pass over the window
+    /// reading its `g` from that array — the same floats, `+ 0.0` off the
+    /// support included — and the scattered entries are reset to `0.0`:
+    /// no call per gap, no heap buffer, and at the first warm-up epoch's
+    /// density no per-entry read of the velocity before the pass and no
+    /// two per-entry writes after it, as staging the support's `μ·v + g`
+    /// needed.
     ///
     /// # Panics
     ///
@@ -138,9 +137,11 @@ impl MomentumSgd {
     pub fn step_range(&mut self, range: Range<usize>, grad: &SparseVec, delta: &mut [f32]) {
         assert_eq!(grad.dim(), range.len(), "gradient dim mismatch");
         assert_eq!(delta.len(), range.len(), "delta length mismatch");
-        let (mu, lr, base) = (self.momentum, self.lr, range.start);
+        let base = range.start;
         let (mut idx, mut vals) = (grad.indices(), grad.values());
-        let mut staged = [0.0f32; SPARSE_WINDOW];
+        // The window's gradient, dense: +0.0 off the support, as in the
+        // dense step's `g`; every written entry is reset after its pass.
+        let mut dense = [0.0f32; SPARSE_WINDOW];
         for lo in range.clone().step_by(SPARSE_WINDOW) {
             let hi = (lo + SPARSE_WINDOW).min(range.end);
             // Indices are unique, so at most a window's width fall in it.
@@ -148,13 +149,13 @@ impl MomentumSgd {
                 idx[..idx.len().min(SPARSE_WINDOW)].partition_point(|&i| base + (i as usize) < hi);
             let (window_idx, rest_idx) = idx.split_at(n);
             let (window_vals, rest_vals) = vals.split_at(n);
-            for ((s, &i), &g) in staged.iter_mut().zip(window_idx).zip(window_vals) {
-                *s = mu * self.velocity[base + i as usize] + g;
+            let (dense, off) = (&mut dense[..hi - lo], lo - base);
+            for (&i, &g) in window_idx.iter().zip(window_vals) {
+                dense[i as usize - off] = g;
             }
-            self.advance(lo..hi, repeat(0.0), &mut delta[lo - base..hi - base]);
-            for (&s, &i) in staged.iter().zip(window_idx) {
-                self.velocity[base + i as usize] = s;
-                delta[i as usize] = -lr * s;
+            self.advance(lo..hi, dense.iter().copied(), &mut delta[off..hi - base]);
+            for &i in window_idx {
+                dense[i as usize - off] = 0.0;
             }
             (idx, vals) = (rest_idx, rest_vals);
         }

@@ -44,6 +44,6 @@ pub use merge::{
 };
 pub use residual::Residual;
 pub use topk::{
-    accumulate_select_compact, topk_indices, topk_sparse, topk_sparse_into, TopkScratch,
+    accumulate_select_compact, topk_indices, topk_sparse, topk_sparse_into, SelectRule, TopkScratch,
 };
 pub use vector::SparseVec;

@@ -6,33 +6,30 @@
 //! partner's k-sparse vector, merge-adds it into its own, and re-selects
 //! the top-k of the (≤ 2k)-entry result.
 //!
-//! # The fused kernel
+//! # The kernel
 //!
-//! The sum is never materialised. Both [`topk_merge_into`] and
-//! [`topk_merge_split_into`]:
+//! Both [`topk_merge_into`] and [`topk_merge_split_into`]:
 //!
-//! 1. **sample the sum's magnitudes** at the selection kernel's ascending
-//!    stratified positions of both inputs — an `a` entry's partner in `b`
-//!    is found by a forward gallop, and a sampled `b` entry that is also
-//!    in `a` is skipped, so every sum entry is sampled at the same rate —
-//!    and read the selection kernel's two-sided cut `t_lo`/`t_hi` off
-//!    that sample (see [`crate::topk`]'s module docs);
-//! 2. make **one two-pointer walk** over `a` and `b` that forms each sum
-//!    entry and writes, branch-free, only the candidate pairs
-//!    (`|v| > t_lo`) — plus, for the split, the entries at or below
-//!    `t_lo`, which are certain rejects;
-//! 3. run **the selection kernel's one tail** over those candidate pairs,
-//!    exactly as the local select does: one packed compare gathers the
-//!    band (`t_lo < |v| ≤ t_hi`), a radix select over it finds the k-th
-//!    magnitude, and the packed emit writes the kept pairs straight into
-//!    the result, already sorted. For the split the emit also packs the
-//!    rejected candidates, which are then slotted in among the certain
-//!    rejects, so the rejects come out ascending too.
+//! 1. make **one branch-free two-pointer walk** over `a` and `b` that
+//!    writes every entry of the sum, ascending, into the scratch's slots —
+//!    the sum is materialised as packed (index, value) pairs;
+//! 2. run **the selection kernel** of [`crate::topk`] over those pairs,
+//!    exactly as the local select runs over a dense buffer: a sample at
+//!    stratified positions of the sum gives the two-sided cut, one packed
+//!    pass collects the candidates above its `t_lo`, and the tail (band,
+//!    radix select, emit) writes the kept pairs straight into the result,
+//!    already sorted. For the split the emit reads the whole sum, so the
+//!    rejects come out ascending too.
 //!
-//! When cancellation leaves fewer than `k` candidates the walk reruns
-//! with every sum entry a candidate; below the 4096-entry cut-off no
-//! sample is taken and every entry is a candidate from the start. Either
-//! way the tail then selects over every candidate, without a band.
+//! Materialising the sum costs one write of `nnz(a) + nnz(b)` pairs. A
+//! kernel that never materialised it had to sample the sum through
+//! galloping searches of the other input, walk both inputs a second time
+//! to collect candidates, and slot the rejected candidates back among the
+//! certain rejects: at `k = 250 000` the galloping sample alone took
+//! 1.7 ms of a 5.2–5.9 ms merge. Cancellation needs no case of its own:
+//! when fewer than `k` sum entries clear the sampled cut, every entry is
+//! a candidate — the selection kernel's own fallback — and below the
+//! kernel's 4096-entry cut-off no sample is taken at all.
 //!
 //! # Determinism
 //!
@@ -51,27 +48,24 @@
 //! steady-state allocation — there is no intermediate `a.add(b)` vector
 //! and no dense mask/partition pass.
 
-use crate::topk::{mag, sample_positions, sample_step, Band, Cut, Kth, PREFILTER_MIN};
+use crate::topk::{select, Input, TopkScratch};
 use crate::SparseVec;
-use gtopk_tensor::simd::{select_f32, Pairs};
+use gtopk_tensor::simd::select_f32;
 use std::hint::select_unpredictable;
 
-/// Reusable buffers for the `_into` merge kernels. The walk's outputs are
-/// grow-only arrays of slots: a merge of `n` input entries writes into the
-/// first `n` by index, so its writes need no branch and steady state
-/// neither allocates nor clears.
+/// Reusable buffers for the `_into` merge kernels: the materialised sum
+/// and the selection kernel's scratch.
 #[derive(Debug, Clone, Default)]
 pub struct MergeScratch {
-    /// Candidate sum entries (above the cut's `lo`), ascending.
-    cand_idx: Vec<u32>,
-    /// Values parallel to `cand_idx`.
-    cand_val: Vec<f32>,
-    /// The split's certain rejects (at or below `lo`), ascending.
-    rej_idx: Vec<u32>,
-    /// Values parallel to `rej_idx`.
-    rej_val: Vec<f32>,
-    /// The sample, the tail's band, then the split's rejected candidates.
-    band: Band,
+    /// The sum's indices, ascending. A grow-only array of slots: a merge
+    /// of `n` input entries writes into the first `n` by position, so its
+    /// writes need no branch and steady state neither allocates nor
+    /// clears.
+    sum_idx: Vec<u32>,
+    /// Values parallel to `sum_idx`.
+    sum_val: Vec<f32>,
+    /// The selection's candidates and band.
+    topk: TopkScratch,
 }
 
 impl MergeScratch {
@@ -89,164 +83,41 @@ fn slots<T: Copy + Default>(buf: &mut Vec<T>, n: usize) -> &mut [T] {
     &mut buf[..n]
 }
 
-/// The first position `≥ from` of the ascending `idx` holding an index
-/// `≥ target` (`idx.len()` if none): exponential probes forward from
-/// `from`, then a binary search inside the last stride.
-fn gallop(idx: &[u32], from: usize, target: u32) -> usize {
-    let (mut lo, mut stride) = (from, 1);
-    while lo + stride <= idx.len() && idx[lo + stride - 1] < target {
-        lo += stride;
-        stride *= 2;
-    }
-    let hi = (lo + stride).min(idx.len());
-    lo + idx[lo..hi].partition_point(|&i| i < target)
-}
-
-/// Replaces `mags` with the magnitudes of a sample of the sum `a + b`:
-/// every sum entry is drawn with probability `1/step`.
-/// A sampled `a` entry adds its partner in `b`, found by a forward
-/// gallop; a sampled `b` entry whose coordinate is also in `a` is
-/// skipped, since that sum entry was eligible on `a`'s side.
-fn sample_sum(a: &SparseVec, b: &SparseVec, step: usize, mags: &mut Vec<f32>) {
-    let (ai, av, bi, bv) = (&a.indices, &a.values, &b.indices, &b.values);
-    mags.clear();
-    let mut y = 0;
-    for x in sample_positions(ai.len(), step) {
-        y = gallop(bi, y, ai[x]);
-        let v = match bi.get(y) {
-            Some(&i) if i == ai[x] => av[x] + bv[y],
-            _ => av[x],
-        };
-        mags.push(mag(v));
-    }
-    let mut x = 0;
-    for y in sample_positions(bi.len(), step) {
-        x = gallop(ai, x, bi[y]);
-        if ai.get(x) != Some(&bi[y]) {
-            mags.push(mag(bv[y]));
-        }
-    }
-}
-
-/// Step 1: the cut for the top-`k` of `a + b`, from a sample of about
-/// `min(64 Ki, n/16)` of the sum's entries over `n = nnz(a) + nnz(b)`,
-/// with room made in `band` for the tail. `None` below the cut-off, for
-/// a degenerate merge (`k == 0`, `k ≥ n`), and when the sum is too small
-/// for a cut to exclude anything.
-fn merge_cut(a: &SparseVec, b: &SparseVec, k: usize, band: &mut Band) -> Option<Cut> {
+/// Step 1: the two-pointer walk over `a + b`, writing every sum entry,
+/// ascending, into the slots `idx`/`val`. Returns the sum's length. Every
+/// step is branch-free: which input advances — and whether the entry is
+/// `a`'s, `b`'s or their sum — is a coin toss per step on merged
+/// supports.
+fn sum_into(a: &SparseVec, b: &SparseVec, idx: &mut Vec<u32>, val: &mut Vec<f32>) -> usize {
     let n = a.nnz() + b.nnz();
-    if n < PREFILTER_MIN || k == 0 || k >= n {
-        return None;
-    }
-    let step = sample_step(n);
-    let q = k as f64 / step as f64;
-    sample_sum(a, b, step, &mut band.val);
-    let cut = Cut::from_sample(&mut band.val, q)?;
-    // The split's rejected candidates reuse the band's room after it:
-    // whenever the cut holds there are fewer of them than band entries.
-    band.reserve_for(q, step);
-    Some(cut)
-}
-
-/// Grow-only slot arrays the walk appends to without a branch: each
-/// entry is written to the next slot, and the count moves past it only
-/// if the entry is kept.
-struct Slots<'a> {
-    idx: &'a mut [u32],
-    val: &'a mut [f32],
-    len: usize,
-}
-
-impl<'a> Slots<'a> {
-    /// Room for `n` appends.
-    fn new(idx: &'a mut Vec<u32>, val: &'a mut Vec<f32>, n: usize) -> Self {
-        Slots {
-            idx: slots(idx, n),
-            val: slots(val, n),
-            len: 0,
-        }
-    }
-
-    #[inline(always)]
-    fn put(&mut self, i: u32, v: f32, keep: bool) {
-        self.idx[self.len] = i;
-        self.val[self.len] = v;
-        self.len += usize::from(keep);
-    }
-}
-
-/// Where [`walk`] writes each sum entry: to the candidates if it clears
-/// `lo`, otherwise — for the split — to the certain rejects.
-struct Sink<'a, const SPLIT: bool> {
-    lo: f32,
-    cand: Slots<'a>,
-    rej: Slots<'a>,
-}
-
-impl<const SPLIT: bool> Sink<'_, SPLIT> {
-    #[inline(always)]
-    fn put(&mut self, i: u32, v: f32) {
-        let is_cand = mag(v) > self.lo;
-        self.cand.put(i, v, is_cand);
-        if SPLIT {
-            self.rej.put(i, v, !is_cand);
-        }
-    }
-}
-
-/// Step 2: the two-pointer walk over `a + b`, writing the candidates
-/// (strictly above `lo`) and, for the split, the certain rejects into the
-/// scratch slots, each ascending. Returns both counts. Every step is
-/// branch-free: which input advances — and whether the entry is `a`'s,
-/// `b`'s or their sum — is a coin toss per step on merged supports.
-fn walk<const SPLIT: bool>(
-    a: &SparseVec,
-    b: &SparseVec,
-    lo: f32,
-    scratch: &mut MergeScratch,
-) -> (usize, usize) {
-    let n = a.nnz() + b.nnz();
-    let MergeScratch {
-        cand_idx,
-        cand_val,
-        rej_idx,
-        rej_val,
-        ..
-    } = scratch;
-    let mut sink = Sink::<SPLIT> {
-        lo,
-        cand: Slots::new(cand_idx, cand_val, n),
-        rej: Slots::new(rej_idx, rej_val, if SPLIT { n } else { 0 }),
-    };
+    let (idx, val) = (slots(idx, n), slots(val, n));
     let (ai, av, bi, bv) = (&a.indices, &a.values, &b.indices, &b.values);
-    let (mut x, mut y) = (0, 0);
+    let (mut x, mut y, mut len) = (0, 0, 0);
     while x < ai.len() && y < bi.len() {
         let (ia, ib) = (ai[x], bi[y]);
         let (va, vb) = (av[x], bv[y]);
         let (take_a, take_b) = (ia <= ib, ib <= ia);
         let one = select_f32(take_a, va, vb);
-        sink.put(
-            select_unpredictable(take_a, ia, ib),
-            select_f32(take_a & take_b, va + vb, one),
-        );
+        idx[len] = select_unpredictable(take_a, ia, ib);
+        val[len] = select_f32(take_a & take_b, va + vb, one);
+        len += 1;
         x += usize::from(take_a);
         y += usize::from(take_b);
     }
-    ai[x..]
-        .iter()
-        .zip(&av[x..])
-        .for_each(|(&i, &v)| sink.put(i, v));
-    bi[y..]
-        .iter()
-        .zip(&bv[y..])
-        .for_each(|(&i, &v)| sink.put(i, v));
-    (sink.cand.len, sink.rej.len)
+    // At most one input has entries left.
+    for (rest_idx, rest_val) in [(&ai[x..], &av[x..]), (&bi[y..], &bv[y..])] {
+        idx[len..len + rest_idx.len()].copy_from_slice(rest_idx);
+        val[len..len + rest_val.len()].copy_from_slice(rest_val);
+        len += rest_idx.len();
+    }
+    len
 }
 
-/// The fused `⊤`: writes `a ⊤ b` into `kept` and, when given, every other
+/// The `⊤`: writes `a ⊤ b` into `kept` and, when given, every other
 /// entry of `a + b` into `rejected` (both ascending). Returns how many
-/// sum entries the exact tail examined — the candidate count, which is
-/// the whole sum when no cut was taken or cancellation forced the rerun.
+/// sum entries the selection's tail examined — the candidate count, which
+/// is the whole sum when no cut was taken or cancellation left fewer than
+/// `k` candidates.
 fn fused_merge(
     a: &SparseVec,
     b: &SparseVec,
@@ -256,73 +127,27 @@ fn fused_merge(
     rejected: Option<&mut SparseVec>,
 ) -> usize {
     assert_eq!(a.dim, b.dim, "dimension mismatch in sparse merge");
-    let n = a.nnz() + b.nnz();
-    let walk = if rejected.is_some() {
-        walk::<true>
-    } else {
-        walk::<false>
-    };
-    let sampled = merge_cut(a, b, k, &mut scratch.band);
-    let mut cut = sampled.unwrap_or(Cut::NONE);
-    let (mut n_cand, mut n_rej) = walk(a, b, cut.lo, scratch);
-    if sampled.is_some() && n_cand < k {
-        // Cancellation pushed entries under the cut: every sum entry is a
-        // candidate instead.
-        cut = Cut::NONE;
-        (n_cand, n_rej) = walk(a, b, cut.lo, scratch);
-    }
-
     let MergeScratch {
-        cand_idx,
-        cand_val,
-        rej_idx,
-        rej_val,
-        band,
+        sum_idx,
+        sum_val,
+        topk,
     } = scratch;
-    let (cand_idx, cand_val) = (&cand_idx[..n_cand], &cand_val[..n_cand]);
+    let n = sum_into(a, b, sum_idx, sum_val);
     kept.dim = a.dim;
     kept.clear();
-    kept.indices.reserve_exact(k.min(n));
-    kept.values.reserve_exact(k.min(n));
-    // Steps 3–4: the selection kernel's tail over the candidate pairs.
-    let kth = Kth::find(k, cand_val, cut.hi, band);
-    let src = |r: std::ops::Range<usize>| Pairs::Packed {
-        idx: &cand_idx[r.clone()],
-        val: &cand_val[r],
-    };
-    let kept_pairs = (&mut kept.indices, &mut kept.values);
-    kth.emit(
-        n_cand,
-        src,
-        kept_pairs,
-        rejected.is_some().then(|| band.cleared()),
-    );
-    if let Some(rejected) = rejected {
-        // Slot each rejected candidate in among the certain rejects; both
-        // ascend, so the result does too.
+    let rejected = rejected.map(|rejected| {
         rejected.dim = a.dim;
         rejected.clear();
-        rejected.indices.reserve_exact(n.saturating_sub(k));
-        rejected.values.reserve_exact(n.saturating_sub(k));
-        let (rej_idx, rej_val) = (&rej_idx[..n_rej], &rej_val[..n_rej]);
-        let mut r = 0;
-        for (&i, &v) in band.pos.iter().zip(&band.val) {
-            let upto = gallop(rej_idx, r, i);
-            rejected.indices.extend_from_slice(&rej_idx[r..upto]);
-            rejected.values.extend_from_slice(&rej_val[r..upto]);
-            rejected.indices.push(i);
-            rejected.values.push(v);
-            r = upto;
-        }
-        rejected.indices.extend_from_slice(&rej_idx[r..]);
-        rejected.values.extend_from_slice(&rej_val[r..]);
-    }
-    n_cand
+        (&mut rejected.indices, &mut rejected.values)
+    });
+    let kept = (&mut kept.indices, &mut kept.values);
+    let sum = Input::Packed(&sum_idx[..n], &sum_val[..n]);
+    select(sum, k, topk, kept, rejected).0
 }
 
 /// Applies the paper's `⊤` operator into `out`: top-`k` of the sparse sum
 /// `a + b`, merging and selecting entirely inside reusable buffers (the
-/// fused kernel of the module docs).
+/// kernel of the module docs).
 ///
 /// The result has at most `min(k, nnz(a+b))` entries. `out` may alias
 /// neither input.
@@ -345,8 +170,8 @@ pub fn topk_merge_into(
 /// merge would silently drop, needed for rejection feedback.
 ///
 /// `kept` receives `a ⊤ b`; `rejected` receives every entry of `a + b`
-/// that the selection discarded (empty when `nnz(a+b) <= k`), routed in
-/// the same walk and emit scan.
+/// that the selection discarded (empty when `nnz(a+b) <= k`), both
+/// written by the same emit scan over the materialised sum.
 ///
 /// # Panics
 ///
@@ -419,7 +244,7 @@ pub fn topk_merge_many(vs: &[SparseVec], k: usize) -> SparseVec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topk::mag;
+    use crate::topk::{mag, sample_positions};
     use crate::topk_sparse;
     use proptest::prelude::*;
 
@@ -464,7 +289,8 @@ mod tests {
     /// dimension, sharing `shared_pct` % of their coordinates, with values
     /// of one hostile `shape`: 0 heavy-tailed; 1 NaN, ±0.0, ±inf,
     /// denormals and ties among them; 2 all magnitudes equal; 3 `b = −a`
-    /// on every shared coordinate.
+    /// on every shared coordinate; 4 small integers, so every magnitude
+    /// ties across `a`, `b` and their sums.
     fn pair(n: usize, shared_pct: usize, shape: usize, seed: u64) -> (SparseVec, SparseVec) {
         let dim = (16 * n).next_power_of_two();
         // An odd multiplier permutes 0..dim: a takes the images of 0..n,
@@ -487,6 +313,7 @@ mod tests {
                 },
                 2 if hash(c, seed + side).is_multiple_of(2) => 3.0,
                 2 => -3.0,
+                4 => (hash(c, seed + side) % 9) as f32 - 4.0,
                 _ => heavy(c, seed + side),
             }
         };
@@ -630,21 +457,6 @@ mod tests {
     }
 
     #[test]
-    fn gallop_finds_the_first_index_at_or_above_the_target() {
-        let idx: Vec<u32> = (0..100).map(|i| i * 3).collect();
-        for from in [0usize, 1, 7, 50, 99, 100] {
-            for target in [0u32, 1, 3, 4, 150, 297, 298, 1000] {
-                let want = from + idx[from..].partition_point(|&i| i < target);
-                assert_eq!(
-                    gallop(&idx, from, target),
-                    want,
-                    "from {from} target {target}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn sample_positions_ascend_one_per_block() {
         for (n, step) in [
             (1000usize, 16usize),
@@ -765,6 +577,35 @@ mod tests {
     }
 
     proptest! {
+        /// Both merges, kept and split, equal the oracle bitwise: on
+        /// supports shared 0, 50 or 100 %, over every hostile value shape
+        /// (cancellation, ±0.0, NaN, denormals, ties at the k-th
+        /// magnitude across `a` and `b`), either side of the 4096-entry
+        /// cut-off, with `k` at a tie of the k-th magnitude, inside the
+        /// sum and at or past its length.
+        #[test]
+        fn prop_merges_match_the_oracle_split(
+            small in 1usize..120,
+            large in 0u8..2,
+            shared in 0usize..3,
+            shape in 0usize..5,
+            pick_k in 0usize..6,
+            seed in 0u64..1000,
+        ) {
+            let n = if large == 1 { 2100 + small } else { small };
+            let (a, b) = pair(n, 50 * shared, shape, seed);
+            let sum = a.add(&b);
+            let n_sum = sum.nnz();
+            // The number of sum entries at or above the median magnitude:
+            // a k whose k-th magnitude has ties on both sides of it.
+            let mut mags: Vec<f32> = sum.values().iter().map(|&v| mag(v)).collect();
+            mags.sort_by(|x, y| y.total_cmp(x));
+            let median = mags.get(n_sum / 2).copied().unwrap_or(0.0);
+            let at_tie = mags.iter().filter(|&&m| m >= median).count();
+            let k = [0, 1 + seed as usize % n_sum.max(1), at_tie.saturating_sub(1), n_sum, n_sum + 3, n_sum / 3][pick_k];
+            assert_matches_oracle(&a, &b, k, &mut MergeScratch::new());
+        }
+
         /// ⊤ agrees with "densify, add, exact top-k".
         #[test]
         fn prop_merge_matches_dense_reference(

@@ -8,12 +8,26 @@
 //! ever silently dropped — only delayed.
 //!
 //! Every extraction runs the one exact, RNG-free streaming kernel of
-//! [`crate::topk`]; the training step takes its fused form,
-//! [`Residual::accumulate_extract_into`], which folds the gradient in and
-//! selects in a single pass over the buffer.
+//! [`crate::topk`]; the training step takes its fused form, which folds
+//! the gradient in and selects in a single pass over the buffer, in one
+//! of two contracts:
+//!
+//! - **extract-and-zero** ([`Residual::accumulate_extract_into`]): the
+//!   selected coordinates leave the buffer at once; what the caller wants
+//!   back it returns with [`Residual::put_back`].
+//! - **select-then-retire** ([`Residual::accumulate_select_into`], then
+//!   [`Residual::retire`]): the selection stays in the buffer, and once
+//!   the global selection is known, one pass over *its* coordinates
+//!   zeroes those this buffer's select took. That is line 8 and line 10
+//!   together, bitwise, with no walk over the local selection and no copy
+//!   of it kept for one.
+//!
+//! The buffer never holds −0.0: it starts at +0.0, every zeroing writes
+//! +0.0, and an IEEE sum is −0.0 only when both operands are — which is
+//! what makes the two contracts agree bit for bit.
 
-use crate::topk::{accumulate_select_compact, topk_sparse_into, TopkScratch};
-use crate::SparseVec;
+use crate::topk::{accumulate_select, accumulate_select_compact, topk_sparse_into, TopkScratch};
+use crate::{SelectRule, SparseVec};
 use gtopk_tensor::simd;
 
 /// Dense error-feedback buffer with top-k extraction.
@@ -118,6 +132,44 @@ impl Residual {
         accumulate_select_compact(&mut self.acc, grad, k, &mut self.scratch, out)
     }
 
+    /// Fused accumulate + exact selection under the select-then-retire
+    /// contract (module docs): `G += grad` and the top-`k` into `out` —
+    /// bitwise [`Residual::accumulate_extract_into`]'s selection — but the
+    /// selected values stay in the buffer. Returns the rule that tells
+    /// which coordinates were selected, for [`Residual::retire`]; it holds
+    /// until the buffer is next written.
+    pub fn accumulate_select_into(
+        &mut self,
+        grad: &[f32],
+        k: usize,
+        out: &mut SparseVec,
+    ) -> SelectRule {
+        accumulate_select(&mut self.acc, grad, k, &mut self.scratch, out).1
+    }
+
+    /// Algorithm 4 lines 8 and 10 after [`Residual::accumulate_select_into`]
+    /// returned `rule`: zeroes every coordinate of the global selection
+    /// `global` that this buffer's select took (`G ← G ⊙ ¬(Mask ⊙ gMask)`),
+    /// in one pass over `global`.
+    ///
+    /// Bitwise, this is extract-and-zero followed by putting back the
+    /// local selection's entries outside `global`: an entry both selected
+    /// is zero either way, and one the global selection rejected keeps
+    /// `acc[i]` here where it became `0.0 + acc[i]` there. Those are the
+    /// same bits because the buffer never holds −0.0 (module docs) and a
+    /// NaN in it is the result of arithmetic, hence already quiet, which
+    /// `0.0 + NaN` returns unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index of `global` is out of range.
+    pub fn retire(&mut self, rule: SelectRule, global: &[u32]) {
+        for &i in global {
+            let v = &mut self.acc[i as usize];
+            *v = simd::select_f32(rule.admits(i as usize, *v), 0.0, *v);
+        }
+    }
+
     /// Returns previously extracted coordinates to the buffer
     /// (`G += rejected`).
     ///
@@ -129,52 +181,26 @@ impl Residual {
         rejected.add_into_dense(&mut self.acc);
     }
 
-    /// Algorithm 4 line 10 in one walk: returns to the buffer every entry
-    /// of `local` whose coordinate is *not* among the ascending `selected`
-    /// (`G += G̃ ⊙ ¬gMask`) — bitwise
-    /// `put_back(&local.partition_by(&mask).1)` without building the mask
-    /// or either half.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub fn put_back_unselected(&mut self, local: &SparseVec, selected: &[u32]) {
-        self.put_back_where(local, selected, false);
-    }
-
-    /// The other half: returns every entry of `v` whose coordinate *is*
-    /// among the ascending `selected` — bitwise
-    /// `put_back(&v.partition_by(&mask).0)`.
+    /// Returns every entry of `v` whose coordinate is among the ascending
+    /// `selected` — bitwise `put_back(&v.partition_by(&mask).0)` without
+    /// building the mask or either half. One forward walk of `v` against
+    /// `selected`, branch-free: each step rewrites the current entry's
+    /// coordinate with either the sum or the unchanged value.
     ///
     /// # Panics
     ///
     /// Panics if dimensions differ.
     pub fn put_back_selected(&mut self, v: &SparseVec, selected: &[u32]) {
-        self.put_back_where(v, selected, true);
-    }
-
-    /// One forward walk of `v` against `selected` (both ascending), adding
-    /// the entries whose membership equals `inside` straight into the
-    /// buffer. Branch-free: each step rewrites the current entry's
-    /// coordinate with either the sum or the unchanged value.
-    fn put_back_where(&mut self, v: &SparseVec, selected: &[u32], inside: bool) {
         assert_eq!(v.dim(), self.acc.len(), "sparse dim mismatch");
         let (vi, vv) = (&v.indices, &v.values);
         let (mut x, mut s) = (0, 0);
         while x < vi.len() && s < selected.len() {
             let (i, j) = (vi[x], selected[s]);
-            // Entry x's membership is settled once the walk reaches `i`.
-            let settled = i <= j;
             let cur = self.acc[i as usize];
-            let add = settled & ((i == j) == inside);
-            self.acc[i as usize] = simd::select_f32(add, cur + vv[x], cur);
-            x += usize::from(settled);
+            self.acc[i as usize] = simd::select_f32(i == j, cur + vv[x], cur);
+            // Entry x's membership is settled once the walk reaches `i`.
+            x += usize::from(i <= j);
             s += usize::from(j <= i);
-        }
-        if !inside {
-            for (&i, &val) in vi[x..].iter().zip(&vv[x..]) {
-                self.acc[i as usize] += val;
-            }
         }
     }
 
@@ -272,21 +298,53 @@ mod tests {
         ];
         for selected in selections {
             let mask = crate::Mask::from_indices(dim, selected.clone());
-            let (inside, outside) = v.partition_by(&mask);
-            for (walk_inside, half) in [(false, outside), (true, inside)] {
-                let mut want = Residual::new(dim);
-                want.accumulate(&base);
-                want.put_back(&half);
-                let mut got = Residual::new(dim);
-                got.accumulate(&base);
-                if walk_inside {
-                    got.put_back_selected(&v, &selected);
-                } else {
-                    got.put_back_unselected(&v, &selected);
-                }
-                assert_eq!(bits(&got), bits(&want), "inside={walk_inside}");
-            }
+            let mut want = Residual::new(dim);
+            want.accumulate(&base);
+            want.put_back(&v.partition_by(&mask).0);
+            let mut got = Residual::new(dim);
+            got.accumulate(&base);
+            got.put_back_selected(&v, &selected);
+            assert_eq!(bits(&got), bits(&want));
         }
+    }
+
+    /// The one-walk put-back the select-then-retire contract replaced,
+    /// kept as the oracle: returns to `acc` every entry of `local` whose
+    /// coordinate is not among the ascending `selected`.
+    fn put_back_unselected(acc: &mut [f32], local: &SparseVec, selected: &[u32]) {
+        let (vi, vv) = (local.indices(), local.values());
+        let (mut x, mut s) = (0, 0);
+        while x < vi.len() {
+            while s < selected.len() && selected[s] < vi[x] {
+                s += 1;
+            }
+            if selected.get(s) != Some(&vi[x]) {
+                acc[vi[x] as usize] += vv[x];
+            }
+            x += 1;
+        }
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// A value from a small set: ties at every magnitude, NaN, ±0.0 and
+    /// denormals among them.
+    fn hostile(code: u8) -> f32 {
+        match code % 12 {
+            0 => f32::NAN,
+            1 => 0.0,
+            2 => -0.0,
+            3 => 1.0e-40,
+            4 => -1.0e-40,
+            c => c as f32 - 8.0,
+        }
+    }
+
+    /// Whether any coordinate of `r` holds −0.0.
+    fn holds_negative_zero(r: &Residual) -> bool {
+        r.dense().iter().any(|v| v.to_bits() == (-0.0f32).to_bits())
     }
 
     #[test]
@@ -332,6 +390,85 @@ mod tests {
     }
 
     proptest! {
+        /// Select-then-retire equals extract-and-zero followed by the
+        /// one-walk put-back of the local entries the global selection
+        /// rejected, bitwise — selection and buffer — on buffers either
+        /// side of the kernel's sampling cut-off, with ties at the k-th
+        /// magnitude, NaN and zeros, for k from 0 to past the buffer.
+        #[test]
+        fn prop_retire_equals_the_one_walk_put_back(
+            first in proptest::collection::vec(0u8..=255, 1..64),
+            second in proptest::collection::vec(0u8..=255, 1..64),
+            large in 0u8..2,
+            pick_k in 0usize..6,
+            global_salt in 0u64..u64::MAX,
+            global_every in 1u64..5,
+        ) {
+            let n = if large == 1 { 5000 } else { 300 };
+            let grad = |codes: &[u8], salt: usize| -> Vec<f32> {
+                (0..n).map(|i| hostile(codes[(i * 7 + salt) % codes.len()] ^ (i / 97) as u8)).collect()
+            };
+            let (g1, g2) = (grad(&first, 0), grad(&second, 3));
+            let nnz = g2.iter().filter(|v| crate::topk::mag(**v) > 0.0).count();
+            let k = [0, 1, nnz, n / 3, n, n + 7][pick_k];
+            let mut want = Residual::new(n);
+            want.accumulate(&g1);
+            let mut got = want.clone();
+            let mut want_local = SparseVec::empty(n);
+            want.accumulate_extract_into(&g2, k, &mut want_local);
+            let mut local = SparseVec::empty(n);
+            let rule = got.accumulate_select_into(&g2, k, &mut local);
+            prop_assert_eq!(local.indices(), want_local.indices());
+            prop_assert_eq!(bits(local.values()), bits(want_local.values()));
+            // A global selection that takes some local coordinates and
+            // some that no local select took.
+            let global: Vec<u32> = (0..n as u64)
+                .filter(|i| ((i ^ global_salt).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40)
+                    .is_multiple_of(global_every))
+                .map(|i| i as u32)
+                .collect();
+            put_back_unselected(&mut want.acc, &want_local, &global);
+            got.retire(rule, &global);
+            prop_assert_eq!(bits(got.dense()), bits(want.dense()));
+        }
+
+        /// No sequence of accumulate, extract, select, retire and
+        /// put-back leaves −0.0 in the buffer, whatever signed zeros,
+        /// cancelling values and NaNs its inputs carry.
+        #[test]
+        fn prop_no_operation_leaves_negative_zero(
+            ops in proptest::collection::vec(
+                (0u8..6, proptest::collection::vec(0u8..=255, 16), 0usize..20),
+                1..24,
+            ),
+        ) {
+            let dim = 16;
+            let mut r = Residual::new(dim);
+            let mut out = SparseVec::empty(dim);
+            for (op, codes, k) in ops {
+                let g: Vec<f32> = codes.iter().map(|&c| hostile(c)).collect();
+                // The buffer's own values negated: a put-back that cancels.
+                let minus: Vec<(u32, f32)> = r.dense().iter().enumerate()
+                    .filter(|(i, _)| codes[*i] % 2 == 0)
+                    .map(|(i, &v)| (i as u32, -v))
+                    .collect();
+                let minus = SparseVec::from_pairs(dim, minus);
+                match op {
+                    0 => r.accumulate(&g),
+                    1 => { r.accumulate_extract_into(&g, k, &mut out); }
+                    2 => {
+                        let rule = r.accumulate_select_into(&g, k, &mut out);
+                        let global: Vec<u32> = (0..dim as u32).filter(|i| codes[*i as usize] % 3 != 0).collect();
+                        r.retire(rule, &global);
+                    }
+                    3 => r.put_back(&minus),
+                    4 => r.put_back_selected(&minus, out.indices()),
+                    _ => { r.extract_topk_into(k, &mut out); }
+                }
+                prop_assert!(!holds_negative_zero(&r), "op {} left -0.0: {:?}", op, r.dense());
+            }
+        }
+
         /// No gradient is ever lost: dense(buffer) + densify(extracted)
         /// equals the running sum of all accumulated gradients.
         #[test]

@@ -29,8 +29,14 @@
 //!    straight into the output, already sorted — `|v| ≥ t*` before the
 //!    ties' end, `|v| > t*` from it.
 //!
-//! Steps 3–4 are **the one tail**: the `⊤` merge ([`crate::topk_merge_into`])
-//! runs them unchanged over the candidate pairs its walk writes. There is
+//! The `⊤` merge ([`crate::topk_merge_into`]) runs all four steps
+//! unchanged over the packed pairs of the sum it materialises, and its
+//! split form's emit reads the whole sum, so its rejects come out sorted
+//! too. Every select also yields its answer as a [`SelectRule`] — `t*`
+//! and the coordinate where the admitted ties end — which tells for any
+//! coordinate of the input whether it was selected: the residual's
+//! select-then-retire contract reads it instead of a copy of the
+//! selection (see [`crate::Residual::retire`]). There is
 //! no approximate selector: this one already reads its cut off a sample,
 //! and fused with the residual accumulate it crosses the buffer once,
 //! which leaves an approximate select nothing to save at paper scale
@@ -65,7 +71,7 @@ use std::ops::Range;
 
 /// Below this many elements the built-in sampler is skipped: sampling
 /// would cost more than the select over all of them that it spares.
-pub(crate) const PREFILTER_MIN: usize = 4096;
+const PREFILTER_MIN: usize = 4096;
 
 /// Comparison magnitude of a value: `|v|`, with NaN mapped to 0 so the
 /// order stays total (a NaN gradient coordinate sorts as if it were zero
@@ -101,17 +107,16 @@ impl TopkScratch {
 }
 
 /// The exact tail's working pairs: the band's (candidate position,
-/// value) pairs — and, in the split merge, first the sample's magnitudes
-/// (in `val`) and last its rejected candidates' (index, value) pairs.
+/// value) pairs.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct Band {
-    pub(crate) pos: Vec<u32>,
-    pub(crate) val: Vec<f32>,
+struct Band {
+    pos: Vec<u32>,
+    val: Vec<f32>,
 }
 
 impl Band {
     /// Both vectors, emptied, as one side of a partition.
-    pub(crate) fn cleared(&mut self) -> PairVecs<'_> {
+    fn cleared(&mut self) -> PairVecs<'_> {
         self.pos.clear();
         self.val.clear();
         (&mut self.pos, &mut self.val)
@@ -125,7 +130,7 @@ impl Band {
     /// function of the select's shape, not of how one sample fell, so a
     /// warm buffer does not grow (and a band past it grows the vectors
     /// once).
-    pub(crate) fn reserve_for(&mut self, q: f64, step: usize) {
+    fn reserve_for(&mut self, q: f64, step: usize) {
         let sampled = 8.0 * q.sqrt();
         let room = ((sampled + 4.0 * sampled.sqrt()) * step as f64) as usize;
         let (pos, val) = self.cleared();
@@ -135,7 +140,7 @@ impl Band {
 }
 
 /// The sampling stride over `n` entries: about `min(64 Ki, n/16)` samples.
-pub(crate) fn sample_step(n: usize) -> usize {
+fn sample_step(n: usize) -> usize {
     n.div_ceil(64 * 1024).max(16)
 }
 
@@ -157,14 +162,14 @@ pub(crate) fn sample_positions(n: usize, step: usize) -> impl Iterator<Item = us
 /// most `k` clear `hi` (the *band check*). Only the band `lo < |v| ≤ hi`
 /// then needs a select.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Cut {
-    pub(crate) lo: f32,
-    pub(crate) hi: f32,
+struct Cut {
+    lo: f32,
+    hi: f32,
 }
 
 impl Cut {
     /// No cut: every entry is a candidate and all of them are band.
-    pub(crate) const NONE: Cut = Cut {
+    const NONE: Cut = Cut {
         lo: -1.0,
         hi: f32::INFINITY,
     };
@@ -176,7 +181,7 @@ impl Cut {
     /// the band check fails only as a four-sigma event. `None` when the
     /// lower quota reaches the sample size — no threshold would exclude
     /// anything worth a pass.
-    pub(crate) fn from_sample(sample: &mut [f32], q: f64) -> Option<Cut> {
+    fn from_sample(sample: &mut [f32], q: f64) -> Option<Cut> {
         let spread = 4.0 * q.sqrt();
         let quota = (q + spread).ceil() as usize;
         if quota >= sample.len() {
@@ -198,34 +203,94 @@ impl Cut {
     }
 }
 
-/// Step 3's answer over a candidate list: the k-th magnitude `t` and the
-/// position where the admitted ties end. The candidate at position `j` is
-/// selected iff its magnitude is `> t`, or `== t` with `j < tie_end`.
+/// An exact top-k selection as a rule over the coordinates of the input
+/// it read: the entry `(i, v)` was selected iff `mag(v) > t`, or
+/// `mag(v) == t` and `i < tie_end` — the kernel's `t*` and where its
+/// admitted ties end. It holds for the input as the select read it.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Kth {
+pub struct SelectRule {
     t: f32,
     tie_end: usize,
 }
 
-impl Kth {
-    /// Every candidate is selected.
-    const ALL: Kth = Kth {
+/// What a select reads: pairs in ascending index order.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Input<'a> {
+    /// `(j, v[j])`: a dense buffer.
+    Dense(&'a [f32]),
+    /// `(idx[j], val[j])`: packed pairs.
+    Packed(&'a [u32], &'a [f32]),
+}
+
+impl<'a> Input<'a> {
+    fn vals(self) -> &'a [f32] {
+        match self {
+            Input::Dense(v) | Input::Packed(_, v) => v,
+        }
+    }
+
+    /// The pairs at positions `r`.
+    fn pairs(self, r: Range<usize>) -> Pairs<'a> {
+        match self {
+            Input::Dense(v) => Pairs::Dense {
+                base: r.start as u32,
+                v: &v[r],
+            },
+            Input::Packed(idx, val) => Pairs::Packed {
+                idx: &idx[r.clone()],
+                val: &val[r],
+            },
+        }
+    }
+
+    /// The coordinate at position `j`.
+    fn index(self, j: usize) -> usize {
+        match self {
+            Input::Dense(_) => j,
+            Input::Packed(idx, _) => idx[j] as usize,
+        }
+    }
+
+    /// How many pairs lie below coordinate `i`.
+    fn position(self, i: usize) -> usize {
+        match self {
+            Input::Dense(v) => i.min(v.len()),
+            Input::Packed(idx, _) => idx.partition_point(|&x| (x as usize) < i),
+        }
+    }
+}
+
+impl SelectRule {
+    /// Whether the select took the entry `(i, v)` of its input. Without
+    /// a branch: whether a global coordinate is a rank's own is a coin
+    /// toss, and on a residual out of cache each misprediction discards
+    /// the loads behind it (a branching test made a k = 250 000 put-back
+    /// 4.2–5.0 ms of wall clock in a P = 4 step, this one 1.3–1.6 ms).
+    #[inline]
+    pub(crate) fn admits(self, i: usize, v: f32) -> bool {
+        let m = mag(v);
+        (m > self.t) | ((m == self.t) & (i < self.tie_end))
+    }
+
+    /// Every entry is selected.
+    const ALL: SelectRule = SelectRule {
         t: -1.0,
         tie_end: 0,
     };
 
-    /// Step 3 for the top-`k` of the candidate values `vals`, given that
-    /// at most `k` of them should lie above `hi` (`+∞`: no band): gathers
+    /// Step 3 for the top-`k` of the candidates `cands`, given that at
+    /// most `k` of them should lie above `hi` (`+∞`: no band): gathers
     /// the band `|v| ≤ hi` into `band` and radix-selects over it — or over
-    /// all of `vals` when there is no band or more than `k` clear `hi`.
-    pub(crate) fn find(k: usize, vals: &[f32], hi: f32, band: &mut Band) -> Kth {
+    /// every candidate when there is no band or more than `k` clear `hi`.
+    fn find(k: usize, cands: Input<'_>, hi: f32, band: &mut Band) -> SelectRule {
+        let vals = cands.vals();
         let n = vals.len();
         if k >= n {
-            return Kth::ALL;
+            return SelectRule::ALL;
         }
         if k == 0 {
             // Nothing is above +∞.
-            return Kth {
+            return SelectRule {
                 t: f32::INFINITY,
                 tie_end: 0,
             };
@@ -236,40 +301,39 @@ impl Kth {
             let n_hi = n - band.pos.len();
             if n_hi == k {
                 // The certain members are the whole answer.
-                return Kth { t: hi, tie_end: 0 };
+                return SelectRule { t: hi, tie_end: 0 };
             }
             if n_hi < k {
                 let at = band.pos.iter().map(|&p| p as usize);
-                return Kth::rank(k - n_hi, &band.val, at, n);
+                return SelectRule::rank(k - n_hi, &band.val, at, cands);
             }
         }
-        Kth::rank(k, vals, 0..n, n)
+        SelectRule::rank(k, vals, 0..n, cands)
     }
 
     /// The `r`-th largest magnitude of `vals` (`1 ≤ r ≤ vals.len()`),
-    /// whose candidate positions out of `n` are `at`: every tie at it is
-    /// admitted when the top `r` holds all of them, else they end at the
-    /// first one it does not hold.
-    fn rank(r: usize, vals: &[f32], at: impl Iterator<Item = usize>, n: usize) -> Kth {
+    /// whose positions among `cands` are `at`: every tie at it is
+    /// admitted when the top `r` holds all of them, else they end just
+    /// past the coordinate of the last one it holds.
+    fn rank(r: usize, vals: &[f32], at: impl Iterator<Item = usize>, cands: Input<'_>) -> Self {
         let (t, admitted, ties) = radix_select(r, vals);
         let tie_end = if admitted == ties {
-            n
+            usize::MAX
         } else {
             let mut tied = at.zip(vals).filter(|&(_, &v)| mag(v) == t);
-            tied.nth(admitted).map_or(n, |(j, _)| j)
+            tied.nth(admitted - 1)
+                .map_or(0, |(j, _)| cands.index(j) + 1)
         };
-        Kth { t, tie_end }
+        SelectRule { t, tie_end }
     }
 
-    /// Step 4: appends the selected pairs of the `n` candidates to
-    /// `kept` and, when given, every other one to `rejected`, both in
-    /// candidate order — a partition at `mag ≥ t` over the candidates
-    /// before the ties' end and one at `mag > t` over those from it.
-    /// `src(range)` yields the candidates in `range`.
-    pub(crate) fn emit<'s>(
+    /// Step 4: appends the selected pairs of `input` to `kept` and, when
+    /// given, every other one to `rejected`, both ascending — a partition
+    /// at `mag ≥ t` over the pairs below the ties' end and one at
+    /// `mag > t` over those from it.
+    fn emit(
         self,
-        n: usize,
-        src: impl Fn(Range<usize>) -> Pairs<'s>,
+        input: Input<'_>,
         (kept_idx, kept_val): PairVecs<'_>,
         mut rejected: Option<PairVecs<'_>>,
     ) {
@@ -280,12 +344,12 @@ impl Kth {
         } else {
             -1.0
         };
-        let end = self.tie_end.min(n);
+        let (n, end) = (input.vals().len(), input.position(self.tie_end));
         for (range, thr) in [(0..end, at_least), (end..n, self.t)] {
             if !range.is_empty() {
                 let rejected = rejected.as_mut().map(|(i, v)| (&mut **i, &mut **v));
                 let kept = (&mut *kept_idx, &mut *kept_val);
-                simd::partition_above(src(range), thr, Some(kept), rejected);
+                simd::partition_above(input.pairs(range), thr, Some(kept), rejected);
             }
         }
     }
@@ -352,57 +416,68 @@ fn sampled_cut(
     Some(cut)
 }
 
-/// Steps 3–4 of the kernel over `values`: writes the exact top-`k` pairs
-/// into `out`, ascending, given the candidates strictly above the cut's
-/// `lo` in `scratch` — or, without a cut or when fewer than `k` were
-/// collected, over every index. Returns how many coordinates the tail
-/// examined.
+/// Steps 3–4 of the kernel over `input`: appends the exact top-`k` pairs
+/// to `kept` and, when given, every other pair to `rejected`, both
+/// ascending — selecting among the candidates strictly above the cut's
+/// `lo` in `scratch` or, without a cut or when fewer than `k` were
+/// collected, among every pair. Returns how many pairs the tail examined
+/// and the selection as a [`SelectRule`].
 fn select_among(
-    values: &[f32],
+    input: Input<'_>,
     k: usize,
     cut: Option<Cut>,
     scratch: &mut TopkScratch,
-    out: &mut SparseVec,
-) -> usize {
-    let n = values.len();
-    out.dim = n;
-    out.clear();
-    if k >= n {
-        out.indices.extend(0..n as u32);
-        out.values.extend_from_slice(values);
-        return n;
-    }
-    if k == 0 {
-        return n;
-    }
-    out.indices.reserve_exact(k);
-    out.values.reserve_exact(k);
+    kept: PairVecs<'_>,
+    rejected: Option<PairVecs<'_>>,
+) -> (usize, SelectRule) {
+    let n = input.vals().len();
+    kept.0.reserve_exact(k.min(n));
+    kept.1.reserve_exact(k.min(n));
     let TopkScratch {
         cand_idx,
         cand_val,
         band,
     } = scratch;
-    let kept = (&mut out.indices, &mut out.values);
-    match cut {
-        Some(cut) if cand_idx.len() >= k => {
-            let kth = Kth::find(k, cand_val, cut.hi, band);
-            let src = |r: Range<usize>| Pairs::Packed {
-                idx: &cand_idx[r.clone()],
-                val: &cand_val[r],
-            };
-            kth.emit(cand_idx.len(), src, kept, None);
-            cand_idx.len()
-        }
-        _ => {
-            let kth = Kth::find(k, values, f32::INFINITY, band);
-            let src = |r: Range<usize>| Pairs::Dense {
-                base: r.start as u32,
-                v: &values[r],
-            };
-            kth.emit(n, src, kept, None);
-            n
+    let (cands, cut) = match cut {
+        Some(cut) if cand_idx.len() >= k => (Input::Packed(cand_idx, cand_val), cut),
+        _ => (input, Cut::NONE),
+    };
+    let mut rule = SelectRule::find(k, cands, cut.hi, band);
+    // `ALL` takes every candidate, which is every entry above `lo`.
+    rule.t = rule.t.max(cut.lo);
+    match rejected {
+        None => rule.emit(cands, kept, None),
+        // The rejects are every pair the answer leaves, candidate or not:
+        // the emit reads the whole input.
+        Some(rejected) => {
+            rejected.0.reserve_exact(n.saturating_sub(k));
+            rejected.1.reserve_exact(n.saturating_sub(k));
+            rule.emit(input, kept, Some(rejected));
         }
     }
+    (cands.vals().len(), rule)
+}
+
+/// The whole kernel, steps 1–4, over `input`: appends its exact top-`k`
+/// pairs to `kept` and, when given, every other pair to `rejected`, both
+/// ascending (see [`select_among`]). The local select runs it over a
+/// dense buffer, the `⊤` merge over the packed pairs of its sum.
+pub(crate) fn select(
+    input: Input<'_>,
+    k: usize,
+    scratch: &mut TopkScratch,
+    kept: PairVecs<'_>,
+    rejected: Option<PairVecs<'_>>,
+) -> (usize, SelectRule) {
+    scratch.cand_idx.clear();
+    scratch.cand_val.clear();
+    let n = input.vals().len();
+    let cut = sampled_cut(n, k, scratch, |j| input.vals()[j]);
+    if let Some(cut) = cut {
+        let cand = (&mut scratch.cand_idx, &mut scratch.cand_val);
+        simd::partition_above(input.pairs(0..n), cut.lo, Some(cand), None);
+    }
+    select_among(input, k, cut, scratch, kept, rejected)
 }
 
 /// Sparsifies a dense vector into `out`, keeping the `k` entries of
@@ -422,14 +497,10 @@ pub fn topk_sparse_into(
     scratch: &mut TopkScratch,
     out: &mut SparseVec,
 ) -> usize {
-    scratch.cand_idx.clear();
-    scratch.cand_val.clear();
-    let cut = sampled_cut(dense.len(), k, scratch, |i| dense[i]);
-    if let Some(cut) = cut {
-        let cand = (&mut scratch.cand_idx, &mut scratch.cand_val);
-        simd::partition_above(Pairs::Dense { v: dense, base: 0 }, cut.lo, Some(cand), None);
-    }
-    select_among(dense, k, cut, scratch, out)
+    out.dim = dense.len();
+    out.clear();
+    let kept = (&mut out.indices, &mut out.values);
+    select(Input::Dense(dense), k, scratch, kept, None).0
 }
 
 /// Indices of the `k` entries of largest absolute value, ascending order.
@@ -490,6 +561,28 @@ pub fn accumulate_select_compact(
     scratch: &mut TopkScratch,
     out: &mut SparseVec,
 ) -> usize {
+    let (examined, _) = accumulate_select(acc, grad, k, scratch, out);
+    for &i in &out.indices {
+        acc[i as usize] = 0.0;
+    }
+    examined
+}
+
+/// [`accumulate_select_compact`] without step 3: the selection stays in
+/// `acc`, and the returned [`SelectRule`] tells which of its coordinates
+/// the select took, for as long as `acc` is not written. Also returns the
+/// examined count.
+///
+/// # Panics
+///
+/// Panics if `grad.len() != acc.len()`.
+pub(crate) fn accumulate_select(
+    acc: &mut [f32],
+    grad: &[f32],
+    k: usize,
+    scratch: &mut TopkScratch,
+    out: &mut SparseVec,
+) -> (usize, SelectRule) {
     assert_eq!(grad.len(), acc.len(), "gradient length mismatch");
     scratch.cand_idx.clear();
     scratch.cand_val.clear();
@@ -508,11 +601,10 @@ pub fn accumulate_select_compact(
         }
         None => simd::axpy(acc, grad),
     }
-    let examined = select_among(acc, k, cut, scratch, out);
-    for &i in &out.indices {
-        acc[i as usize] = 0.0;
-    }
-    examined
+    out.dim = acc.len();
+    out.clear();
+    let kept = (&mut out.indices, &mut out.values);
+    select_among(Input::Dense(acc), k, cut, scratch, kept, None)
 }
 
 #[cfg(test)]

@@ -190,26 +190,30 @@ fn exact_fused_path_allocates_nothing_after_the_first_step() {
     }
 }
 
-/// The tree's two `⊤` merges at the first warm-up epoch's density — the
-/// plain one and the split the feedback row runs — and the one-walk
-/// put-backs of Algorithm 4 line 10: after the first call none of them
-/// allocates, although every later call merges different selections.
+/// One put-back row's step at the first warm-up epoch's density: the
+/// select-then-retire selection, the tree's two `⊤` merges — the plain one
+/// and the split the feedback row runs — and the retire and put-back of
+/// Algorithm 4 lines 8 and 10. After the first step none of them
+/// allocates, although every later step selects and merges differently.
 #[test]
 fn fused_merges_and_put_back_allocate_nothing_after_the_first_call() {
     let n = 1 << 18;
     let k = n / 4;
-    let selections: Vec<SparseVec> = grad_epoch(n, 6).iter().map(|g| topk_sparse(g, k)).collect();
+    let grads = grad_epoch(n, 6);
+    let selections: Vec<SparseVec> = grads.iter().map(|g| topk_sparse(g, k)).collect();
     let mut scratch = MergeScratch::new();
+    let mut local = SparseVec::empty(n);
     let mut kept = SparseVec::empty(n);
     let mut rejected = SparseVec::empty(n);
     let mut r = Residual::new(n);
     let mut step = |s: usize| {
-        let (a, b) = (&selections[s], &selections[s + 1]);
-        topk_merge_into(a, b, k, &mut scratch, &mut kept);
+        let rule = r.accumulate_select_into(&grads[s], k, &mut local);
+        let other = &selections[s + 1];
+        topk_merge_into(&local, other, k, &mut scratch, &mut kept);
         assert_eq!(kept.nnz(), k);
-        r.put_back_unselected(a, kept.indices());
-        topk_merge_split_into(a, b, k, &mut scratch, &mut kept, &mut rejected);
+        topk_merge_split_into(&local, other, k, &mut scratch, &mut kept, &mut rejected);
         assert!(!rejected.is_empty());
+        r.retire(rule, kept.indices());
         r.put_back_selected(&rejected, kept.indices());
     };
     step(0);

@@ -81,10 +81,19 @@ require_tests -p gtopk-core --lib overlap::tests::the_serial_baseline_is_the_one
 require_tests -p gtopk-core --lib overlap::tests::fusion_preserves_totals
 require_tests -p gtopk-core --lib overlap::tests::invariant_checker_rejects_violations
 require_tests -p gtopk-core --test capability_sweep
-# The fused `⊤` merge: its oracle tests against the two-pointer sum + full
-# sort, and the allocation gate over both merges and the one-walk put-back.
+# The `⊤` merge: its oracle tests against the two-pointer sum + full sort
+# (kept and split, shared supports, cancellation, ties at the k-th
+# magnitude, ±0.0, NaN, denormals), and the allocation gate over both
+# merges and the select-then-retire put-back. The retire equals the
+# one-walk put-back it replaced, no residual operation leaves −0.0 (what
+# makes the two bitwise equal), and every rank of a tree row serves its
+# steps from its buffer pool after warm-up.
 require_tests -p gtopk-sparse --lib merge::
+require_tests -p gtopk-sparse --lib merge::tests::prop_merges_match_the_oracle_split
 require_tests -p gtopk-sparse --test alloc_steadystate merge
+require_tests -p gtopk-sparse --lib residual::tests::prop_retire_equals_the_one_walk_put_back
+require_tests -p gtopk-sparse --lib residual::tests::prop_no_operation_leaves_negative_zero
+require_tests -p gtopk-core --lib overlap::tests::every_rank_serves_its_steps_from_its_pool_after_warm_up
 # The packed top-k kernel: every level writes the scalar reference's
 # (index, value) pairs at every lane remainder, with NaN, ±0, ±∞,
 # denormals and ties, into outputs with and without spare room; the
