@@ -21,7 +21,7 @@
 //!   forward and backward, at the benchmark workload's batch of 16 8×8
 //!   images, and conv1's backward as a first layer runs it (no input
 //!   gradient);
-//! * vgg-lite's first max pool, forward and backward;
+//! * vgg-lite's two max pools, forward and backward;
 //! * conv1's per-sample weight-gradient GEMM (27 columns, none in a
 //!   32-wide tile) at every SIMD level;
 //! * fc1's per-forward weight transpose, per element against 8×8 tiles;
@@ -555,9 +555,11 @@ fn bench_matmul(rows: &mut Vec<Row>) {
     }
 }
 
-/// One layer's forward and backward at a fixed input, single thread,
-/// each summed over 20 calls a sample. Backward consumes the input its
-/// forward cached, so every timed backward follows an untimed forward.
+/// One layer's forward and backward, single thread, each summed over 20
+/// calls a sample that alternate two distinct `(input, output gradient)`
+/// batches, so that no data-dependent cost (a branch, a cache line) is
+/// timed on one input the host has learned. Backward consumes the input
+/// its forward cached, so every timed backward follows an untimed forward.
 /// `elements` is the forward's multiply-adds per call, so a layer's rows
 /// share a unit. A `first` layer also gets a `backward_params` row: the
 /// backward a network's first layer runs, without the input gradient.
@@ -565,7 +567,7 @@ fn bench_layer(
     rows: &mut Vec<Row>,
     (kernel, first): (&'static str, bool),
     layer: &mut dyn Layer,
-    (x, dy): (&Tensor, &Tensor),
+    batches: &[(Tensor, Tensor); 2],
     elements: usize,
 ) {
     const CALLS: usize = 20;
@@ -575,7 +577,10 @@ fn bench_layer(
         &["forward", "backward"]
     };
     for &variant in variants {
+        let mut turn = 0;
         let mut call = || {
+            let (x, dy) = &batches[turn % 2];
+            turn += 1;
             let t = Instant::now();
             black_box(layer.forward(black_box(x), true));
             if variant == "forward" {
@@ -607,6 +612,11 @@ fn random_tensor(rng: &mut StdRng, shape: Shape) -> Tensor {
     Tensor::from_vec(shape, data.collect()).expect("numel matches")
 }
 
+/// Two distinct `(input, output gradient)` batches of random values.
+fn two_batches(rng: &mut StdRng, x: &Shape, y: &Shape) -> [(Tensor, Tensor); 2] {
+    std::array::from_fn(|_| (random_tensor(rng, x.clone()), random_tensor(rng, y.clone())))
+}
+
 /// vgg-lite's two convolutions and its first fully-connected layer at the
 /// benchmark workload's shape: a batch of 16 8×8 images, so conv1 maps
 /// 3→16 channels at 8×8, conv2 16→32 at the pooled 4×4, and fc1 the
@@ -619,42 +629,44 @@ fn bench_vgg_layers(rows: &mut Vec<Row>) {
         ("conv2d_vgg_conv2", 16, 32, 4),
     ] {
         let mut conv = Conv2d::new(&mut rng, in_c, out_c, 3, 1, 1);
-        let x = random_tensor(&mut rng, Shape::d4(batch, in_c, img, img));
-        let dy = random_tensor(&mut rng, Shape::d4(batch, out_c, img, img));
+        let batches = two_batches(
+            &mut rng,
+            &Shape::d4(batch, in_c, img, img),
+            &Shape::d4(batch, out_c, img, img),
+        );
         let elements = batch * img * img * out_c * in_c * 9;
         let first = kernel == "conv2d_vgg_conv1";
-        bench_layer(rows, (kernel, first), &mut conv, (&x, &dy), elements);
+        bench_layer(rows, (kernel, first), &mut conv, &batches, elements);
     }
     let (nin, nout) = (128, 128);
     let mut fc1 = Linear::new(&mut rng, nin, nout);
-    let x = random_tensor(&mut rng, Shape::d2(batch, nin));
-    let dy = random_tensor(&mut rng, Shape::d2(batch, nout));
+    let batches = two_batches(&mut rng, &Shape::d2(batch, nin), &Shape::d2(batch, nout));
     bench_layer(
         rows,
         ("linear_vgg_fc1", false),
         &mut fc1,
-        (&x, &dy),
+        &batches,
         batch * nin * nout,
     );
 }
 
-/// vgg-lite's first max pool at the benchmark workload's shape: conv1's
-/// 16 ReLU'd 8×8 planes a sample, batch 16. `elements` is the inputs
-/// read per call.
+/// vgg-lite's two max pools at the benchmark workload's shape, batch 16:
+/// the first over conv1's 16 ReLU'd 8×8 planes a sample, the second over
+/// conv2's 32 ReLU'd 4×4 planes. `elements` is the inputs read per call.
 fn bench_vgg_pool(rows: &mut Vec<Row>) {
     let mut rng = StdRng::seed_from_u64(31);
-    let shape = Shape::d4(16, 16, 8, 8);
-    let x = random_tensor(&mut rng, shape.clone()).map(|v| v.max(0.0));
-    let dy = random_tensor(&mut rng, Shape::d4(16, 16, 4, 4));
-    let elements = shape.volume();
-    let pool = &mut MaxPool2d::new(2);
-    bench_layer(
-        rows,
-        ("maxpool2d_vgg_pool1", false),
-        pool,
-        (&x, &dy),
-        elements,
-    );
+    for (kernel, c, img) in [
+        ("maxpool2d_vgg_pool1", 16, 8),
+        ("maxpool2d_vgg_pool2", 32, 4),
+    ] {
+        let shape = Shape::d4(16, c, img, img);
+        let mut batches = two_batches(&mut rng, &shape, &Shape::d4(16, c, img / 2, img / 2));
+        for (x, _) in &mut batches {
+            *x = x.map(|v| v.max(0.0));
+        }
+        let pool = &mut MaxPool2d::new(2);
+        bench_layer(rows, (kernel, false), pool, &batches, shape.volume());
+    }
 }
 
 /// conv1's per-sample weight-gradient GEMM, `dW_s [16, 27] = dY_s [16, 64]
@@ -840,7 +852,7 @@ fn render_json(rows: &[Row]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(
         out,
-        "  \"bench\": \"hot-path kernels at paper scale (n=14M k=14000 for select/merge, n=1M k=250000 for the _rho25 rows, put_back and frame_codec; n=25M k=25000 for opt_apply/simd/fusion rows; opt_apply_bucketed: n=25M in 8 buckets at rho=0.001, _vgg: vgg-lite per layer at rho=0.005, 200 steps a sample; conv2d_vgg_*, linear_vgg_fc1: vgg-lite's convolutions and first fc layer at batch 16 of 8x8 images, 20 calls a sample, elements = forward multiply-adds, backward_params = backward without the input gradient; maxpool2d_vgg_pool1: vgg-lite's first 2x2 max pool at batch 16, 20 calls a sample, elements = inputs read; gemm_acc_vgg_conv1_dw: conv1's per-sample weight-gradient GEMM [16,64]x[64,27], 16 calls a sample, elements = multiply-adds; transpose_128x128: 1000 transposes a sample)\","
+        "  \"bench\": \"hot-path kernels at paper scale (n=14M k=14000 for select/merge, n=1M k=250000 for the _rho25 rows, put_back and frame_codec; n=25M k=25000 for opt_apply/simd/fusion rows; opt_apply_bucketed: n=25M in 8 buckets at rho=0.001, _vgg: vgg-lite per layer at rho=0.005, 200 steps a sample; conv2d_vgg_*, linear_vgg_fc1: vgg-lite's convolutions and first fc layer at batch 16 of 8x8 images, 20 calls a sample alternating two input batches, elements = forward multiply-adds, backward_params = backward without the input gradient; maxpool2d_vgg_pool1, _pool2: vgg-lite's 2x2 max pools at batch 16 (16 8x8 and 32 4x4 planes a sample), 20 calls a sample alternating two input batches, elements = inputs read; gemm_acc_vgg_conv1_dw: conv1's per-sample weight-gradient GEMM [16,64]x[64,27], 16 calls a sample, elements = multiply-adds; transpose_128x128: 1000 transposes a sample)\","
     );
     let cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let _ = writeln!(out, "  \"cpus\": {cpus},");

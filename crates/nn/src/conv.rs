@@ -12,23 +12,34 @@
 //! # Data movement
 //!
 //! * **Index tables, not row runs.** Where every im2col entry comes from
-//!   depends only on the input's plane size, so the layer builds it once
-//!   per `(h, w)` and keeps it: `gather` (`[ckk, l]`) names, for each
-//!   column entry, the element of the sample's padded copy `[x | 0.0]` it
-//!   reads, with every padding entry pointing at the trailing zero. im2col
-//!   is then one gather per entry — no padding test, no per-run setup and
-//!   no zeroing of the columns first; conv2's 4×4 planes used to cost
-//!   9 216 runs of at most four elements a step. col2im is a gather-sum
-//!   over the table inverted (`starts`/`sources`: each input element's
-//!   readers).
+//!   depends only on the input's plane size, so the layer builds its
+//!   tables once per `(h, w)` (and chunk size) and keeps them: `gather`
+//!   (`[ckk, l]`) names, for each column entry, the element of the
+//!   sample's padded copy `[x | 0.0]` it reads, with every padding entry
+//!   pointing at the trailing zero. im2col is then one
+//!   [`simd::gather`] call per sample — rows `cb` apart in the chunk's
+//!   columns, eight entries a `vgatherdps` at AVX2 — with no padding
+//!   test, no per-run setup and no zeroing of the columns first; conv2's
+//!   4×4 planes used to cost 9 216 runs of at most four elements a step.
+//! * **col2im is a fixed-width gather-sum.** `col2im` (`[k², chw]`)
+//!   gives every input element `k²` reader slots, one per kernel offset
+//!   `(ky, kx)` in ascending order: the index in the chunk's `dcols` of
+//!   the entry that reads it there, or a `+0.0` slot past `dcols` where
+//!   that offset reads none of its elements (the padding, the image's
+//!   edges, a stride's gaps). [`simd::gather_sum`] then sums eight input
+//!   elements at a time, each from `+0.0` over its `k²` slots. Its
+//!   indices assume a `dcols` of `cb = chunk·l` columns, so a last,
+//!   partial chunk runs its input-gradient GEMM at that full width too
+//!   (the extra columns are never read).
 //! * **Forward keeps its input, not its columns.** Forward copies the
 //!   batch into padded samples (a grow-only buffer) and builds one chunk
 //!   of columns at a time. Backward gathers each sample's weight-gradient
 //!   operand straight into its `[l, ckk]` layout through the transposed
-//!   table (`gather_t`) — no transpose — into the chunk buffer, which then
-//!   takes `dcols`. Every other per-call buffer (`Y`, the chunk's `dY`,
-//!   `dW_s`, `Wᵀ`) is grow-only too, so a steady-state call allocates only
-//!   the tensor it returns. The one-shot contract is unchanged (backward
+//!   table (`gather_t`, one [`simd::gather`] call per sample) — no
+//!   transpose — into the chunk buffer, which then takes `dcols`. Every
+//!   other per-call buffer (`Y`, the chunk's `dY`, `dW_s`, `Wᵀ`) is
+//!   grow-only too, so a steady-state call allocates only the tensor it
+//!   returns. The one-shot contract is unchanged (backward
 //!   without a forward panics).
 //! * **No input gradient for a first layer.** [`Layer::backward_params`]
 //!   runs the weight and bias gradients only: no `dcols` GEMM and no
@@ -50,7 +61,14 @@
 //!   same skip, again per column. col2im then sums each input element's
 //!   readers from `+0.0` in ascending `(ky, kx)`: the order the
 //!   `(ci, ky, kx, oy, ox)` scatter into a zeroed gradient gave it (each
-//!   `(ky, kx)` reads an element at most once).
+//!   `(ky, kx)` reads an element at most once). The `+0.0` an absent
+//!   reader adds changes no bit of that sum: a sum that starts at `+0.0`
+//!   is never `−0.0` (IEEE-754 gives `−0.0` only for `−0.0 + −0.0`), and
+//!   `s + 0.0 == s` bit for bit for every other finite or infinite `s`;
+//!   a NaN in `dcols` comes from the GEMM's arithmetic, so it is already
+//!   quiet, and a quiet NaN survives `+ 0.0` with its bits. The real
+//!   readers keep their order, so the gather-sum is bitwise the span fold
+//!   over each element's readers it replaced.
 //! * **Weight gradient.** Each sample's `dW_s[oc, p] = Σ_pos dY[oc, pos]·
 //!   cols[p, pos]` stays one sequential chain from `+0.0` in ascending
 //!   `pos`, and `grads += dW_s` sample by sample. To run that chain on SIMD
@@ -64,7 +82,8 @@
 //!   that stays per sample.
 
 use crate::Layer;
-use gtopk_tensor::{kaiming_uniform, matmul_flat, simd, transpose_into, Shape, Tensor};
+use gtopk_tensor::simd::{self, IndexTable};
+use gtopk_tensor::{kaiming_uniform, matmul_flat, transpose_into, Shape, Tensor};
 use rand::Rng;
 use std::ops::Range;
 
@@ -138,68 +157,60 @@ impl Geometry {
     }
 }
 
-/// Where every im2col entry comes from, for one input plane size. A
+/// Where every im2col entry comes from and where every input element's
+/// gradient is read back from, for one input plane size and chunk. A
 /// sample is read from its padded copy `[x | 0.0]`, so an entry the
 /// kernel reads from the padding points at the trailing zero (`chw`).
 #[derive(Default)]
 struct Tables {
-    /// `(h, w)` the tables were built for.
-    plane: (usize, usize),
+    /// `(h, w, chunk)` the tables were built for.
+    key: (usize, usize, usize),
     /// `[ckk, l]`: the padded-sample index of each column entry.
-    gather: Vec<u32>,
-    /// `[l, ckk]`: `gather` transposed, the weight gradient's operand.
-    gather_t: Vec<u32>,
-    /// Input element `e` is read by the column entries
-    /// `sources[starts[e]..starts[e + 1]]`, as `(row, pos)` in ascending
-    /// `(ky, kx)`.
-    starts: Vec<u32>,
-    sources: Vec<(u32, u32)>,
+    gather: IndexTable,
+    /// `[1, l·ckk]`: `gather` transposed, the weight gradient's operand.
+    gather_t: IndexTable,
+    /// `[k², chw]`: input element `e`'s reader at kernel offset
+    /// `(ky, kx)`, as the index `row·cb + pos` of its entry in a chunk's
+    /// `dcols` (`cb = chunk·l`, sample 0), or `ckk·cb` — a `+0.0` slot
+    /// past `dcols` — where that offset reads no element of `e`'s.
+    col2im: IndexTable,
 }
 
 impl Tables {
     fn new(conv: &Conv2d, g: &Geometry) -> Self {
         let (k, s, p) = (conv.k, conv.stride, conv.pad);
-        let (h, w, ow, l, chw) = (g.h, g.w, g.ow, g.l, g.chw);
-        let pad = u32::try_from(chw).expect("a sample's index fits u32");
+        let (h, w, ow, l, chw, ckk) = (g.h, g.w, g.ow, g.l, g.chw, g.ckk);
+        let cb = g.chunk * l;
+        let index = |i: usize| u32::try_from(i).expect("a chunk's index fits u32");
         // The input coordinate output `o` reads at kernel offset `kd`, if
         // it lies inside `0..n_in`.
         let at =
             |kd: usize, o: usize, n_in: usize| (o * s + kd).checked_sub(p).filter(|&i| i < n_in);
-        let mut gather = vec![pad; g.ckk * l];
-        // (element, row, pos) of every entry that reads the image, in
-        // (ci, ky, kx, oy, ox) order.
-        let mut reads = Vec::with_capacity(g.ckk * l);
+        let mut gather = vec![index(chw); ckk * l];
+        let mut col2im = vec![index(ckk * cb); k * k * chw];
         for (row, idx) in gather.chunks_exact_mut(l).enumerate() {
-            let (ci, ky, kx) = (row / (k * k), row / k % k, row % k);
+            let (ci, kk) = (row / (k * k), row % (k * k));
+            let (ky, kx) = (kk / k, kk % k);
             for (pos, i) in idx.iter_mut().enumerate() {
                 if let (Some(iy), Some(ix)) = (at(ky, pos / ow, h), at(kx, pos % ow, w)) {
                     let e = ci * h * w + iy * w + ix;
-                    *i = e as u32;
-                    reads.push((e, row as u32, pos as u32));
+                    *i = index(e);
+                    // Each (ky, kx) reads an element at most once.
+                    col2im[kk * chw + e] = index(row * cb + pos);
                 }
             }
         }
-        // Stable: each element keeps its readers in ascending (ky, kx).
-        reads.sort_by_key(|&(e, ..)| e);
-        let mut starts = vec![0u32; chw + 1];
-        for &(e, ..) in &reads {
-            starts[e + 1] += 1;
-        }
-        for e in 0..chw {
-            starts[e + 1] += starts[e];
-        }
-        let mut gather_t = vec![0u32; l * g.ckk];
+        let mut gather_t = vec![0u32; l * ckk];
         for (row, idx) in gather.chunks_exact(l).enumerate() {
             for (pos, &i) in idx.iter().enumerate() {
-                gather_t[pos * g.ckk + row] = i;
+                gather_t[pos * ckk + row] = i;
             }
         }
         Tables {
-            plane: (h, w),
-            gather,
-            gather_t,
-            starts,
-            sources: reads.into_iter().map(|(_, row, pos)| (row, pos)).collect(),
+            key: (h, w, g.chunk),
+            gather: IndexTable::new(gather, l),
+            gather_t: IndexTable::new(gather_t, l * ckk),
+            col2im: IndexTable::new(col2im, chw),
         }
     }
 }
@@ -314,11 +325,8 @@ impl Conv2d {
         for (s, dys) in grad_out.data().chunks_exact(oc_n * l).enumerate() {
             // dW_s [oc, ckk] = dY_s [oc, l] · cols_sᵀ: per (oc, p) one
             // chain over ascending pos from +0.0, run across p.
-            let xs = &xpad[g.padded(s)];
             let cols_t = grown(cols, l * ckk);
-            for (d, &i) in cols_t.iter_mut().zip(&t.gather_t) {
-                *d = xs[i as usize];
-            }
+            simd::gather(&xpad[g.padded(s)], &t.gather_t, cols_t, l * ckk);
             dw.fill(0.0);
             simd::gemm_acc(dys, cols_t, dw, oc_n, l, ckk, false);
             simd::axpy(wg, dw);
@@ -333,9 +341,13 @@ impl Conv2d {
         // Wᵀ [ckk, oc] for the input gradient, once per call.
         let wt = grown(wt, ckk * oc_n);
         transpose_into(&self.params[..oc_n * ckk], ckk, oc_n, ckk, wt);
+        // Every chunk's `dcols` is `cb` columns wide, the width `col2im`
+        // was built for: a last, partial chunk runs its GEMM over columns
+        // past its samples too, which hold the previous chunk's dY and are
+        // never read.
+        let cb = g.chunk * l;
         for (s0, ns) in g.chunks() {
-            let cb = ns * l;
-            // dY of the chunk as [oc, ns·l].
+            // dY of the chunk as [oc, cb].
             let dy = grown(dy, oc_n * cb);
             let dy_chunk = &grad_out.data()[s0 * oc_n * l..(s0 + ns) * oc_n * l];
             for (si, dys) in dy_chunk.chunks_exact(oc_n * l).enumerate() {
@@ -343,20 +355,18 @@ impl Conv2d {
                     dy[oc * cb + si * l..oc * cb + (si + 1) * l].copy_from_slice(dyc);
                 }
             }
-            // dcols [ckk, ns·l] = Wᵀ [ckk, oc] · dY [oc, ns·l].
-            let dcols = grown(cols, ckk * cb);
-            matmul_flat(wt, dy, dcols, ckk, oc_n, cb);
-            // col2im: each input element sums its readers from +0.0.
+            // dcols [ckk, cb] = Wᵀ [ckk, oc] · dY [oc, cb], followed by
+            // the +0.0 slots an absent reader reads.
+            let dcols = grown(cols, ckk * cb + cb);
+            let (product, zeros) = dcols.split_at_mut(ckk * cb);
+            matmul_flat(wt, dy, product, ckk, oc_n, cb);
+            zeros.fill(0.0);
+            // col2im: each input element sums its k² reader slots from
+            // +0.0 in ascending (ky, kx); sample `si`'s entries sit `si·l`
+            // columns on.
             let dx = &mut grad_in.data_mut()[s0 * chw..(s0 + ns) * chw];
             for (si, dxs) in dx.chunks_exact_mut(chw).enumerate() {
-                let dcols = &dcols[si * l..];
-                for (d, span) in dxs.iter_mut().zip(t.starts.windows(2)) {
-                    *d = t.sources[span[0] as usize..span[1] as usize]
-                        .iter()
-                        .fold(0.0f32, |acc, &(row, pos)| {
-                            acc + dcols[row as usize * cb + pos as usize]
-                        });
-                }
+                simd::gather_sum(&dcols[si * l..], &t.col2im, dxs);
             }
         }
     }
@@ -370,7 +380,7 @@ impl Layer for Conv2d {
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
         let g = self.geometry(input.shape().dims());
         let (oc_n, l, ckk, chw) = (self.out_c, g.l, g.ckk, g.chw);
-        if self.tables.plane != (g.h, g.w) || self.tables.gather.is_empty() {
+        if self.tables.key != (g.h, g.w, g.chunk) {
             self.tables = Tables::new(self, &g);
         }
         let mut out = Tensor::zeros(Shape::d4(g.n, oc_n, g.oh, g.ow));
@@ -390,11 +400,7 @@ impl Layer for Conv2d {
             let cols = grown(cols, ckk * cb);
             for si in 0..ns {
                 let xs = &xpad[g.padded(s0 + si)];
-                for (row, idx) in gather.chunks_exact(l).enumerate() {
-                    for (d, &i) in cols[row * cb + si * l..][..l].iter_mut().zip(idx) {
-                        *d = xs[i as usize];
-                    }
-                }
+                simd::gather(xs, gather, &mut cols[si * l..], cb);
             }
             // Y [oc, ns·l] = W [oc, ckk] · cols [ckk, ns·l]
             let y = grown(y, oc_n * cb);

@@ -1,8 +1,7 @@
 //! Pooling and reshaping layers.
 
 use crate::Layer;
-use gtopk_tensor::{Shape, Tensor};
-use std::hint::select_unpredictable;
+use gtopk_tensor::{simd, Shape, Tensor};
 
 /// Max pooling over `[N, C, H, W]` with a square window and equal stride.
 #[derive(Debug)]
@@ -39,43 +38,23 @@ impl Layer for MaxPool2d {
     /// order, from `(-∞, the window's first element)`: a tie keeps the
     /// earlier element and NaN never wins, so a window of only NaN and
     /// `-∞` outputs `-∞` and routes its gradient to its first element.
-    /// The select is branch-free, one output row's windows advanced
-    /// together per window element.
+    ///
+    /// The scan is [`simd::max_pool`]: at AVX2, 2×2 windows over planes of
+    /// even height and a width that is a multiple of 8 (vgg-lite's first
+    /// pool) or is 4 (its second) run four windows at a time — one
+    /// `permutevar8x32` deals each load's elements into the windows'
+    /// `(dy, dx)` positions, then a compare, a value blend and an index
+    /// blend per position; every other shape, and the scalar level, runs
+    /// one branch-free loop per window. Both write the same bits.
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
         let dims = input.shape().dims();
         assert_eq!(dims.len(), 4, "maxpool expects [N, C, H, W]");
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         let k = self.k;
         assert!(h >= k && w >= k, "input smaller than pool window");
-        let (oh, ow) = (h / k, w / k);
-        let mut out = Tensor::full(Shape::d4(n, c, oh, ow), f32::NEG_INFINITY);
-        self.argmax.clear();
+        let mut out = Tensor::zeros(Shape::d4(n, c, h / k, w / k));
         self.argmax.resize(out.len(), 0);
-        let x = input.data();
-        let rows = out
-            .data_mut()
-            .chunks_exact_mut(ow)
-            .zip(self.argmax.chunks_exact_mut(ow));
-        for (r, (best, arg)) in rows.enumerate() {
-            // Output row `oy` of plane `r / oh` starts input row `oy·k`.
-            let (plane, oy) = (r / oh, r % oh);
-            let first = plane * h * w + oy * k * w;
-            for (ox, a) in arg.iter_mut().enumerate() {
-                *a = first + ox * k;
-            }
-            for dy in 0..k {
-                for dx in 0..k {
-                    let start = plane * h * w + (oy * k + dy) * w + dx;
-                    for (ox, (b, a)) in best.iter_mut().zip(arg.iter_mut()).enumerate() {
-                        let idx = start + ox * k;
-                        let v = x[idx];
-                        let wins = v > *b;
-                        *b = select_unpredictable(wins, v, *b);
-                        *a = select_unpredictable(wins, idx, *a);
-                    }
-                }
-            }
-        }
+        simd::max_pool(input.data(), (h, w), k, out.data_mut(), &mut self.argmax);
         self.in_shape = Some(input.shape().clone());
         out
     }
@@ -306,6 +285,7 @@ impl Layer for Flatten {
 mod tests {
     use super::*;
     use crate::gradcheck::{check_layer_gradients, check_layer_gradients_with_input};
+    use gtopk_tensor::simd::SimdLevel;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -391,39 +371,63 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The branch-free forward outputs the branching loop's maxima bit
-        /// for bit and routes the gradient to the same elements, over
-        /// windows of NaN, `±0.0`, `±∞` and ties (all-NaN and all-`-∞`
-        /// windows included), ragged planes and windows of 1–3.
+        /// The forward outputs the branching loop's maxima bit for bit and
+        /// routes the gradient to the same elements, at every SIMD level:
+        /// windows of 1–3 over ragged planes, and 2×2 windows over planes
+        /// 2–7 high and `w ∈ {2, 4, 6, 8, 10, 16}` wide — the AVX2
+        /// row-pair kernels' shapes, an odd last row pair at `w = 4`, and
+        /// the odd heights and other widths that fall back to the window
+        /// loop. Values are NaN, `±0.0`, `±∞`, ties and finite values,
+        /// and whole windows are often all NaN, all `-∞` or one tied
+        /// value.
         #[test]
         fn prop_maxpool_is_the_branching_loop(
-            (k, n, c) in (1usize..=3, 1usize..=3, 1usize..=3),
-            (h_extra, w_extra, seed) in (0usize..5, 0usize..5, 0u64..u64::MAX),
+            (pool2, k, n, c) in (0usize..2, 1usize..=3, 1usize..=3, 1usize..=3),
+            (h_extra, w_extra, wide, seed) in (0usize..6, 0usize..5, 0usize..6, 0u64..u64::MAX),
         ) {
-            let (h, w) = (k + h_extra, k + w_extra);
+            let (k, h, w) = if pool2 == 1 {
+                (2, 2 + h_extra, [2, 4, 6, 8, 10, 16][wide])
+            } else {
+                (k, k + h_extra.min(4), k + w_extra)
+            };
             let mut rng = StdRng::seed_from_u64(seed);
             let palette = [f32::NAN, 0.0, -0.0, f32::INFINITY, f32::NEG_INFINITY, 1.0, -1.0];
-            let data: Vec<f32> = (0..n * c * h * w)
+            let mut data: Vec<f32> = (0..n * c * h * w)
                 .map(|_| match rng.gen_range(0..10usize) {
                     i @ 0..=6 => palette[i],
                     _ => rng.gen_range(-2.0f32..2.0),
                 })
                 .collect();
+            for plane in data.chunks_exact_mut(h * w) {
+                for (oy, ox) in (0..h / k).flat_map(|oy| (0..w / k).map(move |ox| (oy, ox))) {
+                    let fill = [f32::NAN, f32::NEG_INFINITY, 0.5][rng.gen_range(0..3usize)];
+                    if rng.gen_range(0..4u32) == 0 {
+                        for dy in 0..k {
+                            let row = (oy * k + dy) * w + ox * k;
+                            plane[row..row + k].fill(fill);
+                        }
+                    }
+                }
+            }
             let x = Tensor::from_vec(Shape::d4(n, c, h, w), data).unwrap();
             let (expect, expect_arg) = oracle_maxpool(&x, k);
-            let mut pool = MaxPool2d::new(k);
-            let y = pool.forward(&x, true);
             let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            prop_assert_eq!(bits(y.data()), bits(&expect));
             // Small distinct integers: the gradient shows where each output
             // went, and every sum of them is exact.
-            let dy: Vec<f32> = (0..y.len()).map(|i| (i % 20) as f32 + 1.0).collect();
-            let dx = pool.backward(&Tensor::from_vec(y.shape().clone(), dy.clone()).unwrap());
+            let dy: Vec<f32> = (0..expect.len()).map(|i| (i % 20) as f32 + 1.0).collect();
             let mut expect_dx = vec![0.0f32; x.len()];
             for (&src, &g) in expect_arg.iter().zip(&dy) {
                 expect_dx[src] += g;
             }
-            prop_assert_eq!(bits(dx.data()), bits(&expect_dx));
+            for level in SimdLevel::ALL.into_iter().filter(|l| l.available()) {
+                simd::with_simd_level(level, || {
+                    let mut pool = MaxPool2d::new(k);
+                    let y = pool.forward(&x, true);
+                    assert_eq!(bits(y.data()), bits(&expect), "{level} {h}x{w} k={k}");
+                    let dx = pool.backward(&Tensor::from_vec(y.shape().clone(), dy.clone()).unwrap());
+                    assert_eq!(bits(dx.data()), bits(&expect_dx), "{level} {h}x{w} k={k}");
+                });
+            }
         }
     }
 

@@ -3,9 +3,21 @@
 //! Every per-element pass the per-step critical path performs — residual
 //! accumulate (`acc += g`), the packing kernel under every top-k
 //! threshold pass ([`partition_above`]: split `(index, value)` pairs at a
-//! magnitude, optionally fused with the accumulate), and the GEMM kernel
-//! under every matmul ([`gemm_acc`]) — funnels through this module, which
-//! picks an AVX2 or a portable-scalar implementation at runtime.
+//! magnitude, optionally fused with the accumulate), the GEMM kernel
+//! under every matmul ([`gemm_acc`]), the convolution's table-driven data
+//! movement ([`gather`]: im2col and the weight-gradient operand;
+//! [`gather_sum`]: col2im) and the max pool's window scan
+//! ([`max_pool`]) — funnels through this module, which picks an AVX2 or a
+//! portable-scalar implementation at runtime.
+//!
+//! # Gathers are safe
+//!
+//! The gathers read `src[table[j]]` through an [`IndexTable`], which
+//! records its largest entry when it is built. Each call compares that
+//! one number with `src.len()` and panics if the table reaches past the
+//! source, so the AVX2 kernel's unchecked `vgatherdps` loads never leave
+//! `src`: one O(1) check a call, none per element, and no `unsafe`
+//! function outside this module.
 //!
 //! # Dispatch
 //!
@@ -47,11 +59,18 @@
 //! - packing keeps each side's lanes in ascending lane order — a
 //!   left-pack permutation at AVX2, slot writes lane by lane at scalar
 //!   level — so pairs are emitted in exactly the serial order.
+//! - a gather only moves bits; a gather-sum adds each element's terms
+//!   from `+0.0` in ascending table row, one `addps` lane per element,
+//!   as the scalar loop adds them.
+//! - the max pool compares with `_CMP_GT_OQ` (false for NaN, as the
+//!   scalar `>`) and blends value and index on the same mask, taking a
+//!   window's elements in the scalar loop's `(dy, dx)` order.
 //! - denormals behave identically: Rust never enables FTZ/DAZ, and the
 //!   scalar f32 ops on `x86_64` execute on the same SSE units.
 
 use std::cell::Cell;
 use std::fmt;
+use std::hint::select_unpredictable;
 use std::sync::OnceLock;
 
 /// A SIMD instruction-set level the kernels can dispatch to.
@@ -211,6 +230,58 @@ fn gemm_acc_rows(a: &[f32], b: &[f32], c: &mut [f32], k: usize, n: usize, skip_z
                 continue;
             }
             row_axpy_scalar(crow, brow, av);
+        }
+    }
+}
+
+/// The scalar [`gather`]: one copy per entry, row by row.
+fn gather_scalar(src: &[f32], table: &IndexTable, dst: &mut [f32], stride: usize) {
+    for (r, idx) in table.idx.chunks_exact(table.cols).enumerate() {
+        for (d, &i) in dst[r * stride..][..table.cols].iter_mut().zip(idx) {
+            *d = src[i as usize];
+        }
+    }
+}
+
+/// The scalar [`gather_sum`] of elements `from..`: each from `+0.0`, one
+/// add per table row in ascending row.
+fn gather_sum_scalar(src: &[f32], table: &IndexTable, dst: &mut [f32], from: usize) {
+    let dst = &mut dst[from..];
+    dst.fill(0.0);
+    for idx in table.idx.chunks_exact(table.cols) {
+        for (d, &i) in dst.iter_mut().zip(&idx[from..]) {
+            *d += src[i as usize];
+        }
+    }
+}
+
+/// The scalar [`max_pool`]: one loop per window over its `k × k`
+/// elements in `(dy, dx)` order, each a branch-free select on
+/// `v > best`.
+fn max_pool_scalar(
+    x: &[f32],
+    (h, w): (usize, usize),
+    k: usize,
+    best: &mut [f32],
+    arg: &mut [usize],
+) {
+    let (oh, ow) = (h / k, w / k);
+    let rows = best.chunks_exact_mut(ow).zip(arg.chunks_exact_mut(ow));
+    for (r, (best, arg)) in rows.enumerate() {
+        // Output row `oy` of plane `r / oh` starts input row `oy·k`.
+        let first = r / oh * h * w + r % oh * k * w;
+        for (ox, (b, a)) in best.iter_mut().zip(arg).enumerate() {
+            let corner = first + ox * k;
+            let (mut m, mut at) = (f32::NEG_INFINITY, corner);
+            for dy in 0..k {
+                for dx in 0..k {
+                    let i = corner + dy * w + dx;
+                    let wins = x[i] > m;
+                    m = select_unpredictable(wins, x[i], m);
+                    at = select_unpredictable(wins, i, at);
+                }
+            }
+            (*b, *a) = (m, at);
         }
     }
 }
@@ -480,13 +551,168 @@ impl Drop for PairSink<'_> {
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod x86 {
-    use super::{axpy_scalar, partition_scalar, put_lanes, Cursor, PairSink, Pairs, Sides};
+    use super::{
+        axpy_scalar, gather_sum_scalar, max_pool_scalar, partition_scalar, put_lanes, Cursor,
+        IndexTable, PairSink, Pairs, Sides,
+    };
     use core::arch::x86_64::*;
 
     // Every function in this module requires the caller to guarantee the
     // named target feature is available (enforced by `super::level()`
     // clamping to `detect_best()`); the pointer arithmetic stays inside
     // the slice bounds by construction of the `i + LANES <= n` loops.
+
+    /// [`super::gather`] at AVX2: each row eight entries a `vgatherdps`,
+    /// then its last `cols mod 8` one by one.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, every entry of `table` lies below
+    /// `src.len()`, and row `r` fits `dst[r·stride..r·stride + cols]`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gather_avx2(src: &[f32], table: &IndexTable, dst: &mut [f32], stride: usize) {
+        let cols = table.cols;
+        let ps = src.as_ptr();
+        for (r, row) in table.idx.chunks_exact(cols).enumerate() {
+            let (pi, pd) = (row.as_ptr(), dst.as_mut_ptr().add(r * stride));
+            let mut j = 0;
+            while j + 8 <= cols {
+                let vi = _mm256_loadu_si256(pi.add(j).cast());
+                _mm256_storeu_ps(pd.add(j), _mm256_i32gather_ps::<4>(ps, vi));
+                j += 8;
+            }
+            for j in j..cols {
+                *pd.add(j) = *ps.add(*pi.add(j) as usize);
+            }
+        }
+    }
+
+    /// [`super::gather_sum`] at AVX2: eight elements at a time, each lane
+    /// from `+0.0` with one gather and one add per table row in ascending
+    /// row; the last `cols mod 8` elements by the scalar loop.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, every entry of `table` lies below
+    /// `src.len()`, and `dst.len() == table.cols`.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn gather_sum_avx2(src: &[f32], table: &IndexTable, dst: &mut [f32]) {
+        let (n, rows) = (table.cols, table.rows());
+        let (ps, pi, pd) = (src.as_ptr(), table.idx.as_ptr(), dst.as_mut_ptr());
+        let mut j = 0;
+        while j + 8 <= n {
+            let mut acc = _mm256_setzero_ps();
+            for r in 0..rows {
+                let vi = _mm256_loadu_si256(pi.add(r * n + j).cast());
+                acc = _mm256_add_ps(acc, _mm256_i32gather_ps::<4>(ps, vi));
+            }
+            _mm256_storeu_ps(pd.add(j), acc);
+            j += 8;
+        }
+        gather_sum_scalar(src, table, dst, j);
+    }
+
+    /// [`super::max_pool`] at AVX2 for 2×2 windows over planes of even
+    /// height whose width `w` is a multiple of 8 or is 4.
+    ///
+    /// With an even height the input is a run of row pairs, whatever
+    /// plane each belongs to: the pair at `e` holds the windows whose
+    /// outputs are `e/4..e/4 + w/2`. A step takes four windows' elements
+    /// as four vectors in `(dy, dx)` order — each window's top-left
+    /// (`a`), top-right (`b`), bottom-left (`c`) and bottom-right (`d`)
+    /// — by one `permutevar8x32` per 8-lane load that deals the even
+    /// lanes low and the odd lanes high. At `w % 8 == 0` one load is
+    /// eight columns of one row (`[a | b]` from the top row, `[c | d]`
+    /// from the bottom); at `w == 4` one load is a whole pair, and two
+    /// pairs are regrouped into `[a | b]` and `[c | d]` by 64-bit
+    /// unpacks. An odd last pair at `w == 4` runs the scalar loop.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2; `x` holds whole row pairs of `w`
+    /// columns, `w % 8 == 0 || w == 4`, and `best` and `arg` hold
+    /// `x.len() / 4` elements.
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn max_pool2_avx2(x: &[f32], w: usize, best: &mut [f32], arg: &mut [usize]) {
+        let deal = _mm256_setr_epi32(0, 2, 4, 6, 1, 3, 5, 7);
+        let px = x.as_ptr();
+        let (pb, pa) = (best.as_mut_ptr(), arg.as_mut_ptr());
+        let halves = |v: __m256| [_mm256_castps256_ps128(v), _mm256_extractf128_ps::<1>(v)];
+        if w.is_multiple_of(8) {
+            let lanes = _mm256_setr_epi64x(0, 2, 4, 6);
+            for e in (0..x.len()).step_by(2 * w) {
+                for j in (0..w).step_by(8) {
+                    let top = _mm256_permutevar8x32_ps(_mm256_loadu_ps(px.add(e + j)), deal);
+                    let bottom = _mm256_permutevar8x32_ps(_mm256_loadu_ps(px.add(e + w + j)), deal);
+                    let [a, b] = halves(top);
+                    let [c, d] = halves(bottom);
+                    let first = _mm256_add_epi64(_mm256_set1_epi64x((e + j) as i64), lanes);
+                    let o = e / 4 + j / 2;
+                    window4(pb.add(o), pa.add(o), [a, b, c, d], first, [0, 1, w, w + 1]);
+                }
+            }
+        } else {
+            let lanes = _mm256_setr_epi64x(0, 2, 8, 10);
+            let mut e = 0;
+            while e + 16 <= x.len() {
+                // [a0 a1 c0 c1 | b0 b1 d0 d1] and the next pair's [a2 a3 …].
+                let p0 =
+                    _mm256_castps_pd(_mm256_permutevar8x32_ps(_mm256_loadu_ps(px.add(e)), deal));
+                let p1 = _mm256_castps_pd(_mm256_permutevar8x32_ps(
+                    _mm256_loadu_ps(px.add(e + 8)),
+                    deal,
+                ));
+                let [a, b] = halves(_mm256_castpd_ps(_mm256_unpacklo_pd(p0, p1)));
+                let [c, d] = halves(_mm256_castpd_ps(_mm256_unpackhi_pd(p0, p1)));
+                let first = _mm256_add_epi64(_mm256_set1_epi64x(e as i64), lanes);
+                window4(
+                    pb.add(e / 4),
+                    pa.add(e / 4),
+                    [a, b, c, d],
+                    first,
+                    [0, 1, 4, 5],
+                );
+                e += 16;
+            }
+            if e < x.len() {
+                let (best, arg) = (&mut best[e / 4..], &mut arg[e / 4..]);
+                max_pool_scalar(&x[e..], (2, 4), 2, best, arg);
+                arg.iter_mut().for_each(|a| *a += e);
+            }
+        }
+    }
+
+    /// Four windows' first strict maximum over the candidates `c`, taken
+    /// in order from `(−∞, first)`: candidate `i` of window `l` is at
+    /// index `first[l] + offs[i]`. Stores the maxima at `pb` and their
+    /// indices at `pa`, four of each.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and `pb`, `pa` must be valid for four
+    /// writes.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn window4(
+        pb: *mut f32,
+        pa: *mut usize,
+        c: [__m128; 4],
+        first: __m256i,
+        offs: [usize; 4],
+    ) {
+        let mut m = _mm_set1_ps(f32::NEG_INFINITY);
+        let mut at = _mm256_castsi256_pd(first);
+        for (v, off) in c.into_iter().zip(offs) {
+            // GT_OQ: false for NaN, as the scalar `v > m`.
+            let wins = _mm_cmp_ps::<_CMP_GT_OQ>(v, m);
+            m = _mm_blendv_ps(m, v, wins);
+            let idx = _mm256_add_epi64(first, _mm256_set1_epi64x(off as i64));
+            let wide = _mm256_castsi256_pd(_mm256_cvtepi32_epi64(_mm_castps_si128(wins)));
+            at = _mm256_blendv_pd(at, _mm256_castsi256_pd(idx), wide);
+        }
+        _mm_storeu_ps(pb, m);
+        _mm256_storeu_si256(pa.cast(), _mm256_castpd_si256(at));
+    }
 
     #[target_feature(enable = "avx2")]
     pub unsafe fn axpy_avx2(acc: &mut [f32], x: &[f32]) {
@@ -981,6 +1207,176 @@ pub fn gemm_acc(
         // and `k`, `n` are non-zero past the early return.
         SimdLevel::Avx2 => unsafe { x86::gemm_acc_avx2(a, b, c, k, n, skip_zero) },
         _ => gemm_acc_rows(a, b, c, k, n, skip_zero),
+    }
+}
+
+/// A row-major `[rows, cols]` table of source indices for [`gather`] and
+/// [`gather_sum`], which records its reach — one past its largest entry —
+/// when it is built, so that a call checks the whole table against its
+/// source in O(1).
+#[derive(Debug, Default)]
+pub struct IndexTable {
+    idx: Vec<u32>,
+    cols: usize,
+    reach: usize,
+}
+
+impl IndexTable {
+    /// The table whose rows are the `cols`-entry runs of `idx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cols` is zero or does not divide `idx.len()`, or if an
+    /// entry exceeds `i32::MAX` (the AVX2 gather's index lanes are
+    /// signed).
+    pub fn new(idx: Vec<u32>, cols: usize) -> Self {
+        assert!(
+            cols > 0 && idx.len().is_multiple_of(cols),
+            "index table of {} entries is not [rows, {cols}]",
+            idx.len()
+        );
+        let reach = idx.iter().max().map_or(0, |&m| m as usize + 1);
+        assert!(
+            reach <= 1 << 31,
+            "index table entry {} exceeds i32::MAX",
+            reach - 1
+        );
+        IndexTable { idx, cols, reach }
+    }
+
+    fn rows(&self) -> usize {
+        self.idx.len().checked_div(self.cols).unwrap_or(0)
+    }
+
+    /// Panics unless every entry indexes `src`.
+    fn check(&self, src: &[f32], kernel: &str) {
+        assert!(
+            self.reach <= src.len(),
+            "{kernel}: the table reaches index {} of a {}-element source",
+            self.reach - 1,
+            src.len()
+        );
+    }
+}
+
+/// `dst[r·stride + j] = src[table[r, j]]` for every entry of `table`: row
+/// `r` of the table fills `cols` elements of `dst` from `r·stride` on.
+///
+/// At AVX2 each row goes eight entries a `vgatherdps`
+/// (`_mm256_i32gather_ps`), its last `cols mod 8` one by one; at scalar
+/// level it is one copy per entry. It only moves bits, so every level
+/// writes the same bits.
+///
+/// # Panics
+///
+/// Panics if `table` reaches past `src` (an entry is at least
+/// `src.len()`), if `stride` is shorter than a table row, or if `dst`
+/// ends before the table's last row does.
+pub fn gather(src: &[f32], table: &IndexTable, dst: &mut [f32], stride: usize) {
+    let rows = table.rows();
+    if rows == 0 {
+        return;
+    }
+    table.check(src, "gather");
+    assert!(
+        stride >= table.cols
+            && (rows - 1)
+                .checked_mul(stride)
+                .and_then(|end| end.checked_add(table.cols))
+                .is_some_and(|end| end <= dst.len()),
+        "gather: {rows} rows of {} at stride {stride} do not fit {} elements",
+        table.cols,
+        dst.len()
+    );
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level()` never returns a level above `detect_best()`;
+        // every entry lies below `src.len()` and every row fits `dst`
+        // (both checked above).
+        SimdLevel::Avx2 => unsafe { x86::gather_avx2(src, table, dst, stride) },
+        _ => gather_scalar(src, table, dst, stride),
+    }
+}
+
+/// `dst[j] = +0.0 + src[table[0, j]] + src[table[1, j]] + …`: each element
+/// the sum of its column's terms, one per table row, added from `+0.0` in
+/// ascending row.
+///
+/// At AVX2 eight elements go at a time, one gather and one `addps` per
+/// row, and the last `cols mod 8` by the scalar loop; at scalar level it
+/// is a row-by-row loop of scalar adds. Every element gets the same adds
+/// in the same order at every level, so the sums are bitwise identical.
+///
+/// # Panics
+///
+/// Panics if `table` reaches past `src` or if `dst` is not one table row
+/// long.
+pub fn gather_sum(src: &[f32], table: &IndexTable, dst: &mut [f32]) {
+    assert_eq!(
+        dst.len(),
+        table.cols,
+        "gather_sum: table columns and destination differ"
+    );
+    if dst.is_empty() {
+        return;
+    }
+    table.check(src, "gather_sum");
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level()` never returns a level above `detect_best()`;
+        // every entry lies below `src.len()` and `dst` is one row long
+        // (both checked above).
+        SimdLevel::Avx2 => unsafe { x86::gather_sum_avx2(src, table, dst) },
+        _ => gather_sum_scalar(src, table, dst, 0),
+    }
+}
+
+/// Max pooling of the `[h, w]` planes of `x` by `k × k` windows at stride
+/// `k` (a plane's last `h mod k` rows and `w mod k` columns are in no
+/// window). `best[o]` is window `o`'s first strict maximum in `(dy, dx)`
+/// order, from `(−∞, the window's first element)`, and `arg[o]` the
+/// index in `x` of the element it came from: a tie keeps the earlier
+/// element and NaN never wins, so a window of only NaN and `−∞` gives
+/// `−∞` at its first element.
+///
+/// At AVX2, `k = 2` over planes of even `h` whose `w` is a multiple of 8
+/// or is 4 runs a row-pair kernel: four windows at a time, their
+/// elements dealt into four vectors by `permutevar8x32`, then per
+/// element one compare, one value blend and one index blend. Every other
+/// shape, and the scalar level, runs one branch-free loop per window.
+/// Bitwise identical, values and indices, at every level.
+///
+/// # Panics
+///
+/// Panics if `k == 0`, if a plane is smaller than a window, if `x` does
+/// not hold whole planes, or unless `best` and `arg` hold one element per
+/// window.
+pub fn max_pool(x: &[f32], (h, w): (usize, usize), k: usize, best: &mut [f32], arg: &mut [usize]) {
+    assert!(
+        k > 0 && h >= k && w >= k,
+        "max_pool: a {k}x{k} window does not fit a {h}x{w} plane"
+    );
+    let plane = h.checked_mul(w).expect("max_pool: plane size overflows");
+    assert!(
+        x.len().is_multiple_of(plane),
+        "max_pool: input is not whole planes"
+    );
+    let windows = x.len() / plane * (h / k) * (w / k);
+    assert!(
+        best.len() == windows && arg.len() == windows,
+        "max_pool: {windows} windows, {} maxima and {} indices",
+        best.len(),
+        arg.len()
+    );
+    match level() {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `level()` never returns a level above `detect_best()`;
+        // with `k = 2` and an even `h`, `x` is whole row pairs and there
+        // are `x.len() / 4` windows (checked above).
+        SimdLevel::Avx2 if k == 2 && h.is_multiple_of(2) && (w.is_multiple_of(8) || w == 4) => unsafe {
+            x86::max_pool2_avx2(x, w, best, arg)
+        },
+        _ => max_pool_scalar(x, (h, w), k, best, arg),
     }
 }
 

@@ -167,7 +167,8 @@ require_tests -p gtopk-core --lib ckpt::tests::retired_selector_tag_is_a_typed_e
 # not at all, and again after the input's plane size changes (the index
 # tables are rebuilt); skipping a first layer's input gradient leaves
 # every zoo model's gradients bitwise; the tiled transpose writes the
-# naive loop's bits; the branch-free max pool is the branching loop, and
+# naive loop's bits; the max pool is the branching loop at every SIMD
+# level (the AVX2 2×2 row-pair kernels and their fallbacks), and
 # an all-NaN window's gradient stays inside its window; a warm vgg-lite
 # step allocates no layer scratch (an exact count).
 require_tests -p gtopk-nn --lib conv::tests::prop_chunked_conv_is_bitwise_the_per_sample_oracle
@@ -177,6 +178,14 @@ require_tests -p gtopk-nn --lib pool::tests::an_all_nan_window_routes_its_gradie
 require_tests -p gtopk-nn --test alloc_step_sparse a_warm_vgg_lite_step_allocates_no_layer_scratch
 require_tests -p gtopk-nn --lib models::tests::skipping_the_first_layers_input_gradient_leaves_the_grads_bitwise
 require_tests -p gtopk-tensor --lib matmul::tests::prop_transpose_into_is_the_naive_loop
+# The convolution's table-driven data movement at every SIMD level: the
+# gather is the indexed copy bit for bit, the gather-sum over k² reader
+# slots (absent readers on a +0.0 slot) is the span fold col2im ran
+# before it, and a table that reaches past its source panics instead of
+# reading out of bounds.
+require_tests -p gtopk-core --test simd_identity prop_gather_is_the_indexed_copy
+require_tests -p gtopk-core --test simd_identity prop_gather_sum_is_the_span_fold
+require_tests -p gtopk-core --test simd_identity a_table_that_reaches_past_its_source_panics
 # The one tiled GEMM kernel equals the per-(row, p) scalar loop at every
 # level (1–9 rows: whole four-row blocks and every remainder; every C
 # width 1..=130), and the transposed products equal the kernels they

@@ -8,15 +8,16 @@
 //! dispatches: residual accumulate (axpy), the tiled GEMM kernel every
 //! `nn` matmul runs on, the packing kernel under every top-k threshold pass
 //! (fused with the accumulate or not, over dense or packed pairs), the
-//! fused accumulate+select+compact pass, and the full selection pipeline
-//! through `Residual`.
+//! fused accumulate+select+compact pass, the full selection pipeline
+//! through `Residual`, and the convolution's table-driven gathers (im2col
+//! and the weight-gradient operand) and gather-sum (col2im).
 //!
 //! Inputs deliberately include NaN, ±0.0, denormals, heavy |v| ties, and
 //! lengths with `n % lane-width != 0` so lane-remainder tails, NaN
 //! comparison semantics, and signed-zero handling are all exercised.
 
 use gtopk_sparse::{accumulate_select_compact, Residual, SparseVec, TopkScratch};
-use gtopk_tensor::simd::{self, Pairs, SimdLevel};
+use gtopk_tensor::simd::{self, IndexTable, Pairs, SimdLevel};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -404,6 +405,147 @@ proptest! {
                 });
             }
         }
+    }
+}
+
+/// Source values whose bits a gather must keep: `±0.0`, quiet NaNs of
+/// both signs with payloads, a signalling NaN, `±∞`, a denormal, and
+/// finite values.
+fn special_f32(rng: &mut StdRng) -> f32 {
+    match rng.gen_range(0..12u32) {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f32::from_bits(0x7fc0_0000 | rng.gen_range(0..1u32 << 22)),
+        3 => f32::from_bits(0xffc0_0000 | rng.gen_range(0..1u32 << 22)),
+        4 => f32::from_bits(0x7f80_0001),
+        5 => f32::INFINITY,
+        6 => f32::NEG_INFINITY,
+        7 => 1.0e-40,
+        _ => rng.gen_range(-2.0f32..2.0),
+    }
+}
+
+/// An index into `0..len`: mostly uniform, often the last valid one.
+fn source_index(rng: &mut StdRng, len: usize) -> u32 {
+    if rng.gen_range(0..4u32) == 0 {
+        len as u32 - 1
+    } else {
+        rng.gen_range(0..len as u32)
+    }
+}
+
+/// The span fold `col2im` ran before its gather-sum: element `e` sums its
+/// readers `sources[starts[e]..starts[e + 1]]` from `+0.0`, in order.
+fn span_fold(src: &[f32], starts: &[u32], sources: &[u32]) -> Vec<f32> {
+    starts
+        .windows(2)
+        .map(|span| {
+            sources[span[0] as usize..span[1] as usize]
+                .iter()
+                .fold(0.0f32, |acc, &i| acc + src[i as usize])
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `gather` writes `src[table[r, j]]` to `dst[r·stride + j]` and
+    /// nothing else, bit for bit (signalling NaN included), at every
+    /// matrix point: rows of 1..=70 entries (every lane remainder), 0–3
+    /// rows, strides past the row length, repeated indices and the last
+    /// valid one.
+    #[test]
+    fn prop_gather_is_the_indexed_copy(
+        (cols, rows, slack) in (1usize..=70, 0usize..=3, 0usize..=2),
+        (src_len, seed) in (1usize..=70, 0u64..u64::MAX),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let src: Vec<f32> = (0..src_len).map(|_| special_f32(&mut rng)).collect();
+        let mut idx: Vec<u32> = Vec::with_capacity(rows * cols);
+        for _ in 0..rows * cols {
+            let i = match idx.last() {
+                Some(&prev) if rng.gen_range(0..4u32) == 0 => prev,
+                _ => source_index(&mut rng, src_len),
+            };
+            idx.push(i);
+        }
+        let stride = cols + slack;
+        let fill = f32::from_bits(0x7fc0_dead);
+        let mut expect = vec![fill; rows * stride];
+        for (r, row) in idx.chunks_exact(cols).enumerate() {
+            for (j, &i) in row.iter().enumerate() {
+                expect[r * stride + j] = src[i as usize];
+            }
+        }
+        let table = IndexTable::new(idx, cols);
+        on_matrix(|| {
+            let mut dst = vec![fill; rows * stride];
+            simd::gather(&src, &table, &mut dst, stride);
+            assert_eq!(bits(&dst), bits(&expect), "gather at {:?}", simd::level());
+        });
+    }
+
+    /// `gather_sum` over a `[width, n]` table whose absent readers point
+    /// at a trailing `+0.0` slot equals the span fold over the present
+    /// readers, at every matrix point: `+0.0` added to a sum that starts
+    /// at `+0.0` changes no bit (such a sum is never `−0.0`, and a NaN
+    /// stays NaN). Sources hold `±0.0`, NaN and `±∞`; 0..=70 elements
+    /// cover every lane remainder, widths 1..=9 every kernel size up to
+    /// 3×3.
+    #[test]
+    fn prop_gather_sum_is_the_span_fold(
+        (n, width, src_len) in (0usize..=70, 1usize..=9, 1usize..=70),
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut src: Vec<f32> = (0..src_len).map(|_| special_f32(&mut rng)).collect();
+        src.push(0.0);
+        let zero_slot = src_len as u32;
+        let mut table = vec![zero_slot; width * n];
+        let (mut starts, mut sources) = (vec![0u32], Vec::new());
+        for e in 0..n {
+            for slot in 0..width {
+                if rng.gen_range(0..3u32) > 0 {
+                    let i = source_index(&mut rng, src_len);
+                    table[slot * n + e] = i;
+                    sources.push(i);
+                }
+            }
+            starts.push(sources.len() as u32);
+        }
+        let expect = span_fold(&src, &starts, &sources);
+        let table = IndexTable::new(table, n.max(1));
+        on_matrix(|| {
+            let mut dst = vec![f32::NAN; n];
+            if n > 0 {
+                simd::gather_sum(&src, &table, &mut dst);
+            }
+            assert_eq!(bits_any_nan(&dst), bits_any_nan(&expect),
+                       "gather_sum at {:?}", simd::level());
+        });
+    }
+}
+
+/// A table whose largest entry is at or past the source's end makes both
+/// gathers panic before they read anything, at every matrix point.
+#[test]
+fn a_table_that_reaches_past_its_source_panics() {
+    let src = [1.0f32; 9];
+    for reach in [9u32, 10, 1 << 20] {
+        let table = IndexTable::new(vec![0, 8, reach, 3, 8, 0, 1, 2, 4, 5, 6, 7], 12);
+        on_matrix(|| {
+            let gathered = std::panic::catch_unwind(|| {
+                let mut dst = [0.0f32; 12];
+                simd::gather(&src, &table, &mut dst, 12);
+            });
+            assert!(gathered.is_err(), "gather at {:?}", simd::level());
+            let summed = std::panic::catch_unwind(|| {
+                let mut dst = [0.0f32; 12];
+                simd::gather_sum(&src, &table, &mut dst);
+            });
+            assert!(summed.is_err(), "gather_sum at {:?}", simd::level());
+        });
     }
 }
 
